@@ -29,7 +29,6 @@ from .ensemble import (
     fuse,
     fused_scores,
     make_ensemble_spec,
-    predict_ensemble,
     read_metadata,
     sweep_ensemble_size,
     write_metadata,
@@ -50,7 +49,6 @@ from .predictor import (
     ScoreVector,
     batch_predict,
     knn,
-    predict,
     propagate,
     top_k_labels,
     write_predictions,
@@ -86,8 +84,6 @@ __all__ = [
     "ndcg_at_k",
     "parse_dataset",
     "precision_at_k",
-    "predict",
-    "predict_ensemble",
     "propagate",
     "propensity",
     "psn_at_k",

@@ -31,6 +31,7 @@ from .data import (
 from .embedding import (
     EmbeddedMatrix,
     EmbeddingSpec,
+    _row_block,
     embed,
     load_cache,
     materialize_rows,
@@ -63,8 +64,6 @@ class RunConfig:
     pairs: int = 10000
     pair_seed: int = 0
     bins: int = 40
-    hold_matrices: bool = False
-    pre_normalize: bool = True
     grid: bool = False
     # gen
     n: int = 1000
@@ -93,15 +92,40 @@ class RunConfig:
 
 _INT_TUPLES = {"ks", "rs", "ns", "sizes"}
 
+# knob -> smallest valid value; every element of a tuple knob is checked
+_MINIMUMS = {
+    "r": 1, "k": 1, "learners": 1, "chunk": 1, "topk": 1, "ks": 1, "sizes": 1,
+    "tables": 1, "bits": 1, "pairs": 1, "bins": 1, "workers": 0,
+}
 
-def _int_tuple(value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return tuple(int(tok) for tok in str(value).split(",") if tok.strip())
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _int_tuple(name: str, value) -> tuple[int, ...]:
+    tokens = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    try:
+        return tuple(int(tok) for tok in tokens if str(tok).strip())
+    except ValueError:
+        raise UsageError(f"{_flag(name)} expects comma-separated integers") from None
+
+
+def _check_knobs(cfg: RunConfig) -> None:
+    for name, low in _MINIMUMS.items():
+        value = getattr(cfg, name)
+        values = value if isinstance(value, tuple) else (value,)
+        if not values:
+            raise UsageError(f"{_flag(name)} needs at least one value")
+        for v in values:
+            if not isinstance(v, int) or isinstance(v, bool) or v < low:
+                raise UsageError(f"{_flag(name)} must be an integer >= {low}, got {v!r}")
+    if cfg.bits > lsh.MAX_BITS:
+        raise UsageError(f"--bits must be at most {lsh.MAX_BITS}, got {cfg.bits}")
 
 
 def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
-    """Merge layers and report which keys were set explicitly."""
+    """Merge layers, check every knob, and report which keys were set explicitly."""
     file_cfg: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -120,15 +144,16 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
             raise UsageError(f"unknown config key {key!r}")
     merged = {**file_cfg, **cli_cfg}
     for key in _INT_TUPLES & set(merged):
-        merged[key] = _int_tuple(merged[key])
-    return RunConfig(**merged), set(merged)
+        merged[key] = _int_tuple(key, merged[key])
+    cfg = RunConfig(**merged)
+    _check_knobs(cfg)
+    return cfg, set(merged)
 
 
 def _require(cfg: RunConfig, explicit: set[str], *names: str) -> None:
     for name in names:
         if getattr(cfg, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise UsageError(f"{flag} is required (flag or config file)")
+            raise UsageError(f"{_flag(name)} is required (flag or config file)")
 
 
 def _open_out(path: str | None):
@@ -153,10 +178,16 @@ def _cache_provider(cfg: RunConfig, dataset: SparseDataset, workers: int):
 
     def provider(lspec: EmbeddingSpec) -> EmbeddedMatrix:
         path = f"{cfg.cache}-{lspec.seed}.ogec"
-        if os.path.exists(path):
-            print(f"loading cached matrix {path}", file=sys.stderr)
-            return load_cache(path, lspec)
-        return embed(lspec, dataset, workers=workers, pre_normalize=cfg.pre_normalize)
+        if not os.path.exists(path):
+            return embed(lspec, dataset, workers=workers)
+        print(f"loading cached matrix {path}", file=sys.stderr)
+        matrix = load_cache(path, lspec)
+        if matrix.n != dataset.n:
+            raise ValueError(
+                f"{path}: cache holds {matrix.n} samples but the train set has "
+                f"{dataset.n}; rebuild it with `ogeec train --cache`"
+            )
+        return matrix
 
     return provider
 
@@ -196,7 +227,7 @@ def cmd_gen(cfg: RunConfig, explicit: set[str]) -> int:
 def _time_generation(spec: EmbeddingSpec) -> float:
     """Materialize every row of F once, discarding the blocks."""
     t0 = time.perf_counter()
-    block = max(1, 4_000_000 // max(spec.d, 1))
+    block = _row_block(spec.d)
     for s in range(0, spec.r, block):
         materialize_rows(spec, s, min(s + block, spec.r))
     return time.perf_counter() - t0
@@ -218,7 +249,7 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
         )
         if cfg.cache is not None:
             t0 = time.perf_counter()
-            matrix = embed(lspec, ds, workers=workers, pre_normalize=cfg.pre_normalize)
+            matrix = embed(lspec, ds, workers=workers)
             embed_s = time.perf_counter() - t0
             path = f"{cfg.cache}-{lspec.seed}.ogec"
             save_cache(path, matrix, lspec)
@@ -252,8 +283,6 @@ def _predict_scores(cfg: RunConfig, explicit: set[str]):
         learners=limit,
         workers=workers,
         chunk=cfg.chunk,
-        hold_matrices=cfg.hold_matrices,
-        pre_normalize=cfg.pre_normalize,
         matrix_provider=_cache_provider(cfg, train_ds, workers),
         timings=timings,
     )
@@ -284,7 +313,6 @@ def cmd_eval(cfg: RunConfig, explicit: set[str]) -> int:
     )
     report = metrics.evaluate(scores, test_ds.labelsets(), model, ks=cfg.ks)
     timings["metrics_s"] = time.perf_counter() - t0
-    report.timings = timings
     stream = _open_out(cfg.out)
     try:
         if cfg.grid:
@@ -355,12 +383,7 @@ def _eval_single_learner(
 ) -> metrics.EvalReport:
     spec = ens.EnsembleSpec(seeds=(cfg.seed,), d=train_ds.d, r=r, k=cfg.k)
     scores = ens.fused_scores(
-        spec,
-        train_ds,
-        test_ds,
-        workers=cfg.effective_workers(),
-        chunk=cfg.chunk,
-        pre_normalize=cfg.pre_normalize,
+        spec, train_ds, test_ds, workers=cfg.effective_workers(), chunk=cfg.chunk
     )
     return metrics.evaluate(scores, test_ds.labelsets(), model, ks=cfg.ks)
 
@@ -435,12 +458,12 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
     test_ds = parse_dataset(cfg.test)
     workers = cfg.effective_workers()
     lspec = EmbeddingSpec(seed=cfg.seed, d=train_ds.d, r=cfg.r)
-    train_emb = embed(lspec, train_ds, workers=workers, pre_normalize=cfg.pre_normalize)
+    train_emb = embed(lspec, train_ds, workers=workers)
     labelsets = train_ds.labelsets()
 
     exhaustive = batch_predict(
         lspec, train_emb, labelsets, test_ds, cfg.k,
-        workers=workers, chunk=cfg.chunk, pre_normalize=cfg.pre_normalize,
+        workers=workers, chunk=cfg.chunk,
     )
 
     index = build_index(train_emb, T=cfg.tables, H=cfg.bits, seed=cfg.seed)
@@ -451,12 +474,12 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
     empty = 0
     for a in range(0, test_ds.n, cfg.chunk):
         b = min(a + cfg.chunk, test_ds.n)
-        emb_chunk = project_csr(lspec, X[a:b], pre_normalize=cfg.pre_normalize)
+        emb_chunk = project_csr(lspec, X[a:b])
         for i in range(b - a):
             neighbors = query_lsh(index, emb_chunk[:, i], cfg.k)
             if not neighbors:
                 empty += 1
-            lsh_scores.append(propagate(neighbors, labelsets, test_ds.L))
+            lsh_scores.append(propagate(neighbors, labelsets))
 
     model = metrics.propensity(
         train_ds.label_frequencies, train_ds.n, cfg.prop_a, cfg.prop_b
@@ -525,18 +548,6 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
             ("--cache",),
             dict(help="embedded-matrix cache prefix (written by train, read back)"),
         ),
-        "hold_matrices": (
-            ("--hold-matrices",),
-            dict(action="store_true", help="keep all learner matrices in memory"),
-        ),
-        "pre_normalize": (
-            ("--no-pre-normalize",),
-            dict(
-                action="store_false",
-                dest="pre_normalize",
-                help="skip input L2 pre-normalization (ablation only)",
-            ),
-        ),
         "grid": (
             ("--grid",),
             dict(action="store_true", help="print the metric grid instead of TSV"),
@@ -575,23 +586,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="emit model metadata (and optional matrix caches)")
-    _add_common(
-        p, "train", "model", "r", "k", "learners", "seed", "workers", "cache",
-        "pre_normalize",
-    )
+    _add_common(p, "train", "model", "r", "k", "learners", "seed", "workers", "cache")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="batch-predict top-K labels as TSV")
     _add_common(
         p, "model", "train", "test", "out", "k", "learners", "workers", "chunk",
-        "topk", "cache", "hold_matrices", "pre_normalize",
+        "topk", "cache",
     )
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="predict and score against test labels")
     _add_common(
         p, "model", "train", "test", "out", "k", "learners", "workers", "chunk",
-        "prop_a", "prop_b", "ks", "cache", "hold_matrices", "pre_normalize", "grid",
+        "prop_a", "prop_b", "ks", "cache", "grid",
     )
     p.set_defaults(func=cmd_eval)
 
@@ -621,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(
         p, "train", "test", "k", "seed", "workers", "chunk", "prop_a", "prop_b",
-        "ks", "out", "pre_normalize",
+        "ks", "out",
     )
     p.set_defaults(func=cmd_analyze_sweep_r)
 
@@ -645,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(
         p, "train", "test", "r", "k", "seed", "workers", "chunk", "prop_a",
-        "prop_b", "ks", "out", "topk", "pre_normalize",
+        "prop_b", "ks", "out", "topk",
     )
     p.set_defaults(func=cmd_analyze_lsh_compare)
 

@@ -62,9 +62,6 @@ class EmbeddedMatrix:
     n: int
     data: np.ndarray
 
-    def column(self, i: int) -> np.ndarray:
-        return self.data[:, i]
-
 
 def gaussian_words(seed: int, stream: int, count: int) -> np.ndarray:
     """Raw 64-bit words of the (seed, stream) substream."""
@@ -111,12 +108,13 @@ def _row_block(d: int) -> int:
     return max(1, 4_000_000 // max(d, 1))
 
 
-def _normalize_rows(X: sp.csr_matrix) -> sp.csr_matrix:
+def _normalize_rows(X: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Unit-norm rows (zero rows stay zero) and the original row norms."""
     sq = X.copy()
     sq.data = sq.data**2
     norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    return sp.diags(inv) @ X
+    return sp.diags(inv) @ X, norms
 
 
 def _normalize_columns(out: np.ndarray) -> None:
@@ -129,31 +127,25 @@ def _normalize_columns(out: np.ndarray) -> None:
         out[:, a:b] /= norms
 
 
-def project_csr(
+def _project(
     spec: EmbeddingSpec,
     X: sp.csr_matrix,
+    dtype,
     *,
-    pre_normalize: bool = True,
-    re_normalize: bool = True,
-    scale: float | None = None,
-    out_dtype=STORE_DTYPE,
     workers: int = 1,
     row_source: RowSource | None = None,
 ) -> np.ndarray:
-    """Project CSR samples (rows) into the embedding space, as (r, n) columns.
+    """F applied to CSR samples (rows) as an (r, n) column-major `dtype` array.
 
     Work is proportional to nnz times r; F is materialized in row blocks and
     discarded. Sample partitions are independent, so the output is identical
-    for any worker count. `row_source` overrides row materialization (tests
-    inject scaled or identity matrices through it); it must be pure.
+    for any worker count.
     """
     if X.shape[1] != spec.d:
         raise ValueError(f"dataset dimensionality {X.shape[1]} != spec.d {spec.d}")
     rows = row_source if row_source is not None else materialize_rows
     n = X.shape[0]
-    if pre_normalize:
-        X = _normalize_rows(X)
-    out = np.empty((spec.r, n), dtype=out_dtype, order="F")
+    out = np.empty((spec.r, n), dtype=dtype, order="F")
     block = _row_block(spec.d)
 
     def fill(lo: int, hi: int, X_part: sp.csr_matrix) -> None:
@@ -169,10 +161,25 @@ def project_csr(
         parts = [(int(a), int(b), X[int(a) : int(b)]) for a, b in zip(bounds, bounds[1:])]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda p: fill(*p), parts))
-    if scale is not None:
-        out *= scale
-    if re_normalize:
-        _normalize_columns(out)
+    return out
+
+
+def project_csr(
+    spec: EmbeddingSpec,
+    X: sp.csr_matrix,
+    *,
+    workers: int = 1,
+    row_source: RowSource | None = None,
+) -> np.ndarray:
+    """Normalize, project and re-normalize CSR samples: (r, n) float32 columns.
+
+    `row_source` overrides row materialization (tests inject scaled or
+    identity matrices through it); it must be pure.
+    """
+    out = _project(
+        spec, _normalize_rows(X)[0], STORE_DTYPE, workers=workers, row_source=row_source
+    )
+    _normalize_columns(out)
     return out
 
 
@@ -181,28 +188,19 @@ def embed(
     dataset: SparseDataset,
     *,
     workers: int = 1,
-    pre_normalize: bool = True,
     row_source: RowSource | None = None,
 ) -> EmbeddedMatrix:
     """Normalize, project and re-normalize a whole corpus."""
     if dataset.d != spec.d:
         raise ValueError(f"dataset dimensionality {dataset.d} != spec.d {spec.d}")
     data = project_csr(
-        spec,
-        dataset.to_feature_csr(np.float64),
-        pre_normalize=pre_normalize,
-        workers=workers,
-        row_source=row_source,
+        spec, dataset.to_feature_csr(np.float64), workers=workers, row_source=row_source
     )
     return EmbeddedMatrix(r=spec.r, n=dataset.n, data=data)
 
 
 def embed_single(
-    spec: EmbeddingSpec,
-    x: SparseVector,
-    *,
-    pre_normalize: bool = True,
-    row_source: RowSource | None = None,
+    spec: EmbeddingSpec, x: SparseVector, *, row_source: RowSource | None = None
 ) -> np.ndarray:
     """Embed one sample; identical to embed() on a one-sample dataset.
 
@@ -221,9 +219,7 @@ def embed_single(
         ),
         shape=(1, spec.d),
     )
-    return project_csr(
-        spec, X, pre_normalize=pre_normalize, row_source=row_source
-    ).ravel()
+    return project_csr(spec, X, row_source=row_source).ravel()
 
 
 def save_cache(path, matrix: EmbeddedMatrix, spec: EmbeddingSpec) -> None:

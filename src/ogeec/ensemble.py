@@ -12,10 +12,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .data import SparseDataset, SparseVector
-from .embedding import EmbeddedMatrix, EmbeddingSpec, embed
+from .data import SparseDataset
+from .embedding import EmbeddingSpec, embed
 from .metrics import DEFAULT_KS, EvalReport, PropensityModel, evaluate
-from .predictor import ScoreVector, batch_predict, predict
+from .predictor import ScoreVector, batch_predict
 
 
 @dataclass(frozen=True)
@@ -56,38 +56,23 @@ def validate_spec(spec: EnsembleSpec) -> None:
     EmbeddingSpec(seed=spec.seeds[0], d=spec.d, r=spec.r)
 
 
+def _accumulate(sums: list[ScoreVector], scores: list[ScoreVector]) -> None:
+    """Add one learner's per-sample scores into the running per-sample sums."""
+    for acc, sv in zip(sums, scores):
+        for w, s in sv.items():
+            acc[w] = acc.get(w, 0.0) + s
+
+
+def _average(sums: list[ScoreVector], count: int) -> list[ScoreVector]:
+    return [{w: s / count for w, s in acc.items()} for acc in sums]
+
+
 def fuse(score_vectors: list[ScoreVector]) -> ScoreVector:
     """Uniform average; labels absent from a learner contribute 0 for it."""
-    total: ScoreVector = {}
+    total: list[ScoreVector] = [{}]
     for sv in score_vectors:
-        for w, s in sv.items():
-            total[w] = total.get(w, 0.0) + s
-    count = len(score_vectors)
-    return {w: s / count for w, s in total.items()}
-
-
-def predict_ensemble(
-    spec: EnsembleSpec,
-    dataset: SparseDataset,
-    query: SparseVector,
-    *,
-    validate: bool = True,
-    workers: int = 1,
-) -> ScoreVector:
-    """Fused prediction for one query, re-embedding the corpus per learner.
-
-    This is the low-memory reference path; batch work should go through
-    fused_scores, which embeds each learner's corpus once for all queries.
-    """
-    if validate:
-        validate_spec(spec)
-    labelsets = dataset.labelsets()
-    per_learner = []
-    for i in range(spec.size):
-        lspec = spec.learner(i)
-        train = embed(lspec, dataset, workers=workers)
-        per_learner.append(predict(lspec, train, labelsets, query, spec.k))
-    return fuse(per_learner)
+        _accumulate(total, [sv])
+    return _average(total, len(score_vectors))[0]
 
 
 def learner_scores(
@@ -98,58 +83,34 @@ def learner_scores(
     learners: int | None = None,
     workers: int = 1,
     chunk: int = 4096,
-    hold_matrices: bool = False,
-    pre_normalize: bool = True,
-    validate: bool = True,
     matrix_provider=None,
     timings: dict[str, float] | None = None,
 ):
     """Yield (seed, per-test-sample ScoreVector list) for each learner in order.
 
-    Default memory mode re-embeds per learner so only one embedded matrix is
-    live at a time; hold_matrices embeds them all up front instead.
-    `matrix_provider` overrides how a learner's training matrix is obtained
-    (e.g. loading a verified cache).
+    Learners run in turn, each with its own training matrix, so memory does
+    not grow with the ensemble size. `matrix_provider` overrides how that
+    matrix is obtained (e.g. loading a verified cache).
     """
-    if validate:
-        validate_spec(spec)
+    validate_spec(spec)
     count = spec.size if learners is None else learners
     if not 1 <= count <= spec.size:
         raise ValueError(f"learner count {count} exceeds available seeds {spec.size}")
     labelsets = dataset.labelsets()
-
-    def provider(lspec: EmbeddingSpec) -> EmbeddedMatrix:
-        if matrix_provider is not None:
-            return matrix_provider(lspec)
-        return embed(lspec, dataset, workers=workers, pre_normalize=pre_normalize)
-
-    def note_embed(seconds: float) -> None:
-        if timings is not None:
-            timings["train_embed_s"] = timings.get("train_embed_s", 0.0) + seconds
-
-    matrices = None
-    if hold_matrices:
-        t0 = time.perf_counter()
-        matrices = [provider(spec.learner(i)) for i in range(count)]
-        note_embed(time.perf_counter() - t0)
     for i in range(count):
         lspec = spec.learner(i)
-        if matrices is not None:
-            train = matrices[i]
+        t0 = time.perf_counter()
+        if matrix_provider is not None:
+            train = matrix_provider(lspec)
         else:
-            t0 = time.perf_counter()
-            train = provider(lspec)
-            note_embed(time.perf_counter() - t0)
+            train = embed(lspec, dataset, workers=workers)
+        if timings is not None:
+            timings["train_embed_s"] = (
+                timings.get("train_embed_s", 0.0) + time.perf_counter() - t0
+            )
         scores = batch_predict(
-            lspec,
-            train,
-            labelsets,
-            test,
-            spec.k,
-            workers=workers,
-            chunk=chunk,
-            pre_normalize=pre_normalize,
-            timings=timings,
+            lspec, train, labelsets, test, spec.k,
+            workers=workers, chunk=chunk, timings=timings,
         )
         yield spec.seeds[i], scores
 
@@ -162,9 +123,6 @@ def fused_scores(
     learners: int | None = None,
     workers: int = 1,
     chunk: int = 4096,
-    hold_matrices: bool = False,
-    pre_normalize: bool = True,
-    validate: bool = True,
     matrix_provider=None,
     timings: dict[str, float] | None = None,
 ) -> list[ScoreVector]:
@@ -178,17 +136,12 @@ def fused_scores(
         learners=learners,
         workers=workers,
         chunk=chunk,
-        hold_matrices=hold_matrices,
-        pre_normalize=pre_normalize,
-        validate=validate,
         matrix_provider=matrix_provider,
         timings=timings,
     ):
         count += 1
-        for acc, sv in zip(sums, scores):
-            for w, s in sv.items():
-                acc[w] = acc.get(w, 0.0) + s
-    return [{w: s / count for w, s in acc.items()} for acc in sums]
+        _accumulate(sums, scores)
+    return _average(sums, count)
 
 
 @dataclass
@@ -210,7 +163,6 @@ def sweep_ensemble_size(
     ks: tuple[int, ...] = DEFAULT_KS,
     workers: int = 1,
     chunk: int = 4096,
-    validate: bool = True,
 ) -> SweepResult:
     """Evaluate fusions of the first s seeds for each requested size.
 
@@ -229,17 +181,13 @@ def sweep_ensemble_size(
     per_learner: list[EvalReport] = []
     done = 0
     for _, scores in learner_scores(
-        spec, dataset, test, learners=need, workers=workers, chunk=chunk,
-        validate=validate,
+        spec, dataset, test, learners=need, workers=workers, chunk=chunk
     ):
         per_learner.append(evaluate(scores, truths, model, ks=ks))
         done += 1
-        for acc, sv in zip(sums, scores):
-            for w, s in sv.items():
-                acc[w] = acc.get(w, 0.0) + s
+        _accumulate(sums, scores)
         if done in wanted:
-            fused = [{w: s / done for w, s in acc.items()} for acc in sums]
-            fused_reports[done] = evaluate(fused, truths, model, ks=ks)
+            fused_reports[done] = evaluate(_average(sums, done), truths, model, ks=ks)
     return SweepResult(
         fused=fused_reports,
         per_learner=per_learner,

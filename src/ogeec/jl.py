@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import SparseDataset
-from .embedding import EmbeddingSpec, RowSource, project_csr
+from .embedding import EmbeddingSpec, RowSource, _normalize_rows, _project
 
 
 @dataclass(frozen=True)
@@ -83,29 +82,15 @@ def measure_distortion(
     a = rng.integers(0, dataset.n, size=pairs)
     b = rng.integers(0, dataset.n, size=pairs)
 
-    X = dataset.to_feature_csr(np.float64)
-    sq = X.copy()
-    sq.data = sq.data**2
-    norms_sq = np.asarray(sq.sum(axis=1)).ravel()
-    inv = np.divide(
-        1.0, np.sqrt(norms_sq), out=np.zeros_like(norms_sq), where=norms_sq > 0
-    )
-    Xn = sp.diags(inv) @ X
-    unit_sq = (norms_sq > 0).astype(np.float64)
+    Xn, norms = _normalize_rows(dataset.to_feature_csr(np.float64))
+    unit_sq = (norms > 0).astype(np.float64)
 
     # ||x_a - x_b||^2 = ||x_a||^2 + ||x_b||^2 - 2 x_a.x_b, exact in float64
     dots = np.asarray(Xn[a].multiply(Xn[b]).sum(axis=1)).ravel()
     orig_sq = unit_sq[a] + unit_sq[b] - 2.0 * dots
 
-    proj = project_csr(
-        spec,
-        Xn,
-        pre_normalize=False,
-        re_normalize=False,
-        scale=1.0 / math.sqrt(spec.r),
-        out_dtype=np.float64,
-        row_source=row_source,
-    )
+    proj = _project(spec, Xn, np.float64, row_source=row_source)
+    proj *= 1.0 / math.sqrt(spec.r)
     diff = proj[:, a] - proj[:, b]
     proj_dist = np.sqrt(np.sum(diff * diff, axis=0))
 

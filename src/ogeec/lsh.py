@@ -20,6 +20,7 @@ LSH_SEED_NAMESPACE = 0x4C53485F68617368  # ascii "LSH_hash"
 
 DEFAULT_TABLES = 10
 DEFAULT_BITS = 16
+MAX_BITS = 64  # codes are packed into uint64
 
 
 @dataclass
@@ -56,8 +57,8 @@ def build_index(
     """Hash every training column into one bucket per table."""
     if T < 1 or H < 1:
         raise ValueError("T and H must be positive")
-    if H > 64:
-        raise ValueError("H must be at most 64 (codes are packed into uint64)")
+    if H > MAX_BITS:
+        raise ValueError(f"H must be at most {MAX_BITS} (codes are packed into uint64)")
     planes = hyperplanes_for(seed, T, H, train.r)
     buckets: list[dict[int, np.ndarray]] = []
     for t in range(T):

@@ -5,13 +5,13 @@ gain 1 for a relevant label, log2 position discounts, and a sigmoid propensity
 model over training label frequencies. Propensity-scored metrics are
 normalized per sample by the best score any ranking of the true labels could
 reach, so every reported value lies in [0, 1]. Samples with no true labels are
-excluded from every mean and reported as a separate count.
+left out of every mean and reported as a separate count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -120,7 +120,7 @@ def psn_at_k(
 
 @dataclass
 class EvalReport:
-    """The metric-by-K grid plus sample counts and wall-clock timings.
+    """The metric-by-K grid plus sample counts.
 
     P@1 == N@1 and PSP@1 == PSN@1 hold by definition on every input.
     """
@@ -129,7 +129,6 @@ class EvalReport:
     samples: int
     skipped: int
     ks: tuple[int, ...] = DEFAULT_KS
-    timings: dict[str, float] = field(default_factory=dict)
 
     def __getitem__(self, key: str) -> float:
         return self.values[key]
@@ -158,7 +157,6 @@ def evaluate(
     truths: Sequence,
     model: PropensityModel,
     ks: tuple[int, ...] = DEFAULT_KS,
-    timings: dict[str, float] | None = None,
 ) -> EvalReport:
     """Mean metrics over all samples with nonempty truth."""
     if len(predictions) != len(truths):
@@ -180,10 +178,4 @@ def evaluate(
             sums[f"PSN@{k}"] += psn_at_k(ranked, truth, model, k)
     denom = max(used, 1)
     values = {name: total / denom for name, total in sums.items()}
-    return EvalReport(
-        values=values,
-        samples=used,
-        skipped=skipped,
-        ks=tuple(ks),
-        timings=dict(timings or {}),
-    )
+    return EvalReport(values=values, samples=used, skipped=skipped, ks=tuple(ks))

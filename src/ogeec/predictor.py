@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import SparseDataset, SparseVector
-from .embedding import EmbeddedMatrix, EmbeddingSpec, embed_single, project_csr
+from .data import SparseDataset
+from .embedding import EmbeddedMatrix, EmbeddingSpec, project_csr
 
 # label index -> positive score
 ScoreVector = dict[int, float]
@@ -50,37 +50,17 @@ def exact_top_k(sims: np.ndarray, k: int) -> list[Neighbor]:
     return [(int(i), float(sims[i])) for i in top]
 
 
-def knn(
-    query: np.ndarray,
-    train: EmbeddedMatrix,
-    k: int,
-    *,
-    exclude: int | None = None,
-) -> list[Neighbor]:
-    """Exact k nearest training columns of an embedded query, by dot product.
-
-    `exclude` drops one training index from the pool (debug evaluation on the
-    training set itself); the default prediction path never excludes.
-    """
+def knn(query: np.ndarray, train: EmbeddedMatrix, k: int) -> list[Neighbor]:
+    """Exact k nearest training columns of an embedded query, by dot product."""
     query = np.asarray(query)
     if query.shape != (train.r,):
         raise ValueError(f"query length {query.shape} != train dimensionality {train.r}")
     if k < 1:
         raise ValueError("k must be positive")
-    sims = similarities(query, train.data)
-    if exclude is None:
-        return exact_top_k(sims, k)
-    if not 0 <= exclude < train.n:
-        raise IndexError(f"exclude index {exclude} out of range")
-    sims[exclude] = -np.inf
-    return [(i, s) for i, s in exact_top_k(sims, k) if i != exclude]
+    return exact_top_k(similarities(query, train.data), k)
 
 
-def propagate(
-    neighbors: Sequence[Neighbor],
-    labelsets: Sequence[np.ndarray],
-    L: int,
-) -> ScoreVector:
+def propagate(neighbors: Sequence[Neighbor], labelsets: Sequence[np.ndarray]) -> ScoreVector:
     """Weighted Bernoulli label transfer: score[w] = sum of max(sim, 0) over
     neighbors carrying w. Nonpositive-similarity neighbors contribute nothing,
     so every stored score is positive."""
@@ -104,22 +84,6 @@ def top_k_labels(scores: ScoreVector, K: int) -> list[int]:
     return [w for w, _ in ranked[:K]]
 
 
-def predict(
-    spec: EmbeddingSpec,
-    train: EmbeddedMatrix,
-    labelsets: Sequence[np.ndarray],
-    query: SparseVector,
-    k: int,
-    *,
-    exclude: int | None = None,
-    pre_normalize: bool = True,
-) -> ScoreVector:
-    """Single-learner prediction: embed_single, knn, propagate."""
-    q = embed_single(spec, query, pre_normalize=pre_normalize)
-    neighbors = knn(q, train, k, exclude=exclude)
-    return propagate(neighbors, labelsets, len(labelsets))
-
-
 def batch_predict(
     spec: EmbeddingSpec,
     train: EmbeddedMatrix,
@@ -129,7 +93,6 @@ def batch_predict(
     *,
     workers: int = 1,
     chunk: int = 4096,
-    pre_normalize: bool = True,
     timings: dict[str, float] | None = None,
 ) -> list[ScoreVector]:
     """Predict every test sample, embedding queries chunk by chunk.
@@ -140,7 +103,6 @@ def batch_predict(
     if test.d != spec.d:
         raise ValueError(f"test dimensionality {test.d} != spec.d {spec.d}")
     X = test.to_feature_csr(np.float64)
-    L = test.L
     results: list[ScoreVector | None] = [None] * test.n
     search_s = np.zeros(test.n)
     propagate_s = np.zeros(test.n)
@@ -150,7 +112,7 @@ def batch_predict(
         t0 = time.perf_counter()
         neighbors = knn(q, train, k)
         t1 = time.perf_counter()
-        results[i] = propagate(neighbors, labelsets, L)
+        results[i] = propagate(neighbors, labelsets)
         search_s[i] = t1 - t0
         propagate_s[i] = time.perf_counter() - t1
 
@@ -158,7 +120,7 @@ def batch_predict(
     for a in range(0, test.n, chunk):
         b = min(a + chunk, test.n)
         t0 = time.perf_counter()
-        emb = project_csr(spec, X[a:b], pre_normalize=pre_normalize)
+        emb = project_csr(spec, X[a:b])
         t_embed += time.perf_counter() - t0
         jobs = [(i, emb[:, i - a]) for i in range(a, b)]
         if workers <= 1:

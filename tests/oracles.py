@@ -3,13 +3,16 @@
 Everything here is deliberately naive (dense arrays, python loops, full
 sorts) and shares no code path with the package beyond the definitional
 gaussian row stream, which is the identity of the projection matrix itself.
+The one exception is `predict`, the per-query composition of the package's
+own steps, which the batch paths are checked against.
 """
 
 import math
 
 import numpy as np
 
-from ogeec.embedding import EmbeddingSpec, materialize_row
+from ogeec.embedding import EmbeddingSpec, embed_single, materialize_row
+from ogeec.predictor import knn, propagate
 
 
 def dense_rows(ds) -> np.ndarray:
@@ -47,6 +50,11 @@ def naive_end_to_end(seed, train_ds, test_ds, r, k):
                 scores[int(w)] = scores.get(int(w), 0.0) + weight
         out.append(scores)
     return out
+
+
+def predict(spec, train, labelsets, query, k):
+    """Single-learner prediction for one query: embed_single, knn, propagate."""
+    return propagate(knn(embed_single(spec, query), train, k), labelsets)
 
 
 def ref_propensities(freqs, n, a, b):

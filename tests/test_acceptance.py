@@ -242,7 +242,7 @@ def test_criterion_8_lsh_direction(dataset_pairs):
         index = build_index(emb, T=10, H=16, seed=10 * seed)
         q_emb = project_csr(lspec, test.to_feature_csr(np.float64))
         scores = [
-            propagate(query_lsh(index, q_emb[:, i], 5), labelsets, test.L)
+            propagate(query_lsh(index, q_emb[:, i], 5), labelsets)
             for i in range(test.n)
         ]
         lsh_p1.append(evaluate(scores, test.labelsets(), model)["P@1"])

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from ogeec.cli import main
-from ogeec.data import parse_dataset
+from ogeec.data import parse_dataset, split_dataset, write_dataset
 from ogeec.embedding import EmbeddingSpec, load_cache
 from ogeec.ensemble import EnsembleSpec, fused_scores, read_metadata
 from ogeec.metrics import evaluate, propensity
@@ -291,6 +291,81 @@ def test_cache_roundtrip_through_cli(workspace, tmp_path, capsys):
         ]
     )
     assert out.read_bytes() == plain.read_bytes()
+
+
+def test_cache_of_another_train_set_is_rejected(workspace, tmp_path, capsys):
+    prefix = str(tmp_path / "emb")
+    train_args = ["--r", "16", "--k", "5", "--learners", "1", "--seed", "7"]
+    rc = main(
+        [
+            "train", "--train", str(workspace / "train.txt"),
+            "--model", str(tmp_path / "m.txt"), "--cache", prefix, *train_args,
+        ]
+    )
+    assert rc == 0
+    smaller = tmp_path / "train200.txt"
+    write_dataset(split_dataset(parse_dataset(workspace / "train.txt"), 200)[0], smaller)
+    capsys.readouterr()
+    rc = main(
+        [
+            "predict", "--model", str(tmp_path / "m.txt"),
+            "--train", str(smaller), "--test", str(workspace / "test.txt"),
+            "--cache", prefix,
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: ")
+    assert "cache holds 400 samples but the train set has 200" in err[-1]
+    assert not any("Traceback" in line for line in err)
+
+
+# every data path is "{m}", a file that does not exist
+_PREDICT = ["predict", "--model", "{m}", "--train", "{m}", "--test", "{m}"]
+_TRAIN = ["train", "--train", "{m}", "--model", "{m}"]
+_LSH = ["analyze", "lsh-compare", "--train", "{m}", "--test", "{m}"]
+_DISTORTION = ["analyze", "distortion", "--train", "{m}"]
+_BAD_KNOBS = [
+    [*_PREDICT, "--chunk", "0"],
+    [*_PREDICT, "--topk", "0"],
+    ["eval", "--model", "{m}", "--train", "{m}", "--test", "{m}", "--ks", "1,0"],
+    [*_PREDICT, "--k", "0"],
+    [*_TRAIN, "--learners", "0"],
+    [*_TRAIN, "--r", "0"],
+    ["analyze", "sweep-ensemble", "--train", "{m}", "--test", "{m}", "--sizes", "2,0"],
+    [*_LSH, "--tables", "0"],
+    [*_LSH, "--bits", "0"],
+    [*_LSH, "--bits", "65"],
+    [*_DISTORTION, "--pairs", "0"],
+    [*_DISTORTION, "--bins", "0"],
+    [*_PREDICT, "--workers", "-3"],
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_KNOBS, ids=[f"{a[-2]}={a[-1]}" for a in _BAD_KNOBS])
+def test_bad_knob_is_usage_error_before_any_file_is_read(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.txt")
+    rc = main([missing if a == "{m}" else a for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"usage error: {argv[-2]} "), err
+
+
+def test_config_file_knobs_are_checked(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"chunk": "big"}))
+    rc = main(["--config", str(config), "train", "--train", "x", "--model", "y"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("usage error: --chunk must be an integer")
+
+
+@pytest.mark.parametrize("key", ["hold_matrices", "pre_normalize"])
+def test_removed_knobs_are_unknown_config_keys(tmp_path, capsys, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: True}))
+    rc = main(["--config", str(config), "train", "--train", "x", "--model", "y"])
+    assert rc == 2
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_config_file_precedence(workspace, tmp_path):

@@ -179,13 +179,6 @@ def test_embed_single_rejects_out_of_range_index(small_spec):
         embed_single(small_spec, x)
 
 
-def test_pre_normalize_flag_changes_nothing_for_unit_inputs(small_spec):
-    x = SparseVector(np.array([3]), np.array([1.0], dtype=np.float32))
-    a = embed_single(small_spec, x, pre_normalize=True)
-    b = embed_single(small_spec, x, pre_normalize=False)
-    assert np.array_equal(a, b)
-
-
 def test_cache_roundtrip(tmp_path, small_spec, small_embedded):
     path = tmp_path / "train.ogec"
     save_cache(path, small_embedded, small_spec)

