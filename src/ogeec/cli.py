@@ -57,7 +57,6 @@ class RunConfig:
     prop_b: float = 1.5
     ks: tuple[int, ...] = (1, 3, 5)
     workers: int = 0  # 0 means all available cores
-    chunk: int = 4096
     topk: int = 5
     tables: int = lsh.DEFAULT_TABLES
     bits: int = lsh.DEFAULT_BITS
@@ -92,10 +91,20 @@ class RunConfig:
 
 _INT_TUPLES = {"ks", "rs", "ns", "sizes"}
 
+# config-file value types by RunConfig annotation; _int_tuple parses tuple knobs
+_FILE_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "str | None": ((str, type(None)), "a string"),
+    "tuple[int, ...]": (object, "comma-separated integers"),
+}
+
 # knob -> smallest valid value; every element of a tuple knob is checked
 _MINIMUMS = {
-    "r": 1, "k": 1, "learners": 1, "chunk": 1, "topk": 1, "ks": 1, "sizes": 1,
+    "r": 1, "k": 1, "learners": 1, "topk": 1, "ks": 1, "sizes": 1,
     "tables": 1, "bits": 1, "pairs": 1, "bins": 1, "workers": 0,
+    "n": 1, "d": 1, "labels": 1, "clusters": 1, "test_n": 0,
 }
 
 
@@ -118,10 +127,14 @@ def _check_knobs(cfg: RunConfig) -> None:
         if not values:
             raise UsageError(f"{_flag(name)} needs at least one value")
         for v in values:
-            if not isinstance(v, int) or isinstance(v, bool) or v < low:
+            if v < low:
                 raise UsageError(f"{_flag(name)} must be an integer >= {low}, got {v!r}")
     if cfg.bits > lsh.MAX_BITS:
         raise UsageError(f"--bits must be at most {lsh.MAX_BITS}, got {cfg.bits}")
+    if not 0 < cfg.prop_a < 1:
+        raise UsageError(f"--prop-a must lie in (0, 1), got {cfg.prop_a!r}")
+    if not 0 <= cfg.prop_b < float("inf"):
+        raise UsageError(f"--prop-b must be a finite number >= 0, got {cfg.prop_b!r}")
 
 
 def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
@@ -138,10 +151,13 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
         for k, v in vars(args).items()
         if k not in ("func", "config", "command", "analyze_cmd")
     }
-    known = {f.name for f in fields(RunConfig)}
-    for key in file_cfg:
-        if key not in known:
+    annotations = {f.name: f.type for f in fields(RunConfig)}
+    for key, value in file_cfg.items():
+        if key not in annotations:
             raise UsageError(f"unknown config key {key!r}")
+        kinds, what = _FILE_TYPES[annotations[key]]
+        if not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool):
+            raise UsageError(f"{_flag(key)} must be {what}, got {value!r}")
     merged = {**file_cfg, **cli_cfg}
     for key in _INT_TUPLES & set(merged):
         merged[key] = _int_tuple(key, merged[key])
@@ -282,7 +298,6 @@ def _predict_scores(cfg: RunConfig, explicit: set[str]):
         test_ds,
         learners=limit,
         workers=workers,
-        chunk=cfg.chunk,
         matrix_provider=_cache_provider(cfg, train_ds, workers),
         timings=timings,
     )
@@ -382,9 +397,7 @@ def _eval_single_learner(
     model: metrics.PropensityModel,
 ) -> metrics.EvalReport:
     spec = ens.EnsembleSpec(seeds=(cfg.seed,), d=train_ds.d, r=r, k=cfg.k)
-    scores = ens.fused_scores(
-        spec, train_ds, test_ds, workers=cfg.effective_workers(), chunk=cfg.chunk
-    )
+    scores = ens.fused_scores(spec, train_ds, test_ds, workers=cfg.effective_workers())
     return metrics.evaluate(scores, test_ds.labelsets(), model, ks=cfg.ks)
 
 
@@ -427,7 +440,6 @@ def cmd_analyze_sweep_ensemble(cfg: RunConfig, explicit: set[str]) -> int:
         model,
         ks=cfg.ks,
         workers=cfg.effective_workers(),
-        chunk=cfg.chunk,
     )
     stream = _open_out(cfg.out)
     try:
@@ -462,24 +474,20 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
     labelsets = train_ds.labelsets()
 
     exhaustive = batch_predict(
-        lspec, train_emb, labelsets, test_ds, cfg.k,
-        workers=workers, chunk=cfg.chunk,
+        lspec, train_emb, labelsets, test_ds, cfg.k, workers=workers
     )
 
     index = build_index(train_emb, T=cfg.tables, H=cfg.bits, seed=cfg.seed)
-    X = test_ds.to_feature_csr(np.float64)
     from .embedding import project_csr
 
+    queries = project_csr(lspec, test_ds.to_feature_csr(np.float64), workers=workers)
     lsh_scores = []
     empty = 0
-    for a in range(0, test_ds.n, cfg.chunk):
-        b = min(a + cfg.chunk, test_ds.n)
-        emb_chunk = project_csr(lspec, X[a:b])
-        for i in range(b - a):
-            neighbors = query_lsh(index, emb_chunk[:, i], cfg.k)
-            if not neighbors:
-                empty += 1
-            lsh_scores.append(propagate(neighbors, labelsets))
+    for i in range(test_ds.n):
+        neighbors = query_lsh(index, queries[:, i], cfg.k)
+        if not neighbors:
+            empty += 1
+        lsh_scores.append(propagate(neighbors, labelsets))
 
     model = metrics.propensity(
         train_ds.label_frequencies, train_ds.n, cfg.prop_a, cfg.prop_b
@@ -525,11 +533,8 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         "seed": (("--seed",), dict(type=int, help="base seed (default 0)")),
         "workers": (
             ("--workers",),
-            dict(type=int, help="worker threads (default: all cores)"),
-        ),
-        "chunk": (
-            ("--chunk",),
-            dict(type=int, help="query chunk size for bounded memory (default 4096)"),
+            dict(type=int, help="worker threads; they split F's rows, so each row is "
+                 "generated once per projection (default: all cores)"),
         ),
         "prop_a": (
             ("--prop-a",),
@@ -591,14 +596,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="batch-predict top-K labels as TSV")
     _add_common(
-        p, "model", "train", "test", "out", "k", "learners", "workers", "chunk",
+        p, "model", "train", "test", "out", "k", "learners", "workers",
         "topk", "cache",
     )
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="predict and score against test labels")
     _add_common(
-        p, "model", "train", "test", "out", "k", "learners", "workers", "chunk",
+        p, "model", "train", "test", "out", "k", "learners", "workers",
         "prop_a", "prop_b", "ks", "cache", "grid",
     )
     p.set_defaults(func=cmd_eval)
@@ -628,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rs", default=argparse.SUPPRESS, help="comma-separated r values to sweep"
     )
     _add_common(
-        p, "train", "test", "k", "seed", "workers", "chunk", "prop_a", "prop_b",
+        p, "train", "test", "k", "seed", "workers", "prop_a", "prop_b",
         "ks", "out",
     )
     p.set_defaults(func=cmd_analyze_sweep_r)
@@ -638,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes", default=argparse.SUPPRESS, help="comma-separated ensemble sizes"
     )
     _add_common(
-        p, "train", "test", "r", "k", "seed", "workers", "chunk", "prop_a",
+        p, "train", "test", "r", "k", "seed", "workers", "prop_a",
         "prop_b", "ks", "out",
     )
     p.set_defaults(func=cmd_analyze_sweep_ensemble)
@@ -652,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the LSH predictions as a TSV (predict format)",
     )
     _add_common(
-        p, "train", "test", "r", "k", "seed", "workers", "chunk", "prop_a",
+        p, "train", "test", "r", "k", "seed", "workers", "prop_a",
         "prop_b", "ks", "out", "topk",
     )
     p.set_defaults(func=cmd_analyze_lsh_compare)

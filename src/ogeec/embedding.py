@@ -138,29 +138,28 @@ def _project(
     """F applied to CSR samples (rows) as an (r, n) column-major `dtype` array.
 
     Work is proportional to nnz times r; F is materialized in row blocks and
-    discarded. Sample partitions are independent, so the output is identical
-    for any worker count.
+    discarded. Workers split F's rows into contiguous ranges and apply each
+    block to every sample, so each row of F is generated once per call. Every
+    output element is the same CSR-order sum, so the output is identical for
+    any worker count.
     """
     if X.shape[1] != spec.d:
         raise ValueError(f"dataset dimensionality {X.shape[1]} != spec.d {spec.d}")
     rows = row_source if row_source is not None else materialize_rows
-    n = X.shape[0]
-    out = np.empty((spec.r, n), dtype=dtype, order="F")
+    out = np.empty((spec.r, X.shape[0]), dtype=dtype, order="F")
     block = _row_block(spec.d)
 
-    def fill(lo: int, hi: int, X_part: sp.csr_matrix) -> None:
-        for s in range(0, spec.r, block):
-            t = min(s + block, spec.r)
-            B = rows(spec, s, t)
-            out[s:t, lo:hi] = (X_part @ B.T).T
+    def fill(lo: int, hi: int) -> None:
+        for s in range(lo, hi, block):
+            t = min(s + block, hi)
+            out[s:t] = (X @ rows(spec, s, t).T).T
 
-    if workers <= 1 or n <= 1:
-        fill(0, n, X)
+    if workers <= 1:
+        fill(0, spec.r)
     else:
-        bounds = np.linspace(0, n, min(workers, n) + 1).astype(int)
-        parts = [(int(a), int(b), X[int(a) : int(b)]) for a, b in zip(bounds, bounds[1:])]
+        bounds = np.linspace(0, spec.r, min(workers, spec.r) + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda p: fill(*p), parts))
+            list(pool.map(fill, bounds[:-1].tolist(), bounds[1:].tolist()))
     return out
 
 
@@ -173,6 +172,7 @@ def project_csr(
 ) -> np.ndarray:
     """Normalize, project and re-normalize CSR samples: (r, n) float32 columns.
 
+    `workers` threads split F's rows, and each row is generated once per call.
     `row_source` overrides row materialization (tests inject scaled or
     identity matrices through it); it must be pure.
     """

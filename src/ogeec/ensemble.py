@@ -82,7 +82,6 @@ def learner_scores(
     *,
     learners: int | None = None,
     workers: int = 1,
-    chunk: int = 4096,
     matrix_provider=None,
     timings: dict[str, float] | None = None,
 ):
@@ -110,7 +109,7 @@ def learner_scores(
             )
         scores = batch_predict(
             lspec, train, labelsets, test, spec.k,
-            workers=workers, chunk=chunk, timings=timings,
+            workers=workers, timings=timings,
         )
         yield spec.seeds[i], scores
 
@@ -122,7 +121,6 @@ def fused_scores(
     *,
     learners: int | None = None,
     workers: int = 1,
-    chunk: int = 4096,
     matrix_provider=None,
     timings: dict[str, float] | None = None,
 ) -> list[ScoreVector]:
@@ -135,7 +133,6 @@ def fused_scores(
         test,
         learners=learners,
         workers=workers,
-        chunk=chunk,
         matrix_provider=matrix_provider,
         timings=timings,
     ):
@@ -162,7 +159,6 @@ def sweep_ensemble_size(
     *,
     ks: tuple[int, ...] = DEFAULT_KS,
     workers: int = 1,
-    chunk: int = 4096,
 ) -> SweepResult:
     """Evaluate fusions of the first s seeds for each requested size.
 
@@ -181,7 +177,7 @@ def sweep_ensemble_size(
     per_learner: list[EvalReport] = []
     done = 0
     for _, scores in learner_scores(
-        spec, dataset, test, learners=need, workers=workers, chunk=chunk
+        spec, dataset, test, learners=need, workers=workers
     ):
         per_learner.append(evaluate(scores, truths, model, ks=ks))
         done += 1

@@ -92,43 +92,39 @@ def batch_predict(
     k: int,
     *,
     workers: int = 1,
-    chunk: int = 4096,
     timings: dict[str, float] | None = None,
 ) -> list[ScoreVector]:
-    """Predict every test sample, embedding queries chunk by chunk.
+    """Predict every test sample.
 
-    Memory stays bounded by the chunk size; queries are independent, so the
-    result is identical for any worker count.
+    The whole test set is projected in one call, whose `workers` threads split
+    F's rows so each row is generated once; the same workers then search the
+    queries. Queries are independent, so the result is identical for any
+    worker count.
     """
     if test.d != spec.d:
         raise ValueError(f"test dimensionality {test.d} != spec.d {spec.d}")
     X = test.to_feature_csr(np.float64)
+    t0 = time.perf_counter()
+    emb = project_csr(spec, X, workers=workers)
+    t_embed = time.perf_counter() - t0
     results: list[ScoreVector | None] = [None] * test.n
     search_s = np.zeros(test.n)
     propagate_s = np.zeros(test.n)
 
-    def score_one(args: tuple[int, np.ndarray]) -> None:
-        i, q = args
+    def score_one(i: int) -> None:
         t0 = time.perf_counter()
-        neighbors = knn(q, train, k)
+        neighbors = knn(emb[:, i], train, k)
         t1 = time.perf_counter()
         results[i] = propagate(neighbors, labelsets)
         search_s[i] = t1 - t0
         propagate_s[i] = time.perf_counter() - t1
 
-    t_embed = 0.0
-    for a in range(0, test.n, chunk):
-        b = min(a + chunk, test.n)
-        t0 = time.perf_counter()
-        emb = project_csr(spec, X[a:b])
-        t_embed += time.perf_counter() - t0
-        jobs = [(i, emb[:, i - a]) for i in range(a, b)]
-        if workers <= 1:
-            for job in jobs:
-                score_one(job)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(score_one, jobs))
+    if workers <= 1:
+        for i in range(test.n):
+            score_one(i)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(score_one, range(test.n)))
     if timings is not None:
         timings["query_embed_s"] = timings.get("query_embed_s", 0.0) + t_embed
         timings["search_s"] = timings.get("search_s", 0.0) + float(search_s.sum())

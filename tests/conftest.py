@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from ogeec import EmbeddingSpec, embed, generate_synthetic, split_dataset
@@ -47,11 +46,3 @@ def make_pair(seed: int):
 @pytest.fixture(scope="session")
 def dataset_pairs():
     return [make_pair(seed) for seed in range(5)]
-
-
-def dense_rows(ds) -> np.ndarray:
-    out = np.zeros((ds.n, ds.d))
-    for i in range(ds.n):
-        row = ds.feature_row(i)
-        out[i, row.indices] = row.values.astype(np.float64)
-    return out

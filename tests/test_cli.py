@@ -325,10 +325,11 @@ _PREDICT = ["predict", "--model", "{m}", "--train", "{m}", "--test", "{m}"]
 _TRAIN = ["train", "--train", "{m}", "--model", "{m}"]
 _LSH = ["analyze", "lsh-compare", "--train", "{m}", "--test", "{m}"]
 _DISTORTION = ["analyze", "distortion", "--train", "{m}"]
+_EVAL = ["eval", "--model", "{m}", "--train", "{m}", "--test", "{m}"]
+_GEN = ["gen", "--out", "{m}"]
 _BAD_KNOBS = [
-    [*_PREDICT, "--chunk", "0"],
     [*_PREDICT, "--topk", "0"],
-    ["eval", "--model", "{m}", "--train", "{m}", "--test", "{m}", "--ks", "1,0"],
+    [*_EVAL, "--ks", "1,0"],
     [*_PREDICT, "--k", "0"],
     [*_TRAIN, "--learners", "0"],
     [*_TRAIN, "--r", "0"],
@@ -339,6 +340,15 @@ _BAD_KNOBS = [
     [*_DISTORTION, "--pairs", "0"],
     [*_DISTORTION, "--bins", "0"],
     [*_PREDICT, "--workers", "-3"],
+    [*_EVAL, "--prop-a", "1.5"],
+    [*_EVAL, "--prop-a", "0"],
+    [*_EVAL, "--prop-b", "-1"],
+    [*_EVAL, "--prop-b", "inf"],
+    [*_GEN, "--n", "0"],
+    [*_GEN, "--d", "0"],
+    [*_GEN, "--labels", "0"],
+    [*_GEN, "--clusters", "0"],
+    [*_GEN, "--test-n", "-1"],
 ]
 
 
@@ -351,15 +361,44 @@ def test_bad_knob_is_usage_error_before_any_file_is_read(tmp_path, capsys, argv)
     assert len(err) == 1 and err[0].startswith(f"usage error: {argv[-2]} "), err
 
 
-def test_config_file_knobs_are_checked(tmp_path, capsys):
+def test_removed_chunk_flag_is_rejected_by_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*_PREDICT, "--chunk", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --chunk 8" in capsys.readouterr().err
+
+
+_BAD_CONFIG_VALUES = [
+    ({"topk": "big"}, "--topk must be an integer, got 'big'"),
+    ({"seed": "x"}, "--seed must be an integer, got 'x'"),
+    ({"seed": True}, "--seed must be an integer, got True"),
+    ({"r": 2.5}, "--r must be an integer, got 2.5"),
+    ({"prop_a": "x"}, "--prop-a must be a number, got 'x'"),
+    ({"prop_a": 1}, "--prop-a must lie in (0, 1), got 1"),
+    ({"prop_b": -0.5}, "--prop-b must be a finite number >= 0, got -0.5"),
+    ({"grid": 1}, "--grid must be true or false, got 1"),
+    ({"ks": True}, "--ks must be comma-separated integers, got True"),
+    ({"train": 5}, "--train must be a string, got 5"),
+    ({"out": 1}, "--out must be a string, got 1"),
+    ({"topk": 0}, "--topk must be an integer >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    _BAD_CONFIG_VALUES,
+    ids=[f"{k}={v}" for values, _ in _BAD_CONFIG_VALUES for k, v in values.items()],
+)
+def test_config_file_knobs_are_checked(tmp_path, capsys, values, message):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"chunk": "big"}))
+    config.write_text(json.dumps(values))
     rc = main(["--config", str(config), "train", "--train", "x", "--model", "y"])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("usage error: --chunk must be an integer")
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"usage error: {message}"]
 
 
-@pytest.mark.parametrize("key", ["hold_matrices", "pre_normalize"])
+@pytest.mark.parametrize("key", ["hold_matrices", "pre_normalize", "chunk"])
 def test_removed_knobs_are_unknown_config_keys(tmp_path, capsys, key):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({key: True}))

@@ -1,10 +1,12 @@
 import json
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ogeec.data import SparseVector, generate_synthetic
+from ogeec import embedding
+from ogeec.data import SparseVector, generate_synthetic, split_dataset
 from ogeec.embedding import (
     EmbeddedMatrix,
     EmbeddingSpec,
@@ -16,6 +18,7 @@ from ogeec.embedding import (
     materialize_rows,
     save_cache,
 )
+from ogeec.ensemble import fused_scores, make_ensemble_spec
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "embed_single_seed42_d10_r4.json"
 
@@ -163,6 +166,46 @@ def test_embed_worker_count_invariance(small_spec, small_ds):
     one = embed(small_spec, small_ds, workers=1)
     many = embed(small_spec, small_ds, workers=4)
     assert np.array_equal(one.data, many.data)
+
+
+@pytest.mark.parametrize("r", [32, 4])
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_projection_generates_each_row_once(small_ds, monkeypatch, r, workers):
+    """Workers split F's rows: one call materializes every row exactly once,
+    and the output is byte-identical to one worker walking F in one block."""
+    spec = EmbeddingSpec(seed=42, d=small_ds.d, r=r)
+    reference = embed(spec, small_ds, workers=1)
+    generated = []
+
+    def counting(spec, start, stop):
+        generated.extend(range(start, stop))
+        return materialize_rows(spec, start, stop)
+
+    # blocks of 5 rows, so a worker's range spans several blocks
+    monkeypatch.setattr(embedding, "_row_block", lambda d: 5)
+    out = embed(spec, small_ds, workers=workers, row_source=counting)
+    assert sorted(generated) == list(range(r))
+    assert np.array_equal(out.data, reference.data)
+
+
+def test_fused_scores_generates_each_row_twice_per_learner(monkeypatch):
+    """One pass over F embeds the train set and one projects every query,
+    however many queries there are."""
+    ds = generate_synthetic(
+        n=4200, d=200, L=10, sparsity=5, labels_per_sample=1, clusters=4, seed=5
+    )
+    train, test = split_dataset(ds, 60)
+    assert test.n > 4096
+    spec = make_ensemble_spec(3, 2, d=ds.d, r=8, k=3)
+    generated = Counter()
+
+    def counting(spec, start, stop):
+        generated.update((spec.seed, i) for i in range(start, stop))
+        return materialize_rows(spec, start, stop)
+
+    monkeypatch.setattr(embedding, "materialize_rows", counting)
+    fused_scores(spec, train, test, workers=2)
+    assert generated == Counter({(s, i): 2 for s in spec.seeds for i in range(spec.r)})
 
 
 def test_embed_dimension_mismatch(small_spec):

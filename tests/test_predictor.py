@@ -176,7 +176,7 @@ def test_batch_predict_equals_per_query(small_spec, small_ds, small_embedded, tr
     # reuse the small corpus as both train and queries to keep this quick
     labelsets = small_ds.labelsets()
     sub = small_ds
-    batched = batch_predict(small_spec, small_embedded, labelsets, sub, 5, chunk=7)
+    batched = batch_predict(small_spec, small_embedded, labelsets, sub, 5)
     for i in range(0, sub.n, 37):
         single = predict(small_spec, small_embedded, labelsets, sub.feature_row(i), 5)
         assert batched[i] == single
