@@ -2,8 +2,9 @@
 """Full-benchmark evaluation on the public extreme-classification corpora.
 
 Expects pre-downloaded repository text files (0-based indices, `n d L`
-header). Prediction is exhaustive kNN over the whole training set, so expect
-hours per corpus on one core; workers cut wall-clock roughly linearly.
+header). Prediction is exhaustive kNN over the whole training set: one
+float32 GEMM per learner, threaded by BLAS, screens the candidates that a
+float64 rescore ranks. --workers threads the projection through F.
 
     python scripts/full_scale_eval.py --train delicious_train.txt \
         --test delicious_test.txt --learners 5

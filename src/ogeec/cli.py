@@ -257,23 +257,25 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
     workers = cfg.effective_workers()
     for i in range(spec.size):
         lspec = spec.learner(i)
-        gen_s = _time_generation(lspec)
-        print(
-            f"learner seed={lspec.seed}: matrix generation {gen_s:.3f}s "
-            f"({lspec.r}x{lspec.d})",
-            file=sys.stderr,
-        )
-        if cfg.cache is not None:
-            t0 = time.perf_counter()
-            matrix = embed(lspec, ds, workers=workers)
-            embed_s = time.perf_counter() - t0
-            path = f"{cfg.cache}-{lspec.seed}.ogec"
-            save_cache(path, matrix, lspec)
+        shape = f"({lspec.r}x{lspec.d})"
+        if cfg.cache is None:
+            gen_s = _time_generation(lspec)
             print(
-                f"learner seed={lspec.seed}: embedding/post-processing "
-                f"{embed_s:.3f}s, cached to {path}",
+                f"learner seed={lspec.seed}: matrix generation {gen_s:.3f}s {shape}",
                 file=sys.stderr,
             )
+            continue
+        # the embedding pass generates F once; it is the generation time too
+        t0 = time.perf_counter()
+        matrix = embed(lspec, ds, workers=workers)
+        embed_s = time.perf_counter() - t0
+        path = f"{cfg.cache}-{lspec.seed}.ogec"
+        save_cache(path, matrix, lspec)
+        print(
+            f"learner seed={lspec.seed}: matrix generation and embedding "
+            f"{embed_s:.3f}s {shape}, cached to {path}",
+            file=sys.stderr,
+        )
     ens.write_metadata(cfg.model, spec, base_seed=cfg.seed)
     print(f"model metadata written to {cfg.model}", file=sys.stderr)
     return 0
@@ -533,8 +535,9 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         "seed": (("--seed",), dict(type=int, help="base seed (default 0)")),
         "workers": (
             ("--workers",),
-            dict(type=int, help="worker threads; they split F's rows, so each row is "
-                 "generated once per projection (default: all cores)"),
+            dict(type=int, help="projection threads; they split F's rows, so each row "
+                 "is generated once per projection (default: all cores). Search is "
+                 "one GEMM per learner, threaded by BLAS"),
         ),
         "prop_a": (
             ("--prop-a",),

@@ -254,6 +254,9 @@ def load_cache(path, spec: EmbeddingSpec | None = None) -> EmbeddedMatrix:
         raise ValueError(f"{path}: expected {expect} payload bytes, got {len(payload)}")
     cols = np.frombuffer(payload, dtype="<f4").reshape(n, r)
     data = np.asfortranarray(cols.T.astype(np.float32, copy=False))
+    # search bounds float32 rounding error by column norms, which must be finite
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: payload holds non-finite values; rebuild the cache")
     if spec is not None:
         with open(str(path) + ".meta", "r", encoding="utf-8") as f:
             meta = json.load(f)

@@ -3,7 +3,8 @@
 Hash tables live in the same latent space the exhaustive search uses, making
 metric-level comparisons fair. Each table hashes a vector to H sign bits
 against seeded hyperplanes; a query's candidates are the union of its buckets
-across tables, rescored exactly by dot product.
+across tables, rescored by the same float64 dot product (`rescore`) that
+exhaustive search uses, so both give bit-identical scores for a column.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddedMatrix, gaussian_row
-from .predictor import Neighbor, exact_top_k
+from .predictor import Neighbor, exact_top_k, rescore
 
 # keeps hyperplane streams disjoint from projection-row streams for any seed
 LSH_SEED_NAMESPACE = 0x4C53485F68617368  # ascii "LSH_hash"
@@ -107,5 +108,5 @@ def query_lsh(index: LshIndex, query: np.ndarray, k: int) -> list[Neighbor]:
     cand = candidates(index, query)
     if cand.size == 0:
         return []
-    sims = query.astype(np.float64) @ index.train.data[:, cand].astype(np.float64)
+    sims = rescore(query.astype(np.float64), index.train.data, cand)
     return [(int(cand[i]), s) for i, s in exact_top_k(sims, k)]

@@ -52,6 +52,18 @@ def naive_end_to_end(seed, train_ds, test_ds, r, k):
     return out
 
 
+def knn_scan(query, data, k):
+    """Every column's float64 score, one column at a time, then a full sort.
+
+    The score is the search kernel's definition: float64 products of the
+    query and the column, summed along one contiguous vector.
+    """
+    q64 = np.asarray(query, dtype=np.float64)
+    sims = [float((data[:, j].astype(np.float64) * q64).sum()) for j in range(data.shape[1])]
+    order = sorted(range(len(sims)), key=lambda j: (-sims[j], j))
+    return [(j, sims[j]) for j in order[:k]]
+
+
 def predict(spec, train, labelsets, query, k):
     """Single-learner prediction for one query: embed_single, knn, propagate."""
     return propagate(knn(embed_single(spec, query), train, k), labelsets)

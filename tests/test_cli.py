@@ -1,9 +1,15 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import time
 
+import numpy as np
 import pytest
 
+import ogeec
+from ogeec import cli, embedding
 from ogeec.cli import main
 from ogeec.data import parse_dataset, split_dataset, write_dataset
 from ogeec.embedding import EmbeddingSpec, load_cache
@@ -121,6 +127,41 @@ def test_predict_deterministic_across_runs_and_workers(workspace, tmp_path):
         )
         assert rc == 0
     assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+def test_predict_output_independent_of_blas_threads_and_workers(tmp_path):
+    """Fresh `ogeec predict` processes write the same bytes under one or two
+    BLAS threads and one or three workers. 3000 train samples put the 800
+    queries in two screen tiles, the second one ragged."""
+    train, test, model = tmp_path / "train.txt", tmp_path / "test.txt", tmp_path / "m.txt"
+    assert main(
+        [
+            "gen", "--n", "3000", "--d", "3000", "--labels", "60", "--sparsity", "12",
+            "--labels-per-sample", "2", "--clusters", "12", "--seed", "5",
+            "--test-n", "800", "--out", str(train), "--test-out", str(test),
+        ]
+    ) == 0
+    assert main(
+        ["train", "--train", str(train), "--model", str(model), "--r", "64",
+         "--learners", "2", "--seed", "1"]
+    ) == 0
+    src = str(pathlib.Path(ogeec.__file__).resolve().parents[1])
+    outputs = []
+    for threads, workers in (("1", "1"), ("2", "1"), ("1", "3"), ("2", "3")):
+        out = tmp_path / f"threads{threads}-workers{workers}.tsv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [
+                sys.executable, "-m", "ogeec.cli", "predict", "--model", str(model),
+                "--train", str(train), "--test", str(test), "--out", str(out),
+                "--workers", workers,
+            ],
+            env=env, check=True, timeout=300, capture_output=True,
+        )
+        outputs.append(out.read_bytes())
+    assert len(outputs[0].splitlines()) == 800
+    assert outputs.count(outputs[0]) == len(outputs)
 
 
 def test_predict_topk_controls_row_width(workspace, tmp_path, capsys):
@@ -291,6 +332,57 @@ def test_cache_roundtrip_through_cli(workspace, tmp_path, capsys):
         ]
     )
     assert out.read_bytes() == plain.read_bytes()
+
+
+def test_train_cache_generates_each_row_of_f_once(workspace, tmp_path, monkeypatch):
+    rows = []
+
+    def counted(orig):
+        def wrapper(spec, start, stop):
+            rows.append(stop - start)
+            return orig(spec, start, stop)
+
+        return wrapper
+
+    for module in (embedding, cli):
+        monkeypatch.setattr(module, "materialize_rows", counted(module.materialize_rows))
+    rc = main(
+        [
+            "train", "--train", str(workspace / "train.txt"),
+            "--model", str(tmp_path / "m.txt"), "--r", "16", "--learners", "2",
+            "--seed", "7", "--workers", "2", "--cache", str(tmp_path / "emb"),
+        ]
+    )
+    assert rc == 0
+    assert sum(rows) == 2 * 16  # r rows per learner
+
+
+def test_cache_with_non_finite_payload_is_rejected(workspace, tmp_path, capsys):
+    prefix = str(tmp_path / "emb")
+    model = str(tmp_path / "m.txt")
+    rc = main(
+        [
+            "train", "--train", str(workspace / "train.txt"), "--model", model,
+            "--r", "16", "--learners", "1", "--seed", "7", "--cache", prefix,
+        ]
+    )
+    assert rc == 0
+    path = pathlib.Path(f"{prefix}-7.ogec")
+    raw = bytearray(path.read_bytes())
+    raw[18 + 4 * 5 : 18 + 4 * 6] = np.float32(np.nan).tobytes()  # column 0, row 5
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    rc = main(
+        [
+            "predict", "--model", model, "--train", str(workspace / "train.txt"),
+            "--test", str(workspace / "test.txt"), "--cache", prefix,
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: ")
+    assert "non-finite" in err[-1]
+    assert not any("Traceback" in line for line in err)
 
 
 def test_cache_of_another_train_set_is_rejected(workspace, tmp_path, capsys):

@@ -90,6 +90,17 @@ def test_indexed_vector_is_always_its_own_candidate(indexed):
         assert entries[0][0] == i
 
 
+def test_lsh_scores_are_bit_identical_to_exhaustive(indexed):
+    train, _ = indexed
+    index = build_index(train, T=4, H=3, seed=9)  # coarse buckets: many candidates
+    for j in (0, 17, 119):
+        q = train.data[:, j] * 0.7  # a float64 query in column j's buckets
+        exhaustive = dict(knn(q, train, train.n))
+        found = query_lsh(index, q, train.n)
+        assert len(found) > 1
+        assert all(s == exhaustive[i] for i, s in found)
+
+
 def test_candidates_monotone_in_table_count(indexed):
     train, _ = indexed
     q = train.data[:, 5]

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import predict
+from oracles import knn_scan, predict
 
+from ogeec import predictor
 from ogeec.embedding import EmbeddedMatrix, embed_single
 from ogeec.predictor import (
     batch_predict,
@@ -110,6 +113,60 @@ def test_knn_monotone_under_added_sample(cols, extra, k):
         for i, s in old:
             if i not in set(new_ids):
                 assert s <= sim_new + 1e-12
+
+
+@st.composite
+def search_cases(draw):
+    """A train matrix with adversarial columns, a block of queries, k, and the
+    query rows per screen tile."""
+    r = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 30))
+    data = draw(arrays(np.float32, (r, n), elements=st.floats(-4, 4, width=32)))
+    for j in range(n):
+        kind = draw(st.sampled_from(["keep", "duplicate", "zero", "ulp", "scale"]))
+        src = data[:, draw(st.integers(0, n - 1))].copy()
+        if kind == "duplicate":
+            data[:, j] = src
+        elif kind == "zero":
+            data[:, j] = 0.0
+        elif kind == "ulp":  # a near-tie: one element one float32 ulp away
+            i = draw(st.integers(0, r - 1))
+            src[i] = np.nextafter(src[i], np.float32(np.inf))
+            data[:, j] = src
+        elif kind == "scale":  # non-unit columns
+            data[:, j] *= draw(st.sampled_from([1e-3, 0.5, 3.0, 1e3]))
+    m = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        queries = draw(arrays(np.float64, (r, m), elements=st.floats(-4, 4)))
+    else:
+        queries = draw(arrays(np.float32, (r, m), elements=st.floats(-4, 4, width=32)))
+    for i in range(m):
+        if draw(st.booleans()):  # a query on a training column scores near-ties
+            queries[:, i] = data[:, draw(st.integers(0, n - 1))]
+    k = draw(st.integers(1, n + 3))
+    return data, queries, k, draw(st.integers(1, m))
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=search_cases())
+def test_knn_equals_full_scan(case):
+    """The screened kernel returns the full float64 scan's (index, score)
+    lists exactly: on near-ties, duplicate and zero columns, non-unit columns,
+    float64 queries, k >= n, n within one tile and a ragged last tile."""
+    data, queries, k, tile_rows = case
+    n = data.shape[1]
+    with mock.patch.object(predictor, "_TILE_FLOATS", tile_rows * n):
+        got = knn(queries, matrix_of(data), k)
+    assert got == [knn_scan(queries[:, i], data, k) for i in range(queries.shape[1])]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e30, 1e200])
+def test_knn_queries_beyond_float32_range(scale):
+    """A query too small or too large for float32 still gets the exact answer."""
+    rng = np.random.default_rng(1)
+    data = rng.normal(size=(16, 50)).astype(np.float32)
+    q = rng.normal(size=16) * scale
+    assert knn(q, matrix_of(data), 4) == knn_scan(q, data, 4)
 
 
 def test_propagate_single_neighbor():
