@@ -33,9 +33,11 @@ from .embedding import (
     EmbeddingSpec,
     _row_block,
     embed,
+    embed_train_test,
     load_cache,
     materialize_rows,
     save_cache,
+    train_test_rows,
 )
 from .predictor import batch_predict, format_predictions, propagate
 from .lsh import build_index, query_lsh
@@ -188,14 +190,14 @@ def _load_model(cfg: RunConfig, explicit: set[str]) -> ens.EnsembleSpec:
     return spec
 
 
-def _cache_provider(cfg: RunConfig, dataset: SparseDataset, workers: int):
+def _cache_provider(cfg: RunConfig, dataset: SparseDataset):
     if cfg.cache is None:
         return None
 
-    def provider(lspec: EmbeddingSpec) -> EmbeddedMatrix:
+    def provider(lspec: EmbeddingSpec) -> EmbeddedMatrix | None:
         path = f"{cfg.cache}-{lspec.seed}.ogec"
         if not os.path.exists(path):
-            return embed(lspec, dataset, workers=workers)
+            return None  # embedded together with the queries
         print(f"loading cached matrix {path}", file=sys.stderr)
         matrix = load_cache(path, lspec)
         if matrix.n != dataset.n:
@@ -300,7 +302,7 @@ def _predict_scores(cfg: RunConfig, explicit: set[str]):
         test_ds,
         learners=limit,
         workers=workers,
-        matrix_provider=_cache_provider(cfg, train_ds, workers),
+        matrix_provider=_cache_provider(cfg, train_ds),
         timings=timings,
     )
     return spec, train_ds, test_ds, scores, timings
@@ -391,18 +393,6 @@ def cmd_analyze_distortion(cfg: RunConfig, explicit: set[str]) -> int:
     return 0
 
 
-def _eval_single_learner(
-    cfg: RunConfig,
-    train_ds: SparseDataset,
-    test_ds: SparseDataset,
-    r: int,
-    model: metrics.PropensityModel,
-) -> metrics.EvalReport:
-    spec = ens.EnsembleSpec(seeds=(cfg.seed,), d=train_ds.d, r=r, k=cfg.k)
-    scores = ens.fused_scores(spec, train_ds, test_ds, workers=cfg.effective_workers())
-    return metrics.evaluate(scores, test_ds.labelsets(), model, ks=cfg.ks)
-
-
 def cmd_analyze_sweep_r(cfg: RunConfig, explicit: set[str]) -> int:
     _require(cfg, explicit, "train", "test")
     train_ds = parse_dataset(cfg.train)
@@ -410,14 +400,16 @@ def cmd_analyze_sweep_r(cfg: RunConfig, explicit: set[str]) -> int:
     model = metrics.propensity(
         train_ds.label_frequencies, train_ds.n, cfg.prop_a, cfg.prop_b
     )
+    truths = test_ds.labelsets()
+    sweep = ens.sweep_dimension(
+        cfg.seed, train_ds, test_ds, cfg.rs, cfg.k, workers=cfg.effective_workers()
+    )
     stream = _open_out(cfg.out)
     try:
-        header_written = False
-        for r in cfg.rs:
-            report = _eval_single_learner(cfg, train_ds, test_ds, r, model)
-            if not header_written:
+        for i, (r, scores) in enumerate(sweep):
+            report = metrics.evaluate(scores, truths, model, ks=cfg.ks)
+            if i == 0:
                 stream.write("r\t" + report.tsv_header() + "\n")
-                header_written = True
             stream.write(f"{r}\t" + report.tsv_row() + "\n")
     finally:
         _close_out(stream)
@@ -472,17 +464,14 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
     test_ds = parse_dataset(cfg.test)
     workers = cfg.effective_workers()
     lspec = EmbeddingSpec(seed=cfg.seed, d=train_ds.d, r=cfg.r)
-    train_emb = embed(lspec, train_ds, workers=workers)
-    labelsets = train_ds.labelsets()
-
-    exhaustive = batch_predict(
-        lspec, train_emb, labelsets, test_ds, cfg.k, workers=workers
+    # one pass over F serves both searches
+    train_emb, queries = embed_train_test(
+        lspec, train_test_rows(train_ds, test_ds), workers=workers
     )
+    labelsets = train_ds.labelsets()
+    exhaustive = batch_predict(train_emb, labelsets, queries, cfg.k)
 
     index = build_index(train_emb, T=cfg.tables, H=cfg.bits, seed=cfg.seed)
-    from .embedding import project_csr
-
-    queries = project_csr(lspec, test_ds.to_feature_csr(np.float64), workers=workers)
     lsh_scores = []
     empty = 0
     for i in range(test_ds.n):

@@ -8,6 +8,11 @@ The stream is fixed by this module: Philox 64-bit words under a 128-bit key
 Box-Muller. Embedding a corpus means L2-normalizing each sample, multiplying
 by F block-by-block (cost proportional to nnz times r), re-normalizing, and
 storing the result as a column-major float32 matrix.
+
+Generating F is most of the cost at large d, so a command normalizes its
+train and test samples once (`train_test_rows`) and each learner projects
+them together in one pass over F (`embed_train_test`); a sweep over r takes
+every r from one pass at the largest (`embed_prefixes`).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,6 +66,20 @@ class EmbeddedMatrix:
     r: int
     n: int
     data: np.ndarray
+
+
+@dataclass(frozen=True)
+class TrainTestRows:
+    """A command's train then test samples as unit-norm float64 CSR rows.
+
+    `both` stacks the train rows over the test rows, so one projection makes
+    one pass over F for the train matrix and the queries together; `test`
+    alone serves a learner whose train matrix is cached.
+    """
+
+    both: sp.csr_matrix
+    test: sp.csr_matrix
+    n_train: int
 
 
 def gaussian_words(seed: int, stream: int, count: int) -> np.ndarray:
@@ -117,6 +136,21 @@ def _normalize_rows(X: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     return sp.diags(inv) @ X, norms
 
 
+def _unit_rows(dataset: SparseDataset) -> sp.csr_matrix:
+    return _normalize_rows(dataset.to_feature_csr(np.float64))[0]
+
+
+def train_test_rows(train: SparseDataset, test: SparseDataset) -> TrainTestRows:
+    """Normalize a command's samples once, for every learner to project."""
+    if test.d != train.d:
+        raise ValueError(
+            f"test dimensionality {test.d} != train dimensionality {train.d}"
+        )
+    test_rows = _unit_rows(test)
+    both = sp.vstack([_unit_rows(train), test_rows], format="csr")
+    return TrainTestRows(both=both, test=test_rows, n_train=train.n)
+
+
 def _normalize_columns(out: np.ndarray) -> None:
     n = out.shape[1]
     step = 65536
@@ -163,6 +197,24 @@ def _project(
     return out
 
 
+def project_rows(
+    spec: EmbeddingSpec,
+    X: sp.csr_matrix,
+    *,
+    workers: int = 1,
+    row_source: RowSource | None = None,
+) -> np.ndarray:
+    """Project unit-norm CSR rows and re-normalize: (r, n) float32 columns.
+
+    `workers` threads split F's rows, and each row is generated once per call.
+    `row_source` overrides row materialization (tests inject scaled or
+    identity matrices through it); it must be pure.
+    """
+    out = _project(spec, X, STORE_DTYPE, workers=workers, row_source=row_source)
+    _normalize_columns(out)
+    return out
+
+
 def project_csr(
     spec: EmbeddingSpec,
     X: sp.csr_matrix,
@@ -170,17 +222,50 @@ def project_csr(
     workers: int = 1,
     row_source: RowSource | None = None,
 ) -> np.ndarray:
-    """Normalize, project and re-normalize CSR samples: (r, n) float32 columns.
-
-    `workers` threads split F's rows, and each row is generated once per call.
-    `row_source` overrides row materialization (tests inject scaled or
-    identity matrices through it); it must be pure.
-    """
-    out = _project(
-        spec, _normalize_rows(X)[0], STORE_DTYPE, workers=workers, row_source=row_source
+    """Normalize, project and re-normalize CSR samples: (r, n) float32 columns."""
+    return project_rows(
+        spec, _normalize_rows(X)[0], workers=workers, row_source=row_source
     )
-    _normalize_columns(out)
-    return out
+
+
+def _split(data: np.ndarray, n_train: int) -> tuple[EmbeddedMatrix, np.ndarray]:
+    """The train columns as an EmbeddedMatrix and the query columns after them."""
+    train = EmbeddedMatrix(r=data.shape[0], n=n_train, data=data[:, :n_train])
+    return train, data[:, n_train:]
+
+
+def embed_train_test(
+    spec: EmbeddingSpec, rows: TrainTestRows, *, workers: int = 1
+) -> tuple[EmbeddedMatrix, np.ndarray]:
+    """The embedded train matrix and the (r, n_test) query block, from one
+    pass over F. Each column is the same CSR-order sum that `embed` or
+    `project_csr` computes for its sample alone, so both are bit-identical to
+    projecting train and test apart."""
+    return _split(project_rows(spec, rows.both, workers=workers), rows.n_train)
+
+
+def embed_prefixes(
+    spec: EmbeddingSpec,
+    rows: TrainTestRows,
+    rs: Iterable[int],
+    *,
+    workers: int = 1,
+) -> Iterator[tuple[EmbeddedMatrix, np.ndarray]]:
+    """`embed_train_test` at each r in `rs` (each at most spec.r), from one
+    pass over F at spec.r.
+
+    Row i of F depends only on (seed, i, d), so F at r is the first r rows of
+    F at spec.r, and each projected element is the same sum whatever the
+    other rows. Re-normalizing a copy of the first r rows of the projection
+    is therefore bit-identical to projecting at r.
+    """
+    full = _project(spec, rows.both, STORE_DTYPE, workers=workers)
+    for r in rs:
+        if not 1 <= r <= spec.r:
+            raise ValueError(f"r {r} out of range [1, {spec.r}]")
+        out = full[:r].copy(order="F")
+        _normalize_columns(out)
+        yield _split(out, rows.n_train)
 
 
 def embed(

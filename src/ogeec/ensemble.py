@@ -5,15 +5,26 @@ built from it, and the kNN propagation rule. The whole model is therefore a
 handful of integers; the metadata file written here is everything needed to
 rebuild it. Fusion averages each label's score across learners, counting 0
 for learners that never scored it.
+
+A command normalizes its samples once; each learner then projects its train
+and test samples together, so it generates every row of its F once.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .data import SparseDataset
-from .embedding import EmbeddingSpec, embed
+from .embedding import (
+    EmbeddingSpec,
+    embed_prefixes,
+    embed_train_test,
+    project_rows,
+    train_test_rows,
+)
+from .embedding import embed  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .metrics import DEFAULT_KS, EvalReport, PropensityModel, evaluate
 from .predictor import ScoreVector, batch_predict
 
@@ -87,30 +98,31 @@ def learner_scores(
 ):
     """Yield (seed, per-test-sample ScoreVector list) for each learner in order.
 
-    Learners run in turn, each with its own training matrix, so memory does
-    not grow with the ensemble size. `matrix_provider` overrides how that
-    matrix is obtained (e.g. loading a verified cache).
+    The samples are normalized once; each learner projects its train and test
+    samples in one pass over F, so it generates every row of F once. Learners
+    run in turn, so memory holds one train matrix and one query block whatever
+    the ensemble size. `matrix_provider(lspec)` may return a learner's train
+    matrix (e.g. a verified cache), and then only the test samples are
+    projected; None takes the one-pass path.
     """
     validate_spec(spec)
     count = spec.size if learners is None else learners
     if not 1 <= count <= spec.size:
         raise ValueError(f"learner count {count} exceeds available seeds {spec.size}")
+    rows = train_test_rows(dataset, test)
     labelsets = dataset.labelsets()
     for i in range(count):
         lspec = spec.learner(i)
         t0 = time.perf_counter()
-        if matrix_provider is not None:
-            train = matrix_provider(lspec)
+        train = matrix_provider(lspec) if matrix_provider is not None else None
+        if train is None:
+            train, queries = embed_train_test(lspec, rows, workers=workers)
         else:
-            train = embed(lspec, dataset, workers=workers)
+            queries = project_rows(lspec, rows.test, workers=workers)
         if timings is not None:
-            timings["train_embed_s"] = (
-                timings.get("train_embed_s", 0.0) + time.perf_counter() - t0
-            )
-        scores = batch_predict(
-            lspec, train, labelsets, test, spec.k,
-            workers=workers, timings=timings,
-        )
+            timings["embed_s"] = timings.get("embed_s", 0.0) + time.perf_counter() - t0
+        scores = batch_predict(train, labelsets, queries, spec.k, timings=timings)
+        del train, queries  # freed before the next learner is projected
         yield spec.seeds[i], scores
 
 
@@ -189,6 +201,29 @@ def sweep_ensemble_size(
         per_learner=per_learner,
         seeds=spec.seeds[:need],
     )
+
+
+def sweep_dimension(
+    seed: int,
+    dataset: SparseDataset,
+    test: SparseDataset,
+    rs: Sequence[int],
+    k: int,
+    *,
+    workers: int = 1,
+) -> Iterator[tuple[int, list[ScoreVector]]]:
+    """Yield (r, per-test-sample scores) of the `seed` learner for each r.
+
+    One pass over F at max(rs) serves every r (`embedding.embed_prefixes`),
+    and the scores equal `fused_scores` of that one learner at r.
+    """
+    if not rs:
+        raise ValueError("rs must be nonempty")
+    spec = EmbeddingSpec(seed=seed, d=dataset.d, r=max(rs))
+    labelsets = dataset.labelsets()
+    prefixes = embed_prefixes(spec, train_test_rows(dataset, test), rs, workers=workers)
+    for r, (train, queries) in zip(rs, prefixes):
+        yield r, batch_predict(train, labelsets, queries, k)
 
 
 def format_metadata(spec: EnsembleSpec, base_seed: int | None = None) -> str:

@@ -3,8 +3,10 @@
 Everything here is deliberately naive (dense arrays, python loops, full
 sorts) and shares no code path with the package beyond the definitional
 gaussian row stream, which is the identity of the projection matrix itself.
-The one exception is `predict`, the per-query composition of the package's
-own steps, which the batch paths are checked against.
+The exceptions are `predict`, the per-query composition of the package's
+own steps, which the batch paths are checked against, and `sweep_r`, one
+`fused_scores` call per r, which the one-pass dimension sweep is checked
+against.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from ogeec.embedding import EmbeddingSpec, embed_single, materialize_row
+from ogeec.ensemble import EnsembleSpec, fused_scores
 from ogeec.predictor import knn, propagate
 
 
@@ -67,6 +70,12 @@ def knn_scan(query, data, k):
 def predict(spec, train, labelsets, query, k):
     """Single-learner prediction for one query: embed_single, knn, propagate."""
     return propagate(knn(embed_single(spec, query), train, k), labelsets)
+
+
+def sweep_r(seed, train_ds, test_ds, rs, k):
+    """(r, scores) of the `seed` learner, projected afresh at each r."""
+    specs = [EnsembleSpec(seeds=(seed,), d=train_ds.d, r=r, k=k) for r in rs]
+    return [(s.r, fused_scores(s, train_ds, test_ds)) for s in specs]
 
 
 def ref_propensities(freqs, n, a, b):

@@ -92,7 +92,8 @@ def test_criterion_3_oracle_equivalence():
     train, test = split_dataset(ds, 200)
     spec = EmbeddingSpec(seed=9, d=3000, r=50)
     emb = embed(spec, train)
-    real = batch_predict(spec, emb, train.labelsets(), test, 5)
+    queries = project_csr(spec, test.to_feature_csr(np.float64))
+    real = batch_predict(emb, train.labelsets(), queries, 5)
     naive = naive_end_to_end(9, train, test, 50, 5)
     max_diff = 0.0
     for got, want in zip(real, naive):
@@ -237,10 +238,10 @@ def test_criterion_8_lsh_direction(dataset_pairs):
         lspec = EmbeddingSpec(seed=10 * seed, d=train.d, r=64)
         emb = embed(lspec, train)
         labelsets = train.labelsets()
-        exhaustive = batch_predict(lspec, emb, labelsets, test, 5)
+        q_emb = project_csr(lspec, test.to_feature_csr(np.float64))
+        exhaustive = batch_predict(emb, labelsets, q_emb, 5)
         ex_p1.append(evaluate(exhaustive, test.labelsets(), model)["P@1"])
         index = build_index(emb, T=10, H=16, seed=10 * seed)
-        q_emb = project_csr(lspec, test.to_feature_csr(np.float64))
         scores = [
             propagate(query_lsh(index, q_emb[:, i], 5), labelsets)
             for i in range(test.n)

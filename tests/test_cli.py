@@ -255,12 +255,13 @@ def test_predict_single_learner_equals_ensemble_of_one(workspace, tmp_path):
     spec = read_metadata(model_one)
     train = parse_dataset(workspace / "train.txt")
     test = parse_dataset(workspace / "test.txt")
-    from ogeec.embedding import embed
+    from ogeec.embedding import embed, project_csr
     from ogeec.predictor import batch_predict
 
     lspec = spec.learner(0)
     emb = embed(lspec, train)
-    single = batch_predict(lspec, emb, train.labelsets(), test, spec.k)
+    queries = project_csr(lspec, test.to_feature_csr(np.float64))
+    single = batch_predict(emb, train.labelsets(), queries, spec.k)
     assert via_ensemble.read_text() == format_predictions(single, 5)
 
 
@@ -334,7 +335,9 @@ def test_cache_roundtrip_through_cli(workspace, tmp_path, capsys):
     assert out.read_bytes() == plain.read_bytes()
 
 
-def test_train_cache_generates_each_row_of_f_once(workspace, tmp_path, monkeypatch):
+@pytest.fixture
+def generated_rows(monkeypatch):
+    """Rows of F materialized from here on, one entry per block."""
     rows = []
 
     def counted(orig):
@@ -346,6 +349,10 @@ def test_train_cache_generates_each_row_of_f_once(workspace, tmp_path, monkeypat
 
     for module in (embedding, cli):
         monkeypatch.setattr(module, "materialize_rows", counted(module.materialize_rows))
+    return rows
+
+
+def test_train_cache_generates_each_row_of_f_once(workspace, tmp_path, generated_rows):
     rc = main(
         [
             "train", "--train", str(workspace / "train.txt"),
@@ -354,7 +361,58 @@ def test_train_cache_generates_each_row_of_f_once(workspace, tmp_path, monkeypat
         ]
     )
     assert rc == 0
-    assert sum(rows) == 2 * 16  # r rows per learner
+    assert sum(generated_rows) == 2 * 16  # r rows per learner
+
+
+_DATA = ["--train", "{train}", "--test", "{test}", "--workers", "2", "--out", "{out}"]
+_MODEL = ["--model", "{model}", *_DATA]
+
+
+# command, --cache state, rows of F it may generate; the workspace model has
+# 2 learners at r=32
+@pytest.mark.parametrize(
+    "argv, cache, rows",
+    [
+        pytest.param(["predict", *_MODEL], None, 2 * 32, id="predict"),
+        pytest.param(["predict", *_MODEL], "all", 2 * 32, id="predict-cache"),
+        pytest.param(
+            ["predict", *_MODEL], "one missing", 2 * 32, id="predict-cache-missing"
+        ),
+        pytest.param(["eval", *_MODEL], None, 2 * 32, id="eval"),
+        pytest.param(["eval", *_MODEL], "all", 2 * 32, id="eval-cache"),
+        pytest.param(
+            ["eval", *_MODEL], "one missing", 2 * 32, id="eval-cache-missing"
+        ),
+        pytest.param(
+            ["analyze", "sweep-ensemble", *_DATA, "--r", "24", "--sizes", "1,3"],
+            None, 3 * 24, id="sweep-ensemble",
+        ),
+        pytest.param(
+            ["analyze", "sweep-r", *_DATA, "--rs", "16,40,8"], None, 40, id="sweep-r"
+        ),
+        pytest.param(
+            ["analyze", "lsh-compare", *_DATA, "--r", "16"], None, 16, id="lsh-compare"
+        ),
+    ],
+)
+def test_each_command_generates_each_row_of_f_once_per_learner(
+    workspace, tmp_path, generated_rows, argv, cache, rows
+):
+    """Train and test are projected in one pass over F, a cached learner
+    projects only the test set, and a sweep over r projects once, at max(r)."""
+    paths = {name: str(workspace / f"{name}.txt") for name in ("train", "test", "model")}
+    argv = [a.format(out=tmp_path / "out", **paths) for a in argv]
+    if cache is not None:
+        prefix = str(tmp_path / "emb")
+        train = ["train", "--train", paths["train"], "--model", str(tmp_path / "m.txt")]
+        train += ["--r", "32", "--learners", "2", "--seed", "7", "--cache", prefix]
+        assert main(train) == 0
+        if cache == "one missing":
+            os.remove(f"{prefix}-8.ogec")
+        argv += ["--cache", prefix]
+        generated_rows.clear()
+    assert main(argv) == 0
+    assert sum(generated_rows) == rows
 
 
 def test_cache_with_non_finite_payload_is_rejected(workspace, tmp_path, capsys):

@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 
 from ogeec import embedding
-from ogeec.data import SparseVector, generate_synthetic, split_dataset
+from ogeec.data import SparseDataset, SparseVector, generate_synthetic, split_dataset
 from ogeec.embedding import (
     EmbeddedMatrix,
     EmbeddingSpec,
     embed,
     embed_single,
+    embed_train_test,
     gaussian_row,
     load_cache,
     materialize_row,
     materialize_rows,
+    project_csr,
     save_cache,
+    train_test_rows,
 )
-from ogeec.ensemble import fused_scores, make_ensemble_spec
+from ogeec.ensemble import fuse, fused_scores, make_ensemble_spec
+from ogeec.predictor import batch_predict
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "embed_single_seed42_d10_r4.json"
 
@@ -188,8 +192,8 @@ def test_projection_generates_each_row_once(small_ds, monkeypatch, r, workers):
     assert np.array_equal(out.data, reference.data)
 
 
-def test_fused_scores_generates_each_row_twice_per_learner(monkeypatch):
-    """One pass over F embeds the train set and one projects every query,
+def test_fused_scores_generates_each_row_once_per_learner(monkeypatch):
+    """Each learner projects its train set and every query in one pass over F,
     however many queries there are."""
     ds = generate_synthetic(
         n=4200, d=200, L=10, sparsity=5, labels_per_sample=1, clusters=4, seed=5
@@ -205,7 +209,81 @@ def test_fused_scores_generates_each_row_twice_per_learner(monkeypatch):
 
     monkeypatch.setattr(embedding, "materialize_rows", counting)
     fused_scores(spec, train, test, workers=2)
-    assert generated == Counter({(s, i): 2 for s in spec.seeds for i in range(spec.r)})
+    assert generated == Counter({(s, i): 1 for s in spec.seeds for i in range(spec.r)})
+
+
+def dataset_of(rows, d: int, L: int = 4) -> SparseDataset:
+    """A dataset whose sample i has the {index: value} features rows[i]."""
+    indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
+    return SparseDataset(
+        n=len(rows),
+        d=d,
+        L=L,
+        feat_indptr=indptr,
+        feat_indices=np.array([i for r in rows for i in sorted(r)], dtype=np.int64),
+        feat_values=np.array([r[i] for r in rows for i in sorted(r)], dtype=np.float32),
+        label_indptr=np.arange(len(rows) + 1, dtype=np.int64),
+        label_indices=np.arange(len(rows), dtype=np.int64) % L,
+    )
+
+
+def _one_pass_cases():
+    rng = np.random.default_rng(8)
+
+    def rows(n, lo, hi, empty_every=0):
+        out = []
+        for i in range(n):
+            cols = rng.choice(np.arange(lo, hi), 6, replace=False)
+            empty = empty_every and i % empty_every == 0
+            out.append({} if empty else {int(j): rng.uniform(0.1, 3.0) for j in cols})
+        return out
+
+    d = 300
+    return {
+        "zero-rows-in-train": (rows(40, 0, d, empty_every=7), rows(25, 0, d)),
+        "zero-rows-in-test": (rows(40, 0, d), rows(25, 0, d, empty_every=4)),
+        "test-features-unseen-in-train": (rows(40, 0, 150), rows(25, 150, d)),
+        "one-test-sample": (rows(40, 0, d), rows(1, 0, d)),
+    }
+
+
+_CASES = _one_pass_cases()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_one_pass_equals_separate_projections(monkeypatch, case, workers):
+    """Projecting train and test together gives bit-identical train matrices,
+    query blocks and fused scores to embedding and projecting them apart."""
+    train_rows, test_rows = _CASES[case]
+    train, test = dataset_of(train_rows, 300), dataset_of(test_rows, 300)
+    espec = make_ensemble_spec(11, 2, d=300, r=12, k=3)
+    apart = [
+        (embed(ls, train), project_csr(ls, test.to_feature_csr(np.float64)))
+        for ls in map(espec.learner, range(espec.size))
+    ]
+    labelsets = train.labelsets()
+    per_learner = [batch_predict(m, labelsets, q, espec.k) for m, q in apart]
+    reference = [fuse(list(scores)) for scores in zip(*per_learner)]
+
+    # blocks of 5 rows, so each worker's range spans ragged blocks
+    monkeypatch.setattr(embedding, "_row_block", lambda d: 5)
+    rows = train_test_rows(train, test)
+    for i, (matrix, queries) in enumerate(apart):
+        got, got_queries = embed_train_test(espec.learner(i), rows, workers=workers)
+        assert (got.r, got.n) == (matrix.r, matrix.n)
+        assert got.data.flags.f_contiguous and got_queries.shape == queries.shape
+        assert np.array_equal(got.data, matrix.data)
+        assert np.array_equal(got_queries, queries)
+    cached = {espec.seeds[0]: apart[0][0]}  # one learner cached, one projected
+    for provider in (None, lambda ls: cached.get(ls.seed)):
+        fused = fused_scores(espec, train, test, workers=workers, matrix_provider=provider)
+        assert fused == reference
+
+
+def test_train_test_rows_rejects_mismatched_dimensionality():
+    with pytest.raises(ValueError, match="dimensionality"):
+        train_test_rows(dataset_of([{1: 1.0}], 10), dataset_of([{1: 1.0}], 12))
 
 
 def test_embed_dimension_mismatch(small_spec):

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
-from oracles import predict
+from oracles import predict, sweep_r
 
-from ogeec.embedding import EmbeddingSpec, embed
+from ogeec import embedding
+from ogeec.embedding import EmbeddingSpec, embed, project_csr
 from ogeec.ensemble import (
     EnsembleSpec,
     fuse,
@@ -9,6 +11,7 @@ from ogeec.ensemble import (
     learner_scores,
     make_ensemble_spec,
     read_metadata,
+    sweep_dimension,
     sweep_ensemble_size,
     validate_spec,
     write_metadata,
@@ -109,7 +112,8 @@ def test_sweep_size_one_equals_single_learner_eval(train_test):
     result = sweep_ensemble_size(espec, train, test, [1], model)
     lspec = EmbeddingSpec(seed=4, d=train.d, r=24)
     emb = embed(lspec, train)
-    scores = batch_predict(lspec, emb, train.labelsets(), test, 5)
+    queries = project_csr(lspec, test.to_feature_csr(np.float64))
+    scores = batch_predict(emb, train.labelsets(), queries, 5)
     direct = evaluate(scores, test.labelsets(), model)
     assert result.fused[1].values == direct.values
     assert result.per_learner[0].values == direct.values
@@ -155,3 +159,24 @@ def test_metadata_rejects_inconsistent_e(tmp_path):
     path.write_text("seeds 1 2\nd 10\n")
     with pytest.raises(ValueError, match="malformed"):
         read_metadata(path)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_dimension_equals_per_r_oracle(train_test, monkeypatch, workers):
+    """Prefixes of one projection at max(rs) give every r's scores bit for bit,
+    for unsorted and repeated r, r = 1 and prefixes cutting through a block."""
+    train, test = train_test
+    rs = (24, 8, 1, 24, 17)
+    want = sweep_r(4, train, test, rs, 5)
+    monkeypatch.setattr(embedding, "_row_block", lambda d: 5)
+    assert list(sweep_dimension(4, train, test, rs, 5, workers=workers)) == want
+
+
+def test_sweep_dimension_rejects_bad_r(train_test):
+    train, test = train_test
+    with pytest.raises(ValueError, match="nonempty"):
+        list(sweep_dimension(4, train, test, (), 5))
+    with pytest.raises(ValueError, match="out of range"):
+        list(sweep_dimension(4, train, test, (8, 0), 5))
+    with pytest.raises(ValueError, match="r must satisfy"):
+        list(sweep_dimension(4, train, test, (8, train.d + 1), 5))

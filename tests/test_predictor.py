@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import knn_scan, predict
 
 from ogeec import predictor
-from ogeec.embedding import EmbeddedMatrix, embed_single
+from ogeec.embedding import EmbeddedMatrix, embed_single, project_csr
 from ogeec.predictor import (
     batch_predict,
     format_predictions,
@@ -233,7 +233,8 @@ def test_batch_predict_equals_per_query(small_spec, small_ds, small_embedded, tr
     # reuse the small corpus as both train and queries to keep this quick
     labelsets = small_ds.labelsets()
     sub = small_ds
-    batched = batch_predict(small_spec, small_embedded, labelsets, sub, 5)
+    queries = project_csr(small_spec, sub.to_feature_csr(np.float64))
+    batched = batch_predict(small_embedded, labelsets, queries, 5)
     for i in range(0, sub.n, 37):
         single = predict(small_spec, small_embedded, labelsets, sub.feature_row(i), 5)
         assert batched[i] == single
@@ -241,8 +242,11 @@ def test_batch_predict_equals_per_query(small_spec, small_ds, small_embedded, tr
 
 def test_batch_predict_worker_invariance(small_spec, small_ds, small_embedded):
     labelsets = small_ds.labelsets()
-    one = batch_predict(small_spec, small_embedded, labelsets, small_ds, 5, workers=1)
-    many = batch_predict(small_spec, small_embedded, labelsets, small_ds, 5, workers=4)
+    X = small_ds.to_feature_csr(np.float64)
+    one, many = (
+        batch_predict(small_embedded, labelsets, project_csr(small_spec, X, workers=w), 5)
+        for w in (1, 4)
+    )
     assert one == many
 
 
