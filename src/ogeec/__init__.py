@@ -26,7 +26,6 @@ from .embedding import (
 )
 from .ensemble import (
     EnsembleSpec,
-    fuse,
     fused_scores,
     make_ensemble_spec,
     read_metadata,
@@ -39,19 +38,14 @@ from .metrics import (
     EvalReport,
     PropensityModel,
     evaluate,
-    ndcg_at_k,
-    precision_at_k,
     propensity,
-    psn_at_k,
-    psp_at_k,
 )
 from .predictor import (
-    ScoreVector,
     batch_predict,
     knn,
     propagate,
-    top_k_labels,
-    write_predictions,
+    score_matrix,
+    top_k,
 )
 
 __all__ = [
@@ -64,7 +58,6 @@ __all__ = [
     "EvalReport",
     "LshIndex",
     "PropensityModel",
-    "ScoreVector",
     "SparseDataset",
     "SparseVector",
     "batch_predict",
@@ -72,7 +65,6 @@ __all__ = [
     "embed",
     "embed_single",
     "evaluate",
-    "fuse",
     "fused_scores",
     "generate_synthetic",
     "jl_epsilon",
@@ -81,22 +73,18 @@ __all__ = [
     "make_ensemble_spec",
     "materialize_row",
     "measure_distortion",
-    "ndcg_at_k",
     "parse_dataset",
-    "precision_at_k",
     "propagate",
     "propensity",
-    "psn_at_k",
-    "psp_at_k",
     "query_lsh",
     "read_metadata",
     "save_cache",
+    "score_matrix",
     "split_dataset",
     "sweep_ensemble_size",
-    "top_k_labels",
+    "top_k",
     "write_dataset",
     "write_metadata",
-    "write_predictions",
 ]
 
 __version__ = "0.1.0"

@@ -39,7 +39,8 @@ from .embedding import (
     save_cache,
     train_test_rows,
 )
-from .predictor import batch_predict, format_predictions, propagate
+from .predictor import batch_predict, format_predictions, score_matrix, top_k
+from .predictor import propagate  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .lsh import build_index, query_lsh
 
 
@@ -102,11 +103,13 @@ _FILE_TYPES = {
     "tuple[int, ...]": (object, "comma-separated integers"),
 }
 
-# knob -> smallest valid value; every element of a tuple knob is checked
+# knob -> smallest valid value; every element of a tuple knob is checked.
+# ns may stay empty: only `analyze bounds` needs it, and says so itself.
 _MINIMUMS = {
     "r": 1, "k": 1, "learners": 1, "topk": 1, "ks": 1, "sizes": 1,
     "tables": 1, "bits": 1, "pairs": 1, "bins": 1, "workers": 0,
     "n": 1, "d": 1, "labels": 1, "clusters": 1, "test_n": 0,
+    "rs": 1, "ns": 2,
 }
 
 
@@ -126,7 +129,7 @@ def _check_knobs(cfg: RunConfig) -> None:
     for name, low in _MINIMUMS.items():
         value = getattr(cfg, name)
         values = value if isinstance(value, tuple) else (value,)
-        if not values:
+        if not values and name != "ns":
             raise UsageError(f"{_flag(name)} needs at least one value")
         for v in values:
             if v < low:
@@ -308,6 +311,13 @@ def _predict_scores(cfg: RunConfig, explicit: set[str]):
     return spec, train_ds, test_ds, scores, timings
 
 
+def _evaluator(cfg: RunConfig, train: SparseDataset, test: SparseDataset):
+    """scores -> EvalReport of each row's top max(ks) labels against `test`'s."""
+    model = metrics.propensity(train.label_frequencies, train.n, cfg.prop_a, cfg.prop_b)
+    truths = test.labelsets()
+    return lambda scores: metrics.evaluate(top_k(scores, max(cfg.ks))[0], truths, model, ks=cfg.ks)
+
+
 def _print_timings(timings: dict[str, float]) -> None:
     for key in sorted(timings):
         print(f"{key} {timings[key]:.3f}", file=sys.stderr)
@@ -317,7 +327,7 @@ def cmd_predict(cfg: RunConfig, explicit: set[str]) -> int:
     _, _, _, scores, timings = _predict_scores(cfg, explicit)
     stream = _open_out(cfg.out)
     try:
-        stream.write(format_predictions(scores, cfg.topk))
+        stream.write(format_predictions(*top_k(scores, cfg.topk)))
     finally:
         _close_out(stream)
     _print_timings(timings)
@@ -327,10 +337,7 @@ def cmd_predict(cfg: RunConfig, explicit: set[str]) -> int:
 def cmd_eval(cfg: RunConfig, explicit: set[str]) -> int:
     _, train_ds, test_ds, scores, timings = _predict_scores(cfg, explicit)
     t0 = time.perf_counter()
-    model = metrics.propensity(
-        train_ds.label_frequencies, train_ds.n, cfg.prop_a, cfg.prop_b
-    )
-    report = metrics.evaluate(scores, test_ds.labelsets(), model, ks=cfg.ks)
+    report = _evaluator(cfg, train_ds, test_ds)(scores)
     timings["metrics_s"] = time.perf_counter() - t0
     stream = _open_out(cfg.out)
     try:
@@ -397,17 +404,14 @@ def cmd_analyze_sweep_r(cfg: RunConfig, explicit: set[str]) -> int:
     _require(cfg, explicit, "train", "test")
     train_ds = parse_dataset(cfg.train)
     test_ds = parse_dataset(cfg.test)
-    model = metrics.propensity(
-        train_ds.label_frequencies, train_ds.n, cfg.prop_a, cfg.prop_b
-    )
-    truths = test_ds.labelsets()
+    evaluate = _evaluator(cfg, train_ds, test_ds)
     sweep = ens.sweep_dimension(
         cfg.seed, train_ds, test_ds, cfg.rs, cfg.k, workers=cfg.effective_workers()
     )
     stream = _open_out(cfg.out)
     try:
         for i, (r, scores) in enumerate(sweep):
-            report = metrics.evaluate(scores, truths, model, ks=cfg.ks)
+            report = evaluate(scores)
             if i == 0:
                 stream.write("r\t" + report.tsv_header() + "\n")
             stream.write(f"{r}\t" + report.tsv_row() + "\n")
@@ -468,28 +472,19 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
     train_emb, queries = embed_train_test(
         lspec, train_test_rows(train_ds, test_ds), workers=workers
     )
-    labelsets = train_ds.labelsets()
-    exhaustive = batch_predict(train_emb, labelsets, queries, cfg.k)
+    labels = train_ds.label_matrix()
+    exhaustive = batch_predict(train_emb, labels, queries, cfg.k)
 
     index = build_index(train_emb, T=cfg.tables, H=cfg.bits, seed=cfg.seed)
-    lsh_scores = []
-    empty = 0
-    for i in range(test_ds.n):
-        neighbors = query_lsh(index, queries[:, i], cfg.k)
-        if not neighbors:
-            empty += 1
-        lsh_scores.append(propagate(neighbors, labelsets))
+    neighbors = [query_lsh(index, queries[:, i], cfg.k) for i in range(test_ds.n)]
+    empty = sum(1 for nbs in neighbors if not nbs)
+    lsh_scores = score_matrix(neighbors, labels)
 
-    model = metrics.propensity(
-        train_ds.label_frequencies, train_ds.n, cfg.prop_a, cfg.prop_b
-    )
-    truths = test_ds.labelsets()
-    rep_ex = metrics.evaluate(exhaustive, truths, model, ks=cfg.ks)
-    rep_lsh = metrics.evaluate(lsh_scores, truths, model, ks=cfg.ks)
+    rep_ex, rep_lsh = map(_evaluator(cfg, train_ds, test_ds), (exhaustive, lsh_scores))
     if cfg.predictions_out:
         # same TSV shape the predict command emits, for side-by-side tooling
         with open(cfg.predictions_out, "w", encoding="utf-8") as f:
-            f.write(format_predictions(lsh_scores, cfg.topk))
+            f.write(format_predictions(*top_k(lsh_scores, cfg.topk)))
     stream = _open_out(cfg.out)
     try:
         stream.write("method\t" + rep_ex.tsv_header() + "\n")

@@ -94,6 +94,13 @@ class SparseDataset:
     def total_assignments(self) -> int:
         return int(self.label_indices.size)
 
+    def label_matrix(self) -> sp.csr_matrix:
+        """Y (n x L): a float64 1 at every (sample, label) assignment."""
+        return sp.csr_matrix(
+            (np.ones(self.label_indices.size), self.label_indices, self.label_indptr),
+            shape=(self.n, self.L),
+        )
+
     def to_feature_csr(self, dtype=np.float64) -> sp.csr_matrix:
         return sp.csr_matrix(
             (self.feat_values.astype(dtype), self.feat_indices, self.feat_indptr),

@@ -4,7 +4,8 @@ A learner is just a seed: its projection matrix, the embedded training matrix
 built from it, and the kNN propagation rule. The whole model is therefore a
 handful of integers; the metadata file written here is everything needed to
 rebuild it. Fusion averages each label's score across learners, counting 0
-for learners that never scored it.
+for learners that never scored it: the learners' score matrices are added in
+learner order, S1 + S2 + ..., and every stored sum is divided by E.
 
 A command normalizes its samples once; each learner then projects its train
 and test samples together, so it generates every row of its F once.
@@ -16,6 +17,8 @@ import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
+import scipy.sparse as sp
+
 from .data import SparseDataset
 from .embedding import (
     EmbeddingSpec,
@@ -26,7 +29,7 @@ from .embedding import (
 )
 from .embedding import embed  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .metrics import DEFAULT_KS, EvalReport, PropensityModel, evaluate
-from .predictor import ScoreVector, batch_predict
+from .predictor import batch_predict, top_k
 
 
 @dataclass(frozen=True)
@@ -67,23 +70,10 @@ def validate_spec(spec: EnsembleSpec) -> None:
     EmbeddingSpec(seed=spec.seeds[0], d=spec.d, r=spec.r)
 
 
-def _accumulate(sums: list[ScoreVector], scores: list[ScoreVector]) -> None:
-    """Add one learner's per-sample scores into the running per-sample sums."""
-    for acc, sv in zip(sums, scores):
-        for w, s in sv.items():
-            acc[w] = acc.get(w, 0.0) + s
-
-
-def _average(sums: list[ScoreVector], count: int) -> list[ScoreVector]:
-    return [{w: s / count for w, s in acc.items()} for acc in sums]
-
-
-def fuse(score_vectors: list[ScoreVector]) -> ScoreVector:
-    """Uniform average; labels absent from a learner contribute 0 for it."""
-    total: list[ScoreVector] = [{}]
-    for sv in score_vectors:
-        _accumulate(total, [sv])
-    return _average(total, len(score_vectors))[0]
+def _mean(total: sp.csr_matrix, count: int) -> sp.csr_matrix:
+    """Every stored sum divided by `count`. Not `total / count`: scipy
+    multiplies by 1 / count, which rounds differently."""
+    return sp.csr_matrix((total.data / count, total.indices, total.indptr), shape=total.shape)
 
 
 def learner_scores(
@@ -96,7 +86,7 @@ def learner_scores(
     matrix_provider=None,
     timings: dict[str, float] | None = None,
 ):
-    """Yield (seed, per-test-sample ScoreVector list) for each learner in order.
+    """Yield (seed, test-sample x label score matrix) for each learner in order.
 
     The samples are normalized once; each learner projects its train and test
     samples in one pass over F, so it generates every row of F once. Learners
@@ -110,7 +100,7 @@ def learner_scores(
     if not 1 <= count <= spec.size:
         raise ValueError(f"learner count {count} exceeds available seeds {spec.size}")
     rows = train_test_rows(dataset, test)
-    labelsets = dataset.labelsets()
+    labels = dataset.label_matrix()
     for i in range(count):
         lspec = spec.learner(i)
         t0 = time.perf_counter()
@@ -121,7 +111,7 @@ def learner_scores(
             queries = project_rows(lspec, rows.test, workers=workers)
         if timings is not None:
             timings["embed_s"] = timings.get("embed_s", 0.0) + time.perf_counter() - t0
-        scores = batch_predict(train, labelsets, queries, spec.k, timings=timings)
+        scores = batch_predict(train, labels, queries, spec.k, timings=timings)
         del train, queries  # freed before the next learner is projected
         yield spec.seeds[i], scores
 
@@ -135,10 +125,10 @@ def fused_scores(
     workers: int = 1,
     matrix_provider=None,
     timings: dict[str, float] | None = None,
-) -> list[ScoreVector]:
-    """Fused per-sample scores over the first `learners` seeds (default: all)."""
-    sums: list[ScoreVector] = [dict() for _ in range(test.n)]
-    count = 0
+) -> sp.csr_matrix:
+    """Fused scores over the first `learners` seeds (default: all): their
+    score matrices added in learner order, divided by the learner count."""
+    total, count = None, 0
     for _, scores in learner_scores(
         spec,
         dataset,
@@ -148,9 +138,9 @@ def fused_scores(
         matrix_provider=matrix_provider,
         timings=timings,
     ):
+        total = scores if total is None else total + scores
         count += 1
-        _accumulate(sums, scores)
-    return _average(sums, count)
+    return _mean(total, count)
 
 
 @dataclass
@@ -182,20 +172,20 @@ def sweep_ensemble_size(
     if max(sizes) > spec.size or min(sizes) < 1:
         raise ValueError(f"sizes must lie in [1, {spec.size}]")
     need = max(sizes)
-    wanted = sorted(set(sizes))
     truths = test.labelsets()
-    sums: list[ScoreVector] = [dict() for _ in range(test.n)]
+    total = None
     fused_reports: dict[int, EvalReport] = {}
     per_learner: list[EvalReport] = []
     done = 0
     for _, scores in learner_scores(
         spec, dataset, test, learners=need, workers=workers
     ):
-        per_learner.append(evaluate(scores, truths, model, ks=ks))
+        per_learner.append(evaluate(top_k(scores, max(ks))[0], truths, model, ks=ks))
+        total = scores if total is None else total + scores
         done += 1
-        _accumulate(sums, scores)
-        if done in wanted:
-            fused_reports[done] = evaluate(_average(sums, done), truths, model, ks=ks)
+        if done in sizes:
+            fused = top_k(_mean(total, done), max(ks))[0]
+            fused_reports[done] = evaluate(fused, truths, model, ks=ks)
     return SweepResult(
         fused=fused_reports,
         per_learner=per_learner,
@@ -211,8 +201,8 @@ def sweep_dimension(
     k: int,
     *,
     workers: int = 1,
-) -> Iterator[tuple[int, list[ScoreVector]]]:
-    """Yield (r, per-test-sample scores) of the `seed` learner for each r.
+) -> Iterator[tuple[int, sp.csr_matrix]]:
+    """Yield (r, score matrix) of the `seed` learner for each r.
 
     One pass over F at max(rs) serves every r (`embedding.embed_prefixes`),
     and the scores equal `fused_scores` of that one learner at r.
@@ -220,10 +210,10 @@ def sweep_dimension(
     if not rs:
         raise ValueError("rs must be nonempty")
     spec = EmbeddingSpec(seed=seed, d=dataset.d, r=max(rs))
-    labelsets = dataset.labelsets()
+    labels = dataset.label_matrix()
     prefixes = embed_prefixes(spec, train_test_rows(dataset, test), rs, workers=workers)
     for r, (train, queries) in zip(rs, prefixes):
-        yield r, batch_predict(train, labelsets, queries, k)
+        yield r, batch_predict(train, labels, queries, k)
 
 
 def format_metadata(spec: EnsembleSpec, base_seed: int | None = None) -> str:

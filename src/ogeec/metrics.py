@@ -16,8 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .predictor import ScoreVector, top_k_labels
-
 DEFAULT_KS = (1, 3, 5)
 DEFAULT_A = 0.55
 DEFAULT_B = 1.5
@@ -59,65 +57,6 @@ def uniform_propensity(L: int) -> PropensityModel:
     return PropensityModel(a=1.0, b=0.0, c=0.0, propensities=np.ones(L))
 
 
-def precision_at_k(predicted: Sequence[int], truth, K: int) -> float:
-    """Fraction of the top K slots holding a true label; short lists count
-    missing slots as wrong."""
-    truth = set(truth)
-    hits = sum(1 for w in predicted[:K] if w in truth)
-    return hits / K
-
-
-def _dcg(predicted: Sequence[int], truth: set, K: int) -> float:
-    return sum(
-        1.0 / math.log2(pos + 2)
-        for pos, w in enumerate(predicted[:K])
-        if w in truth
-    )
-
-
-def ndcg_at_k(predicted: Sequence[int], truth, K: int) -> float:
-    """Position-discounted gain over the ideal; 0 when truth is empty."""
-    truth = set(truth)
-    if not truth:
-        return 0.0
-    ideal = sum(1.0 / math.log2(i + 2) for i in range(min(K, len(truth))))
-    return _dcg(predicted, truth, K) / ideal
-
-
-def psp_at_k(
-    predicted: Sequence[int], truth, model: PropensityModel, K: int
-) -> float:
-    """Propensity-scored precision, normalized by the rarest-first ideal."""
-    truth = set(truth)
-    if not truth:
-        return 0.0
-    inv = 1.0 / model.propensities
-    num = sum(inv[w] for w in predicted[:K] if w in truth)
-    weights = sorted((float(inv[w]) for w in truth), reverse=True)
-    ideal = sum(weights[: min(K, len(weights))])
-    return num / ideal
-
-
-def psn_at_k(
-    predicted: Sequence[int], truth, model: PropensityModel, K: int
-) -> float:
-    """Propensity-scored nDCG: discounted 1/p gains over the rarest-first ideal."""
-    truth = set(truth)
-    if not truth:
-        return 0.0
-    inv = 1.0 / model.propensities
-    num = sum(
-        inv[w] / math.log2(pos + 2)
-        for pos, w in enumerate(predicted[:K])
-        if w in truth
-    )
-    weights = sorted((float(inv[w]) for w in truth), reverse=True)
-    ideal = sum(
-        wgt / math.log2(i + 2) for i, wgt in enumerate(weights[: min(K, len(weights))])
-    )
-    return num / ideal
-
-
 @dataclass
 class EvalReport:
     """The metric-by-K grid plus sample counts.
@@ -153,29 +92,73 @@ class EvalReport:
 
 
 def evaluate(
-    predictions: Sequence[ScoreVector],
+    predictions: np.ndarray,
     truths: Sequence,
     model: PropensityModel,
     ks: tuple[int, ...] = DEFAULT_KS,
 ) -> EvalReport:
-    """Mean metrics over all samples with nonempty truth."""
-    if len(predictions) != len(truths):
-        raise ValueError("predictions and truths must be parallel")
+    """Mean metrics over all samples with nonempty truth.
+
+    `predictions` is the (m, >= max(ks)) label array of `predictor.top_k`,
+    best first and padded with -1. Per sample, with hits the true labels in
+    the top K slots (a short ranking's missing slots count as wrong):
+    P@K = hits / K; N@K = sum of 1/log2(pos + 2) over hits, over its best
+    value for min(K, |truth|) hits; PSP@K = sum of 1/p over hits, over the
+    sum of the min(K, |truth|) largest 1/p among the true labels (rarest
+    first); PSN@K is PSP@K with each term discounted by log2(pos + 2). All
+    samples are computed at once, but each sample's terms are added in rank
+    order and the per-sample values in sample order, so every sum is the one
+    a loop over samples makes.
+    """
+    pred = np.asarray(predictions, dtype=np.int64)
     max_k = max(ks)
-    sums = {f"{m}@{k}": 0.0 for m in METRIC_NAMES for k in ks}
-    used = skipped = 0
-    for sv, truth in zip(predictions, truths):
-        truth = set(int(t) for t in truth)
-        if not truth:
-            skipped += 1
-            continue
-        used += 1
-        ranked = top_k_labels(sv, max_k)
-        for k in ks:
-            sums[f"P@{k}"] += precision_at_k(ranked, truth, k)
-            sums[f"N@{k}"] += ndcg_at_k(ranked, truth, k)
-            sums[f"PSP@{k}"] += psp_at_k(ranked, truth, model, k)
-            sums[f"PSN@{k}"] += psn_at_k(ranked, truth, model, k)
-    denom = max(used, 1)
-    values = {name: total / denom for name, total in sums.items()}
-    return EvalReport(values=values, samples=used, skipped=skipped, ks=tuple(ks))
+    if pred.ndim != 2 or len(pred) != len(truths):
+        raise ValueError("predictions and truths must be parallel")
+    if pred.shape[1] < max_k:
+        raise ValueError(f"predictions need {max_k} columns, got {pred.shape[1]}")
+    m = len(pred)
+    pred = pred[:, :max_k]
+    # the true (sample, label) pairs as sorted, deduplicated keys sample * span + label
+    sizes = [len(t) for t in truths]
+    labels = np.concatenate([np.empty(0, np.int64), *(np.asarray(t, np.int64) for t in truths)])
+    if labels.size and labels.min() < 0:
+        raise ValueError("true labels must be nonnegative")
+    span = int(max(labels.max(initial=-1), pred.max(initial=-1))) + 1
+    keys = np.unique(np.repeat(np.arange(m), sizes) * span + labels)
+    rows, labels = keys // span, keys % span
+    counts = np.bincount(rows, minlength=m)
+    used = counts > 0
+    hit = (np.isin(np.arange(m)[:, None] * span + pred, keys) & (pred >= 0))[used]
+
+    inv = 1.0 / model.propensities
+    gain = np.where(hit, inv[np.where(hit, pred[used], 0)], 0.0)
+    # each sample's true-label weights, largest first, in its first max_k slots
+    weights = inv[labels]
+    order = np.lexsort((-weights, rows))
+    rank = np.arange(keys.size) - (np.cumsum(counts) - counts)[rows]
+    best = np.zeros((m, max_k))
+    first = rank < max_k
+    best[rows[first], rank[first]] = weights[order[first]]
+    best, counts = best[used], counts[used]
+
+    # running sums along each ranking, added in rank order: column K-1 holds @K
+    log2 = np.array([math.log2(pos + 2) for pos in range(max_k)])
+    idcg = np.cumsum([0.0, *(1.0 / log2)])  # best N numerator for 0, 1, ... hits
+    col = np.array(ks) - 1
+    per_sample = {
+        "P": np.cumsum(hit, axis=1)[:, col] / np.array(ks),
+        "N": np.cumsum(np.where(hit, 1.0 / log2, 0.0), axis=1)[:, col]
+        / idcg[np.minimum(counts[:, None], ks)],
+        "PSP": np.cumsum(gain, axis=1)[:, col] / np.cumsum(best, axis=1)[:, col],
+        "PSN": np.cumsum(gain / log2, axis=1)[:, col] / np.cumsum(best / log2, axis=1)[:, col],
+    }
+    # each mean adds the per-sample values in sample order; the last running
+    # sum is [-1:] summed, which is that sum, or zeros when no sample counts
+    samples = int(used.sum())
+    totals = {name: np.cumsum(v, axis=0)[-1:].sum(axis=0) for name, v in per_sample.items()}
+    values = {
+        f"{name}@{k}": float(totals[name][j]) / max(samples, 1)
+        for name in METRIC_NAMES
+        for j, k in enumerate(ks)
+    }
+    return EvalReport(values=values, samples=samples, skipped=m - samples, ks=tuple(ks))

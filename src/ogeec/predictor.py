@@ -7,6 +7,11 @@ ranks them, so the proportionality constant is irrelevant. Ties (equal
 similarity in kNN, equal score in top-K) break by ascending index, which makes
 every output deterministic.
 
+The scores of a batch of queries are one float64 CSR matrix S (queries x
+labels), S = W @ Y (`score_matrix`): W holds the neighbours' similarities and
+Y the train labels. `top_k` ranks every row with one lexsort; its label and
+score arrays feed `format_predictions` and `metrics.evaluate`.
+
 A similarity is `rescore`'s fixed-order float64 dot product. Search is one
 blocked kernel per learner, the GEMM + k-selection scheme of FAISS (Johnson,
 Douze, Jegou 2017) made exact: a float32 GEMM screens a tile of queries
@@ -23,12 +28,11 @@ import time
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .embedding import EmbeddedMatrix
 from .embedding import project_csr  # noqa: F401 -- perfbench/tracer.py wraps it here
 
-# label index -> positive score
-ScoreVector = dict[int, float]
 Neighbor = tuple[int, float]
 
 # float32 scores in one screen tile (8 MB); a tile holds this // n_train queries
@@ -156,11 +160,12 @@ def knn(
     return lists[0] if query.ndim == 1 else lists
 
 
-def propagate(neighbors: Sequence[Neighbor], labelsets: Sequence[np.ndarray]) -> ScoreVector:
-    """Weighted Bernoulli label transfer: score[w] = sum of max(sim, 0) over
-    neighbors carrying w. Nonpositive-similarity neighbors contribute nothing,
-    so every stored score is positive."""
-    scores: ScoreVector = {}
+def propagate(neighbors: Sequence[Neighbor], labelsets: Sequence[np.ndarray]) -> dict[int, float]:
+    """Weighted Bernoulli label transfer for one query, as a dict: score[w] =
+    sum of max(sim, 0) over neighbors carrying w. Nonpositive-similarity
+    neighbors contribute nothing, so every stored score is positive. This is
+    the per-query definition that `score_matrix` computes for a whole batch."""
+    scores: dict[int, float] = {}
     for idx, sim in neighbors:
         if sim <= 0.0:
             continue
@@ -172,47 +177,77 @@ def propagate(neighbors: Sequence[Neighbor], labelsets: Sequence[np.ndarray]) ->
     return scores
 
 
-def top_k_labels(scores: ScoreVector, K: int) -> list[int]:
-    """Labels by descending score, ties by ascending label index."""
+def score_matrix(neighbors: Sequence[Sequence[Neighbor]], labels: sp.csr_matrix) -> sp.csr_matrix:
+    """Label scores of every query at once: S = W @ Y, row i = `propagate(neighbors[i])`.
+
+    W (m x n_train) holds each query's clamped similarities max(sim, 0) in
+    neighbour order, with unsorted indices, and `labels` is Y, the train
+    label matrix of ones. scipy forms each row of W @ Y by adding w * 1.0
+    into a zeroed accumulator in W's stored order and stores only nonzero
+    sums, so every score is the same float sum, in the same order, as
+    `propagate`'s (a clamped 0 adds nothing to a sum).
+    """
+    n = labels.shape[0]
+    index = np.array([i for nbs in neighbors for i, _ in nbs], dtype=np.int64)
+    sims = np.array([s for nbs in neighbors for _, s in nbs], dtype=np.float64)
+    if index.size and not (0 <= index.min() and index.max() < n):
+        raise IndexError(f"neighbor index out of range [0, {n})")
+    indptr = np.cumsum([0, *map(len, neighbors)])
+    W = sp.csr_matrix((np.maximum(sims, 0.0), index, indptr), shape=(len(neighbors), n))
+    return W @ labels
+
+
+def top_k(scores: sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's K best labels by descending score, ties by ascending label.
+
+    Returns the (m, K) labels, padded with -1 where a row holds fewer than K
+    scores, and the matching (m, K) scores, padded with 0.
+    """
     if K < 1:
         raise ValueError("K must be positive")
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [w for w, _ in ranked[:K]]
+    m = scores.shape[0]
+    rows = np.repeat(np.arange(m), np.diff(scores.indptr))
+    order = np.lexsort((scores.indices, -scores.data, rows))
+    # sorting by row first keeps every row's entries in its own CSR slice
+    rank = np.arange(order.size) - scores.indptr[rows]
+    keep = rank < K
+    labels = np.full((m, K), -1, dtype=np.int64)
+    top = np.zeros((m, K))
+    labels[rows[keep], rank[keep]] = scores.indices[order[keep]]
+    top[rows[keep], rank[keep]] = scores.data[order[keep]]
+    return labels, top
 
 
 def batch_predict(
     train: EmbeddedMatrix,
-    labelsets: Sequence[np.ndarray],
+    labels: sp.csr_matrix,
     queries: np.ndarray,
     k: int,
     *,
     timings: dict[str, float] | None = None,
-) -> list[ScoreVector]:
-    """Predict every column of `queries`, an (r, m) block of projected test
-    samples (`embedding.embed_train_test` projects it in the same pass over F
-    as the train matrix), with one `knn` call."""
+) -> sp.csr_matrix:
+    """Score matrix of every column of `queries`, an (r, m) block of projected
+    test samples (`embedding.embed_train_test` projects it in the same pass
+    over F as the train matrix), from one `knn` call. `labels` is the train
+    label matrix Y (`SparseDataset.label_matrix`)."""
     if queries.ndim != 2:
         raise ValueError(f"queries must be an (r, m) block, got shape {queries.shape}")
     t0 = time.perf_counter()
     neighbors = knn(queries, train, k)
     t1 = time.perf_counter()
-    results = [propagate(nb, labelsets) for nb in neighbors]
+    scores = score_matrix(neighbors, labels)
     if timings is not None:
         t2 = time.perf_counter()
         for key, seconds in (("search_s", t1 - t0), ("propagate_s", t2 - t1)):
             timings[key] = timings.get(key, 0.0) + seconds
-    return results
+    return scores
 
 
-def format_predictions(scores: Sequence[ScoreVector], K: int) -> str:
-    """Prediction TSV: per sample one row of tab-separated label:score pairs."""
-    lines = []
-    for sv in scores:
-        labels = top_k_labels(sv, K) if sv else []
-        lines.append("\t".join(f"{w}:{sv[w]:.6g}" for w in labels))
+def format_predictions(labels: np.ndarray, scores: np.ndarray) -> str:
+    """Prediction TSV from `top_k`'s arrays: per sample one row of
+    tab-separated label:score pairs."""
+    lines = [
+        "\t".join(f"{w}:{s:.6g}" for w, s in zip(row, vals) if w >= 0)
+        for row, vals in zip(labels.tolist(), scores.tolist())
+    ]
     return "\n".join(lines) + "\n"
-
-
-def write_predictions(path, scores: Sequence[ScoreVector], K: int) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(format_predictions(scores, K))

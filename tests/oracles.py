@@ -4,18 +4,22 @@ Everything here is deliberately naive (dense arrays, python loops, full
 sorts) and shares no code path with the package beyond the definitional
 gaussian row stream, which is the identity of the projection matrix itself.
 The exceptions are `predict`, the per-query composition of the package's
-own steps, which the batch paths are checked against, and `sweep_r`, one
+own steps, which the batch paths are checked against, `sweep_r`, one
 `fused_scores` call per r, which the one-pass dimension sweep is checked
-against.
+against, and the dict label side (`fuse`, `top_k_labels`,
+`format_dicts`, `evaluate_dicts`): one {label: score} dict per sample, the
+representation the sparse score matrix replaced, kept as its reference.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from ogeec.embedding import EmbeddingSpec, embed_single, materialize_row
 from ogeec.ensemble import EnsembleSpec, fused_scores
-from ogeec.predictor import knn, propagate
+from ogeec.metrics import DEFAULT_KS, METRIC_NAMES, EvalReport
+from ogeec.predictor import knn, propagate, top_k
 
 
 def dense_rows(ds) -> np.ndarray:
@@ -125,3 +129,80 @@ def ref_psn(pred, truth, props, K):
     for i, wgt in enumerate(best[: min(K, len(best))]):
         ideal += wgt / math.log2(i + 2)
     return num / ideal
+
+
+# ---------------------------------------------------------------------------
+# the dict label side
+
+
+def row_scores(S, i) -> dict:
+    """Row i of a score matrix as {label: score}."""
+    a, b = S.indptr[i], S.indptr[i + 1]
+    return dict(zip(S.indices[a:b].tolist(), S.data[a:b].tolist()))
+
+
+def score_dicts(S) -> list[dict]:
+    """A score matrix as one {label: score} dict per row."""
+    return [row_scores(S, i) for i in range(S.shape[0])]
+
+
+def score_csr(dicts, L) -> sp.csr_matrix:
+    """One {label: score} dict per row as an (m, L) score matrix."""
+    indptr = np.cumsum([0] + [len(sv) for sv in dicts])
+    indices = [w for sv in dicts for w in sv]
+    data = [s for sv in dicts for s in sv.values()]
+    data = np.array(data, dtype=float)
+    return sp.csr_matrix((data, np.array(indices, dtype=np.int64), indptr), shape=(len(dicts), L))
+
+
+def top_labels(dicts, K=5) -> np.ndarray:
+    """The (m, K) top-label array of dict scores, for `evaluate`."""
+    L = 1 + max((w for sv in dicts for w in sv), default=0)
+    return top_k(score_csr(dicts, L), K)[0]
+
+
+def fuse(score_vectors):
+    """Uniform average: labels summed in learner order from 0.0, then divided
+    by the learner count; a label absent from a learner contributes 0 for it."""
+    acc = {}
+    for sv in score_vectors:
+        for w, s in sv.items():
+            acc[w] = acc.get(w, 0.0) + s
+    return {w: s / len(score_vectors) for w, s in acc.items()}
+
+
+def top_k_labels(scores, K):
+    """Labels by descending score, ties by ascending label index."""
+    order = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [w for w, _ in order[:K]]
+
+
+def format_dicts(scores, K) -> str:
+    """Prediction TSV of dict scores: per sample the top K label:score pairs."""
+    lines = []
+    for sv in scores:
+        lines.append("\t".join(f"{w}:{sv[w]:.6g}" for w in top_k_labels(sv, K)))
+    return "\n".join(lines) + "\n"
+
+
+def evaluate_dicts(predictions, truths, model, ks=DEFAULT_KS) -> EvalReport:
+    """Mean metrics of dict scores over the samples with nonempty truth, one
+    sample at a time with the `ref_*` metric functions."""
+    props = model.propensities.tolist()
+    max_k = max(ks)
+    sums = {f"{m}@{k}": 0.0 for m in METRIC_NAMES for k in ks}
+    used = skipped = 0
+    for sv, truth in zip(predictions, truths):
+        truth = set(int(t) for t in truth)
+        if not truth:
+            skipped += 1
+            continue
+        used += 1
+        labels = top_k_labels(sv, max_k)
+        for k in sorted(set(ks)):
+            sums[f"P@{k}"] += ref_precision(labels, truth, k)
+            sums[f"N@{k}"] += ref_ndcg(labels, truth, k)
+            sums[f"PSP@{k}"] += ref_psp(labels, truth, props, k)
+            sums[f"PSN@{k}"] += ref_psn(labels, truth, props, k)
+    values = {name: total / max(used, 1) for name, total in sums.items()}
+    return EvalReport(values=values, samples=used, skipped=skipped, ks=tuple(ks))

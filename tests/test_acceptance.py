@@ -12,7 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from oracles import naive_end_to_end, ref_ndcg, ref_precision, ref_propensities, ref_psn, ref_psp
+from oracles import (
+    naive_end_to_end,
+    ref_ndcg,
+    ref_precision,
+    ref_propensities,
+    ref_psn,
+    ref_psp,
+    score_dicts,
+    top_k_labels,
+    top_labels,
+)
 
 from ogeec.cli import main
 from ogeec.data import generate_synthetic, parse_dataset, split_dataset, write_dataset
@@ -21,7 +31,7 @@ from ogeec.ensemble import EnsembleSpec, fused_scores, make_ensemble_spec, sweep
 from ogeec.jl import jl_epsilon, measure_distortion
 from ogeec.lsh import build_index, query_lsh
 from ogeec.metrics import evaluate, propensity
-from ogeec.predictor import batch_predict, propagate, top_k_labels
+from ogeec.predictor import batch_predict, score_matrix, top_k
 
 TABLE_DATASET_ROWS = [  # r=200 for the three benchmark corpus sizes
     (196606, "0.1627", "0.8373", "1.1627"),
@@ -93,10 +103,10 @@ def test_criterion_3_oracle_equivalence():
     spec = EmbeddingSpec(seed=9, d=3000, r=50)
     emb = embed(spec, train)
     queries = project_csr(spec, test.to_feature_csr(np.float64))
-    real = batch_predict(emb, train.labelsets(), queries, 5)
+    real = batch_predict(emb, train.label_matrix(), queries, 5)
     naive = naive_end_to_end(9, train, test, 50, 5)
     max_diff = 0.0
-    for got, want in zip(real, naive):
+    for got, want in zip(score_dicts(real), naive):
         assert set(got) == set(want)
         assert top_k_labels(got, 5) == top_k_labels(want, 5)
         for w in got:
@@ -128,7 +138,7 @@ def test_criterion_4_metrics_oracle():
     truths = [
         {0, 5}, {2, 4}, {7}, {3}, {1, 6}, {0}, {0, 6}, {1, 2, 3}, {5}, {5, 6, 7},
     ]
-    rep = evaluate(predictions, [sorted(t) for t in truths], model)
+    rep = evaluate(top_labels(predictions), [sorted(t) for t in truths], model)
     max_err = 0.0
     for K in (1, 3, 5):
         ranked = [top_k_labels(sv, 5) for sv in predictions]
@@ -152,7 +162,7 @@ def test_criterion_4_metrics_oracle():
         truth = set(
             int(w) for w in rng.choice(30, size=rng.integers(1, 6), replace=False)
         )
-        one = evaluate([scores], [sorted(truth)], id_model)
+        one = evaluate(top_labels([scores]), [sorted(truth)], id_model)
         identities_hold &= one["P@1"] == one["N@1"]
         identities_hold &= one["PSP@1"] == one["PSN@1"]
     report(
@@ -190,7 +200,7 @@ def test_criterion_6_embedding_dimension_trend(dataset_pairs):
         for r, sink in ((50, p50), (200, p200)):
             spec = EnsembleSpec(seeds=(10 * seed,), d=train.d, r=r, k=5)
             scores = fused_scores(spec, train, test)
-            sink.append(evaluate(scores, test.labelsets(), model)["P@1"])
+            sink.append(evaluate(top_k(scores, 5)[0], test.labelsets(), model)["P@1"])
     diffs = np.array(p200) - np.array(p50)
     sem = diffs.std(ddof=1) / np.sqrt(len(diffs))
     report(
@@ -237,16 +247,13 @@ def test_criterion_8_lsh_direction(dataset_pairs):
         model = propensity(train.label_frequencies, train.n)
         lspec = EmbeddingSpec(seed=10 * seed, d=train.d, r=64)
         emb = embed(lspec, train)
-        labelsets = train.labelsets()
+        labels = train.label_matrix()
         q_emb = project_csr(lspec, test.to_feature_csr(np.float64))
-        exhaustive = batch_predict(emb, labelsets, q_emb, 5)
-        ex_p1.append(evaluate(exhaustive, test.labelsets(), model)["P@1"])
+        exhaustive = batch_predict(emb, labels, q_emb, 5)
+        ex_p1.append(evaluate(top_k(exhaustive, 5)[0], test.labelsets(), model)["P@1"])
         index = build_index(emb, T=10, H=16, seed=10 * seed)
-        scores = [
-            propagate(query_lsh(index, q_emb[:, i], 5), labelsets)
-            for i in range(test.n)
-        ]
-        lsh_p1.append(evaluate(scores, test.labelsets(), model)["P@1"])
+        scores = score_matrix([query_lsh(index, q_emb[:, i], 5) for i in range(test.n)], labels)
+        lsh_p1.append(evaluate(top_k(scores, 5)[0], test.labelsets(), model)["P@1"])
     mean_ex, mean_lsh = float(np.mean(ex_p1)), float(np.mean(lsh_p1))
     report(
         8,
@@ -268,7 +275,7 @@ def test_criterion_9_full_corpus_reproduction():
     spec = make_ensemble_spec(base_seed=0, learners=5, d=train.d, r=200, k=5)
     scores = fused_scores(spec, train, test, workers=os.cpu_count() or 1)
     model = propensity(train.label_frequencies, train.n, a=0.55, b=1.5)
-    rep = evaluate(scores, test.labelsets(), model)
+    rep = evaluate(top_k(scores, 5)[0], test.labelsets(), model)
     targets = {  # five-learner fused reference values, in percent
         "P@1": 40.54, "P@3": 34.25, "P@5": 30.97,
         "N@1": 40.54, "N@3": 35.74, "N@5": 33.22,

@@ -15,7 +15,7 @@ from ogeec.data import parse_dataset, split_dataset, write_dataset
 from ogeec.embedding import EmbeddingSpec, load_cache
 from ogeec.ensemble import EnsembleSpec, fused_scores, read_metadata
 from ogeec.metrics import evaluate, propensity
-from ogeec.predictor import format_predictions
+from ogeec.predictor import format_predictions, top_k
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +111,7 @@ def test_predict_tsv_matches_library_path(workspace, tmp_path):
     train = parse_dataset(workspace / "train.txt")
     test = parse_dataset(workspace / "test.txt")
     scores = fused_scores(spec, train, test)
-    assert out.read_text() == format_predictions(scores, 5)
+    assert out.read_text() == format_predictions(*top_k(scores, 5))
 
 
 def test_predict_deterministic_across_runs_and_workers(workspace, tmp_path):
@@ -203,7 +203,7 @@ def test_eval_matches_library_composition(workspace, capsys):
     test = parse_dataset(workspace / "test.txt")
     scores = fused_scores(spec, train, test)
     model = propensity(train.label_frequencies, train.n)
-    want = evaluate(scores, test.labelsets(), model)
+    want = evaluate(top_k(scores, 5)[0], test.labelsets(), model)
     for name in ("P@1", "N@1", "PSP@5", "PSN@3"):
         assert float(got[name]) == pytest.approx(want[name], abs=5e-7)
     assert got["P@1"] == got["N@1"]
@@ -261,8 +261,8 @@ def test_predict_single_learner_equals_ensemble_of_one(workspace, tmp_path):
     lspec = spec.learner(0)
     emb = embed(lspec, train)
     queries = project_csr(lspec, test.to_feature_csr(np.float64))
-    single = batch_predict(emb, train.labelsets(), queries, spec.k)
-    assert via_ensemble.read_text() == format_predictions(single, 5)
+    single = batch_predict(emb, train.label_matrix(), queries, spec.k)
+    assert via_ensemble.read_text() == format_predictions(*top_k(single, 5))
 
 
 def test_lsh_compare_writes_prediction_tsv(workspace, tmp_path, capsys):
@@ -499,6 +499,9 @@ _BAD_KNOBS = [
     [*_GEN, "--labels", "0"],
     [*_GEN, "--clusters", "0"],
     [*_GEN, "--test-n", "-1"],
+    ["analyze", "bounds", "--ns", "100", "--rs", "0"],
+    ["analyze", "bounds", "--rs", "8", "--ns", "1"],
+    ["analyze", "sweep-r", "--train", "{m}", "--test", "{m}", "--rs", "0,8"],
 ]
 
 
@@ -507,8 +510,10 @@ def test_bad_knob_is_usage_error_before_any_file_is_read(tmp_path, capsys, argv)
     missing = str(tmp_path / "missing.txt")
     rc = main([missing if a == "{m}" else a for a in argv])
     assert rc == 2
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"usage error: {argv[-2]} "), err
+    assert captured.out == ""
 
 
 def test_removed_chunk_flag_is_rejected_by_argparse(capsys):
@@ -682,12 +687,6 @@ def test_eval_custom_ks(workspace, capsys):
     header = capsys.readouterr().out.splitlines()[0].split("\t")
     assert header[:4] == ["P@1", "P@3", "N@1", "N@3"]
     assert len(header) == 10  # 4 metrics x 2 cutoffs + samples + skipped
-
-
-def test_analyze_bounds_invalid_n_is_runtime_error(capsys):
-    rc = main(["analyze", "bounds", "--ns", "1", "--rs", "10"])
-    assert rc == 1
-    assert "at least 2" in capsys.readouterr().err
 
 
 def test_no_subcommand_prints_help(capsys):

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import fuse, score_dicts
 
 from ogeec import embedding
 from ogeec.data import SparseDataset, SparseVector, generate_synthetic, split_dataset
@@ -21,7 +22,7 @@ from ogeec.embedding import (
     save_cache,
     train_test_rows,
 )
-from ogeec.ensemble import fuse, fused_scores, make_ensemble_spec
+from ogeec.ensemble import fused_scores, make_ensemble_spec
 from ogeec.predictor import batch_predict
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "embed_single_seed42_d10_r4.json"
@@ -262,8 +263,8 @@ def test_one_pass_equals_separate_projections(monkeypatch, case, workers):
         (embed(ls, train), project_csr(ls, test.to_feature_csr(np.float64)))
         for ls in map(espec.learner, range(espec.size))
     ]
-    labelsets = train.labelsets()
-    per_learner = [batch_predict(m, labelsets, q, espec.k) for m, q in apart]
+    labels = train.label_matrix()
+    per_learner = [score_dicts(batch_predict(m, labels, q, espec.k)) for m, q in apart]
     reference = [fuse(list(scores)) for scores in zip(*per_learner)]
 
     # blocks of 5 rows, so each worker's range spans ragged blocks
@@ -278,7 +279,7 @@ def test_one_pass_equals_separate_projections(monkeypatch, case, workers):
     cached = {espec.seeds[0]: apart[0][0]}  # one learner cached, one projected
     for provider in (None, lambda ls: cached.get(ls.seed)):
         fused = fused_scores(espec, train, test, workers=workers, matrix_provider=provider)
-        assert fused == reference
+        assert score_dicts(fused) == reference
 
 
 def test_train_test_rows_rejects_mismatched_dimensionality():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from oracles import predict, sweep_r
+from oracles import predict, row_scores, score_csr, score_dicts, sweep_r
 
 from ogeec import embedding
 from ogeec.embedding import EmbeddingSpec, embed, project_csr
 from ogeec.ensemble import (
     EnsembleSpec,
-    fuse,
+    _mean,
     fused_scores,
     learner_scores,
     make_ensemble_spec,
@@ -17,7 +17,7 @@ from ogeec.ensemble import (
     write_metadata,
 )
 from ogeec.metrics import evaluate, uniform_propensity
-from ogeec.predictor import batch_predict, top_k_labels
+from ogeec.predictor import batch_predict, top_k
 
 
 def test_make_spec_default_seed_schedule():
@@ -37,14 +37,17 @@ def test_validate_rejects_duplicates_and_empty():
 
 
 def test_fuse_hand_average():
-    fused = fuse([{1: 0.8}, {1: 0.4, 2: 0.6}])
-    assert fused == {1: pytest.approx(0.6, abs=1e-15), 2: pytest.approx(0.3, abs=1e-15)}
+    fused = _mean(score_csr([{1: 0.8}], 3) + score_csr([{1: 0.4, 2: 0.6}], 3), 2)
+    assert row_scores(fused, 0) == {
+        1: pytest.approx(0.6, abs=1e-15), 2: pytest.approx(0.3, abs=1e-15)
+    }
 
 
 def test_fuse_scale_invariance_of_ranking():
     learners = [{1: 0.8, 3: 0.2}, {1: 0.4, 2: 0.6}]
     scaled = [{w: 2.5 * s for w, s in sv.items()} for sv in learners]
-    assert top_k_labels(fuse(learners), 3) == top_k_labels(fuse(scaled), 3)
+    a, b = ([score_csr([sv], 4) for sv in group] for group in (learners, scaled))
+    assert np.array_equal(top_k(_mean(a[0] + a[1], 2), 3)[0], top_k(_mean(b[0] + b[1], 2), 3)[0])
 
 
 def test_single_learner_ensemble_equals_predict(small_ds, small_spec, small_embedded):
@@ -53,13 +56,14 @@ def test_single_learner_ensemble_equals_predict(small_ds, small_spec, small_embe
     labelsets = small_ds.labelsets()
     for i in (0, 9, 150, 299):
         query = small_ds.feature_row(i)
-        assert fused[i] == predict(small_spec, small_embedded, labelsets, query, 5)
+        assert row_scores(fused, i) == predict(small_spec, small_embedded, labelsets, query, 5)
 
 
 def test_duplicate_seeds_equal_one_learner(small_ds, small_spec, small_embedded):
     query = small_ds.feature_row(21)
     single = predict(small_spec, small_embedded, small_ds.labelsets(), query, 5)
-    fused = fuse([single] * 3)
+    S = score_csr([single], small_ds.L)
+    fused = row_scores(_mean(S + S + S, 3), 0)
     assert fused.keys() == single.keys()
     for w in fused:
         assert fused[w] == pytest.approx(single[w], rel=1e-14)
@@ -72,18 +76,18 @@ def test_seed_order_invariance(small_ds, train_test):
     rev = EnsembleSpec(seeds=(29, 3, 11), d=train.d, r=24, k=5)
     a = fused_scores(fwd, train, sub)
     b = fused_scores(rev, train, sub)
-    for sa, sb in zip(a, b):
+    for sa, sb in zip(score_dicts(a), score_dicts(b)):
         assert sa.keys() == sb.keys()
         for w in sa:
             assert sa[w] == pytest.approx(sb[w], abs=1e-12)
-        assert top_k_labels(sa, 5) == top_k_labels(sb, 5)
+    assert np.array_equal(top_k(a, 5)[0], top_k(b, 5)[0])
 
 
 def test_fused_equals_mean_of_per_learner(train_test):
     train, test = train_test
     espec = EnsembleSpec(seeds=(1, 2, 3), d=train.d, r=24, k=5)
-    per = [scores for _, scores in learner_scores(espec, train, test)]
-    fused = fused_scores(espec, train, test)
+    per = [score_dicts(scores) for _, scores in learner_scores(espec, train, test)]
+    fused = score_dicts(fused_scores(espec, train, test))
     for i in range(test.n):
         labels = set().union(*(per[e][i].keys() for e in range(3)))
         for w in labels:
@@ -113,8 +117,8 @@ def test_sweep_size_one_equals_single_learner_eval(train_test):
     lspec = EmbeddingSpec(seed=4, d=train.d, r=24)
     emb = embed(lspec, train)
     queries = project_csr(lspec, test.to_feature_csr(np.float64))
-    scores = batch_predict(emb, train.labelsets(), queries, 5)
-    direct = evaluate(scores, test.labelsets(), model)
+    scores = batch_predict(emb, train.label_matrix(), queries, 5)
+    direct = evaluate(top_k(scores, 5)[0], test.labelsets(), model)
     assert result.fused[1].values == direct.values
     assert result.per_learner[0].values == direct.values
 
@@ -169,7 +173,8 @@ def test_sweep_dimension_equals_per_r_oracle(train_test, monkeypatch, workers):
     rs = (24, 8, 1, 24, 17)
     want = sweep_r(4, train, test, rs, 5)
     monkeypatch.setattr(embedding, "_row_block", lambda d: 5)
-    assert list(sweep_dimension(4, train, test, rs, 5, workers=workers)) == want
+    got = sweep_dimension(4, train, test, rs, 5, workers=workers)
+    assert [(r, score_dicts(S)) for r, S in got] == [(r, score_dicts(S)) for r, S in want]
 
 
 def test_sweep_dimension_rejects_bad_r(train_test):

@@ -5,18 +5,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_ndcg, ref_precision, ref_propensities, ref_psn, ref_psp
-
-from ogeec.metrics import (
-    evaluate,
-    ndcg_at_k,
-    precision_at_k,
-    propensity,
-    psn_at_k,
-    psp_at_k,
-    uniform_propensity,
+from oracles import (
+    ref_ndcg,
+    ref_precision,
+    ref_propensities,
+    ref_psn,
+    ref_psp,
+    top_k_labels,
+    top_labels,
 )
-from ogeec.predictor import top_k_labels
+
+from ogeec.metrics import evaluate, propensity, uniform_propensity
+
+
+def _one(name, predicted, truth, K, model=None):
+    """`name`@K of one ranking, through `evaluate` on a one-sample batch; a
+    sample with no true labels is skipped, so its metrics read 0."""
+    labels = np.full((1, K), -1)
+    labels[0, : len(predicted[:K])] = predicted[:K]
+    model = model or uniform_propensity(1 + max([*truth, *predicted], default=0))
+    return evaluate(labels, [sorted(truth)], model, ks=(K,))[f"{name}@{K}"]
+
+
+def precision_at_k(predicted, truth, K):
+    return _one("P", predicted, truth, K)
+
+
+def ndcg_at_k(predicted, truth, K):
+    return _one("N", predicted, truth, K)
+
+
+def psp_at_k(predicted, truth, model, K):
+    return _one("PSP", predicted, truth, K, model)
+
+
+def psn_at_k(predicted, truth, model, K):
+    return _one("PSN", predicted, truth, K, model)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +194,7 @@ def test_evaluate_single_perfect_sample():
     # truth needs at least 5 labels for P@5 to reach 1
     model = uniform_propensity(8)
     scores = {1: 2.0, 2: 1.5, 4: 1.0, 5: 0.8, 6: 0.5}
-    report = evaluate([scores], [np.array([1, 2, 4, 5, 6])], model)
+    report = evaluate(top_labels([scores]), [np.array([1, 2, 4, 5, 6])], model)
     for name, value in report.values.items():
         assert value == pytest.approx(1.0), name
     assert report.samples == 1 and report.skipped == 0
@@ -179,7 +203,7 @@ def test_evaluate_single_perfect_sample():
 def test_evaluate_excludes_empty_truth():
     model = uniform_propensity(6)
     report = evaluate(
-        [{1: 1.0}, {1: 1.0}], [np.array([], dtype=np.int64), np.array([1])], model
+        top_labels([{1: 1.0}, {1: 1.0}]), [np.array([], dtype=np.int64), np.array([1])], model
     )
     assert report.samples == 1 and report.skipped == 1
     assert report["P@1"] == 1.0
@@ -233,7 +257,7 @@ def test_evaluate_ten_sample_fixture_matches_reference():
         {5},
         {5, 6, 7},
     ]
-    report = evaluate(predictions, [sorted(t) for t in truths], model)
+    report = evaluate(top_labels(predictions), [sorted(t) for t in truths], model)
     for K in (1, 3, 5):
         for name, fn in (
             ("P", ref_precision),
@@ -253,7 +277,7 @@ def test_evaluate_ten_sample_fixture_matches_reference():
 def test_report_identities_and_formats():
     model = uniform_propensity(4)
     report = evaluate(
-        [{0: 1.0, 2: 0.5}, {1: 0.7}],
+        top_labels([{0: 1.0, 2: 0.5}, {1: 0.7}]),
         [np.array([0, 1]), np.array([2])],
         model,
     )
@@ -268,4 +292,13 @@ def test_report_identities_and_formats():
 
 def test_evaluate_length_mismatch():
     with pytest.raises(ValueError):
-        evaluate([{0: 1.0}], [], uniform_propensity(2))
+        evaluate(top_labels([{0: 1.0}]), [], uniform_propensity(2))
+
+
+def test_evaluate_counts_a_repeated_cutoff_once():
+    model = uniform_propensity(8)
+    predictions = top_labels([{1: 2.0, 2: 1.0}, {3: 1.0, 4: 0.5}])
+    truths = [np.array([1]), np.array([4, 5])]
+    once = evaluate(predictions, truths, model, ks=(1, 3))
+    twice = evaluate(predictions, truths, model, ks=(1, 1, 3))
+    assert twice.values == once.values and twice["P@1"] == 0.5

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import knn_scan, predict
+from oracles import knn_scan, predict, row_scores, score_csr, score_dicts
 
 from ogeec import predictor
 from ogeec.embedding import EmbeddedMatrix, embed_single, project_csr
@@ -14,7 +14,7 @@ from ogeec.predictor import (
     format_predictions,
     knn,
     propagate,
-    top_k_labels,
+    top_k,
 )
 
 
@@ -206,9 +206,10 @@ def test_propagate_bad_index():
 
 
 def test_top_k_labels_tie_rule():
-    assert top_k_labels({2: 0.8, 5: 0.8}, 1) == [2]
-    assert top_k_labels({1: 0.9, 3: 1.3}, 3) == [3, 1]
-    assert top_k_labels({}, 4) == []
+    S = score_csr([{5: 0.8, 2: 0.8}, {1: 0.9, 3: 1.3}, {}], 6)
+    assert top_k(S, 1)[0].tolist() == [[2], [3], [-1]]
+    assert top_k(S, 3)[0].tolist() == [[2, 5, -1], [3, 1, -1], [-1, -1, -1]]
+    assert top_k(S, 4)[1].tolist()[2] == [0.0] * 4
 
 
 def test_predict_is_composition(small_spec, small_ds, small_embedded):
@@ -234,23 +235,23 @@ def test_batch_predict_equals_per_query(small_spec, small_ds, small_embedded, tr
     labelsets = small_ds.labelsets()
     sub = small_ds
     queries = project_csr(small_spec, sub.to_feature_csr(np.float64))
-    batched = batch_predict(small_embedded, labelsets, queries, 5)
+    batched = batch_predict(small_embedded, small_ds.label_matrix(), queries, 5)
     for i in range(0, sub.n, 37):
         single = predict(small_spec, small_embedded, labelsets, sub.feature_row(i), 5)
-        assert batched[i] == single
+        assert row_scores(batched, i) == single
 
 
 def test_batch_predict_worker_invariance(small_spec, small_ds, small_embedded):
-    labelsets = small_ds.labelsets()
+    labels = small_ds.label_matrix()
     X = small_ds.to_feature_csr(np.float64)
     one, many = (
-        batch_predict(small_embedded, labelsets, project_csr(small_spec, X, workers=w), 5)
+        batch_predict(small_embedded, labels, project_csr(small_spec, X, workers=w), 5)
         for w in (1, 4)
     )
-    assert one == many
+    assert score_dicts(one) == score_dicts(many)
 
 
 def test_format_predictions():
-    scores = [{3: 1.25, 1: 0.5}, {}, {2: 0.75}]
-    text = format_predictions(scores, 2)
+    scores = score_csr([{3: 1.25, 1: 0.5}, {}, {2: 0.75}], 4)
+    text = format_predictions(*top_k(scores, 2))
     assert text == "3:1.25\t1:0.5\n\n2:0.75\n"
