@@ -5,11 +5,16 @@ All indices in dataset files are 0-based. Data goes to stdout (or --out);
 diagnostics and timings go to stderr. Every command is deterministic for a
 fixed configuration, including the worker count. Option precedence is
 command-line flags over --config (JSON) over built-in defaults.
+
+The knob table `_KNOBS` is the one place to add a knob: its entry gives the
+help and the smallest valid value, its `RunConfig` field the type and the
+default, and each `_COMMANDS` entry that names it takes it as a flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -92,29 +97,81 @@ class RunConfig:
         return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 
 
-_INT_TUPLES = {"ks", "rs", "ns", "sizes"}
-
-# config-file value types by RunConfig annotation; _int_tuple parses tuple knobs
-_FILE_TYPES = {
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-    "bool": (bool, "true or false"),
-    "str | None": ((str, type(None)), "a string"),
-    "tuple[int, ...]": (object, "comma-separated integers"),
+# The one table of knob facts besides RunConfig, which gives each knob's type
+# and default: field -> (help, smallest valid value or None). Every element of
+# a tuple knob is held to its bound.
+_KNOBS = {
+    "r": ("embedding dimensionality", 1),
+    "k": ("nearest neighbours", 1),
+    "learners": ("ensemble size E", 1),
+    "seed": ("base seed", None),
+    "prop_a": ("propensity A; 0.6 for Amazon-family", None),
+    "prop_b": ("propensity B; 2.6 for Amazon-family", None),
+    "ks": ("comma-separated K cutoffs", 1),
+    "workers": (
+        "projection threads, 0 for all cores; they split F's rows, so each row "
+        "is generated once per projection. Search is one GEMM per learner, "
+        "threaded by BLAS",
+        0,
+    ),
+    "topk": ("labels per row in the prediction TSV", 1),
+    "tables": ("LSH tables T", 1),
+    "bits": ("bits per code H", 1),
+    "pairs": ("sampled pairs", 1),
+    "pair_seed": ("pair sampling seed", None),
+    "bins": ("histogram bins", 1),
+    "grid": ("print the metric grid instead of TSV", None),
+    "n": ("sample count", 1),
+    "d": ("feature dimensionality", 1),
+    "labels": ("label vocabulary size", 1),
+    "sparsity": ("mean nonzeros per sample, at most --d", None),
+    "labels_per_sample": ("mean labels per sample, at most --labels", None),
+    "clusters": ("latent cluster count", 1),
+    "test_n": ("held-out samples to split off", 0),
+    "rs": ("comma-separated output dimensionalities r", 1),
+    "ns": ("comma-separated sample counts", 2),
+    "sizes": ("comma-separated ensemble sizes", 1),
+    "train": ("training dataset file", None),
+    "test": ("test dataset file", None),
+    "model": ("model metadata file", None),
+    "out": ("output file (default: stdout)", None),
+    "test_out": ("path for the held-out split", None),
+    "cache": ("embedded-matrix cache prefix (written by train, read back)", None),
+    "predictions_out": ("also write the LSH predictions as a TSV (predict format)", None),
 }
 
-# knob -> smallest valid value; every element of a tuple knob is checked.
-# ns may stay empty: only `analyze bounds` needs it, and says so itself.
-_MINIMUMS = {
-    "r": 1, "k": 1, "learners": 1, "topk": 1, "ks": 1, "sizes": 1,
-    "tables": 1, "bits": 1, "pairs": 1, "bins": 1, "workers": 0,
-    "n": 1, "d": 1, "labels": 1, "clusters": 1, "test_n": 0,
-    "rs": 1, "ns": 2,
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+
+# RunConfig annotation -> (argparse keywords, config-file value types, what a
+# value must be); _int_tuple parses tuple knobs from either source
+_TYPES = {
+    "int": ({"type": int}, int, "an integer"),
+    "float": ({"type": float}, (int, float), "a number"),
+    "bool": ({"action": "store_true"}, bool, "true or false"),
+    "str | None": ({}, (str, type(None)), "a string"),
+    "tuple[int, ...]": ({}, object, "comma-separated integers"),
 }
 
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
+
+
+def _help(name: str) -> str:
+    """The knob's help, ending in its RunConfig default when it has one."""
+    text, default = _KNOBS[name][0], _FIELDS[name].default
+    if default is None or isinstance(default, bool) or default == ():
+        return text
+    shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+    return f"{text} (default {shown})"
+
+
+def _is_a(value, kinds) -> bool:
+    """isinstance, where a bool is only a bool and a list (a tuple knob's
+    value) holds only integers."""
+    if isinstance(value, list):
+        return kinds is object and all(_is_a(v, int) for v in value)
+    return isinstance(value, kinds) and isinstance(value, bool) == (kinds is bool)
 
 
 def _int_tuple(name: str, value) -> tuple[int, ...]:
@@ -126,10 +183,14 @@ def _int_tuple(name: str, value) -> tuple[int, ...]:
 
 
 def _check_knobs(cfg: RunConfig) -> None:
-    for name, low in _MINIMUMS.items():
+    for name, (_, low) in _KNOBS.items():
+        if low is None:
+            continue
         value = getattr(cfg, name)
         values = value if isinstance(value, tuple) else (value,)
-        if not values and name != "ns":
+        # a tuple knob may be empty only where its default is (ns: only
+        # `analyze bounds` needs it, and says so itself)
+        if not values and _FIELDS[name].default:
             raise UsageError(f"{_flag(name)} needs at least one value")
         for v in values:
             if v < low:
@@ -151,39 +212,37 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
             file_cfg = json.load(f)
         if not isinstance(file_cfg, dict):
             raise UsageError(f"{config_path}: config file must hold a JSON object")
-    cli_cfg = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "config", "command", "analyze_cmd")
-    }
-    annotations = {f.name: f.type for f in fields(RunConfig)}
+    cli_cfg = {k: v for k, v in vars(args).items() if k in _FIELDS}
     for key, value in file_cfg.items():
-        if key not in annotations:
+        if key not in _FIELDS:
             raise UsageError(f"unknown config key {key!r}")
-        kinds, what = _FILE_TYPES[annotations[key]]
-        if not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool):
+        _, kinds, what = _TYPES[_FIELDS[key].type]
+        if not _is_a(value, kinds):
             raise UsageError(f"{_flag(key)} must be {what}, got {value!r}")
     merged = {**file_cfg, **cli_cfg}
-    for key in _INT_TUPLES & set(merged):
-        merged[key] = _int_tuple(key, merged[key])
+    for key, value in merged.items():
+        if _FIELDS[key].type == "tuple[int, ...]":
+            merged[key] = _int_tuple(key, value)
     cfg = RunConfig(**merged)
     _check_knobs(cfg)
     return cfg, set(merged)
 
 
-def _require(cfg: RunConfig, explicit: set[str], *names: str) -> None:
+def _require(cfg: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) is None:
             raise UsageError(f"{_flag(name)} is required (flag or config file)")
 
 
-def _open_out(path: str | None):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
-
-
-def _close_out(stream) -> None:
-    if stream is not sys.stdout:
-        stream.close()
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at `path`, or stdout when no path is given; a file is closed
+    on exit."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as f:
+        yield f
 
 
 def _load_model(cfg: RunConfig, explicit: set[str]) -> ens.EnsembleSpec:
@@ -218,7 +277,16 @@ def _cache_provider(cfg: RunConfig, dataset: SparseDataset):
 
 
 def cmd_gen(cfg: RunConfig, explicit: set[str]) -> int:
-    _require(cfg, explicit, "out")
+    _require(cfg, "out")
+    if not 0 < cfg.sparsity <= cfg.d:
+        raise UsageError(f"--sparsity must lie in (0, --d] = (0, {cfg.d}], got {cfg.sparsity!r}")
+    if not 0 < cfg.labels_per_sample <= cfg.labels:
+        raise UsageError(
+            f"--labels-per-sample must lie in (0, --labels] = (0, {cfg.labels}], "
+            f"got {cfg.labels_per_sample!r}"
+        )
+    if cfg.test_n and cfg.test_out is None:
+        raise UsageError("--test-n needs --test-out (flag or config file)")
     total = cfg.n + cfg.test_n
     ds = generate_synthetic(
         n=total,
@@ -230,7 +298,6 @@ def cmd_gen(cfg: RunConfig, explicit: set[str]) -> int:
         seed=cfg.seed,
     )
     if cfg.test_n:
-        _require(cfg, explicit, "test_out")
         train, test = split_dataset(ds, cfg.n)
         write_dataset(train, cfg.out)
         write_dataset(test, cfg.test_out)
@@ -255,7 +322,7 @@ def _time_generation(spec: EmbeddingSpec) -> float:
 
 
 def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
-    _require(cfg, explicit, "train", "model")
+    _require(cfg, "train", "model")
     ds = parse_dataset(cfg.train)
     spec = ens.make_ensemble_spec(cfg.seed, cfg.learners, ds.d, cfg.r, cfg.k)
     ens.validate_spec(spec)
@@ -281,13 +348,13 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
             f"{embed_s:.3f}s {shape}, cached to {path}",
             file=sys.stderr,
         )
-    ens.write_metadata(cfg.model, spec, base_seed=cfg.seed)
+    ens.write_metadata(cfg.model, spec)
     print(f"model metadata written to {cfg.model}", file=sys.stderr)
     return 0
 
 
 def _predict_scores(cfg: RunConfig, explicit: set[str]):
-    _require(cfg, explicit, "model", "train", "test")
+    _require(cfg, "model", "train", "test")
     spec = _load_model(cfg, explicit)
     train_ds = parse_dataset(cfg.train)
     test_ds = parse_dataset(cfg.test)
@@ -325,11 +392,8 @@ def _print_timings(timings: dict[str, float]) -> None:
 
 def cmd_predict(cfg: RunConfig, explicit: set[str]) -> int:
     _, _, _, scores, timings = _predict_scores(cfg, explicit)
-    stream = _open_out(cfg.out)
-    try:
+    with _output(cfg.out) as stream:
         stream.write(format_predictions(*top_k(scores, cfg.topk)))
-    finally:
-        _close_out(stream)
     _print_timings(timings)
     return 0
 
@@ -339,14 +403,11 @@ def cmd_eval(cfg: RunConfig, explicit: set[str]) -> int:
     t0 = time.perf_counter()
     report = _evaluator(cfg, train_ds, test_ds)(scores)
     timings["metrics_s"] = time.perf_counter() - t0
-    stream = _open_out(cfg.out)
-    try:
+    with _output(cfg.out) as stream:
         if cfg.grid:
             stream.write(report.format_grid() + "\n")
         else:
             stream.write(report.tsv_header() + "\n" + report.tsv_row() + "\n")
-    finally:
-        _close_out(stream)
     _print_timings(timings)
     return 0
 
@@ -363,26 +424,22 @@ def cmd_analyze_bounds(cfg: RunConfig, explicit: set[str]) -> int:
         pairs = [(n, rs[0]) for n in ns]
     else:
         raise UsageError("--ns and --rs must zip (equal lengths) or broadcast")
-    stream = _open_out(cfg.out)
-    try:
+    with _output(cfg.out) as stream:
         stream.write("n\tr\tepsilon\tlower\tupper\n")
         for n, r in pairs:
             b = jl.jl_epsilon(n, r)
             stream.write(f"{n}\t{r}\t{b.epsilon:.4f}\t{b.lower:.4f}\t{b.upper:.4f}\n")
-    finally:
-        _close_out(stream)
     return 0
 
 
 def cmd_analyze_distortion(cfg: RunConfig, explicit: set[str]) -> int:
-    _require(cfg, explicit, "train")
+    _require(cfg, "train")
     ds = parse_dataset(cfg.train)
     spec = EmbeddingSpec(seed=cfg.seed, d=ds.d, r=cfg.r)
     report = jl.measure_distortion(
         ds, spec, cfg.pairs, cfg.pair_seed, bins=cfg.bins
     )
-    stream = _open_out(cfg.out)
-    try:
+    with _output(cfg.out) as stream:
         stream.write(f"# pairs {report.pairs} skipped {report.skipped}\n")
         stream.write(f"# epsilon {report.epsilon:.6f}\n")
         stream.write(f"# within_fraction {report.within_fraction:.6f}\n")
@@ -395,33 +452,28 @@ def cmd_analyze_distortion(cfg: RunConfig, explicit: set[str]) -> int:
             report.hist_edges[:-1], report.hist_edges[1:], report.hist_counts
         ):
             stream.write(f"{lo:.6f}\t{hi:.6f}\t{int(c)}\n")
-    finally:
-        _close_out(stream)
     return 0
 
 
 def cmd_analyze_sweep_r(cfg: RunConfig, explicit: set[str]) -> int:
-    _require(cfg, explicit, "train", "test")
+    _require(cfg, "train", "test")
     train_ds = parse_dataset(cfg.train)
     test_ds = parse_dataset(cfg.test)
     evaluate = _evaluator(cfg, train_ds, test_ds)
     sweep = ens.sweep_dimension(
         cfg.seed, train_ds, test_ds, cfg.rs, cfg.k, workers=cfg.effective_workers()
     )
-    stream = _open_out(cfg.out)
-    try:
+    with _output(cfg.out) as stream:
         for i, (r, scores) in enumerate(sweep):
             report = evaluate(scores)
             if i == 0:
                 stream.write("r\t" + report.tsv_header() + "\n")
             stream.write(f"{r}\t" + report.tsv_row() + "\n")
-    finally:
-        _close_out(stream)
     return 0
 
 
 def cmd_analyze_sweep_ensemble(cfg: RunConfig, explicit: set[str]) -> int:
-    _require(cfg, explicit, "train", "test")
+    _require(cfg, "train", "test")
     train_ds = parse_dataset(cfg.train)
     test_ds = parse_dataset(cfg.test)
     spec = ens.make_ensemble_spec(
@@ -439,8 +491,7 @@ def cmd_analyze_sweep_ensemble(cfg: RunConfig, explicit: set[str]) -> int:
         ks=cfg.ks,
         workers=cfg.effective_workers(),
     )
-    stream = _open_out(cfg.out)
-    try:
+    with _output(cfg.out) as stream:
         names = [f"{m}@{k}" for m in metrics.METRIC_NAMES for k in cfg.ks]
         stream.write("config\t" + "\t".join(names) + "\n")
 
@@ -457,13 +508,11 @@ def cmd_analyze_sweep_ensemble(cfg: RunConfig, explicit: set[str]) -> int:
         for size in sorted(result.fused):
             rep = result.fused[size]
             stream.write(row(f"fused:{size}", [rep[m] for m in names]))
-    finally:
-        _close_out(stream)
     return 0
 
 
 def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
-    _require(cfg, explicit, "train", "test")
+    _require(cfg, "train", "test")
     train_ds = parse_dataset(cfg.train)
     test_ds = parse_dataset(cfg.test)
     workers = cfg.effective_workers()
@@ -485,13 +534,10 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
         # same TSV shape the predict command emits, for side-by-side tooling
         with open(cfg.predictions_out, "w", encoding="utf-8") as f:
             f.write(format_predictions(*top_k(lsh_scores, cfg.topk)))
-    stream = _open_out(cfg.out)
-    try:
+    with _output(cfg.out) as stream:
         stream.write("method\t" + rep_ex.tsv_header() + "\n")
         stream.write("exhaustive\t" + rep_ex.tsv_row() + "\n")
         stream.write("lsh\t" + rep_lsh.tsv_row() + "\n")
-    finally:
-        _close_out(stream)
     print(
         f"lsh tables={cfg.tables} bits={cfg.bits}: "
         f"{empty} queries had empty candidate sets",
@@ -504,50 +550,49 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    table = {
-        "train": (("--train",), dict(help="training dataset file")),
-        "test": (("--test",), dict(help="test dataset file")),
-        "model": (("--model",), dict(help="model metadata file")),
-        "out": (("--out",), dict(help="output file (default: stdout)")),
-        "r": (("--r",), dict(type=int, help="embedding dimensionality (default 200)")),
-        "k": (("--k",), dict(type=int, help="nearest neighbours (default 5)")),
-        "learners": (
-            ("--learners",),
-            dict(type=int, help="ensemble size E (default 5)"),
-        ),
-        "seed": (("--seed",), dict(type=int, help="base seed (default 0)")),
-        "workers": (
-            ("--workers",),
-            dict(type=int, help="projection threads; they split F's rows, so each row "
-                 "is generated once per projection (default: all cores). Search is "
-                 "one GEMM per learner, threaded by BLAS"),
-        ),
-        "prop_a": (
-            ("--prop-a",),
-            dict(type=float, help="propensity A (default 0.55; 0.6 for Amazon-family)"),
-        ),
-        "prop_b": (
-            ("--prop-b",),
-            dict(type=float, help="propensity B (default 1.5; 2.6 for Amazon-family)"),
-        ),
-        "ks": (("--ks",), dict(help="comma-separated K cutoffs (default 1,3,5)")),
-        "topk": (
-            ("--topk",),
-            dict(type=int, help="labels per row in the prediction TSV (default 5)"),
-        ),
-        "cache": (
-            ("--cache",),
-            dict(help="embedded-matrix cache prefix (written by train, read back)"),
-        ),
-        "grid": (
-            ("--grid",),
-            dict(action="store_true", help="print the metric grid instead of TSV"),
-        ),
-    }
-    for name in names:
-        flags, kwargs = table[name]
-        p.add_argument(*flags, default=argparse.SUPPRESS, **kwargs)
+# (command path, help, handler, the knobs it takes as flags); a command with
+# no handler groups the commands below it
+_COMMANDS = (
+    (
+        ("gen",), "generate a synthetic clustered dataset", cmd_gen,
+        "n d labels sparsity labels_per_sample clusters test_n test_out seed out",
+    ),
+    (
+        ("train",), "emit model metadata (and optional matrix caches)", cmd_train,
+        "train model r k learners seed workers cache",
+    ),
+    (
+        ("predict",), "batch-predict top-K labels as TSV", cmd_predict,
+        "model train test out k learners workers topk cache",
+    ),
+    (
+        ("eval",), "predict and score against test labels", cmd_eval,
+        "model train test out k learners workers prop_a prop_b ks cache grid",
+    ),
+    (("analyze",), "bound tables, distortion, sweeps", None, ""),
+    (
+        ("analyze", "bounds"), "theoretical distance-error bound table",
+        cmd_analyze_bounds, "ns rs out",
+    ),
+    (
+        ("analyze", "distortion"), "empirical pairwise distance distortion",
+        cmd_analyze_distortion, "pairs pair_seed bins train r seed out",
+    ),
+    (
+        ("analyze", "sweep-r"), "single-learner metrics across r values",
+        cmd_analyze_sweep_r, "rs train test k seed workers prop_a prop_b ks out",
+    ),
+    (
+        ("analyze", "sweep-ensemble"), "fused metrics across ensemble sizes",
+        cmd_analyze_sweep_ensemble,
+        "sizes train test r k seed workers prop_a prop_b ks out",
+    ),
+    (
+        ("analyze", "lsh-compare"), "exhaustive search vs the LSH baseline",
+        cmd_analyze_lsh_compare,
+        "tables bits predictions_out train test r k seed workers prop_a prop_b ks out topk",
+    ),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -557,98 +602,22 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--config", default=None, help="JSON config file")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("gen", help="generate a synthetic clustered dataset")
-    p.add_argument("--n", type=int, default=argparse.SUPPRESS, help="sample count")
-    p.add_argument("--d", type=int, default=argparse.SUPPRESS, help="feature dimensionality")
-    p.add_argument("--labels", type=int, default=argparse.SUPPRESS, help="label vocabulary size")
-    p.add_argument("--sparsity", type=float, default=argparse.SUPPRESS, help="mean nonzeros per sample")
-    p.add_argument(
-        "--labels-per-sample", type=float, default=argparse.SUPPRESS, help="mean labels per sample"
-    )
-    p.add_argument("--clusters", type=int, default=argparse.SUPPRESS, help="latent cluster count")
-    p.add_argument(
-        "--test-n", type=int, default=argparse.SUPPRESS, help="held-out samples to split off"
-    )
-    p.add_argument(
-        "--test-out", default=argparse.SUPPRESS, help="path for the held-out split"
-    )
-    _add_common(p, "seed", "out")
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("train", help="emit model metadata (and optional matrix caches)")
-    _add_common(p, "train", "model", "r", "k", "learners", "seed", "workers", "cache")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="batch-predict top-K labels as TSV")
-    _add_common(
-        p, "model", "train", "test", "out", "k", "learners", "workers",
-        "topk", "cache",
-    )
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("eval", help="predict and score against test labels")
-    _add_common(
-        p, "model", "train", "test", "out", "k", "learners", "workers",
-        "prop_a", "prop_b", "ks", "cache", "grid",
-    )
-    p.set_defaults(func=cmd_eval)
-
-    pa = sub.add_parser("analyze", help="bound tables, distortion, sweeps")
-    asub = pa.add_subparsers(dest="analyze_cmd")
-
-    p = asub.add_parser("bounds", help="theoretical distance-error bound table")
-    p.add_argument("--ns", default=argparse.SUPPRESS, help="comma-separated sample counts")
-    p.add_argument(
-        "--rs", default=argparse.SUPPRESS, help="comma-separated output dimensionalities"
-    )
-    _add_common(p, "out")
-    p.set_defaults(func=cmd_analyze_bounds)
-
-    p = asub.add_parser("distortion", help="empirical pairwise distance distortion")
-    p.add_argument("--pairs", type=int, default=argparse.SUPPRESS, help="sampled pairs")
-    p.add_argument(
-        "--pair-seed", type=int, default=argparse.SUPPRESS, help="pair sampling seed"
-    )
-    p.add_argument("--bins", type=int, default=argparse.SUPPRESS, help="histogram bins")
-    _add_common(p, "train", "r", "seed", "out")
-    p.set_defaults(func=cmd_analyze_distortion)
-
-    p = asub.add_parser("sweep-r", help="single-learner metrics across r values")
-    p.add_argument(
-        "--rs", default=argparse.SUPPRESS, help="comma-separated r values to sweep"
-    )
-    _add_common(
-        p, "train", "test", "k", "seed", "workers", "prop_a", "prop_b",
-        "ks", "out",
-    )
-    p.set_defaults(func=cmd_analyze_sweep_r)
-
-    p = asub.add_parser("sweep-ensemble", help="fused metrics across ensemble sizes")
-    p.add_argument(
-        "--sizes", default=argparse.SUPPRESS, help="comma-separated ensemble sizes"
-    )
-    _add_common(
-        p, "train", "test", "r", "k", "seed", "workers", "prop_a",
-        "prop_b", "ks", "out",
-    )
-    p.set_defaults(func=cmd_analyze_sweep_ensemble)
-
-    p = asub.add_parser("lsh-compare", help="exhaustive search vs the LSH baseline")
-    p.add_argument("--tables", type=int, default=argparse.SUPPRESS, help="LSH tables T")
-    p.add_argument("--bits", type=int, default=argparse.SUPPRESS, help="bits per code H")
-    p.add_argument(
-        "--predictions-out",
-        default=argparse.SUPPRESS,
-        help="also write the LSH predictions as a TSV (predict format)",
-    )
-    _add_common(
-        p, "train", "test", "r", "k", "seed", "workers", "prop_a",
-        "prop_b", "ks", "out", "topk",
-    )
-    p.set_defaults(func=cmd_analyze_lsh_compare)
-
+    groups = {(): parser.add_subparsers(dest="command")}
+    for path, help_text, handler, knobs in _COMMANDS:
+        p = groups[path[:-1]].add_parser(path[-1], help=help_text)
+        if handler is None:
+            groups[path] = p.add_subparsers(dest=f"{path[-1]}_cmd")
+        else:
+            p.set_defaults(func=handler)
+        # flags left unset stay out of the namespace, so config-file values
+        # and RunConfig defaults show through
+        for name in knobs.split():
+            p.add_argument(
+                _flag(name),
+                default=argparse.SUPPRESS,
+                help=_help(name),
+                **_TYPES[_FIELDS[name].type][0],
+            )
     return parser
 
 

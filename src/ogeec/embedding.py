@@ -21,7 +21,7 @@ import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,9 +36,6 @@ _MASK64 = (1 << 64) - 1
 
 # dot products accumulate in float64; embedded matrices are stored float32
 STORE_DTYPE = np.float32
-
-RowSource = Callable[["EmbeddingSpec", int, int], np.ndarray]
-
 
 @dataclass(frozen=True)
 class EmbeddingSpec:
@@ -167,7 +164,6 @@ def _project(
     dtype,
     *,
     workers: int = 1,
-    row_source: RowSource | None = None,
 ) -> np.ndarray:
     """F applied to CSR samples (rows) as an (r, n) column-major `dtype` array.
 
@@ -179,14 +175,13 @@ def _project(
     """
     if X.shape[1] != spec.d:
         raise ValueError(f"dataset dimensionality {X.shape[1]} != spec.d {spec.d}")
-    rows = row_source if row_source is not None else materialize_rows
     out = np.empty((spec.r, X.shape[0]), dtype=dtype, order="F")
     block = _row_block(spec.d)
 
     def fill(lo: int, hi: int) -> None:
         for s in range(lo, hi, block):
             t = min(s + block, hi)
-            out[s:t] = (X @ rows(spec, s, t).T).T
+            out[s:t] = (X @ materialize_rows(spec, s, t).T).T
 
     if workers <= 1:
         fill(0, spec.r)
@@ -202,15 +197,12 @@ def project_rows(
     X: sp.csr_matrix,
     *,
     workers: int = 1,
-    row_source: RowSource | None = None,
 ) -> np.ndarray:
     """Project unit-norm CSR rows and re-normalize: (r, n) float32 columns.
 
     `workers` threads split F's rows, and each row is generated once per call.
-    `row_source` overrides row materialization (tests inject scaled or
-    identity matrices through it); it must be pure.
     """
-    out = _project(spec, X, STORE_DTYPE, workers=workers, row_source=row_source)
+    out = _project(spec, X, STORE_DTYPE, workers=workers)
     _normalize_columns(out)
     return out
 
@@ -220,11 +212,10 @@ def project_csr(
     X: sp.csr_matrix,
     *,
     workers: int = 1,
-    row_source: RowSource | None = None,
 ) -> np.ndarray:
     """Normalize, project and re-normalize CSR samples: (r, n) float32 columns."""
     return project_rows(
-        spec, _normalize_rows(X)[0], workers=workers, row_source=row_source
+        spec, _normalize_rows(X)[0], workers=workers
     )
 
 
@@ -273,19 +264,18 @@ def embed(
     dataset: SparseDataset,
     *,
     workers: int = 1,
-    row_source: RowSource | None = None,
 ) -> EmbeddedMatrix:
     """Normalize, project and re-normalize a whole corpus."""
     if dataset.d != spec.d:
         raise ValueError(f"dataset dimensionality {dataset.d} != spec.d {spec.d}")
     data = project_csr(
-        spec, dataset.to_feature_csr(np.float64), workers=workers, row_source=row_source
+        spec, dataset.to_feature_csr(np.float64), workers=workers
     )
     return EmbeddedMatrix(r=spec.r, n=dataset.n, data=data)
 
 
 def embed_single(
-    spec: EmbeddingSpec, x: SparseVector, *, row_source: RowSource | None = None
+    spec: EmbeddingSpec, x: SparseVector
 ) -> np.ndarray:
     """Embed one sample; identical to embed() on a one-sample dataset.
 
@@ -304,7 +294,7 @@ def embed_single(
         ),
         shape=(1, spec.d),
     )
-    return project_csr(spec, X, row_source=row_source).ravel()
+    return project_csr(spec, X).ravel()
 
 
 def save_cache(path, matrix: EmbeddedMatrix, spec: EmbeddingSpec) -> None:

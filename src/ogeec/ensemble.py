@@ -216,11 +216,10 @@ def sweep_dimension(
         yield r, batch_predict(train, labels, queries, k)
 
 
-def format_metadata(spec: EnsembleSpec, base_seed: int | None = None) -> str:
+def format_metadata(spec: EnsembleSpec) -> str:
     """The entire model as text: seeds and hyperparameters, nothing learned."""
-    base = spec.seeds[0] if base_seed is None else base_seed
     lines = [
-        f"base_seed {base}",
+        f"base_seed {spec.seeds[0]}",
         "seeds " + " ".join(str(s) for s in spec.seeds),
         f"d {spec.d}",
         f"r {spec.r}",
@@ -230,9 +229,9 @@ def format_metadata(spec: EnsembleSpec, base_seed: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_metadata(path, spec: EnsembleSpec, base_seed: int | None = None) -> None:
+def write_metadata(path, spec: EnsembleSpec) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write(format_metadata(spec, base_seed))
+        f.write(format_metadata(spec))
 
 
 def read_metadata(path) -> EnsembleSpec:
@@ -250,8 +249,9 @@ def read_metadata(path) -> EnsembleSpec:
             r=int(fields["r"][0]),
             k=int(fields["k"][0]),
         )
+        size = int(fields["E"][0]) if "E" in fields else spec.size
     except (KeyError, IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model metadata ({exc})") from None
-    if "E" in fields and int(fields["E"][0]) != spec.size:
+    if size != spec.size:
         raise ValueError(f"{path}: E does not match the seed list")
     return spec

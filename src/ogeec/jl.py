@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SparseDataset
-from .embedding import EmbeddingSpec, RowSource, _normalize_rows, _project
+from .embedding import EmbeddingSpec, _normalize_rows, _project
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ def measure_distortion(
     seed: int,
     *,
     bins: int = 40,
-    row_source: RowSource | None = None,
 ) -> DistortionReport:
     """Sample index pairs uniformly and report the distance-ratio distribution.
 
@@ -89,7 +88,7 @@ def measure_distortion(
     dots = np.asarray(Xn[a].multiply(Xn[b]).sum(axis=1)).ravel()
     orig_sq = unit_sq[a] + unit_sq[b] - 2.0 * dots
 
-    proj = _project(spec, Xn, np.float64, row_source=row_source)
+    proj = _project(spec, Xn, np.float64)
     proj *= 1.0 / math.sqrt(spec.r)
     diff = proj[:, a] - proj[:, b]
     proj_dist = np.sqrt(np.sum(diff * diff, axis=0))

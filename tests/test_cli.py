@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+import importlib.util
 import json
 import os
 import pathlib
@@ -499,6 +502,12 @@ _BAD_KNOBS = [
     [*_GEN, "--labels", "0"],
     [*_GEN, "--clusters", "0"],
     [*_GEN, "--test-n", "-1"],
+    [*_GEN, "--sparsity", "0"],
+    [*_GEN, "--sparsity", "nan"],
+    [*_GEN, "--d", "10", "--sparsity", "11"],
+    [*_GEN, "--labels-per-sample", "0"],
+    [*_GEN, "--labels", "4", "--labels-per-sample", "5"],
+    [*_GEN, "--test-n", "3"],
     ["analyze", "bounds", "--ns", "100", "--rs", "0"],
     ["analyze", "bounds", "--rs", "8", "--ns", "1"],
     ["analyze", "sweep-r", "--train", "{m}", "--test", "{m}", "--rs", "0,8"],
@@ -514,6 +523,7 @@ def test_bad_knob_is_usage_error_before_any_file_is_read(tmp_path, capsys, argv)
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"usage error: {argv[-2]} "), err
     assert captured.out == ""
+    assert not any(tmp_path.iterdir())
 
 
 def test_removed_chunk_flag_is_rejected_by_argparse(capsys):
@@ -533,6 +543,9 @@ _BAD_CONFIG_VALUES = [
     ({"prop_b": -0.5}, "--prop-b must be a finite number >= 0, got -0.5"),
     ({"grid": 1}, "--grid must be true or false, got 1"),
     ({"ks": True}, "--ks must be comma-separated integers, got True"),
+    ({"ks": [1.7, 3]}, "--ks must be comma-separated integers, got [1.7, 3]"),
+    ({"ks": [True, 3]}, "--ks must be comma-separated integers, got [True, 3]"),
+    ({"ks": ["1", "3"]}, "--ks must be comma-separated integers, got ['1', '3']"),
     ({"train": 5}, "--train must be a string, got 5"),
     ({"out": 1}, "--out must be a string, got 1"),
     ({"topk": 0}, "--topk must be an integer >= 1, got 0"),
@@ -551,6 +564,15 @@ def test_config_file_knobs_are_checked(tmp_path, capsys, values, message):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"usage error: {message}"]
+
+
+def test_config_file_tuple_knobs_take_integer_lists_and_strings(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"ks": [1, 3], "rs": "16, 32"}))
+    args = cli.build_parser().parse_args(["--config", str(config), "eval"])
+    cfg, explicit = cli.resolve_config(args)
+    assert (cfg.ks, cfg.rs) == ((1, 3), (16, 32))
+    assert explicit == {"ks", "rs"}
 
 
 @pytest.mark.parametrize("key", ["hold_matrices", "pre_normalize", "chunk"])
@@ -710,3 +732,78 @@ def test_generation_timing_at_benchmark_scale(tmp_path, capsys):
     assert rc == 0
     assert elapsed < 60.0
     assert "matrix generation" in capsys.readouterr().err
+
+
+# every subcommand's flags; a flag added to or dropped from one changes its
+# command-line contract
+_SUBCOMMAND_FLAGS = {
+    "gen": "n d labels sparsity labels-per-sample clusters test-n test-out seed out",
+    "train": "train model r k learners seed workers cache",
+    "predict": "model train test out k learners workers topk cache",
+    "eval": "model train test out k learners workers prop-a prop-b ks cache grid",
+    "analyze bounds": "ns rs out",
+    "analyze distortion": "pairs pair-seed bins train r seed out",
+    "analyze sweep-r": "rs train test k seed workers prop-a prop-b ks out",
+    "analyze sweep-ensemble": "sizes train test r k seed workers prop-a prop-b ks out",
+    "analyze lsh-compare": (
+        "tables bits predictions-out train test r k seed workers prop-a prop-b ks out topk"
+    ),
+}
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _subcommands(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """(name, knob actions) of every subcommand that runs a handler."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _subcommands(sub, (*path, name))
+    if not groups:
+        yield " ".join(path), [a for a in parser._actions if a.dest != "help"]
+
+
+def _benchmark_commands(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports corpus
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return [c for w in module.WORKLOADS.values() for c in (w.setup, *w.measured)]
+
+
+def test_subcommand_flags_are_pinned(monkeypatch):
+    """Each subcommand keeps its flag set; every RunConfig field is one flag,
+    of one type, on at least one subcommand; and every command the benchmark
+    runs still parses and resolves."""
+    commands = dict(_subcommands(cli.build_parser()))
+    got = {name: {a.option_strings[0][2:] for a in acts} for name, acts in commands.items()}
+    assert got == {name: set(flags.split()) for name, flags in _SUBCOMMAND_FLAGS.items()}
+    kinds: dict[str, set] = {}
+    for acts in commands.values():
+        for a in acts:
+            assert a.option_strings == ["--" + a.dest.replace("_", "-")]
+            assert a.default is argparse.SUPPRESS
+            kinds.setdefault(a.dest, set()).add((type(a), a.type))
+    assert set(kinds) == {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert all(len(k) == 1 for k in kinds.values()), kinds
+    paths = {"train": "train.txt", "test": "test.txt", "model": "model.txt", "out": "out"}
+    for command in _benchmark_commands(monkeypatch):
+        args = cli.build_parser().parse_args([a.format(**paths) for a in command.argv])
+        assert callable(args.func)
+        cli.resolve_config(args)
+
+
+def test_knob_table_holds_each_run_config_field_once():
+    """One entry per field, in field order, and one help text per flag, which
+    ends in the field's default."""
+    assert list(cli._KNOBS) == [f.name for f in dataclasses.fields(cli.RunConfig)]
+    helps: dict[str, set] = {}
+    for _, acts in _subcommands(cli.build_parser()):
+        for a in acts:
+            helps.setdefault(a.dest, set()).add(a.help)
+    assert all(len(h) == 1 for h in helps.values()), helps
+    assert helps["r"] == {"embedding dimensionality (default 200)"}
+    assert helps["ks"] == {"comma-separated K cutoffs (default 1,3,5)"}
+    assert helps["out"] == {"output file (default: stdout)"}

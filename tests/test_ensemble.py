@@ -146,7 +146,7 @@ def test_sweep_size_bounds(train_test):
 def test_metadata_roundtrip(tmp_path):
     spec = make_ensemble_spec(base_seed=42, learners=4, d=1000, r=64, k=3)
     path = tmp_path / "model.txt"
-    write_metadata(path, spec, base_seed=42)
+    write_metadata(path, spec)
     again = read_metadata(path)
     assert again == spec
     text = path.read_text()
@@ -163,6 +163,15 @@ def test_metadata_rejects_inconsistent_e(tmp_path):
     path.write_text("seeds 1 2\nd 10\n")
     with pytest.raises(ValueError, match="malformed"):
         read_metadata(path)
+
+
+@pytest.mark.parametrize("e_line", ["E", "E x"])
+def test_metadata_rejects_malformed_e(tmp_path, e_line):
+    path = tmp_path / "model.txt"
+    path.write_text(f"base_seed 1\nseeds 1 2\nd 10\nr 4\nk 5\n{e_line}\n")
+    with pytest.raises(ValueError) as exc:
+        read_metadata(path)
+    assert str(exc.value).startswith(f"{path}: malformed model metadata (")
 
 
 @pytest.mark.parametrize("workers", [1, 2])

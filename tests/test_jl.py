@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ogeec import embedding
 from ogeec.data import generate_synthetic
 from ogeec.embedding import EmbeddingSpec
 from ogeec.jl import jl_epsilon, measure_distortion
@@ -54,7 +55,7 @@ def distortion_ds():
     )
 
 
-def test_identity_projection_gives_constant_ratio(distortion_ds):
+def test_identity_projection_gives_constant_ratio(distortion_ds, monkeypatch):
     """With F = identity (injected) and r == d, every ratio collapses to the
     1/sqrt(r) scaling constant."""
 
@@ -67,7 +68,8 @@ def test_identity_projection_gives_constant_ratio(distortion_ds):
         n=60, d=40, L=5, sparsity=6, labels_per_sample=1, clusters=3, seed=1
     )
     spec = EmbeddingSpec(seed=0, d=40, r=40)
-    report = measure_distortion(ds, spec, 2000, seed=9, row_source=identity_rows)
+    monkeypatch.setattr(embedding, "materialize_rows", identity_rows)
+    report = measure_distortion(ds, spec, 2000, seed=9)
     ratios = np.array([report.ratio_min, report.ratio_median, report.ratio_max])
     np.testing.assert_allclose(ratios, 1.0 / math.sqrt(40), rtol=1e-9)
 
