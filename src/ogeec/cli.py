@@ -179,7 +179,9 @@ def _int_tuple(name: str, value) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in tokens if str(tok).strip())
     except ValueError:
-        raise UsageError(f"{_flag(name)} expects comma-separated integers") from None
+        raise UsageError(
+            f"{_flag(name)} must be comma-separated integers, got {value!r}"
+        ) from None
 
 
 def _check_knobs(cfg: RunConfig) -> None:
@@ -209,7 +211,10 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as f:
-            file_cfg = json.load(f)
+            try:
+                file_cfg = json.load(f)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise UsageError(f"{config_path}: config file is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise UsageError(f"{config_path}: config file must hold a JSON object")
     cli_cfg = {k: v for k, v in vars(args).items() if k in _FIELDS}
@@ -607,6 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = groups[path[:-1]].add_parser(path[-1], help=help_text)
         if handler is None:
             groups[path] = p.add_subparsers(dest=f"{path[-1]}_cmd")
+            p.set_defaults(help_parser=p)
         else:
             p.set_defaults(func=handler)
         # flags left unset stay out of the namespace, so config-file values
@@ -625,7 +631,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
-        parser.print_help(sys.stderr)
+        # the help of the innermost command group named, e.g. `analyze`
+        getattr(args, "help_parser", parser).print_help(sys.stderr)
         return 2
     try:
         cfg, explicit = resolve_config(args)

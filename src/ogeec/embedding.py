@@ -12,7 +12,11 @@ storing the result as a column-major float32 matrix.
 Generating F is most of the cost at large d, so a command normalizes its
 train and test samples once (`train_test_rows`) and each learner projects
 them together in one pass over F (`embed_train_test`); a sweep over r takes
-every r from one pass at the largest (`embed_prefixes`).
+every r from one pass at the largest (`embed_prefixes`). A projection draws
+F only at the columns its samples use (`column_plan`): Philox still runs
+over each row's whole stream, but the Box-Muller arithmetic, most of a
+row's cost, runs only on the used columns, in place in buffers allocated
+once per block, and every drawn value is bit-identical to the full row.
 """
 
 from __future__ import annotations
@@ -90,16 +94,90 @@ def gaussian_row(seed: int, stream: int, count: int) -> np.ndarray:
 
     Box-Muller over 53-bit uniforms: u1 in (0, 1] (never log(0)), u2 in [0, 1).
     """
+    return _gaussian_rows(seed, range(stream, stream + 1), count, None)[0]
+
+
+@dataclass(frozen=True)
+class ColumnPlan:
+    """The columns of F that a projection reads, in the order it draws them.
+
+    Box-Muller pair t of a row gives column 2t its cos term and column 2t+1
+    its sin term. `pairs` holds the pairs with a used column; `cos` and `sin`
+    index into `pairs` for the used even and the used odd columns. `columns`
+    lists the used even columns, then the used odd columns (the plan order),
+    and `place[j]` is used column j's position in `columns`.
+    """
+
+    pairs: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    columns: np.ndarray
+    place: np.ndarray
+
+
+def column_plan(used: np.ndarray) -> ColumnPlan:
+    """The plan for a boolean mask over F's d columns, in O(d)."""
+    d = used.size
+    padded = np.zeros(d + d % 2, dtype=bool)
+    padded[:d] = used
+    even, odd = padded[0::2], padded[1::2]
+    drawn = even | odd
+    rank = np.cumsum(drawn) - 1
+    columns = np.concatenate([2 * np.flatnonzero(even), 2 * np.flatnonzero(odd) + 1])
+    place = np.zeros(d, dtype=np.int64)
+    place[columns] = np.arange(columns.size)
+    return ColumnPlan(np.flatnonzero(drawn), rank[even], rank[odd], columns, place)
+
+
+def _pick(src: np.ndarray, at, buf: np.ndarray) -> np.ndarray:
+    """src[at]: a view for a slice, else gathered into the head of `buf`."""
+    if isinstance(at, slice):
+        return src[at]
+    return np.take(src, at, out=buf[: at.size], mode="clip")
+
+
+def _gaussian_rows(
+    seed: int, streams: range, count: int, plan: ColumnPlan | None
+) -> np.ndarray:
+    """One row per stream: all `count` columns, or the plan's columns in plan
+    order.
+
+    Philox runs over the whole stream; the log and sqrt run only on the drawn
+    pairs, and cos or sin only where an even or odd column is kept. log, cos
+    and sin each run elementwise on a contiguous buffer, as in the full row,
+    so every value is bit-identical to drawing the full row.
+    """
     m = (count + 1) // 2
-    raw = gaussian_words(seed, stream, 2 * m)
-    u1 = ((raw[:m] >> 11) + 1) * 2.0**-53
-    u2 = (raw[m:] >> 11) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    out = np.empty(2 * m)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
-    return out[:count]
+    if plan is None:
+        # full support: every selection is a slice, and the terms interleave
+        p, width = m, count
+        pairs, cos, sin = slice(0, m), slice(0, m), slice(0, count // 2)
+        cos_to, sin_to = slice(0, count, 2), slice(1, count, 2)
+    else:
+        p, width = plan.pairs.size, plan.columns.size
+        pairs, cos, sin = plan.pairs, plan.cos, plan.sin
+        cos_to, sin_to = slice(0, cos.size), slice(cos.size, width)
+    out = np.empty((len(streams), width))
+    words = np.empty(p, dtype=np.uint64)
+    radius, angle, trig = np.empty(p), np.empty(p), np.empty(p)
+    for row, stream in zip(out, streams):
+        raw = gaussian_words(seed, stream, 2 * m)
+        u = _pick(raw[:m], pairs, words)
+        u >>= 11
+        u += 1
+        np.multiply(u, 2.0**-53, out=radius)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        u = _pick(raw[m:], pairs, words)
+        u >>= 11
+        np.multiply(u, 2.0**-53, out=angle)
+        angle *= 2.0 * np.pi
+        for at, to, fn in ((cos, cos_to, np.cos), (sin, sin_to, np.sin)):
+            dst = row[to]
+            t = fn(_pick(angle, at, trig), out=trig[: dst.size])
+            np.multiply(_pick(radius, at, dst), t, out=dst)
+    return out
 
 
 def materialize_row(spec: EmbeddingSpec, row: int) -> np.ndarray:
@@ -109,19 +187,21 @@ def materialize_row(spec: EmbeddingSpec, row: int) -> np.ndarray:
     return gaussian_row(spec.seed, row, spec.d)
 
 
-def materialize_rows(spec: EmbeddingSpec, start: int, stop: int) -> np.ndarray:
-    """Rows [start, stop) of F as a (stop-start, d) float64 array."""
+def materialize_rows(
+    spec: EmbeddingSpec, start: int, stop: int, *, cols: ColumnPlan | None = None
+) -> np.ndarray:
+    """F[start:stop, cols] as a (stop-start, c) float64 array, in plan order.
+
+    With `cols` None, all d columns in order.
+    """
     if not 0 <= start <= stop <= spec.r:
         raise IndexError(f"rows [{start}, {stop}) out of range [0, {spec.r})")
-    out = np.empty((stop - start, spec.d))
-    for i in range(start, stop):
-        out[i - start] = gaussian_row(spec.seed, i, spec.d)
-    return out
+    return _gaussian_rows(spec.seed, range(start, stop), spec.d, cols)
 
 
-def _row_block(d: int) -> int:
-    # keep one materialized block near 32 MB of float64
-    return max(1, 4_000_000 // max(d, 1))
+def _row_block(c: int) -> int:
+    # keep one materialized block of c columns near 32 MB of float64
+    return max(1, 4_000_000 // max(c, 1))
 
 
 def _normalize_rows(X: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -167,21 +247,29 @@ def _project(
 ) -> np.ndarray:
     """F applied to CSR samples (rows) as an (r, n) column-major `dtype` array.
 
-    Work is proportional to nnz times r; F is materialized in row blocks and
-    discarded. Workers split F's rows into contiguous ranges and apply each
-    block to every sample, so each row of F is generated once per call. Every
-    output element is the same CSR-order sum, so the output is identical for
-    any worker count.
+    F is materialized in row blocks and discarded, and only at the columns
+    some sample uses: X's column indices are remapped to their place in the
+    column plan, keeping each row's stored order, and scipy sums each output
+    element in stored order, so every element is the same float64 sum as with
+    full rows of F. Workers split F's rows into contiguous ranges and apply
+    each block to every sample, so each row of F is generated once per call
+    and the output is identical for any worker count.
     """
     if X.shape[1] != spec.d:
         raise ValueError(f"dataset dimensionality {X.shape[1]} != spec.d {spec.d}")
+    used = np.zeros(spec.d, dtype=bool)
+    used[X.indices] = True
+    plan = column_plan(used)
+    Xc = sp.csr_matrix(
+        (X.data, plan.place[X.indices], X.indptr), shape=(X.shape[0], plan.columns.size)
+    )
     out = np.empty((spec.r, X.shape[0]), dtype=dtype, order="F")
-    block = _row_block(spec.d)
+    block = _row_block(plan.columns.size)
 
     def fill(lo: int, hi: int) -> None:
         for s in range(lo, hi, block):
             t = min(s + block, hi)
-            out[s:t] = (X @ materialize_rows(spec, s, t).T).T
+            out[s:t] = (Xc @ materialize_rows(spec, s, t, cols=plan).T).T
 
     if workers <= 1:
         fill(0, spec.r)

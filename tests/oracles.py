@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive (dense arrays, python loops, full
 sorts) and shares no code path with the package beyond the definitional
-gaussian row stream, which is the identity of the projection matrix itself.
-The exceptions are `predict`, the per-query composition of the package's
-own steps, which the batch paths are checked against, `sweep_r`, one
-`fused_scores` call per r, which the one-pass dimension sweep is checked
-against, and the dict label side (`fuse`, `top_k_labels`,
-`format_dicts`, `evaluate_dicts`): one {label: score} dict per sample, the
-representation the sparse score matrix replaced, kept as its reference.
+gaussian row stream, which is the identity of the projection matrix
+itself. `box_muller` defines that stream step by step, and `project_full`
+applies every column of F drawn from it, the reference for the projection
+that draws only the columns its samples use. The exceptions are `predict`,
+the per-query composition of the package's own steps, which the batch
+paths are checked against, `sweep_r`, one `fused_scores` call per r, which
+the one-pass dimension sweep is checked against, and the dict label side
+(`fuse`, `top_k_labels`, `format_dicts`, `evaluate_dicts`): one
+{label: score} dict per sample, the representation the sparse score matrix
+replaced, kept as its reference.
 """
 
 import math
@@ -16,7 +19,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from ogeec.embedding import EmbeddingSpec, embed_single, materialize_row
+from ogeec.embedding import EmbeddingSpec, embed_single, gaussian_words, materialize_row
 from ogeec.ensemble import EnsembleSpec, fused_scores
 from ogeec.metrics import DEFAULT_KS, METRIC_NAMES, EvalReport
 from ogeec.predictor import knn, propagate, top_k
@@ -34,6 +37,33 @@ def normalize_rows(A: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(A, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return A / norms
+
+
+def box_muller(seed, stream, count):
+    """The (seed, stream) gaussian row: Philox words to 53-bit uniforms
+    u1 in (0, 1] and u2 in [0, 1), then column 2t = radius_t * cos(angle_t)
+    and column 2t+1 = radius_t * sin(angle_t)."""
+    m = (count + 1) // 2
+    raw = gaussian_words(seed, stream, 2 * m)
+    u1 = ((raw[:m] >> 11) + 1) * 2.0**-53
+    u2 = (raw[m:] >> 11) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    out = np.empty(2 * m)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:count]
+
+
+def project_full(spec, X, dtype):
+    """F applied to CSR rows as an (r, n) `dtype` array, from every column of
+    F, each element summed in its row's stored order."""
+    F = np.vstack([box_muller(spec.seed, i, spec.d) for i in range(spec.r)])
+    out = np.zeros((spec.r, X.shape[0]))
+    for i in range(X.shape[0]):
+        for jj in range(X.indptr[i], X.indptr[i + 1]):
+            out[:, i] += X.data[jj] * F[:, X.indices[jj]]
+    return out.astype(dtype)
 
 
 def naive_end_to_end(seed, train_ds, test_ds, r, k):

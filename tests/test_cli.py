@@ -344,9 +344,9 @@ def generated_rows(monkeypatch):
     rows = []
 
     def counted(orig):
-        def wrapper(spec, start, stop):
+        def wrapper(spec, start, stop, *, cols=None):
             rows.append(stop - start)
-            return orig(spec, start, stop)
+            return orig(spec, start, stop, cols=cols)
 
         return wrapper
 
@@ -546,6 +546,9 @@ _BAD_CONFIG_VALUES = [
     ({"ks": [1.7, 3]}, "--ks must be comma-separated integers, got [1.7, 3]"),
     ({"ks": [True, 3]}, "--ks must be comma-separated integers, got [True, 3]"),
     ({"ks": ["1", "3"]}, "--ks must be comma-separated integers, got ['1', '3']"),
+    ({"ks": 1.5}, "--ks must be comma-separated integers, got 1.5"),
+    ({"ks": None}, "--ks must be comma-separated integers, got None"),
+    ({"rs": "8,x"}, "--rs must be comma-separated integers, got '8,x'"),
     ({"train": 5}, "--train must be a string, got 5"),
     ({"out": 1}, "--out must be a string, got 1"),
     ({"topk": 0}, "--topk must be an integer >= 1, got 0"),
@@ -564,6 +567,24 @@ def test_config_file_knobs_are_checked(tmp_path, capsys, values, message):
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"usage error: {message}"]
+
+
+def test_tuple_flag_that_is_not_integers_names_its_value(capsys):
+    rc = main(["eval", "--ks", "1,x"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["usage error: --ks must be comma-separated integers, got '1,x'"]
+
+
+@pytest.mark.parametrize("text", ["{bad", "", b"\xff\xfe{}"], ids=["syntax", "empty", "not-utf8"])
+def test_config_file_that_is_not_json_is_usage_error(tmp_path, capsys, text):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(text if isinstance(text, bytes) else text.encode())
+    rc = main(["--config", str(config), "train", "--train", "x", "--model", "y"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"usage error: {config}: config file is not valid JSON: ")
 
 
 def test_config_file_tuple_knobs_take_integer_lists_and_strings(tmp_path):
@@ -714,6 +735,15 @@ def test_eval_custom_ks(workspace, capsys):
 def test_no_subcommand_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().err.lower()
+
+
+def test_analyze_without_subcommand_prints_analyze_help(capsys):
+    assert main(["analyze"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ogeec analyze")
+    for name in ("bounds", "distortion", "sweep-r", "sweep-ensemble", "lsh-compare"):
+        assert name in err
+    assert "predict" not in err
 
 
 def test_generation_timing_at_benchmark_scale(tmp_path, capsys):

@@ -4,13 +4,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import fuse, score_dicts
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import box_muller, fuse, project_full, score_dicts
 
 from ogeec import embedding
 from ogeec.data import SparseDataset, SparseVector, generate_synthetic, split_dataset
 from ogeec.embedding import (
     EmbeddedMatrix,
     EmbeddingSpec,
+    _project,
+    column_plan,
     embed,
     embed_single,
     embed_train_test,
@@ -63,6 +68,99 @@ def test_materialize_rows_matches_single_rows():
     block = materialize_rows(spec, 2, 7)
     for i in range(2, 7):
         assert np.array_equal(block[i - 2], materialize_row(spec, i))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(-(2**63), 2**64 - 1),
+    stream=st.integers(0, 2**64 - 1),
+    count=st.integers(1, 300),
+)
+def test_gaussian_row_equals_box_muller_definition(seed, stream, count):
+    assert gaussian_row(seed, stream, count).tobytes() == box_muller(seed, stream, count).tobytes()
+
+
+@pytest.mark.parametrize("count", [782_585, 782_584])
+def test_gaussian_row_equals_box_muller_definition_at_wide_d(count):
+    assert gaussian_row(3, 11, count).tobytes() == box_muller(3, 11, count).tobytes()
+
+
+def _support(draw, d: int) -> np.ndarray:
+    kind = draw(st.sampled_from(["empty", "full", "last", "random"]))
+    used = np.zeros(d, dtype=bool)
+    if kind == "full":
+        used[:] = True
+    elif kind == "last":
+        used[-1] = True
+    elif kind == "random":
+        used[:] = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    return used
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_materialize_rows_at_a_plan_equals_full_rows_at_its_columns(data):
+    """F[start:stop, plan.columns] bit for bit, the used even columns first:
+    d of 1, 2, odd and even; the last column of an odd d; empty, full and
+    random supports."""
+    d = data.draw(st.sampled_from([1, 2, 3, 4, 5, 8, 63, 64]) | st.integers(1, 300))
+    used = _support(data.draw, d)
+    spec = EmbeddingSpec(seed=data.draw(st.integers(-(2**63), 2**63 - 1)), d=d, r=min(d, 4))
+    start = data.draw(st.integers(0, spec.r))
+    stop = data.draw(st.integers(start, spec.r))
+    plan = column_plan(used)
+    assert np.array_equal(np.sort(plan.columns), np.flatnonzero(used))
+    assert np.all(plan.columns[: plan.cos.size] % 2 == 0)
+    assert np.all(plan.columns[plan.cos.size :] % 2 == 1)
+    assert np.array_equal(plan.place[plan.columns], np.arange(plan.columns.size))
+    full = materialize_rows(spec, start, stop)
+    part = materialize_rows(spec, start, stop, cols=plan)
+    assert part.shape == (stop - start, plan.columns.size)
+    assert part.tobytes() == np.ascontiguousarray(full[:, plan.columns]).tobytes()
+
+
+def _csr(rows, d: int) -> sp.csr_matrix:
+    """CSR rows from lists of (column, value), kept in the order given."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    cols = [j for r in rows for j, _ in r]
+    vals = [v for r in rows for _, v in r]
+    return sp.csr_matrix(
+        (np.array(vals, dtype=np.float64), np.array(cols, dtype=np.int32), indptr),
+        shape=(len(rows), d),
+    )
+
+
+def _random_rows(sizes, d: int, seed: int = 3) -> sp.csr_matrix:
+    rng = np.random.default_rng(seed)
+    rows = []
+    for n in sizes:
+        cols = np.sort(rng.choice(d, size=n, replace=False)).tolist()
+        rows.append(list(zip(cols, rng.normal(size=n).tolist())))
+    return _csr(rows, d)
+
+
+_PROJECT_CASES = {
+    "random": _random_rows([0, 7, 1, 30, 12, 0, 5], 301),
+    "last-column-of-odd-d": _csr([[(300, 2.0)], [(0, 1.0), (300, -0.5)], [(1, 3.0)]], 301),
+    "unsorted-rows": _csr([[(9, 1.5), (2, -1.0), (4, 0.25)], [(3, 2.0), (0, 1.0)]], 10),
+    "all-zero": _csr([[], [], []], 301),
+    "no-rows": _csr([], 301),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+@pytest.mark.parametrize("case", list(_PROJECT_CASES))
+def test_project_equals_full_f_oracle(monkeypatch, case, workers, dtype):
+    """Drawing F only at the used columns leaves every projected element the
+    same stored-order sum as drawing all of F."""
+    X = _PROJECT_CASES[case]
+    spec = EmbeddingSpec(seed=5, d=X.shape[1], r=min(X.shape[1], 13))
+    monkeypatch.setattr(embedding, "_row_block", lambda c: 5)
+    out = _project(spec, X, dtype, workers=workers)
+    expect = project_full(spec, X, dtype)
+    assert out.shape == expect.shape and out.dtype == dtype
+    assert out.tobytes(order="A") == np.asfortranarray(expect).tobytes(order="A")
 
 
 def test_gaussian_stream_moments():
@@ -139,11 +237,11 @@ def test_scaled_row_source_leaves_embedding_unchanged(small_spec, small_ds, monk
     """Re-normalization absorbs any common scale on F; a power-of-two scale
     is exact in float arithmetic, so outputs match bitwise."""
 
-    def scaled4(spec, start, stop):
-        return 4.0 * materialize_rows(spec, start, stop)
+    def scaled4(spec, start, stop, *, cols=None):
+        return 4.0 * materialize_rows(spec, start, stop, cols=cols)
 
-    def scaled3(spec, start, stop):
-        return 3.0 * materialize_rows(spec, start, stop)
+    def scaled3(spec, start, stop, *, cols=None):
+        return 3.0 * materialize_rows(spec, start, stop, cols=cols)
 
     base = embed(small_spec, small_ds)
     monkeypatch.setattr(embedding, "materialize_rows", scaled4)
@@ -184,9 +282,9 @@ def test_projection_generates_each_row_once(small_ds, monkeypatch, r, workers):
     reference = embed(spec, small_ds, workers=1)
     generated = []
 
-    def counting(spec, start, stop):
+    def counting(spec, start, stop, *, cols=None):
         generated.extend(range(start, stop))
-        return materialize_rows(spec, start, stop)
+        return materialize_rows(spec, start, stop, cols=cols)
 
     # blocks of 5 rows, so a worker's range spans several blocks
     monkeypatch.setattr(embedding, "_row_block", lambda d: 5)
@@ -207,9 +305,9 @@ def test_fused_scores_generates_each_row_once_per_learner(monkeypatch):
     spec = make_ensemble_spec(3, 2, d=ds.d, r=8, k=3)
     generated = Counter()
 
-    def counting(spec, start, stop):
+    def counting(spec, start, stop, *, cols=None):
         generated.update((spec.seed, i) for i in range(start, stop))
-        return materialize_rows(spec, start, stop)
+        return materialize_rows(spec, start, stop, cols=cols)
 
     monkeypatch.setattr(embedding, "materialize_rows", counting)
     fused_scores(spec, train, test, workers=2)

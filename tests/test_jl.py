@@ -59,10 +59,10 @@ def test_identity_projection_gives_constant_ratio(distortion_ds, monkeypatch):
     """With F = identity (injected) and r == d, every ratio collapses to the
     1/sqrt(r) scaling constant."""
 
-    def identity_rows(spec, start, stop):
+    def identity_rows(spec, start, stop, *, cols=None):
         out = np.zeros((stop - start, spec.d))
         out[np.arange(stop - start), np.arange(start, stop)] = 1.0
-        return out
+        return out if cols is None else out[:, cols.columns]
 
     ds = generate_synthetic(
         n=60, d=40, L=5, sparsity=6, labels_per_sample=1, clusters=3, seed=1
