@@ -42,6 +42,7 @@ from .embedding import (
     load_cache,
     materialize_rows,
     save_cache,
+    split_rows,
     train_test_rows,
 )
 from .predictor import batch_predict, format_predictions, score_matrix, top_k
@@ -317,12 +318,17 @@ def cmd_gen(cfg: RunConfig, explicit: set[str]) -> int:
     return 0
 
 
-def _time_generation(spec: EmbeddingSpec) -> float:
-    """Materialize every row of F once, discarding the blocks."""
+def _time_generation(spec: EmbeddingSpec, workers: int) -> float:
+    """Materialize every row of F once, discarding the blocks; the workers
+    split F's rows."""
     t0 = time.perf_counter()
     block = _row_block(spec.d)
-    for s in range(0, spec.r, block):
-        materialize_rows(spec, s, min(s + block, spec.r))
+
+    def fill(lo: int, hi: int) -> None:
+        for s in range(lo, hi, block):
+            materialize_rows(spec, s, min(s + block, hi))
+
+    split_rows(spec.r, workers, fill)
     return time.perf_counter() - t0
 
 
@@ -336,7 +342,7 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
         lspec = spec.learner(i)
         shape = f"({lspec.r}x{lspec.d})"
         if cfg.cache is None:
-            gen_s = _time_generation(lspec)
+            gen_s = _time_generation(lspec, workers)
             print(
                 f"learner seed={lspec.seed}: matrix generation {gen_s:.3f}s {shape}",
                 file=sys.stderr,

@@ -204,6 +204,17 @@ def _row_block(c: int) -> int:
     return max(1, 4_000_000 // max(c, 1))
 
 
+def split_rows(r: int, workers: int, fill) -> None:
+    """Call fill(lo, hi) on `workers` contiguous ranges of rows [0, r), each
+    in its own thread, so that every row is handled once."""
+    if workers <= 1:
+        fill(0, r)
+        return
+    bounds = np.linspace(0, r, min(workers, r) + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill, bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
 def _normalize_rows(X: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
     """Unit-norm rows (zero rows stay zero) and the original row norms."""
     sq = X.copy()
@@ -271,12 +282,7 @@ def _project(
             t = min(s + block, hi)
             out[s:t] = (Xc @ materialize_rows(spec, s, t, cols=plan).T).T
 
-    if workers <= 1:
-        fill(0, spec.r)
-    else:
-        bounds = np.linspace(0, spec.r, min(workers, spec.r) + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, bounds[:-1].tolist(), bounds[1:].tolist()))
+    split_rows(spec.r, workers, fill)
     return out
 
 

@@ -11,13 +11,18 @@ paths are checked against, `sweep_r`, one `fused_scores` call per r, which
 the one-pass dimension sweep is checked against, and the dict label side
 (`fuse`, `top_k_labels`, `format_dicts`, `evaluate_dicts`): one
 {label: score} dict per sample, the representation the sparse score matrix
-replaced, kept as its reference.
+replaced, kept as its reference. `parse_dataset` is the whole-file,
+line-by-line parser the chunked parser replaced, with its own copies of the
+per-line helpers; it builds its dataset with `data._assemble`, which the
+chunked parser does not use.
 """
 
 import math
 
 import numpy as np
 import scipy.sparse as sp
+
+from ogeec.data import _F32_MAX, DatasetFormatError, SparseDataset, _assemble
 
 from ogeec.embedding import EmbeddingSpec, embed_single, gaussian_words, materialize_row
 from ogeec.ensemble import EnsembleSpec, fused_scores
@@ -236,3 +241,95 @@ def evaluate_dicts(predictions, truths, model, ks=DEFAULT_KS) -> EvalReport:
             sums[f"PSN@{k}"] += ref_psn(labels, truth, props, k)
     values = {name: total / max(used, 1) for name, total in sums.items()}
     return EvalReport(values=values, samples=used, skipped=skipped, ks=tuple(ks))
+
+
+
+def _parse_labels(token: str, L: int, lineno: int) -> np.ndarray:
+    if token == "":
+        return np.empty(0, dtype=np.int64)
+    if ":" in token:
+        raise DatasetFormatError(
+            f"line {lineno}: label field contains ':' "
+            "(unlabeled samples need a leading space)"
+        )
+    out = []
+    for part in token.split(","):
+        try:
+            lab = int(part)
+        except ValueError:
+            raise DatasetFormatError(f"line {lineno}: bad label {part!r}") from None
+        if not 0 <= lab < L:
+            raise DatasetFormatError(
+                f"line {lineno}: label index {lab} out of range [0, {L})"
+            )
+        out.append(lab)
+    return np.array(sorted(set(out)), dtype=np.int64)
+
+
+def _parse_features(
+    tokens: list[str], d: int, lineno: int
+) -> tuple[np.ndarray, np.ndarray]:
+    idx, val = [], []
+    for tok in tokens:
+        if tok == "":
+            continue
+        head, sep, tail = tok.partition(":")
+        if not sep:
+            raise DatasetFormatError(f"line {lineno}: bad feature pair {tok!r}")
+        try:
+            j = int(head)
+            v = float(tail)
+        except ValueError:
+            raise DatasetFormatError(
+                f"line {lineno}: bad feature pair {tok!r}"
+            ) from None
+        if not 0 <= j < d:
+            raise DatasetFormatError(
+                f"line {lineno}: feature index {j} out of range [0, {d})"
+            )
+        # values are stored as float32, so magnitudes beyond its range are
+        # non-finite for this artifact
+        if not math.isfinite(v) or abs(v) > _F32_MAX:
+            raise DatasetFormatError(f"line {lineno}: non-finite value in {tok!r}")
+        idx.append(j)
+        val.append(v)
+    indices = np.array(idx, dtype=np.int64)
+    values = np.array(val, dtype=np.float32)
+    if indices.size:
+        order = np.argsort(indices, kind="stable")
+        indices, values = indices[order], values[order]
+        if np.any(np.diff(indices) == 0):
+            dup = int(indices[np.flatnonzero(np.diff(indices) == 0)[0]])
+            raise DatasetFormatError(f"line {lineno}: duplicate feature index {dup}")
+    return indices, values
+
+
+def parse_dataset(path) -> SparseDataset:
+    """Parse and validate a dataset file; errors carry 1-based line numbers."""
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise DatasetFormatError("line 1: empty file")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise DatasetFormatError("line 1: header must be 'n d L'")
+    try:
+        n, d, L = (int(tok) for tok in header)
+    except ValueError:
+        raise DatasetFormatError("line 1: header must be 'n d L'") from None
+    if n <= 0 or d <= 0 or L <= 0:
+        raise DatasetFormatError("line 1: header fields must be positive")
+    if len(lines) - 1 != n:
+        raise DatasetFormatError(
+            f"expected {n} sample lines after the header, found {len(lines) - 1}"
+        )
+    feature_rows, label_rows = [], []
+    for i in range(n):
+        lineno = i + 2
+        fields = lines[i + 1].split(" ")
+        label_rows.append(_parse_labels(fields[0], L, lineno))
+        feature_rows.append(_parse_features(fields[1:], d, lineno))
+    return _assemble(feature_rows, label_rows, d, L)

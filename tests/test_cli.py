@@ -367,6 +367,46 @@ def test_train_cache_generates_each_row_of_f_once(workspace, tmp_path, generated
     assert sum(generated_rows) == 2 * 16  # r rows per learner
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_train_splits_generation_over_workers(workspace, tmp_path, generated_rows, capsys, workers):
+    rc = main(
+        [
+            "train", "--train", str(workspace / "train.txt"),
+            "--model", str(tmp_path / "m.txt"), "--r", "40", "--learners", "2",
+            "--seed", "7", "--workers", str(workers),
+        ]
+    )
+    assert rc == 0
+    assert sum(generated_rows) == 2 * 40  # each row of F once, whatever the workers
+    assert len(generated_rows) == 2 * workers  # one range of rows per worker
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": matrix generation ")[0] for line in lines[:2]] == [
+        "learner seed=7", "learner seed=8",
+    ]
+    assert all(line.endswith("s (40x2000)") for line in lines[:2])
+
+
+@pytest.mark.parametrize(
+    "sample, message",
+    [
+        (b"0 1999:1 1:bad", "line 3: bad feature pair '1:bad'"),
+        (b"0 1:\xff", "line 3: not valid UTF-8"),
+    ],
+)
+def test_bad_test_file_is_named_in_a_one_line_error(workspace, tmp_path, capsys, sample, message):
+    bad = tmp_path / "test_bad.txt"
+    bad.write_bytes(b"2 2000 40\n0 1:1\n" + sample + b"\n")
+    rc = main(
+        [
+            "predict", "--model", str(workspace / "model.txt"),
+            "--train", str(workspace / "train.txt"), "--test", str(bad),
+            "--out", str(tmp_path / "p.tsv"),
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+
+
 _DATA = ["--train", "{train}", "--test", "{test}", "--workers", "2", "--out", "{out}"]
 _MODEL = ["--model", "{model}", *_DATA]
 
