@@ -336,7 +336,6 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
     _require(cfg, "train", "model")
     ds = parse_dataset(cfg.train)
     spec = ens.make_ensemble_spec(cfg.seed, cfg.learners, ds.d, cfg.r, cfg.k)
-    ens.validate_spec(spec)
     workers = cfg.effective_workers()
     for i in range(spec.size):
         lspec = spec.learner(i)

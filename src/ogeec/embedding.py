@@ -406,8 +406,8 @@ def save_cache(path, matrix: EmbeddedMatrix, spec: EmbeddingSpec) -> None:
         f.write("\n")
 
 
-def load_cache(path, spec: EmbeddingSpec | None = None) -> EmbeddedMatrix:
-    """Load a cached embedded matrix, verifying it against `spec` if given."""
+def load_cache(path, spec: EmbeddingSpec) -> EmbeddedMatrix:
+    """Load a cached embedded matrix, verifying it and its sidecar against `spec`."""
     with open(path, "rb") as f:
         head = f.read(_CACHE_HEADER.size)
         if len(head) < _CACHE_HEADER.size:
@@ -426,13 +426,18 @@ def load_cache(path, spec: EmbeddingSpec | None = None) -> EmbeddedMatrix:
     # search bounds float32 rounding error by column norms, which must be finite
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: payload holds non-finite values; rebuild the cache")
-    if spec is not None:
-        with open(str(path) + ".meta", "r", encoding="utf-8") as f:
+    sidecar = str(path) + ".meta"
+    try:
+        with open(sidecar, "r", encoding="utf-8") as f:
             meta = json.load(f)
-        recorded = (meta.get("seed"), meta.get("d"), meta.get("r"))
-        if recorded != (spec.seed, spec.d, spec.r) or r != spec.r:
-            raise ValueError(
-                f"{path}: cache metadata {recorded} does not match spec "
-                f"({spec.seed}, {spec.d}, {spec.r})"
-            )
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{sidecar}: malformed cache metadata ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: cache metadata must be a JSON object")
+    recorded = (meta.get("seed"), meta.get("d"), meta.get("r"))
+    if recorded != (spec.seed, spec.d, spec.r) or r != spec.r:
+        raise ValueError(
+            f"{path}: cache metadata {recorded} does not match spec "
+            f"({spec.seed}, {spec.d}, {spec.r})"
+        )
     return EmbeddedMatrix(r=int(r), n=int(n), data=data)

@@ -41,6 +41,15 @@ class EnsembleSpec:
     r: int
     k: int
 
+    def __post_init__(self):
+        if not self.seeds:
+            raise ValueError("ensemble needs at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("ensemble seeds must be pairwise distinct")
+        if self.k < 1:
+            raise ValueError("k must be positive")
+        self.learner(0)  # d and r as EmbeddingSpec checks them
+
     @property
     def size(self) -> int:
         return len(self.seeds)
@@ -53,21 +62,9 @@ def make_ensemble_spec(
     base_seed: int, learners: int, d: int, r: int, k: int
 ) -> EnsembleSpec:
     """Default seed schedule: base_seed + {0, 1, ..., E-1}."""
-    if learners < 1:
-        raise ValueError("learners must be positive")
     return EnsembleSpec(
         seeds=tuple(base_seed + i for i in range(learners)), d=d, r=r, k=k
     )
-
-
-def validate_spec(spec: EnsembleSpec) -> None:
-    if spec.size < 1:
-        raise ValueError("ensemble needs at least one seed")
-    if len(set(spec.seeds)) != spec.size:
-        raise ValueError("ensemble seeds must be pairwise distinct")
-    if spec.k < 1:
-        raise ValueError("k must be positive")
-    EmbeddingSpec(seed=spec.seeds[0], d=spec.d, r=spec.r)
 
 
 def _mean(total: sp.csr_matrix, count: int) -> sp.csr_matrix:
@@ -95,7 +92,6 @@ def learner_scores(
     matrix (e.g. a verified cache), and then only the test samples are
     projected; None takes the one-pass path.
     """
-    validate_spec(spec)
     count = spec.size if learners is None else learners
     if not 1 <= count <= spec.size:
         raise ValueError(f"learner count {count} exceeds available seeds {spec.size}")
@@ -235,13 +231,9 @@ def write_metadata(path, spec: EnsembleSpec) -> None:
 
 
 def read_metadata(path) -> EnsembleSpec:
-    fields: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            parts = line.split()
-            if parts:
-                fields[parts[0]] = parts[1:]
     try:
+        with open(path, "r", encoding="utf-8") as f:
+            fields = {parts[0]: parts[1:] for parts in map(str.split, f) if parts}
         seeds = tuple(int(s) for s in fields["seeds"])
         spec = EnsembleSpec(
             seeds=seeds,

@@ -4,7 +4,8 @@ Hash tables live in the same latent space the exhaustive search uses, making
 metric-level comparisons fair. Each table hashes a vector to H sign bits
 against seeded hyperplanes; a query's candidates are the union of its buckets
 across tables, rescored by the same float64 dot product (`rescore`) that
-exhaustive search uses, so both give bit-identical scores for a column.
+exhaustive search uses, so both give bit-identical scores for a column, and
+ranked by the same `top_k`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddedMatrix, gaussian_row
-from .predictor import Neighbor, exact_top_k, rescore
+from .predictor import Neighbor, rescore, top_k
 
 # keeps hyperplane streams disjoint from projection-row streams for any seed
 LSH_SEED_NAMESPACE = 0x4C53485F68617368  # ascii "LSH_hash"
@@ -108,5 +109,7 @@ def query_lsh(index: LshIndex, query: np.ndarray, k: int) -> list[Neighbor]:
     cand = candidates(index, query)
     if cand.size == 0:
         return []
-    sims = rescore(query.astype(np.float64), index.train.data, cand)
-    return [(int(cand[i]), s) for i, s in exact_top_k(sims, k)]
+    sims = rescore(query.astype(np.float64)[None], index.train.data, np.zeros_like(cand), cand)
+    # one CSR row, ranked from its three arrays: no scipy matrix per query
+    best, top = top_k((sims, cand, np.array([0, cand.size])), k)
+    return [(i, s) for i, s in zip(best[0].tolist(), top[0].tolist()) if i >= 0]

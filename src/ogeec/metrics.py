@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .predictor import top_k
+
 DEFAULT_KS = (1, 3, 5)
 DEFAULT_A = 0.55
 DEFAULT_B = 1.5
@@ -50,11 +52,6 @@ def propensity(
     props = 1.0 / (1.0 + c * np.exp(-a * np.log(freq + b)))
     props = np.clip(props, np.finfo(np.float64).tiny, 1.0)
     return PropensityModel(a=a, b=b, c=c, propensities=props)
-
-
-def uniform_propensity(L: int) -> PropensityModel:
-    """All-ones model; PSP@K then reduces to P@K when |truth| >= K."""
-    return PropensityModel(a=1.0, b=0.0, c=0.0, propensities=np.ones(L))
 
 
 @dataclass
@@ -105,10 +102,10 @@ def evaluate(
     P@K = hits / K; N@K = sum of 1/log2(pos + 2) over hits, over its best
     value for min(K, |truth|) hits; PSP@K = sum of 1/p over hits, over the
     sum of the min(K, |truth|) largest 1/p among the true labels (rarest
-    first); PSN@K is PSP@K with each term discounted by log2(pos + 2). All
-    samples are computed at once, but each sample's terms are added in rank
-    order and the per-sample values in sample order, so every sum is the one
-    a loop over samples makes.
+    first, ranked by `predictor.top_k`); PSN@K is PSP@K with each term
+    discounted by log2(pos + 2). All samples are computed at once, but each
+    sample's terms are added in rank order and the per-sample values in
+    sample order, so every sum is the one a loop over samples makes.
     """
     pred = np.asarray(predictions, dtype=np.int64)
     max_k = max(ks)
@@ -133,13 +130,9 @@ def evaluate(
     inv = 1.0 / model.propensities
     gain = np.where(hit, inv[np.where(hit, pred[used], 0)], 0.0)
     # each sample's true-label weights, largest first, in its first max_k slots
-    weights = inv[labels]
-    order = np.lexsort((-weights, rows))
-    rank = np.arange(keys.size) - (np.cumsum(counts) - counts)[rows]
-    best = np.zeros((m, max_k))
-    first = rank < max_k
-    best[rows[first], rank[first]] = weights[order[first]]
-    best, counts = best[used], counts[used]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    best = top_k((inv[labels], labels, indptr), max_k)[1][used]
+    counts = counts[used]
 
     # running sums along each ranking, added in rank order: column K-1 holds @K
     log2 = np.array([math.log2(pos + 2) for pos in range(max_k)])

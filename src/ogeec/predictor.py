@@ -3,22 +3,26 @@
 Prediction for one query is: embed, exact top-k by dot product over every
 training column, then transfer each neighbor's labels weighted by its clamped
 similarity max(sim, 0). Scores are unnormalized weighted sums; every consumer
-ranks them, so the proportionality constant is irrelevant. Ties (equal
-similarity in kNN, equal score in top-K) break by ascending index, which makes
-every output deterministic.
+ranks them, so the proportionality constant is irrelevant.
+
+`top_k` is the one ranking: by descending score, ties by ascending index,
+which makes every output deterministic. It ranks a search tile's candidate
+columns, LSH candidates (`lsh.query_lsh`), label scores and the ideal
+weights of `metrics.evaluate`, each a CSR matrix or its three arrays, with
+one sort.
 
 The scores of a batch of queries are one float64 CSR matrix S (queries x
 labels), S = W @ Y (`score_matrix`): W holds the neighbours' similarities and
-Y the train labels. `top_k` ranks every row with one lexsort; its label and
-score arrays feed `format_predictions` and `metrics.evaluate`.
+Y the train labels. `top_k`'s label and score arrays feed
+`format_predictions` and `metrics.evaluate`.
 
 A similarity is `rescore`'s fixed-order float64 dot product. Search is one
 blocked kernel per learner, the GEMM + k-selection scheme of FAISS (Johnson,
 Douze, Jegou 2017) made exact: a float32 GEMM screens a tile of queries
 against every training column, and only the columns that its rounding-error
-bound cannot rule out of the top k are rescored in float64. Neighbours and
-scores are those of a full float64 scan, whatever BLAS does and however many
-threads it uses.
+bound cannot rule out of the top k are rescored in float64 and ranked by
+`top_k`. Neighbours and scores are those of a full float64 scan, whatever
+BLAS does and however many threads it uses.
 """
 
 from __future__ import annotations
@@ -43,33 +47,21 @@ _TINY32 = 2.0**-149  # spacing of float32 subnormals: the absolute error of unde
 _HUGE = 2.0**120  # screen scores below this cannot overflow float32 (2**128)
 
 
-def rescore(q64: np.ndarray, data: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Float64 dot products of `q64` with the columns `cand` of `data`.
+def rescore(q64: np.ndarray, data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Float64 dot products of the queries `q64[rows]` with the columns `cols`
+    of `data`, pair by pair.
 
     Each score sums one C-contiguous row of float64 products along its last
     axis, so it depends only on the query and the column: not on BLAS, its
-    thread count, or which other columns are scored in the same call.
+    thread count, or which other pairs are scored in the same call.
     """
-    out = np.empty(cand.size)
-    step = max(1, _TILE_FLOATS // data.shape[0])  # 16 MB of float64 rows at a time
-    for a in range(0, cand.size, step):
-        rows = data.T[cand[a : a + step]].astype(np.float64)
-        rows *= q64
-        out[a : a + step] = rows.sum(axis=1)
+    out = np.empty(cols.size)
+    step = max(1, _TILE_FLOATS // (8 * data.shape[0]))  # 2 MB of float64 products at a time
+    for a in range(0, cols.size, step):
+        prods = q64[rows[a : a + step]]
+        prods *= data.T[cols[a : a + step]]  # float32 columns, widened exactly
+        out[a : a + step] = prods.sum(axis=1)
     return out
-
-
-def exact_top_k(sims: np.ndarray, k: int) -> list[Neighbor]:
-    """Top-k by descending value, ties by ascending index. Exact, not approximate."""
-    n = sims.shape[0]
-    if k < n:
-        kth = np.partition(sims, n - k)[n - k]
-        cand = np.flatnonzero(sims >= kth)
-    else:
-        cand = np.arange(n)
-    order = np.lexsort((cand, -sims[cand]))
-    top = cand[order[: min(k, n)]]
-    return [(int(i), float(sims[i])) for i in top]
 
 
 def _gamma(n: int, u: float) -> float:
@@ -110,36 +102,30 @@ def _search(queries: np.ndarray, data: np.ndarray, k: int) -> list[list[Neighbor
     kth - 2 delta, where kth is the k-th largest screen score. A column whose
     float64 score reaches the k-th largest float64 score screens at least
     that score minus delta, which is at least kth - 2 delta; so the candidates
-    hold the whole float64 top k, ties included.
+    hold the whole float64 top k, ties included. A tile's candidates are one
+    CSR matrix, rescored in float64 and ranked by `top_k`.
     """
     r, n = data.shape
     m = queries.shape[1]
-    everything = np.arange(n)
     xmax = _max_column_norm(data) if k < n else 0.0
     step = max(1, _TILE_FLOATS // max(n, 1))
     out: list[list[Neighbor]] = []
     for a in range(0, m, step):
         q64 = np.ascontiguousarray(queries[:, a : a + step].T, dtype=np.float64)
         if k >= n:
-            cands = [everything] * len(q64)
+            keep = np.ones((len(q64), n), dtype=bool)
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # unscreened rows
                 qnorm = np.sqrt(np.square(q64).sum(axis=1))
                 scores = q64.astype(np.float32) @ data
-            # a query whose screen could overflow is rescored against every column
-            screened = (qnorm < _HUGE) & (qnorm * xmax < _HUGE)
             kth = np.partition(scores, n - k, axis=1)[:, n - k]
             keep = scores >= (kth - 2.0 * _margin(r, qnorm, xmax))[:, None]
-            rows, cols = np.nonzero(keep)
-            bounds = np.searchsorted(rows, np.arange(len(q64) + 1))
-            cands = [
-                cols[lo:hi] if ok else everything
-                for lo, hi, ok in zip(bounds[:-1], bounds[1:], screened)
-            ]
-        for q, cand in zip(q64, cands):
-            out.append(
-                [(int(cand[i]), s) for i, s in exact_top_k(rescore(q, data, cand), k)]
-            )
+            # a query whose screen could overflow is rescored against every column
+            keep[~((qnorm < _HUGE) & (qnorm * xmax < _HUGE))] = True
+        rows, cols = np.nonzero(keep)
+        indptr = np.searchsorted(rows, np.arange(len(q64) + 1))
+        index, sims = top_k((rescore(q64, data, rows, cols), cols, indptr), min(k, n))
+        out.extend(list(zip(i, s)) for i, s in zip(index.tolist(), sims.tolist()))
     return out
 
 
@@ -197,25 +183,32 @@ def score_matrix(neighbors: Sequence[Sequence[Neighbor]], labels: sp.csr_matrix)
     return W @ labels
 
 
-def top_k(scores: sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's K best labels by descending score, ties by ascending label.
+def top_k(
+    scores: sp.csr_matrix | tuple[np.ndarray, np.ndarray, np.ndarray], K: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's K best entries by descending score, ties by ascending index.
 
-    Returns the (m, K) labels, padded with -1 where a row holds fewer than K
-    scores, and the matching (m, K) scores, padded with 0.
+    `scores` is a CSR matrix or its (data, indices, indptr) arrays; a score
+    may take any sign, and -0.0 ties with 0.0. Returns the (m, K) indices,
+    padded with -1 where a row holds fewer than K entries, and the matching
+    (m, K) scores, padded with 0.
     """
     if K < 1:
         raise ValueError("K must be positive")
-    m = scores.shape[0]
-    rows = np.repeat(np.arange(m), np.diff(scores.indptr))
-    order = np.lexsort((scores.indices, -scores.data, rows))
+    data, indices, indptr = (
+        (scores.data, scores.indices, scores.indptr) if sp.issparse(scores) else scores
+    )
+    m = indptr.size - 1
+    rows = np.repeat(np.arange(m), np.diff(indptr))
+    order = np.lexsort((indices, -data, rows))
     # sorting by row first keeps every row's entries in its own CSR slice
-    rank = np.arange(order.size) - scores.indptr[rows]
+    rank = np.arange(order.size) - indptr[rows]
     keep = rank < K
-    labels = np.full((m, K), -1, dtype=np.int64)
+    best = np.full((m, K), -1, dtype=np.int64)
     top = np.zeros((m, K))
-    labels[rows[keep], rank[keep]] = scores.indices[order[keep]]
-    top[rows[keep], rank[keep]] = scores.data[order[keep]]
-    return labels, top
+    best[rows[keep], rank[keep]] = indices[order[keep]]
+    top[rows[keep], rank[keep]] = data[order[keep]]
+    return best, top
 
 
 def batch_predict(

@@ -26,7 +26,7 @@ from ogeec.data import _F32_MAX, DatasetFormatError, SparseDataset, _assemble
 
 from ogeec.embedding import EmbeddingSpec, embed_single, gaussian_words, materialize_row
 from ogeec.ensemble import EnsembleSpec, fused_scores
-from ogeec.metrics import DEFAULT_KS, METRIC_NAMES, EvalReport
+from ogeec.metrics import DEFAULT_KS, METRIC_NAMES, EvalReport, PropensityModel
 from ogeec.predictor import knn, propagate, top_k
 
 
@@ -122,6 +122,11 @@ def ref_propensities(freqs, n, a, b):
     return [1.0 / (1.0 + c * math.exp(-a * math.log(f + b))) for f in freqs]
 
 
+def uniform_propensity(L: int) -> PropensityModel:
+    """All-ones model; PSP@K then reduces to P@K when |truth| >= K."""
+    return PropensityModel(a=1.0, b=0.0, c=0.0, propensities=np.ones(L))
+
+
 def ref_precision(pred, truth, K):
     hits = 0
     for w in pred[:K]:
@@ -204,6 +209,16 @@ def fuse(score_vectors):
         for w, s in sv.items():
             acc[w] = acc.get(w, 0.0) + s
     return {w: s / len(score_vectors) for w, s in acc.items()}
+
+
+def rank_rows(data, indices, indptr, K):
+    """Each CSR row's first K (index, score) pairs by descending score, ties
+    by ascending index: one Python sort per row."""
+    out = []
+    for a, b in zip(indptr[:-1], indptr[1:]):
+        row = zip(indices[a:b].tolist(), data[a:b].tolist())
+        out.append(sorted(row, key=lambda entry: (-entry[1], entry[0]))[:K])
+    return out
 
 
 def top_k_labels(scores, K):

@@ -513,6 +513,65 @@ def test_cache_of_another_train_set_is_rejected(workspace, tmp_path, capsys):
     assert not any("Traceback" in line for line in err)
 
 
+
+@pytest.mark.parametrize(
+    "sidecar, message",
+    [
+        (b"[1, 2]", "cache metadata must be a JSON object"),
+        (b"{oops}", "malformed cache metadata (Expecting property name"),
+        (b"\xff{}", "malformed cache metadata ('utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["not-an-object", "not-json", "not-utf8"],
+)
+def test_bad_cache_sidecar_is_named_in_a_one_line_error(
+    workspace, tmp_path, capsys, sidecar, message
+):
+    prefix = str(tmp_path / "emb")
+    model = str(tmp_path / "m.txt")
+    train = str(workspace / "train.txt")
+    rc = main(
+        [
+            "train", "--train", train, "--model", model,
+            "--r", "16", "--learners", "1", "--seed", "7", "--cache", prefix,
+        ]
+    )
+    assert rc == 0
+    meta = pathlib.Path(f"{prefix}-7.ogec.meta")
+    meta.write_bytes(sidecar)
+    capsys.readouterr()
+    rc = main(
+        [
+            "predict", "--model", model, "--train", train,
+            "--test", str(workspace / "test.txt"), "--cache", prefix,
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"error: {meta}: {message}")
+    assert not any("Traceback" in line for line in err)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"base_seed 1\nseeds 1 \xff\n", "'utf-8' codec can't decode byte 0xff"),
+        (b"seeds 1 1\nd 2000\nr 16\nk 5\n", "ensemble seeds must be pairwise distinct"),
+        (b"seeds\nd 2000\nr 16\nk 5\n", "ensemble needs at least one seed"),
+        (b"seeds 1\nd 10\nr 16\nk 5\n", "r must satisfy 1 <= r <= d"),
+        (b"seeds 1\nd 2000\nr 16\nk 0\n", "k must be positive"),
+    ],
+    ids=["not-utf8", "duplicate-seeds", "no-seeds", "r-above-d", "k-zero"],
+)
+def test_bad_model_file_fails_first_in_a_one_line_error(tmp_path, capsys, text, message):
+    model = tmp_path / "m.txt"
+    model.write_bytes(text)
+    missing = str(tmp_path / "missing.txt")  # the data files are read after the model
+    rc = main(["predict", "--model", str(model), "--train", missing, "--test", missing])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {model}: malformed model metadata ({message}")
+
+
 # every data path is "{m}", a file that does not exist
 _PREDICT = ["predict", "--model", "{m}", "--train", "{m}", "--test", "{m}"]
 _TRAIN = ["train", "--train", "{m}", "--model", "{m}"]

@@ -433,4 +433,4 @@ def test_cache_verification_failures(tmp_path, small_spec, small_embedded):
     bad = tmp_path / "bad.ogec"
     bad.write_bytes(b"NOPE" + b"\x00" * 14)
     with pytest.raises(ValueError, match="bad magic"):
-        load_cache(bad)
+        load_cache(bad, small_spec)

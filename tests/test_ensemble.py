@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import predict, row_scores, score_csr, score_dicts, sweep_r
+from oracles import predict, row_scores, score_csr, score_dicts, sweep_r, uniform_propensity
 
 from ogeec import embedding
 from ogeec.embedding import EmbeddingSpec, embed, project_csr
@@ -13,10 +13,9 @@ from ogeec.ensemble import (
     read_metadata,
     sweep_dimension,
     sweep_ensemble_size,
-    validate_spec,
     write_metadata,
 )
-from ogeec.metrics import evaluate, uniform_propensity
+from ogeec.metrics import evaluate
 from ogeec.predictor import batch_predict, top_k
 
 
@@ -24,16 +23,15 @@ def test_make_spec_default_seed_schedule():
     spec = make_ensemble_spec(base_seed=7, learners=5, d=100, r=10, k=5)
     assert spec.seeds == (7, 8, 9, 10, 11)
     assert spec.size == 5
-    validate_spec(spec)
 
 
 def test_validate_rejects_duplicates_and_empty():
     with pytest.raises(ValueError, match="distinct"):
-        validate_spec(EnsembleSpec(seeds=(1, 1), d=10, r=2, k=5))
+        EnsembleSpec(seeds=(1, 1), d=10, r=2, k=5)
     with pytest.raises(ValueError, match="at least one"):
-        validate_spec(EnsembleSpec(seeds=(), d=10, r=2, k=5))
+        EnsembleSpec(seeds=(), d=10, r=2, k=5)
     with pytest.raises(ValueError):
-        validate_spec(EnsembleSpec(seeds=(1,), d=10, r=20, k=5))
+        EnsembleSpec(seeds=(1,), d=10, r=20, k=5)
 
 
 def test_fuse_hand_average():
@@ -97,9 +95,8 @@ def test_fused_equals_mean_of_per_learner(train_test):
 
 def test_fused_scores_rejects_duplicate_seeds(train_test):
     train, test = train_test
-    espec = EnsembleSpec(seeds=(5, 5), d=train.d, r=16, k=5)
     with pytest.raises(ValueError, match="distinct"):
-        fused_scores(espec, train, test)
+        fused_scores(EnsembleSpec(seeds=(5, 5), d=train.d, r=16, k=5), train, test)
 
 
 def test_learner_count_validation(train_test):

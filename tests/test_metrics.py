@@ -13,9 +13,10 @@ from oracles import (
     ref_psp,
     top_k_labels,
     top_labels,
+    uniform_propensity,
 )
 
-from ogeec.metrics import evaluate, propensity, uniform_propensity
+from ogeec.metrics import evaluate, propensity
 
 
 def _one(name, predicted, truth, K, model=None):

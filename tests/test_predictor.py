@@ -2,10 +2,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import knn_scan, predict, row_scores, score_csr, score_dicts
+from oracles import knn_scan, predict, rank_rows, row_scores, score_csr, score_dicts
 
 from ogeec import predictor
 from ogeec.embedding import EmbeddedMatrix, embed_single, project_csr
@@ -210,6 +211,40 @@ def test_top_k_labels_tie_rule():
     assert top_k(S, 1)[0].tolist() == [[2], [3], [-1]]
     assert top_k(S, 3)[0].tolist() == [[2, 5, -1], [3, 1, -1], [-1, -1, -1]]
     assert top_k(S, 4)[1].tolist()[2] == [0.0] * 4
+
+
+# few distinct values, so rows hold exact ties, signed zeros and explicit zeros
+_RANK_SCORES = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(-1e300, 1e300)
+
+
+@st.composite
+def ranking_rows(draw):
+    """CSR arrays of signed scores: empty rows and rows of distinct, unsorted
+    column indices, plus a K that may exceed every row."""
+    rows = draw(
+        st.lists(st.lists(st.integers(0, 40), unique=True, max_size=12), min_size=1, max_size=6)
+    )
+    indices = np.array([j for row in rows for j in row], dtype=np.int64)
+    data = np.array([draw(_RANK_SCORES) for _ in range(indices.size)], dtype=np.float64)
+    indptr = np.cumsum([0, *map(len, rows)])
+    return data, indices, indptr, draw(st.integers(1, 14))
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=ranking_rows())
+def test_top_k_equals_sorted_oracle(case):
+    """top_k ranks by (-score, index) as a Python sort does, from a CSR
+    matrix and from its three arrays; each score keeps its bits (-0.0 too)."""
+    data, indices, indptr, K = case
+    want = rank_rows(data, indices, indptr, K)
+    want_index = np.array([[i for i, _ in row] + [-1] * (K - len(row)) for row in want])
+    want_top = np.array([[s for _, s in row] + [0.0] * (K - len(row)) for row in want])
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, 41))
+    assert matrix.nnz == data.size  # explicit zeros stay stored
+    for scores in ((data, indices, indptr), matrix):
+        index, top = top_k(scores, K)
+        assert np.array_equal(index, want_index)
+        assert np.array_equal(top.view(np.int64), want_top.view(np.int64))
 
 
 def test_predict_is_composition(small_spec, small_ds, small_embedded):
