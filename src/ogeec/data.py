@@ -424,7 +424,9 @@ def _exact_values(buf, sep, cls, length, nums, t) -> np.ndarray | None:
     M <= 2**53 and its decimal exponent |e| <= 22, both M and 10**|e| are
     exact doubles, so M * 10**e or M / 10**-e is one correctly rounded
     operation: the double nearest the decimal, which float() returns
-    (Clinger 1990). Rounding that double to float32 is then as before.
+    (Clinger 1990). An exponent e > 22 is first moved into M, exactly, while
+    M * 10**(e - 22) <= 2**53 ("3.44618e+28" is 3446180e22). Rounding that
+    double to float32 is then as before.
     """
     signed = cls[t] == _SIGN
     negative = signed & (buf[sep[t]] == 45)
@@ -443,6 +445,14 @@ def _exact_values(buf, sep, cls, length, nums, t) -> np.ndarray | None:
         exp_negative = exp_signed & (buf[sep[x]] == 45)
         x += exp_signed
         e[with_exp] += np.where(exp_negative, -nums[x], nums[x])
+    big = np.flatnonzero(e > 22)
+    if big.size:  # M * 10**(e - 22) is exact while it stays <= 2**53 (checked
+        # before the multiply, which could overflow int64)
+        scale = _POW10_INT[np.minimum(e[big] - 22, 18)]
+        if (mant[big] > 2**53 // scale).any():
+            return None
+        mant[big] *= scale
+        e[big] = 22
     if mant.max(initial=0) > 2**53 or np.abs(e).max(initial=0) > 22:
         return None
     # times 1 or divided by 1 is exact, so this is one rounding either way

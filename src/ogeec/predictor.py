@@ -108,7 +108,9 @@ def _search(queries: np.ndarray, data: np.ndarray, k: int) -> list[list[Neighbor
     r, n = data.shape
     m = queries.shape[1]
     xmax = _max_column_norm(data) if k < n else 0.0
-    step = max(1, _TILE_FLOATS // max(n, 1))
+    # with k >= n every pair is a candidate: a tile holds _TILE_FLOATS // 8 of
+    # them, so rescore's and top_k's pair arrays stay near 16 MB
+    step = max(1, _TILE_FLOATS // ((8 if k >= n else 1) * max(n, 1)))
     out: list[list[Neighbor]] = []
     for a in range(0, m, step):
         q64 = np.ascontiguousarray(queries[:, a : a + step].T, dtype=np.float64)

@@ -74,19 +74,13 @@ def check_equivalent(path, raw: bytes, chunk: int) -> None:
     assert str(got) == prefix + str(want)
 
 
-def _in_exact_path(v: float) -> bool:
-    """Whether the decimal exponent of v's "%.9g" text, counted from its
-    last digit, lies within +-22 (e.g. "3.44618e+28" is 344618e23: no)."""
-    mant, _, exp = ("%.9g" % v).partition("e")
-    return abs(int(exp or 0) - len(mant.partition(".")[2])) <= 22
-
-
 def _float32s(draw, fast: bool):
     if fast:
-        # "%.9g" of these has at most 9 digits and a decimal exponent within
-        # +-22, so their text is inside the exact path
+        # "%.9g" of these has at most 9 digits and a decimal exponent of at
+        # least -22; above 22 the digits times 10**(e - 22) stay below 10**7,
+        # so their text is inside the exact path
         lo, hi = float(np.float32(1e-12)), float(np.float32(1e29))
-        mag = draw(st.floats(lo, hi, width=32).filter(_in_exact_path) | st.just(0.0))
+        mag = draw(st.floats(lo, hi, width=32) | st.just(0.0))
         return -mag if draw(st.booleans()) else mag
     return draw(st.floats(width=32, allow_nan=False, allow_infinity=False))
 
@@ -173,6 +167,9 @@ EDGE_VALUES = [
     # exponents around +-22
     "1e22", "1e23", "1e-22", "1e-23", "9e22", "4.5e-23", "1.5e+22", "2E-22",
     "12e21", "0.1e23", "1e0000000000000000005",
+    # exponents above 22 moved into the mantissa, up to and just past 2**53
+    "3.44618e+28", "90071992547409e24", "900719925474099e24", "9e37", "1e38",
+    "1e39", "-4e38", "10e40", "-0e999999999999999999", "1e999999999999999999",
     # float32 range: subnormals, the largest finite value and just past it
     "1e-45", "1.4e-45", "7e-46", "1.17549435e-38", "4.9e-324",
     "3.4028235e38", "3.4028234e38", "3.40282347e+38", "-3.4028234e38",
@@ -287,6 +284,17 @@ def test_formatted_values_in_range_take_the_fast_path(tmp_path_factory, ds):
     data.write_dataset(ds, path)
     with mock.patch.object(data, "_parse_lines", side_effect=AssertionError):
         assert ds.equals(data.parse_dataset(path))
+
+
+@pytest.mark.parametrize(
+    "value", ["3.44618e+28", "1e23", "-9.99999e+28", "1e29", "90071992547409e24", "0e99"]
+)
+def test_exponents_above_22_take_the_fast_path(tmp_path, per_line_calls, value):
+    raw = f"1 4 3\n1 0:{value} 3:1\n".encode()
+    path = tmp_path / "ds.txt"
+    path.write_bytes(raw)
+    assert data.parse_dataset(path).equals(oracles.parse_dataset(path))
+    assert per_line_calls == []
 
 
 def test_a_bad_line_reaches_the_per_line_path_once(tmp_path, per_line_calls):
