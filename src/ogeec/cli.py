@@ -535,9 +535,11 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
     exhaustive = batch_predict(train_emb, labels, queries, cfg.k)
 
     index = build_index(train_emb, T=cfg.tables, H=cfg.bits, seed=cfg.seed)
-    neighbors = [query_lsh(index, queries[:, i], cfg.k) for i in range(test_ds.n)]
-    empty = sum(1 for nbs in neighbors if not nbs)
-    lsh_scores = score_matrix(neighbors, labels)
+    # one call per query: perfbench/tracer.py counts lsh.queries per call
+    rows = [query_lsh(index, queries[:, i], cfg.k) for i in range(test_ds.n)]
+    lsh_index, lsh_sims = (np.stack(arrays) for arrays in zip(*rows))
+    empty = int(np.count_nonzero(lsh_index[:, 0] < 0))
+    lsh_scores = score_matrix(lsh_index, lsh_sims, labels)
 
     rep_ex, rep_lsh = map(_evaluator(cfg, train_ds, test_ds), (exhaustive, lsh_scores))
     if cfg.predictions_out:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddedMatrix, gaussian_row
-from .predictor import Neighbor, rescore, top_k
+from .predictor import rescore, top_k
 
 # keeps hyperplane streams disjoint from projection-row streams for any seed
 LSH_SEED_NAMESPACE = 0x4C53485F68617368  # ascii "LSH_hash"
@@ -65,12 +65,10 @@ def build_index(
     buckets: list[dict[int, np.ndarray]] = []
     for t in range(T):
         codes = _codes(planes[t * H : (t + 1) * H], train.data)
+        # a stable sort leaves each bucket's indices ascending
         order = np.argsort(codes, kind="stable")
         uniq, starts = np.unique(codes[order], return_index=True)
-        table: dict[int, np.ndarray] = {}
-        for u, lo, hi in zip(uniq, starts, list(starts[1:]) + [len(order)]):
-            table[int(u)] = np.sort(order[lo:hi])
-        buckets.append(table)
+        buckets.append(dict(zip(uniq.tolist(), np.split(order, starts[1:]))))
     return LshIndex(
         tables=T, bits=H, seed=seed, r=train.r,
         hyperplanes=planes, buckets=buckets, train=train,
@@ -79,27 +77,22 @@ def build_index(
 
 def candidates(index: LshIndex, query: np.ndarray) -> np.ndarray:
     """Union of the query's buckets across all tables (sorted indices)."""
+    q = np.asarray(query, dtype=np.float64).reshape(-1, 1)
     hits = []
     for t in range(index.tables):
-        code = int(
-            _codes(
-                index.hyperplanes[t * index.bits : (t + 1) * index.bits],
-                np.asarray(query, dtype=np.float64).reshape(-1, 1),
-            )[0]
-        )
+        code = int(_codes(index.hyperplanes[t * index.bits : (t + 1) * index.bits], q)[0])
         found = index.buckets[t].get(code)
         if found is not None:
             hits.append(found)
-    if not hits:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(hits))
+    return np.unique(np.concatenate([np.empty(0, dtype=np.int64), *hits]))
 
 
-def query_lsh(index: LshIndex, query: np.ndarray, k: int) -> list[Neighbor]:
-    """Exact top-k by dot product within the candidate set.
+def query_lsh(index: LshIndex, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k by dot product within the candidate set, as one (k,) row of
+    training indices and one of similarities, the way `top_k` ranks them.
 
-    May return fewer than k entries; an empty candidate set yields an empty
-    list (callers count these).
+    A row with fewer than k candidates is padded with index -1 and score
+    0.0; an empty candidate set is all padding (callers count these).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -107,9 +100,7 @@ def query_lsh(index: LshIndex, query: np.ndarray, k: int) -> list[Neighbor]:
     if query.shape != (index.r,):
         raise ValueError(f"query length {query.shape} != index dimensionality {index.r}")
     cand = candidates(index, query)
-    if cand.size == 0:
-        return []
     sims = rescore(query.astype(np.float64)[None], index.train.data, np.zeros_like(cand), cand)
     # one CSR row, ranked from its three arrays: no scipy matrix per query
     best, top = top_k((sims, cand, np.array([0, cand.size])), k)
-    return [(i, s) for i, s in zip(best[0].tolist(), top[0].tolist()) if i >= 0]
+    return best[0], top[0]

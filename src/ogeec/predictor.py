@@ -11,9 +11,12 @@ columns, LSH candidates (`lsh.query_lsh`), label scores and the ideal
 weights of `metrics.evaluate`, each a CSR matrix or its three arrays, with
 one sort.
 
-The scores of a batch of queries are one float64 CSR matrix S (queries x
-labels), S = W @ Y (`score_matrix`): W holds the neighbours' similarities and
-Y the train labels. `top_k`'s label and score arrays feed
+Neighbours are `top_k`'s arrays from search to W: `knn` returns an (m, k)
+int64 index array and the matching (m, k) float64 similarities, and an index
+of -1 (score 0.0) pads a row that holds fewer than k neighbours, as an LSH
+row may. The scores of a batch of queries are one float64 CSR matrix S
+(queries x labels), S = W @ Y (`score_matrix`): W holds the neighbours'
+similarities and Y the train labels. `top_k`'s label and score arrays feed
 `format_predictions` and `metrics.evaluate`.
 
 A similarity is `rescore`'s fixed-order float64 dot product. Search is one
@@ -36,8 +39,6 @@ import scipy.sparse as sp
 
 from .embedding import EmbeddedMatrix
 from .embedding import project_csr  # noqa: F401 -- perfbench/tracer.py wraps it here
-
-Neighbor = tuple[int, float]
 
 # float32 scores in one screen tile (8 MB); a tile holds this // n_train queries
 _TILE_FLOATS = 1 << 21
@@ -95,8 +96,9 @@ def _max_column_norm(data: np.ndarray) -> float:
     )
 
 
-def _search(queries: np.ndarray, data: np.ndarray, k: int) -> list[list[Neighbor]]:
-    """Exact top-k of each column of `queries` (r, m) against `data` (r, n).
+def _search(queries: np.ndarray, data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k of each column of `queries` (r, m) against `data` (r, n),
+    as (m, min(k, n)) index and score arrays.
 
     Per query the float32 screen keeps every column scoring at least
     kth - 2 delta, where kth is the k-th largest screen score. A column whose
@@ -111,7 +113,8 @@ def _search(queries: np.ndarray, data: np.ndarray, k: int) -> list[list[Neighbor
     # with k >= n every pair is a candidate: a tile holds _TILE_FLOATS // 8 of
     # them, so rescore's and top_k's pair arrays stay near 16 MB
     step = max(1, _TILE_FLOATS // ((8 if k >= n else 1) * max(n, 1)))
-    out: list[list[Neighbor]] = []
+    index = np.empty((m, min(k, n)), dtype=np.int64)
+    sims = np.empty((m, min(k, n)))
     for a in range(0, m, step):
         q64 = np.ascontiguousarray(queries[:, a : a + step].T, dtype=np.float64)
         if k >= n:
@@ -126,33 +129,33 @@ def _search(queries: np.ndarray, data: np.ndarray, k: int) -> list[list[Neighbor
             keep[~((qnorm < _HUGE) & (qnorm * xmax < _HUGE))] = True
         rows, cols = np.nonzero(keep)
         indptr = np.searchsorted(rows, np.arange(len(q64) + 1))
-        index, sims = top_k((rescore(q64, data, rows, cols), cols, indptr), min(k, n))
-        out.extend(list(zip(i, s)) for i, s in zip(index.tolist(), sims.tolist()))
-    return out
+        rescored = rescore(q64, data, rows, cols)
+        index[a : a + step], sims[a : a + step] = top_k((rescored, cols, indptr), min(k, n))
+    return index, sims
 
 
-def knn(
-    query: np.ndarray, train: EmbeddedMatrix, k: int
-) -> list[Neighbor] | list[list[Neighbor]]:
+def knn(query: np.ndarray, train: EmbeddedMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact k nearest training columns by dot product, ties by ascending index.
 
-    `query` is one embedded query of length r, answered with one neighbour
-    list, or an (r, m) block of query columns, answered with m lists.
+    `query` is an (r, m) block of query columns, answered with (m, min(k, n))
+    int64 training indices and the matching float64 similarities, each row
+    in rank order; or one embedded query of length r, answered with one
+    (min(k, n),) row of each.
     """
     query = np.asarray(query)
     if query.ndim not in (1, 2) or query.shape[0] != train.r:
         raise ValueError(f"query shape {query.shape} != train dimensionality {train.r}")
     if k < 1:
         raise ValueError("k must be positive")
-    lists = _search(query.reshape(train.r, -1), train.data, k)
-    return lists[0] if query.ndim == 1 else lists
+    index, sims = _search(query.reshape(train.r, -1), train.data, k)
+    return (index[0], sims[0]) if query.ndim == 1 else (index, sims)
 
 
-def propagate(neighbors: Sequence[Neighbor], labelsets: Sequence[np.ndarray]) -> dict[int, float]:
-    """Weighted Bernoulli label transfer for one query, as a dict: score[w] =
-    sum of max(sim, 0) over neighbors carrying w. Nonpositive-similarity
-    neighbors contribute nothing, so every stored score is positive. This is
-    the per-query definition that `score_matrix` computes for a whole batch."""
+def propagate(neighbors: Sequence[tuple], labelsets: Sequence[np.ndarray]) -> dict[int, float]:
+    """Weighted Bernoulli label transfer for one query's (index, sim) pairs, as
+    a dict: score[w] = sum of max(sim, 0) over neighbors carrying w.
+    Nonpositive-similarity neighbors contribute nothing, so every stored score
+    is positive. This is the per-query definition of `score_matrix`'s rows."""
     scores: dict[int, float] = {}
     for idx, sim in neighbors:
         if sim <= 0.0:
@@ -165,9 +168,12 @@ def propagate(neighbors: Sequence[Neighbor], labelsets: Sequence[np.ndarray]) ->
     return scores
 
 
-def score_matrix(neighbors: Sequence[Sequence[Neighbor]], labels: sp.csr_matrix) -> sp.csr_matrix:
-    """Label scores of every query at once: S = W @ Y, row i = `propagate(neighbors[i])`.
+def score_matrix(index: np.ndarray, sims: np.ndarray, labels: sp.csr_matrix) -> sp.csr_matrix:
+    """Label scores of every query at once: S = W @ Y, row i = `propagate` of
+    row i's neighbours.
 
+    `index` and `sims` are `knn`'s (m, k) arrays; an index of -1 is a pad and
+    is dropped, and any other index outside [0, n_train) raises IndexError.
     W (m x n_train) holds each query's clamped similarities max(sim, 0) in
     neighbour order, with unsorted indices, and `labels` is Y, the train
     label matrix of ones. scipy forms each row of W @ Y by adding w * 1.0
@@ -176,12 +182,11 @@ def score_matrix(neighbors: Sequence[Sequence[Neighbor]], labels: sp.csr_matrix)
     `propagate`'s (a clamped 0 adds nothing to a sum).
     """
     n = labels.shape[0]
-    index = np.array([i for nbs in neighbors for i, _ in nbs], dtype=np.int64)
-    sims = np.array([s for nbs in neighbors for _, s in nbs], dtype=np.float64)
-    if index.size and not (0 <= index.min() and index.max() < n):
+    if np.any((index < -1) | (index >= n)):
         raise IndexError(f"neighbor index out of range [0, {n})")
-    indptr = np.cumsum([0, *map(len, neighbors)])
-    W = sp.csr_matrix((np.maximum(sims, 0.0), index, indptr), shape=(len(neighbors), n))
+    keep = index >= 0
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    W = sp.csr_matrix((np.maximum(sims[keep], 0.0), index[keep], indptr), shape=(len(index), n))
     return W @ labels
 
 
@@ -228,9 +233,9 @@ def batch_predict(
     if queries.ndim != 2:
         raise ValueError(f"queries must be an (r, m) block, got shape {queries.shape}")
     t0 = time.perf_counter()
-    neighbors = knn(queries, train, k)
+    index, sims = knn(queries, train, k)
     t1 = time.perf_counter()
-    scores = score_matrix(neighbors, labels)
+    scores = score_matrix(index, sims, labels)
     if timings is not None:
         t2 = time.perf_counter()
         for key, seconds in (("search_s", t1 - t0), ("propagate_s", t2 - t1)):

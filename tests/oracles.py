@@ -106,9 +106,32 @@ def knn_scan(query, data, k):
     return [(j, sims[j]) for j in order[:k]]
 
 
+def neighbor_lists(index, sims):
+    """`knn`'s (m, k) arrays as one list of (index, sim) pairs per row, the
+    -1 pads dropped; a single (k,) row gives a single list."""
+    if np.ndim(index) == 1:
+        return neighbor_lists([index], [sims])[0]
+    return [
+        [(i, s) for i, s in zip(row, vals) if i != -1]
+        for row, vals in zip(np.asarray(index).tolist(), np.asarray(sims).tolist())
+    ]
+
+
+def neighbor_arrays(lists):
+    """Ragged lists of (index, sim) pairs as (m, k) index and sim arrays, k the
+    longest list's length, padded with -1 and 0.0 as `top_k` pads."""
+    k = max(map(len, lists), default=0)
+    index = np.full((len(lists), k), -1, dtype=np.int64)
+    sims = np.zeros((len(lists), k))
+    for row, pairs in enumerate(lists):
+        for col, (i, s) in enumerate(pairs):
+            index[row, col], sims[row, col] = i, s
+    return index, sims
+
+
 def predict(spec, train, labelsets, query, k):
     """Single-learner prediction for one query: embed_single, knn, propagate."""
-    return propagate(knn(embed_single(spec, query), train, k), labelsets)
+    return propagate(neighbor_lists(*knn(embed_single(spec, query), train, k)), labelsets)
 
 
 def sweep_r(seed, train_ds, test_ds, rs, k):

@@ -252,7 +252,8 @@ def test_criterion_8_lsh_direction(dataset_pairs):
         exhaustive = batch_predict(emb, labels, q_emb, 5)
         ex_p1.append(evaluate(top_k(exhaustive, 5)[0], test.labelsets(), model)["P@1"])
         index = build_index(emb, T=10, H=16, seed=10 * seed)
-        scores = score_matrix([query_lsh(index, q_emb[:, i], 5) for i in range(test.n)], labels)
+        rows = [query_lsh(index, q_emb[:, i], 5) for i in range(test.n)]
+        scores = score_matrix(*map(np.stack, zip(*rows)), labels)
         lsh_p1.append(evaluate(top_k(scores, 5)[0], test.labelsets(), model)["P@1"])
     mean_ex, mean_lsh = float(np.mean(ex_p1)), float(np.mean(lsh_p1))
     report(

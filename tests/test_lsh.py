@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import neighbor_lists
 
 from ogeec.data import generate_synthetic, split_dataset
 from ogeec.embedding import EmbeddedMatrix, EmbeddingSpec, embed, gaussian_row, project_csr
@@ -86,7 +87,7 @@ def test_indexed_vector_is_always_its_own_candidate(indexed):
     for i in (0, 17, 119):
         cand = candidates(index, train.data[:, i])
         assert i in set(cand.tolist())
-        entries = query_lsh(index, train.data[:, i], 3)
+        entries = neighbor_lists(*query_lsh(index, train.data[:, i], 3))
         assert entries[0][0] == i
 
 
@@ -95,8 +96,8 @@ def test_lsh_scores_are_bit_identical_to_exhaustive(indexed):
     index = build_index(train, T=4, H=3, seed=9)  # coarse buckets: many candidates
     for j in (0, 17, 119):
         q = train.data[:, j] * 0.7  # a float64 query in column j's buckets
-        exhaustive = dict(knn(q, train, train.n))
-        found = query_lsh(index, q, train.n)
+        exhaustive = dict(neighbor_lists(*knn(q, train, train.n)))
+        found = neighbor_lists(*query_lsh(index, q, train.n))
         assert len(found) > 1
         assert all(s == exhaustive[i] for i, s in found)
 
@@ -116,7 +117,9 @@ def test_empty_candidate_set_yields_empty_list():
     x = np.ones(8, dtype=np.float32) / np.sqrt(8)
     train = matrix_of(x.reshape(-1, 1))
     index = build_index(train, T=1, H=8, seed=2)
-    assert query_lsh(index, -x, 3) == []
+    found, sims = query_lsh(index, -x, 3)
+    assert neighbor_lists(found, sims) == []
+    assert found.tolist() == [-1, -1, -1] and sims.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_recall_with_many_tables():
@@ -132,8 +135,8 @@ def test_recall_with_many_tables():
     recalls = []
     for i in range(test_ds.n):
         q = q_emb[:, i]
-        true = {idx for idx, _ in knn(q, emb, 5)}
-        got = {idx for idx, _ in query_lsh(index, q, 5)}
+        true = {idx for idx, _ in neighbor_lists(*knn(q, emb, 5))}
+        got = {idx for idx, _ in neighbor_lists(*query_lsh(index, q, 5))}
         recalls.append(len(true & got) / 5)
     assert float(np.mean(recalls)) >= 0.8
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import knn_scan, predict, rank_rows, row_scores, score_csr, score_dicts
+from oracles import (
+    knn_scan,
+    neighbor_lists,
+    predict,
+    rank_rows,
+    row_scores,
+    score_csr,
+    score_dicts,
+)
 
 from ogeec import predictor
 from ogeec.embedding import EmbeddedMatrix, embed_single, project_csr
@@ -37,7 +46,7 @@ def naive_knn(data: np.ndarray, q: np.ndarray, k: int):
 def test_knn_query_equals_training_column(small_spec, small_ds, small_embedded):
     j = 11
     q = embed_single(small_spec, small_ds.feature_row(j))
-    entries = knn(q, small_embedded, 5)
+    entries = neighbor_lists(*knn(q, small_embedded, 5))
     assert entries[0][0] == j
     assert abs(entries[0][1] - 1.0) < 1e-5
 
@@ -45,7 +54,7 @@ def test_knn_query_equals_training_column(small_spec, small_ds, small_embedded):
 def test_knn_orthogonal_columns():
     train = matrix_of(np.eye(3))
     q = np.array([1.0, 0.0, 0.0], dtype=np.float32)
-    assert knn(q, train, 3) == [(0, 1.0), (1, 0.0), (2, 0.0)]
+    assert neighbor_lists(*knn(q, train, 3)) == [(0, 1.0), (1, 0.0), (2, 0.0)]
 
 
 def test_knn_matches_naive_scan():
@@ -56,7 +65,7 @@ def test_knn_matches_naive_scan():
     for qi in range(20):
         q = rng.normal(size=200)
         q = (q / np.linalg.norm(q)).astype(np.float32)
-        got = knn(q, train, 7)
+        got = neighbor_lists(*knn(q, train, 7))
         want = naive_knn(train.data, q, 7)
         assert [i for i, _ in got] == [i for i, _ in want]
         np.testing.assert_allclose(
@@ -68,7 +77,7 @@ def test_knn_tie_break_ascending_index():
     base = np.array([[0.6, 1.0, 0.6, 0.3], [0.8, 0.0, 0.8, 0.954]])
     train = matrix_of(base)
     q = np.array([0.6, 0.8], dtype=np.float32)
-    entries = knn(q, train, 3)
+    entries = neighbor_lists(*knn(q, train, 3))
     # columns 0 and 2 are byte-identical: exact tie, lower index first
     assert [i for i, _ in entries][:2] == [0, 2]
     assert entries[0][1] == entries[1][1]
@@ -77,7 +86,9 @@ def test_knn_tie_break_ascending_index():
 def test_knn_k_larger_than_n():
     train = matrix_of(np.eye(2))
     q = np.array([1.0, 0.0], dtype=np.float32)
-    assert len(knn(q, train, 10)) == 2
+    index, sims = knn(q, train, 10)
+    assert index.shape == sims.shape == (2,)
+    assert len(neighbor_lists(index, sims)) == 2
 
 
 def test_knn_dimension_mismatch(small_embedded):
@@ -101,8 +112,8 @@ def test_knn_monotone_under_added_sample(cols, extra, k):
     if extra.shape[0] != cols.shape[0]:
         extra = np.resize(extra, cols.shape[0])
     q = np.ones(cols.shape[0], dtype=np.float32)
-    old = knn(q, matrix_of(cols), k)
-    new = knn(q, matrix_of(np.column_stack([cols, extra])), k)
+    old = neighbor_lists(*knn(q, matrix_of(cols), k))
+    new = neighbor_lists(*knn(q, matrix_of(np.column_stack([cols, extra])), k))
     n_old = cols.shape[1]
     old_ids = [i for i, _ in old]
     new_ids = [i for i, _ in new]
@@ -157,7 +168,7 @@ def test_knn_equals_full_scan(case):
     data, queries, k, tile_rows = case
     n = data.shape[1]
     with mock.patch.object(predictor, "_TILE_FLOATS", tile_rows * n):
-        got = knn(queries, matrix_of(data), k)
+        got = neighbor_lists(*knn(queries, matrix_of(data), k))
     assert got == [knn_scan(queries[:, i], data, k) for i in range(queries.shape[1])]
 
 
@@ -167,7 +178,25 @@ def test_knn_queries_beyond_float32_range(scale):
     rng = np.random.default_rng(1)
     data = rng.normal(size=(16, 50)).astype(np.float32)
     q = rng.normal(size=16) * scale
-    assert knn(q, matrix_of(data), 4) == knn_scan(q, data, 4)
+    assert neighbor_lists(*knn(q, matrix_of(data), 4)) == knn_scan(q, data, 4)
+
+
+def test_knn_with_k_at_least_n_holds_arrays_not_pairs():
+    """With k >= n every (query, column) pair is a neighbour: 4M of them
+    here, 64 MB as index and score arrays. One Python (int, float) pair each
+    would take about 450 MiB."""
+    rng = np.random.default_rng(2)
+    n = 2000
+    train = matrix_of(rng.normal(size=(16, n)))
+    queries = rng.normal(size=(16, n)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        index, sims = knn(queries, train, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.shape == sims.shape == (n, n)
+    assert peak <= 128 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
 def test_propagate_single_neighbor():
@@ -252,13 +281,13 @@ def test_predict_is_composition(small_spec, small_ds, small_embedded):
     query = small_ds.feature_row(3)
     direct = predict(small_spec, small_embedded, labelsets, query, 5)
     q = embed_single(small_spec, query)
-    manual = propagate(knn(q, small_embedded, 5), labelsets)
+    manual = propagate(neighbor_lists(*knn(q, small_embedded, 5)), labelsets)
     assert direct == manual
 
 
 def test_predict_training_point_matches_itself(small_spec, small_ds, small_embedded):
     q = embed_single(small_spec, small_ds.feature_row(17))
-    entries = knn(q, small_embedded, 5)
+    entries = neighbor_lists(*knn(q, small_embedded, 5))
     by_index = dict(entries)
     assert 17 in by_index
     assert abs(by_index[17] - 1.0) < 1e-5

@@ -12,7 +12,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import evaluate_dicts, format_dicts, fuse, score_dicts, top_labels
+from oracles import (
+    evaluate_dicts,
+    format_dicts,
+    fuse,
+    neighbor_arrays,
+    score_dicts,
+    top_labels,
+)
 
 from ogeec import ensemble
 from ogeec.ensemble import EnsembleSpec, _mean, fused_scores, sweep_ensemble_size
@@ -62,7 +69,7 @@ def _Y(labelsets, L):
 def test_sparse_label_side_equals_dict_path(case):
     labelsets, L, learners, truths, ks, K, model = case
     Y = _Y(labelsets, L)
-    mats = [score_matrix(lists, Y) for lists in learners]
+    mats = [score_matrix(*neighbor_arrays(lists), Y) for lists in learners]
     dicts = [[propagate(nb, labelsets) for nb in lists] for lists in learners]
     for S, want in zip(mats, dicts):
         assert score_dicts(S) == want
@@ -118,17 +125,21 @@ def test_product_sums_in_neighbour_order():
     assert np.diff(S.indptr).mean() > 70
     want = [propagate(nb, labelsets) for nb in lists]
     assert score_dicts(S) == want
-    assert score_dicts(score_matrix(lists, _Y(labelsets, L))) == want
+    assert score_dicts(score_matrix(*neighbor_arrays(lists), _Y(labelsets, L))) == want
     reversed_order = [propagate(nb[::-1], labelsets) for nb in lists]
     assert reversed_order != want
 
 
 def test_out_of_range_neighbour_is_rejected():
-    """scipy does not bounds-check W's indices and would read past Y."""
+    """scipy does not bounds-check W's indices and would read past Y. Only
+    -1 is a pad: it is dropped and leaves its row empty."""
     Y = _Y([np.array([0])], 1)
-    for bad in (1, -1):
+    sims = np.array([[0.5], [0.5]])
+    S = score_matrix(np.array([[0], [-1]]), sims, Y)
+    assert score_dicts(S) == [{0: 0.5}, {}]
+    for bad in (1, -2):
         with pytest.raises(IndexError):
-            score_matrix([[(0, 0.5)], [(bad, 0.5)]], Y)
+            score_matrix(np.array([[0], [bad]]), sims, Y)
 
 
 def test_sum_adds_entries_or_keeps_the_lone_one():
@@ -136,7 +147,9 @@ def test_sum_adds_entries_or_keeps_the_lone_one():
     for the unsorted matrices W @ Y returns and for sorted ones."""
     rng = np.random.default_rng(6)
     Y = _Y([np.sort(rng.choice(80, 10, replace=False)) for _ in range(40)], 80)
-    A, B = (score_matrix(_spread_neighbors(rng, 300, 40, 4), Y) for _ in range(2))
+    A, B = (
+        score_matrix(*neighbor_arrays(_spread_neighbors(rng, 300, 40, 4)), Y) for _ in range(2)
+    )
     assert not A.has_sorted_indices
     for a, b in ((A, B), (A.sorted_indices(), B.sorted_indices())):
         da, db = score_dicts(a), score_dicts(b)
