@@ -363,7 +363,27 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
     return 0
 
 
-def _predict_scores(cfg: RunConfig, explicit: set[str]):
+# bytes per (test sample, ranked slot): top_k's index and score arrays take
+# 16, and the prediction TSV's Python lists or evaluate's arrays about 40-50
+# more (tracemalloc peaks)
+_RANK_SLOT_BYTES = 64
+
+
+def _check_rank_width(queries: int, flag: str, K: int) -> None:
+    """Refuse a K whose (queries x K) ranking would not fit in this machine's
+    memory; a command checks this after reading its datasets and before
+    embedding them."""
+    need = _RANK_SLOT_BYTES * queries * K
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ValueError(
+            f"{flag} {K} is too large: ranking {queries} test samples needs "
+            f"{need / 2**30:.0f} GiB, more than this machine's "
+            f"{memory / 2**30:.1f} GiB of memory"
+        )
+
+
+def _predict_scores(cfg: RunConfig, explicit: set[str], flag: str, K: int):
     _require(cfg, "model", "train", "test")
     spec = _load_model(cfg, explicit)
     train_ds = parse_dataset(cfg.train)
@@ -373,6 +393,7 @@ def _predict_scores(cfg: RunConfig, explicit: set[str]):
             raise ValueError(
                 f"{name} dataset dimensionality {ds.d} != model d {spec.d}"
             )
+    _check_rank_width(test_ds.n, flag, K)
     limit = cfg.learners if "learners" in explicit else None
     workers = cfg.effective_workers()
     timings: dict[str, float] = {}
@@ -401,7 +422,7 @@ def _print_timings(timings: dict[str, float]) -> None:
 
 
 def cmd_predict(cfg: RunConfig, explicit: set[str]) -> int:
-    _, _, _, scores, timings = _predict_scores(cfg, explicit)
+    _, _, _, scores, timings = _predict_scores(cfg, explicit, "--topk", cfg.topk)
     with _output(cfg.out) as stream:
         stream.write(format_predictions(*top_k(scores, cfg.topk)))
     _print_timings(timings)
@@ -409,7 +430,7 @@ def cmd_predict(cfg: RunConfig, explicit: set[str]) -> int:
 
 
 def cmd_eval(cfg: RunConfig, explicit: set[str]) -> int:
-    _, train_ds, test_ds, scores, timings = _predict_scores(cfg, explicit)
+    _, train_ds, test_ds, scores, timings = _predict_scores(cfg, explicit, "--ks", max(cfg.ks))
     t0 = time.perf_counter()
     report = _evaluator(cfg, train_ds, test_ds)(scores)
     timings["metrics_s"] = time.perf_counter() - t0
@@ -469,6 +490,7 @@ def cmd_analyze_sweep_r(cfg: RunConfig, explicit: set[str]) -> int:
     _require(cfg, "train", "test")
     train_ds = parse_dataset(cfg.train)
     test_ds = parse_dataset(cfg.test)
+    _check_rank_width(test_ds.n, "--ks", max(cfg.ks))
     evaluate = _evaluator(cfg, train_ds, test_ds)
     sweep = ens.sweep_dimension(
         cfg.seed, train_ds, test_ds, cfg.rs, cfg.k, workers=cfg.effective_workers()
@@ -486,6 +508,7 @@ def cmd_analyze_sweep_ensemble(cfg: RunConfig, explicit: set[str]) -> int:
     _require(cfg, "train", "test")
     train_ds = parse_dataset(cfg.train)
     test_ds = parse_dataset(cfg.test)
+    _check_rank_width(test_ds.n, "--ks", max(cfg.ks))
     spec = ens.make_ensemble_spec(
         cfg.seed, max(cfg.sizes), train_ds.d, cfg.r, cfg.k
     )
@@ -525,6 +548,9 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
     _require(cfg, "train", "test")
     train_ds = parse_dataset(cfg.train)
     test_ds = parse_dataset(cfg.test)
+    _check_rank_width(test_ds.n, "--ks", max(cfg.ks))
+    if cfg.predictions_out:
+        _check_rank_width(test_ds.n, "--topk", cfg.topk)
     workers = cfg.effective_workers()
     lspec = EmbeddingSpec(seed=cfg.seed, d=train_ds.d, r=cfg.r)
     # one pass over F serves both searches

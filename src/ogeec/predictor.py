@@ -8,8 +8,9 @@ ranks them, so the proportionality constant is irrelevant.
 `top_k` is the one ranking: by descending score, ties by ascending index,
 which makes every output deterministic. It ranks a search tile's candidate
 columns, LSH candidates (`lsh.query_lsh`), label scores and the ideal
-weights of `metrics.evaluate`, each a CSR matrix or its three arrays, with
-one sort.
+weights of `metrics.evaluate`, each a CSR matrix or its three arrays. It
+selects, then sorts: a partition finds each row's K-th largest score, and
+one lexsort ranks only the entries not below it, which hold the whole top K.
 
 Neighbours are `top_k`'s arrays from search to W: `knn` returns an (m, k)
 int64 index array and the matching (m, k) float64 similarities, and an index
@@ -40,7 +41,8 @@ import scipy.sparse as sp
 from .embedding import EmbeddedMatrix
 from .embedding import project_csr  # noqa: F401 -- perfbench/tracer.py wraps it here
 
-# float32 scores in one screen tile (8 MB); a tile holds this // n_train queries
+# float32 scores in one screen tile (8 MB); a tile holds this // n_train queries.
+# It also bounds top_k's padded selection block, in float64s (16 MB)
 _TILE_FLOATS = 1 << 21
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53
@@ -196,9 +198,19 @@ def top_k(
     """Each row's K best entries by descending score, ties by ascending index.
 
     `scores` is a CSR matrix or its (data, indices, indptr) arrays; a score
-    may take any sign, and -0.0 ties with 0.0. Returns the (m, K) indices,
-    padded with -1 where a row holds fewer than K entries, and the matching
-    (m, K) scores, padded with 0.
+    may take any sign, and -0.0 ties with 0.0; NaN ranks after every number.
+    Returns the (m, K) indices, padded with -1 where a row holds fewer than K
+    entries, and the matching (m, K) scores, padded with 0.
+
+    Select, then sort, as in the k-selection of FAISS: `_reaching_kth` keeps
+    each row's entries not below its K-th largest score, in O(nnz), and one
+    lexsort by (row, -score, index) ranks about K survivors per row, plus
+    ties. The kept set holds every entry at least the K-th score, so it holds
+    the whole top K, and dropping entries below it leaves the order of the
+    rest unchanged: the result is that of sorting every entry. Besides the
+    survivors and the output, the selection holds one padded block of at
+    most _TILE_FLOATS float64s (16 MB), partitioned in place with no copy,
+    and three 8-byte arrays over that block's stored entries.
     """
     if K < 1:
         raise ValueError("K must be positive")
@@ -206,6 +218,9 @@ def top_k(
         (scores.data, scores.indices, scores.indptr) if sp.issparse(scores) else scores
     )
     m = indptr.size - 1
+    kept = _reaching_kth(data, indptr, K)
+    if kept is not None:
+        data, indices, indptr = data[kept], indices[kept], np.searchsorted(kept, indptr)
     rows = np.repeat(np.arange(m), np.diff(indptr))
     order = np.lexsort((indices, -data, rows))
     # sorting by row first keeps every row's entries in its own CSR slice
@@ -216,6 +231,40 @@ def top_k(
     best[rows[keep], rank[keep]] = indices[order[keep]]
     top[rows[keep], rank[keep]] = data[order[keep]]
     return best, top
+
+
+def _reaching_kth(data: np.ndarray, indptr: np.ndarray, K: int) -> np.ndarray | None:
+    """Positions, ascending, of the CSR entries not below their row's K-th
+    largest score, counting NaN as -inf; None when no row holds more than K.
+
+    Rows go in blocks padded with -inf to the block's widest row, at most
+    _TILE_FLOATS float64s a block (a row wider than that is a block alone),
+    and one in-place partition per block finds each row's K-th score. A row
+    whose K-th score is -inf keeps every entry, and NaN, which is never below
+    anything and ranks last, is always kept.
+    """
+    lengths = np.diff(indptr)
+    widest = int(lengths.max(initial=0))
+    if widest <= K:
+        return None
+    step = max(1, _TILE_FLOATS // widest)
+    kept = []
+    for a in range(0, lengths.size, step):
+        lens = lengths[a : a + step]
+        lo, hi = indptr[a], indptr[a + lens.size]
+        width = int(lens.max())
+        if width <= K:
+            kept.append(np.arange(lo, hi))
+            continue
+        # entry j of row i goes to flat position i * width + (j - start of row i)
+        pos = np.repeat(np.arange(lens.size) * width - (indptr[a : a + lens.size] - lo), lens)
+        pos += np.arange(hi - lo)
+        block = np.full((lens.size, width), -np.inf)
+        block.ravel()[pos] = np.fmax(data[lo:hi], -np.inf)  # a view; NaN -> -inf
+        block.partition(width - K, axis=1)
+        below = data[lo:hi] < np.repeat(block[:, width - K], lens)
+        kept.append(lo + np.flatnonzero(~below))
+    return np.concatenate(kept)
 
 
 def batch_predict(

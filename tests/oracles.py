@@ -14,7 +14,9 @@ the one-pass dimension sweep is checked against, and the dict label side
 replaced, kept as its reference. `parse_dataset` is the whole-file,
 line-by-line parser the chunked parser replaced, with its own copies of the
 per-line helpers; it builds its dataset with `data._assemble`, which the
-chunked parser does not use.
+chunked parser does not use. `lexsort_top_k` is `predictor.top_k` before
+its selection stage, one lexsort of every stored entry, the reference that
+`scripts/rank_bench.py` times it against.
 """
 
 import math
@@ -242,6 +244,22 @@ def rank_rows(data, indices, indptr, K):
         row = zip(indices[a:b].tolist(), data[a:b].tolist())
         out.append(sorted(row, key=lambda entry: (-entry[1], entry[0]))[:K])
     return out
+
+
+def lexsort_top_k(data, indices, indptr, K):
+    """`predictor.top_k` as it was before its selection stage: one lexsort of
+    every stored entry by (row, -score, index), then each row's first K, padded
+    with index -1 and score 0.0. NaN ranks after every number."""
+    m = indptr.size - 1
+    rows = np.repeat(np.arange(m), np.diff(indptr))
+    order = np.lexsort((indices, -data, rows))
+    rank = np.arange(order.size) - indptr[rows]
+    keep = rank < K
+    best = np.full((m, K), -1, dtype=np.int64)
+    top = np.zeros((m, K))
+    best[rows[keep], rank[keep]] = indices[order[keep]]
+    top[rows[keep], rank[keep]] = data[order[keep]]
+    return best, top
 
 
 def top_k_labels(scores, K):

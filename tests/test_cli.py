@@ -99,14 +99,16 @@ def test_nonexistent_file_is_runtime_error(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_predict_tsv_matches_library_path(workspace, tmp_path):
+# 45 exceeds the workspace's 40 labels: the pads are dropped, not refused
+@pytest.mark.parametrize("topk", [5, 45])
+def test_predict_tsv_matches_library_path(workspace, tmp_path, topk):
     out = tmp_path / "preds.tsv"
     rc = main(
         [
             "predict", "--model", str(workspace / "model.txt"),
             "--train", str(workspace / "train.txt"),
             "--test", str(workspace / "test.txt"),
-            "--out", str(out), "--workers", "1",
+            "--out", str(out), "--workers", "1", "--topk", str(topk),
         ]
     )
     assert rc == 0
@@ -114,7 +116,7 @@ def test_predict_tsv_matches_library_path(workspace, tmp_path):
     train = parse_dataset(workspace / "train.txt")
     test = parse_dataset(workspace / "test.txt")
     scores = fused_scores(spec, train, test)
-    assert out.read_text() == format_predictions(*top_k(scores, 5))
+    assert out.read_text() == format_predictions(*top_k(scores, topk))
 
 
 def test_predict_deterministic_across_runs_and_workers(workspace, tmp_path):
@@ -456,6 +458,41 @@ def test_each_command_generates_each_row_of_f_once_per_learner(
         generated_rows.clear()
     assert main(argv) == 0
     assert sum(generated_rows) == rows
+
+
+_HUGE_K = "100000000000"  # 1e11 slots for each of 100 test samples: about 582 TiB
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["predict", *_MODEL, "--topk", _HUGE_K], "--topk", id="predict"),
+        pytest.param(["eval", *_MODEL, "--ks", f"1,{_HUGE_K}"], "--ks", id="eval"),
+        pytest.param(
+            ["analyze", "sweep-r", *_DATA, "--rs", "8", "--ks", _HUGE_K], "--ks", id="sweep-r"
+        ),
+        pytest.param(
+            ["analyze", "sweep-ensemble", *_DATA, "--ks", _HUGE_K], "--ks", id="sweep-ensemble"
+        ),
+        pytest.param(
+            ["analyze", "lsh-compare", *_DATA, "--predictions-out", "{out}.tsv", "--topk", _HUGE_K],
+            "--topk",
+            id="lsh-compare",
+        ),
+    ],
+)
+def test_impossible_ranking_width_fails_in_one_line_before_embedding(
+    workspace, tmp_path, generated_rows, capsys, argv, flag
+):
+    """A --topk or --ks whose (test samples x K) ranking cannot fit in memory
+    exits 1 with one line, before any row of F is generated."""
+    paths = {name: str(workspace / f"{name}.txt") for name in ("train", "test", "model")}
+    argv = [a.format(out=tmp_path / "out", **paths) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {_HUGE_K} is too large: ranking 100 test samples")
+    assert err.count("\n") == 1
+    assert generated_rows == []
 
 
 def test_cache_with_non_finite_payload_is_rejected(workspace, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import (
     knn_scan,
+    lexsort_top_k,
     neighbor_lists,
     predict,
     rank_rows,
@@ -274,6 +275,78 @@ def test_top_k_equals_sorted_oracle(case):
         index, top = top_k(scores, K)
         assert np.array_equal(index, want_index)
         assert np.array_equal(top.view(np.int64), want_top.view(np.int64))
+
+
+@st.composite
+def selection_rows(draw):
+    """CSR arrays for the selection stage: m = 0 to 8 rows of up to 60
+    distinct, unsorted indices, maybe one row of 100 to 400, scores drawn
+    from a pool of at most 6 values (ties at the K-th score, signed zeros,
+    +-inf), a K below the longest row more often than not, and a
+    _TILE_FLOATS small enough to split the rows into several blocks."""
+    m = draw(st.integers(0, 8))
+    lengths = draw(st.lists(st.integers(0, 60), min_size=m, max_size=m))
+    if m and draw(st.booleans()):
+        lengths[draw(st.integers(0, m - 1))] = draw(st.integers(100, 400))
+    pool = draw(st.lists(_RANK_SCORES | st.sampled_from([-np.inf, np.inf]), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indices = np.concatenate([np.empty(0, np.int64), *(rng.permutation(500)[:n] for n in lengths)])
+    data = rng.choice(np.array(pool), size=indices.size)
+    indptr = np.cumsum([0, *lengths])
+    return data, indices, indptr, draw(st.integers(1, 70)), draw(st.integers(1, 2000))
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=selection_rows())
+def test_top_k_selection_equals_sorted_oracle(case):
+    """With rows longer than K, ties at the K-th score, +-inf, no rows at all,
+    and row blocks split inside the matrix, top_k still ranks by
+    (-score, index) as a Python sort does, and keeps each score's bits."""
+    data, indices, indptr, K, tile = case
+    m = indptr.size - 1
+    want_index, want_top = np.full((m, K), -1), np.zeros((m, K))
+    for i, row in enumerate(rank_rows(data, indices, indptr, K)):
+        want_index[i, : len(row)] = [j for j, _ in row]
+        want_top[i, : len(row)] = [s for _, s in row]
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(m, 500))
+    with mock.patch.object(predictor, "_TILE_FLOATS", tile):
+        for scores in ((data, indices, indptr), matrix):
+            index, top = top_k(scores, K)
+            assert np.array_equal(index, want_index)
+            assert np.array_equal(top.view(np.int64), want_top.view(np.int64))
+
+
+@pytest.mark.parametrize("tile", [5, 1 << 21])
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
+def test_top_k_ranks_nan_after_minus_inf(tile, K):
+    """NaN ranks after every number, -inf included, and NaNs tie by index;
+    rows of one block each (tile 5) or all in one, longer or shorter than K."""
+    data = np.tile([np.nan, 1.0, -np.inf, 0.5, np.nan], 3)
+    indptr = np.array([0, 5, 10, 15])
+    indices = np.tile(np.arange(5), 3)
+    with mock.patch.object(predictor, "_TILE_FLOATS", tile):
+        index, top = top_k((data, indices, indptr), K)
+    want = [1, 3, 2, 0, 4, -1][:K]
+    assert index.tolist() == [want] * 3
+    assert np.array_equal(top, [[1.0, 0.5, -np.inf, np.nan, np.nan, 0.0][:K]] * 3, equal_nan=True)
+
+
+def test_top_k_lexsorts_only_the_entries_reaching_the_kth_score():
+    """On distinct scores the lexsort sees at most m * K entries: the rows'
+    K-th scores are selected before anything is sorted."""
+    m, n, K = 200, 300, 5
+    scores = sp.csr_matrix(np.random.default_rng(3).permutation(m * n).reshape(m, n) + 1.0)
+    want = lexsort_top_k(scores.data, scores.indices, scores.indptr, K)
+    sorted_sizes, lexsort = [], np.lexsort
+
+    def spy(keys):
+        sorted_sizes.append(len(keys[0]))
+        return lexsort(keys)
+
+    with mock.patch.object(predictor.np, "lexsort", spy):
+        index, top = top_k(scores, K)
+    assert sorted_sizes and max(sorted_sizes) <= m * K
+    assert np.array_equal(index, want[0]) and np.array_equal(top, want[1])
 
 
 def test_predict_is_composition(small_spec, small_ds, small_embedded):
