@@ -364,8 +364,8 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
 
 
 # bytes per (test sample, ranked slot): top_k's index and score arrays take
-# 16, and the prediction TSV's Python lists or evaluate's arrays about 40-50
-# more (tracemalloc peaks)
+# 16, and evaluate's arrays about 49 more (tracemalloc peaks); the prediction
+# TSV makes Python objects of ranked labels only, not of pads
 _RANK_SLOT_BYTES = 64
 
 
@@ -558,7 +558,7 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
         lspec, train_test_rows(train_ds, test_ds), workers=workers
     )
     labels = train_ds.label_matrix()
-    exhaustive = batch_predict(train_emb, labels, queries, cfg.k)
+    exhaustive = score_matrix(*batch_predict(train_emb, queries, cfg.k), labels)
 
     index = build_index(train_emb, T=cfg.tables, H=cfg.bits, seed=cfg.seed)
     # one call per query: perfbench/tracer.py counts lsh.queries per call

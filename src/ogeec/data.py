@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+
+from .csr import CSR
 
 
 class DatasetFormatError(ValueError):
@@ -131,17 +132,15 @@ class SparseDataset:
     def total_assignments(self) -> int:
         return int(self.label_indices.size)
 
-    def label_matrix(self) -> sp.csr_matrix:
+    def label_matrix(self) -> CSR:
         """Y (n x L): a float64 1 at every (sample, label) assignment."""
-        return sp.csr_matrix(
-            (np.ones(self.label_indices.size), self.label_indices, self.label_indptr),
-            shape=(self.n, self.L),
+        return CSR(
+            np.ones(self.label_indices.size), self.label_indices, self.label_indptr, (self.n, self.L)
         )
 
-    def to_feature_csr(self, dtype=np.float64) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.feat_values.astype(dtype), self.feat_indices, self.feat_indptr),
-            shape=(self.n, self.d),
+    def to_feature_csr(self, dtype=np.float64) -> CSR:
+        return CSR(
+            self.feat_values.astype(dtype), self.feat_indices, self.feat_indptr, (self.n, self.d)
         )
 
     def equals(self, other: "SparseDataset") -> bool:

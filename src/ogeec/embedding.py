@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import CSR, RowProducts, normalize_rows, vstack
 from .data import SparseDataset, SparseVector
 
 CACHE_MAGIC = b"OGEC"
@@ -78,8 +78,8 @@ class TrainTestRows:
     alone serves a learner whose train matrix is cached.
     """
 
-    both: sp.csr_matrix
-    test: sp.csr_matrix
+    both: CSR
+    test: CSR
     n_train: int
 
 
@@ -215,17 +215,8 @@ def split_rows(r: int, workers: int, fill) -> None:
         list(pool.map(fill, bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
-def _normalize_rows(X: sp.csr_matrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Unit-norm rows (zero rows stay zero) and the original row norms."""
-    sq = X.copy()
-    sq.data = sq.data**2
-    norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())
-    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    return sp.diags(inv) @ X, norms
-
-
-def _unit_rows(dataset: SparseDataset) -> sp.csr_matrix:
-    return _normalize_rows(dataset.to_feature_csr(np.float64))[0]
+def _unit_rows(dataset: SparseDataset) -> CSR:
+    return normalize_rows(dataset.to_feature_csr(np.float64))[0]
 
 
 def train_test_rows(train: SparseDataset, test: SparseDataset) -> TrainTestRows:
@@ -235,7 +226,7 @@ def train_test_rows(train: SparseDataset, test: SparseDataset) -> TrainTestRows:
             f"test dimensionality {test.d} != train dimensionality {train.d}"
         )
     test_rows = _unit_rows(test)
-    both = sp.vstack([_unit_rows(train), test_rows], format="csr")
+    both = vstack(_unit_rows(train), test_rows)
     return TrainTestRows(both=both, test=test_rows, n_train=train.n)
 
 
@@ -251,7 +242,7 @@ def _normalize_columns(out: np.ndarray) -> None:
 
 def _project(
     spec: EmbeddingSpec,
-    X: sp.csr_matrix,
+    X: CSR,
     dtype,
     *,
     workers: int = 1,
@@ -260,27 +251,28 @@ def _project(
 
     F is materialized in row blocks and discarded, and only at the columns
     some sample uses: X's column indices are remapped to their place in the
-    column plan, keeping each row's stored order, and scipy sums each output
-    element in stored order, so every element is the same float64 sum as with
-    full rows of F. Workers split F's rows into contiguous ranges and apply
-    each block to every sample, so each row of F is generated once per call
-    and the output is identical for any worker count.
+    column plan, keeping each row's stored order, and `csr.RowProducts` adds
+    each output element's float64 terms in that stored order into a zeroed
+    accumulator, so every element is the same float64 sum as with full rows
+    of F. Workers split F's rows into contiguous ranges and apply each block
+    to every sample, so each row of F is generated once per call and the
+    output is identical for any worker count.
     """
     if X.shape[1] != spec.d:
         raise ValueError(f"dataset dimensionality {X.shape[1]} != spec.d {spec.d}")
     used = np.zeros(spec.d, dtype=bool)
     used[X.indices] = True
     plan = column_plan(used)
-    Xc = sp.csr_matrix(
-        (X.data, plan.place[X.indices], X.indptr), shape=(X.shape[0], plan.columns.size)
+    block = _row_block(plan.columns.size)
+    products = RowProducts(
+        CSR(X.data, plan.place[X.indices], X.indptr, (X.shape[0], plan.columns.size)), block
     )
     out = np.empty((spec.r, X.shape[0]), dtype=dtype, order="F")
-    block = _row_block(plan.columns.size)
 
     def fill(lo: int, hi: int) -> None:
         for s in range(lo, hi, block):
             t = min(s + block, hi)
-            out[s:t] = (Xc @ materialize_rows(spec, s, t, cols=plan).T).T
+            out[s:t] = products(materialize_rows(spec, s, t, cols=plan))
 
     split_rows(spec.r, workers, fill)
     return out
@@ -288,7 +280,7 @@ def _project(
 
 def project_rows(
     spec: EmbeddingSpec,
-    X: sp.csr_matrix,
+    X: CSR,
     *,
     workers: int = 1,
 ) -> np.ndarray:
@@ -303,13 +295,13 @@ def project_rows(
 
 def project_csr(
     spec: EmbeddingSpec,
-    X: sp.csr_matrix,
+    X: CSR,
     *,
     workers: int = 1,
 ) -> np.ndarray:
     """Normalize, project and re-normalize CSR samples: (r, n) float32 columns."""
     return project_rows(
-        spec, _normalize_rows(X)[0], workers=workers
+        spec, normalize_rows(X)[0], workers=workers
     )
 
 
@@ -380,13 +372,11 @@ def embed_single(
         raise ValueError(
             f"feature index {int(x.indices[-1])} out of range [0, {spec.d})"
         )
-    X = sp.csr_matrix(
-        (
-            x.values.astype(np.float64),
-            x.indices,
-            np.array([0, x.nnz], dtype=np.int64),
-        ),
-        shape=(1, spec.d),
+    X = CSR(
+        x.values.astype(np.float64),
+        x.indices,
+        np.array([0, x.nnz], dtype=np.int64),
+        (1, spec.d),
     )
     return project_csr(spec, X).ravel()
 

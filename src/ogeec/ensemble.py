@@ -4,8 +4,9 @@ A learner is just a seed: its projection matrix, the embedded training matrix
 built from it, and the kNN propagation rule. The whole model is therefore a
 handful of integers; the metadata file written here is everything needed to
 rebuild it. Fusion averages each label's score across learners, counting 0
-for learners that never scored it: the learners' score matrices are added in
-learner order, S1 + S2 + ..., and every stored sum is divided by E.
+for learners that never scored it: each learner keeps only its neighbour
+arrays, and `csr.label_scores` adds the learners' score matrices in learner
+order, S1 + S2 + ..., and divides every nonzero sum by E.
 
 A command normalizes its samples once; each learner then projects its train
 and test samples together, so it generates every row of its F once.
@@ -17,8 +18,9 @@ import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-import scipy.sparse as sp
+import numpy as np
 
+from .csr import CSR, label_scores
 from .data import SparseDataset
 from .embedding import (
     EmbeddingSpec,
@@ -29,7 +31,7 @@ from .embedding import (
 )
 from .embedding import embed  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .metrics import DEFAULT_KS, EvalReport, PropensityModel, evaluate
-from .predictor import batch_predict, top_k
+from .predictor import batch_predict, score_matrix, top_k
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,7 @@ def make_ensemble_spec(
     )
 
 
-def _mean(total: sp.csr_matrix, count: int) -> sp.csr_matrix:
-    """Every stored sum divided by `count`. Not `total / count`: scipy
-    multiplies by 1 / count, which rounds differently."""
-    return sp.csr_matrix((total.data / count, total.indices, total.indptr), shape=total.shape)
-
-
-def learner_scores(
+def learner_neighbours(
     spec: EnsembleSpec,
     dataset: SparseDataset,
     test: SparseDataset,
@@ -82,8 +78,9 @@ def learner_scores(
     workers: int = 1,
     matrix_provider=None,
     timings: dict[str, float] | None = None,
-):
-    """Yield (seed, test-sample x label score matrix) for each learner in order.
+) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray]]]:
+    """Yield (seed, (index, sims)) for each learner in order: `knn`'s
+    neighbour arrays of every test sample.
 
     The samples are normalized once; each learner projects its train and test
     samples in one pass over F, so it generates every row of F once. Learners
@@ -96,7 +93,6 @@ def learner_scores(
     if not 1 <= count <= spec.size:
         raise ValueError(f"learner count {count} exceeds available seeds {spec.size}")
     rows = train_test_rows(dataset, test)
-    labels = dataset.label_matrix()
     for i in range(count):
         lspec = spec.learner(i)
         t0 = time.perf_counter()
@@ -107,9 +103,9 @@ def learner_scores(
             queries = project_rows(lspec, rows.test, workers=workers)
         if timings is not None:
             timings["embed_s"] = timings.get("embed_s", 0.0) + time.perf_counter() - t0
-        scores = batch_predict(train, labels, queries, spec.k, timings=timings)
+        neighbours = batch_predict(train, queries, spec.k, timings=timings)
         del train, queries  # freed before the next learner is projected
-        yield spec.seeds[i], scores
+        yield spec.seeds[i], neighbours
 
 
 def fused_scores(
@@ -121,22 +117,27 @@ def fused_scores(
     workers: int = 1,
     matrix_provider=None,
     timings: dict[str, float] | None = None,
-) -> sp.csr_matrix:
+) -> CSR:
     """Fused scores over the first `learners` seeds (default: all): their
-    score matrices added in learner order, divided by the learner count."""
-    total, count = None, 0
-    for _, scores in learner_scores(
-        spec,
-        dataset,
-        test,
-        learners=learners,
-        workers=workers,
-        matrix_provider=matrix_provider,
-        timings=timings,
-    ):
-        total = scores if total is None else total + scores
-        count += 1
-    return _mean(total, count)
+    score matrices added in learner order, divided by the learner count.
+    Only the learners' neighbour arrays are held until the one label pass."""
+    neighbours = [
+        found
+        for _, found in learner_neighbours(
+            spec,
+            dataset,
+            test,
+            learners=learners,
+            workers=workers,
+            matrix_provider=matrix_provider,
+            timings=timings,
+        )
+    ]
+    t0 = time.perf_counter()
+    scores = label_scores(neighbours, dataset.label_matrix())
+    if timings is not None:
+        timings["propagate_s"] = timings.get("propagate_s", 0.0) + time.perf_counter() - t0
+    return scores
 
 
 @dataclass
@@ -169,19 +170,19 @@ def sweep_ensemble_size(
         raise ValueError(f"sizes must lie in [1, {spec.size}]")
     need = max(sizes)
     truths = test.labelsets()
-    total = None
+    labels = dataset.label_matrix()
+    neighbours = []
     fused_reports: dict[int, EvalReport] = {}
     per_learner: list[EvalReport] = []
-    done = 0
-    for _, scores in learner_scores(
+    for _, found in learner_neighbours(
         spec, dataset, test, learners=need, workers=workers
     ):
+        neighbours.append(found)
+        scores = score_matrix(*found, labels)
         per_learner.append(evaluate(top_k(scores, max(ks))[0], truths, model, ks=ks))
-        total = scores if total is None else total + scores
-        done += 1
-        if done in sizes:
-            fused = top_k(_mean(total, done), max(ks))[0]
-            fused_reports[done] = evaluate(fused, truths, model, ks=ks)
+        if len(neighbours) in sizes:
+            fused = top_k(label_scores(neighbours, labels), max(ks))[0]
+            fused_reports[len(neighbours)] = evaluate(fused, truths, model, ks=ks)
     return SweepResult(
         fused=fused_reports,
         per_learner=per_learner,
@@ -197,7 +198,7 @@ def sweep_dimension(
     k: int,
     *,
     workers: int = 1,
-) -> Iterator[tuple[int, sp.csr_matrix]]:
+) -> Iterator[tuple[int, CSR]]:
     """Yield (r, score matrix) of the `seed` learner for each r.
 
     One pass over F at max(rs) serves every r (`embedding.embed_prefixes`),
@@ -209,7 +210,7 @@ def sweep_dimension(
     labels = dataset.label_matrix()
     prefixes = embed_prefixes(spec, train_test_rows(dataset, test), rs, workers=workers)
     for r, (train, queries) in zip(rs, prefixes):
-        yield r, batch_predict(train, labels, queries, k)
+        yield r, score_matrix(*batch_predict(train, queries, k), labels)
 
 
 def format_metadata(spec: EnsembleSpec) -> str:

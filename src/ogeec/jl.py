@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csr import normalize_rows, pair_dots
 from .data import SparseDataset
-from .embedding import EmbeddingSpec, _normalize_rows, _project
+from .embedding import EmbeddingSpec, _project
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,11 @@ def measure_distortion(
     a = rng.integers(0, dataset.n, size=pairs)
     b = rng.integers(0, dataset.n, size=pairs)
 
-    Xn, norms = _normalize_rows(dataset.to_feature_csr(np.float64))
+    Xn, norms = normalize_rows(dataset.to_feature_csr(np.float64))
     unit_sq = (norms > 0).astype(np.float64)
 
     # ||x_a - x_b||^2 = ||x_a||^2 + ||x_b||^2 - 2 x_a.x_b, exact in float64
-    dots = np.asarray(Xn[a].multiply(Xn[b]).sum(axis=1)).ravel()
+    dots = pair_dots(Xn, a, b)
     orig_sq = unit_sq[a] + unit_sq[b] - 2.0 * dots
 
     proj = _project(spec, Xn, np.float64)

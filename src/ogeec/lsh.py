@@ -101,6 +101,6 @@ def query_lsh(index: LshIndex, query: np.ndarray, k: int) -> tuple[np.ndarray, n
         raise ValueError(f"query length {query.shape} != index dimensionality {index.r}")
     cand = candidates(index, query)
     sims = rescore(query.astype(np.float64)[None], index.train.data, np.zeros_like(cand), cand)
-    # one CSR row, ranked from its three arrays: no scipy matrix per query
+    # one CSR row, ranked from its three arrays
     best, top = top_k((sims, cand, np.array([0, cand.size])), k)
     return best[0], top[0]

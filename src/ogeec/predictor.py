@@ -8,7 +8,7 @@ ranks them, so the proportionality constant is irrelevant.
 `top_k` is the one ranking: by descending score, ties by ascending index,
 which makes every output deterministic. It ranks a search tile's candidate
 columns, LSH candidates (`lsh.query_lsh`), label scores and the ideal
-weights of `metrics.evaluate`, each a CSR matrix or its three arrays. It
+weights of `metrics.evaluate`, each a `csr.CSR` or its three arrays. It
 selects, then sorts: a partition finds each row's K-th largest score, and
 one lexsort ranks only the entries not below it, which hold the whole top K.
 
@@ -16,9 +16,9 @@ Neighbours are `top_k`'s arrays from search to W: `knn` returns an (m, k)
 int64 index array and the matching (m, k) float64 similarities, and an index
 of -1 (score 0.0) pads a row that holds fewer than k neighbours, as an LSH
 row may. The scores of a batch of queries are one float64 CSR matrix S
-(queries x labels), S = W @ Y (`score_matrix`): W holds the neighbours'
-similarities and Y the train labels. `top_k`'s label and score arrays feed
-`format_predictions` and `metrics.evaluate`.
+(queries x labels), S = W·Y (`score_matrix`, `csr.label_scores`): W holds
+the neighbours' similarities and Y the train labels. `top_k`'s label and
+score arrays feed `format_predictions` and `metrics.evaluate`.
 
 A similarity is `rescore`'s fixed-order float64 dot product. Search is one
 blocked kernel per learner, the GEMM + k-selection scheme of FAISS (Johnson,
@@ -31,19 +31,17 @@ BLAS does and however many threads it uses.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
+from .csr import _TILE_FLOATS, CSR, label_scores
 from .embedding import EmbeddedMatrix
 from .embedding import project_csr  # noqa: F401 -- perfbench/tracer.py wraps it here
 
-# float32 scores in one screen tile (8 MB); a tile holds this // n_train queries.
-# It also bounds top_k's padded selection block, in float64s (16 MB)
-_TILE_FLOATS = 1 << 21
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53
 _TINY32 = 2.0**-149  # spacing of float32 subnormals: the absolute error of underflow
@@ -170,34 +168,27 @@ def propagate(neighbors: Sequence[tuple], labelsets: Sequence[np.ndarray]) -> di
     return scores
 
 
-def score_matrix(index: np.ndarray, sims: np.ndarray, labels: sp.csr_matrix) -> sp.csr_matrix:
-    """Label scores of every query at once: S = W @ Y, row i = `propagate` of
+def score_matrix(index: np.ndarray, sims: np.ndarray, labels: CSR) -> CSR:
+    """Label scores of every query at once: S = W·Y, row i = `propagate` of
     row i's neighbours.
 
     `index` and `sims` are `knn`'s (m, k) arrays; an index of -1 is a pad and
     is dropped, and any other index outside [0, n_train) raises IndexError.
-    W (m x n_train) holds each query's clamped similarities max(sim, 0) in
-    neighbour order, with unsorted indices, and `labels` is Y, the train
-    label matrix of ones. scipy forms each row of W @ Y by adding w * 1.0
-    into a zeroed accumulator in W's stored order and stores only nonzero
-    sums, so every score is the same float sum, in the same order, as
-    `propagate`'s (a clamped 0 adds nothing to a sum).
+    W (m x n_train) holds each query's clamped similarities max(sim, 0), and
+    `labels` is Y, the train label matrix of ones. `csr.label_scores` adds
+    each label's weights in neighbour order into a zeroed float64 and keeps
+    only nonzero sums, so every score is the same float sum, in the same
+    order, as `propagate`'s (a clamped 0 adds nothing to a sum).
     """
-    n = labels.shape[0]
-    if np.any((index < -1) | (index >= n)):
-        raise IndexError(f"neighbor index out of range [0, {n})")
-    keep = index >= 0
-    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-    W = sp.csr_matrix((np.maximum(sims[keep], 0.0), index[keep], indptr), shape=(len(index), n))
-    return W @ labels
+    return label_scores([(index, sims)], labels)
 
 
 def top_k(
-    scores: sp.csr_matrix | tuple[np.ndarray, np.ndarray, np.ndarray], K: int
+    scores: CSR | tuple[np.ndarray, np.ndarray, np.ndarray], K: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's K best entries by descending score, ties by ascending index.
 
-    `scores` is a CSR matrix or its (data, indices, indptr) arrays; a score
+    `scores` is a `CSR` or its (data, indices, indptr) arrays; a score
     may take any sign, and -0.0 ties with 0.0; NaN ranks after every number.
     Returns the (m, K) indices, padded with -1 where a row holds fewer than K
     entries, and the matching (m, K) scores, padded with 0.
@@ -214,9 +205,7 @@ def top_k(
     """
     if K < 1:
         raise ValueError("K must be positive")
-    data, indices, indptr = (
-        (scores.data, scores.indices, scores.indptr) if sp.issparse(scores) else scores
-    )
+    data, indices, indptr = scores[:3]
     m = indptr.size - 1
     kept = _reaching_kth(data, indptr, K)
     if kept is not None:
@@ -269,34 +258,32 @@ def _reaching_kth(data: np.ndarray, indptr: np.ndarray, K: int) -> np.ndarray | 
 
 def batch_predict(
     train: EmbeddedMatrix,
-    labels: sp.csr_matrix,
     queries: np.ndarray,
     k: int,
     *,
     timings: dict[str, float] | None = None,
-) -> sp.csr_matrix:
-    """Score matrix of every column of `queries`, an (r, m) block of projected
-    test samples (`embedding.embed_train_test` projects it in the same pass
-    over F as the train matrix), from one `knn` call. `labels` is the train
-    label matrix Y (`SparseDataset.label_matrix`)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """One learner's neighbours of every column of `queries`, an (r, m) block
+    of projected test samples (`embedding.embed_train_test` projects it in
+    the same pass over F as the train matrix): `knn`'s (m, min(k, n)) index
+    and similarity arrays, for `score_matrix` or `csr.label_scores`."""
     if queries.ndim != 2:
         raise ValueError(f"queries must be an (r, m) block, got shape {queries.shape}")
     t0 = time.perf_counter()
-    index, sims = knn(queries, train, k)
-    t1 = time.perf_counter()
-    scores = score_matrix(index, sims, labels)
+    neighbours = knn(queries, train, k)
     if timings is not None:
-        t2 = time.perf_counter()
-        for key, seconds in (("search_s", t1 - t0), ("propagate_s", t2 - t1)):
-            timings[key] = timings.get(key, 0.0) + seconds
-    return scores
+        timings["search_s"] = timings.get("search_s", 0.0) + time.perf_counter() - t0
+    return neighbours
 
 
 def format_predictions(labels: np.ndarray, scores: np.ndarray) -> str:
     """Prediction TSV from `top_k`'s arrays: per sample one row of
-    tab-separated label:score pairs."""
+    tab-separated label:score pairs. The -1 pads are dropped while the
+    arrays are still arrays, so only ranked entries become Python objects."""
+    keep = labels >= 0
+    pairs = zip(labels[keep].tolist(), scores[keep].tolist())
     lines = [
-        "\t".join(f"{w}:{s:.6g}" for w, s in zip(row, vals) if w >= 0)
-        for row, vals in zip(labels.tolist(), scores.tolist())
+        "\t".join(f"{w}:{s:.6g}" for w, s in itertools.islice(pairs, count))
+        for count in keep.sum(axis=1).tolist()
     ]
     return "\n".join(lines) + "\n"

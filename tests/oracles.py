@@ -16,7 +16,10 @@ line-by-line parser the chunked parser replaced, with its own copies of the
 per-line helpers; it builds its dataset with `data._assemble`, which the
 chunked parser does not use. `lexsort_top_k` is `predictor.top_k` before
 its selection stage, one lexsort of every stored entry, the reference that
-`scripts/rank_bench.py` times it against.
+`scripts/rank_bench.py` times it against. The `sp_*` functions are the
+scipy.sparse expressions that the numpy kernels of `ogeec.csr` replaced,
+kept as their bit-for-bit references (`scripts/kernel_bench.py` times the
+kernels against them); `to_scipy` and `from_scipy` convert at the boundary.
 """
 
 import math
@@ -24,6 +27,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from ogeec.csr import CSR
 from ogeec.data import _F32_MAX, DatasetFormatError, SparseDataset, _assemble
 
 from ogeec.embedding import EmbeddingSpec, embed_single, gaussian_words, materialize_row
@@ -211,13 +215,26 @@ def score_dicts(S) -> list[dict]:
     return [row_scores(S, i) for i in range(S.shape[0])]
 
 
-def score_csr(dicts, L) -> sp.csr_matrix:
+def score_csr(dicts, L) -> CSR:
     """One {label: score} dict per row as an (m, L) score matrix."""
     indptr = np.cumsum([0] + [len(sv) for sv in dicts])
     indices = [w for sv in dicts for w in sv]
     data = [s for sv in dicts for s in sv.values()]
     data = np.array(data, dtype=float)
-    return sp.csr_matrix((data, np.array(indices, dtype=np.int64), indptr), shape=(len(dicts), L))
+    return CSR(data, np.array(indices, dtype=np.int64), indptr, (len(dicts), L))
+
+
+def one_label_each(L) -> CSR:
+    """The label matrix Y of L train samples where sample l carries label l
+    alone, so that a neighbour l of weight w scores label l with w."""
+    return CSR(np.ones(L), np.arange(L), np.arange(L + 1), (L, L))
+
+
+def dict_neighbours(dicts):
+    """One {label: score} dict per row as the (m, k) neighbour arrays whose
+    scores against `one_label_each` are those dicts: neighbour l with
+    similarity s per entry, in the dict's order, -1 pads."""
+    return neighbor_arrays([list(sv.items()) for sv in dicts])
 
 
 def top_labels(dicts, K=5) -> np.ndarray:
@@ -389,3 +406,63 @@ def parse_dataset(path) -> SparseDataset:
         label_rows.append(_parse_labels(fields[0], L, lineno))
         feature_rows.append(_parse_features(fields[1:], d, lineno))
     return _assemble(feature_rows, label_rows, d, L)
+
+
+# ---------------------------------------------------------------------------
+# the scipy.sparse expressions the numpy kernels of ogeec.csr replaced
+
+
+def to_scipy(X: CSR) -> sp.csr_matrix:
+    return sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+
+
+def from_scipy(M) -> CSR:
+    return CSR(M.data, M.indices, M.indptr, M.shape)
+
+
+def sp_normalize_rows(X):
+    """Unit-norm rows (zero rows stay zero) and the original row norms."""
+    X = to_scipy(X)
+    sq = X.copy()
+    sq.data = sq.data**2
+    norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    return from_scipy(sp.diags(inv) @ X), norms
+
+
+def sp_vstack(top, bottom):
+    return from_scipy(sp.vstack([to_scipy(top), to_scipy(bottom)], format="csr"))
+
+
+def sp_row_products(X, F):
+    """(X @ F.T).T for one row block F of the projection matrix."""
+    return (to_scipy(X) @ F.T).T
+
+
+def sp_score_matrix(index, sims, labels):
+    """S = W @ Y, W holding max(sim, 0) in neighbour order, -1 pads dropped."""
+    keep = index >= 0
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    n = labels.shape[0]
+    W = sp.csr_matrix((np.maximum(sims[keep], 0.0), index[keep], indptr), shape=(len(index), n))
+    return W @ to_scipy(labels)
+
+
+def sp_mean(total, count):
+    """Every stored sum divided by `count`. Not `total / count`: scipy
+    multiplies by 1 / count, which rounds differently."""
+    return sp.csr_matrix((total.data / count, total.indices, total.indptr), shape=total.shape)
+
+
+def sp_label_scores(learners, labels):
+    """The learners' S = W @ Y added in learner order, then divided by E."""
+    total = None
+    for index, sims in learners:
+        S = sp_score_matrix(index, sims, labels)
+        total = S if total is None else total + S
+    return sp_mean(total, len(learners))
+
+
+def sp_pair_dots(X, a, b):
+    X = to_scipy(X)
+    return np.asarray(X[a].multiply(X[b]).sum(axis=1)).ravel()

@@ -103,7 +103,7 @@ def test_criterion_3_oracle_equivalence():
     spec = EmbeddingSpec(seed=9, d=3000, r=50)
     emb = embed(spec, train)
     queries = project_csr(spec, test.to_feature_csr(np.float64))
-    real = batch_predict(emb, train.label_matrix(), queries, 5)
+    real = score_matrix(*batch_predict(emb, queries, 5), train.label_matrix())
     naive = naive_end_to_end(9, train, test, 50, 5)
     max_diff = 0.0
     for got, want in zip(score_dicts(real), naive):
@@ -249,7 +249,7 @@ def test_criterion_8_lsh_direction(dataset_pairs):
         emb = embed(lspec, train)
         labels = train.label_matrix()
         q_emb = project_csr(lspec, test.to_feature_csr(np.float64))
-        exhaustive = batch_predict(emb, labels, q_emb, 5)
+        exhaustive = score_matrix(*batch_predict(emb, q_emb, 5), labels)
         ex_p1.append(evaluate(top_k(exhaustive, 5)[0], test.labelsets(), model)["P@1"])
         index = build_index(emb, T=10, H=16, seed=10 * seed)
         rows = [query_lsh(index, q_emb[:, i], 5) for i in range(test.n)]

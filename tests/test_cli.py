@@ -176,6 +176,39 @@ def test_predict_output_independent_of_blas_threads_and_workers(tmp_path):
     assert outputs.count(outputs[0]) == len(outputs)
 
 
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["predict", "--model", "{root}/model.txt", "--train", "{root}/train.txt",
+         "--test", "{root}/test.txt", "--out", "{out}"],
+        ["analyze", "distortion", "--train", "{root}/train.txt", "--r", "16",
+         "--pairs", "200", "--out", "{out}"],
+    ],
+    ids=["predict", "distortion"],
+)
+def test_command_imports_no_scipy(workspace, tmp_path, command):
+    """A command runs on numpy alone: `python -X importtime` lists every
+    module the process imports, and none of them is scipy's."""
+    src = str(pathlib.Path(ogeec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [arg.format(root=workspace, out=tmp_path / "out.tsv") for arg in command]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ogeec.cli", *argv],
+        env=env, timeout=300, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+    assert "ogeec.predictor" in imported and "numpy" in imported
+    assert (tmp_path / "out.tsv").stat().st_size > 0
+
+
 def test_predict_topk_controls_row_width(workspace, tmp_path, capsys):
     rc = main(
         [
@@ -268,12 +301,12 @@ def test_predict_single_learner_equals_ensemble_of_one(workspace, tmp_path):
     train = parse_dataset(workspace / "train.txt")
     test = parse_dataset(workspace / "test.txt")
     from ogeec.embedding import embed, project_csr
-    from ogeec.predictor import batch_predict
+    from ogeec.predictor import batch_predict, score_matrix
 
     lspec = spec.learner(0)
     emb = embed(lspec, train)
     queries = project_csr(lspec, test.to_feature_csr(np.float64))
-    single = batch_predict(emb, train.label_matrix(), queries, spec.k)
+    single = score_matrix(*batch_predict(emb, queries, spec.k), train.label_matrix())
     assert via_ensemble.read_text() == format_predictions(*top_k(single, 5))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import to_scipy
 
 from ogeec.data import (
     DatasetFormatError,
@@ -201,7 +202,7 @@ def test_synthetic_cluster_cosine_separation():
     ds = generate_synthetic(
         n=2000, d=20000, L=50, sparsity=30, labels_per_sample=3, clusters=10, seed=11
     )
-    X = ds.to_feature_csr(np.float64)
+    X = to_scipy(ds.to_feature_csr(np.float64))
     sq = X.copy()
     sq.data = sq.data**2
     norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())

@@ -4,12 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import box_muller, fuse, project_full, score_dicts
 
 from ogeec import embedding
+from ogeec.csr import CSR
 from ogeec.data import SparseDataset, SparseVector, generate_synthetic, split_dataset
 from ogeec.embedding import (
     EmbeddedMatrix,
@@ -28,7 +28,7 @@ from ogeec.embedding import (
     train_test_rows,
 )
 from ogeec.ensemble import fused_scores, make_ensemble_spec
-from ogeec.predictor import batch_predict
+from ogeec.predictor import batch_predict, score_matrix
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "embed_single_seed42_d10_r4.json"
 
@@ -119,18 +119,17 @@ def test_materialize_rows_at_a_plan_equals_full_rows_at_its_columns(data):
     assert part.tobytes() == np.ascontiguousarray(full[:, plan.columns]).tobytes()
 
 
-def _csr(rows, d: int) -> sp.csr_matrix:
+def _csr(rows, d: int) -> CSR:
     """CSR rows from lists of (column, value), kept in the order given."""
     indptr = np.cumsum([0] + [len(r) for r in rows])
     cols = [j for r in rows for j, _ in r]
     vals = [v for r in rows for _, v in r]
-    return sp.csr_matrix(
-        (np.array(vals, dtype=np.float64), np.array(cols, dtype=np.int32), indptr),
-        shape=(len(rows), d),
+    return CSR(
+        np.array(vals, dtype=np.float64), np.array(cols, dtype=np.int32), indptr, (len(rows), d)
     )
 
 
-def _random_rows(sizes, d: int, seed: int = 3) -> sp.csr_matrix:
+def _random_rows(sizes, d: int, seed: int = 3) -> CSR:
     rng = np.random.default_rng(seed)
     rows = []
     for n in sizes:
@@ -365,7 +364,7 @@ def test_one_pass_equals_separate_projections(monkeypatch, case, workers):
         for ls in map(espec.learner, range(espec.size))
     ]
     labels = train.label_matrix()
-    per_learner = [score_dicts(batch_predict(m, labels, q, espec.k)) for m, q in apart]
+    per_learner = [score_dicts(score_matrix(*batch_predict(m, q, espec.k), labels)) for m, q in apart]
     reference = [fuse(list(scores)) for scores in zip(*per_learner)]
 
     # blocks of 5 rows, so each worker's range spans ragged blocks

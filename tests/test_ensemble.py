@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
-from oracles import predict, row_scores, score_csr, score_dicts, sweep_r, uniform_propensity
+from oracles import (
+    dict_neighbours,
+    one_label_each,
+    predict,
+    row_scores,
+    score_dicts,
+    sweep_r,
+    uniform_propensity,
+)
 
 from ogeec import embedding
+from ogeec.csr import label_scores
 from ogeec.embedding import EmbeddingSpec, embed, project_csr
 from ogeec.ensemble import (
     EnsembleSpec,
-    _mean,
     fused_scores,
-    learner_scores,
+    learner_neighbours,
     make_ensemble_spec,
     read_metadata,
     sweep_dimension,
@@ -16,7 +24,7 @@ from ogeec.ensemble import (
     write_metadata,
 )
 from ogeec.metrics import evaluate
-from ogeec.predictor import batch_predict, top_k
+from ogeec.predictor import batch_predict, score_matrix, top_k
 
 
 def test_make_spec_default_seed_schedule():
@@ -34,8 +42,13 @@ def test_validate_rejects_duplicates_and_empty():
         EnsembleSpec(seeds=(1,), d=10, r=20, k=5)
 
 
+def _fuse(learners, L):
+    """label_scores of learners given as one {label: score} dict per row."""
+    return label_scores([dict_neighbours(dicts) for dicts in learners], one_label_each(L))
+
+
 def test_fuse_hand_average():
-    fused = _mean(score_csr([{1: 0.8}], 3) + score_csr([{1: 0.4, 2: 0.6}], 3), 2)
+    fused = _fuse([[{1: 0.8}], [{1: 0.4, 2: 0.6}]], 3)
     assert row_scores(fused, 0) == {
         1: pytest.approx(0.6, abs=1e-15), 2: pytest.approx(0.3, abs=1e-15)
     }
@@ -44,8 +57,8 @@ def test_fuse_hand_average():
 def test_fuse_scale_invariance_of_ranking():
     learners = [{1: 0.8, 3: 0.2}, {1: 0.4, 2: 0.6}]
     scaled = [{w: 2.5 * s for w, s in sv.items()} for sv in learners]
-    a, b = ([score_csr([sv], 4) for sv in group] for group in (learners, scaled))
-    assert np.array_equal(top_k(_mean(a[0] + a[1], 2), 3)[0], top_k(_mean(b[0] + b[1], 2), 3)[0])
+    a, b = (_fuse([[sv] for sv in group], 4) for group in (learners, scaled))
+    assert np.array_equal(top_k(a, 3)[0], top_k(b, 3)[0])
 
 
 def test_single_learner_ensemble_equals_predict(small_ds, small_spec, small_embedded):
@@ -60,8 +73,7 @@ def test_single_learner_ensemble_equals_predict(small_ds, small_spec, small_embe
 def test_duplicate_seeds_equal_one_learner(small_ds, small_spec, small_embedded):
     query = small_ds.feature_row(21)
     single = predict(small_spec, small_embedded, small_ds.labelsets(), query, 5)
-    S = score_csr([single], small_ds.L)
-    fused = row_scores(_mean(S + S + S, 3), 0)
+    fused = row_scores(_fuse([[single]] * 3, small_ds.L), 0)
     assert fused.keys() == single.keys()
     for w in fused:
         assert fused[w] == pytest.approx(single[w], rel=1e-14)
@@ -84,7 +96,11 @@ def test_seed_order_invariance(small_ds, train_test):
 def test_fused_equals_mean_of_per_learner(train_test):
     train, test = train_test
     espec = EnsembleSpec(seeds=(1, 2, 3), d=train.d, r=24, k=5)
-    per = [score_dicts(scores) for _, scores in learner_scores(espec, train, test)]
+    labels = train.label_matrix()
+    per = [
+        score_dicts(score_matrix(*found, labels))
+        for _, found in learner_neighbours(espec, train, test)
+    ]
     fused = score_dicts(fused_scores(espec, train, test))
     for i in range(test.n):
         labels = set().union(*(per[e][i].keys() for e in range(3)))
@@ -103,7 +119,7 @@ def test_learner_count_validation(train_test):
     train, test = train_test
     espec = EnsembleSpec(seeds=(1, 2), d=train.d, r=16, k=5)
     with pytest.raises(ValueError, match="exceeds"):
-        list(learner_scores(espec, train, test, learners=3))
+        list(learner_neighbours(espec, train, test, learners=3))
 
 
 def test_sweep_size_one_equals_single_learner_eval(train_test):
@@ -114,7 +130,7 @@ def test_sweep_size_one_equals_single_learner_eval(train_test):
     lspec = EmbeddingSpec(seed=4, d=train.d, r=24)
     emb = embed(lspec, train)
     queries = project_csr(lspec, test.to_feature_csr(np.float64))
-    scores = batch_predict(emb, train.label_matrix(), queries, 5)
+    scores = score_matrix(*batch_predict(emb, queries, 5), train.label_matrix())
     direct = evaluate(top_k(scores, 5)[0], test.labelsets(), model)
     assert result.fused[1].values == direct.values
     assert result.per_learner[0].values == direct.values

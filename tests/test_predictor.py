@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import (
+    from_scipy,
     knn_scan,
     lexsort_top_k,
     neighbor_lists,
@@ -25,6 +26,7 @@ from ogeec.predictor import (
     format_predictions,
     knn,
     propagate,
+    score_matrix,
     top_k,
 )
 
@@ -269,7 +271,7 @@ def test_top_k_equals_sorted_oracle(case):
     want = rank_rows(data, indices, indptr, K)
     want_index = np.array([[i for i, _ in row] + [-1] * (K - len(row)) for row in want])
     want_top = np.array([[s for _, s in row] + [0.0] * (K - len(row)) for row in want])
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, 41))
+    matrix = from_scipy(sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, 41)))
     assert matrix.nnz == data.size  # explicit zeros stay stored
     for scores in ((data, indices, indptr), matrix):
         index, top = top_k(scores, K)
@@ -308,7 +310,7 @@ def test_top_k_selection_equals_sorted_oracle(case):
     for i, row in enumerate(rank_rows(data, indices, indptr, K)):
         want_index[i, : len(row)] = [j for j, _ in row]
         want_top[i, : len(row)] = [s for _, s in row]
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(m, 500))
+    matrix = from_scipy(sp.csr_matrix((data, indices, indptr), shape=(m, 500)))
     with mock.patch.object(predictor, "_TILE_FLOATS", tile):
         for scores in ((data, indices, indptr), matrix):
             index, top = top_k(scores, K)
@@ -335,7 +337,7 @@ def test_top_k_lexsorts_only_the_entries_reaching_the_kth_score():
     """On distinct scores the lexsort sees at most m * K entries: the rows'
     K-th scores are selected before anything is sorted."""
     m, n, K = 200, 300, 5
-    scores = sp.csr_matrix(np.random.default_rng(3).permutation(m * n).reshape(m, n) + 1.0)
+    scores = from_scipy(sp.csr_matrix(np.random.default_rng(3).permutation(m * n).reshape(m, n) + 1.0))
     want = lexsort_top_k(scores.data, scores.indices, scores.indptr, K)
     sorted_sizes, lexsort = [], np.lexsort
 
@@ -372,7 +374,7 @@ def test_batch_predict_equals_per_query(small_spec, small_ds, small_embedded, tr
     labelsets = small_ds.labelsets()
     sub = small_ds
     queries = project_csr(small_spec, sub.to_feature_csr(np.float64))
-    batched = batch_predict(small_embedded, small_ds.label_matrix(), queries, 5)
+    batched = score_matrix(*batch_predict(small_embedded, queries, 5), small_ds.label_matrix())
     for i in range(0, sub.n, 37):
         single = predict(small_spec, small_embedded, labelsets, sub.feature_row(i), 5)
         assert row_scores(batched, i) == single
@@ -382,7 +384,7 @@ def test_batch_predict_worker_invariance(small_spec, small_ds, small_embedded):
     labels = small_ds.label_matrix()
     X = small_ds.to_feature_csr(np.float64)
     one, many = (
-        batch_predict(small_embedded, labels, project_csr(small_spec, X, workers=w), 5)
+        score_matrix(*batch_predict(small_embedded, project_csr(small_spec, X, workers=w), 5), labels)
         for w in (1, 4)
     )
     assert score_dicts(one) == score_dicts(many)

@@ -1,5 +1,5 @@
 """The sparse label side against the dict reference in `oracles`, and the
-scipy arithmetic it rests on.
+scipy arithmetic that its scipy oracle (`oracles.sp_label_scores`) rests on.
 
 Scores, prediction TSV text and metric reports must be exactly equal to the
 dict path's: the score matrix changes the representation, not one float.
@@ -13,16 +13,21 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    dict_neighbours,
     evaluate_dicts,
     format_dicts,
     fuse,
     neighbor_arrays,
+    one_label_each,
     score_dicts,
+    sp_score_matrix,
+    to_scipy,
     top_labels,
 )
 
 from ogeec import ensemble
-from ogeec.ensemble import EnsembleSpec, _mean, fused_scores, sweep_ensemble_size
+from ogeec.csr import CSR, label_scores
+from ogeec.ensemble import EnsembleSpec, fused_scores, sweep_ensemble_size
 from ogeec.metrics import evaluate, propensity
 from ogeec.predictor import format_predictions, propagate, score_matrix, top_k
 
@@ -61,7 +66,7 @@ def _Y(labelsets, L):
     sizes = [len(s) for s in labelsets]
     indices = np.concatenate([np.empty(0, np.int64), *labelsets])
     indptr = np.cumsum([0] + sizes)
-    return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(len(labelsets), L))
+    return CSR(np.ones(indices.size), indices, indptr, (len(labelsets), L))
 
 
 @settings(deadline=None, max_examples=300)
@@ -69,17 +74,19 @@ def _Y(labelsets, L):
 def test_sparse_label_side_equals_dict_path(case):
     labelsets, L, learners, truths, ks, K, model = case
     Y = _Y(labelsets, L)
-    mats = [score_matrix(*neighbor_arrays(lists), Y) for lists in learners]
+    found = [neighbor_arrays(lists) for lists in learners]
+    mats = [score_matrix(*nb, Y) for nb in found]
     dicts = [[propagate(nb, labelsets) for nb in lists] for lists in learners]
     for S, want in zip(mats, dicts):
         assert score_dicts(S) == want
 
     spec = EnsembleSpec(seeds=tuple(range(len(mats))), d=10, r=2, k=5)
-    with mock.patch.object(ensemble, "learner_scores", lambda *a, **kw: enumerate(mats)):
-        fused = fused_scores(spec, None, None)
+    train = mock.Mock(label_matrix=lambda: Y)
+    with mock.patch.object(ensemble, "learner_neighbours", lambda *a, **kw: enumerate(found)):
+        fused = fused_scores(spec, train, None)
         test = mock.Mock(n=len(truths), labelsets=lambda: truths)
         sizes = list(range(1, len(mats) + 1))
-        sweep = sweep_ensemble_size(spec, None, test, sizes, model, ks=ks)
+        sweep = sweep_ensemble_size(spec, train, test, sizes, model, ks=ks)
     fused_dicts = [fuse(list(per_query)) for per_query in zip(*dicts)]
     assert score_dicts(fused) == fused_dicts
     assert format_predictions(*top_k(fused, K)) == format_dicts(fused_dicts, K)
@@ -120,7 +127,7 @@ def test_product_sums_in_neighbour_order():
     W = sp.csr_matrix((sims, index, np.arange(0, 2501, 5)), shape=(500, n))
     assert not W.has_sorted_indices
     stored = W.indices.copy()
-    S = W @ _Y(labelsets, L)
+    S = W @ to_scipy(_Y(labelsets, L))
     assert np.array_equal(W.indices, stored)
     assert np.diff(S.indptr).mean() > 70
     want = [propagate(nb, labelsets) for nb in lists]
@@ -131,8 +138,9 @@ def test_product_sums_in_neighbour_order():
 
 
 def test_out_of_range_neighbour_is_rejected():
-    """scipy does not bounds-check W's indices and would read past Y. Only
-    -1 is a pad: it is dropped and leaves its row empty."""
+    """Only -1 is a pad: it is dropped and leaves its row empty. Any other
+    index outside the train set raises, where numpy indexing would wrap a
+    negative one around and scipy's `W @ Y` would read past Y."""
     Y = _Y([np.array([0])], 1)
     sims = np.array([[0.5], [0.5]])
     S = score_matrix(np.array([[0], [-1]]), sims, Y)
@@ -144,11 +152,11 @@ def test_out_of_range_neighbour_is_rejected():
 
 def test_sum_adds_entries_or_keeps_the_lone_one():
     """A + B stores a + b where both hold a label and a or b where one does,
-    for the unsorted matrices W @ Y returns and for sorted ones."""
+    for the unsorted matrices scipy's W @ Y returns and for sorted ones."""
     rng = np.random.default_rng(6)
     Y = _Y([np.sort(rng.choice(80, 10, replace=False)) for _ in range(40)], 80)
     A, B = (
-        score_matrix(*neighbor_arrays(_spread_neighbors(rng, 300, 40, 4)), Y) for _ in range(2)
+        sp_score_matrix(*neighbor_arrays(_spread_neighbors(rng, 300, 40, 4)), Y) for _ in range(2)
     )
     assert not A.has_sorted_indices
     for a, b in ((A, B), (A.sorted_indices(), B.sorted_indices())):
@@ -164,16 +172,20 @@ def test_sum_adds_entries_or_keeps_the_lone_one():
 
 def test_fusion_divides_each_score():
     """The mean is x / E for every stored x; S / E would multiply by 1 / E,
-    which rounds differently for E = 3, 5, 7 and 10."""
+    which rounds differently for E = 3, 5, 7 and 10. The first learner
+    scores S, and the others score nothing."""
     rng = np.random.default_rng(7)
 
     def values(size):
         return rng.uniform(1e-3, 1e3, size)
 
     S = sp.random(1000, 1000, density=0.1, format="csr", random_state=rng, data_rvs=values)
+    S.sort_indices()  # label_scores stores each row in ascending label order
     assert S.nnz == 100_000
+    first, nothing = dict_neighbours(score_dicts(S)), neighbor_arrays([[]] * 1000)
     for E in (3, 5, 7, 10):
-        assert _mean(S, E).data.tolist() == [x / E for x in S.data.tolist()]
+        fused = label_scores([first] + [nothing] * (E - 1), one_label_each(1000))
+        assert fused.data.tolist() == [x / E for x in S.data.tolist()]
 
 
 def test_metric_means_add_samples_in_order():
