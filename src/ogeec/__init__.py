@@ -4,7 +4,20 @@ weighted-kNN label propagation for extreme multi-label classification.
 A learner is a seeded random projection plus the kNN propagation rule; it
 carries zero trained parameters. Ensembles average the prediction scores of
 learners built from distinct seeds.
+
+Importing the package sets OPENBLAS_THREAD_TIMEOUT to 4 unless the
+environment already sets it, so BLAS's idle threads sleep as soon as a GEMM
+ends; export another value to override it.
 """
+
+import os
+
+# OpenBLAS (numpy's BLAS) reads this once, when numpy loads it, so it is set
+# before any import below loads numpy. Its idle worker threads busy-wait for
+# 2**timeout timer cycles after each threaded GEMM; the built-in 28 is 0.13 s
+# of a core per search tile at 2.1 GHz, taken from the next learner's
+# projection threads. 4 is OpenBLAS's minimum. GEMM results do not depend on it.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .data import (
     DatasetFormatError,

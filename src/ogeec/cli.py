@@ -112,7 +112,7 @@ _KNOBS = {
     "workers": (
         "projection threads, 0 for all cores; they split F's rows, so each row "
         "is generated once per projection. Search is one GEMM per learner, "
-        "threaded by BLAS",
+        "threaded by BLAS, whose idle threads sleep as soon as it ends",
         0,
     ),
     "topk": ("labels per row in the prediction TSV", 1),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csr import sorted_unique
 from .embedding import EmbeddedMatrix, gaussian_row
 from .predictor import rescore, top_k
 
@@ -84,7 +85,7 @@ def candidates(index: LshIndex, query: np.ndarray) -> np.ndarray:
         found = index.buckets[t].get(code)
         if found is not None:
             hits.append(found)
-    return np.unique(np.concatenate([np.empty(0, dtype=np.int64), *hits]))
+    return sorted_unique(np.concatenate([np.empty(0, dtype=np.int64), *hits]))
 
 
 def query_lsh(index: LshIndex, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

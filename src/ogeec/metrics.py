@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .csr import sorted_unique
 from .predictor import top_k
 
 DEFAULT_KS = (1, 3, 5)
@@ -88,6 +89,24 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def truth_hits(pred: np.ndarray, truths: Sequence) -> tuple[np.ndarray, int, np.ndarray]:
+    """The true (sample, label) pairs as sorted, deduplicated keys
+    sample * span + label, that span, and the mask of `pred`'s slots (an
+    (m, K) label array padded with -1) that hold one of their sample's true
+    labels."""
+    m = len(pred)
+    sizes = [len(t) for t in truths]
+    labels = np.concatenate([np.empty(0, np.int64), *(np.asarray(t, np.int64) for t in truths)])
+    if labels.size and labels.min() < 0:
+        raise ValueError("true labels must be nonnegative")
+    span = int(max(labels.max(initial=-1), pred.max(initial=-1))) + 1
+    keys = sorted_unique(np.repeat(np.arange(m), sizes) * span + labels)
+    slots = np.arange(m)[:, None] * span + pred
+    # a slot's key is present when the sorted keys hold a run of it
+    present = np.searchsorted(keys, slots, "right") > np.searchsorted(keys, slots)
+    return keys, span, present & (pred >= 0)
+
+
 def evaluate(
     predictions: np.ndarray,
     truths: Sequence,
@@ -115,17 +134,11 @@ def evaluate(
         raise ValueError(f"predictions need {max_k} columns, got {pred.shape[1]}")
     m = len(pred)
     pred = pred[:, :max_k]
-    # the true (sample, label) pairs as sorted, deduplicated keys sample * span + label
-    sizes = [len(t) for t in truths]
-    labels = np.concatenate([np.empty(0, np.int64), *(np.asarray(t, np.int64) for t in truths)])
-    if labels.size and labels.min() < 0:
-        raise ValueError("true labels must be nonnegative")
-    span = int(max(labels.max(initial=-1), pred.max(initial=-1))) + 1
-    keys = np.unique(np.repeat(np.arange(m), sizes) * span + labels)
+    keys, span, hit = truth_hits(pred, truths)
     rows, labels = keys // span, keys % span
     counts = np.bincount(rows, minlength=m)
     used = counts > 0
-    hit = (np.isin(np.arange(m)[:, None] * span + pred, keys) & (pred >= 0))[used]
+    hit = hit[used]
 
     inv = 1.0 / model.propensities
     gain = np.where(hit, inv[np.where(hit, pred[used], 0)], 0.0)

@@ -317,6 +317,18 @@ def evaluate_dicts(predictions, truths, model, ks=DEFAULT_KS) -> EvalReport:
 
 
 
+def isin_truth_hits(pred, truths):
+    """`metrics.truth_hits` by `np.unique` and `np.isin`: the sorted,
+    deduplicated keys sample * span + label of the true labels, the span, and
+    the mask of `pred`'s non-pad slots whose key is among them."""
+    m = len(pred)
+    labels = np.concatenate([np.empty(0, np.int64), *(np.asarray(t, np.int64) for t in truths)])
+    span = int(max(labels.max(initial=-1), pred.max(initial=-1))) + 1
+    keys = np.unique(np.repeat(np.arange(m), [len(t) for t in truths]) * span + labels)
+    hit = np.isin(np.arange(m)[:, None] * span + pred, keys) & (pred >= 0)
+    return keys, span, hit
+
+
 def _parse_labels(token: str, L: int, lineno: int) -> np.ndarray:
     if token == "":
         return np.empty(0, dtype=np.int64)

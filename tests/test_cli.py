@@ -190,6 +190,35 @@ def test_predict_output_independent_of_blas_threads_and_workers(tmp_path):
 def test_command_imports_no_scipy(workspace, tmp_path, command):
     """A command runs on numpy alone: `python -X importtime` lists every
     module the process imports, and none of them is scipy's."""
+    imported = _imported_modules(workspace, tmp_path, command)
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+    assert "ogeec.predictor" in imported and "numpy" in imported
+    assert (tmp_path / "out.tsv").stat().st_size > 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--model", "{root}/model.txt", "--train", "{root}/train.txt",
+         "--test", "{root}/test.txt", "--out", "{out}"],
+        ["analyze", "lsh-compare", "--train", "{root}/train.txt",
+         "--test", "{root}/test.txt", "--r", "16", "--out", "{out}"],
+    ],
+    ids=["eval", "lsh-compare"],
+)
+def test_command_imports_no_numpy_ma(workspace, tmp_path, command):
+    """The metrics and LSH candidates deduplicate by a sort: `np.unique`'s
+    hash path would import numpy.ma (through `np.ma.is_masked`)."""
+    imported = _imported_modules(workspace, tmp_path, command)
+    assert [name for name in imported if name.split(".")[:2] == ["numpy", "ma"]] == []
+    assert "ogeec.metrics" in imported and "numpy" in imported
+    assert (tmp_path / "out.tsv").stat().st_size > 0
+
+
+def _imported_modules(workspace, tmp_path, command) -> list[str]:
+    """Every module `ogeec.cli` imports to run `command`, as listed by
+    `python -X importtime`; {root} and {out} name the workspace and
+    tmp_path / "out.tsv"."""
     src = str(pathlib.Path(ogeec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -199,14 +228,11 @@ def test_command_imports_no_scipy(workspace, tmp_path, command):
         env=env, timeout=300, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    imported = [
+    return [
         line.rsplit("|", 1)[-1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     ]
-    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
-    assert "ogeec.predictor" in imported and "numpy" in imported
-    assert (tmp_path / "out.tsv").stat().st_size > 0
 
 
 def test_predict_topk_controls_row_width(workspace, tmp_path, capsys):

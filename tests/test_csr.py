@@ -22,7 +22,15 @@ from oracles import (
 )
 
 from ogeec import csr
-from ogeec.csr import CSR, RowProducts, label_scores, normalize_rows, pair_dots, vstack
+from ogeec.csr import (
+    CSR,
+    RowProducts,
+    label_scores,
+    normalize_rows,
+    pair_dots,
+    sorted_unique,
+    vstack,
+)
 
 # explicit and signed zeros, values whose products underflow to 0 or whose
 # squares overflow, and ordinary values
@@ -166,3 +174,11 @@ def test_pair_dots_of_a_normalized_parse_equal_scipy():
     Xn = normalize_rows(X)[0]
     a, b = np.divmod(np.arange(40 * 40), 40)
     assert _same(pair_dots(Xn, a, b), sp_pair_dots(Xn, a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3), max_size=40))
+def test_sorted_unique_equals_np_unique(values):
+    values = np.array(values, dtype=np.int64)
+    got, want = sorted_unique(values), np.unique(values)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    isin_truth_hits,
     ref_ndcg,
     ref_precision,
     ref_propensities,
@@ -16,7 +17,7 @@ from oracles import (
     uniform_propensity,
 )
 
-from ogeec.metrics import evaluate, propensity
+from ogeec.metrics import evaluate, propensity, truth_hits
 
 
 def _one(name, predicted, truth, K, model=None):
@@ -303,3 +304,21 @@ def test_evaluate_counts_a_repeated_cutoff_once():
     once = evaluate(predictions, truths, model, ks=(1, 3))
     twice = evaluate(predictions, truths, model, ks=(1, 1, 3))
     assert twice.values == once.values and twice["P@1"] == 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_truth_hits_equal_unique_and_isin(data):
+    """The sorted keys and the slot mask are the ones `np.unique` and
+    `np.isin` give: truth sets empty, with repeats, holding label 0; slots
+    with -1 pads and repeated labels."""
+    L = data.draw(st.integers(1, 6))
+    truths = data.draw(st.lists(st.lists(st.integers(0, L - 1), max_size=6), min_size=1, max_size=8))
+    K = data.draw(st.integers(1, 4))
+    slots = st.lists(st.integers(-1, L - 1), min_size=K, max_size=K)
+    pred = np.array(data.draw(st.lists(slots, min_size=len(truths), max_size=len(truths))))
+    keys, span, hit = truth_hits(pred, [np.array(t, dtype=np.int64) for t in truths])
+    want_keys, want_span, want_hit = isin_truth_hits(pred, truths)
+    assert span == want_span
+    assert keys.dtype == want_keys.dtype and np.array_equal(keys, want_keys)
+    assert hit.shape == want_hit.shape and np.array_equal(hit, want_hit)
