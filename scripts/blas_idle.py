@@ -27,7 +27,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from workloads import WORKLOADS  # noqa: E402
 
-from ogeec.csr import _TILE_FLOATS  # noqa: E402
+from ogeec.predictor import _TILE_FLOATS  # noqa: E402
 
 CHILD = """
 import resource, sys, time

@@ -57,7 +57,7 @@ from .predictor import (
     batch_predict,
     knn,
     propagate,
-    score_matrix,
+    rank_labels,
     top_k,
 )
 
@@ -90,9 +90,9 @@ __all__ = [
     "propagate",
     "propensity",
     "query_lsh",
+    "rank_labels",
     "read_metadata",
     "save_cache",
-    "score_matrix",
     "split_dataset",
     "sweep_ensemble_size",
     "top_k",

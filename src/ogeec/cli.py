@@ -45,7 +45,7 @@ from .embedding import (
     split_rows,
     train_test_rows,
 )
-from .predictor import batch_predict, format_predictions, score_matrix, top_k
+from .predictor import batch_predict, format_predictions, rank_labels
 from .predictor import propagate  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .lsh import build_index, query_lsh
 
@@ -383,7 +383,29 @@ def _check_rank_width(queries: int, flag: str, K: int) -> None:
         )
 
 
-def _predict_scores(cfg: RunConfig, explicit: set[str], flag: str, K: int):
+def _propensity_model(cfg: RunConfig, train: SparseDataset, test: SparseDataset):
+    """`train`'s propensity model, after refusing a test label outside its
+    labels; a command checks this after reading its datasets and before
+    embedding them."""
+    top = int(test.label_indices.max(initial=-1))
+    if top >= train.L:
+        raise ValueError(
+            f"{cfg.test}: test label {top} is outside the train set's labels "
+            f"(the test set has {test.L} labels, the train set {train.L})"
+        )
+    return metrics.propensity(train.label_frequencies, train.n, cfg.prop_a, cfg.prop_b)
+
+
+def _evaluator(cfg: RunConfig, train: SparseDataset, test: SparseDataset):
+    """ranking -> EvalReport of its top max(ks) labels against `test`'s."""
+    model = _propensity_model(cfg, train, test)
+    truths = test.labelsets()
+    return lambda ranking: metrics.evaluate(ranking[0], truths, model, ks=cfg.ks)
+
+
+def _predict_ranking(cfg: RunConfig, explicit: set[str], flag: str, K: int, evaluated: bool):
+    """The fused top K labels of every test sample, the timings, and with
+    `evaluated` the evaluator, whose label check runs before any embedding."""
     _require(cfg, "model", "train", "test")
     spec = _load_model(cfg, explicit)
     train_ds = parse_dataset(cfg.train)
@@ -394,26 +416,14 @@ def _predict_scores(cfg: RunConfig, explicit: set[str], flag: str, K: int):
                 f"{name} dataset dimensionality {ds.d} != model d {spec.d}"
             )
     _check_rank_width(test_ds.n, flag, K)
-    limit = cfg.learners if "learners" in explicit else None
-    workers = cfg.effective_workers()
+    evaluate = _evaluator(cfg, train_ds, test_ds) if evaluated else None
     timings: dict[str, float] = {}
-    scores = ens.fused_scores(
-        spec,
-        train_ds,
-        test_ds,
-        learners=limit,
-        workers=workers,
-        matrix_provider=_cache_provider(cfg, train_ds),
-        timings=timings,
+    limit = cfg.learners if "learners" in explicit else None
+    ranking = ens.fused_scores(
+        spec, train_ds, test_ds, K, learners=limit, workers=cfg.effective_workers(),
+        matrix_provider=_cache_provider(cfg, train_ds), timings=timings,
     )
-    return spec, train_ds, test_ds, scores, timings
-
-
-def _evaluator(cfg: RunConfig, train: SparseDataset, test: SparseDataset):
-    """scores -> EvalReport of each row's top max(ks) labels against `test`'s."""
-    model = metrics.propensity(train.label_frequencies, train.n, cfg.prop_a, cfg.prop_b)
-    truths = test.labelsets()
-    return lambda scores: metrics.evaluate(top_k(scores, max(cfg.ks))[0], truths, model, ks=cfg.ks)
+    return ranking, timings, evaluate
 
 
 def _print_timings(timings: dict[str, float]) -> None:
@@ -422,17 +432,17 @@ def _print_timings(timings: dict[str, float]) -> None:
 
 
 def cmd_predict(cfg: RunConfig, explicit: set[str]) -> int:
-    _, _, _, scores, timings = _predict_scores(cfg, explicit, "--topk", cfg.topk)
+    ranking, timings, _ = _predict_ranking(cfg, explicit, "--topk", cfg.topk, False)
     with _output(cfg.out) as stream:
-        stream.write(format_predictions(*top_k(scores, cfg.topk)))
+        stream.write(format_predictions(*ranking))
     _print_timings(timings)
     return 0
 
 
 def cmd_eval(cfg: RunConfig, explicit: set[str]) -> int:
-    _, train_ds, test_ds, scores, timings = _predict_scores(cfg, explicit, "--ks", max(cfg.ks))
+    ranking, timings, evaluate = _predict_ranking(cfg, explicit, "--ks", max(cfg.ks), True)
     t0 = time.perf_counter()
-    report = _evaluator(cfg, train_ds, test_ds)(scores)
+    report = evaluate(ranking)
     timings["metrics_s"] = time.perf_counter() - t0
     with _output(cfg.out) as stream:
         if cfg.grid:
@@ -493,11 +503,11 @@ def cmd_analyze_sweep_r(cfg: RunConfig, explicit: set[str]) -> int:
     _check_rank_width(test_ds.n, "--ks", max(cfg.ks))
     evaluate = _evaluator(cfg, train_ds, test_ds)
     sweep = ens.sweep_dimension(
-        cfg.seed, train_ds, test_ds, cfg.rs, cfg.k, workers=cfg.effective_workers()
+        cfg.seed, train_ds, test_ds, cfg.rs, cfg.k, max(cfg.ks), workers=cfg.effective_workers()
     )
     with _output(cfg.out) as stream:
-        for i, (r, scores) in enumerate(sweep):
-            report = evaluate(scores)
+        for i, (r, ranking) in enumerate(sweep):
+            report = evaluate(ranking)
             if i == 0:
                 stream.write("r\t" + report.tsv_header() + "\n")
             stream.write(f"{r}\t" + report.tsv_row() + "\n")
@@ -512,9 +522,7 @@ def cmd_analyze_sweep_ensemble(cfg: RunConfig, explicit: set[str]) -> int:
     spec = ens.make_ensemble_spec(
         cfg.seed, max(cfg.sizes), train_ds.d, cfg.r, cfg.k
     )
-    model = metrics.propensity(
-        train_ds.label_frequencies, train_ds.n, cfg.prop_a, cfg.prop_b
-    )
+    model = _propensity_model(cfg, train_ds, test_ds)
     result = ens.sweep_ensemble_size(
         spec,
         train_ds,
@@ -548,9 +556,10 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
     _require(cfg, "train", "test")
     train_ds = parse_dataset(cfg.train)
     test_ds = parse_dataset(cfg.test)
-    _check_rank_width(test_ds.n, "--ks", max(cfg.ks))
-    if cfg.predictions_out:
-        _check_rank_width(test_ds.n, "--topk", cfg.topk)
+    # each side is ranked once; the TSV's top topk is a prefix of the ranking
+    K = max(*cfg.ks, cfg.topk if cfg.predictions_out else 1)
+    _check_rank_width(test_ds.n, "--topk" if K > max(cfg.ks) else "--ks", K)
+    evaluate = _evaluator(cfg, train_ds, test_ds)
     workers = cfg.effective_workers()
     lspec = EmbeddingSpec(seed=cfg.seed, d=train_ds.d, r=cfg.r)
     # one pass over F serves both searches
@@ -558,20 +567,20 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
         lspec, train_test_rows(train_ds, test_ds), workers=workers
     )
     labels = train_ds.label_matrix()
-    exhaustive = score_matrix(*batch_predict(train_emb, queries, cfg.k), labels)
+    exhaustive = rank_labels([batch_predict(train_emb, queries, cfg.k)], labels, K)
 
     index = build_index(train_emb, T=cfg.tables, H=cfg.bits, seed=cfg.seed)
     # one call per query: perfbench/tracer.py counts lsh.queries per call
     rows = [query_lsh(index, queries[:, i], cfg.k) for i in range(test_ds.n)]
     lsh_index, lsh_sims = (np.stack(arrays) for arrays in zip(*rows))
     empty = int(np.count_nonzero(lsh_index[:, 0] < 0))
-    lsh_scores = score_matrix(lsh_index, lsh_sims, labels)
+    lsh_ranking = rank_labels([(lsh_index, lsh_sims)], labels, K)
 
-    rep_ex, rep_lsh = map(_evaluator(cfg, train_ds, test_ds), (exhaustive, lsh_scores))
+    rep_ex, rep_lsh = evaluate(exhaustive), evaluate(lsh_ranking)
     if cfg.predictions_out:
         # same TSV shape the predict command emits, for side-by-side tooling
         with open(cfg.predictions_out, "w", encoding="utf-8") as f:
-            f.write(format_predictions(*top_k(lsh_scores, cfg.topk)))
+            f.write(format_predictions(*(a[:, : cfg.topk] for a in lsh_ranking)))
     with _output(cfg.out) as stream:
         stream.write("method\t" + rep_ex.tsv_header() + "\n")
         stream.write("exhaustive\t" + rep_ex.tsv_row() + "\n")

@@ -13,8 +13,8 @@ compare bits):
 - `normalize_rows`: X scaled to unit rows, `diags(1 / norms) @ X`;
 - `vstack`: the rows of one CSR over another's;
 - `RowProducts`: `X @ F.T` for row blocks F of the projection matrix;
-- `label_scores`: the learners' S = W·Y, their sum in learner order and the
-  division by the learner count;
+- `label_scores`: for one block of queries, the learners' S = W·Y, their
+  sum in learner order and the division by the learner count;
 - `pair_dots`: the dot products of pairs of rows.
 
 `sorted_unique` is `np.unique` of integer keys by a sort: numpy's hash-based
@@ -28,10 +28,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# Floats in one tile: a search screen tile of float32 scores (8 MB; it holds
-# this // n_train queries), `predictor.top_k`'s padded selection block and a
-# dense label block of float64s (16 MB)
-_TILE_FLOATS = 1 << 21
 # float64s in one `RowProducts` chunk of rows (1 MB): small enough that a
 # chunk's accumulator and products stay near the cache while every position
 # is added, large enough that a worker's numpy steps seldom contend for the
@@ -178,48 +174,34 @@ def label_scores(learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR)
     [0, n_train) raises IndexError. W_e holds max(sim, 0) per neighbour and
     `labels` is Y, the (n_train x L) label matrix of ones.
 
-    Queries go in blocks of rows, one dense (rows x L) float64 block of at
-    most _TILE_FLOATS at a time. A learner's block is one np.bincount of its
-    neighbours' weights at their (row, label) cells, row after row and each
-    row in neighbour order; bincount adds each cell's weights in that order
-    into a zeroed float64, so each score is the sum that scipy's `W @ Y`
-    forms, in W's stored order. The learners' blocks are
-    added in learner order to a running block that starts at 0.0, as scipy's
-    S_1 + S_2 + ... adds them, a label a learner never scored counting 0.
-    The nonzero sums are kept, in ascending label order per row, and each is
-    divided by E.
+    The queries are one dense (m x L) float64 block, so callers pass at most
+    `predictor._TILE_FLOATS` // L rows (`predictor.rank_labels` cuts its
+    queries into such blocks). A learner's block is one np.bincount of its neighbours'
+    weights at their (row, label) cells, row after row and each row in
+    neighbour order; bincount adds each cell's weights in that order into a
+    zeroed float64, so each score is the sum that scipy's `W @ Y` forms, in
+    W's stored order. The learners' blocks are added in learner order to a
+    running block that starts at 0.0, as scipy's S_1 + S_2 + ... adds them,
+    a label a learner never scored counting 0. The nonzero sums are kept, in
+    ascending label order per row, and each is divided by E.
     """
     n, L = labels.shape
     m = len(learners[0][0])
-    for index, _ in learners:
+    lengths = np.diff(labels.indptr)
+    total = np.zeros(m * L)
+    for index, sims in learners:
         if np.any((index < -1) | (index >= n)):
             raise IndexError(f"neighbor index out of range [0, {n})")
-    lengths = np.diff(labels.indptr)
-    step = max(1, _TILE_FLOATS // max(L, 1))
-    label_dtype = _index_dtype(L)
-    data, indices, counts = [], [], []
-    for a in range(0, m, step):
-        rows = min(step, m - a)
-        total = None
-        for index, sims in learners:
-            j = index[a : a + rows].ravel()
-            real = np.flatnonzero(j >= 0)  # not a -1 pad
-            row = real // index.shape[1]
-            j, w = j[real], np.maximum(sims[a : a + rows].ravel()[real], 0.0)
-            fan = lengths[j]
-            cells = np.repeat(row * L, fan) + labels.indices[_gather_rows(labels, j)]
-            block = np.bincount(cells, weights=np.repeat(w, fan), minlength=rows * L)
-            block = block.astype(np.float64, copy=False)  # int64 when no cell is hit
-            total = block if total is None else np.add(total, block, out=total)
-        nonzero = total != 0
-        kept = np.flatnonzero(nonzero)
-        data.append(total[kept] / len(learners))
-        indices.append((kept % L).astype(label_dtype))
-        counts.append(np.count_nonzero(nonzero.reshape(rows, L), axis=1))
-    data = np.concatenate([np.empty(0), *data])
-    indices = np.concatenate([np.empty(0, label_dtype), *indices])
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate([np.empty(0, np.int64), *counts]))))
-    return CSR(data, indices, indptr.astype(_index_dtype(data.size)), (m, L))
+        j = index.ravel()
+        real = np.flatnonzero(j >= 0)  # not a -1 pad
+        row = real // index.shape[1]
+        j, w = j[real], np.maximum(sims.ravel()[real], 0.0)
+        fan = lengths[j]
+        cells = np.repeat(row * L, fan) + labels.indices[_gather_rows(labels, j)]
+        total += np.bincount(cells, weights=np.repeat(w, fan), minlength=m * L)
+    kept = np.flatnonzero(total)  # row after row, ascending labels
+    indptr = np.searchsorted(kept, np.arange(m + 1) * L).astype(_index_dtype(kept.size))
+    return CSR(total[kept] / len(learners), (kept % L).astype(_index_dtype(L)), indptr, (m, L))
 
 
 def pair_dots(X: CSR, a: np.ndarray, b: np.ndarray) -> np.ndarray:

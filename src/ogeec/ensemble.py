@@ -5,8 +5,9 @@ built from it, and the kNN propagation rule. The whole model is therefore a
 handful of integers; the metadata file written here is everything needed to
 rebuild it. Fusion averages each label's score across learners, counting 0
 for learners that never scored it: each learner keeps only its neighbour
-arrays, and `csr.label_scores` adds the learners' score matrices in learner
-order, S1 + S2 + ..., and divides every nonzero sum by E.
+arrays, and `predictor.rank_labels`, the one label pass, adds their scores
+in learner order, S1 + S2 + ..., divides every nonzero sum by E and ranks
+them, one block of queries at a time.
 
 A command normalizes its samples once; each learner then projects its train
 and test samples together, so it generates every row of its F once.
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import CSR, label_scores
 from .data import SparseDataset
 from .embedding import (
     EmbeddingSpec,
@@ -31,7 +31,7 @@ from .embedding import (
 )
 from .embedding import embed  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .metrics import DEFAULT_KS, EvalReport, PropensityModel, evaluate
-from .predictor import batch_predict, score_matrix, top_k
+from .predictor import batch_predict, rank_labels
 
 
 @dataclass(frozen=True)
@@ -112,32 +112,26 @@ def fused_scores(
     spec: EnsembleSpec,
     dataset: SparseDataset,
     test: SparseDataset,
+    K: int,
     *,
     learners: int | None = None,
     workers: int = 1,
     matrix_provider=None,
     timings: dict[str, float] | None = None,
-) -> CSR:
-    """Fused scores over the first `learners` seeds (default: all): their
-    score matrices added in learner order, divided by the learner count.
-    Only the learners' neighbour arrays are held until the one label pass."""
-    neighbours = [
-        found
-        for _, found in learner_neighbours(
-            spec,
-            dataset,
-            test,
-            learners=learners,
-            workers=workers,
-            matrix_provider=matrix_provider,
-            timings=timings,
-        )
-    ]
+) -> tuple[np.ndarray, np.ndarray]:
+    """`rank_labels`' (m, K) top labels and scores of every test sample by
+    fused score over the first `learners` seeds (default: all). Only the
+    learners' neighbour arrays are held until that one label pass."""
+    found = learner_neighbours(
+        spec, dataset, test, learners=learners, workers=workers,
+        matrix_provider=matrix_provider, timings=timings,
+    )
+    neighbours = [nb for _, nb in found]
     t0 = time.perf_counter()
-    scores = label_scores(neighbours, dataset.label_matrix())
+    ranking = rank_labels(neighbours, dataset.label_matrix(), K)
     if timings is not None:
         timings["propagate_s"] = timings.get("propagate_s", 0.0) + time.perf_counter() - t0
-    return scores
+    return ranking
 
 
 @dataclass
@@ -178,10 +172,10 @@ def sweep_ensemble_size(
         spec, dataset, test, learners=need, workers=workers
     ):
         neighbours.append(found)
-        scores = score_matrix(*found, labels)
-        per_learner.append(evaluate(top_k(scores, max(ks))[0], truths, model, ks=ks))
+        own = rank_labels([found], labels, max(ks))[0]
+        per_learner.append(evaluate(own, truths, model, ks=ks))
         if len(neighbours) in sizes:
-            fused = top_k(label_scores(neighbours, labels), max(ks))[0]
+            fused = rank_labels(neighbours, labels, max(ks))[0]
             fused_reports[len(neighbours)] = evaluate(fused, truths, model, ks=ks)
     return SweepResult(
         fused=fused_reports,
@@ -196,13 +190,15 @@ def sweep_dimension(
     test: SparseDataset,
     rs: Sequence[int],
     k: int,
+    K: int,
     *,
     workers: int = 1,
-) -> Iterator[tuple[int, CSR]]:
-    """Yield (r, score matrix) of the `seed` learner for each r.
+) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray]]]:
+    """Yield (r, `rank_labels`' top K labels and scores) of the `seed`
+    learner for each r.
 
     One pass over F at max(rs) serves every r (`embedding.embed_prefixes`),
-    and the scores equal `fused_scores` of that one learner at r.
+    and each ranking equals `fused_scores` of that one learner at r.
     """
     if not rs:
         raise ValueError("rs must be nonempty")
@@ -210,7 +206,7 @@ def sweep_dimension(
     labels = dataset.label_matrix()
     prefixes = embed_prefixes(spec, train_test_rows(dataset, test), rs, workers=workers)
     for r, (train, queries) in zip(rs, prefixes):
-        yield r, score_matrix(*batch_predict(train, queries, k), labels)
+        yield r, rank_labels([batch_predict(train, queries, k)], labels, K)
 
 
 def format_metadata(spec: EnsembleSpec) -> str:

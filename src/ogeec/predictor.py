@@ -15,10 +15,10 @@ one lexsort ranks only the entries not below it, which hold the whole top K.
 Neighbours are `top_k`'s arrays from search to W: `knn` returns an (m, k)
 int64 index array and the matching (m, k) float64 similarities, and an index
 of -1 (score 0.0) pads a row that holds fewer than k neighbours, as an LSH
-row may. The scores of a batch of queries are one float64 CSR matrix S
-(queries x labels), S = W·Y (`score_matrix`, `csr.label_scores`): W holds
-the neighbours' similarities and Y the train labels. `top_k`'s label and
-score arrays feed `format_predictions` and `metrics.evaluate`.
+row may. `rank_labels` is the one label pass: per block of queries, the
+mean of the learners' S = W·Y (`csr.label_scores`; W holds the neighbours'
+similarities and Y the train labels), ranked by `top_k` before the next
+block forms. Its (m, K) arrays feed `format_predictions` and `evaluate`.
 
 A similarity is `rescore`'s fixed-order float64 dot product. Search is one
 blocked kernel per learner, the GEMM + k-selection scheme of FAISS (Johnson,
@@ -38,9 +38,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .csr import _TILE_FLOATS, CSR, label_scores
+from .csr import CSR, label_scores
 from .embedding import EmbeddedMatrix
 from .embedding import project_csr  # noqa: F401 -- perfbench/tracer.py wraps it here
+
+# Floats in one tile: a search screen tile of float32 scores (8 MB; it holds
+# this // n_train queries), `top_k`'s padded selection block and a dense
+# label block of float64s (16 MB; it holds this // L queries)
+_TILE_FLOATS = 1 << 21
 
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53
@@ -155,7 +160,8 @@ def propagate(neighbors: Sequence[tuple], labelsets: Sequence[np.ndarray]) -> di
     """Weighted Bernoulli label transfer for one query's (index, sim) pairs, as
     a dict: score[w] = sum of max(sim, 0) over neighbors carrying w.
     Nonpositive-similarity neighbors contribute nothing, so every stored score
-    is positive. This is the per-query definition of `score_matrix`'s rows."""
+    is positive. This is the per-query definition of a row of one learner's
+    `csr.label_scores`."""
     scores: dict[int, float] = {}
     for idx, sim in neighbors:
         if sim <= 0.0:
@@ -166,21 +172,6 @@ def propagate(neighbors: Sequence[tuple], labelsets: Sequence[np.ndarray]) -> di
             w = int(w)
             scores[w] = scores.get(w, 0.0) + sim
     return scores
-
-
-def score_matrix(index: np.ndarray, sims: np.ndarray, labels: CSR) -> CSR:
-    """Label scores of every query at once: S = W·Y, row i = `propagate` of
-    row i's neighbours.
-
-    `index` and `sims` are `knn`'s (m, k) arrays; an index of -1 is a pad and
-    is dropped, and any other index outside [0, n_train) raises IndexError.
-    W (m x n_train) holds each query's clamped similarities max(sim, 0), and
-    `labels` is Y, the train label matrix of ones. `csr.label_scores` adds
-    each label's weights in neighbour order into a zeroed float64 and keeps
-    only nonzero sums, so every score is the same float sum, in the same
-    order, as `propagate`'s (a clamped 0 adds nothing to a sum).
-    """
-    return label_scores([(index, sims)], labels)
 
 
 def top_k(
@@ -256,6 +247,24 @@ def _reaching_kth(data: np.ndarray, indptr: np.ndarray, K: int) -> np.ndarray | 
     return np.concatenate(kept)
 
 
+def rank_labels(
+    learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR, K: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`top_k` of the learners' mean label scores (`csr.label_scores` of
+    their (m, k) neighbour arrays and Y), in blocks of at most
+    _TILE_FLOATS // L queries, so no score matrix of all m queries is held.
+    A row's scores depend only on its own neighbours, so the result is that
+    of one pass over all queries."""
+    m = len(learners[0][0])
+    step = max(1, _TILE_FLOATS // max(labels.shape[1], 1))
+    best = np.empty((m, K), dtype=np.int64)
+    top = np.empty((m, K))
+    for a in range(0, m, step):
+        block = [(index[a : a + step], sims[a : a + step]) for index, sims in learners]
+        best[a : a + step], top[a : a + step] = top_k(label_scores(block, labels), K)
+    return best, top
+
+
 def batch_predict(
     train: EmbeddedMatrix,
     queries: np.ndarray,
@@ -266,7 +275,7 @@ def batch_predict(
     """One learner's neighbours of every column of `queries`, an (r, m) block
     of projected test samples (`embedding.embed_train_test` projects it in
     the same pass over F as the train matrix): `knn`'s (m, min(k, n)) index
-    and similarity arrays, for `score_matrix` or `csr.label_scores`."""
+    and similarity arrays, for `rank_labels`."""
     if queries.ndim != 2:
         raise ValueError(f"queries must be an (r, m) block, got shape {queries.shape}")
     t0 = time.perf_counter()

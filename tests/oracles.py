@@ -8,10 +8,12 @@ applies every column of F drawn from it, the reference for the projection
 that draws only the columns its samples use. The exceptions are `predict`,
 the per-query composition of the package's own steps, which the batch
 paths are checked against, `sweep_r`, one `fused_scores` call per r, which
-the one-pass dimension sweep is checked against, and the dict label side
-(`fuse`, `top_k_labels`, `format_dicts`, `evaluate_dicts`): one
-{label: score} dict per sample, the representation the sparse score matrix
-replaced, kept as its reference. `parse_dataset` is the whole-file,
+the one-pass dimension sweep is checked against, `score_matrix`, one
+learner's `csr.label_scores` of every query at once, which the blocked
+label pass is checked against, and the dict label side (`fuse`,
+`top_k_labels`, `format_dicts`, `evaluate_dicts`): one {label: score} dict
+per sample, the representation the sparse score matrix replaced, kept as
+its reference. `parse_dataset` is the whole-file,
 line-by-line parser the chunked parser replaced, with its own copies of the
 per-line helpers; it builds its dataset with `data._assemble`, which the
 chunked parser does not use. `lexsort_top_k` is `predictor.top_k` before
@@ -27,7 +29,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from ogeec.csr import CSR
+from ogeec.csr import CSR, label_scores
 from ogeec.data import _F32_MAX, DatasetFormatError, SparseDataset, _assemble
 
 from ogeec.embedding import EmbeddingSpec, embed_single, gaussian_words, materialize_row
@@ -140,10 +142,10 @@ def predict(spec, train, labelsets, query, k):
     return propagate(neighbor_lists(*knn(embed_single(spec, query), train, k)), labelsets)
 
 
-def sweep_r(seed, train_ds, test_ds, rs, k):
-    """(r, scores) of the `seed` learner, projected afresh at each r."""
+def sweep_r(seed, train_ds, test_ds, rs, k, K):
+    """(r, top K ranking) of the `seed` learner, projected afresh at each r."""
     specs = [EnsembleSpec(seeds=(seed,), d=train_ds.d, r=r, k=k) for r in rs]
-    return [(s.r, fused_scores(s, train_ds, test_ds)) for s in specs]
+    return [(s.r, fused_scores(s, train_ds, test_ds, K)) for s in specs]
 
 
 def ref_propensities(freqs, n, a, b):
@@ -213,6 +215,23 @@ def row_scores(S, i) -> dict:
 def score_dicts(S) -> list[dict]:
     """A score matrix as one {label: score} dict per row."""
     return [row_scores(S, i) for i in range(S.shape[0])]
+
+
+def ranking_dicts(ranking) -> list[dict]:
+    """`top_k`'s (labels, scores) arrays as one {label: score} dict per row,
+    the -1 pads dropped. A ranking at K = L holds every stored entry of the
+    score matrix it ranks, so its dicts are that matrix's `score_dicts`."""
+    return [
+        {w: s for w, s in zip(row, vals) if w >= 0}
+        for row, vals in zip(ranking[0].tolist(), ranking[1].tolist())
+    ]
+
+
+def score_matrix(index, sims, labels) -> CSR:
+    """One learner's label scores of every query at once, S = W·Y, row i the
+    `propagate` of row i's neighbours: `csr.label_scores` of that learner
+    alone, as one block."""
+    return label_scores([(index, sims)], labels)
 
 
 def score_csr(dicts, L) -> CSR:

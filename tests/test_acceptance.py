@@ -20,6 +20,7 @@ from oracles import (
     ref_psn,
     ref_psp,
     score_dicts,
+    score_matrix,
     top_k_labels,
     top_labels,
 )
@@ -31,7 +32,7 @@ from ogeec.ensemble import EnsembleSpec, fused_scores, make_ensemble_spec, sweep
 from ogeec.jl import jl_epsilon, measure_distortion
 from ogeec.lsh import build_index, query_lsh
 from ogeec.metrics import evaluate, propensity
-from ogeec.predictor import batch_predict, score_matrix, top_k
+from ogeec.predictor import batch_predict, top_k
 
 TABLE_DATASET_ROWS = [  # r=200 for the three benchmark corpus sizes
     (196606, "0.1627", "0.8373", "1.1627"),
@@ -199,8 +200,8 @@ def test_criterion_6_embedding_dimension_trend(dataset_pairs):
         model = propensity(train.label_frequencies, train.n)
         for r, sink in ((50, p50), (200, p200)):
             spec = EnsembleSpec(seeds=(10 * seed,), d=train.d, r=r, k=5)
-            scores = fused_scores(spec, train, test)
-            sink.append(evaluate(top_k(scores, 5)[0], test.labelsets(), model)["P@1"])
+            labels = fused_scores(spec, train, test, 5)[0]
+            sink.append(evaluate(labels, test.labelsets(), model)["P@1"])
     diffs = np.array(p200) - np.array(p50)
     sem = diffs.std(ddof=1) / np.sqrt(len(diffs))
     report(
@@ -274,9 +275,9 @@ def test_criterion_9_full_corpus_reproduction():
     train = parse_dataset(root / "train.txt")
     test = parse_dataset(root / "test.txt")
     spec = make_ensemble_spec(base_seed=0, learners=5, d=train.d, r=200, k=5)
-    scores = fused_scores(spec, train, test, workers=os.cpu_count() or 1)
+    labels = fused_scores(spec, train, test, 5, workers=os.cpu_count() or 1)[0]
     model = propensity(train.label_frequencies, train.n, a=0.55, b=1.5)
-    rep = evaluate(top_k(scores, 5)[0], test.labelsets(), model)
+    rep = evaluate(labels, test.labelsets(), model)
     targets = {  # five-learner fused reference values, in percent
         "P@1": 40.54, "P@3": 34.25, "P@5": 30.97,
         "N@1": 40.54, "N@3": 35.74, "N@5": 33.22,

@@ -16,7 +16,7 @@ from ogeec import cli, embedding
 from ogeec.cli import main
 from ogeec.data import parse_dataset, split_dataset, write_dataset
 from ogeec.embedding import EmbeddingSpec, load_cache
-from ogeec.ensemble import EnsembleSpec, fused_scores, read_metadata
+from ogeec.ensemble import EnsembleSpec, fused_scores, read_metadata, write_metadata
 from ogeec.metrics import evaluate, propensity
 from ogeec.predictor import format_predictions, top_k
 
@@ -113,8 +113,7 @@ def _assert_predict_tsv_matches_library_path(workspace, tmp_path, topk):
     spec = read_metadata(workspace / "model.txt")
     train = parse_dataset(workspace / "train.txt")
     test = parse_dataset(workspace / "test.txt")
-    scores = fused_scores(spec, train, test)
-    assert out.read_text() == format_predictions(*top_k(scores, topk))
+    assert out.read_text() == format_predictions(*fused_scores(spec, train, test, topk))
 
 
 def test_predict_tsv_matches_library_path(workspace, tmp_path):
@@ -272,9 +271,8 @@ def test_eval_matches_library_composition(workspace, capsys):
     spec = read_metadata(workspace / "model.txt")
     train = parse_dataset(workspace / "train.txt")
     test = parse_dataset(workspace / "test.txt")
-    scores = fused_scores(spec, train, test)
     model = propensity(train.label_frequencies, train.n)
-    want = evaluate(top_k(scores, 5)[0], test.labelsets(), model)
+    want = evaluate(fused_scores(spec, train, test, 5)[0], test.labelsets(), model)
     for name in ("P@1", "N@1", "PSP@5", "PSN@3"):
         assert float(got[name]) == pytest.approx(want[name], abs=5e-7)
     assert got["P@1"] == got["N@1"]
@@ -327,7 +325,9 @@ def test_predict_single_learner_equals_ensemble_of_one(workspace, tmp_path):
     train = parse_dataset(workspace / "train.txt")
     test = parse_dataset(workspace / "test.txt")
     from ogeec.embedding import embed, project_csr
-    from ogeec.predictor import batch_predict, score_matrix
+    from oracles import score_matrix
+
+    from ogeec.predictor import batch_predict
 
     lspec = spec.learner(0)
     emb = embed(lspec, train)
@@ -355,6 +355,34 @@ def test_lsh_compare_writes_prediction_tsv(workspace, tmp_path, capsys):
             if pair:
                 label, score = pair.split(":")
                 assert 0 <= int(label) < 40 and float(score) > 0
+
+
+def test_lsh_compare_outputs_do_not_depend_on_the_ranking_width(workspace, tmp_path, capsys):
+    """lsh-compare ranks each side once, at max(max(ks), topk). Under the
+    order (-score, label) the top --topk labels are a prefix of any wider
+    ranking, and the metrics read only its first max(ks) columns, so
+    widening either knob leaves the other's output as it is."""
+
+    def run(ks, topk):
+        preds = tmp_path / f"{ks}-{topk}.tsv"
+        rc = main(
+            [
+                "analyze", "lsh-compare", "--train", str(workspace / "train.txt"),
+                "--test", str(workspace / "test.txt"), "--r", "32", "--seed", "7",
+                "--tables", "8", "--bits", "6", "--ks", ks, "--topk", topk,
+                "--predictions-out", str(preds),
+            ]
+        )
+        assert rc == 0
+        return capsys.readouterr().out, preds.read_text().split("\n")
+
+    out, tsv = run("1,3", "3")
+    wide_out, wide_tsv = run("1,3", "12")
+    assert wide_out == out
+    assert run("1,3,12", "3")[1] == tsv
+    assert any(row.count("\t") > 2 for row in wide_tsv)
+    for row, wide in zip(tsv, wide_tsv):
+        assert wide.split("\t")[:3] == row.split("\t")
 
 
 def test_eval_grid_output(workspace, capsys):
@@ -559,6 +587,38 @@ def test_impossible_ranking_width_fails_in_one_line_before_embedding(
     assert err.startswith(f"error: {flag} {_HUGE_K} is too large: ranking 100 test samples")
     assert err.count("\n") == 1
     assert generated_rows == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--model", "{model}"],
+        ["analyze", "sweep-r", "--rs", "2,4"],
+        ["analyze", "sweep-ensemble", "--r", "4", "--sizes", "1,2"],
+        ["analyze", "lsh-compare", "--r", "4"],
+    ],
+    ids=["eval", "sweep-r", "sweep-ensemble", "lsh-compare"],
+)
+def test_test_label_outside_the_train_labels_fails_in_one_line_before_embedding(
+    tmp_path, generated_rows, capsys, argv
+):
+    """A test label at or above the train set's L exits 1 with one line that
+    names the test file and both label counts, before any row of F is
+    generated; `predict` reads no test labels and still accepts the file."""
+    train, test, model = (tmp_path / name for name in ("train.txt", "test.txt", "model.txt"))
+    train.write_text("6 5 8\n0 0:1\n1 1:1\n2 2:1\n3,4 3:1\n5,6 4:1\n7 0:1 4:2\n")
+    test.write_text("2 5 9\n0 0:1\n8 1:1\n")
+    write_metadata(model, EnsembleSpec(seeds=(0, 1), d=5, r=4, k=3))
+    data = ["--train", str(train), "--test", str(test)]
+    assert main([a.format(model=model) for a in argv] + data) == 1
+    out, err = capsys.readouterr()
+    assert (out, generated_rows) == ("", [])
+    assert err == (
+        f"error: {test}: test label 8 is outside the train set's labels "
+        "(the test set has 9 labels, the train set 8)\n"
+    )
+    assert main(["predict", "--model", str(model), *data]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_cache_with_non_finite_payload_is_rejected(workspace, tmp_path, capsys):

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    from_scipy,
     sp_label_scores,
     sp_normalize_rows,
     sp_pair_dots,
@@ -21,7 +22,7 @@ from oracles import (
     sp_vstack,
 )
 
-from ogeec import csr
+from ogeec import csr, predictor
 from ogeec.csr import (
     CSR,
     RowProducts,
@@ -31,6 +32,7 @@ from ogeec.csr import (
     sorted_unique,
     vstack,
 )
+from ogeec.predictor import rank_labels, top_k
 
 # explicit and signed zeros, values whose products underflow to 0 or whose
 # squares overflow, and ordinary values
@@ -115,9 +117,9 @@ _SIMS = st.sampled_from([0.0, -0.0, -0.5, 5e-324, 0.25, 1.0]) | st.floats(1e-3, 
 
 @st.composite
 def label_side(draw):
-    """Y of up to 12 train samples over L labels (label sets may be empty),
-    E learners' (m, k) neighbour arrays with -1 pads anywhere in a row, and a
-    _TILE_FLOATS that may put label block boundaries inside the queries."""
+    """Y of up to 12 train samples over up to 30 labels (label sets may be
+    empty), and E learners' (m, k) neighbour arrays for m of at most 9, with
+    -1 pads anywhere in a row."""
     n = draw(st.integers(1, 12))
     L = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -136,18 +138,32 @@ def label_side(draw):
         index[rng.random((m, k)) < 0.2] = -1
         sims = np.array([draw(_SIMS) for _ in range(m * k)]).reshape(m, k)
         learners.append((index, sims))
-    return learners, Y, draw(st.integers(1, 4 * L))
+    return learners, Y
 
 
 @settings(deadline=None, max_examples=300)
 @given(case=label_side())
 def test_label_scores_equal_scipy(case):
-    learners, Y, tile = case
-    with mock.patch.object(csr, "_TILE_FLOATS", tile):
-        got = label_scores(learners, Y)
+    learners, Y = case
+    got = label_scores(learners, Y)
     want = sp_label_scores(learners, Y)
     want.sort_indices()  # label_scores stores each row in ascending label order
     assert _same_csr(got, want)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=label_side(), rows=st.sampled_from([1, 7, 10]), K=st.sampled_from([1, 5, 31]))
+def test_rank_labels_equals_one_ranking_of_all_queries(case, rows, K):
+    """`predictor.rank_labels` in blocks of 1, 7 or more than m queries, so
+    that block boundaries fall inside the queries or nowhere, and at K of 1,
+    5 or more than L, gives the bits of `top_k` of the scipy scores of all
+    queries at once. The block size also sizes `top_k`'s selection blocks."""
+    learners, Y = case
+    with mock.patch.object(predictor, "_TILE_FLOATS", rows * Y.shape[1]):
+        labels, scores = rank_labels(learners, Y, K)
+    want_labels, want_scores = top_k(from_scipy(sp_label_scores(learners, Y)), K)
+    assert np.array_equal(labels, want_labels)
+    assert _same(scores, want_scores)
 
 
 @settings(deadline=None, max_examples=300)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import box_muller, fuse, project_full, score_dicts
+from oracles import box_muller, fuse, project_full, ranking_dicts, score_dicts, score_matrix
 
 from ogeec import embedding
 from ogeec.csr import CSR
@@ -28,7 +28,7 @@ from ogeec.embedding import (
     train_test_rows,
 )
 from ogeec.ensemble import fused_scores, make_ensemble_spec
-from ogeec.predictor import batch_predict, score_matrix
+from ogeec.predictor import batch_predict
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "embed_single_seed42_d10_r4.json"
 
@@ -309,7 +309,7 @@ def test_fused_scores_generates_each_row_once_per_learner(monkeypatch):
         return materialize_rows(spec, start, stop, cols=cols)
 
     monkeypatch.setattr(embedding, "materialize_rows", counting)
-    fused_scores(spec, train, test, workers=2)
+    fused_scores(spec, train, test, 3, workers=2)
     assert generated == Counter({(s, i): 1 for s in spec.seeds for i in range(spec.r)})
 
 
@@ -378,8 +378,8 @@ def test_one_pass_equals_separate_projections(monkeypatch, case, workers):
         assert np.array_equal(got_queries, queries)
     cached = {espec.seeds[0]: apart[0][0]}  # one learner cached, one projected
     for provider in (None, lambda ls: cached.get(ls.seed)):
-        fused = fused_scores(espec, train, test, workers=workers, matrix_provider=provider)
-        assert score_dicts(fused) == reference
+        fused = fused_scores(espec, train, test, train.L, workers=workers, matrix_provider=provider)
+        assert ranking_dicts(fused) == reference
 
 
 def test_train_test_rows_rejects_mismatched_dimensionality():

@@ -1,17 +1,22 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from oracles import (
     dict_neighbours,
     one_label_each,
     predict,
+    ranking_dicts,
     row_scores,
     score_dicts,
+    score_matrix,
     sweep_r,
     uniform_propensity,
 )
 
-from ogeec import embedding
-from ogeec.csr import label_scores
+from ogeec import embedding, ensemble, predictor
+from ogeec.csr import CSR, label_scores
 from ogeec.embedding import EmbeddingSpec, embed, project_csr
 from ogeec.ensemble import (
     EnsembleSpec,
@@ -24,7 +29,7 @@ from ogeec.ensemble import (
     write_metadata,
 )
 from ogeec.metrics import evaluate
-from ogeec.predictor import batch_predict, score_matrix, top_k
+from ogeec.predictor import batch_predict, top_k
 
 
 def test_make_spec_default_seed_schedule():
@@ -63,11 +68,11 @@ def test_fuse_scale_invariance_of_ranking():
 
 def test_single_learner_ensemble_equals_predict(small_ds, small_spec, small_embedded):
     espec = EnsembleSpec(seeds=(small_spec.seed,), d=small_spec.d, r=small_spec.r, k=5)
-    fused = fused_scores(espec, small_ds, small_ds)
+    fused = ranking_dicts(fused_scores(espec, small_ds, small_ds, small_ds.L))
     labelsets = small_ds.labelsets()
     for i in (0, 9, 150, 299):
         query = small_ds.feature_row(i)
-        assert row_scores(fused, i) == predict(small_spec, small_embedded, labelsets, query, 5)
+        assert fused[i] == predict(small_spec, small_embedded, labelsets, query, 5)
 
 
 def test_duplicate_seeds_equal_one_learner(small_ds, small_spec, small_embedded):
@@ -84,13 +89,14 @@ def test_seed_order_invariance(small_ds, train_test):
     sub = test  # 300 queries
     fwd = EnsembleSpec(seeds=(3, 11, 29), d=train.d, r=24, k=5)
     rev = EnsembleSpec(seeds=(29, 3, 11), d=train.d, r=24, k=5)
-    a = fused_scores(fwd, train, sub)
-    b = fused_scores(rev, train, sub)
-    for sa, sb in zip(score_dicts(a), score_dicts(b)):
+    a = fused_scores(fwd, train, sub, train.L)
+    b = fused_scores(rev, train, sub, train.L)
+    for sa, sb in zip(ranking_dicts(a), ranking_dicts(b)):
         assert sa.keys() == sb.keys()
         for w in sa:
             assert sa[w] == pytest.approx(sb[w], abs=1e-12)
-    assert np.array_equal(top_k(a, 5)[0], top_k(b, 5)[0])
+    # the top 5 is a prefix of the ranking at K = L
+    assert np.array_equal(a[0][:, :5], b[0][:, :5])
 
 
 def test_fused_equals_mean_of_per_learner(train_test):
@@ -101,7 +107,7 @@ def test_fused_equals_mean_of_per_learner(train_test):
         score_dicts(score_matrix(*found, labels))
         for _, found in learner_neighbours(espec, train, test)
     ]
-    fused = score_dicts(fused_scores(espec, train, test))
+    fused = ranking_dicts(fused_scores(espec, train, test, train.L))
     for i in range(test.n):
         labels = set().union(*(per[e][i].keys() for e in range(3)))
         for w in labels:
@@ -112,7 +118,7 @@ def test_fused_equals_mean_of_per_learner(train_test):
 def test_fused_scores_rejects_duplicate_seeds(train_test):
     train, test = train_test
     with pytest.raises(ValueError, match="distinct"):
-        fused_scores(EnsembleSpec(seeds=(5, 5), d=train.d, r=16, k=5), train, test)
+        fused_scores(EnsembleSpec(seeds=(5, 5), d=train.d, r=16, k=5), train, test, 5)
 
 
 def test_learner_count_validation(train_test):
@@ -190,20 +196,53 @@ def test_metadata_rejects_malformed_e(tmp_path, e_line):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_dimension_equals_per_r_oracle(train_test, monkeypatch, workers):
     """Prefixes of one projection at max(rs) give every r's scores bit for bit,
-    for unsorted and repeated r, r = 1 and prefixes cutting through a block."""
+    for unsorted and repeated r, r = 1 and prefixes cutting through a block;
+    rankings at K = L hold every score."""
     train, test = train_test
     rs = (24, 8, 1, 24, 17)
-    want = sweep_r(4, train, test, rs, 5)
+    want = sweep_r(4, train, test, rs, 5, train.L)
     monkeypatch.setattr(embedding, "_row_block", lambda d: 5)
-    got = sweep_dimension(4, train, test, rs, 5, workers=workers)
-    assert [(r, score_dicts(S)) for r, S in got] == [(r, score_dicts(S)) for r, S in want]
+    got = sweep_dimension(4, train, test, rs, 5, train.L, workers=workers)
+    assert [(r, ranking_dicts(R)) for r, R in got] == [(r, ranking_dicts(R)) for r, R in want]
 
 
 def test_sweep_dimension_rejects_bad_r(train_test):
     train, test = train_test
     with pytest.raises(ValueError, match="nonempty"):
-        list(sweep_dimension(4, train, test, (), 5))
+        list(sweep_dimension(4, train, test, (), 5, 5))
     with pytest.raises(ValueError, match="out of range"):
-        list(sweep_dimension(4, train, test, (8, 0), 5))
+        list(sweep_dimension(4, train, test, (8, 0), 5, 5))
     with pytest.raises(ValueError, match="r must satisfy"):
-        list(sweep_dimension(4, train, test, (8, train.d + 1), 5))
+        list(sweep_dimension(4, train, test, (8, train.d + 1), 5, 5))
+
+
+def test_label_memory_does_not_grow_with_queries(monkeypatch):
+    """`fused_scores` scores and ranks one block of queries at a time: from
+    300 to 1,200 queries its tracemalloc peak grows by at most the 16 bytes
+    per (query, slot) of its (m, K) output plus a small slack, where scoring
+    all queries before ranking them grows by their scores (about 150 labels
+    per query here)."""
+    rng = np.random.default_rng(3)
+    n, L, k, E, K = 200, 300, 5, 3, 5
+    sets = [np.sort(rng.choice(L, 30, replace=False)) for _ in range(n)]
+    Y = CSR(np.ones(30 * n), np.concatenate(sets), np.arange(0, 30 * n + 1, 30), (n, L))
+    spec = EnsembleSpec(seeds=tuple(range(E)), d=10, r=2, k=k)
+    train = mock.Mock(label_matrix=lambda: Y)
+    monkeypatch.setattr(predictor, "_TILE_FLOATS", 16 * L)  # 16 queries a block
+
+    def growth(run):
+        peaks = []
+        for m in (300, 1200):
+            found = [(rng.integers(0, n, (m, k)), rng.random((m, k))) for _ in range(E)]
+            monkeypatch.setattr(ensemble, "learner_neighbours", lambda *a, **kw: enumerate(found))
+            tracemalloc.start()
+            try:
+                run(found)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks[1] - peaks[0]
+
+    bound = 16 * K * 900 + 32 * 1024
+    assert growth(lambda found: fused_scores(spec, train, None, K)) <= bound
+    assert growth(lambda found: top_k(label_scores(found, Y), K)) > bound

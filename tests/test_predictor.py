@@ -17,6 +17,7 @@ from oracles import (
     row_scores,
     score_csr,
     score_dicts,
+    score_matrix,
 )
 
 from ogeec import predictor
@@ -26,7 +27,6 @@ from ogeec.predictor import (
     format_predictions,
     knn,
     propagate,
-    score_matrix,
     top_k,
 )
 

@@ -19,7 +19,9 @@ from oracles import (
     fuse,
     neighbor_arrays,
     one_label_each,
+    ranking_dicts,
     score_dicts,
+    score_matrix,
     sp_score_matrix,
     to_scipy,
     top_labels,
@@ -29,7 +31,7 @@ from ogeec import ensemble
 from ogeec.csr import CSR, label_scores
 from ogeec.ensemble import EnsembleSpec, fused_scores, sweep_ensemble_size
 from ogeec.metrics import evaluate, propensity
-from ogeec.predictor import format_predictions, propagate, score_matrix, top_k
+from ogeec.predictor import format_predictions, propagate
 
 # similarities spanning 1e-3 to 1e3, a few repeated values so that scores tie
 # across labels and learners, and nonpositive ones that transfer nothing
@@ -83,15 +85,16 @@ def test_sparse_label_side_equals_dict_path(case):
     spec = EnsembleSpec(seeds=tuple(range(len(mats))), d=10, r=2, k=5)
     train = mock.Mock(label_matrix=lambda: Y)
     with mock.patch.object(ensemble, "learner_neighbours", lambda *a, **kw: enumerate(found)):
-        fused = fused_scores(spec, train, None)
+        # ranked at K = L, the fused ranking holds every fused score
+        fused, top, ranked = (fused_scores(spec, train, None, width) for width in (L, K, max(ks)))
         test = mock.Mock(n=len(truths), labelsets=lambda: truths)
         sizes = list(range(1, len(mats) + 1))
         sweep = sweep_ensemble_size(spec, train, test, sizes, model, ks=ks)
     fused_dicts = [fuse(list(per_query)) for per_query in zip(*dicts)]
-    assert score_dicts(fused) == fused_dicts
-    assert format_predictions(*top_k(fused, K)) == format_dicts(fused_dicts, K)
+    assert ranking_dicts(fused) == fused_dicts
+    assert format_predictions(*top) == format_dicts(fused_dicts, K)
 
-    got = evaluate(top_k(fused, max(ks))[0], truths, model, ks=ks)
+    got = evaluate(ranked[0], truths, model, ks=ks)
     want = evaluate_dicts(fused_dicts, truths, model, ks=ks)
     assert (got.values, got.samples, got.skipped) == (want.values, want.samples, want.skipped)
     assert got.tsv_row() == want.tsv_row()
