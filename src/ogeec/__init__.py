@@ -32,9 +32,7 @@ from .embedding import (
     EmbeddedMatrix,
     EmbeddingSpec,
     embed,
-    embed_single,
     load_cache,
-    materialize_row,
     save_cache,
 )
 from .ensemble import (
@@ -76,7 +74,6 @@ __all__ = [
     "batch_predict",
     "build_index",
     "embed",
-    "embed_single",
     "evaluate",
     "fused_scores",
     "generate_synthetic",
@@ -84,7 +81,6 @@ __all__ = [
     "knn",
     "load_cache",
     "make_ensemble_spec",
-    "materialize_row",
     "measure_distortion",
     "parse_dataset",
     "propagate",

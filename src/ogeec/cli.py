@@ -36,15 +36,13 @@ from .data import (
 from .embedding import (
     EmbeddedMatrix,
     EmbeddingSpec,
-    _row_block,
     embed,
     embed_train_test,
     load_cache,
-    materialize_rows,
     save_cache,
-    split_rows,
     train_test_rows,
 )
+from .embedding import materialize_rows  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .predictor import batch_predict, format_predictions, rank_labels
 from .predictor import propagate  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .lsh import build_index, query_lsh
@@ -318,46 +316,25 @@ def cmd_gen(cfg: RunConfig, explicit: set[str]) -> int:
     return 0
 
 
-def _time_generation(spec: EmbeddingSpec, workers: int) -> float:
-    """Materialize every row of F once, discarding the blocks; the workers
-    split F's rows."""
-    t0 = time.perf_counter()
-    block = _row_block(spec.d)
-
-    def fill(lo: int, hi: int) -> None:
-        for s in range(lo, hi, block):
-            materialize_rows(spec, s, min(s + block, hi))
-
-    split_rows(spec.r, workers, fill)
-    return time.perf_counter() - t0
-
-
 def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
     _require(cfg, "train", "model")
+    # the model needs only d, but a bad train file should fail here already
     ds = parse_dataset(cfg.train)
     spec = ens.make_ensemble_spec(cfg.seed, cfg.learners, ds.d, cfg.r, cfg.k)
-    workers = cfg.effective_workers()
-    for i in range(spec.size):
-        lspec = spec.learner(i)
-        shape = f"({lspec.r}x{lspec.d})"
-        if cfg.cache is None:
-            gen_s = _time_generation(lspec, workers)
+    if cfg.cache is not None:
+        workers = cfg.effective_workers()
+        for lspec in map(spec.learner, range(spec.size)):
+            # the embedding pass generates F once; it is the generation time too
+            t0 = time.perf_counter()
+            matrix = embed(lspec, ds, workers=workers)
+            embed_s = time.perf_counter() - t0
+            path = f"{cfg.cache}-{lspec.seed}.ogec"
+            save_cache(path, matrix, lspec)
             print(
-                f"learner seed={lspec.seed}: matrix generation {gen_s:.3f}s {shape}",
+                f"learner seed={lspec.seed}: matrix generation and embedding "
+                f"{embed_s:.3f}s ({lspec.r}x{lspec.d}), cached to {path}",
                 file=sys.stderr,
             )
-            continue
-        # the embedding pass generates F once; it is the generation time too
-        t0 = time.perf_counter()
-        matrix = embed(lspec, ds, workers=workers)
-        embed_s = time.perf_counter() - t0
-        path = f"{cfg.cache}-{lspec.seed}.ogec"
-        save_cache(path, matrix, lspec)
-        print(
-            f"learner seed={lspec.seed}: matrix generation and embedding "
-            f"{embed_s:.3f}s {shape}, cached to {path}",
-            file=sys.stderr,
-        )
     ens.write_metadata(cfg.model, spec)
     print(f"model metadata written to {cfg.model}", file=sys.stderr)
     return 0

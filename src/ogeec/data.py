@@ -93,9 +93,6 @@ class SparseVector:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.square(self.values, dtype=np.float64))))
-
 
 @dataclass
 class SparseDataset:
@@ -128,10 +125,6 @@ class SparseDataset:
     def labelsets(self) -> list[np.ndarray]:
         return [self.labels(i) for i in range(self.n)]
 
-    @property
-    def total_assignments(self) -> int:
-        return int(self.label_indices.size)
-
     def label_matrix(self) -> CSR:
         """Y (n x L): a float64 1 at every (sample, label) assignment."""
         return CSR(
@@ -141,19 +134,6 @@ class SparseDataset:
     def to_feature_csr(self, dtype=np.float64) -> CSR:
         return CSR(
             self.feat_values.astype(dtype), self.feat_indices, self.feat_indptr, (self.n, self.d)
-        )
-
-    def equals(self, other: "SparseDataset") -> bool:
-        return (
-            self.n == other.n
-            and self.d == other.d
-            and self.L == other.L
-            and np.array_equal(self.feat_indptr, other.feat_indptr)
-            and np.array_equal(self.feat_indices, other.feat_indices)
-            and np.array_equal(self.feat_values, other.feat_values)
-            and np.array_equal(self.label_indptr, other.label_indptr)
-            and np.array_equal(self.label_indices, other.label_indices)
-            and np.array_equal(self.label_frequencies, other.label_frequencies)
         )
 
 

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .csr import CSR, RowProducts, normalize_rows, vstack
-from .data import SparseDataset, SparseVector
+from .data import SparseDataset
 
 CACHE_MAGIC = b"OGEC"
 CACHE_VERSION = 1
@@ -89,14 +89,6 @@ def gaussian_words(seed: int, stream: int, count: int) -> np.ndarray:
     return np.random.Philox(key=key).random_raw(count)
 
 
-def gaussian_row(seed: int, stream: int, count: int) -> np.ndarray:
-    """Standard-normal float64 vector from the (seed, stream) substream.
-
-    Box-Muller over 53-bit uniforms: u1 in (0, 1] (never log(0)), u2 in [0, 1).
-    """
-    return _gaussian_rows(seed, range(stream, stream + 1), count, None)[0]
-
-
 @dataclass(frozen=True)
 class ColumnPlan:
     """The columns of F that a projection reads, in the order it draws them.
@@ -129,71 +121,48 @@ def column_plan(used: np.ndarray) -> ColumnPlan:
     return ColumnPlan(np.flatnonzero(drawn), rank[even], rank[odd], columns, place)
 
 
-def _pick(src: np.ndarray, at, buf: np.ndarray) -> np.ndarray:
-    """src[at]: a view for a slice, else gathered into the head of `buf`."""
-    if isinstance(at, slice):
-        return src[at]
+def _take(src: np.ndarray, at: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """src[at], gathered into the head of `buf`."""
     return np.take(src, at, out=buf[: at.size], mode="clip")
 
 
-def _gaussian_rows(
-    seed: int, streams: range, count: int, plan: ColumnPlan | None
-) -> np.ndarray:
-    """One row per stream: all `count` columns, or the plan's columns in plan
-    order.
+def _gaussian_rows(seed: int, streams: range, count: int, plan: ColumnPlan) -> np.ndarray:
+    """One row per stream of `count` standard normals, at the plan's columns
+    in plan order.
 
-    Philox runs over the whole stream; the log and sqrt run only on the drawn
-    pairs, and cos or sin only where an even or odd column is kept. log, cos
-    and sin each run elementwise on a contiguous buffer, as in the full row,
-    so every value is bit-identical to drawing the full row.
+    Box-Muller over 53-bit uniforms: u1 in (0, 1] (never log(0)), u2 in
+    [0, 1). Philox runs over the whole stream; the log and sqrt run only on
+    the drawn pairs, and cos or sin only where an even or odd column is kept.
+    log, cos and sin each run elementwise on a contiguous buffer, so every
+    value is bit-identical to drawing the full row.
     """
     m = (count + 1) // 2
-    if plan is None:
-        # full support: every selection is a slice, and the terms interleave
-        p, width = m, count
-        pairs, cos, sin = slice(0, m), slice(0, m), slice(0, count // 2)
-        cos_to, sin_to = slice(0, count, 2), slice(1, count, 2)
-    else:
-        p, width = plan.pairs.size, plan.columns.size
-        pairs, cos, sin = plan.pairs, plan.cos, plan.sin
-        cos_to, sin_to = slice(0, cos.size), slice(cos.size, width)
-    out = np.empty((len(streams), width))
+    p, c = plan.pairs.size, plan.cos.size
+    out = np.empty((len(streams), plan.columns.size))
     words = np.empty(p, dtype=np.uint64)
     radius, angle, trig = np.empty(p), np.empty(p), np.empty(p)
     for row, stream in zip(out, streams):
         raw = gaussian_words(seed, stream, 2 * m)
-        u = _pick(raw[:m], pairs, words)
+        u = _take(raw[:m], plan.pairs, words)
         u >>= 11
         u += 1
         np.multiply(u, 2.0**-53, out=radius)
         np.log(radius, out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        u = _pick(raw[m:], pairs, words)
+        u = _take(raw[m:], plan.pairs, words)
         u >>= 11
         np.multiply(u, 2.0**-53, out=angle)
         angle *= 2.0 * np.pi
-        for at, to, fn in ((cos, cos_to, np.cos), (sin, sin_to, np.sin)):
-            dst = row[to]
-            t = fn(_pick(angle, at, trig), out=trig[: dst.size])
-            np.multiply(_pick(radius, at, dst), t, out=dst)
+        for at, dst, fn in ((plan.cos, row[:c], np.cos), (plan.sin, row[c:], np.sin)):
+            t = fn(_take(angle, at, trig), out=trig[: at.size])
+            np.multiply(_take(radius, at, dst), t, out=dst)
     return out
 
 
-def materialize_row(spec: EmbeddingSpec, row: int) -> np.ndarray:
-    """Row `row` of F, reproducible without generating any other row."""
-    if not 0 <= row < spec.r:
-        raise IndexError(f"row {row} out of range [0, {spec.r})")
-    return gaussian_row(spec.seed, row, spec.d)
-
-
-def materialize_rows(
-    spec: EmbeddingSpec, start: int, stop: int, *, cols: ColumnPlan | None = None
-) -> np.ndarray:
-    """F[start:stop, cols] as a (stop-start, c) float64 array, in plan order.
-
-    With `cols` None, all d columns in order.
-    """
+def materialize_rows(spec: EmbeddingSpec, start: int, stop: int, *, cols: ColumnPlan) -> np.ndarray:
+    """F[start:stop, cols.columns] as a (stop-start, c) float64 array, in plan
+    order; each row is reproducible without generating any other row."""
     if not 0 <= start <= stop <= spec.r:
         raise IndexError(f"rows [{start}, {stop}) out of range [0, {spec.r})")
     return _gaussian_rows(spec.seed, range(start, stop), spec.d, cols)
@@ -358,27 +327,6 @@ def embed(
         spec, dataset.to_feature_csr(np.float64), workers=workers
     )
     return EmbeddedMatrix(r=spec.r, n=dataset.n, data=data)
-
-
-def embed_single(
-    spec: EmbeddingSpec, x: SparseVector
-) -> np.ndarray:
-    """Embed one sample; identical to embed() on a one-sample dataset.
-
-    Feature indices at or beyond spec.d are rejected (the fail-fast choice;
-    silently truncating out-of-vocabulary features is the alternative).
-    """
-    if x.nnz and int(x.indices[-1]) >= spec.d:
-        raise ValueError(
-            f"feature index {int(x.indices[-1])} out of range [0, {spec.d})"
-        )
-    X = CSR(
-        x.values.astype(np.float64),
-        x.indices,
-        np.array([0, x.nnz], dtype=np.int64),
-        (1, spec.d),
-    )
-    return project_csr(spec, X).ravel()
 
 
 def save_cache(path, matrix: EmbeddedMatrix, spec: EmbeddingSpec) -> None:

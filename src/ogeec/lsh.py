@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csr import sorted_unique
-from .embedding import EmbeddedMatrix, gaussian_row
+from .embedding import EmbeddedMatrix, _gaussian_rows, column_plan
 from .predictor import rescore, top_k
 
 # keeps hyperplane streams disjoint from projection-row streams for any seed
@@ -38,10 +38,12 @@ class LshIndex:
 
 
 def hyperplanes_for(seed: int, tables: int, bits: int, r: int) -> np.ndarray:
-    planes = np.empty((tables * bits, r))
-    for i in range(tables * bits):
-        planes[i] = gaussian_row(seed ^ LSH_SEED_NAMESPACE, i, r)
-    return planes
+    """(tables * bits, r) gaussian rows, row i from stream i of the namespaced
+    seed, drawn as a projection draws F at every column and put back in
+    column order."""
+    plan = column_plan(np.ones(r, dtype=bool))
+    rows = _gaussian_rows(seed ^ LSH_SEED_NAMESPACE, range(tables * bits), r, plan)
+    return rows.take(plan.place, axis=1)
 
 
 def _codes(planes_t: np.ndarray, vectors: np.ndarray) -> np.ndarray:

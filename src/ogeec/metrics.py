@@ -124,7 +124,8 @@ def evaluate(
     first, ranked by `predictor.top_k`); PSN@K is PSP@K with each term
     discounted by log2(pos + 2). All samples are computed at once, but each
     sample's terms are added in rank order and the per-sample values in
-    sample order, so every sum is the one a loop over samples makes.
+    sample order, so every sum is the one a loop over samples makes. A true
+    label outside the model's labels is a ValueError.
     """
     pred = np.asarray(predictions, dtype=np.int64)
     max_k = max(ks)
@@ -136,6 +137,14 @@ def evaluate(
     pred = pred[:, :max_k]
     keys, span, hit = truth_hits(pred, truths)
     rows, labels = keys // span, keys % span
+    L = model.propensities.size
+    outside = np.flatnonzero(labels >= L)
+    if outside.size:
+        i = outside[0]
+        raise ValueError(
+            f"true label {labels[i]} of sample {rows[i]} is outside the "
+            f"propensity model's {L} labels"
+        )
     counts = np.bincount(rows, minlength=m)
     used = counts > 0
     hit = hit[used]

@@ -3,11 +3,15 @@
 Everything here is deliberately naive (dense arrays, python loops, full
 sorts) and shares no code path with the package beyond the definitional
 gaussian row stream, which is the identity of the projection matrix
-itself. `box_muller` defines that stream step by step, and `project_full`
-applies every column of F drawn from it, the reference for the projection
-that draws only the columns its samples use. The exceptions are `predict`,
-the per-query composition of the package's own steps, which the batch
-paths are checked against, `sweep_r`, one `fused_scores` call per r, which
+itself. `box_muller` defines that stream step by step and is the only
+source of whole rows of F, since the package draws F only at the columns a
+projection uses; `project_full` applies every column of F drawn from it, the
+reference for that projection. The exceptions are `embed_single`, one
+sample projected alone through the package's `project_csr` (no command
+projects a single sample, so it lives here), `predict`, the per-query
+composition of the package's own steps, which the batch paths are checked
+against, `same_dataset`, the field-by-field comparison of two parsed
+datasets, `sweep_r`, one `fused_scores` call per r, which
 the one-pass dimension sweep is checked against, `score_matrix`, one
 learner's `csr.label_scores` of every query at once, which the blocked
 label pass is checked against, and the dict label side (`fuse`,
@@ -24,6 +28,7 @@ kept as their bit-for-bit references (`scripts/kernel_bench.py` times the
 kernels against them); `to_scipy` and `from_scipy` convert at the boundary.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,7 +37,7 @@ import scipy.sparse as sp
 from ogeec.csr import CSR, label_scores
 from ogeec.data import _F32_MAX, DatasetFormatError, SparseDataset, _assemble
 
-from ogeec.embedding import EmbeddingSpec, embed_single, gaussian_words, materialize_row
+from ogeec.embedding import gaussian_words, project_csr
 from ogeec.ensemble import EnsembleSpec, fused_scores
 from ogeec.metrics import DEFAULT_KS, METRIC_NAMES, EvalReport, PropensityModel
 from ogeec.predictor import knn, propagate, top_k
@@ -81,9 +86,7 @@ def project_full(spec, X, dtype):
 
 def naive_end_to_end(seed, train_ds, test_ds, r, k):
     """Dense float64 matrix multiply plus full sort, per test sample."""
-    d = train_ds.d
-    spec = EmbeddingSpec(seed=seed, d=d, r=r)
-    F = np.vstack([materialize_row(spec, i) for i in range(r)])
+    F = np.vstack([box_muller(seed, i, train_ds.d) for i in range(r)])
     P_train = normalize_rows(normalize_rows(dense_rows(train_ds)) @ F.T)
     P_test = normalize_rows(normalize_rows(dense_rows(test_ds)) @ F.T)
     labelsets = train_ds.labelsets()
@@ -137,6 +140,18 @@ def neighbor_arrays(lists):
     return index, sims
 
 
+def embed_single(spec, x):
+    """One sample (a `SparseVector`) projected alone: `project_csr` of its
+    one-row CSR, the (r,) column that `embed` gives it in any dataset."""
+    X = CSR(
+        x.values.astype(np.float64),
+        x.indices,
+        np.array([0, x.nnz], dtype=np.int64),
+        (1, spec.d),
+    )
+    return project_csr(spec, X).ravel()
+
+
 def predict(spec, train, labelsets, query, k):
     """Single-learner prediction for one query: embed_single, knn, propagate."""
     return propagate(neighbor_lists(*knn(embed_single(spec, query), train, k)), labelsets)
@@ -146,6 +161,13 @@ def sweep_r(seed, train_ds, test_ds, rs, k, K):
     """(r, top K ranking) of the `seed` learner, projected afresh at each r."""
     specs = [EnsembleSpec(seeds=(seed,), d=train_ds.d, r=r, k=k) for r in rs]
     return [(s.r, fused_scores(s, train_ds, test_ds, K)) for s in specs]
+
+
+def same_dataset(a, b) -> bool:
+    """Every field of two `SparseDataset`s equal, arrays element for element."""
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+    )
 
 
 def ref_propensities(freqs, n, a, b):

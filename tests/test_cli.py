@@ -440,7 +440,7 @@ def generated_rows(monkeypatch):
     rows = []
 
     def counted(orig):
-        def wrapper(spec, start, stop, *, cols=None):
+        def wrapper(spec, start, stop, *, cols):
             rows.append(stop - start)
             return orig(spec, start, stop, cols=cols)
 
@@ -463,23 +463,44 @@ def test_train_cache_generates_each_row_of_f_once(workspace, tmp_path, generated
     assert sum(generated_rows) == 2 * 16  # r rows per learner
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_train_splits_generation_over_workers(workspace, tmp_path, generated_rows, capsys, workers):
+def test_train_draws_no_row_of_f_without_cache(workspace, tmp_path, generated_rows, capsys):
+    """The model is a handful of integers: without --cache, train parses the
+    train file, writes the metadata and generates nothing."""
+    model = tmp_path / "m.txt"
     rc = main(
         [
-            "train", "--train", str(workspace / "train.txt"),
-            "--model", str(tmp_path / "m.txt"), "--r", "40", "--learners", "2",
-            "--seed", "7", "--workers", str(workers),
+            "train", "--train", str(workspace / "train.txt"), "--model", str(model),
+            "--r", "40", "--learners", "2", "--seed", "7",
         ]
     )
     assert rc == 0
-    assert sum(generated_rows) == 2 * 40  # each row of F once, whatever the workers
-    assert len(generated_rows) == 2 * workers  # one range of rows per worker
-    lines = capsys.readouterr().err.splitlines()
-    assert [line.split(": matrix generation ")[0] for line in lines[:2]] == [
-        "learner seed=7", "learner seed=8",
-    ]
-    assert all(line.endswith("s (40x2000)") for line in lines[:2])
+    assert generated_rows == []
+    assert capsys.readouterr().err == f"model metadata written to {model}\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_train_model_is_identical_across_workers(workspace, tmp_path, workers):
+    model = tmp_path / "m.txt"
+    rc = main(
+        [
+            "train", "--train", str(workspace / "train.txt"), "--model", str(model),
+            "--r", "32", "--k", "5", "--learners", "2", "--seed", "7",
+            "--workers", str(workers),
+        ]
+    )
+    assert rc == 0
+    assert model.read_bytes() == (workspace / "model.txt").read_bytes()
+
+
+def test_malformed_train_file_fails_train_in_one_line(tmp_path, capsys):
+    """train reads no more of its samples than their validation needs, but a
+    bad train file still fails here, before any model is written."""
+    bad, model = tmp_path / "train.txt", tmp_path / "m.txt"
+    bad.write_text("2 50 3\n0 1:1\n1 7:x\n")
+    rc = main(["train", "--train", str(bad), "--model", str(model), "--r", "4"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: line 3: bad feature pair '7:x'"]
+    assert not model.exists()
 
 
 @pytest.mark.parametrize(
@@ -1008,22 +1029,25 @@ def test_analyze_without_subcommand_prints_analyze_help(capsys):
     assert "predict" not in err
 
 
-def test_generation_timing_at_benchmark_scale(tmp_path, capsys):
-    """Matrix materialization for r=200, d=782585 finishes within 60 s on one
-    worker (the corpus itself is tiny; only the generation pass is at scale)."""
-    path = tmp_path / "wide.txt"
+def test_generation_timing_at_benchmark_scale(tmp_path, generated_rows):
+    """Generating F for r=200, d=782585 finishes within 60 s on one worker:
+    predict draws every row's Philox stream over all d columns, though the
+    corpus itself is tiny."""
+    path, model = tmp_path / "wide.txt", tmp_path / "m.txt"
     path.write_text("3 782585 5\n0 0:1.0 700000:2.0\n1 5:1.0\n2,4 9:0.5\n")
+    train = ["train", "--train", str(path), "--model", str(model), "--r", "200"]
+    assert main([*train, "--learners", "1", "--seed", "0"]) == 0
     t0 = time.perf_counter()
     rc = main(
         [
-            "train", "--train", str(path), "--model", str(tmp_path / "m.txt"),
-            "--r", "200", "--learners", "1", "--seed", "0", "--workers", "1",
+            "predict", "--model", str(model), "--train", str(path), "--test", str(path),
+            "--out", str(tmp_path / "p.tsv"), "--workers", "1",
         ]
     )
     elapsed = time.perf_counter() - t0
     assert rc == 0
     assert elapsed < 60.0
-    assert "matrix generation" in capsys.readouterr().err
+    assert sum(generated_rows) == 200
 
 
 # every subcommand's flags; a flag added to or dropped from one changes its

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import box_muller, fuse, project_full, ranking_dicts, score_dicts, score_matrix
+from oracles import (
+    box_muller,
+    embed_single,
+    fuse,
+    project_full,
+    ranking_dicts,
+    score_dicts,
+    score_matrix,
+)
 
 from ogeec import embedding
 from ogeec.csr import CSR
@@ -17,11 +25,8 @@ from ogeec.embedding import (
     _project,
     column_plan,
     embed,
-    embed_single,
     embed_train_test,
-    gaussian_row,
     load_cache,
-    materialize_row,
     materialize_rows,
     project_csr,
     save_cache,
@@ -45,44 +50,63 @@ def test_spec_validation():
     EmbeddingSpec(seed=-123, d=10, r=10)  # negative seeds are legal
 
 
+def full_rows(spec: EmbeddingSpec, start: int, stop: int) -> np.ndarray:
+    """F[start:stop] in column order: `materialize_rows` at the plan of every
+    column, put back in column order."""
+    plan = column_plan(np.ones(spec.d, dtype=bool))
+    return materialize_rows(spec, start, stop, cols=plan).take(plan.place, axis=1)
+
+
+def definition_rows(spec: EmbeddingSpec, start: int, stop: int) -> np.ndarray:
+    """F[start:stop] from the definitional stream, `box_muller`."""
+    rows = [box_muller(spec.seed, i, spec.d) for i in range(start, stop)]
+    return np.array(rows).reshape(stop - start, spec.d)
+
+
 def test_materialize_row_deterministic():
     spec = EmbeddingSpec(seed=7, d=500, r=8)
-    assert np.array_equal(materialize_row(spec, 3), materialize_row(spec, 3))
+    assert np.array_equal(full_rows(spec, 3, 4), full_rows(spec, 3, 4))
 
 
 def test_materialize_rows_are_distinct_streams():
     spec = EmbeddingSpec(seed=7, d=500, r=8)
-    assert not np.array_equal(materialize_row(spec, 0), materialize_row(spec, 1))
+    assert not np.array_equal(full_rows(spec, 0, 1), full_rows(spec, 1, 2))
 
 
 def test_materialize_row_out_of_range():
     spec = EmbeddingSpec(seed=7, d=500, r=8)
+    plan = column_plan(np.ones(spec.d, dtype=bool))
     with pytest.raises(IndexError):
-        materialize_row(spec, 8)
+        materialize_rows(spec, 8, 9, cols=plan)
     with pytest.raises(IndexError):
-        materialize_row(spec, -1)
+        materialize_rows(spec, -1, 0, cols=plan)
 
 
 def test_materialize_rows_matches_single_rows():
     spec = EmbeddingSpec(seed=11, d=300, r=10)
-    block = materialize_rows(spec, 2, 7)
+    block = full_rows(spec, 2, 7)
     for i in range(2, 7):
-        assert np.array_equal(block[i - 2], materialize_row(spec, i))
+        assert np.array_equal(block[i - 2], full_rows(spec, i, i + 1)[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(-(2**63), 2**64 - 1),
-    stream=st.integers(0, 2**64 - 1),
     count=st.integers(1, 300),
+    data=st.data(),
 )
-def test_gaussian_row_equals_box_muller_definition(seed, stream, count):
-    assert gaussian_row(seed, stream, count).tobytes() == box_muller(seed, stream, count).tobytes()
+def test_gaussian_row_equals_box_muller_definition(seed, count, data):
+    """A row of F drawn at every column is the definitional row bit for bit."""
+    stream = data.draw(st.integers(0, count - 1))
+    spec = EmbeddingSpec(seed=seed, d=count, r=stream + 1)
+    row = full_rows(spec, stream, stream + 1)
+    assert row.tobytes() == definition_rows(spec, stream, stream + 1).tobytes()
 
 
 @pytest.mark.parametrize("count", [782_585, 782_584])
 def test_gaussian_row_equals_box_muller_definition_at_wide_d(count):
-    assert gaussian_row(3, 11, count).tobytes() == box_muller(3, 11, count).tobytes()
+    spec = EmbeddingSpec(seed=3, d=count, r=12)
+    assert full_rows(spec, 11, 12).tobytes() == box_muller(3, 11, count).tobytes()
 
 
 def _support(draw, d: int) -> np.ndarray:
@@ -113,7 +137,7 @@ def test_materialize_rows_at_a_plan_equals_full_rows_at_its_columns(data):
     assert np.all(plan.columns[: plan.cos.size] % 2 == 0)
     assert np.all(plan.columns[plan.cos.size :] % 2 == 1)
     assert np.array_equal(plan.place[plan.columns], np.arange(plan.columns.size))
-    full = materialize_rows(spec, start, stop)
+    full = definition_rows(spec, start, stop)
     part = materialize_rows(spec, start, stop, cols=plan)
     assert part.shape == (stop - start, plan.columns.size)
     assert part.tobytes() == np.ascontiguousarray(full[:, plan.columns]).tobytes()
@@ -163,13 +187,14 @@ def test_project_equals_full_f_oracle(monkeypatch, case, workers, dtype):
 
 
 def test_gaussian_stream_moments():
-    v = gaussian_row(42, 0, 100000)
+    v = full_rows(EmbeddingSpec(seed=42, d=100000, r=1), 0, 1)[0]
     assert abs(v.mean()) < 0.02
     assert abs(v.var() - 1.0) < 0.03
 
 
 def test_seed_changes_stream():
-    assert not np.array_equal(gaussian_row(1, 0, 64), gaussian_row(2, 0, 64))
+    one, two = (full_rows(EmbeddingSpec(seed=s, d=64, r=1), 0, 1) for s in (1, 2))
+    assert not np.array_equal(one, two)
 
 
 def test_embed_zero_vector_gives_zero_column(small_spec):
@@ -191,7 +216,7 @@ def test_embed_one_hot_selects_normalized_matrix_column():
     j = 17
     x = SparseVector(np.array([j]), np.array([5.0], dtype=np.float32))
     out = embed_single(spec, x)
-    F = np.vstack([materialize_row(spec, i) for i in range(spec.r)])
+    F = definition_rows(spec, 0, spec.r)
     col = F[:, j] / np.linalg.norm(F[:, j])
     np.testing.assert_allclose(out, col.astype(np.float32), rtol=0, atol=1e-6)
 
@@ -222,13 +247,13 @@ def test_embed_single_agrees_with_embed_columns(small_spec, small_ds, small_embe
 
 
 def test_embed_single_golden():
+    """`project_csr` of one sample's CSR row, its float32 values widened."""
     golden = json.loads(GOLDEN.read_text())
     spec = EmbeddingSpec(**golden["spec"])
-    x = SparseVector(
-        np.array(golden["input"]["indices"]),
-        np.array(golden["input"]["values"], dtype=np.float32),
-    )
-    out = embed_single(spec, x)
+    indices = np.array(golden["input"]["indices"], dtype=np.int64)
+    values = np.array(golden["input"]["values"], dtype=np.float32).astype(np.float64)
+    X = CSR(values, indices, np.array([0, indices.size]), (1, spec.d))
+    out = project_csr(spec, X).ravel()
     assert [float(v) for v in out] == golden["expected"]
 
 
@@ -236,10 +261,10 @@ def test_scaled_row_source_leaves_embedding_unchanged(small_spec, small_ds, monk
     """Re-normalization absorbs any common scale on F; a power-of-two scale
     is exact in float arithmetic, so outputs match bitwise."""
 
-    def scaled4(spec, start, stop, *, cols=None):
+    def scaled4(spec, start, stop, *, cols):
         return 4.0 * materialize_rows(spec, start, stop, cols=cols)
 
-    def scaled3(spec, start, stop, *, cols=None):
+    def scaled3(spec, start, stop, *, cols):
         return 3.0 * materialize_rows(spec, start, stop, cols=cols)
 
     base = embed(small_spec, small_ds)
@@ -261,7 +286,7 @@ def test_norm_preservation_in_expectation():
     x /= np.linalg.norm(x)
     vals = []
     for seed in range(200):
-        F = np.vstack([gaussian_row(seed, i, d) for i in range(r)])
+        F = full_rows(EmbeddingSpec(seed=seed, d=d, r=r), 0, r)
         vals.append(np.sum((F @ x) ** 2) / r)
     assert abs(np.mean(vals) - 1.0) < 0.05
 
@@ -281,7 +306,7 @@ def test_projection_generates_each_row_once(small_ds, monkeypatch, r, workers):
     reference = embed(spec, small_ds, workers=1)
     generated = []
 
-    def counting(spec, start, stop, *, cols=None):
+    def counting(spec, start, stop, *, cols):
         generated.extend(range(start, stop))
         return materialize_rows(spec, start, stop, cols=cols)
 
@@ -304,7 +329,7 @@ def test_fused_scores_generates_each_row_once_per_learner(monkeypatch):
     spec = make_ensemble_spec(3, 2, d=ds.d, r=8, k=3)
     generated = Counter()
 
-    def counting(spec, start, stop, *, cols=None):
+    def counting(spec, start, stop, *, cols):
         generated.update((spec.seed, i) for i in range(start, stop))
         return materialize_rows(spec, start, stop, cols=cols)
 
@@ -393,12 +418,6 @@ def test_embed_dimension_mismatch(small_spec):
     )
     with pytest.raises(ValueError, match="dimensionality"):
         embed(small_spec, ds)
-
-
-def test_embed_single_rejects_out_of_range_index(small_spec):
-    x = SparseVector(np.array([small_spec.d]), np.array([1.0], dtype=np.float32))
-    with pytest.raises(ValueError, match="out of range"):
-        embed_single(small_spec, x)
 
 
 def test_cache_roundtrip(tmp_path, small_spec, small_embedded):

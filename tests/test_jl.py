@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import box_muller
 
 from ogeec import embedding
 from ogeec.data import generate_synthetic
@@ -59,10 +60,10 @@ def test_identity_projection_gives_constant_ratio(distortion_ds, monkeypatch):
     """With F = identity (injected) and r == d, every ratio collapses to the
     1/sqrt(r) scaling constant."""
 
-    def identity_rows(spec, start, stop, *, cols=None):
+    def identity_rows(spec, start, stop, *, cols):
         out = np.zeros((stop - start, spec.d))
         out[np.arange(stop - start), np.arange(start, stop)] = 1.0
-        return out if cols is None else out[:, cols.columns]
+        return out[:, cols.columns]
 
     ds = generate_synthetic(
         n=60, d=40, L=5, sparsity=6, labels_per_sample=1, clusters=3, seed=1
@@ -116,8 +117,6 @@ def test_distortion_dimension_mismatch(distortion_ds):
 def _dense_ratios(ds, spec, pairs, seed):
     """Exact-distance oracle: dense float64 pipeline, same pair sample as
     measure_distortion."""
-    from ogeec.embedding import materialize_rows
-
     rng = np.random.default_rng(seed)
     a = rng.integers(0, ds.n, size=pairs)
     b = rng.integers(0, ds.n, size=pairs)
@@ -128,7 +127,7 @@ def _dense_ratios(ds, spec, pairs, seed):
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     Xn = X / norms
-    F = materialize_rows(spec, 0, spec.r)
+    F = np.vstack([box_muller(spec.seed, i, spec.d) for i in range(spec.r)])
     P = (Xn @ F.T) / math.sqrt(spec.r)
     orig = np.linalg.norm(Xn[a] - Xn[b], axis=1)
     proj = np.linalg.norm(P[a] - P[b], axis=1)

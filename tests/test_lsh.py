@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from oracles import neighbor_lists
+from oracles import box_muller, neighbor_lists
 
 from ogeec.data import generate_synthetic, split_dataset
-from ogeec.embedding import EmbeddedMatrix, EmbeddingSpec, embed, gaussian_row, project_csr
+from ogeec.embedding import EmbeddedMatrix, EmbeddingSpec, embed, project_csr
 from ogeec.lsh import (
     LSH_SEED_NAMESPACE,
     _codes,
@@ -56,10 +56,22 @@ def test_every_index_in_exactly_one_bucket_per_table(indexed):
 
 
 def test_hyperplane_stream_is_namespaced():
-    direct = gaussian_row(7, 0, 20)
+    direct = box_muller(7, 0, 20)
     plane = hyperplanes_for(7, 1, 1, 20)[0]
     assert not np.array_equal(direct, plane)
-    assert np.array_equal(plane, gaussian_row(7 ^ LSH_SEED_NAMESPACE, 0, 20))
+    assert np.array_equal(plane, box_muller(7 ^ LSH_SEED_NAMESPACE, 0, 20))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123456789])
+@pytest.mark.parametrize("r", [1, 2, 3, 20, 99, 100, 200])
+def test_hyperplanes_equal_box_muller_rows(seed, r):
+    """Drawn through the projection's column plan at every column and put back
+    in column order, the hyperplanes are the definitional rows bit for bit,
+    at odd and even r."""
+    planes = hyperplanes_for(seed, 3, 2, r)
+    expect = np.vstack([box_muller(seed ^ LSH_SEED_NAMESPACE, i, r) for i in range(6)])
+    assert planes.shape == (6, r) and planes.flags.c_contiguous
+    assert planes.tobytes() == expect.tobytes()
 
 
 def test_single_bit_agreement_tracks_angle():
@@ -70,9 +82,7 @@ def test_single_bit_agreement_tracks_angle():
     x = rng.normal(size=r)
     x /= np.linalg.norm(x)
     y0 = rng.normal(size=r)
-    planes = np.vstack(
-        [gaussian_row(9 ^ LSH_SEED_NAMESPACE, i, r) for i in range(10000)]
-    )
+    planes = hyperplanes_for(9, 10000, 1, r)
     for target in (0.3, 1.0, 2.0):
         y_perp = y0 - (y0 @ x) * x
         y_perp /= np.linalg.norm(y_perp)

@@ -297,6 +297,20 @@ def test_evaluate_length_mismatch():
         evaluate(top_labels([{0: 1.0}]), [], uniform_propensity(2))
 
 
+def test_evaluate_names_the_first_true_label_outside_the_model():
+    """A true label at or above the model's L is refused with a ValueError
+    naming it, not an IndexError from the propensity lookup; a predicted
+    label outside the model that is no true label is a miss."""
+    predictions = top_labels([{1: 2.0}, {9: 1.0}, {0: 1.0}])
+    model = uniform_propensity(8)
+    truths = [np.array([1]), np.array([2, 9, 8]), np.array([12])]
+    message = "^true label 8 of sample 1 is outside the propensity model's 8 labels$"
+    with pytest.raises(ValueError, match=message):
+        evaluate(predictions, truths, model, ks=(1,))
+    report = evaluate(predictions, [np.array([1]), np.array([2]), np.array([0])], model, ks=(1,))
+    assert report["P@1"] == 2 / 3
+
+
 def test_evaluate_counts_a_repeated_cutoff_once():
     model = uniform_propensity(8)
     predictions = top_labels([{1: 2.0, 2: 1.0}, {3: 1.0, 4: 0.5}])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import (
+    embed_single,
     from_scipy,
     knn_scan,
     lexsort_top_k,
@@ -21,7 +22,7 @@ from oracles import (
 )
 
 from ogeec import predictor
-from ogeec.embedding import EmbeddedMatrix, embed_single, project_csr
+from ogeec.embedding import EmbeddedMatrix, project_csr
 from ogeec.predictor import (
     batch_predict,
     format_predictions,
