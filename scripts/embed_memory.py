@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Input-side memory attribution: the peak RSS and the tracemalloc peak of
+each phase of an ensemble's embedding and search, on one corpus.
+
+    PYTHONPATH=src python3 scripts/embed_memory.py .perfbench/wide-seed0 [--r 200] [--learners 1] [--workers 2]
+
+The corpus is a directory holding `train.txt` and `test.txt`, as the
+benchmark (`perfbench/run.py`) writes them under `.perfbench/<workload>-seed<seed>`.
+The script runs the phases of `ensemble.learner_neighbours` in order, in
+this process: parse both files, normalize and stack their rows
+(`embedding.train_test_rows`), then for each learner its projection
+(`embed_train_test`, one pass over F) and its exact search
+(`batch_predict`). After each phase it prints the process's peak RSS so
+far (`ru_maxrss`), the phase's own tracemalloc peak and what stays
+allocated after it. A phase's tracemalloc peak counts numpy's buffers, so
+it attributes the RSS growth that the phase causes.
+"""
+
+import argparse
+import pathlib
+import resource
+import sys
+import time
+import tracemalloc
+
+from ogeec.data import parse_dataset
+from ogeec.embedding import embed_train_test, train_test_rows
+from ogeec.ensemble import make_ensemble_spec
+from ogeec.predictor import batch_predict
+
+MIB = 2**20
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("corpus", type=pathlib.Path, help="directory with train.txt and test.txt")
+    parser.add_argument("--r", type=int, default=200)
+    parser.add_argument("--k", type=int, default=5)
+    parser.add_argument("--learners", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workers", type=int, default=2)
+    args = parser.parse_args()
+
+    tracemalloc.start()
+    print("phase\tseconds\tpeak_rss_mib\ttraced_peak_mib\ttraced_after_mib")
+
+    def report(phase: str, t0: float) -> None:
+        now, peak = tracemalloc.get_traced_memory()
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        print(f"{phase}\t{time.perf_counter() - t0:.3f}\t{rss:.1f}\t{peak / MIB:.1f}\t{now / MIB:.1f}")
+        tracemalloc.reset_peak()
+
+    report("import", time.perf_counter())
+    t0 = time.perf_counter()
+    train = parse_dataset(args.corpus / "train.txt")
+    test = parse_dataset(args.corpus / "test.txt")
+    report("parse", t0)
+    t0 = time.perf_counter()
+    rows = train_test_rows(train, test)
+    report("train_test_rows", t0)
+    spec = make_ensemble_spec(args.seed, args.learners, d=train.d, r=args.r, k=args.k)
+    for i in range(args.learners):
+        t0 = time.perf_counter()
+        matrix, queries = embed_train_test(spec.learner(i), rows, workers=args.workers)
+        report(f"learner {i} projection", t0)
+        t0 = time.perf_counter()
+        neighbours = batch_predict(matrix, queries, args.k)
+        report(f"learner {i} search", t0)
+        del matrix, queries, neighbours
+    tracemalloc.stop()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,8 @@ wide and dense-labels workloads, generated in memory from --seed:
   `embedding.train_test_rows` prepares them;
 - the projection: every row block of F at r = 200, as `embedding._project`
   applies it to the stacked samples on one thread (F is generated outside
-  the timed region, and each block's median is summed);
+  the timed region, its transposed copy inside it, and each block's median
+  is summed);
 - label_scores: E learners of k = 5 neighbours per test sample (the
   workload's E: 5 for dense-labels, else 1), drawn at random from the train
   samples with similarities in (0, 1), since only the label fan-out sets the
@@ -117,7 +118,8 @@ def projection(train, test, repeat: int) -> tuple[float, float, bool]:
     identical = True
     for s in range(0, R, block):
         F = materialize_rows(spec, s, min(s + block, R), cols=plan)
-        seconds, got = median_time(lambda: products(F), repeat)
+        got = np.empty((F.shape[0], Xc.shape[0]))
+        seconds, _ = median_time(lambda: products(np.ascontiguousarray(F.T), got), repeat)
         new_s += seconds
         seconds, want = median_time(lambda: sp_row_products(Xc, F), repeat)
         ref_s += seconds

@@ -12,7 +12,8 @@ compare bits):
 
 - `normalize_rows`: X scaled to unit rows, `diags(1 / norms) @ X`;
 - `vstack`: the rows of one CSR over another's;
-- `RowProducts`: `X @ F.T` for row blocks F of the projection matrix;
+- `RowProducts`: `X @ F.T` for row blocks F of the projection matrix,
+  written into the caller's output rows;
 - `label_scores`: for one block of queries, the learners' S = W·Y, their
   sum in learner order and the division by the learner count;
 - `pair_dots`: the dot products of pairs of rows.
@@ -125,9 +126,11 @@ class RowProducts:
     position: the first stored entry of every row, then the second of every
     row that has one, and so on, so one numpy step adds stored position p to
     every row of the chunk at once and each row still adds its terms in
-    stored order. A step gathers its rows of F.T, a C-contiguous copy of the
-    block, scales them by the entries' values and adds them to the chunk's
-    accumulator.
+    stored order. A step gathers its rows of F.T, which the caller passes as
+    a C-contiguous array, scales them by the entries' values and adds them to
+    the chunk's accumulator. Each chunk's sums are then written, through the
+    sort order, into their columns of the caller's output rows, cast to the
+    output's dtype.
     """
 
     def __init__(self, X: CSR, b: int):
@@ -149,21 +152,20 @@ class RowProducts:
                 (a, counts.tolist(), offsets.tolist(), X.indices[at], X.data[at][:, None])
             )
 
-    def __call__(self, F: np.ndarray) -> np.ndarray:
-        b = F.shape[0]
-        FT = np.ascontiguousarray(F.T)
-        acc = np.zeros((self.n, b))
-        buf = np.empty((self.rows, b))
+    def __call__(self, FT: np.ndarray, out: np.ndarray) -> None:
+        """Write (X @ FT).T into `out`, given FT = F.T as a C-contiguous
+        (X's columns x b) float64 array and `out` as b rows of X's row count."""
+        b = FT.shape[1]
+        acc, buf = np.empty((self.rows, b)), np.empty((self.rows, b))
         for a, counts, offsets, cols, vals in self.chunks:
-            block = acc[a : a + self.rows]
+            block = acc[: min(self.rows, self.n - a)]
+            block.fill(0.0)
             for count, lo, hi in zip(counts, offsets, offsets[1:]):
                 # mode='clip' skips a bounds check that costs more than the copy
                 terms = np.take(FT, cols[lo:hi], axis=0, out=buf[:count], mode="clip")
                 terms *= vals[lo:hi]
                 block[:count] += terms
-        out = np.empty((b, self.n))
-        out[:, self.order] = acc.T
-        return out
+            out[:, self.order[a : a + self.rows]] = block.T
 
 
 def label_scores(learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR) -> CSR:

@@ -464,12 +464,15 @@ def _line_ends(b: bytes) -> int:
     return b.count(b"\n") + b.count(b"\r") - b.count(b"\r\n")
 
 
-def _scan(f) -> tuple[int, bytes, int]:
-    """Check that f is UTF-8 and count its lines, in one pass.
+def _scan(f) -> tuple[int, bytes, int, int]:
+    """Check that f is UTF-8 and count its lines and features, in one pass.
 
-    Returns the line count, the header line and the offset of line 2.
+    Returns the line count, the header line, the offset of line 2 and the
+    number of ':' after the header. Each feature pair holds one ':' and a
+    sample line that parses holds no other, so that is the feature count of
+    any file that parses.
     """
-    lines, header, body, last = 0, b"", 0, b""
+    lines, header, body, last, colons = 0, b"", 0, b"", 0
     for piece in _pieces(f):
         if not piece.isascii():
             try:
@@ -481,15 +484,16 @@ def _scan(f) -> tuple[int, bytes, int]:
             m = _LINE_END.search(piece)
             header, body = (piece[: m.start()], m.end()) if m else (piece, len(piece))
         lines += _line_ends(piece)
+        colons += np.count_nonzero(np.frombuffer(piece, dtype=np.uint8) == ord(":"))
         last = piece[-1:]
     if last and last not in b"\r\n":
         lines += 1
-    return lines, header, body
+    return lines, header, body, int(colons) - header.count(b":")
 
 
 def _parse(path) -> SparseDataset:
     with open(path, "rb") as f:
-        lines, header, body = _scan(f)
+        lines, header, body, nnz = _scan(f)
         if not lines:
             raise DatasetFormatError("line 1: empty file")
         fields = header.decode("utf-8").split()
@@ -506,25 +510,33 @@ def _parse(path) -> SparseDataset:
                 f"expected {n} sample lines after the header, found {lines - 1}"
             )
         f.seek(body)
-        parts, lineno = [], 2
+        # each piece's features go straight to their place, so the parse
+        # holds the dataset and one piece's temporaries
+        feat_indices = np.empty(nnz, dtype=np.int64)
+        feat_values = np.empty(nnz, dtype=np.float32)
+        feat_counts, label_counts, label_indices = [], [], []
+        lineno, at = 2, 0
         for piece in _pieces(f):
             part = _parse_canonical(piece, d, L)
             if part is None:
                 part = _parse_lines(piece, lineno, d, L)
-            parts.append(part)
+            end = at + part.feat_indices.size
+            feat_indices[at:end] = part.feat_indices
+            feat_values[at:end] = part.feat_values
+            at = end
+            feat_counts.append(part.feat_counts)
+            label_counts.append(part.label_counts)
+            label_indices.append(part.label_indices)
             lineno += part.feat_counts.size
-    feat_counts, feat_indices, feat_values, label_counts, label_indices = (
-        np.concatenate(column) for column in zip(*parts)
-    )
     return SparseDataset(
         n=n,
         d=d,
         L=L,
-        feat_indptr=np.concatenate(([0], np.cumsum(feat_counts))).astype(np.int64),
+        feat_indptr=np.concatenate(([0], np.cumsum(np.concatenate(feat_counts)))).astype(np.int64),
         feat_indices=feat_indices,
         feat_values=feat_values,
-        label_indptr=np.concatenate(([0], np.cumsum(label_counts))).astype(np.int64),
-        label_indices=label_indices,
+        label_indptr=np.concatenate(([0], np.cumsum(np.concatenate(label_counts)))).astype(np.int64),
+        label_indices=np.concatenate(label_indices),
     )
 
 

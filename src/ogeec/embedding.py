@@ -17,6 +17,13 @@ F only at the columns its samples use (`column_plan`): Philox still runs
 over each row's whole stream, but the Box-Muller arithmetic, most of a
 row's cost, runs only on the used columns, in place in buffers allocated
 once per block, and every drawn value is bit-identical to the full row.
+
+A projection's memory is bounded per worker, whatever r: each worker holds
+one block of F and its transposed copy, about 16 MB together (`_row_block`),
+allocated once per projection and reused for every block, and draws a
+row's Philox stream in two halves, its u1 words and then its u2 words. The
+test rows that a learner with a cached train matrix projects alone are a
+view into the stacked train and test rows.
 """
 
 from __future__ import annotations
@@ -79,14 +86,27 @@ class TrainTestRows:
     """
 
     both: CSR
-    test: CSR
     n_train: int
 
+    @property
+    def test(self) -> CSR:
+        """The test rows: a view of `both` below its train rows."""
+        both, at = self.both, self.both.indptr[self.n_train]
+        return CSR(
+            both.data[at:],
+            both.indices[at:],
+            both.indptr[self.n_train :] - at,
+            (both.shape[0] - self.n_train, both.shape[1]),
+        )
 
-def gaussian_words(seed: int, stream: int, count: int) -> np.ndarray:
-    """Raw 64-bit words of the (seed, stream) substream."""
-    key = ((seed & _MASK64) << 64) | (stream & _MASK64)
-    return np.random.Philox(key=key).random_raw(count)
+
+def _philox_halves(seed: int, stream: int, m: int) -> Iterator[np.ndarray]:
+    """The first 2m raw 64-bit words of the (seed, stream) substream as two
+    arrays of m, the second drawn only when asked for, so a caller holds one
+    at a time."""
+    bits = np.random.Philox(key=((seed & _MASK64) << 64) | (stream & _MASK64))
+    yield bits.random_raw(m)
+    yield bits.random_raw(m)
 
 
 @dataclass(frozen=True)
@@ -126,31 +146,36 @@ def _take(src: np.ndarray, at: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.take(src, at, out=buf[: at.size], mode="clip")
 
 
-def _gaussian_rows(seed: int, streams: range, count: int, plan: ColumnPlan) -> np.ndarray:
+def _gaussian_rows(
+    seed: int, streams: range, count: int, plan: ColumnPlan, out: np.ndarray | None = None
+) -> np.ndarray:
     """One row per stream of `count` standard normals, at the plan's columns
-    in plan order.
+    in plan order; written into the head of `out` when it is given.
 
     Box-Muller over 53-bit uniforms: u1 in (0, 1] (never log(0)), u2 in
-    [0, 1). Philox runs over the whole stream; the log and sqrt run only on
-    the drawn pairs, and cos or sin only where an even or odd column is kept.
-    log, cos and sin each run elementwise on a contiguous buffer, so every
-    value is bit-identical to drawing the full row.
+    [0, 1). Philox runs over the whole stream, the u1 words first and then
+    the u2 words; the log and sqrt run only on the drawn pairs, and cos or
+    sin only where an even or odd column is kept. log, cos and sin each run
+    elementwise on a contiguous buffer, so every value is bit-identical to
+    drawing the full row.
     """
     m = (count + 1) // 2
     p, c = plan.pairs.size, plan.cos.size
-    out = np.empty((len(streams), plan.columns.size))
+    if out is None:
+        out = np.empty((len(streams), plan.columns.size))
+    out = out[: len(streams)]
     words = np.empty(p, dtype=np.uint64)
     radius, angle, trig = np.empty(p), np.empty(p), np.empty(p)
     for row, stream in zip(out, streams):
-        raw = gaussian_words(seed, stream, 2 * m)
-        u = _take(raw[:m], plan.pairs, words)
+        draws = _philox_halves(seed, stream, m)
+        u = _take(next(draws), plan.pairs, words)
         u >>= 11
         u += 1
         np.multiply(u, 2.0**-53, out=radius)
         np.log(radius, out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        u = _take(raw[m:], plan.pairs, words)
+        u = _take(next(draws), plan.pairs, words)
         u >>= 11
         np.multiply(u, 2.0**-53, out=angle)
         angle *= 2.0 * np.pi
@@ -160,17 +185,21 @@ def _gaussian_rows(seed: int, streams: range, count: int, plan: ColumnPlan) -> n
     return out
 
 
-def materialize_rows(spec: EmbeddingSpec, start: int, stop: int, *, cols: ColumnPlan) -> np.ndarray:
+def materialize_rows(
+    spec: EmbeddingSpec, start: int, stop: int, *, cols: ColumnPlan, out: np.ndarray | None = None
+) -> np.ndarray:
     """F[start:stop, cols.columns] as a (stop-start, c) float64 array, in plan
-    order; each row is reproducible without generating any other row."""
+    order, written into the head of `out` (at least stop-start rows of c)
+    when it is given; each row is reproducible without generating any other
+    row."""
     if not 0 <= start <= stop <= spec.r:
         raise IndexError(f"rows [{start}, {stop}) out of range [0, {spec.r})")
-    return _gaussian_rows(spec.seed, range(start, stop), spec.d, cols)
+    return _gaussian_rows(spec.seed, range(start, stop), spec.d, cols, out)
 
 
 def _row_block(c: int) -> int:
-    # keep one materialized block of c columns near 32 MB of float64
-    return max(1, 4_000_000 // max(c, 1))
+    # a block of c columns and its transposed copy: near 16 MB of float64
+    return max(1, 1_000_000 // max(c, 1))
 
 
 def split_rows(r: int, workers: int, fill) -> None:
@@ -194,9 +223,7 @@ def train_test_rows(train: SparseDataset, test: SparseDataset) -> TrainTestRows:
         raise ValueError(
             f"test dimensionality {test.d} != train dimensionality {train.d}"
         )
-    test_rows = _unit_rows(test)
-    both = vstack(_unit_rows(train), test_rows)
-    return TrainTestRows(both=both, test=test_rows, n_train=train.n)
+    return TrainTestRows(both=vstack(_unit_rows(train), _unit_rows(test)), n_train=train.n)
 
 
 def _normalize_columns(out: np.ndarray) -> None:
@@ -218,30 +245,45 @@ def _project(
 ) -> np.ndarray:
     """F applied to CSR samples (rows) as an (r, n) column-major `dtype` array.
 
-    F is materialized in row blocks and discarded, and only at the columns
-    some sample uses: X's column indices are remapped to their place in the
-    column plan, keeping each row's stored order, and `csr.RowProducts` adds
-    each output element's float64 terms in that stored order into a zeroed
-    accumulator, so every element is the same float64 sum as with full rows
-    of F. Workers split F's rows into contiguous ranges and apply each block
-    to every sample, so each row of F is generated once per call and the
-    output is identical for any worker count.
+    F is materialized in row blocks, and only at the columns some sample
+    uses: X's column indices are remapped to their place in the column plan,
+    keeping each row's stored order, and `csr.RowProducts` adds each output
+    element's float64 terms in that stored order into a zeroed accumulator,
+    so every element is the same float64 sum as with full rows of F. Workers
+    split F's rows into contiguous ranges and apply each block to every
+    sample, so each row of F is generated once per call and the output is
+    identical for any worker count.
+
+    Each worker gets one block of F and one transposed block, of at most
+    `_row_block` rows (about 16 MB together), allocated once per call, and
+    reuses both for each of its blocks; the products go straight into the
+    block's rows of the output.
     """
     if X.shape[1] != spec.d:
         raise ValueError(f"dataset dimensionality {X.shape[1]} != spec.d {spec.d}")
     used = np.zeros(spec.d, dtype=bool)
     used[X.indices] = True
     plan = column_plan(used)
-    block = _row_block(plan.columns.size)
-    products = RowProducts(
-        CSR(X.data, plan.place[X.indices], X.indptr, (X.shape[0], plan.columns.size)), block
-    )
+    c = plan.columns.size
+    block = _row_block(c)
+    products = RowProducts(CSR(X.data, plan.place[X.indices], X.indptr, (X.shape[0], c)), block)
     out = np.empty((spec.r, X.shape[0]), dtype=dtype, order="F")
 
+    ranges = min(max(workers, 1), spec.r)  # as split_rows splits F's rows
+    height = min(block, -(-spec.r // ranges))
+    # each worker's block of F and transposed block, allocated in this thread:
+    # a worker thread's malloc arena could keep them after the call, and the
+    # peak RSS then varies from run to run by about a block
+    spare = [(np.empty((height, c)), np.empty(height * c)) for _ in range(ranges)]
+
     def fill(lo: int, hi: int) -> None:
-        for s in range(lo, hi, block):
-            t = min(s + block, hi)
-            out[s:t] = products(materialize_rows(spec, s, t, cols=plan))
+        F, FT = spare.pop()
+        for s in range(lo, hi, height):
+            t = min(s + height, hi)
+            rows = materialize_rows(spec, s, t, cols=plan, out=F)
+            transposed = FT[: rows.size].reshape(c, t - s)
+            np.copyto(transposed, rows.T)
+            products(transposed, out[s:t])
 
     split_rows(spec.r, workers, fill)
     return out
@@ -338,7 +380,9 @@ def save_cache(path, matrix: EmbeddedMatrix, spec: EmbeddingSpec) -> None:
     header = _CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, matrix.r, matrix.n)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(np.ascontiguousarray(matrix.data.T).astype("<f4").tobytes())
+        # the column-major float32 matrix, transposed, is the payload as it
+        # stands on a little-endian machine: written without a copy there
+        f.write(np.ascontiguousarray(matrix.data.T, dtype="<f4"))
     with open(str(path) + ".meta", "w", encoding="utf-8") as f:
         json.dump({"seed": spec.seed, "d": spec.d, "r": spec.r}, f)
         f.write("\n")
@@ -361,9 +405,12 @@ def load_cache(path, spec: EmbeddingSpec) -> EmbeddedMatrix:
         raise ValueError(f"{path}: expected {expect} payload bytes, got {len(payload)}")
     cols = np.frombuffer(payload, dtype="<f4").reshape(n, r)
     data = np.asfortranarray(cols.T.astype(np.float32, copy=False))
-    # search bounds float32 rounding error by column norms, which must be finite
-    if not np.isfinite(data).all():
-        raise ValueError(f"{path}: payload holds non-finite values; rebuild the cache")
+    # search bounds float32 rounding error by column norms, which must be
+    # finite; checked a block of about 2^20 values at a time
+    step = max(1, (1 << 20) // max(r, 1))
+    for a in range(0, n, step):
+        if not np.isfinite(data[:, a : a + step]).all():
+            raise ValueError(f"{path}: payload holds non-finite values; rebuild the cache")
     sidecar = str(path) + ".meta"
     try:
         with open(sidecar, "r", encoding="utf-8") as f:

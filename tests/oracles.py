@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from ogeec.csr import CSR, label_scores
 from ogeec.data import _F32_MAX, DatasetFormatError, SparseDataset, _assemble
 
-from ogeec.embedding import gaussian_words, project_csr
+from ogeec.embedding import project_csr
 from ogeec.ensemble import EnsembleSpec, fused_scores
 from ogeec.metrics import DEFAULT_KS, METRIC_NAMES, EvalReport, PropensityModel
 from ogeec.predictor import knn, propagate, top_k
@@ -55,6 +55,14 @@ def normalize_rows(A: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(A, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return A / norms
+
+
+def gaussian_words(seed, stream, count):
+    """The first `count` raw 64-bit words of the (seed, stream) substream:
+    Philox under the 128-bit key (seed << 64) | stream, with seed and stream
+    each taken mod 2^64."""
+    mask = (1 << 64) - 1
+    return np.random.Philox(key=((seed & mask) << 64) | (stream & mask)).random_raw(count)
 
 
 def box_muller(seed, stream, count):

@@ -440,9 +440,9 @@ def generated_rows(monkeypatch):
     rows = []
 
     def counted(orig):
-        def wrapper(spec, start, stop, *, cols):
+        def wrapper(spec, start, stop, *, cols, out=None):
             rows.append(stop - start)
-            return orig(spec, start, stop, cols=cols)
+            return orig(spec, start, stop, cols=cols, out=out)
 
         return wrapper
 

@@ -105,8 +105,9 @@ def test_row_products_equal_scipy(X, b, chunk, seed):
     rng = np.random.default_rng(seed)
     F = rng.choice(np.array([0.0, -0.0, 1e-200, -3e-170, 0.5, -1.25, 7.0]), size=(b, X.shape[1]))
     F += rng.normal(size=F.shape) * (rng.random(F.shape) < 0.5)
+    got = np.empty((b, X.shape[0]))
     with mock.patch.object(csr, "_CHUNK_FLOATS", chunk):
-        got = RowProducts(X, b)(F)
+        RowProducts(X, b)(np.ascontiguousarray(F.T), got)
     assert _same(got, sp_row_products(X, F))
 
 

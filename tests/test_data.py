@@ -1,9 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import same_dataset, to_scipy
 
+from ogeec import data
 from ogeec.data import (
     DatasetFormatError,
     SparseVector,
@@ -246,3 +250,29 @@ def test_split_dataset(small_ds):
     assert np.array_equal(total, small_ds.label_frequencies)
     with pytest.raises(ValueError):
         split_dataset(small_ds, small_ds.n)
+
+
+def test_parse_holds_the_dataset_once(tmp_path):
+    """Each piece's features go straight into arrays sized by the scan, so
+    the parse peaks near the dataset plus one piece's temporaries, not at
+    the dataset twice (pieces kept, then concatenated)."""
+    rng = np.random.default_rng(0)
+    n, d = 6000, 5000
+    lines = [f"{n} {d} 4"]
+    for i in range(n):
+        cols = np.unique(rng.integers(0, d, 60)).tolist()
+        lines.append(f"{i % 4} " + " ".join(f"{j}:0.5" for j in cols))
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    with mock.patch.object(data, "_CHUNK", 1 << 16):
+        tracemalloc.start()
+        try:
+            ds = parse_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = sum(
+        a.nbytes
+        for a in (ds.feat_indptr, ds.feat_indices, ds.feat_values, ds.label_indptr, ds.label_indices)
+    )
+    assert size > 4_000_000
+    assert peak < size + 2_000_000, (peak, size)

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,18 +11,20 @@ from oracles import (
     box_muller,
     embed_single,
     fuse,
+    gaussian_words,
     project_full,
     ranking_dicts,
     score_dicts,
     score_matrix,
 )
 
-from ogeec import embedding
+from ogeec import csr, embedding
 from ogeec.csr import CSR
 from ogeec.data import SparseDataset, SparseVector, generate_synthetic, split_dataset
 from ogeec.embedding import (
     EmbeddedMatrix,
     EmbeddingSpec,
+    _philox_halves,
     _project,
     column_plan,
     embed,
@@ -107,6 +110,20 @@ def test_gaussian_row_equals_box_muller_definition(seed, count, data):
 def test_gaussian_row_equals_box_muller_definition_at_wide_d(count):
     spec = EmbeddingSpec(seed=3, d=count, r=12)
     assert full_rows(spec, 11, 12).tobytes() == box_muller(3, 11, count).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**64 - 1),
+    m=st.integers(1, 40) | st.sampled_from([391_292, 391_293]),
+)
+def test_philox_halves_are_the_stream_in_order(seed, stream, m):
+    """Drawing the u1 words, then the u2 words, from one generator gives the
+    first 2m words of the substream, whether m splits Philox's four-word
+    blocks (m odd) or not."""
+    first, second = _philox_halves(seed, stream, m)
+    assert np.array_equal(np.concatenate([first, second]), gaussian_words(seed, stream, 2 * m))
 
 
 def _support(draw, d: int) -> np.ndarray:
@@ -261,10 +278,10 @@ def test_scaled_row_source_leaves_embedding_unchanged(small_spec, small_ds, monk
     """Re-normalization absorbs any common scale on F; a power-of-two scale
     is exact in float arithmetic, so outputs match bitwise."""
 
-    def scaled4(spec, start, stop, *, cols):
+    def scaled4(spec, start, stop, *, cols, out=None):
         return 4.0 * materialize_rows(spec, start, stop, cols=cols)
 
-    def scaled3(spec, start, stop, *, cols):
+    def scaled3(spec, start, stop, *, cols, out=None):
         return 3.0 * materialize_rows(spec, start, stop, cols=cols)
 
     base = embed(small_spec, small_ds)
@@ -306,9 +323,9 @@ def test_projection_generates_each_row_once(small_ds, monkeypatch, r, workers):
     reference = embed(spec, small_ds, workers=1)
     generated = []
 
-    def counting(spec, start, stop, *, cols):
+    def counting(spec, start, stop, *, cols, out=None):
         generated.extend(range(start, stop))
-        return materialize_rows(spec, start, stop, cols=cols)
+        return materialize_rows(spec, start, stop, cols=cols, out=out)
 
     # blocks of 5 rows, so a worker's range spans several blocks
     monkeypatch.setattr(embedding, "_row_block", lambda d: 5)
@@ -329,9 +346,9 @@ def test_fused_scores_generates_each_row_once_per_learner(monkeypatch):
     spec = make_ensemble_spec(3, 2, d=ds.d, r=8, k=3)
     generated = Counter()
 
-    def counting(spec, start, stop, *, cols):
+    def counting(spec, start, stop, *, cols, out=None):
         generated.update((spec.seed, i) for i in range(start, stop))
-        return materialize_rows(spec, start, stop, cols=cols)
+        return materialize_rows(spec, start, stop, cols=cols, out=out)
 
     monkeypatch.setattr(embedding, "materialize_rows", counting)
     fused_scores(spec, train, test, 3, workers=2)
@@ -407,6 +424,63 @@ def test_one_pass_equals_separate_projections(monkeypatch, case, workers):
         assert ranking_dicts(fused) == reference
 
 
+def test_train_test_rows_holds_the_test_rows_once():
+    """`test` is a view of the test rows inside `both`, equal to the test
+    samples normalized alone."""
+    train, test = (dataset_of(part, 300) for part in _CASES["zero-rows-in-test"])
+    rows = train_test_rows(train, test)
+    alone = embedding._unit_rows(test)
+    assert np.shares_memory(rows.test.data, rows.both.data)
+    assert np.shares_memory(rows.test.indices, rows.both.indices)
+    assert rows.test.shape == alone.shape
+    assert np.array_equal(rows.test.indptr, alone.indptr)
+    assert np.array_equal(rows.test.indices, alone.indices)
+    assert rows.test.data.tobytes() == alone.data.tobytes()
+
+
+def _uniform_dataset(n: int, d: int, per_row: int, rng) -> SparseDataset:
+    """n samples of about `per_row` features drawn uniformly from d."""
+    rows = [np.unique(rng.integers(0, d, per_row)) for _ in range(n)]
+    indices = np.concatenate(rows)
+    return SparseDataset(
+        n=n,
+        d=d,
+        L=3,
+        feat_indptr=np.cumsum([0] + [r.size for r in rows]).astype(np.int64),
+        feat_indices=indices,
+        feat_values=rng.uniform(0.1, 2.0, indices.size).astype(np.float32),
+        label_indptr=np.arange(n + 1, dtype=np.int64),
+        label_indices=np.arange(n, dtype=np.int64) % 3,
+    )
+
+
+# one block of F and its transposed copy, per projection worker
+_BLOCK_BYTES = 16_000_000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_projection_memory_is_bounded_by_the_block_budget(workers):
+    """At d = 200,000, with about 140,000 used columns, `embed_train_test`
+    holds per worker one block of F and its transposed copy (16 MB), its
+    RowProducts chunk buffers and O(d) Box-Muller scratch; besides, O(nnz)
+    for the position-major samples and O(d) for the column plan, and the
+    output. Blocks of 32 MB and a transposed copy of each would exceed it."""
+    rng = np.random.default_rng(0)
+    d = 200_000
+    rows = train_test_rows(_uniform_dataset(300, d, 600, rng), _uniform_dataset(100, d, 600, rng))
+    spec = EmbeddingSpec(seed=1, d=d, r=64)
+    tracemalloc.start()
+    try:
+        embed_train_test(spec, rows, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, nnz = rows.both.shape[0], rows.both.nnz
+    per_worker = _BLOCK_BYTES + 16 * csr._CHUNK_FLOATS + 24 * d
+    bound = workers * per_worker + 64 * nnz + 32 * d + 4 * spec.r * n
+    assert peak <= bound, (peak, bound)
+
+
 def test_train_test_rows_rejects_mismatched_dimensionality():
     with pytest.raises(ValueError, match="dimensionality"):
         train_test_rows(dataset_of([{1: 1.0}], 10), dataset_of([{1: 1.0}], 12))
@@ -452,3 +526,17 @@ def test_cache_verification_failures(tmp_path, small_spec, small_embedded):
     bad.write_bytes(b"NOPE" + b"\x00" * 14)
     with pytest.raises(ValueError, match="bad magic"):
         load_cache(bad, small_spec)
+
+
+def test_cache_rejects_a_non_finite_value_in_any_block(tmp_path, small_spec):
+    """The finiteness check runs a block of columns at a time; a bad value
+    in the first or in the last, partial, block is found."""
+    spec = EmbeddingSpec(seed=small_spec.seed, d=small_spec.d, r=1)
+    n = (1 << 20) + 3
+    path = tmp_path / "train.ogec"
+    for at in (0, n - 1):
+        data = np.ones((1, n), dtype=np.float32, order="F")
+        data[0, at] = np.nan
+        save_cache(path, EmbeddedMatrix(r=1, n=n, data=data), spec)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_cache(path, spec)
