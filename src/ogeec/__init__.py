@@ -22,7 +22,6 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 from .data import (
     DatasetFormatError,
     SparseDataset,
-    SparseVector,
     generate_synthetic,
     parse_dataset,
     split_dataset,
@@ -70,7 +69,6 @@ __all__ = [
     "LshIndex",
     "PropensityModel",
     "SparseDataset",
-    "SparseVector",
     "batch_predict",
     "build_index",
     "embed",

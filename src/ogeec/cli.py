@@ -34,11 +34,9 @@ from .data import (
     write_dataset,
 )
 from .embedding import (
-    EmbeddedMatrix,
     EmbeddingSpec,
     embed,
     embed_train_test,
-    load_cache,
     save_cache,
     train_test_rows,
 )
@@ -249,33 +247,6 @@ def _output(path: str | None):
         yield f
 
 
-def _load_model(cfg: RunConfig, explicit: set[str]) -> ens.EnsembleSpec:
-    spec = ens.read_metadata(cfg.model)
-    if "k" in explicit and cfg.k != spec.k:
-        spec = ens.EnsembleSpec(seeds=spec.seeds, d=spec.d, r=spec.r, k=cfg.k)
-    return spec
-
-
-def _cache_provider(cfg: RunConfig, dataset: SparseDataset):
-    if cfg.cache is None:
-        return None
-
-    def provider(lspec: EmbeddingSpec) -> EmbeddedMatrix | None:
-        path = f"{cfg.cache}-{lspec.seed}.ogec"
-        if not os.path.exists(path):
-            return None  # embedded together with the queries
-        print(f"loading cached matrix {path}", file=sys.stderr)
-        matrix = load_cache(path, lspec)
-        if matrix.n != dataset.n:
-            raise ValueError(
-                f"{path}: cache holds {matrix.n} samples but the train set has "
-                f"{dataset.n}; rebuild it with `ogeec train --cache`"
-            )
-        return matrix
-
-    return provider
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -322,14 +293,12 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
     ds = parse_dataset(cfg.train)
     spec = ens.make_ensemble_spec(cfg.seed, cfg.learners, ds.d, cfg.r, cfg.k)
     if cfg.cache is not None:
-        workers = cfg.effective_workers()
         for lspec in map(spec.learner, range(spec.size)):
             # the embedding pass generates F once; it is the generation time too
             t0 = time.perf_counter()
-            matrix = embed(lspec, ds, workers=workers)
+            matrix = embed(lspec, ds, workers=cfg.effective_workers())
             embed_s = time.perf_counter() - t0
-            path = f"{cfg.cache}-{lspec.seed}.ogec"
-            save_cache(path, matrix, lspec)
+            path = save_cache(cfg.cache, matrix, lspec, ds)
             print(
                 f"learner seed={lspec.seed}: matrix generation and embedding "
                 f"{embed_s:.3f}s ({lspec.r}x{lspec.d}), cached to {path}",
@@ -346,18 +315,31 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
 _RANK_SLOT_BYTES = 64
 
 
-def _check_rank_width(queries: int, flag: str, K: int) -> None:
-    """Refuse a K whose (queries x K) ranking would not fit in this machine's
-    memory; a command checks this after reading its datasets and before
-    embedding them."""
-    need = _RANK_SLOT_BYTES * queries * K
+def _read_sets(
+    cfg: RunConfig, explicit: set[str], flag: str, K: int, *, model: bool = False
+) -> tuple[ens.EnsembleSpec | None, SparseDataset, SparseDataset]:
+    """The model (with `model`; an explicit --k replaces its k), the train set
+    and the test set, checked before any embedding: the flags are given, the
+    datasets' d is the model's, and the (test samples x K) ranking of `flag`
+    K fits in this machine's memory."""
+    _require(cfg, *(["model"] if model else []), "train", "test")
+    spec = ens.read_metadata(cfg.model) if model else None
+    train_ds, test_ds = parse_dataset(cfg.train), parse_dataset(cfg.test)
+    if spec is not None:
+        if "k" in explicit:
+            spec = ens.EnsembleSpec(seeds=spec.seeds, d=spec.d, r=spec.r, k=cfg.k)
+        for name, ds in (("train", train_ds), ("test", test_ds)):
+            if ds.d != spec.d:
+                raise ValueError(f"{name} dataset dimensionality {ds.d} != model d {spec.d}")
+    need = _RANK_SLOT_BYTES * test_ds.n * K
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
         raise ValueError(
-            f"{flag} {K} is too large: ranking {queries} test samples needs "
+            f"{flag} {K} is too large: ranking {test_ds.n} test samples needs "
             f"{need / 2**30:.0f} GiB, more than this machine's "
             f"{memory / 2**30:.1f} GiB of memory"
         )
+    return spec, train_ds, test_ds
 
 
 def _propensity_model(cfg: RunConfig, train: SparseDataset, test: SparseDataset):
@@ -383,22 +365,13 @@ def _evaluator(cfg: RunConfig, train: SparseDataset, test: SparseDataset):
 def _predict_ranking(cfg: RunConfig, explicit: set[str], flag: str, K: int, evaluated: bool):
     """The fused top K labels of every test sample, the timings, and with
     `evaluated` the evaluator, whose label check runs before any embedding."""
-    _require(cfg, "model", "train", "test")
-    spec = _load_model(cfg, explicit)
-    train_ds = parse_dataset(cfg.train)
-    test_ds = parse_dataset(cfg.test)
-    for name, ds in (("train", train_ds), ("test", test_ds)):
-        if ds.d != spec.d:
-            raise ValueError(
-                f"{name} dataset dimensionality {ds.d} != model d {spec.d}"
-            )
-    _check_rank_width(test_ds.n, flag, K)
+    spec, train_ds, test_ds = _read_sets(cfg, explicit, flag, K, model=True)
     evaluate = _evaluator(cfg, train_ds, test_ds) if evaluated else None
     timings: dict[str, float] = {}
     limit = cfg.learners if "learners" in explicit else None
     ranking = ens.fused_scores(
         spec, train_ds, test_ds, K, learners=limit, workers=cfg.effective_workers(),
-        matrix_provider=_cache_provider(cfg, train_ds), timings=timings,
+        cache=cfg.cache, timings=timings,
     )
     return ranking, timings, evaluate
 
@@ -474,10 +447,7 @@ def cmd_analyze_distortion(cfg: RunConfig, explicit: set[str]) -> int:
 
 
 def cmd_analyze_sweep_r(cfg: RunConfig, explicit: set[str]) -> int:
-    _require(cfg, "train", "test")
-    train_ds = parse_dataset(cfg.train)
-    test_ds = parse_dataset(cfg.test)
-    _check_rank_width(test_ds.n, "--ks", max(cfg.ks))
+    _, train_ds, test_ds = _read_sets(cfg, explicit, "--ks", max(cfg.ks))
     evaluate = _evaluator(cfg, train_ds, test_ds)
     sweep = ens.sweep_dimension(
         cfg.seed, train_ds, test_ds, cfg.rs, cfg.k, max(cfg.ks), workers=cfg.effective_workers()
@@ -492,22 +462,11 @@ def cmd_analyze_sweep_r(cfg: RunConfig, explicit: set[str]) -> int:
 
 
 def cmd_analyze_sweep_ensemble(cfg: RunConfig, explicit: set[str]) -> int:
-    _require(cfg, "train", "test")
-    train_ds = parse_dataset(cfg.train)
-    test_ds = parse_dataset(cfg.test)
-    _check_rank_width(test_ds.n, "--ks", max(cfg.ks))
-    spec = ens.make_ensemble_spec(
-        cfg.seed, max(cfg.sizes), train_ds.d, cfg.r, cfg.k
-    )
+    _, train_ds, test_ds = _read_sets(cfg, explicit, "--ks", max(cfg.ks))
+    spec = ens.make_ensemble_spec(cfg.seed, max(cfg.sizes), train_ds.d, cfg.r, cfg.k)
     model = _propensity_model(cfg, train_ds, test_ds)
     result = ens.sweep_ensemble_size(
-        spec,
-        train_ds,
-        test_ds,
-        list(cfg.sizes),
-        model,
-        ks=cfg.ks,
-        workers=cfg.effective_workers(),
+        spec, train_ds, test_ds, list(cfg.sizes), model, ks=cfg.ks, workers=cfg.effective_workers()
     )
     with _output(cfg.out) as stream:
         names = [f"{m}@{k}" for m in metrics.METRIC_NAMES for k in cfg.ks]
@@ -530,12 +489,9 @@ def cmd_analyze_sweep_ensemble(cfg: RunConfig, explicit: set[str]) -> int:
 
 
 def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
-    _require(cfg, "train", "test")
-    train_ds = parse_dataset(cfg.train)
-    test_ds = parse_dataset(cfg.test)
     # each side is ranked once; the TSV's top topk is a prefix of the ranking
     K = max(*cfg.ks, cfg.topk if cfg.predictions_out else 1)
-    _check_rank_width(test_ds.n, "--topk" if K > max(cfg.ks) else "--ks", K)
+    _, train_ds, test_ds = _read_sets(cfg, explicit, "--topk" if K > max(cfg.ks) else "--ks", K)
     evaluate = _evaluator(cfg, train_ds, test_ds)
     workers = cfg.effective_workers()
     lspec = EmbeddingSpec(seed=cfg.seed, d=train_ds.d, r=cfg.r)

@@ -21,7 +21,10 @@ at the same line.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -70,30 +73,6 @@ def _fmt_value(v: float) -> str:
     return "%.9g" % v
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """One sample's features: strictly increasing indices, parallel weights."""
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float32)
-        if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
-            raise ValueError("indices and values must be parallel 1-D arrays")
-        if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 0):
-            raise ValueError("indices must be nonnegative and strictly increasing")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-
 @dataclass
 class SparseDataset:
     """CSR feature matrix plus per-sample label sets and label frequencies."""
@@ -114,9 +93,17 @@ class SparseDataset:
                 self.label_indices, minlength=self.L
             ).astype(np.int64)
 
-    def feature_row(self, i: int) -> SparseVector:
-        a, b = self.feat_indptr[i], self.feat_indptr[i + 1]
-        return SparseVector(self.feat_indices[a:b], self.feat_values[a:b])
+    @functools.cached_property
+    def feature_sha256(self) -> bytes:
+        """sha256 of the feature CSR as LE int64, int64 and float32 arrays,
+        computed once: what a cache of this set's projections is checked by."""
+        import hashlib  # here: loading OpenSSL adds about 4 ms to every command's start
+
+        digest = hashlib.sha256()
+        arrays = (self.feat_indptr, self.feat_indices, self.feat_values)
+        for array, dtype in zip(arrays, ("<i8", "<i8", "<f4")):
+            digest.update(np.ascontiguousarray(array, dtype=dtype))
+        return digest.digest()
 
     def labels(self, i: int) -> np.ndarray:
         a, b = self.label_indptr[i], self.label_indptr[i + 1]
@@ -556,13 +543,31 @@ def parse_dataset(path) -> SparseDataset:
 def format_dataset(ds: SparseDataset) -> str:
     out = [f"{ds.n} {ds.d} {ds.L}"]
     for i in range(ds.n):
-        row = ds.feature_row(i)
+        a, b = ds.feat_indptr[i], ds.feat_indptr[i + 1]
         labels = ",".join(str(l) for l in ds.labels(i))
         feats = " ".join(
-            f"{j}:{_fmt_value(v)}" for j, v in zip(row.indices, row.values)
+            f"{j}:{_fmt_value(v)}" for j, v in zip(ds.feat_indices[a:b], ds.feat_values[a:b])
         )
         out.append(labels + (" " + feats if feats else ""))
     return "\n".join(out) + "\n"
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """`open(path, mode)`, but written to a temp file beside `path` that
+    `os.replace` moves onto it once the block ends: no reader sees part of it."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        f = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:  # named as the file that it stands in for
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def write_dataset(ds: SparseDataset, path) -> None:

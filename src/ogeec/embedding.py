@@ -28,8 +28,9 @@ view into the stacked train and test rows.
 
 from __future__ import annotations
 
-import json
+import os
 import struct
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -37,11 +38,14 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .csr import CSR, RowProducts, normalize_rows, vstack
-from .data import SparseDataset
+from .data import SparseDataset, atomic_write
 
 CACHE_MAGIC = b"OGEC"
-CACHE_VERSION = 1
-_CACHE_HEADER = struct.Struct("<4sHIQ")
+CACHE_VERSION = 2
+# magic, version, Philox key word, d, r, n, the train set's `feature_sha256`
+# and the payload's crc32; the payload follows: column-major float32 LE
+_CACHE_HEADER = struct.Struct("<4sHQQIQ32sI")
+_CACHE_FILE = "{}-{}.ogec"  # a learner's cache file: prefix, seed
 
 _MASK64 = (1 << 64) - 1
 
@@ -371,38 +375,55 @@ def embed(
     return EmbeddedMatrix(r=spec.r, n=dataset.n, data=data)
 
 
-def save_cache(path, matrix: EmbeddedMatrix, spec: EmbeddingSpec) -> None:
-    """Binary cache: magic, version u16, r u32, n u64, column-major f32 LE.
-
-    A sidecar `<path>.meta` records (seed, d, r) so the cache is verifiable
-    against the spec that produced it.
-    """
-    header = _CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, matrix.r, matrix.n)
-    with open(path, "wb") as f:
+def save_cache(prefix, matrix: EmbeddedMatrix, spec: EmbeddingSpec, train: SparseDataset) -> str:
+    """Write a learner's embedded train matrix to its one self-describing
+    cache file (`_CACHE_HEADER`) with `atomic_write`; return the path."""
+    # the column-major float32 matrix, transposed, is the payload as it
+    # stands on a little-endian machine: written without a copy there
+    payload = np.ascontiguousarray(matrix.data.T, dtype="<f4")
+    header = _CACHE_HEADER.pack(
+        CACHE_MAGIC, CACHE_VERSION, spec.seed & _MASK64, spec.d, matrix.r, matrix.n,
+        train.feature_sha256, zlib.crc32(payload),
+    )
+    path = _CACHE_FILE.format(prefix, spec.seed)
+    with atomic_write(path, "wb") as f:
         f.write(header)
-        # the column-major float32 matrix, transposed, is the payload as it
-        # stands on a little-endian machine: written without a copy there
-        f.write(np.ascontiguousarray(matrix.data.T, dtype="<f4"))
-    with open(str(path) + ".meta", "w", encoding="utf-8") as f:
-        json.dump({"seed": spec.seed, "d": spec.d, "r": spec.r}, f)
-        f.write("\n")
+        f.write(payload)
+    return path
 
 
-def load_cache(path, spec: EmbeddingSpec) -> EmbeddedMatrix:
-    """Load a cached embedded matrix, verifying it and its sidecar against `spec`."""
+def load_cache(prefix, spec: EmbeddingSpec, train: SparseDataset) -> EmbeddedMatrix | None:
+    """The learner's cached train matrix, or None when it has no cache file.
+    The header must match the learner and `train`, and the payload its size,
+    crc32 and finiteness; else a one-line ValueError names the file."""
+    path = _CACHE_FILE.format(prefix, spec.seed)
+    if not os.path.exists(path):
+        return None  # projected together with the queries
+
+    def refuse(why: str) -> ValueError:
+        return ValueError(f"{path}: {why}; rebuild it with `ogeec train --cache`")
+
     with open(path, "rb") as f:
         head = f.read(_CACHE_HEADER.size)
+        if head[:6] == CACHE_MAGIC + b"\x01\x00":
+            raise refuse("cache format v1 is no longer read")
         if len(head) < _CACHE_HEADER.size:
-            raise ValueError(f"{path}: truncated cache header")
-        magic, version, r, n = _CACHE_HEADER.unpack(head)
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
+            raise refuse("truncated cache header")
+        magic, version, key, d, r, n, digest, crc = _CACHE_HEADER.unpack(head)
+        if (magic, version) != (CACHE_MAGIC, CACHE_VERSION):
+            raise refuse(f"bad magic or version ({magic!r}, {version})")
+        want = (spec.seed & _MASK64, spec.d, spec.r)
+        if (key, d, r) != want:
+            raise refuse(f"cache is for (Philox key, d, r) = {(key, d, r)}, not {want}")
+        if n != train.n:
+            raise refuse(f"cache holds {n} samples but the train set has {train.n}")
+        if digest != train.feature_sha256:
+            raise refuse("cache was built from another train set")
         payload = f.read()
-    expect = r * n * 4
-    if len(payload) != expect:
-        raise ValueError(f"{path}: expected {expect} payload bytes, got {len(payload)}")
+    if len(payload) != r * n * 4:
+        raise refuse(f"expected {r * n * 4} payload bytes, got {len(payload)}")
+    if zlib.crc32(payload) != crc:
+        raise refuse("payload fails its crc32 check")
     cols = np.frombuffer(payload, dtype="<f4").reshape(n, r)
     data = np.asfortranarray(cols.T.astype(np.float32, copy=False))
     # search bounds float32 rounding error by column norms, which must be
@@ -410,19 +431,5 @@ def load_cache(path, spec: EmbeddingSpec) -> EmbeddedMatrix:
     step = max(1, (1 << 20) // max(r, 1))
     for a in range(0, n, step):
         if not np.isfinite(data[:, a : a + step]).all():
-            raise ValueError(f"{path}: payload holds non-finite values; rebuild the cache")
-    sidecar = str(path) + ".meta"
-    try:
-        with open(sidecar, "r", encoding="utf-8") as f:
-            meta = json.load(f)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ValueError(f"{sidecar}: malformed cache metadata ({exc})") from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"{sidecar}: cache metadata must be a JSON object")
-    recorded = (meta.get("seed"), meta.get("d"), meta.get("r"))
-    if recorded != (spec.seed, spec.d, spec.r) or r != spec.r:
-        raise ValueError(
-            f"{path}: cache metadata {recorded} does not match spec "
-            f"({spec.seed}, {spec.d}, {spec.r})"
-        )
-    return EmbeddedMatrix(r=int(r), n=int(n), data=data)
+            raise refuse("payload holds non-finite values")
+    return EmbeddedMatrix(r=r, n=n, data=data)

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SparseDataset
+from .data import SparseDataset, atomic_write
 from .embedding import (
     EmbeddingSpec,
     embed_prefixes,
     embed_train_test,
+    load_cache,
     project_rows,
     train_test_rows,
 )
@@ -76,7 +77,7 @@ def learner_neighbours(
     *,
     learners: int | None = None,
     workers: int = 1,
-    matrix_provider=None,
+    cache: str | None = None,
     timings: dict[str, float] | None = None,
 ) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray]]]:
     """Yield (seed, (index, sims)) for each learner in order: `knn`'s
@@ -85,9 +86,9 @@ def learner_neighbours(
     The samples are normalized once; each learner projects its train and test
     samples in one pass over F, so it generates every row of F once. Learners
     run in turn, so memory holds one train matrix and one query block whatever
-    the ensemble size. `matrix_provider(lspec)` may return a learner's train
-    matrix (e.g. a verified cache), and then only the test samples are
-    projected; None takes the one-pass path.
+    the ensemble size. With a `cache` prefix, a learner that has a cache file
+    loads its train matrix, checked against `dataset` (`load_cache`), and
+    projects only the test samples; one without takes the one-pass path.
     """
     count = spec.size if learners is None else learners
     if not 1 <= count <= spec.size:
@@ -96,7 +97,7 @@ def learner_neighbours(
     for i in range(count):
         lspec = spec.learner(i)
         t0 = time.perf_counter()
-        train = matrix_provider(lspec) if matrix_provider is not None else None
+        train = None if cache is None else load_cache(cache, lspec, dataset)
         if train is None:
             train, queries = embed_train_test(lspec, rows, workers=workers)
         else:
@@ -116,7 +117,7 @@ def fused_scores(
     *,
     learners: int | None = None,
     workers: int = 1,
-    matrix_provider=None,
+    cache: str | None = None,
     timings: dict[str, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`rank_labels`' (m, K) top labels and scores of every test sample by
@@ -124,7 +125,7 @@ def fused_scores(
     learners' neighbour arrays are held until that one label pass."""
     found = learner_neighbours(
         spec, dataset, test, learners=learners, workers=workers,
-        matrix_provider=matrix_provider, timings=timings,
+        cache=cache, timings=timings,
     )
     neighbours = [nb for _, nb in found]
     t0 = time.perf_counter()
@@ -223,7 +224,7 @@ def format_metadata(spec: EnsembleSpec) -> str:
 
 
 def write_metadata(path, spec: EnsembleSpec) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write(format_metadata(spec))
 
 

@@ -6,8 +6,10 @@ gaussian row stream, which is the identity of the projection matrix
 itself. `box_muller` defines that stream step by step and is the only
 source of whole rows of F, since the package draws F only at the columns a
 projection uses; `project_full` applies every column of F drawn from it, the
-reference for that projection. The exceptions are `embed_single`, one
-sample projected alone through the package's `project_csr` (no command
+reference for that projection. `feature_row` gives one sample as a `Row`
+of views into its dataset's CSR arrays, for the per-sample oracles. The
+exceptions are `embed_single`, one sample projected alone through the
+package's `project_csr` (no command
 projects a single sample, so it lives here), `predict`, the per-query
 composition of the package's own steps, which the batch paths are checked
 against, `same_dataset`, the field-by-field comparison of two parsed
@@ -30,6 +32,7 @@ kernels against them); `to_scipy` and `from_scipy` convert at the boundary.
 
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,10 +46,23 @@ from ogeec.metrics import DEFAULT_KS, METRIC_NAMES, EvalReport, PropensityModel
 from ogeec.predictor import knn, propagate, top_k
 
 
+class Row(NamedTuple):
+    """One sample's features: its CSR indices and float32 values."""
+
+    indices: np.ndarray
+    values: np.ndarray
+
+
+def feature_row(ds, i) -> Row:
+    """Sample i of a `SparseDataset`, as views of its feature CSR."""
+    a, b = ds.feat_indptr[i], ds.feat_indptr[i + 1]
+    return Row(ds.feat_indices[a:b], ds.feat_values[a:b])
+
+
 def dense_rows(ds) -> np.ndarray:
     out = np.zeros((ds.n, ds.d))
     for i in range(ds.n):
-        row = ds.feature_row(i)
+        row = feature_row(ds, i)
         out[i, row.indices] = row.values.astype(np.float64)
     return out
 
@@ -149,12 +165,12 @@ def neighbor_arrays(lists):
 
 
 def embed_single(spec, x):
-    """One sample (a `SparseVector`) projected alone: `project_csr` of its
-    one-row CSR, the (r,) column that `embed` gives it in any dataset."""
+    """One sample (a `Row`) projected alone: `project_csr` of its one-row
+    CSR, the (r,) column that `embed` gives it in any dataset."""
     X = CSR(
         x.values.astype(np.float64),
         x.indices,
-        np.array([0, x.nnz], dtype=np.int64),
+        np.array([0, x.indices.size], dtype=np.int64),
         (1, spec.d),
     )
     return project_csr(spec, X).ravel()

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 import time
@@ -12,10 +13,10 @@ import numpy as np
 import pytest
 
 import ogeec
-from ogeec import cli, embedding
+from ogeec import cli, embedding, ensemble
 from ogeec.cli import main
 from ogeec.data import parse_dataset, split_dataset, write_dataset
-from ogeec.embedding import EmbeddingSpec, load_cache
+from ogeec.embedding import EmbeddedMatrix, EmbeddingSpec, load_cache, save_cache
 from ogeec.ensemble import EnsembleSpec, fused_scores, read_metadata, write_metadata
 from ogeec.metrics import evaluate, propensity
 from ogeec.predictor import format_predictions, top_k
@@ -410,7 +411,9 @@ def test_cache_roundtrip_through_cli(workspace, tmp_path, capsys):
         ]
     )
     assert rc == 0
-    cached = load_cache(f"{prefix}-7.ogec", EmbeddingSpec(seed=7, d=2000, r=16))
+    assert sorted(os.listdir(tmp_path)) == ["emb-7.ogec", "m.txt"]  # no sidecar, no temp file
+    spec, train = EmbeddingSpec(seed=7, d=2000, r=16), parse_dataset(workspace / "train.txt")
+    cached = load_cache(prefix, spec, train)
     assert cached.n == 400
     out = tmp_path / "cached.tsv"
     rc = main(
@@ -652,10 +655,11 @@ def test_cache_with_non_finite_payload_is_rejected(workspace, tmp_path, capsys):
         ]
     )
     assert rc == 0
-    path = pathlib.Path(f"{prefix}-7.ogec")
-    raw = bytearray(path.read_bytes())
-    raw[18 + 4 * 5 : 18 + 4 * 6] = np.float32(np.nan).tobytes()  # column 0, row 5
-    path.write_bytes(bytes(raw))
+    # a NaN in a file whose crc32 holds: written as the cache was
+    spec, train = EmbeddingSpec(seed=7, d=2000, r=16), parse_dataset(workspace / "train.txt")
+    data = load_cache(prefix, spec, train).data.copy(order="F")
+    data[5, 0] = np.nan  # column 0, row 5
+    save_cache(prefix, EmbeddedMatrix(r=16, n=400, data=data), spec, train)
     capsys.readouterr()
     rc = main(
         [
@@ -697,42 +701,126 @@ def test_cache_of_another_train_set_is_rejected(workspace, tmp_path, capsys):
     assert not any("Traceback" in line for line in err)
 
 
+def test_model_write_replaces_the_whole_file(workspace, tmp_path, monkeypatch, capsys):
+    """The model file is written beside its path and moved into place: a
+    write that fails leaves the old file whole and no temp file, and a
+    missing directory is named by the model's own path."""
+    model = tmp_path / "m.txt"
+    model.write_text("old\n")
 
+    def broken(spec):
+        raise ValueError("disk full")
+
+    monkeypatch.setattr(ensemble, "format_metadata", broken)
+    args = ["train", "--train", str(workspace / "train.txt"), "--r", "8", "--model"]
+    assert main([*args, str(model)]) == 1
+    assert (model.read_text(), os.listdir(tmp_path)) == ("old\n", ["m.txt"])
+    missing = tmp_path / "no" / "m.txt"
+    assert main([*args, str(missing)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: [Errno 2] No such file or directory: '{missing}'"
+    )
+
+
+_REBUILD = "rebuild it with `ogeec train --cache`"
+
+
+def _rewrite(edit):
+    """Rewrite learner 7's cache file with edit(its bytes)."""
+
+    def mutate(prefix, tmp_path):
+        path = pathlib.Path(f"{prefix}-7.ogec")
+        path.write_bytes(edit(path.read_bytes()))
+        return path
+
+    return mutate
+
+
+def _flip_payload_byte(raw):
+    raw = bytearray(raw)
+    raw[70 + 29] ^= 0x01
+    return bytes(raw)
+
+
+def _swap(prefix, tmp_path):
+    """Learners 7 and 8 each get the other's cache file."""
+    a, b = pathlib.Path(f"{prefix}-7.ogec"), pathlib.Path(f"{prefix}-8.ogec")
+    raw = a.read_bytes()
+    a.write_bytes(b.read_bytes())
+    b.write_bytes(raw)
+    return a
+
+
+def _from_another_train_set(prefix, tmp_path):
+    """Learner 7's cache rebuilt from another train set of the same n and d."""
+    other = tmp_path / "other.txt"
+    gen = ["gen", "--n", "400", "--d", "2000", "--labels", "40", "--sparsity", "10"]
+    assert main([*gen, "--labels-per-sample", "2", "--seed", "4", "--out", str(other)]) == 0
+    train = ["train", "--train", str(other), "--model", str(tmp_path / "other.model")]
+    assert main([*train, "--r", "16", "--learners", "1", "--seed", "7", "--cache", prefix]) == 0
+    return pathlib.Path(f"{prefix}-7.ogec")
+
+
+def _remove_learner_8(prefix, tmp_path):
+    os.remove(f"{prefix}-8.ogec")
+
+
+# learner seed, mutation of the cache files, and the error after the file's
+# name (None: the command must print the uncached TSV)
 @pytest.mark.parametrize(
-    "sidecar, message",
+    "seed, mutate, message",
     [
-        (b"[1, 2]", "cache metadata must be a JSON object"),
-        (b"{oops}", "malformed cache metadata (Expecting property name"),
-        (b"\xff{}", "malformed cache metadata ('utf-8' codec can't decode byte 0xff"),
+        pytest.param(
+            7, _rewrite(lambda raw: raw[:40]), f"truncated cache header; {_REBUILD}",
+            id="truncated-header",
+        ),
+        pytest.param(
+            7, _rewrite(lambda raw: raw[:-4]),
+            f"expected 25600 payload bytes, got 25596; {_REBUILD}",
+            id="truncated-payload",
+        ),
+        pytest.param(
+            7, _rewrite(_flip_payload_byte), f"payload fails its crc32 check; {_REBUILD}",
+            id="flipped-payload-byte",
+        ),
+        pytest.param(
+            7, _rewrite(lambda raw: struct.pack("<4sHIQ", b"OGEC", 1, 16, 400) + raw[70:]),
+            f"cache format v1 is no longer read; {_REBUILD}", id="v1",
+        ),
+        pytest.param(
+            7, _swap,
+            f"cache is for (Philox key, d, r) = (8, 2000, 16), not (7, 2000, 16); {_REBUILD}",
+            id="swapped-learners",
+        ),
+        pytest.param(
+            7, _from_another_train_set, f"cache was built from another train set; {_REBUILD}",
+            id="another-train-set",
+        ),
+        pytest.param(7, _remove_learner_8, None, id="one-learner-missing"),
+        pytest.param(-1, None, None, id="seed-minus-1"),
+        pytest.param(2**64 + 3, None, None, id="seed-2**64+3"),
     ],
-    ids=["not-an-object", "not-json", "not-utf8"],
 )
-def test_bad_cache_sidecar_is_named_in_a_one_line_error(
-    workspace, tmp_path, capsys, sidecar, message
+def test_predict_cache_is_checked_against_model_and_train_set(
+    workspace, tmp_path, capsys, seed, mutate, message
 ):
-    prefix = str(tmp_path / "emb")
-    model = str(tmp_path / "m.txt")
-    train = str(workspace / "train.txt")
-    rc = main(
-        [
-            "train", "--train", train, "--model", model,
-            "--r", "16", "--learners", "1", "--seed", "7", "--cache", prefix,
-        ]
-    )
-    assert rc == 0
-    meta = pathlib.Path(f"{prefix}-7.ogec.meta")
-    meta.write_bytes(sidecar)
+    """A bad cache file exits 1 with one stderr line naming it, no traceback
+    and empty stdout; a good one, or none, gives the uncached TSV's bytes."""
+    model, prefix = str(tmp_path / "m.txt"), str(tmp_path / "emb")
+    data = ["--train", str(workspace / "train.txt"), "--test", str(workspace / "test.txt")]
+    train = ["train", "--model", model, *data[:2], "--r", "16", "--learners", "2"]
+    assert main([*train, "--seed", str(seed), "--cache", prefix]) == 0
+    path = mutate(prefix, tmp_path) if mutate else None
     capsys.readouterr()
-    rc = main(
-        [
-            "predict", "--model", model, "--train", train,
-            "--test", str(workspace / "test.txt"), "--cache", prefix,
-        ]
-    )
-    assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith(f"error: {meta}: {message}")
-    assert not any("Traceback" in line for line in err)
+    predict = ["predict", "--model", model, *data]
+    rc = main([*predict, "--cache", prefix])
+    out, err = capsys.readouterr()
+    if message is not None:
+        assert (rc, out, err) == (1, "", f"error: {path}: {message}\n")
+        return
+    assert rc == 0
+    assert main(predict) == 0
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize(

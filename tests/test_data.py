@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import same_dataset, to_scipy
+from oracles import feature_row, same_dataset, to_scipy
 
 from ogeec import data
 from ogeec.data import (
     DatasetFormatError,
-    SparseVector,
     _assemble,
     format_dataset,
     generate_synthetic,
@@ -32,7 +31,7 @@ def test_parse_fixture(tmp_path):
     ds = parse_dataset(_write(tmp_path, FIXTURE))
     assert (ds.n, ds.d, ds.L) == (3, 4, 2)
     assert ds.label_frequencies.tolist() == [2, 2]
-    row0 = ds.feature_row(0)
+    row0 = feature_row(ds, 0)
     assert row0.indices.tolist() == [0, 2]
     assert row0.values.tolist() == [1.0, 2.0]
     assert ds.labels(0).tolist() == [0]
@@ -48,26 +47,26 @@ def test_parse_minimal(tmp_path):
 
 def test_parse_is_order_preserving(tmp_path):
     ds = parse_dataset(_write(tmp_path, FIXTURE))
-    assert ds.feature_row(1).indices.tolist() == [1]
-    assert ds.feature_row(2).indices.tolist() == [3]
+    assert feature_row(ds, 1).indices.tolist() == [1]
+    assert feature_row(ds, 2).indices.tolist() == [3]
 
 
 def test_missing_label_field_is_empty(tmp_path):
     ds = parse_dataset(_write(tmp_path, "2 3 2\n 0:1.5 2:0.25\n1 1:1\n"))
     assert ds.labels(0).size == 0
-    assert ds.feature_row(0).indices.tolist() == [0, 2]
+    assert feature_row(ds, 0).indices.tolist() == [0, 2]
     assert ds.label_frequencies.tolist() == [0, 1]
 
 
 def test_empty_line_is_featureless_unlabeled(tmp_path):
     ds = parse_dataset(_write(tmp_path, "1 3 2\n\n"))
     assert ds.labels(0).size == 0
-    assert ds.feature_row(0).nnz == 0
+    assert feature_row(ds, 0).indices.size == 0
 
 
 def test_parse_without_trailing_newline(tmp_path):
     ds = parse_dataset(_write(tmp_path, "1 2 1\n0 1:0.5"))
-    assert ds.feature_row(0).indices.tolist() == [1]
+    assert feature_row(ds, 0).indices.tolist() == [1]
 
 
 @pytest.mark.parametrize(
@@ -162,15 +161,6 @@ def test_label_frequencies_sum_to_assignments(ds):
     assert int(ds.label_frequencies.sum()) == ds.label_indices.size
 
 
-def test_sparse_vector_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        SparseVector(np.array([2, 1]), np.array([1.0, 1.0], dtype=np.float32))
-    with pytest.raises(ValueError, match="finite"):
-        SparseVector(np.array([0]), np.array([np.nan], dtype=np.float32))
-    with pytest.raises(ValueError, match="parallel"):
-        SparseVector(np.array([0, 1]), np.array([1.0], dtype=np.float32))
-
-
 def test_synthetic_deterministic():
     kwargs = dict(
         n=100, d=1000, L=20, sparsity=10, labels_per_sample=2, clusters=5, seed=7
@@ -195,7 +185,7 @@ def test_synthetic_values_positive_and_valid(small_ds):
     assert np.all(small_ds.feat_indices < small_ds.d)
     assert np.all(small_ds.label_indices < small_ds.L)
     for i in range(small_ds.n):
-        assert np.all(np.diff(small_ds.feature_row(i).indices) > 0)
+        assert np.all(np.diff(feature_row(small_ds, i).indices) > 0)
         assert np.all(np.diff(small_ds.labels(i)) > 0)
         assert small_ds.labels(i).size >= 1
 
@@ -242,7 +232,7 @@ def test_split_dataset(small_ds):
     train, test = split_dataset(small_ds, 200)
     assert (train.n, test.n) == (200, 100)
     assert train.d == test.d == small_ds.d
-    assert train.feature_row(5).indices.tolist() == small_ds.feature_row(5).indices.tolist()
+    assert feature_row(train, 5).indices.tolist() == feature_row(small_ds, 5).indices.tolist()
     assert test.labels(0).tolist() == small_ds.labels(200).tolist()
     # frequencies recomputed per part
     assert int(train.label_frequencies.sum()) == train.label_indices.size

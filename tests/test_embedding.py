@@ -1,6 +1,11 @@
+import dataclasses
+import hashlib
 import json
+import os
 import pathlib
+import struct
 import tracemalloc
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -9,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     box_muller,
+    Row,
     embed_single,
+    feature_row,
     fuse,
     gaussian_words,
     project_full,
@@ -20,7 +27,7 @@ from oracles import (
 
 from ogeec import csr, embedding
 from ogeec.csr import CSR
-from ogeec.data import SparseDataset, SparseVector, generate_synthetic, split_dataset
+from ogeec.data import SparseDataset, generate_synthetic, split_dataset
 from ogeec.embedding import (
     EmbeddedMatrix,
     EmbeddingSpec,
@@ -231,7 +238,7 @@ def test_embed_zero_vector_gives_zero_column(small_spec):
 def test_embed_one_hot_selects_normalized_matrix_column():
     spec = EmbeddingSpec(seed=5, d=64, r=16)
     j = 17
-    x = SparseVector(np.array([j]), np.array([5.0], dtype=np.float32))
+    x = Row(np.array([j]), np.array([5.0], dtype=np.float32))
     out = embed_single(spec, x)
     F = definition_rows(spec, 0, spec.r)
     col = F[:, j] / np.linalg.norm(F[:, j])
@@ -239,12 +246,11 @@ def test_embed_one_hot_selects_normalized_matrix_column():
 
 
 def test_embed_scale_invariance(small_spec, small_ds):
-    row = small_ds.feature_row(7)
-    x = SparseVector(row.indices, row.values)
+    x = feature_row(small_ds, 7)
     # power-of-two scale: float32-exact, so pre-normalization cancels bitwise
-    x4 = SparseVector(row.indices, row.values * np.float32(4.0))
+    x4 = Row(x.indices, x.values * np.float32(4.0))
     assert np.array_equal(embed_single(small_spec, x), embed_single(small_spec, x4))
-    x5 = SparseVector(row.indices, row.values * np.float32(5.0))
+    x5 = Row(x.indices, x.values * np.float32(5.0))
     np.testing.assert_allclose(
         embed_single(small_spec, x), embed_single(small_spec, x5), rtol=0, atol=1e-6
     )
@@ -259,7 +265,7 @@ def test_embed_column_norms(small_embedded):
 
 def test_embed_single_agrees_with_embed_columns(small_spec, small_ds, small_embedded):
     for i in range(0, 50):
-        q = embed_single(small_spec, small_ds.feature_row(i))
+        q = embed_single(small_spec, feature_row(small_ds, i))
         assert np.array_equal(q, small_embedded.data[:, i]), i
 
 
@@ -395,7 +401,7 @@ _CASES = _one_pass_cases()
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(_CASES))
-def test_one_pass_equals_separate_projections(monkeypatch, case, workers):
+def test_one_pass_equals_separate_projections(monkeypatch, tmp_path, case, workers):
     """Projecting train and test together gives bit-identical train matrices,
     query blocks and fused scores to embedding and projecting them apart."""
     train_rows, test_rows = _CASES[case]
@@ -418,9 +424,10 @@ def test_one_pass_equals_separate_projections(monkeypatch, case, workers):
         assert got.data.flags.f_contiguous and got_queries.shape == queries.shape
         assert np.array_equal(got.data, matrix.data)
         assert np.array_equal(got_queries, queries)
-    cached = {espec.seeds[0]: apart[0][0]}  # one learner cached, one projected
-    for provider in (None, lambda ls: cached.get(ls.seed)):
-        fused = fused_scores(espec, train, test, train.L, workers=workers, matrix_provider=provider)
+    prefix = str(tmp_path / "emb")
+    save_cache(prefix, apart[0][0], espec.learner(0), train)  # one learner cached, one projected
+    for cache in (None, prefix):
+        fused = fused_scores(espec, train, test, train.L, workers=workers, cache=cache)
         assert ranking_dicts(fused) == reference
 
 
@@ -494,38 +501,60 @@ def test_embed_dimension_mismatch(small_spec):
         embed(small_spec, ds)
 
 
-def test_cache_roundtrip(tmp_path, small_spec, small_embedded):
-    path = tmp_path / "train.ogec"
-    save_cache(path, small_embedded, small_spec)
-    loaded = load_cache(path, small_spec)
+def test_cache_roundtrip(tmp_path, small_spec, small_ds, small_embedded):
+    """One file, named by the learner's seed; no sidecar and no temp file is
+    left, and a learner with no file loads None."""
+    prefix = str(tmp_path / "emb")
+    assert save_cache(prefix, small_embedded, small_spec, small_ds) == f"{prefix}-42.ogec"
+    assert os.listdir(tmp_path) == ["emb-42.ogec"]
+    loaded = load_cache(prefix, small_spec, small_ds)
     assert loaded.r == small_embedded.r and loaded.n == small_embedded.n
     assert np.array_equal(loaded.data, small_embedded.data)
+    other = EmbeddingSpec(seed=43, d=small_spec.d, r=small_spec.r)
+    assert load_cache(prefix, other, small_ds) is None
 
 
-def test_cache_wire_format(tmp_path, small_spec, small_embedded):
-    path = tmp_path / "train.ogec"
-    save_cache(path, small_embedded, small_spec)
-    raw = path.read_bytes()
-    assert raw[:4] == b"OGEC"
-    assert int.from_bytes(raw[4:6], "little") == 1
-    assert int.from_bytes(raw[6:10], "little") == small_embedded.r
-    assert int.from_bytes(raw[10:18], "little") == small_embedded.n
-    first_col = np.frombuffer(raw[18 : 18 + 4 * small_embedded.r], dtype="<f4")
-    assert np.array_equal(first_col, small_embedded.data[:, 0])
-    meta = json.loads((tmp_path / "train.ogec.meta").read_text())
-    assert meta == {"seed": small_spec.seed, "d": small_spec.d, "r": small_spec.r}
+@pytest.mark.parametrize("seed", [-1, 2**64 + 3])
+def test_cache_keys_a_seed_as_its_philox_key_word(tmp_path, small_ds, seed):
+    """The header holds seed mod 2^64, the key word F is drawn under, so a
+    negative or a wide seed round-trips."""
+    spec = EmbeddingSpec(seed=seed, d=small_ds.d, r=4)
+    matrix = embed(spec, small_ds)
+    path = save_cache(str(tmp_path / "emb"), matrix, spec, small_ds)
+    assert path.endswith(f"emb-{seed}.ogec")
+    assert struct.unpack_from("<Q", pathlib.Path(path).read_bytes(), 6) == (seed % 2**64,)
+    assert np.array_equal(load_cache(str(tmp_path / "emb"), spec, small_ds).data, matrix.data)
 
 
-def test_cache_verification_failures(tmp_path, small_spec, small_embedded):
-    path = tmp_path / "train.ogec"
-    save_cache(path, small_embedded, small_spec)
-    wrong = EmbeddingSpec(seed=small_spec.seed + 1, d=small_spec.d, r=small_spec.r)
-    with pytest.raises(ValueError, match="does not match"):
-        load_cache(path, wrong)
-    bad = tmp_path / "bad.ogec"
-    bad.write_bytes(b"NOPE" + b"\x00" * 14)
-    with pytest.raises(ValueError, match="bad magic"):
-        load_cache(bad, small_spec)
+def test_cache_wire_format(tmp_path, small_spec, small_ds, small_embedded):
+    path = save_cache(str(tmp_path / "emb"), small_embedded, small_spec, small_ds)
+    raw = pathlib.Path(path).read_bytes()
+    header = struct.unpack_from("<4sHQQIQ32sI", raw)
+    assert header[:6] == (b"OGEC", 2, 42, 2000, 32, 300)
+    arrays = (small_ds.feat_indptr, small_ds.feat_indices, small_ds.feat_values)
+    csr_bytes = b"".join(a.astype(t).tobytes() for a, t in zip(arrays, ("<i8", "<i8", "<f4")))
+    assert header[6] == hashlib.sha256(csr_bytes).digest()
+    payload = raw[70:]
+    assert header[7] == zlib.crc32(payload)
+    cols = np.frombuffer(payload, dtype="<f4").reshape(300, 32)
+    assert np.array_equal(cols.T, small_embedded.data)
+
+
+def test_cache_verification_failures(tmp_path, small_spec, small_ds, small_embedded):
+    prefix = str(tmp_path / "emb")
+    save_cache(prefix, small_embedded, small_spec, small_ds)
+    narrower = EmbeddingSpec(seed=small_spec.seed, d=small_spec.d, r=16)
+    other = r"is for \(Philox key, d, r\) = \(42, 2000, 32\), not \(42, 2000, 16\)"
+    with pytest.raises(ValueError, match=other):
+        load_cache(prefix, narrower, small_ds)
+    with pytest.raises(ValueError, match="cache holds 300 samples but the train set has 200"):
+        load_cache(prefix, small_spec, split_dataset(small_ds, 200)[0])
+    changed = dataclasses.replace(small_ds, feat_values=small_ds.feat_values * np.float32(2))
+    with pytest.raises(ValueError, match="built from another train set; rebuild it"):
+        load_cache(prefix, small_spec, changed)
+    pathlib.Path(f"{prefix}-42.ogec").write_bytes(b"NOPE" + b"\x00" * 66)
+    with pytest.raises(ValueError, match="bad magic or version"):
+        load_cache(prefix, small_spec, small_ds)
 
 
 def test_cache_rejects_a_non_finite_value_in_any_block(tmp_path, small_spec):
@@ -533,10 +562,12 @@ def test_cache_rejects_a_non_finite_value_in_any_block(tmp_path, small_spec):
     in the first or in the last, partial, block is found."""
     spec = EmbeddingSpec(seed=small_spec.seed, d=small_spec.d, r=1)
     n = (1 << 20) + 3
-    path = tmp_path / "train.ogec"
+    empty = np.zeros(n + 1, dtype=np.int64)
+    train = SparseDataset(n, spec.d, 1, empty, empty[:0], np.zeros(0, np.float32), empty, empty[:0])
+    prefix = str(tmp_path / "emb")
     for at in (0, n - 1):
         data = np.ones((1, n), dtype=np.float32, order="F")
         data[0, at] = np.nan
-        save_cache(path, EmbeddedMatrix(r=1, n=n, data=data), spec)
+        save_cache(prefix, EmbeddedMatrix(r=1, n=n, data=data), spec, train)
         with pytest.raises(ValueError, match="non-finite"):
-            load_cache(path, spec)
+            load_cache(prefix, spec, train)

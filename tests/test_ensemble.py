@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracles import (
     dict_neighbours,
+    feature_row,
     one_label_each,
     predict,
     ranking_dicts,
@@ -71,12 +72,12 @@ def test_single_learner_ensemble_equals_predict(small_ds, small_spec, small_embe
     fused = ranking_dicts(fused_scores(espec, small_ds, small_ds, small_ds.L))
     labelsets = small_ds.labelsets()
     for i in (0, 9, 150, 299):
-        query = small_ds.feature_row(i)
+        query = feature_row(small_ds, i)
         assert fused[i] == predict(small_spec, small_embedded, labelsets, query, 5)
 
 
 def test_duplicate_seeds_equal_one_learner(small_ds, small_spec, small_embedded):
-    query = small_ds.feature_row(21)
+    query = feature_row(small_ds, 21)
     single = predict(small_spec, small_embedded, small_ds.labelsets(), query, 5)
     fused = row_scores(_fuse([[single]] * 3, small_ds.L), 0)
     assert fused.keys() == single.keys()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import box_muller
+from oracles import box_muller, feature_row
 
 from ogeec import embedding
 from ogeec.data import generate_synthetic
@@ -122,7 +122,7 @@ def _dense_ratios(ds, spec, pairs, seed):
     b = rng.integers(0, ds.n, size=pairs)
     X = np.zeros((ds.n, ds.d))
     for i in range(ds.n):
-        row = ds.feature_row(i)
+        row = feature_row(ds, i)
         X[i, row.indices] = row.values.astype(np.float64)
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import (
     embed_single,
+    feature_row,
     from_scipy,
     knn_scan,
     lexsort_top_k,
@@ -49,7 +50,7 @@ def naive_knn(data: np.ndarray, q: np.ndarray, k: int):
 
 def test_knn_query_equals_training_column(small_spec, small_ds, small_embedded):
     j = 11
-    q = embed_single(small_spec, small_ds.feature_row(j))
+    q = embed_single(small_spec, feature_row(small_ds, j))
     entries = neighbor_lists(*knn(q, small_embedded, 5))
     assert entries[0][0] == j
     assert abs(entries[0][1] - 1.0) < 1e-5
@@ -354,7 +355,7 @@ def test_top_k_lexsorts_only_the_entries_reaching_the_kth_score():
 
 def test_predict_is_composition(small_spec, small_ds, small_embedded):
     labelsets = small_ds.labelsets()
-    query = small_ds.feature_row(3)
+    query = feature_row(small_ds, 3)
     direct = predict(small_spec, small_embedded, labelsets, query, 5)
     q = embed_single(small_spec, query)
     manual = propagate(neighbor_lists(*knn(q, small_embedded, 5)), labelsets)
@@ -362,7 +363,7 @@ def test_predict_is_composition(small_spec, small_ds, small_embedded):
 
 
 def test_predict_training_point_matches_itself(small_spec, small_ds, small_embedded):
-    q = embed_single(small_spec, small_ds.feature_row(17))
+    q = embed_single(small_spec, feature_row(small_ds, 17))
     entries = neighbor_lists(*knn(q, small_embedded, 5))
     by_index = dict(entries)
     assert 17 in by_index
@@ -377,7 +378,7 @@ def test_batch_predict_equals_per_query(small_spec, small_ds, small_embedded, tr
     queries = project_csr(small_spec, sub.to_feature_csr(np.float64))
     batched = score_matrix(*batch_predict(small_embedded, queries, 5), small_ds.label_matrix())
     for i in range(0, sub.n, 37):
-        single = predict(small_spec, small_embedded, labelsets, sub.feature_row(i), 5)
+        single = predict(small_spec, small_embedded, labelsets, feature_row(sub, i), 5)
         assert row_scores(batched, i) == single
 
 

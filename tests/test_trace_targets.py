@@ -9,12 +9,14 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import re
 
 import pytest
 
 from ogeec import cli, ensemble
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -32,6 +34,31 @@ WRAP_TARGETS = _load_tracer().WRAP_TARGETS
 )
 def test_wrap_target_is_callable(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+# an import that exists only for the tracer, as every such line must read
+_TRACER_IMPORT = re.compile(
+    r"from \.\w+ import (\w+)  # noqa: F401 -- perfbench/tracer\.py wraps it here"
+)
+
+
+def _tracer_imports():
+    """pytest params (module, line) of each line under src/ogeec that
+    mentions the tracer beside a `noqa`, with ids `file.py:lineno`."""
+    for path in sorted((ROOT / "src" / "ogeec").glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for at, line in enumerate(lines, 1):
+            if "noqa" in line and "tracer" in line:
+                yield pytest.param(f"ogeec.{path.stem}", line, id=f"{path.name}:{at}")
+
+
+@pytest.mark.parametrize("module_name, line", list(_tracer_imports()))
+def test_tracer_only_import_names_a_wrap_target(module_name, line):
+    """Each import kept only for the tracer wraps a WRAP_TARGETS entry at the
+    importing module, so none outlives its target."""
+    match = _TRACER_IMPORT.fullmatch(line)
+    assert match, line
+    assert (module_name, match.group(1)) in {target[:2] for target in WRAP_TARGETS}
 
 
 @pytest.mark.parametrize(
