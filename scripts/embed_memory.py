@@ -7,10 +7,11 @@ each phase of an ensemble's embedding and search, on one corpus.
 The corpus is a directory holding `train.txt` and `test.txt`, as the
 benchmark (`perfbench/run.py`) writes them under `.perfbench/<workload>-seed<seed>`.
 The script runs the phases of `ensemble.learner_neighbours` in order, in
-this process: parse both files, normalize and stack their rows
-(`embedding.train_test_rows`), then for each learner its projection
-(`embed_train_test`, one pass over F) and its exact search
-(`batch_predict`). After each phase it prints the process's peak RSS so
+this process: parse both files, normalize, stack and plan their rows once
+(`embedding.train_test_rows`, which then holds the samples once,
+position-major, for every learner), then for each learner its projection
+(`embed_train_test`, one pass over F, drawn into one transposed block of F
+per worker) and its exact search (`batch_predict`). After each phase it prints the process's peak RSS so
 far (`ru_maxrss`), the phase's own tracemalloc peak and what stays
 allocated after it. A phase's tracemalloc peak counts numpy's buffers, so
 it attributes the RSS growth that the phase causes.

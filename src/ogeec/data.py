@@ -446,9 +446,8 @@ def _pieces(f):
 
 def _line_ends(b: bytes) -> int:
     """Line ends in b as text mode reads them: CRLF, CR or LF."""
-    if b"\r" not in b:
-        return b.count(b"\n")
-    return b.count(b"\n") + b.count(b"\r") - b.count(b"\r\n")
+    lf = int(np.count_nonzero(np.frombuffer(b, dtype=np.uint8) == ord("\n")))
+    return lf if b"\r" not in b else lf + b.count(b"\r") - b.count(b"\r\n")
 
 
 def _scan(f) -> tuple[int, bytes, int, int]:

@@ -9,35 +9,36 @@ Box-Muller. Embedding a corpus means L2-normalizing each sample, multiplying
 by F block-by-block (cost proportional to nnz times r), re-normalizing, and
 storing the result as a column-major float32 matrix.
 
-Generating F is most of the cost at large d, so a command normalizes its
-train and test samples once (`train_test_rows`) and each learner projects
+Generating F is most of the cost at large d, so a command prepares its
+train and test samples once (`train_test_rows`): normalized, stacked and
+planned (`PlannedRows`), they serve every learner, and each learner projects
 them together in one pass over F (`embed_train_test`); a sweep over r takes
 every r from one pass at the largest (`embed_prefixes`). A projection draws
-F only at the columns its samples use (`column_plan`): Philox still runs
-over each row's whole stream, but the Box-Muller arithmetic, most of a
-row's cost, runs only on the used columns, in place in buffers allocated
-once per block, and every drawn value is bit-identical to the full row.
+F only at the columns its samples use (`column_plan`): the Box-Muller
+arithmetic, most of a row's cost, runs only on the used columns, and every
+drawn value is bit-identical to the full row.
 
-A projection's memory is bounded per worker, whatever r: each worker holds
-one block of F and its transposed copy, about 16 MB together (`_row_block`),
-allocated once per projection and reused for every block, and draws a
-row's Philox stream in two halves, its u1 words and then its u2 words. The
-test rows that a learner with a cached train matrix projects alone are a
-view into the stacked train and test rows.
-"""
+A projection's memory is bounded per worker, whatever r and d: one
+transposed block of F, about 8 MB (`_row_block`), allocated once per
+projection and reused for every block, which four 1 MB buffers fill piece
+by piece (`_gaussian_rows`). The samples are held once, position-major, in
+`PlannedRows`; a learner with a cached train matrix projects a small copy of
+the test rows, planned on first use."""
 
 from __future__ import annotations
 
 import os
 import struct
+import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .csr import CSR, RowProducts, normalize_rows, vstack
+from .csr import CSR, RowProducts, _index_dtype, normalize_rows, vstack
 from .data import SparseDataset, atomic_write
 
 CACHE_MAGIC = b"OGEC"
@@ -80,37 +81,22 @@ class EmbeddedMatrix:
     data: np.ndarray
 
 
-@dataclass(frozen=True)
-class TrainTestRows:
-    """A command's train then test samples as unit-norm float64 CSR rows.
-
-    `both` stacks the train rows over the test rows, so one projection makes
-    one pass over F for the train matrix and the queries together; `test`
-    alone serves a learner whose train matrix is cached.
-    """
-
-    both: CSR
-    n_train: int
-
-    @property
-    def test(self) -> CSR:
-        """The test rows: a view of `both` below its train rows."""
-        both, at = self.both, self.both.indptr[self.n_train]
-        return CSR(
-            both.data[at:],
-            both.indices[at:],
-            both.indptr[self.n_train :] - at,
-            (both.shape[0] - self.n_train, both.shape[1]),
-        )
+_philox = threading.local()  # each thread's one generator, re-keyed per row
 
 
-def _philox_halves(seed: int, stream: int, m: int) -> Iterator[np.ndarray]:
-    """The first 2m raw 64-bit words of the (seed, stream) substream as two
-    arrays of m, the second drawn only when asked for, so a caller holds one
-    at a time."""
-    bits = np.random.Philox(key=((seed & _MASK64) << 64) | (stream & _MASK64))
-    yield bits.random_raw(m)
-    yield bits.random_raw(m)
+def _philox_words(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    """Raw 64-bit words [start, start + count) of the (seed, stream) substream,
+    from the calling thread's one generator set to the substream's key, the
+    counter of `start`'s four-word block and an empty buffer, so no word of
+    an earlier draw carries over."""
+    if not hasattr(_philox, "bits"):
+        _philox.bits = np.random.Philox(0)
+        _philox.state = _philox.bits.state
+    state = _philox.state  # its buffer stays empty: buffer_pos 4
+    state["state"]["counter"][0] = start // 4
+    state["state"]["key"][:] = (stream & _MASK64, seed & _MASK64)
+    _philox.bits.state = state
+    return _philox.bits.random_raw(count + start % 4)[start % 4 :]
 
 
 @dataclass(frozen=True)
@@ -140,52 +126,68 @@ def column_plan(used: np.ndarray) -> ColumnPlan:
     drawn = even | odd
     rank = np.cumsum(drawn) - 1
     columns = np.concatenate([2 * np.flatnonzero(even), 2 * np.flatnonzero(odd) + 1])
-    place = np.zeros(d, dtype=np.int64)
+    place = np.zeros(d, dtype=_index_dtype(columns.size))
     place[columns] = np.arange(columns.size)
     return ColumnPlan(np.flatnonzero(drawn), rank[even], rank[odd], columns, place)
 
 
-def _take(src: np.ndarray, at: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """src[at], gathered into the head of `buf`."""
-    return np.take(src, at, out=buf[: at.size], mode="clip")
+# values of F in one piece of `_gaussian_rows` (1 MB of float64), and the
+# fewest pairs a piece spans, so that its Python steps stay a small share
+_PIECE_FLOATS = 1 << 17
+_PIECE_PAIRS = 1 << 12
 
 
 def _gaussian_rows(
     seed: int, streams: range, count: int, plan: ColumnPlan, out: np.ndarray | None = None
 ) -> np.ndarray:
     """One row per stream of `count` standard normals, at the plan's columns
-    in plan order; written into the head of `out` when it is given.
+    in plan order; written into the head of `out`, of any layout, when it
+    is given.
 
     Box-Muller over 53-bit uniforms: u1 in (0, 1] (never log(0)), u2 in
-    [0, 1). Philox runs over the whole stream, the u1 words first and then
-    the u2 words; the log and sqrt run only on the drawn pairs, and cos or
-    sin only where an even or odd column is kept. log, cos and sin each run
-    elementwise on a contiguous buffer, so every value is bit-identical to
+    [0, 1). Pair t's u1 is word t of its row's stream and its u2 word m + t.
+    The rows are drawn in pieces of at most _PIECE_FLOATS values: a run of
+    the drawn pairs for a group of rows, each step running on the whole
+    group, and each piece is copied into `out` at once, so a transposed
+    `out` takes it as one small transpose. log, sqrt, cos and sin each run
+    elementwise on contiguous buffers, so every value is bit-identical to
     drawing the full row.
     """
     m = (count + 1) // 2
     p, c = plan.pairs.size, plan.cos.size
-    if out is None:
-        out = np.empty((len(streams), plan.columns.size))
-    out = out[: len(streams)]
-    words = np.empty(p, dtype=np.uint64)
-    radius, angle, trig = np.empty(p), np.empty(p), np.empty(p)
-    for row, stream in zip(out, streams):
-        draws = _philox_halves(seed, stream, m)
-        u = _take(next(draws), plan.pairs, words)
-        u >>= 11
-        u += 1
-        np.multiply(u, 2.0**-53, out=radius)
-        np.log(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        u = _take(next(draws), plan.pairs, words)
-        u >>= 11
-        np.multiply(u, 2.0**-53, out=angle)
-        angle *= 2.0 * np.pi
-        for at, dst, fn in ((plan.cos, row[:c], np.cos), (plan.sin, row[c:], np.sin)):
-            t = fn(_take(angle, at, trig), out=trig[: at.size])
-            np.multiply(_take(radius, at, dst), t, out=dst)
+    out = np.empty((len(streams), plan.columns.size)) if out is None else out[: len(streams)]
+    span = max(1, min(p, max(_PIECE_PAIRS, _PIECE_FLOATS // max(len(streams), 1))))
+    group = max(1, min(len(streams), _PIECE_FLOATS // span))
+    size, buf = group * span, getattr(_philox, "pieces", None)  # lent by `_project`
+    buf = buf if buf is not None and buf.size >= 4 * size else np.empty(4 * size)
+    trig, radius, angle, piece = (buf[i * size : (i + 1) * size] for i in range(4))
+    words = trig.view(np.uint64)  # trig reuses the words' buffer once they are spent
+    for a in range(0, p, span):
+        pairs = plan.pairs[a : a + span]
+        lo, drawn = int(pairs[0]), int(pairs[-1]) + 1 - int(pairs[0])
+        at = pairs - lo
+        (c0, c1), (s0, s1) = (np.searchsorted(x, [a, a + pairs.size]) for x in (plan.cos, plan.sin))
+        cos, sin = plan.cos[c0:c1] - a, plan.sin[s0:s1] - a
+        for g in range(0, len(streams), group):
+            rows = streams[g : g + group]
+            shape = (len(rows), pairs.size)
+            u, rad, ang = (x[: shape[0] * shape[1]].reshape(shape) for x in (words, radius, angle))
+            for half, dst in ((0, rad), (m, ang)):
+                for i, stream in enumerate(rows):
+                    u[i] = _philox_words(seed, stream, half + lo, drawn)[at]
+                u >>= 11
+                if half == 0:
+                    u += 1
+                np.multiply(u, 2.0**-53, out=dst)
+            np.log(rad, out=rad)
+            rad *= -2.0
+            np.sqrt(rad, out=rad)
+            ang *= 2.0 * np.pi
+            for sel, first, fn in ((cos, c0, np.cos), (sin, c + s0, np.sin)):
+                dst, t = (x[: len(rows) * sel.size].reshape(len(rows), -1) for x in (piece, trig))
+                fn(np.take(ang, sel, axis=1, out=t, mode="clip"), out=t)
+                np.multiply(np.take(rad, sel, axis=1, out=dst, mode="clip"), t, out=dst)
+                out[g : g + len(rows), first : first + sel.size] = dst
     return out
 
 
@@ -193,16 +195,15 @@ def materialize_rows(
     spec: EmbeddingSpec, start: int, stop: int, *, cols: ColumnPlan, out: np.ndarray | None = None
 ) -> np.ndarray:
     """F[start:stop, cols.columns] as a (stop-start, c) float64 array, in plan
-    order, written into the head of `out` (at least stop-start rows of c)
-    when it is given; each row is reproducible without generating any other
-    row."""
+    order, written into the head of `out` (at least stop-start rows of c, of
+    any layout) when it is given; each row is reproducible alone."""
     if not 0 <= start <= stop <= spec.r:
         raise IndexError(f"rows [{start}, {stop}) out of range [0, {spec.r})")
     return _gaussian_rows(spec.seed, range(start, stop), spec.d, cols, out)
 
 
 def _row_block(c: int) -> int:
-    # a block of c columns and its transposed copy: near 16 MB of float64
+    # a transposed block of c columns: near 8 MB of float64
     return max(1, 1_000_000 // max(c, 1))
 
 
@@ -217,107 +218,107 @@ def split_rows(r: int, workers: int, fill) -> None:
         list(pool.map(fill, bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
+class PlannedRows:
+    """CSR rows ready for any learner to project: the plan of the columns
+    they use, and the rows themselves held once, position-major, inside
+    `csr.RowProducts`, with each column index remapped to its place in the
+    plan (int32 below 2^31 columns). Neither depends on the learner's seed."""
+
+    def __init__(self, X: CSR):
+        used = np.zeros(X.shape[1], dtype=bool)
+        used[X.indices] = True
+        self.plan, (self.n, self.d) = column_plan(used), X.shape
+        c = self.plan.columns.size
+        self.block = _row_block(c)
+        remapped = CSR(X.data, self.plan.place[X.indices], X.indptr, (self.n, c))
+        self.products = RowProducts(remapped, self.block)
+
+
+@dataclass(frozen=True)
+class TrainTestRows:
+    """A command's train then test samples as unit-norm float64 CSR rows:
+    `both` plans the train rows stacked over the test rows, for one pass
+    over F per learner; `test` plans a copy of the test rows, `test_rows`,
+    on first use, for a learner whose train matrix is cached."""
+
+    both: PlannedRows
+    test_rows: CSR
+    n_train: int
+
+    @cached_property
+    def test(self) -> PlannedRows:
+        return PlannedRows(self.test_rows)
+
+
 def _unit_rows(dataset: SparseDataset) -> CSR:
     return normalize_rows(dataset.to_feature_csr(np.float64))[0]
 
 
 def train_test_rows(train: SparseDataset, test: SparseDataset) -> TrainTestRows:
-    """Normalize a command's samples once, for every learner to project."""
+    """Normalize and plan a command's samples once, for every learner."""
     if test.d != train.d:
-        raise ValueError(
-            f"test dimensionality {test.d} != train dimensionality {train.d}"
-        )
-    return TrainTestRows(both=vstack(_unit_rows(train), _unit_rows(test)), n_train=train.n)
+        raise ValueError(f"test dimensionality {test.d} != train dimensionality {train.d}")
+    test_rows = _unit_rows(test)
+    return TrainTestRows(PlannedRows(vstack(_unit_rows(train), test_rows)), test_rows, train.n)
 
 
 def _normalize_columns(out: np.ndarray) -> None:
-    n = out.shape[1]
-    step = 65536
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        norms = np.sqrt(np.sum(np.square(out[:, a:b], dtype=np.float64), axis=0))
+    for a in range(0, out.shape[1], 65536):
+        block = out[:, a : a + 65536]
+        norms = np.sqrt(np.sum(np.square(block, dtype=np.float64), axis=0))
         norms[norms == 0] = 1.0
-        out[:, a:b] /= norms
+        block /= norms
 
 
-def _project(
-    spec: EmbeddingSpec,
-    X: CSR,
-    dtype,
-    *,
-    workers: int = 1,
-) -> np.ndarray:
-    """F applied to CSR samples (rows) as an (r, n) column-major `dtype` array.
-
-    F is materialized in row blocks, and only at the columns some sample
-    uses: X's column indices are remapped to their place in the column plan,
-    keeping each row's stored order, and `csr.RowProducts` adds each output
-    element's float64 terms in that stored order into a zeroed accumulator,
-    so every element is the same float64 sum as with full rows of F. Workers
+def _project(spec: EmbeddingSpec, X: PlannedRows, dtype, *, workers: int = 1) -> np.ndarray:
+    """F applied to planned samples (rows) as an (r, n) column-major `dtype`
+    array. F is materialized in row blocks, and only at the columns some sample
+    uses, in plan order; `csr.RowProducts` adds each output element's
+    float64 terms in its row's stored order into a zeroed accumulator, so
+    every element is the same float64 sum as with full rows of F. Workers
     split F's rows into contiguous ranges and apply each block to every
     sample, so each row of F is generated once per call and the output is
-    identical for any worker count.
-
-    Each worker gets one block of F and one transposed block, of at most
-    `_row_block` rows (about 16 MB together), allocated once per call, and
-    reuses both for each of its blocks; the products go straight into the
-    block's rows of the output.
+    identical for any worker count. Each worker holds one transposed block
+    of F, (c x b) for at most `_row_block` rows b (about 8 MB), allocated
+    once per call: the rows are drawn straight into it, and the products go
+    straight into the block's rows of the output.
     """
-    if X.shape[1] != spec.d:
-        raise ValueError(f"dataset dimensionality {X.shape[1]} != spec.d {spec.d}")
-    used = np.zeros(spec.d, dtype=bool)
-    used[X.indices] = True
-    plan = column_plan(used)
-    c = plan.columns.size
-    block = _row_block(c)
-    products = RowProducts(CSR(X.data, plan.place[X.indices], X.indptr, (X.shape[0], c)), block)
-    out = np.empty((spec.r, X.shape[0]), dtype=dtype, order="F")
-
+    if X.d != spec.d:
+        raise ValueError(f"dataset dimensionality {X.d} != spec.d {spec.d}")
+    c = X.plan.columns.size
+    out = np.empty((spec.r, X.n), dtype=dtype, order="F")
     ranges = min(max(workers, 1), spec.r)  # as split_rows splits F's rows
-    height = min(block, -(-spec.r // ranges))
-    # each worker's block of F and transposed block, allocated in this thread:
-    # a worker thread's malloc arena could keep them after the call, and the
-    # peak RSS then varies from run to run by about a block
-    spare = [(np.empty((height, c)), np.empty(height * c)) for _ in range(ranges)]
+    height = min(X.block, -(-spec.r // ranges))
+    # each worker's block and `_gaussian_rows` buffers, allocated in this
+    # thread: a worker thread's malloc arena could keep them after the call,
+    # and the peak RSS then varies from run to run by about a block
+    spare = [(np.empty(height * c), np.empty(4 * _PIECE_FLOATS)) for _ in range(ranges)]
 
     def fill(lo: int, hi: int) -> None:
-        F, FT = spare.pop()
+        FT, _philox.pieces = spare.pop()
         for s in range(lo, hi, height):
             t = min(s + height, hi)
-            rows = materialize_rows(spec, s, t, cols=plan, out=F)
-            transposed = FT[: rows.size].reshape(c, t - s)
-            np.copyto(transposed, rows.T)
-            products(transposed, out[s:t])
+            block = FT[: (t - s) * c].reshape(c, t - s)
+            rows = materialize_rows(spec, s, t, cols=X.plan, out=block.T)
+            X.products(rows.T, out[s:t])
+        _philox.pieces = None
 
     split_rows(spec.r, workers, fill)
     return out
 
 
-def project_rows(
-    spec: EmbeddingSpec,
-    X: CSR,
-    *,
-    workers: int = 1,
-) -> np.ndarray:
-    """Project unit-norm CSR rows and re-normalize: (r, n) float32 columns.
-
-    `workers` threads split F's rows, and each row is generated once per call.
-    """
+def project_rows(spec: EmbeddingSpec, X: PlannedRows, *, workers: int = 1) -> np.ndarray:
+    """Project planned unit-norm rows and re-normalize: (r, n) float32
+    columns. `workers` threads split F's rows, and each row is generated
+    once per call."""
     out = _project(spec, X, STORE_DTYPE, workers=workers)
     _normalize_columns(out)
     return out
 
 
-def project_csr(
-    spec: EmbeddingSpec,
-    X: CSR,
-    *,
-    workers: int = 1,
-) -> np.ndarray:
+def project_csr(spec: EmbeddingSpec, X: CSR, *, workers: int = 1) -> np.ndarray:
     """Normalize, project and re-normalize CSR samples: (r, n) float32 columns."""
-    return project_rows(
-        spec, normalize_rows(X)[0], workers=workers
-    )
+    return project_rows(spec, PlannedRows(normalize_rows(X)[0]), workers=workers)
 
 
 def _split(data: np.ndarray, n_train: int) -> tuple[EmbeddedMatrix, np.ndarray]:
@@ -337,11 +338,7 @@ def embed_train_test(
 
 
 def embed_prefixes(
-    spec: EmbeddingSpec,
-    rows: TrainTestRows,
-    rs: Iterable[int],
-    *,
-    workers: int = 1,
+    spec: EmbeddingSpec, rows: TrainTestRows, rs: Iterable[int], *, workers: int = 1
 ) -> Iterator[tuple[EmbeddedMatrix, np.ndarray]]:
     """`embed_train_test` at each r in `rs` (each at most spec.r), from one
     pass over F at spec.r.
@@ -360,18 +357,11 @@ def embed_prefixes(
         yield _split(out, rows.n_train)
 
 
-def embed(
-    spec: EmbeddingSpec,
-    dataset: SparseDataset,
-    *,
-    workers: int = 1,
-) -> EmbeddedMatrix:
+def embed(spec: EmbeddingSpec, dataset: SparseDataset, *, workers: int = 1) -> EmbeddedMatrix:
     """Normalize, project and re-normalize a whole corpus."""
     if dataset.d != spec.d:
         raise ValueError(f"dataset dimensionality {dataset.d} != spec.d {spec.d}")
-    data = project_csr(
-        spec, dataset.to_feature_csr(np.float64), workers=workers
-    )
+    data = project_csr(spec, dataset.to_feature_csr(np.float64), workers=workers)
     return EmbeddedMatrix(r=spec.r, n=dataset.n, data=data)
 
 
@@ -392,38 +382,70 @@ def save_cache(prefix, matrix: EmbeddedMatrix, spec: EmbeddingSpec, train: Spars
     return path
 
 
+def _cache_header(prefix, spec: EmbeddingSpec, train: SparseDataset):
+    """(path, r, n, crc32) of the learner's cache file, or None when it has
+    none. The header must match the learner and `train` and the file must
+    hold the payload's size; else a one-line ValueError names the file."""
+    path = _CACHE_FILE.format(prefix, spec.seed)
+    if not os.path.exists(path):
+        return None  # projected together with the queries
+    with open(path, "rb") as f:
+        head = f.read(_CACHE_HEADER.size)
+    if head[:6] == CACHE_MAGIC + b"\x01\x00":
+        raise _refuse(path, "cache format v1 is no longer read")
+    if len(head) < _CACHE_HEADER.size:
+        raise _refuse(path, "truncated cache header")
+    magic, version, key, d, r, n, digest, crc = _CACHE_HEADER.unpack(head)
+    if (magic, version) != (CACHE_MAGIC, CACHE_VERSION):
+        raise _refuse(path, f"bad magic or version ({magic!r}, {version})")
+    want = (spec.seed & _MASK64, spec.d, spec.r)
+    if (key, d, r) != want:
+        raise _refuse(path, f"cache is for (Philox key, d, r) = {(key, d, r)}, not {want}")
+    if n != train.n:
+        raise _refuse(path, f"cache holds {n} samples but the train set has {train.n}")
+    if digest != train.feature_sha256:
+        raise _refuse(path, "cache was built from another train set")
+    size = os.path.getsize(path) - _CACHE_HEADER.size
+    if size != r * n * 4:
+        raise _refuse(path, f"expected {r * n * 4} payload bytes, got {size}")
+    return path, r, n, crc
+
+
+def _refuse(path: str, why: str) -> ValueError:
+    return ValueError(f"{path}: {why}; rebuild it with `ogeec train --cache`")
+
+
+def _payload(path: str, crc: int, step: int) -> Iterator[bytes]:
+    """The cache file's payload in blocks of `step` bytes, then its crc32 check."""
+    got = 0
+    with open(path, "rb") as f:
+        f.seek(_CACHE_HEADER.size)
+        while block := f.read(step):
+            got = zlib.crc32(block, got)
+            yield block
+    if got != crc:
+        raise _refuse(path, "payload fails its crc32 check")
+
+
+def check_cache(prefix, spec: EmbeddingSpec, train: SparseDataset) -> bool:
+    """Whether the learner has a cache file, after the header, size and crc32
+    checks of `load_cache`; the payload is streamed in 1 MB blocks."""
+    found = _cache_header(prefix, spec, train)
+    if found is not None:
+        for _ in _payload(found[0], found[3], 1 << 20):
+            pass
+    return found is not None
+
+
 def load_cache(prefix, spec: EmbeddingSpec, train: SparseDataset) -> EmbeddedMatrix | None:
     """The learner's cached train matrix, or None when it has no cache file.
     The header must match the learner and `train`, and the payload its size,
     crc32 and finiteness; else a one-line ValueError names the file."""
-    path = _CACHE_FILE.format(prefix, spec.seed)
-    if not os.path.exists(path):
-        return None  # projected together with the queries
-
-    def refuse(why: str) -> ValueError:
-        return ValueError(f"{path}: {why}; rebuild it with `ogeec train --cache`")
-
-    with open(path, "rb") as f:
-        head = f.read(_CACHE_HEADER.size)
-        if head[:6] == CACHE_MAGIC + b"\x01\x00":
-            raise refuse("cache format v1 is no longer read")
-        if len(head) < _CACHE_HEADER.size:
-            raise refuse("truncated cache header")
-        magic, version, key, d, r, n, digest, crc = _CACHE_HEADER.unpack(head)
-        if (magic, version) != (CACHE_MAGIC, CACHE_VERSION):
-            raise refuse(f"bad magic or version ({magic!r}, {version})")
-        want = (spec.seed & _MASK64, spec.d, spec.r)
-        if (key, d, r) != want:
-            raise refuse(f"cache is for (Philox key, d, r) = {(key, d, r)}, not {want}")
-        if n != train.n:
-            raise refuse(f"cache holds {n} samples but the train set has {train.n}")
-        if digest != train.feature_sha256:
-            raise refuse("cache was built from another train set")
-        payload = f.read()
-    if len(payload) != r * n * 4:
-        raise refuse(f"expected {r * n * 4} payload bytes, got {len(payload)}")
-    if zlib.crc32(payload) != crc:
-        raise refuse("payload fails its crc32 check")
+    found = _cache_header(prefix, spec, train)
+    if found is None:
+        return None
+    path, r, n, crc = found
+    payload = b"".join(_payload(path, crc, r * n * 4 + 1))
     cols = np.frombuffer(payload, dtype="<f4").reshape(n, r)
     data = np.asfortranarray(cols.T.astype(np.float32, copy=False))
     # search bounds float32 rounding error by column norms, which must be
@@ -431,5 +453,5 @@ def load_cache(prefix, spec: EmbeddingSpec, train: SparseDataset) -> EmbeddedMat
     step = max(1, (1 << 20) // max(r, 1))
     for a in range(0, n, step):
         if not np.isfinite(data[:, a : a + step]).all():
-            raise refuse("payload holds non-finite values")
+            raise _refuse(path, "payload holds non-finite values")
     return EmbeddedMatrix(r=r, n=n, data=data)

@@ -24,6 +24,7 @@ import numpy as np
 from .data import SparseDataset, atomic_write
 from .embedding import (
     EmbeddingSpec,
+    check_cache,
     embed_prefixes,
     embed_train_test,
     load_cache,
@@ -61,43 +62,38 @@ class EnsembleSpec:
         return EmbeddingSpec(seed=self.seeds[index], d=self.d, r=self.r)
 
 
-def make_ensemble_spec(
-    base_seed: int, learners: int, d: int, r: int, k: int
-) -> EnsembleSpec:
+def make_ensemble_spec(base_seed: int, learners: int, d: int, r: int, k: int) -> EnsembleSpec:
     """Default seed schedule: base_seed + {0, 1, ..., E-1}."""
-    return EnsembleSpec(
-        seeds=tuple(base_seed + i for i in range(learners)), d=d, r=r, k=k
-    )
+    return EnsembleSpec(seeds=tuple(base_seed + i for i in range(learners)), d=d, r=r, k=k)
 
 
 def learner_neighbours(
-    spec: EnsembleSpec,
-    dataset: SparseDataset,
-    test: SparseDataset,
-    *,
-    learners: int | None = None,
-    workers: int = 1,
-    cache: str | None = None,
-    timings: dict[str, float] | None = None,
+    spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, *, learners: int | None = None,
+    workers: int = 1, cache: str | None = None, timings: dict[str, float] | None = None,
 ) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray]]]:
     """Yield (seed, (index, sims)) for each learner in order: `knn`'s
     neighbour arrays of every test sample.
 
-    The samples are normalized once; each learner projects its train and test
-    samples in one pass over F, so it generates every row of F once. Learners
+    The samples are normalized and planned once (`train_test_rows`); each
+    learner projects its train and test samples in one pass over F, so it
+    generates every row of F once. Learners
     run in turn, so memory holds one train matrix and one query block whatever
-    the ensemble size. With a `cache` prefix, a learner that has a cache file
-    loads its train matrix, checked against `dataset` (`load_cache`), and
-    projects only the test samples; one without takes the one-pass path.
+    the ensemble size. With a `cache` prefix, every learner's cache file is
+    checked against `dataset` first (`check_cache`); a learner that has one
+    loads its train matrix at its turn (`load_cache`) and projects only the
+    test samples, and one without takes the one-pass path.
     """
     count = spec.size if learners is None else learners
     if not 1 <= count <= spec.size:
         raise ValueError(f"learner count {count} exceeds available seeds {spec.size}")
+    # every cache file's header, size and crc32, before any learner's work
+    cached = [cache is not None and check_cache(cache, spec.learner(i), dataset)
+              for i in range(count)]
     rows = train_test_rows(dataset, test)
     for i in range(count):
         lspec = spec.learner(i)
         t0 = time.perf_counter()
-        train = None if cache is None else load_cache(cache, lspec, dataset)
+        train = load_cache(cache, lspec, dataset) if cached[i] else None
         if train is None:
             train, queries = embed_train_test(lspec, rows, workers=workers)
         else:
@@ -110,22 +106,15 @@ def learner_neighbours(
 
 
 def fused_scores(
-    spec: EnsembleSpec,
-    dataset: SparseDataset,
-    test: SparseDataset,
-    K: int,
-    *,
-    learners: int | None = None,
-    workers: int = 1,
-    cache: str | None = None,
+    spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, K: int, *,
+    learners: int | None = None, workers: int = 1, cache: str | None = None,
     timings: dict[str, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`rank_labels`' (m, K) top labels and scores of every test sample by
     fused score over the first `learners` seeds (default: all). Only the
     learners' neighbour arrays are held until that one label pass."""
     found = learner_neighbours(
-        spec, dataset, test, learners=learners, workers=workers,
-        cache=cache, timings=timings,
+        spec, dataset, test, learners=learners, workers=workers, cache=cache, timings=timings
     )
     neighbours = [nb for _, nb in found]
     t0 = time.perf_counter()
@@ -145,14 +134,8 @@ class SweepResult:
 
 
 def sweep_ensemble_size(
-    spec: EnsembleSpec,
-    dataset: SparseDataset,
-    test: SparseDataset,
-    sizes: list[int],
-    model: PropensityModel,
-    *,
-    ks: tuple[int, ...] = DEFAULT_KS,
-    workers: int = 1,
+    spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, sizes: list[int],
+    model: PropensityModel, *, ks: tuple[int, ...] = DEFAULT_KS, workers: int = 1,
 ) -> SweepResult:
     """Evaluate fusions of the first s seeds for each requested size.
 
@@ -186,13 +169,7 @@ def sweep_ensemble_size(
 
 
 def sweep_dimension(
-    seed: int,
-    dataset: SparseDataset,
-    test: SparseDataset,
-    rs: Sequence[int],
-    k: int,
-    K: int,
-    *,
+    seed: int, dataset: SparseDataset, test: SparseDataset, rs: Sequence[int], k: int, K: int, *,
     workers: int = 1,
 ) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray]]]:
     """Yield (r, `rank_labels`' top K labels and scores) of the `seed`

@@ -17,7 +17,7 @@ import numpy as np
 
 from .csr import normalize_rows, pair_dots
 from .data import SparseDataset
-from .embedding import EmbeddingSpec, _project
+from .embedding import EmbeddingSpec, PlannedRows, _project
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def measure_distortion(
     dots = pair_dots(Xn, a, b)
     orig_sq = unit_sq[a] + unit_sq[b] - 2.0 * dots
 
-    proj = _project(spec, Xn, np.float64)
+    proj = _project(spec, PlannedRows(Xn), np.float64)
     proj *= 1.0 / math.sqrt(spec.r)
     diff = proj[:, a] - proj[:, b]
     proj_dist = np.sqrt(np.sum(diff * diff, axis=0))

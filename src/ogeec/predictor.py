@@ -128,7 +128,9 @@ def _search(queries: np.ndarray, data: np.ndarray, k: int) -> tuple[np.ndarray, 
             with np.errstate(over="ignore", invalid="ignore"):  # unscreened rows
                 qnorm = np.sqrt(np.square(q64).sum(axis=1))
                 scores = q64.astype(np.float32) @ data
-            kth = np.partition(scores, n - k, axis=1)[:, n - k]
+            rows = max(1, step // 8)  # k-th scores from 1 MB copies, never a copy of the tile
+            kth = np.concatenate([np.partition(scores[b : b + rows], n - k, axis=1)[:, n - k]
+                                  for b in range(0, len(q64), rows)])
             keep = scores >= (kth - 2.0 * _margin(r, qnorm, xmax))[:, None]
             # a query whose screen could overflow is rescored against every column
             keep[~((qnorm < _HUGE) & (qnorm * xmax < _HUGE))] = True

@@ -823,6 +823,32 @@ def test_predict_cache_is_checked_against_model_and_train_set(
     assert capsys.readouterr().out == out
 
 
+def test_a_late_learners_bad_cache_fails_before_any_projection(
+    workspace, tmp_path, capsys, generated_rows
+):
+    """Every learner's cache file is checked before the first learner is
+    projected: with learners 0-3 uncached and learner 4's payload corrupt,
+    predict exits 1 with the crc32 line and has drawn no row of F."""
+    model, prefix = str(tmp_path / "m.txt"), str(tmp_path / "emb")
+    data = ["--train", str(workspace / "train.txt"), "--test", str(workspace / "test.txt")]
+    train = ["train", "--model", model, *data[:2], "--r", "16", "--learners", "5", "--seed", "7"]
+    assert main([*train, "--cache", prefix]) == 0
+    for seed in range(7, 11):
+        os.remove(f"{prefix}-{seed}.ogec")
+    path = f"{prefix}-11.ogec"
+    with open(path, "rb") as f:
+        raw = _flip_payload_byte(f.read())
+    with open(path, "wb") as f:
+        f.write(raw)
+    capsys.readouterr()
+    generated_rows.clear()
+    rc = main(["predict", "--model", model, *data, "--cache", prefix])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err == f"error: {path}: payload fails its crc32 check; {_REBUILD}\n"
+    assert sum(generated_rows) == 0
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -7,6 +7,8 @@ import struct
 import tracemalloc
 import zlib
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from ogeec.data import SparseDataset, generate_synthetic, split_dataset
 from ogeec.embedding import (
     EmbeddedMatrix,
     EmbeddingSpec,
-    _philox_halves,
+    PlannedRows,
+    _philox_words,
     _project,
     column_plan,
     embed,
@@ -122,15 +125,30 @@ def test_gaussian_row_equals_box_muller_definition_at_wide_d(count):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    stream=st.integers(0, 2**64 - 1),
+    streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
     m=st.integers(1, 40) | st.sampled_from([391_292, 391_293]),
+    start=st.integers(0, 9),
 )
-def test_philox_halves_are_the_stream_in_order(seed, stream, m):
-    """Drawing the u1 words, then the u2 words, from one generator gives the
-    first 2m words of the substream, whether m splits Philox's four-word
-    blocks (m odd) or not."""
-    first, second = _philox_halves(seed, stream, m)
-    assert np.array_equal(np.concatenate([first, second]), gaussian_words(seed, stream, 2 * m))
+def test_philox_halves_are_the_stream_in_order(seed, streams, m, start):
+    """A row's u1 words, then its u2 words, drawn from any offset are those
+    words of its substream, from one generator per thread re-keyed for each
+    row: an m that splits Philox's four-word blocks (m odd) leaves no
+    buffered word for the next row, and two threads drawing at once do not
+    share one."""
+
+    def halves(stream):
+        first = _philox_words(seed, stream, start, m)
+        return np.concatenate([first, _philox_words(seed, stream, m + start, m)])
+
+    def expected(stream):
+        words = gaussian_words(seed, stream, 2 * m + start)
+        return np.concatenate([words[start : start + m], words[m + start :]])
+
+    want = [expected(s) for s in streams]
+    assert all(np.array_equal(got, w) for got, w in zip(map(halves, streams), want))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(halves, streams * 2))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want * 2))
 
 
 def _support(draw, d: int) -> np.ndarray:
@@ -150,7 +168,8 @@ def _support(draw, d: int) -> np.ndarray:
 def test_materialize_rows_at_a_plan_equals_full_rows_at_its_columns(data):
     """F[start:stop, plan.columns] bit for bit, the used even columns first:
     d of 1, 2, odd and even; the last column of an odd d; empty, full and
-    random supports."""
+    random supports; drawn in pieces of any size into the head of a row- or
+    column-major `out`."""
     d = data.draw(st.sampled_from([1, 2, 3, 4, 5, 8, 63, 64]) | st.integers(1, 300))
     used = _support(data.draw, d)
     spec = EmbeddingSpec(seed=data.draw(st.integers(-(2**63), 2**63 - 1)), d=d, r=min(d, 4))
@@ -162,9 +181,15 @@ def test_materialize_rows_at_a_plan_equals_full_rows_at_its_columns(data):
     assert np.all(plan.columns[plan.cos.size :] % 2 == 1)
     assert np.array_equal(plan.place[plan.columns], np.arange(plan.columns.size))
     full = definition_rows(spec, start, stop)
-    part = materialize_rows(spec, start, stop, cols=plan)
-    assert part.shape == (stop - start, plan.columns.size)
-    assert part.tobytes() == np.ascontiguousarray(full[:, plan.columns]).tobytes()
+    # pieces of a few pairs and rows, so a row is drawn in many pieces
+    pieces = {"_PIECE_FLOATS": data.draw(st.integers(1, 64)), "_PIECE_PAIRS": data.draw(st.integers(1, 8))}
+    for layout in ("C", "F"):
+        out = np.full((stop - start + 1, plan.columns.size), np.nan, order=layout)
+        with mock.patch.multiple(embedding, **pieces):
+            part = materialize_rows(spec, start, stop, cols=plan, out=out)
+        assert part.shape == (stop - start, plan.columns.size)
+        assert part.tobytes() == np.ascontiguousarray(full[:, plan.columns]).tobytes()
+        assert np.isnan(out[stop - start :]).all()
 
 
 def _csr(rows, d: int) -> CSR:
@@ -203,11 +228,16 @@ def test_project_equals_full_f_oracle(monkeypatch, case, workers, dtype):
     same stored-order sum as drawing all of F."""
     X = _PROJECT_CASES[case]
     spec = EmbeddingSpec(seed=5, d=X.shape[1], r=min(X.shape[1], 13))
-    monkeypatch.setattr(embedding, "_row_block", lambda c: 5)
-    out = _project(spec, X, dtype, workers=workers)
     expect = project_full(spec, X, dtype)
-    assert out.shape == expect.shape and out.dtype == dtype
-    assert out.tobytes(order="A") == np.asfortranarray(expect).tobytes(order="A")
+    # blocks of 1 row, of 5 (ragged), and of r + 1 (one block per worker),
+    # each drawn in one piece and in pieces of 2 pairs and 3 rows
+    for block in (1, 5, spec.r + 1):
+        monkeypatch.setattr(embedding, "_row_block", lambda c: block)
+        for floats, pairs in ((embedding._PIECE_FLOATS, embedding._PIECE_PAIRS), (6, 2)):
+            with mock.patch.multiple(embedding, _PIECE_FLOATS=floats, _PIECE_PAIRS=pairs):
+                out = _project(spec, PlannedRows(X), dtype, workers=workers)
+            assert out.shape == expect.shape and out.dtype == dtype
+            assert out.tobytes(order="A") == np.asfortranarray(expect).tobytes(order="A")
 
 
 def test_gaussian_stream_moments():
@@ -393,6 +423,7 @@ def _one_pass_cases():
         "zero-rows-in-test": (rows(40, 0, d), rows(25, 0, d, empty_every=4)),
         "test-features-unseen-in-train": (rows(40, 0, 150), rows(25, 150, d)),
         "one-test-sample": (rows(40, 0, d), rows(1, 0, d)),
+        "empty-rows-in-both": (rows(40, 0, d, empty_every=3), rows(25, 0, d, empty_every=2)),
     }
 
 
@@ -403,10 +434,12 @@ _CASES = _one_pass_cases()
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_one_pass_equals_separate_projections(monkeypatch, tmp_path, case, workers):
     """Projecting train and test together gives bit-identical train matrices,
-    query blocks and fused scores to embedding and projecting them apart."""
+    query blocks and fused scores to embedding and projecting them apart,
+    for blocks of 1 row, 5 rows (ragged) and r + 1 rows, and with one cached
+    learner between uncached ones that share the command's planned rows."""
     train_rows, test_rows = _CASES[case]
     train, test = dataset_of(train_rows, 300), dataset_of(test_rows, 300)
-    espec = make_ensemble_spec(11, 2, d=300, r=12, k=3)
+    espec = make_ensemble_spec(11, 3, d=300, r=12, k=3)
     apart = [
         (embed(ls, train), project_csr(ls, test.to_feature_csr(np.float64)))
         for ls in map(espec.learner, range(espec.size))
@@ -415,34 +448,41 @@ def test_one_pass_equals_separate_projections(monkeypatch, tmp_path, case, worke
     per_learner = [score_dicts(score_matrix(*batch_predict(m, q, espec.k), labels)) for m, q in apart]
     reference = [fuse(list(scores)) for scores in zip(*per_learner)]
 
-    # blocks of 5 rows, so each worker's range spans ragged blocks
-    monkeypatch.setattr(embedding, "_row_block", lambda d: 5)
-    rows = train_test_rows(train, test)
-    for i, (matrix, queries) in enumerate(apart):
-        got, got_queries = embed_train_test(espec.learner(i), rows, workers=workers)
-        assert (got.r, got.n) == (matrix.r, matrix.n)
-        assert got.data.flags.f_contiguous and got_queries.shape == queries.shape
-        assert np.array_equal(got.data, matrix.data)
-        assert np.array_equal(got_queries, queries)
     prefix = str(tmp_path / "emb")
-    save_cache(prefix, apart[0][0], espec.learner(0), train)  # one learner cached, one projected
-    for cache in (None, prefix):
-        fused = fused_scores(espec, train, test, train.L, workers=workers, cache=cache)
-        assert ranking_dicts(fused) == reference
+    save_cache(prefix, apart[1][0], espec.learner(1), train)  # learner 1 cached, 0 and 2 projected
+    for block in (1, 5, espec.r + 1):
+        monkeypatch.setattr(embedding, "_row_block", lambda c: block)
+        rows = train_test_rows(train, test)
+        for i, (matrix, queries) in enumerate(apart):
+            got, got_queries = embed_train_test(espec.learner(i), rows, workers=workers)
+            assert (got.r, got.n) == (matrix.r, matrix.n)
+            assert got.data.flags.f_contiguous and got_queries.shape == queries.shape
+            assert np.array_equal(got.data, matrix.data)
+            assert np.array_equal(got_queries, queries)
+        for cache in (None, prefix):
+            fused = fused_scores(espec, train, test, train.L, workers=workers, cache=cache)
+            assert ranking_dicts(fused) == reference
 
 
-def test_train_test_rows_holds_the_test_rows_once():
-    """`test` is a view of the test rows inside `both`, equal to the test
-    samples normalized alone."""
+def test_train_test_rows_holds_a_test_copy_planned_on_demand():
+    """`test_rows` is a copy of the test rows, equal to the test samples
+    normalized alone and sharing no memory with the planned stacked rows;
+    they are planned only when a cached learner first asks for `test`."""
     train, test = (dataset_of(part, 300) for part in _CASES["zero-rows-in-test"])
     rows = train_test_rows(train, test)
     alone = embedding._unit_rows(test)
-    assert np.shares_memory(rows.test.data, rows.both.data)
-    assert np.shares_memory(rows.test.indices, rows.both.indices)
-    assert rows.test.shape == alone.shape
-    assert np.array_equal(rows.test.indptr, alone.indptr)
-    assert np.array_equal(rows.test.indices, alone.indices)
-    assert rows.test.data.tobytes() == alone.data.tobytes()
+    assert rows.test_rows.shape == alone.shape
+    assert np.array_equal(rows.test_rows.indptr, alone.indptr)
+    assert np.array_equal(rows.test_rows.indices, alone.indices)
+    assert rows.test_rows.data.tobytes() == alone.data.tobytes()
+    assert not any(
+        np.shares_memory(rows.test_rows.data, vals)
+        for *_, vals in rows.both.products.chunks
+    )
+    assert "test" not in vars(rows)
+    assert (rows.test.n, rows.test.d) == (test.n, test.d)
+    assert rows.test is rows.test and "test" in vars(rows)
+    assert rows.both.plan.place.dtype == np.int32
 
 
 def _uniform_dataset(n: int, d: int, per_row: int, rng) -> SparseDataset:
@@ -461,30 +501,33 @@ def _uniform_dataset(n: int, d: int, per_row: int, rng) -> SparseDataset:
     )
 
 
-# one block of F and its transposed copy, per projection worker
-_BLOCK_BYTES = 16_000_000
+# one transposed block of F per projection worker
+_BLOCK_BYTES = 8_000_000
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_projection_memory_is_bounded_by_the_block_budget(workers):
-    """At d = 200,000, with about 140,000 used columns, `embed_train_test`
-    holds per worker one block of F and its transposed copy (16 MB), its
-    RowProducts chunk buffers and O(d) Box-Muller scratch; besides, O(nnz)
-    for the position-major samples and O(d) for the column plan, and the
-    output. Blocks of 32 MB and a transposed copy of each would exceed it."""
+    """At d = 200,000, with about 140,000 used columns, planning the stacked
+    samples and projecting them holds per worker one transposed block of F
+    (8 MB), its RowProducts chunk buffers and one 1 MB piece of Box-Muller
+    scratch; besides, the samples once, position-major (about 12 bytes per
+    nonzero, and the int32 remap while they are built), O(d) for the column
+    plan, and the output. A row-major block beside the transposed one, or
+    the samples held twice, would exceed it."""
     rng = np.random.default_rng(0)
     d = 200_000
-    rows = train_test_rows(_uniform_dataset(300, d, 600, rng), _uniform_dataset(100, d, 600, rng))
+    train, test = _uniform_dataset(300, d, 600, rng), _uniform_dataset(100, d, 600, rng)
+    stacked = csr.vstack(embedding._unit_rows(train), embedding._unit_rows(test))
     spec = EmbeddingSpec(seed=1, d=d, r=64)
     tracemalloc.start()
     try:
-        embed_train_test(spec, rows, workers=workers)
+        embedding.project_rows(spec, PlannedRows(stacked), workers=workers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n, nnz = rows.both.shape[0], rows.both.nnz
-    per_worker = _BLOCK_BYTES + 16 * csr._CHUNK_FLOATS + 24 * d
-    bound = workers * per_worker + 64 * nnz + 32 * d + 4 * spec.r * n
+    n, nnz = stacked.shape[0], stacked.nnz
+    per_worker = _BLOCK_BYTES + 16 * csr._CHUNK_FLOATS + 16 * embedding._PIECE_FLOATS
+    bound = workers * per_worker + 24 * nnz + 32 * d + 4 * spec.r * n
     assert peak <= bound, (peak, bound)
 
 

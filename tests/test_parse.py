@@ -228,6 +228,16 @@ def test_line_ends_encodings_and_headers_as_before(tmp_path, raw):
         check_equivalent(tmp_path / "ds.txt", raw, chunk)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"x", b"0 1:1", b" "]), max_size=60))
+def test_line_ends_counts_as_the_bytes_expression(parts):
+    """The numpy count of LF plus the CR corrections is the text-mode count
+    of CRLF, CR and LF ends that `bytes.count` gives."""
+    raw = b"".join(parts)
+    expect = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+    assert data._line_ends(raw) == expect
+
+
 def test_invalid_utf8_names_file_and_line_before_the_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"3 4 2 9\n0 0:1\n1 1:\xff\n")

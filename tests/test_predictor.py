@@ -177,6 +177,20 @@ def test_knn_equals_full_scan(case):
     assert got == [knn_scan(queries[:, i], data, k) for i in range(queries.shape[1])]
 
 
+@pytest.mark.parametrize("k", [1, 5, 39])
+def test_knn_kth_blocks_cut_by_a_tile_boundary(k):
+    """Tiles of 23 queries take the k-th screen score in blocks of 2 rows,
+    so each tile ends inside a block: the lists are the full scan's."""
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(8, 40)).astype(np.float32)
+    data[:, 20:30] = data[:, :10]  # duplicate columns: exact ties
+    queries = rng.normal(size=(8, 50))
+    queries[:, ::7] = data[:, :8]  # queries on training columns
+    with mock.patch.object(predictor, "_TILE_FLOATS", 23 * 40):
+        got = neighbor_lists(*knn(queries, matrix_of(data), k))
+    assert got == [knn_scan(queries[:, i], data, k) for i in range(50)]
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e30, 1e200])
 def test_knn_queries_beyond_float32_range(scale):
     """A query too small or too large for float32 still gets the exact answer."""
