@@ -23,8 +23,7 @@ import numpy as np
 
 from .data import SparseDataset, atomic_write
 from .embedding import (
-    EmbeddingSpec,
-    check_cache,
+    EmbeddingSpec, check_cache,
     embed_prefixes,
     embed_train_test,
     load_cache,
