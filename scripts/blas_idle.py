@@ -27,7 +27,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from workloads import WORKLOADS  # noqa: E402
 
-from ogeec.predictor import _TILE_FLOATS  # noqa: E402
+from ogeec.predictor import _SCREEN_FLOATS  # noqa: E402
 
 CHILD = """
 import resource, sys, time
@@ -75,7 +75,7 @@ def main() -> int:
     for name, workload in WORKLOADS.items():
         shape, argv = workload.shape, workload.setup.argv
         r = int(argv[argv.index("--r") + 1])
-        tile = (min(shape.n_test, _TILE_FLOATS // shape.n_train), r, shape.n_train)
+        tile = (min(shape.n_test, _SCREEN_FLOATS // shape.n_train), r, shape.n_train)
         runs: dict[str, list[tuple[float, float]]] = {s: [] for s in settings}
         for i in range(args.children):
             order = list(settings) if i % 2 == 0 else list(settings)[::-1]

@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""Input-side memory attribution: the peak RSS and the tracemalloc peak of
-each phase of an ensemble's embedding and search, on one corpus.
+"""Memory attribution: the peak RSS and the tracemalloc peak of each phase
+of an ensemble's embedding, search and label pass, on one corpus.
 
     PYTHONPATH=src python3 scripts/embed_memory.py .perfbench/wide-seed0 [--r 200] [--learners 1] [--workers 2]
 
 The corpus is a directory holding `train.txt` and `test.txt`, as the
 benchmark (`perfbench/run.py`) writes them under `.perfbench/<workload>-seed<seed>`.
-The script runs the phases of `ensemble.learner_neighbours` in order, in
-this process: parse both files, normalize, stack and plan their rows once
-(`embedding.train_test_rows`, which then holds the samples once,
-position-major, for every learner), then for each learner its projection
-(`embed_train_test`, one pass over F, drawn into one transposed block of F
-per worker) and its exact search (`batch_predict`). After each phase it prints the process's peak RSS so
-far (`ru_maxrss`), the phase's own tracemalloc peak and what stays
-allocated after it. A phase's tracemalloc peak counts numpy's buffers, so
-it attributes the RSS growth that the phase causes.
+The script runs the phases of `ensemble.fused_scores` in order, in this
+process: parse both files, normalize both sets a block of rows at a time
+into one stacked CSR and plan it once (`embedding.train_test_rows`, which
+then holds the samples once, position-major, for every learner), then for
+each learner its projection (`embed_train_test`, one pass over F, drawn
+into one transposed block of F per worker) and its exact search
+(`batch_predict`), and last the label pass (`predictor.rank_labels` of
+every learner's neighbours, top 5 labels, one 4 MB label block at a time).
+So the table reaches the peak of `predict` and `eval`. After each phase it
+prints the process's peak RSS so far (`ru_maxrss`), the phase's own
+tracemalloc peak and what stays allocated after it. A phase's tracemalloc
+peak counts numpy's buffers, so it attributes the RSS growth that the phase
+causes.
 """
 
 import argparse
@@ -27,9 +31,10 @@ import tracemalloc
 from ogeec.data import parse_dataset
 from ogeec.embedding import embed_train_test, train_test_rows
 from ogeec.ensemble import make_ensemble_spec
-from ogeec.predictor import batch_predict
+from ogeec.predictor import batch_predict, rank_labels
 
 MIB = 2**20
+TOP_K = 5  # the commands' default --topk
 
 
 def main() -> int:
@@ -60,14 +65,19 @@ def main() -> int:
     rows = train_test_rows(train, test)
     report("train_test_rows", t0)
     spec = make_ensemble_spec(args.seed, args.learners, d=train.d, r=args.r, k=args.k)
+    found = []
     for i in range(args.learners):
         t0 = time.perf_counter()
         matrix, queries = embed_train_test(spec.learner(i), rows, workers=args.workers)
         report(f"learner {i} projection", t0)
         t0 = time.perf_counter()
-        neighbours = batch_predict(matrix, queries, args.k)
+        found.append(batch_predict(matrix, queries, args.k))
         report(f"learner {i} search", t0)
-        del matrix, queries, neighbours
+        del matrix, queries
+    del rows
+    t0 = time.perf_counter()
+    rank_labels(found, train.label_matrix(), TOP_K)
+    report("label pass", t0)
     tracemalloc.stop()
     return 0
 

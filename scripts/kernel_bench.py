@@ -7,8 +7,9 @@ the scipy.sparse expression it replaced (`tests/oracles.py`, `sp_*`).
 The inputs are the benchmark's corpora (`perfbench/corpus.py`) of the mid,
 wide and dense-labels workloads, generated in memory from --seed:
 
-- normalize_rows and vstack: the train and test samples, as
-  `embedding.train_test_rows` prepares them;
+- normalize_rows: the train samples alone, and the train and test samples
+  stacked, as `embedding.train_test_rows` prepares them (the oracle
+  normalizes each set, then stacks them);
 - the projection: every row block of F at r = 200, as `embedding._project`
   applies it to the stacked samples on one thread (F is generated outside
   the timed region, its transposed copy inside it, and each block's median
@@ -46,7 +47,7 @@ from oracles import (  # noqa: E402
 )
 from workloads import WORKLOADS  # noqa: E402
 
-from ogeec.csr import CSR, RowProducts, label_scores, normalize_rows, pair_dots, vstack  # noqa: E402
+from ogeec.csr import CSR, RowProducts, label_scores, normalize_rows, pair_dots  # noqa: E402
 from ogeec.data import parse_dataset  # noqa: E402
 from ogeec.embedding import EmbeddingSpec, _row_block, column_plan, materialize_rows  # noqa: E402
 
@@ -88,10 +89,9 @@ def datasets(name: str, seed: int, scratch: pathlib.Path):
 
 def kernels(name: str, train, test):
     """(name, numpy kernel, scipy oracle, inputs) per kernel."""
-    rows = [normalize_rows(ds.to_feature_csr(np.float64))[0] for ds in (train, test)]
-    X = train.to_feature_csr(np.float64)
+    X, Xt = train.to_feature_csr(np.float64), test.to_feature_csr(np.float64)
     yield "normalize_rows", normalize_rows, sp_normalize_rows, (X,)
-    yield "vstack", vstack, sp_vstack, tuple(rows)
+    yield "normalize_rows (stacked)", normalize_rows, sp_stacked, (X, Xt)
 
     rng = np.random.default_rng(0)
     learners = []
@@ -101,19 +101,27 @@ def kernels(name: str, train, test):
     yield "label_scores", label_scores, sp_label_scores, (learners, train.label_matrix())
 
     a, b = rng.integers(0, train.n, PAIRS), rng.integers(0, train.n, PAIRS)
-    yield "pair_dots", pair_dots, sp_pair_dots, (rows[0], a, b)
+    yield "pair_dots", pair_dots, sp_pair_dots, (normalize_rows(X)[0], a, b)
+
+
+def sp_stacked(*parts):
+    """Each part normalized by its scipy oracle, then stacked."""
+    rows, norms = zip(*(sp_normalize_rows(X) for X in parts))
+    return sp_vstack(*rows), np.concatenate(norms)
 
 
 def projection(train, test, repeat: int) -> tuple[float, float, bool]:
     """`_project`'s products over every block of F at r = R, one thread."""
-    both = vstack(*(normalize_rows(ds.to_feature_csr(np.float64))[0] for ds in (train, test)))
+    both = normalize_rows(train.to_feature_csr(), test.to_feature_csr())[0]
     used = np.zeros(train.d, dtype=bool)
     used[both.indices] = True
     plan = column_plan(used)
-    Xc = CSR(both.data, plan.place[both.indices], both.indptr, (both.shape[0], plan.columns.size))
+    place = plan.place(train.d)
+    Xc = CSR(both.data, place[both.indices], both.indptr, (both.shape[0], plan.columns.size))
     block = _row_block(plan.columns.size)
     spec = EmbeddingSpec(seed=0, d=train.d, r=R)
-    new_s, products = median_time(lambda: RowProducts(Xc, block), repeat)  # once per call
+    # built once per command
+    new_s, products = median_time(lambda: RowProducts(both, block, place), repeat)
     ref_s = 0.0
     identical = True
     for s in range(0, R, block):

@@ -10,8 +10,10 @@ E = 5 learners of 5 random neighbours per query with similarities in
 [0, 1), at 2,000 and 20,000 queries (about 320 labels per query per
 learner, 846 fused). For each query count the script prints the median time
 of `rank_labels`, then its tracemalloc peak in a separate run, in all and
-per query; the peak per query falls as the query count grows when the label
-side holds one block of scores at a time. It exits 1 unless the ranking has
+per query. The label side holds one dense block of scores at a time, at
+most `predictor._LABEL_FLOATS` float64s (4 MB, 533 queries here), so from
+2,000 to 20,000 queries the peak grows only by the (m, K) output and the
+peak per query falls. It exits 1 unless the ranking has
 the bits of `top_k` of the scipy scores (`tests/oracles.py`,
 `sp_label_scores`), which it computes 2,000 queries at a time, as each row
 depends only on its own neighbours.

@@ -10,8 +10,8 @@ the same zeros, so each result is the float that scipy.sparse's expression
 for it computes (`tests/oracles.py` keeps those expressions and the tests
 compare bits):
 
-- `normalize_rows`: X scaled to unit rows, `diags(1 / norms) @ X`;
-- `vstack`: the rows of one CSR over another's;
+- `normalize_rows`: X scaled to unit rows, `diags(1 / norms) @ X`; of
+  several CSRs, `vstack` of each one's;
 - `RowProducts`: `X @ F.T` for row blocks F of the projection matrix,
   written into the caller's output rows;
 - `label_scores`: for one block of queries, the learners' S = W·Y, their
@@ -25,7 +25,7 @@ imports `numpy.ma`.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +34,9 @@ import numpy as np
 # is added, large enough that a worker's numpy steps seldom contend for the
 # interpreter lock with the worker generating F
 _CHUNK_FLOATS = 1 << 17
+# stored entries in one block of `normalize_rows` (its temporaries hold
+# about 80 bytes per entry)
+_NORMALIZE_ENTRIES = 1 << 16
 
 
 class CSR(NamedTuple):
@@ -71,49 +74,66 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def normalize_rows(X: CSR) -> tuple[CSR, np.ndarray]:
-    """Unit-norm rows (zero rows stay zero) and the original row norms.
+def _row_blocks(indptr: np.ndarray, entries: int) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges [a, b) covering every row, each holding at
+    most `entries` stored entries, or one row that holds more."""
+    n, a = indptr.size - 1, 0
+    while a < n:
+        b = int(np.searchsorted(indptr, indptr[a] + entries, side="right")) - 1
+        b = min(n, max(a + 1, b))
+        yield a, b
+        a = b
 
-    A row's squared norm is np.add.reduceat over its squared values, as
-    scipy's `sum(axis=1)` adds them. Each stored value x becomes
+
+def normalize_rows(*parts: CSR) -> tuple[CSR, np.ndarray]:
+    """The rows of `parts` (of as many columns), stacked in order and scaled
+    to unit norm (zero rows stay zero), and their original norms.
+
+    A row's squared norm is np.add.reduceat over its values squared in
+    float64, as scipy's `sum(axis=1)` adds them. Each stored value x becomes
     (1 / norm) * x, and a product that is 0 (an explicit zero, a zero row,
     an underflow) is dropped. Each row's stored order is reversed, as
     scipy's `diags(1 / norms) @ X` stores it; the projection sums each row
     in stored order, so the reversal is part of its bits.
+
+    Blocks of rows of about _NORMALIZE_ENTRIES entries go straight into one
+    preallocated CSR of float64 values and int32 column indices (int64 from
+    2^31 columns), so besides it and the norms every temporary is O(block)
+    and no input array is copied whole or written.
     """
-    n = X.shape[0]
-    lengths = np.diff(X.indptr)
-    nonempty = np.flatnonzero(lengths)
-    sq = np.zeros(n)
-    if nonempty.size:
-        sq[nonempty] = np.add.reduceat(X.data[: X.nnz] ** 2, X.indptr[nonempty])
-    norms = np.sqrt(sq)
-    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    rows = np.repeat(np.arange(n), lengths)  # the row of every stored entry
-    # entry q of row [s, e) takes the value stored at s + e - 1 - q
-    src = X.indptr[:-1][rows]
-    src += X.indptr[1:][rows] - 1
-    src -= np.arange(src.size)
-    data = inv[rows] * X.data[src]
-    indices = X.indices[src]
-    if not data.all():
-        kept = np.flatnonzero(data)
-        data, indices = data[kept], indices[kept]
-        indptr = np.searchsorted(kept, X.indptr)
-    else:
-        indptr = X.indptr.copy()
-    return CSR(data, indices, indptr, X.shape), norms
-
-
-def vstack(top: CSR, bottom: CSR) -> CSR:
-    """The rows of `top`, then the rows of `bottom` (of as many columns), each
-    as stored."""
-    return CSR(
-        np.concatenate([top.data[: top.nnz], bottom.data[: bottom.nnz]]),
-        np.concatenate([top.indices[: top.nnz], bottom.indices[: bottom.nnz]]),
-        np.concatenate([top.indptr, bottom.indptr[1:] - bottom.indptr[0] + top.nnz]),
-        (top.shape[0] + bottom.shape[0], top.shape[1]),
-    )
+    d = parts[0].shape[1]
+    n = sum(X.shape[0] for X in parts)
+    data = np.empty(sum(X.nnz for X in parts))
+    indices = np.empty(data.size, dtype=_index_dtype(d))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    norms = np.empty(n)
+    at = base = 0  # entries and rows written
+    for X in parts:
+        for a, b in _row_blocks(X.indptr, _NORMALIZE_ENTRIES):
+            lo, hi = X.indptr[a], X.indptr[b]
+            ptr = X.indptr[a : b + 1] - lo
+            lengths = np.diff(ptr)
+            x = X.data[lo:hi].astype(np.float64)
+            nonempty = np.flatnonzero(lengths)
+            sq = np.zeros(b - a)
+            if nonempty.size:
+                sq[nonempty] = np.add.reduceat(np.square(x), ptr[nonempty])
+            norm = norms[base + a : base + b]
+            np.sqrt(sq, out=norm)
+            inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
+            rows = np.repeat(np.arange(b - a), lengths)  # the row of every stored entry
+            # entry q of row [s, e) takes the value stored at s + e - 1 - q
+            src = ptr[:-1][rows]
+            src += ptr[1:][rows] - 1
+            src -= np.arange(src.size)
+            values = inv[rows] * x[src]
+            kept = np.flatnonzero(values)
+            data[at : at + kept.size] = values[kept]
+            indices[at : at + kept.size] = X.indices[lo:hi][src[kept]]
+            indptr[base + a + 1 : base + b + 1] = at + np.searchsorted(kept, ptr[1:])
+            at += kept.size
+        base += X.shape[0]
+    return CSR(data[:at], indices[:at], indptr, (n, d)), norms
 
 
 class RowProducts:
@@ -131,33 +151,46 @@ class RowProducts:
     the chunk's accumulator. Each chunk's sums are then written, through the
     sort order, into their columns of the caller's output rows, cast to the
     output's dtype.
+
+    The position-major column indices, each mapped through `place` to its
+    row of F.T (`cols`), and float64 values (`vals`) are filled position by
+    position into arrays allocated once, so building them holds O(rows)
+    temporaries; X is not written.
     """
 
-    def __init__(self, X: CSR, b: int):
+    def __init__(self, X: CSR, b: int, place: np.ndarray):
         self.n = X.shape[0]
         self.rows = max(1, _CHUNK_FLOATS // max(b, 1))
         lengths = np.diff(X.indptr)
         self.order = np.argsort(-lengths, kind="stable")
         slen = lengths[self.order]
         starts = X.indptr[:-1][self.order]
+        self.cols = np.empty(X.nnz, dtype=place.dtype)
+        self.vals = np.empty((X.nnz, 1))
         self.chunks = []
+        at = 0
         for a in range(0, self.n, self.rows):
             chunk = slen[a : a + self.rows]
             # counts[p]: rows of the chunk with an entry at position p
             counts = np.searchsorted(-chunk, -np.arange(chunk[0]), side="left")
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            row = np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)
-            at = starts[a + row] + np.repeat(np.arange(counts.size), counts)
-            self.chunks.append(
-                (a, counts.tolist(), offsets.tolist(), X.indices[at], X.data[at][:, None])
-            )
+            offsets = (at + np.concatenate(([0], np.cumsum(counts)))).tolist()
+            for p, (count, lo) in enumerate(zip(counts.tolist(), offsets)):
+                src = starts[a : a + count] + p
+                self.cols[lo : lo + count] = place[X.indices[src]]
+                self.vals[lo : lo + count, 0] = X.data[src]
+            self.chunks.append((a, counts.tolist(), offsets))
+            at = offsets[-1]
 
-    def __call__(self, FT: np.ndarray, out: np.ndarray) -> None:
+    def __call__(self, FT: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> None:
         """Write (X @ FT).T into `out`, given FT = F.T as a C-contiguous
-        (X's columns x b) float64 array and `out` as b rows of X's row count."""
-        b = FT.shape[1]
-        acc, buf = np.empty((self.rows, b)), np.empty((self.rows, b))
-        for a, counts, offsets, cols, vals in self.chunks:
+        (X's columns x b) float64 array and `out` as b rows of X's row count.
+        A chunk's accumulator and terms live in `scratch`, at least
+        2 * `rows` * b float64s, when it is given."""
+        size = self.rows * FT.shape[1]
+        scratch = np.empty(2 * size) if scratch is None else scratch
+        acc, buf = (scratch[i * size : (i + 1) * size].reshape(self.rows, -1) for i in range(2))
+        cols, vals = self.cols, self.vals
+        for a, counts, offsets in self.chunks:
             block = acc[: min(self.rows, self.n - a)]
             block.fill(0.0)
             for count, lo, hi in zip(counts, offsets, offsets[1:]):
@@ -177,12 +210,12 @@ def label_scores(learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR)
     `labels` is Y, the (n_train x L) label matrix of ones.
 
     The queries are one dense (m x L) float64 block, so callers pass at most
-    `predictor._TILE_FLOATS` // L rows (`predictor.rank_labels` cuts its
-    queries into such blocks). A learner's block is one np.bincount of its neighbours'
-    weights at their (row, label) cells, row after row and each row in
-    neighbour order; bincount adds each cell's weights in that order into a
-    zeroed float64, so each score is the sum that scipy's `W @ Y` forms, in
-    W's stored order. The learners' blocks are added in learner order to a
+    `predictor._LABEL_FLOATS` // L rows (`predictor.rank_labels` cuts its
+    queries into such 4 MB blocks). A learner's block is one np.bincount of
+    its neighbours' weights at their (row, label) cells, row after row and
+    each row in neighbour order; bincount adds each cell's weights in that
+    order into a zeroed float64, so each score is the sum that scipy's
+    `W @ Y` forms, in W's stored order. The learners' blocks are added in learner order to a
     running block that starts at 0.0, as scipy's S_1 + S_2 + ... adds them,
     a label a learner never scored counting 0. The nonzero sums are kept, in
     ascending label order per row, and each is divided by E.

@@ -118,10 +118,11 @@ class SparseDataset:
             np.ones(self.label_indices.size), self.label_indices, self.label_indptr, (self.n, self.L)
         )
 
-    def to_feature_csr(self, dtype=np.float64) -> CSR:
-        return CSR(
-            self.feat_values.astype(dtype), self.feat_indices, self.feat_indptr, (self.n, self.d)
-        )
+    def to_feature_csr(self, dtype=None) -> CSR:
+        """The feature CSR: views of the dataset's arrays, the values cast to
+        a copy of `dtype` when it is given."""
+        values = self.feat_values if dtype is None else self.feat_values.astype(dtype)
+        return CSR(values, self.feat_indices, self.feat_indptr, (self.n, self.d))
 
 
 def _assemble(

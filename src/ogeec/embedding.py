@@ -18,12 +18,17 @@ F only at the columns its samples use (`column_plan`): the Box-Muller
 arithmetic, most of a row's cost, runs only on the used columns, and every
 drawn value is bit-identical to the full row.
 
+Preparing the samples has a memory budget: `train_test_rows` normalizes
+both sets a block of rows at a time into one stacked CSR (12 bytes per
+nonzero), fills the position-major copy that `PlannedRows` holds (12 more)
+from it and frees it, so it peaks at about 24 bytes per nonzero above the
+parsed sets, plus the column plan's O(d), and holds 12. A learner with a
+cached train matrix normalizes and plans the test set alone, on first use.
 A projection's memory is bounded per worker, whatever r and d: one
 transposed block of F, about 8 MB (`_row_block`), allocated once per
-projection and reused for every block, which four 1 MB buffers fill piece
-by piece (`_gaussian_rows`). The samples are held once, position-major, in
-`PlannedRows`; a learner with a cached train matrix projects a small copy of
-the test rows, planned on first use."""
+projection and reused for every block, and four 1 MB buffers that
+`_gaussian_rows` fills piece by piece and the products then use for their
+chunks."""
 
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .csr import CSR, RowProducts, _index_dtype, normalize_rows, vstack
+from .csr import CSR, RowProducts, _index_dtype, normalize_rows
 from .data import SparseDataset, atomic_write
 
 CACHE_MAGIC = b"OGEC"
@@ -106,15 +111,21 @@ class ColumnPlan:
     Box-Muller pair t of a row gives column 2t its cos term and column 2t+1
     its sin term. `pairs` holds the pairs with a used column; `cos` and `sin`
     index into `pairs` for the used even and the used odd columns. `columns`
-    lists the used even columns, then the used odd columns (the plan order),
-    and `place[j]` is used column j's position in `columns`.
+    lists the used even columns, then the used odd columns (the plan order).
+    Each array is int32 below 2^31 columns; the d-sized map from a column to
+    its place in the plan is built on demand (`place`), not held.
     """
 
     pairs: np.ndarray
     cos: np.ndarray
     sin: np.ndarray
     columns: np.ndarray
-    place: np.ndarray
+
+    def place(self, d: int) -> np.ndarray:
+        """`place[j]`: used column j's position in `columns`, over F's d columns."""
+        place = np.zeros(d, dtype=self.columns.dtype)
+        place[self.columns] = np.arange(self.columns.size)
+        return place
 
 
 def column_plan(used: np.ndarray) -> ColumnPlan:
@@ -126,9 +137,8 @@ def column_plan(used: np.ndarray) -> ColumnPlan:
     drawn = even | odd
     rank = np.cumsum(drawn) - 1
     columns = np.concatenate([2 * np.flatnonzero(even), 2 * np.flatnonzero(odd) + 1])
-    place = np.zeros(d, dtype=_index_dtype(columns.size))
-    place[columns] = np.arange(columns.size)
-    return ColumnPlan(np.flatnonzero(drawn), rank[even], rank[odd], columns, place)
+    arrays = (np.flatnonzero(drawn), rank[even], rank[odd], columns)
+    return ColumnPlan(*(a.astype(_index_dtype(d)) for a in arrays))
 
 
 # values of F in one piece of `_gaussian_rows` (1 MB of float64), and the
@@ -221,50 +231,53 @@ def split_rows(r: int, workers: int, fill) -> None:
 class PlannedRows:
     """CSR rows ready for any learner to project: the plan of the columns
     they use, and the rows themselves held once, position-major, inside
-    `csr.RowProducts`, with each column index remapped to its place in the
-    plan (int32 below 2^31 columns). Neither depends on the learner's seed."""
+    `csr.RowProducts`, each column index mapped to its place in the plan
+    (int32 below 2^31 columns) as they are filled; X is not written, and the
+    d-sized map is freed once they are. Neither depends on the learner's
+    seed."""
 
     def __init__(self, X: CSR):
         used = np.zeros(X.shape[1], dtype=bool)
         used[X.indices] = True
         self.plan, (self.n, self.d) = column_plan(used), X.shape
-        c = self.plan.columns.size
-        self.block = _row_block(c)
-        remapped = CSR(X.data, self.plan.place[X.indices], X.indptr, (self.n, c))
-        self.products = RowProducts(remapped, self.block)
+        self.block = _row_block(self.plan.columns.size)
+        self.products = RowProducts(X, self.block, self.plan.place(self.d))
 
 
 @dataclass(frozen=True)
 class TrainTestRows:
-    """A command's train then test samples as unit-norm float64 CSR rows:
-    `both` plans the train rows stacked over the test rows, for one pass
-    over F per learner; `test` plans a copy of the test rows, `test_rows`,
-    on first use, for a learner whose train matrix is cached."""
+    """A command's train then test samples as unit-norm float64 rows: `both`
+    plans the train rows stacked over the test rows, for one pass over F per
+    learner; `test` normalizes and plans the rows of `test_set` alone on
+    first use, for a learner whose train matrix is cached."""
 
     both: PlannedRows
-    test_rows: CSR
+    test_set: SparseDataset
     n_train: int
 
     @cached_property
     def test(self) -> PlannedRows:
-        return PlannedRows(self.test_rows)
-
-
-def _unit_rows(dataset: SparseDataset) -> CSR:
-    return normalize_rows(dataset.to_feature_csr(np.float64))[0]
+        return PlannedRows(normalize_rows(self.test_set.to_feature_csr())[0])
 
 
 def train_test_rows(train: SparseDataset, test: SparseDataset) -> TrainTestRows:
-    """Normalize and plan a command's samples once, for every learner."""
+    """Normalize and plan a command's samples once, for every learner: both
+    sets are normalized a block of rows at a time into one stacked CSR
+    (`csr.normalize_rows`), which is freed once `PlannedRows` holds its
+    position-major copy. Besides the parsed sets, that is at most about 24
+    bytes per nonzero, and the plan's O(d)."""
     if test.d != train.d:
         raise ValueError(f"test dimensionality {test.d} != train dimensionality {train.d}")
-    test_rows = _unit_rows(test)
-    return TrainTestRows(PlannedRows(vstack(_unit_rows(train), test_rows)), test_rows, train.n)
+    both = normalize_rows(train.to_feature_csr(), test.to_feature_csr())[0]
+    return TrainTestRows(PlannedRows(both), test, train.n)
 
 
 def _normalize_columns(out: np.ndarray) -> None:
-    for a in range(0, out.shape[1], 65536):
-        block = out[:, a : a + 65536]
+    # columns in blocks of 1 MB of float64 squares: a column's norm is a sum
+    # over its own contiguous r values, whatever the block
+    step = max(1, (1 << 17) // max(out.shape[0], 1))
+    for a in range(0, out.shape[1], step):
+        block = out[:, a : a + step]
         norms = np.sqrt(np.sum(np.square(block, dtype=np.float64), axis=0))
         norms[norms == 0] = 1.0
         block /= norms
@@ -289,18 +302,21 @@ def _project(spec: EmbeddingSpec, X: PlannedRows, dtype, *, workers: int = 1) ->
     out = np.empty((spec.r, X.n), dtype=dtype, order="F")
     ranges = min(max(workers, 1), spec.r)  # as split_rows splits F's rows
     height = min(X.block, -(-spec.r // ranges))
-    # each worker's block and `_gaussian_rows` buffers, allocated in this
-    # thread: a worker thread's malloc arena could keep them after the call,
-    # and the peak RSS then varies from run to run by about a block
-    spare = [(np.empty(height * c), np.empty(4 * _PIECE_FLOATS)) for _ in range(ranges)]
+    # each worker's block, and the buffers that serve `_gaussian_rows` and
+    # then the products' chunks, allocated in this thread: a worker thread's
+    # malloc arena could keep them after the call, and the peak RSS then
+    # varies from run to run by about a block
+    scratch = max(4 * _PIECE_FLOATS, 2 * X.products.rows * height)
+    spare = [(np.empty(height * c), np.empty(scratch)) for _ in range(ranges)]
 
     def fill(lo: int, hi: int) -> None:
-        FT, _philox.pieces = spare.pop()
+        FT, buffers = spare.pop()
+        _philox.pieces = buffers
         for s in range(lo, hi, height):
             t = min(s + height, hi)
             block = FT[: (t - s) * c].reshape(c, t - s)
             rows = materialize_rows(spec, s, t, cols=X.plan, out=block.T)
-            X.products(rows.T, out[s:t])
+            X.products(rows.T, out[s:t], buffers)
         _philox.pieces = None
 
     split_rows(spec.r, workers, fill)
@@ -361,7 +377,7 @@ def embed(spec: EmbeddingSpec, dataset: SparseDataset, *, workers: int = 1) -> E
     """Normalize, project and re-normalize a whole corpus."""
     if dataset.d != spec.d:
         raise ValueError(f"dataset dimensionality {dataset.d} != spec.d {spec.d}")
-    data = project_csr(spec, dataset.to_feature_csr(np.float64), workers=workers)
+    data = project_csr(spec, dataset.to_feature_csr(), workers=workers)
     return EmbeddedMatrix(r=spec.r, n=dataset.n, data=data)
 
 

@@ -19,6 +19,10 @@ from .csr import normalize_rows, pair_dots
 from .data import SparseDataset
 from .embedding import EmbeddingSpec, PlannedRows, _project
 
+# float64s in one (r x pairs) block of projected differences (1 MB): the
+# pairs go this // r at a time
+_PAIR_FLOATS = 1 << 17
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -82,17 +86,23 @@ def measure_distortion(
     a = rng.integers(0, dataset.n, size=pairs)
     b = rng.integers(0, dataset.n, size=pairs)
 
-    Xn, norms = normalize_rows(dataset.to_feature_csr(np.float64))
+    Xn, norms = normalize_rows(dataset.to_feature_csr())
     unit_sq = (norms > 0).astype(np.float64)
-
-    # ||x_a - x_b||^2 = ||x_a||^2 + ||x_b||^2 - 2 x_a.x_b, exact in float64
-    dots = pair_dots(Xn, a, b)
-    orig_sq = unit_sq[a] + unit_sq[b] - 2.0 * dots
 
     proj = _project(spec, PlannedRows(Xn), np.float64)
     proj *= 1.0 / math.sqrt(spec.r)
-    diff = proj[:, a] - proj[:, b]
-    proj_dist = np.sqrt(np.sum(diff * diff, axis=0))
+    # in blocks of pairs: each pair's dot product and each column's sum along
+    # axis 0 depend on that pair alone, so the blocks do not change a bit
+    dots, proj_dist = np.empty(pairs), np.empty(pairs)
+    step = max(1, _PAIR_FLOATS // spec.r)
+    for s in range(0, pairs, step):
+        i, j = a[s : s + step], b[s : s + step]
+        dots[s : s + step] = pair_dots(Xn, i, j)
+        diff = proj[:, i] - proj[:, j]
+        diff *= diff
+        proj_dist[s : s + step] = np.sqrt(np.sum(diff, axis=0))
+    # ||x_a - x_b||^2 = ||x_a||^2 + ||x_b||^2 - 2 x_a.x_b, exact in float64
+    orig_sq = unit_sq[a] + unit_sq[b] - 2.0 * dots
 
     keep = (a != b) & (orig_sq > 1e-12)
     skipped = int(pairs - keep.sum())

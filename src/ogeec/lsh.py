@@ -43,7 +43,7 @@ def hyperplanes_for(seed: int, tables: int, bits: int, r: int) -> np.ndarray:
     column order."""
     plan = column_plan(np.ones(r, dtype=bool))
     rows = _gaussian_rows(seed ^ LSH_SEED_NAMESPACE, range(tables * bits), r, plan)
-    return rows.take(plan.place, axis=1)
+    return rows.take(plan.place(r), axis=1)
 
 
 def _codes(planes_t: np.ndarray, vectors: np.ndarray) -> np.ndarray:

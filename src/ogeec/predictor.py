@@ -42,10 +42,14 @@ from .csr import CSR, label_scores
 from .embedding import EmbeddedMatrix
 from .embedding import project_csr  # noqa: F401 -- perfbench/tracer.py wraps it here
 
-# Floats in one tile: a search screen tile of float32 scores (8 MB; it holds
-# this // n_train queries), `top_k`'s padded selection block and a dense
-# label block of float64s (16 MB; it holds this // L queries)
-_TILE_FLOATS = 1 << 21
+# floats in one search screen tile of float32 scores (8 MB; it holds this //
+# n_train queries), which also sizes `rescore`'s blocks of products
+_SCREEN_FLOATS = 1 << 21
+# float64s in one of `top_k`'s padded selection blocks (16 MB)
+_SELECT_FLOATS = 1 << 21
+# float64s in one of `rank_labels`' dense label blocks (4 MB; it holds this
+# // L queries)
+_LABEL_FLOATS = 1 << 19
 
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53
@@ -62,7 +66,7 @@ def rescore(q64: np.ndarray, data: np.ndarray, rows: np.ndarray, cols: np.ndarra
     thread count, or which other pairs are scored in the same call.
     """
     out = np.empty(cols.size)
-    step = max(1, _TILE_FLOATS // (8 * data.shape[0]))  # 2 MB of float64 products at a time
+    step = max(1, _SCREEN_FLOATS // (8 * data.shape[0]))  # 2 MB of float64 products at a time
     for a in range(0, cols.size, step):
         prods = q64[rows[a : a + step]]
         prods *= data.T[cols[a : a + step]]  # float32 columns, widened exactly
@@ -92,7 +96,7 @@ def _margin(r: int, qnorm: np.ndarray, xmax: float) -> np.ndarray:
 
 def _max_column_norm(data: np.ndarray) -> float:
     r, n = data.shape
-    step = max(1, _TILE_FLOATS // r)
+    step = max(1, _SCREEN_FLOATS // r)
     return math.sqrt(
         max(
             float(np.square(data[:, a : a + step], dtype=np.float64).sum(axis=0).max())
@@ -115,9 +119,9 @@ def _search(queries: np.ndarray, data: np.ndarray, k: int) -> tuple[np.ndarray, 
     r, n = data.shape
     m = queries.shape[1]
     xmax = _max_column_norm(data) if k < n else 0.0
-    # with k >= n every pair is a candidate: a tile holds _TILE_FLOATS // 8 of
-    # them, so rescore's and top_k's pair arrays stay near 16 MB
-    step = max(1, _TILE_FLOATS // ((8 if k >= n else 1) * max(n, 1)))
+    # with k >= n every pair is a candidate: a tile holds _SCREEN_FLOATS // 8
+    # of them, so rescore's and top_k's pair arrays stay near 16 MB
+    step = max(1, _SCREEN_FLOATS // ((8 if k >= n else 1) * max(n, 1)))
     index = np.empty((m, min(k, n)), dtype=np.int64)
     sims = np.empty((m, min(k, n)))
     for a in range(0, m, step):
@@ -134,7 +138,7 @@ def _search(queries: np.ndarray, data: np.ndarray, k: int) -> tuple[np.ndarray, 
             keep = scores >= (kth - 2.0 * _margin(r, qnorm, xmax))[:, None]
             # a query whose screen could overflow is rescored against every column
             keep[~((qnorm < _HUGE) & (qnorm * xmax < _HUGE))] = True
-        rows, cols = np.nonzero(keep)
+        rows, cols = np.divmod(np.flatnonzero(keep), n)  # np.nonzero's arrays, faster
         indptr = np.searchsorted(rows, np.arange(len(q64) + 1))
         rescored = rescore(q64, data, rows, cols)
         index[a : a + step], sims[a : a + step] = top_k((rescored, cols, indptr), min(k, n))
@@ -193,7 +197,7 @@ def top_k(
     the whole top K, and dropping entries below it leaves the order of the
     rest unchanged: the result is that of sorting every entry. Besides the
     survivors and the output, the selection holds one padded block of at
-    most _TILE_FLOATS float64s (16 MB), partitioned in place with no copy,
+    most _SELECT_FLOATS float64s (16 MB), partitioned in place with no copy,
     and three 8-byte arrays over that block's stored entries.
     """
     if K < 1:
@@ -220,7 +224,7 @@ def _reaching_kth(data: np.ndarray, indptr: np.ndarray, K: int) -> np.ndarray | 
     largest score, counting NaN as -inf; None when no row holds more than K.
 
     Rows go in blocks padded with -inf to the block's widest row, at most
-    _TILE_FLOATS float64s a block (a row wider than that is a block alone),
+    _SELECT_FLOATS float64s a block (a row wider than that is a block alone),
     and one in-place partition per block finds each row's K-th score. A row
     whose K-th score is -inf keeps every entry, and NaN, which is never below
     anything and ranks last, is always kept.
@@ -229,7 +233,7 @@ def _reaching_kth(data: np.ndarray, indptr: np.ndarray, K: int) -> np.ndarray | 
     widest = int(lengths.max(initial=0))
     if widest <= K:
         return None
-    step = max(1, _TILE_FLOATS // widest)
+    step = max(1, _SELECT_FLOATS // widest)
     kept = []
     for a in range(0, lengths.size, step):
         lens = lengths[a : a + step]
@@ -254,11 +258,11 @@ def rank_labels(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`top_k` of the learners' mean label scores (`csr.label_scores` of
     their (m, k) neighbour arrays and Y), in blocks of at most
-    _TILE_FLOATS // L queries, so no score matrix of all m queries is held.
+    _LABEL_FLOATS // L queries, so no score matrix of all m queries is held.
     A row's scores depend only on its own neighbours, so the result is that
     of one pass over all queries."""
     m = len(learners[0][0])
-    step = max(1, _TILE_FLOATS // max(labels.shape[1], 1))
+    step = max(1, _LABEL_FLOATS // max(labels.shape[1], 1))
     best = np.empty((m, K), dtype=np.int64)
     top = np.empty((m, K))
     for a in range(0, m, step):

@@ -28,6 +28,8 @@ its selection stage, one lexsort of every stored entry, the reference that
 scipy.sparse expressions that the numpy kernels of `ogeec.csr` replaced,
 kept as their bit-for-bit references (`scripts/kernel_bench.py` times the
 kernels against them); `to_scipy` and `from_scipy` convert at the boundary.
+`vstack` and `position_major` are the stacking and the `RowProducts` build
+that the streamed sample preparation replaced, kept as its reference.
 """
 
 import dataclasses
@@ -509,6 +511,44 @@ def sp_normalize_rows(X):
 
 def sp_vstack(top, bottom):
     return from_scipy(sp.vstack([to_scipy(top), to_scipy(bottom)], format="csr"))
+
+
+def vstack(top, bottom):
+    """The rows of `top`, then the rows of `bottom` (of as many columns), each
+    as stored: how the stacked train and test rows were built before
+    `csr.normalize_rows` took several parts."""
+    return CSR(
+        np.concatenate([top.data[: top.nnz], bottom.data[: bottom.nnz]]),
+        np.concatenate([top.indices[: top.nnz], bottom.indices[: bottom.nnz]]),
+        np.concatenate([top.indptr, bottom.indptr[1:] - bottom.indptr[0] + top.nnz]),
+        (top.shape[0] + bottom.shape[0], top.shape[1]),
+    )
+
+
+def position_major(X, b, place):
+    """`csr.RowProducts`' layout of X for row blocks of b, as it was built
+    before its arrays were filled position by position: X's column indices
+    mapped through `place` in one int32 copy, then per chunk the int64 row
+    and entry positions of all its entries at once. Returns the row order
+    and the chunks' (first row, counts, offsets from the chunk's first
+    entry, columns, values)."""
+    from ogeec.csr import _CHUNK_FLOATS
+
+    X = CSR(X.data, place[X.indices], X.indptr, X.shape)
+    n, rows = X.shape[0], max(1, _CHUNK_FLOATS // max(b, 1))
+    lengths = np.diff(X.indptr)
+    order = np.argsort(-lengths, kind="stable")
+    slen = lengths[order]
+    starts = X.indptr[:-1][order]
+    chunks = []
+    for a in range(0, n, rows):
+        chunk = slen[a : a + rows]
+        counts = np.searchsorted(-chunk, -np.arange(chunk[0]), side="left")
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        row = np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)
+        at = starts[a + row] + np.repeat(np.arange(counts.size), counts)
+        chunks.append((a, counts.tolist(), offsets.tolist(), X.indices[at], X.data[at]))
+    return order, chunks
 
 
 def sp_row_products(X, F):

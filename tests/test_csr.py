@@ -20,6 +20,7 @@ from oracles import (
     sp_pair_dots,
     sp_row_products,
     sp_vstack,
+    vstack,
 )
 
 from ogeec import csr, predictor
@@ -30,7 +31,6 @@ from ogeec.csr import (
     normalize_rows,
     pair_dots,
     sorted_unique,
-    vstack,
 )
 from ogeec.predictor import rank_labels, top_k
 
@@ -107,7 +107,7 @@ def test_row_products_equal_scipy(X, b, chunk, seed):
     F += rng.normal(size=F.shape) * (rng.random(F.shape) < 0.5)
     got = np.empty((b, X.shape[0]))
     with mock.patch.object(csr, "_CHUNK_FLOATS", chunk):
-        RowProducts(X, b)(np.ascontiguousarray(F.T), got)
+        RowProducts(X, b, np.arange(X.shape[1]))(np.ascontiguousarray(F.T), got)
     assert _same(got, sp_row_products(X, F))
 
 
@@ -158,9 +158,10 @@ def test_rank_labels_equals_one_ranking_of_all_queries(case, rows, K):
     """`predictor.rank_labels` in blocks of 1, 7 or more than m queries, so
     that block boundaries fall inside the queries or nowhere, and at K of 1,
     5 or more than L, gives the bits of `top_k` of the scipy scores of all
-    queries at once. The block size also sizes `top_k`'s selection blocks."""
+    queries at once. `top_k`'s selection blocks take the same size."""
     learners, Y = case
-    with mock.patch.object(predictor, "_TILE_FLOATS", rows * Y.shape[1]):
+    tile = rows * Y.shape[1]
+    with mock.patch.multiple(predictor, _LABEL_FLOATS=tile, _SELECT_FLOATS=tile):
         labels, scores = rank_labels(learners, Y, K)
     want_labels, want_scores = top_k(from_scipy(sp_label_scores(learners, Y)), K)
     assert np.array_equal(labels, want_labels)

@@ -21,10 +21,13 @@ from oracles import (
     feature_row,
     fuse,
     gaussian_words,
+    position_major,
     project_full,
     ranking_dicts,
     score_dicts,
     score_matrix,
+    sp_normalize_rows,
+    vstack,
 )
 
 from ogeec import csr, embedding
@@ -46,6 +49,7 @@ from ogeec.embedding import (
     train_test_rows,
 )
 from ogeec.ensemble import fused_scores, make_ensemble_spec
+from ogeec.jl import measure_distortion
 from ogeec.predictor import batch_predict
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "embed_single_seed42_d10_r4.json"
@@ -67,7 +71,7 @@ def full_rows(spec: EmbeddingSpec, start: int, stop: int) -> np.ndarray:
     """F[start:stop] in column order: `materialize_rows` at the plan of every
     column, put back in column order."""
     plan = column_plan(np.ones(spec.d, dtype=bool))
-    return materialize_rows(spec, start, stop, cols=plan).take(plan.place, axis=1)
+    return materialize_rows(spec, start, stop, cols=plan).take(plan.place(spec.d), axis=1)
 
 
 def definition_rows(spec: EmbeddingSpec, start: int, stop: int) -> np.ndarray:
@@ -179,7 +183,7 @@ def test_materialize_rows_at_a_plan_equals_full_rows_at_its_columns(data):
     assert np.array_equal(np.sort(plan.columns), np.flatnonzero(used))
     assert np.all(plan.columns[: plan.cos.size] % 2 == 0)
     assert np.all(plan.columns[plan.cos.size :] % 2 == 1)
-    assert np.array_equal(plan.place[plan.columns], np.arange(plan.columns.size))
+    assert np.array_equal(plan.place(d)[plan.columns], np.arange(plan.columns.size))
     full = definition_rows(spec, start, stop)
     # pieces of a few pairs and rows, so a row is drawn in many pieces
     pieces = {"_PIECE_FLOATS": data.draw(st.integers(1, 64)), "_PIECE_PAIRS": data.draw(st.integers(1, 8))}
@@ -464,25 +468,108 @@ def test_one_pass_equals_separate_projections(monkeypatch, tmp_path, case, worke
             assert ranking_dicts(fused) == reference
 
 
+def _assert_planned_as_old_path(planned: PlannedRows, parts) -> None:
+    """`planned` holds the bits of the old path: each part normalized whole
+    (`sp_normalize_rows`, the bits of the old `normalize_rows`), the parts
+    stacked by `vstack`, the stacked rows' column plan, and their
+    position-major layout built in one pass (`position_major`)."""
+    X = sp_normalize_rows(parts[0].to_feature_csr(np.float64))[0]
+    for part in parts[1:]:
+        X = vstack(X, sp_normalize_rows(part.to_feature_csr(np.float64))[0])
+    used = np.zeros(X.shape[1], dtype=bool)
+    used[X.indices] = True
+    plan = column_plan(used)
+    for field in dataclasses.fields(plan):
+        assert np.array_equal(getattr(planned.plan, field.name), getattr(plan, field.name))
+    assert (planned.n, planned.d) == X.shape
+    order, chunks = position_major(X, planned.block, plan.place(X.shape[1]))
+    P = planned.products
+    assert np.array_equal(P.order, order) and len(P.chunks) == len(chunks)
+    assert P.cols.size == P.vals.size == X.nnz
+    for (a, counts, offsets), (a0, counts0, offsets0, cols, vals) in zip(P.chunks, chunks):
+        assert (a, counts) == (a0, counts0)
+        assert [o - offsets[0] for o in offsets] == offsets0
+        assert np.array_equal(P.cols[offsets[0] : offsets[-1]], cols)
+        assert P.vals[offsets[0] : offsets[-1], 0].tobytes() == vals.tobytes()
+
+
+def _adversarial_sets():
+    """Train and test sets with empty rows, explicit zero values, rows whose
+    values are all zero, one-entry rows and 300-entry rows, which are longer
+    than a normalize block and than a chunk at the sizes the test sets."""
+    rng = np.random.default_rng(12)
+    d = 400
+
+    def row(n):
+        return {int(j): float(rng.uniform(-3, 3)) for j in rng.choice(d, n, replace=False)}
+
+    mixed = [{}, row(5), {7: 0.0, 9: 2.0}, {3: 0.0, 4: 0.0}, {11: 1.5}, row(300), {}, row(40),
+             {0: -1.0}, {399: 0.0, 5: 1.0, 6: 0.0}, row(2)]
+    cases = {
+        "mixed-train-one-test-sample": (mixed, [row(7)]),
+        "one-empty-test-sample": (mixed, [{}]),
+        "zeros-only": ([{1: 0.0}, {}, {2: 0.0, 3: 0.0}], [{5: 0.0}]),
+        "long-test-rows": ([{1: 1.0}], [row(300), {}, {8: 2.0}, row(300), {9: 0.0}]),
+    }
+    return {name: (dataset_of(a, d), dataset_of(b, d)) for name, (a, b) in cases.items()}
+
+
+_ADVERSARIAL = _adversarial_sets()
+
+
+@pytest.mark.parametrize("entries", [1, 7, csr._NORMALIZE_ENTRIES])
+@pytest.mark.parametrize("chunk", [4, 12, csr._CHUNK_FLOATS])
+@pytest.mark.parametrize("case", sorted(_ADVERSARIAL))
+def test_streamed_rows_equal_the_old_path(monkeypatch, case, chunk, entries):
+    """`train_test_rows` normalizes in blocks of 1, 7 or the default entries
+    and fills chunks of 1, 3 or 32,768 rows (b = 4) position by position;
+    its stacked rows and the test rows that `test` plans on first use hold
+    the old path's bits."""
+    train, test = _ADVERSARIAL[case]
+    monkeypatch.setattr(embedding, "_row_block", lambda c: 4)
+    with mock.patch.multiple(csr, _NORMALIZE_ENTRIES=entries, _CHUNK_FLOATS=chunk):
+        rows = train_test_rows(train, test)
+        _assert_planned_as_old_path(rows.both, [train, test])
+        _assert_planned_as_old_path(rows.test, [test])
+
+
 def test_train_test_rows_holds_a_test_copy_planned_on_demand():
-    """`test_rows` is a copy of the test rows, equal to the test samples
-    normalized alone and sharing no memory with the planned stacked rows;
-    they are planned only when a cached learner first asks for `test`."""
+    """No normalized copy of the test rows is held beside the stacked rows:
+    `test` normalizes and plans the test set alone only when a cached
+    learner first asks for it, and keeps that planned copy."""
     train, test = (dataset_of(part, 300) for part in _CASES["zero-rows-in-test"])
     rows = train_test_rows(train, test)
-    alone = embedding._unit_rows(test)
-    assert rows.test_rows.shape == alone.shape
-    assert np.array_equal(rows.test_rows.indptr, alone.indptr)
-    assert np.array_equal(rows.test_rows.indices, alone.indices)
-    assert rows.test_rows.data.tobytes() == alone.data.tobytes()
-    assert not any(
-        np.shares_memory(rows.test_rows.data, vals)
-        for *_, vals in rows.both.products.chunks
-    )
+    assert rows.test_set is test and rows.n_train == train.n
+    assert not any(isinstance(v, (CSR, np.ndarray)) for v in vars(rows).values())
     assert "test" not in vars(rows)
     assert (rows.test.n, rows.test.d) == (test.n, test.d)
     assert rows.test is rows.test and "test" in vars(rows)
-    assert rows.both.plan.place.dtype == np.int32
+    _assert_planned_as_old_path(rows.test, [test])
+    assert all(a.dtype == np.int32 for a in vars(rows.both.plan).values())
+    assert rows.both.products.cols.dtype == np.int32
+
+
+def test_preparation_and_projection_write_no_input():
+    """Normalizing, planning and projecting leave every dataset array and
+    every caller's CSR as they were; each is read-only during the run, so a
+    write would raise."""
+    train, test = (dataset_of(part, 300) for part in _CASES["empty-rows-in-both"])
+    X = _random_rows([0, 7, 1, 30, 12, 0, 5], 301)
+    arrays = [getattr(ds, f) for ds in (train, test) for f in ("feat_indptr", "feat_indices", "feat_values")]
+    arrays += [X.data, X.indices, X.indptr]
+    before = [a.tobytes() for a in arrays]
+    for a in arrays:
+        a.flags.writeable = False
+    spec, xspec = EmbeddingSpec(seed=3, d=300, r=9), EmbeddingSpec(seed=3, d=301, r=9)
+    rows = train_test_rows(train, test)
+    embed_train_test(spec, rows, workers=2)
+    embedding.project_rows(spec, rows.test)
+    _project(xspec, PlannedRows(X), np.float64, workers=2)
+    csr.normalize_rows(X, X)
+    project_csr(xspec, X)
+    embed(spec, train)
+    measure_distortion(train, spec, 50, 1)
+    assert [a.tobytes() for a in arrays] == before
 
 
 def _uniform_dataset(n: int, d: int, per_row: int, rng) -> SparseDataset:
@@ -511,13 +598,12 @@ def test_projection_memory_is_bounded_by_the_block_budget(workers):
     samples and projecting them holds per worker one transposed block of F
     (8 MB), its RowProducts chunk buffers and one 1 MB piece of Box-Muller
     scratch; besides, the samples once, position-major (about 12 bytes per
-    nonzero, and the int32 remap while they are built), O(d) for the column
-    plan, and the output. A row-major block beside the transposed one, or
+    nonzero), O(d) for the column plan, and the output. A row-major block beside the transposed one, or
     the samples held twice, would exceed it."""
     rng = np.random.default_rng(0)
     d = 200_000
     train, test = _uniform_dataset(300, d, 600, rng), _uniform_dataset(100, d, 600, rng)
-    stacked = csr.vstack(embedding._unit_rows(train), embedding._unit_rows(test))
+    stacked = csr.normalize_rows(train.to_feature_csr(), test.to_feature_csr())[0]
     spec = EmbeddingSpec(seed=1, d=d, r=64)
     tracemalloc.start()
     try:
@@ -529,6 +615,48 @@ def test_projection_memory_is_bounded_by_the_block_budget(workers):
     per_worker = _BLOCK_BYTES + 16 * csr._CHUNK_FLOATS + 16 * embedding._PIECE_FLOATS
     bound = workers * per_worker + 24 * nnz + 32 * d + 4 * spec.r * n
     assert peak <= bound, (peak, bound)
+
+
+def test_train_test_rows_memory_is_bounded_per_nonzero():
+    """On a wide-shaped corpus (d = 782,585, about 300 nonzeros per sample,
+    1.2M in all), preparing the samples holds at most 36 bytes per nonzero
+    above the parsed sets, plus the column plan's O(d) and O(n): the stacked
+    unit rows (12 bytes per nonzero) until the position-major copy (12) is
+    filled, and block-sized temporaries. Normalizing each set whole, then
+    stacking and remapping the copies, held about 66 bytes per nonzero."""
+    rng = np.random.default_rng(5)
+    d = 782_585
+    train, test = _uniform_dataset(3000, d, 300, rng), _uniform_dataset(1000, d, 300, rng)
+    tracemalloc.start()
+    try:
+        rows = train_test_rows(train, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nnz, n = train.feat_indices.size + test.feat_indices.size, train.n + test.n
+    assert rows.both.products.cols.size == nnz
+    assert peak <= 36 * nnz + 32 * d + 64 * n, (peak, nnz)
+
+
+@pytest.mark.parametrize("r", [1, 5, 4096])
+def test_normalize_columns_in_blocks_equals_each_column_alone(r):
+    """Re-normalizing a column-major output in blocks (of 32 columns at
+    r = 4,096) gives each column the bits of normalizing it alone, zero
+    columns included; the blocks hold 1 MB of squares whatever n is."""
+    rng = np.random.default_rng(r)
+    out = np.asfortranarray(rng.normal(size=(r, 100)).astype(np.float32))
+    out[:, ::9] = 0.0
+    want = out.copy(order="F")
+    for j in range(want.shape[1]):
+        embedding._normalize_columns(want[:, j : j + 1])
+    tracemalloc.start()
+    try:
+        embedding._normalize_columns(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes(order="F") == want.tobytes(order="F")
+    assert peak <= (1 << 20) + (1 << 18)
 
 
 def test_train_test_rows_rejects_mismatched_dimensionality():

@@ -229,7 +229,7 @@ def test_label_memory_does_not_grow_with_queries(monkeypatch):
     Y = CSR(np.ones(30 * n), np.concatenate(sets), np.arange(0, 30 * n + 1, 30), (n, L))
     spec = EnsembleSpec(seeds=tuple(range(E)), d=10, r=2, k=k)
     train = mock.Mock(label_matrix=lambda: Y)
-    monkeypatch.setattr(predictor, "_TILE_FLOATS", 16 * L)  # 16 queries a block
+    monkeypatch.setattr(predictor, "_LABEL_FLOATS", 16 * L)  # 16 queries a block
 
     def growth(run):
         peaks = []

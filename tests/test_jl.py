@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from oracles import box_muller, feature_row
 
-from ogeec import embedding
+from ogeec import embedding, jl
 from ogeec.data import generate_synthetic
 from ogeec.embedding import EmbeddingSpec
 from ogeec.jl import jl_epsilon, measure_distortion
@@ -112,6 +115,36 @@ def test_distortion_small_scale_mostly_within_bounds(distortion_ds):
 def test_distortion_dimension_mismatch(distortion_ds):
     with pytest.raises(ValueError, match="dimensionality"):
         measure_distortion(distortion_ds, EmbeddingSpec(seed=0, d=99, r=10), 10, 0)
+
+
+@pytest.mark.parametrize("floats", [1, 100 * 7, 1 << 30])
+def test_distortion_in_blocks_of_pairs_keeps_every_bit(distortion_ds, floats):
+    """Blocks of 1 and 7 pairs (ragged) give the report of one block of all
+    pairs, the old whole-array computation, bit for bit."""
+    spec = EmbeddingSpec(seed=5, d=2000, r=100)
+    want = measure_distortion(distortion_ds, spec, 3000, seed=17)
+    with mock.patch.object(jl, "_PAIR_FLOATS", floats):
+        got = measure_distortion(distortion_ds, spec, 3000, seed=17)
+    for field in dataclasses.fields(want):
+        a, b = np.asarray(getattr(got, field.name)), np.asarray(getattr(want, field.name))
+        assert a.tobytes() == b.tobytes(), field.name
+
+
+def test_distortion_memory_does_not_grow_with_pairs(distortion_ds):
+    """From 2,000 to 20,000 pairs at r = 64 the tracemalloc peak grows by at
+    most 128 bytes per pair: the pair indices, dot products, distances and
+    ratios, and the histogram's per-pair arrays. Four (r x pairs) float64
+    arrays of projected differences would grow it by 2 KB per pair."""
+    spec = EmbeddingSpec(seed=5, d=2000, r=64)
+    peaks = []
+    for pairs in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            measure_distortion(distortion_ds, spec, pairs, seed=17)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 128 * 18_000, peaks
 
 
 def _dense_ratios(ds, spec, pairs, seed):

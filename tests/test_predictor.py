@@ -23,6 +23,7 @@ from oracles import (
 )
 
 from ogeec import predictor
+from ogeec.csr import CSR
 from ogeec.embedding import EmbeddedMatrix, project_csr
 from ogeec.predictor import (
     batch_predict,
@@ -172,7 +173,7 @@ def test_knn_equals_full_scan(case):
     float64 queries, k >= n, n within one tile and a ragged last tile."""
     data, queries, k, tile_rows = case
     n = data.shape[1]
-    with mock.patch.object(predictor, "_TILE_FLOATS", tile_rows * n):
+    with mock.patch.multiple(predictor, _SCREEN_FLOATS=tile_rows * n, _SELECT_FLOATS=tile_rows * n):
         got = neighbor_lists(*knn(queries, matrix_of(data), k))
     assert got == [knn_scan(queries[:, i], data, k) for i in range(queries.shape[1])]
 
@@ -186,7 +187,7 @@ def test_knn_kth_blocks_cut_by_a_tile_boundary(k):
     data[:, 20:30] = data[:, :10]  # duplicate columns: exact ties
     queries = rng.normal(size=(8, 50))
     queries[:, ::7] = data[:, :8]  # queries on training columns
-    with mock.patch.object(predictor, "_TILE_FLOATS", 23 * 40):
+    with mock.patch.multiple(predictor, _SCREEN_FLOATS=23 * 40, _SELECT_FLOATS=23 * 40):
         got = neighbor_lists(*knn(queries, matrix_of(data), k))
     assert got == [knn_scan(queries[:, i], data, k) for i in range(50)]
 
@@ -254,6 +255,29 @@ def test_propagate_bad_index():
         propagate([(3, 0.5)], [np.array([0])])
 
 
+def test_rank_labels_memory_grows_only_by_its_output():
+    """From 2,000 to 20,000 queries (E = 3 learners of k = 5 neighbours, 75
+    of L = 983 labels per train sample) `rank_labels`' tracemalloc peak
+    grows by at most its (m, K) output, 16 bytes per (query, slot), plus
+    256 KiB: it holds one label block at a time, and 2,000 queries already
+    fill several. Blocks of 2^21 floats (2,133 queries) held 2,000 queries in
+    one short block, and the peak grew with the block."""
+    rng = np.random.default_rng(6)
+    n, L, per, E, k, K = 2_000, 983, 75, 3, 5, 5
+    indices = np.sort(np.argpartition(rng.random((n, L)), per, axis=1)[:, :per]).ravel()
+    Y = CSR(np.ones(indices.size), indices, np.arange(n + 1, dtype=np.int64) * per, (n, L))
+    peaks = []
+    for m in (2_000, 20_000):
+        learners = [(rng.integers(0, n, (m, k)), rng.random((m, k))) for _ in range(E)]
+        tracemalloc.start()
+        try:
+            predictor.rank_labels(learners, Y, K)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 16 * K * 18_000 + 256 * 1024, peaks
+
+
 def test_top_k_labels_tie_rule():
     S = score_csr([{5: 0.8, 2: 0.8}, {1: 0.9, 3: 1.3}, {}], 6)
     assert top_k(S, 1)[0].tolist() == [[2], [3], [-1]]
@@ -301,7 +325,7 @@ def selection_rows(draw):
     distinct, unsorted indices, maybe one row of 100 to 400, scores drawn
     from a pool of at most 6 values (ties at the K-th score, signed zeros,
     +-inf), a K below the longest row more often than not, and a
-    _TILE_FLOATS small enough to split the rows into several blocks."""
+    _SELECT_FLOATS small enough to split the rows into several blocks."""
     m = draw(st.integers(0, 8))
     lengths = draw(st.lists(st.integers(0, 60), min_size=m, max_size=m))
     if m and draw(st.booleans()):
@@ -327,7 +351,7 @@ def test_top_k_selection_equals_sorted_oracle(case):
         want_index[i, : len(row)] = [j for j, _ in row]
         want_top[i, : len(row)] = [s for _, s in row]
     matrix = from_scipy(sp.csr_matrix((data, indices, indptr), shape=(m, 500)))
-    with mock.patch.object(predictor, "_TILE_FLOATS", tile):
+    with mock.patch.object(predictor, "_SELECT_FLOATS", tile):
         for scores in ((data, indices, indptr), matrix):
             index, top = top_k(scores, K)
             assert np.array_equal(index, want_index)
@@ -342,7 +366,7 @@ def test_top_k_ranks_nan_after_minus_inf(tile, K):
     data = np.tile([np.nan, 1.0, -np.inf, 0.5, np.nan], 3)
     indptr = np.array([0, 5, 10, 15])
     indices = np.tile(np.arange(5), 3)
-    with mock.patch.object(predictor, "_TILE_FLOATS", tile):
+    with mock.patch.object(predictor, "_SELECT_FLOATS", tile):
         index, top = top_k((data, indices, indptr), K)
     want = [1, 3, 2, 0, 4, -1][:K]
     assert index.tolist() == [want] * 3
