@@ -7,11 +7,12 @@ of an ensemble's embedding, search and label pass, on one corpus.
 The corpus is a directory holding `train.txt` and `test.txt`, as the
 benchmark (`perfbench/run.py`) writes them under `.perfbench/<workload>-seed<seed>`.
 The script runs the phases of `ensemble.fused_scores` in order, in this
-process: parse both files, normalize both sets a block of rows at a time
-into one stacked CSR and plan it once (`embedding.train_test_rows`, which
-then holds the samples once, position-major, for every learner), then for
-each learner its projection (`embed_train_test`, one pass over F, drawn
-into one transposed block of F per worker) and its exact search
+process, as `ensemble.learner_embeddings` runs them with no cache: parse
+both files, normalize both sets a block of rows at a time into one stacked
+CSR and plan it once (`embedding.train_test_rows`, which then holds the
+samples once, position-major, for every learner), then for each learner
+its projection (`embedding.project_rows`, one pass over F, drawn into one
+transposed block of F per worker) and its exact search
 (`batch_predict`), and last the label pass (`predictor.rank_labels` of
 every learner's neighbours, top 5 labels, one 4 MB label block at a time).
 So the table reaches the peak of `predict` and `eval`. After each phase it
@@ -29,7 +30,7 @@ import time
 import tracemalloc
 
 from ogeec.data import parse_dataset
-from ogeec.embedding import embed_train_test, train_test_rows
+from ogeec.embedding import EmbeddedMatrix, project_rows, train_test_rows
 from ogeec.ensemble import make_ensemble_spec
 from ogeec.predictor import batch_predict, rank_labels
 
@@ -68,12 +69,14 @@ def main() -> int:
     found = []
     for i in range(args.learners):
         t0 = time.perf_counter()
-        matrix, queries = embed_train_test(spec.learner(i), rows, workers=args.workers)
+        data = project_rows(spec.learner(i), rows, workers=args.workers)
+        matrix = EmbeddedMatrix(r=args.r, n=train.n, data=data[:, : train.n])
+        queries = data[:, train.n :]
         report(f"learner {i} projection", t0)
         t0 = time.perf_counter()
         found.append(batch_predict(matrix, queries, args.k))
         report(f"learner {i} search", t0)
-        del matrix, queries
+        del data, matrix, queries
     del rows
     t0 = time.perf_counter()
     rank_labels(found, train.label_matrix(), TOP_K)

@@ -7,9 +7,10 @@ the scipy.sparse expression it replaced (`tests/oracles.py`, `sp_*`).
 The inputs are the benchmark's corpora (`perfbench/corpus.py`) of the mid,
 wide and dense-labels workloads, generated in memory from --seed:
 
-- normalize_rows: the train samples alone, and the train and test samples
-  stacked, as `embedding.train_test_rows` prepares them (the oracle
-  normalizes each set, then stacks them);
+- normalize_rows: the train samples alone, as `train --cache` prepares
+  them, and the train and test samples stacked, as `predict` prepares them
+  (`embedding.train_test_rows`; the oracle normalizes each set, then
+  stacks them);
 - the projection: every row block of F at r = 200, as `embedding._project`
   applies it to the stacked samples on one thread (F is generated outside
   the timed region, its transposed copy inside it, and each block's median

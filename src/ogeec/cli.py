@@ -33,17 +33,16 @@ from .data import (
     split_dataset,
     write_dataset,
 )
-from .embedding import (
-    EmbeddingSpec,
-    embed,
-    embed_train_test,
-    save_cache,
-    train_test_rows,
+from .embedding import EmbeddingSpec, save_cache
+from .lsh import build_index, query_lsh
+from .predictor import (
+    batch_predict,
+    format_predictions,
+    rank_labels,
 )
 from .embedding import materialize_rows  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .predictor import batch_predict, format_predictions, rank_labels
+from .embedding import embed  # noqa: F401 -- perfbench/tracer.py wraps it here
 from .predictor import propagate  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .lsh import build_index, query_lsh
 
 
 class UsageError(ValueError):
@@ -293,15 +292,17 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
     ds = parse_dataset(cfg.train)
     spec = ens.make_ensemble_spec(cfg.seed, cfg.learners, ds.d, cfg.r, cfg.k)
     if cfg.cache is not None:
-        for lspec in map(spec.learner, range(spec.size)):
-            # the embedding pass generates F once; it is the generation time too
-            t0 = time.perf_counter()
-            matrix = embed(lspec, ds, workers=cfg.effective_workers())
-            embed_s = time.perf_counter() - t0
+        # the samples are planned once; each learner's one pass over F is
+        # its generation time too
+        timings: dict[str, float] = {}
+        for lspec, matrix, _ in ens.learner_embeddings(
+            spec, ds, workers=cfg.effective_workers(), timings=timings
+        ):
             path = save_cache(cfg.cache, matrix, lspec, ds)
+            del matrix  # freed before the next learner is projected
             print(
                 f"learner seed={lspec.seed}: matrix generation and embedding "
-                f"{embed_s:.3f}s ({lspec.r}x{lspec.d}), cached to {path}",
+                f"{timings.pop('embed_s'):.3f}s ({lspec.r}x{lspec.d}), cached to {path}",
                 file=sys.stderr,
             )
     ens.write_metadata(cfg.model, spec)
@@ -493,11 +494,10 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
     K = max(*cfg.ks, cfg.topk if cfg.predictions_out else 1)
     _, train_ds, test_ds = _read_sets(cfg, explicit, "--topk" if K > max(cfg.ks) else "--ks", K)
     evaluate = _evaluator(cfg, train_ds, test_ds)
-    workers = cfg.effective_workers()
-    lspec = EmbeddingSpec(seed=cfg.seed, d=train_ds.d, r=cfg.r)
-    # one pass over F serves both searches
-    train_emb, queries = embed_train_test(
-        lspec, train_test_rows(train_ds, test_ds), workers=workers
+    # one learner; its one pass over F serves both searches
+    spec = ens.EnsembleSpec(seeds=(cfg.seed,), d=train_ds.d, r=cfg.r, k=cfg.k)
+    _, train_emb, queries = next(
+        ens.learner_embeddings(spec, train_ds, test_ds, workers=cfg.effective_workers())
     )
     labels = train_ds.label_matrix()
     exhaustive = rank_labels([batch_predict(train_emb, queries, cfg.k)], labels, K)

@@ -10,20 +10,19 @@ by F block-by-block (cost proportional to nnz times r), re-normalizing, and
 storing the result as a column-major float32 matrix.
 
 Generating F is most of the cost at large d, so a command prepares its
-train and test samples once (`train_test_rows`): normalized, stacked and
-planned (`PlannedRows`), they serve every learner, and each learner projects
-them together in one pass over F (`embed_train_test`); a sweep over r takes
-every r from one pass at the largest (`embed_prefixes`). A projection draws
-F only at the columns its samples use (`column_plan`): the Box-Muller
-arithmetic, most of a row's cost, runs only on the used columns, and every
-drawn value is bit-identical to the full row.
+samples once (`train_test_rows`): normalized, stacked and planned
+(`PlannedRows`), they serve every learner, and `ensemble.learner_embeddings`
+projects them for each learner in one pass over F (`project_rows`); a sweep
+over r takes every r from one pass at the largest (`embed_prefixes`). A
+projection draws F only at the columns its samples use (`column_plan`): the
+Box-Muller arithmetic, most of a row's cost, runs only on the used columns,
+and every drawn value is bit-identical to the full row.
 
 Preparing the samples has a memory budget: `train_test_rows` normalizes
-both sets a block of rows at a time into one stacked CSR (12 bytes per
+its sets a block of rows at a time into one stacked CSR (12 bytes per
 nonzero), fills the position-major copy that `PlannedRows` holds (12 more)
 from it and frees it, so it peaks at about 24 bytes per nonzero above the
-parsed sets, plus the column plan's O(d), and holds 12. A learner with a
-cached train matrix normalizes and plans the test set alone, on first use.
+parsed sets, plus the column plan's O(d), and holds 12.
 A projection's memory is bounded per worker, whatever r and d: one
 transposed block of F, about 8 MB (`_row_block`), allocated once per
 projection and reused for every block, and four 1 MB buffers that
@@ -38,7 +37,6 @@ import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -244,32 +242,17 @@ class PlannedRows:
         self.products = RowProducts(X, self.block, self.plan.place(self.d))
 
 
-@dataclass(frozen=True)
-class TrainTestRows:
-    """A command's train then test samples as unit-norm float64 rows: `both`
-    plans the train rows stacked over the test rows, for one pass over F per
-    learner; `test` normalizes and plans the rows of `test_set` alone on
-    first use, for a learner whose train matrix is cached."""
-
-    both: PlannedRows
-    test_set: SparseDataset
-    n_train: int
-
-    @cached_property
-    def test(self) -> PlannedRows:
-        return PlannedRows(normalize_rows(self.test_set.to_feature_csr())[0])
-
-
-def train_test_rows(train: SparseDataset, test: SparseDataset) -> TrainTestRows:
-    """Normalize and plan a command's samples once, for every learner: both
-    sets are normalized a block of rows at a time into one stacked CSR
+def train_test_rows(train: SparseDataset, test: SparseDataset | None = None) -> PlannedRows:
+    """Normalize and plan a command's samples once, for every learner: the
+    train rows stacked over the test rows, or one set alone. The sets are
+    normalized a block of rows at a time into one stacked CSR
     (`csr.normalize_rows`), which is freed once `PlannedRows` holds its
     position-major copy. Besides the parsed sets, that is at most about 24
     bytes per nonzero, and the plan's O(d)."""
-    if test.d != train.d:
+    sets = [train] if test is None else [train, test]
+    if test is not None and test.d != train.d:
         raise ValueError(f"test dimensionality {test.d} != train dimensionality {train.d}")
-    both = normalize_rows(train.to_feature_csr(), test.to_feature_csr())[0]
-    return TrainTestRows(PlannedRows(both), test, train.n)
+    return PlannedRows(normalize_rows(*(ds.to_feature_csr() for ds in sets))[0])
 
 
 def _normalize_columns(out: np.ndarray) -> None:
@@ -337,40 +320,24 @@ def project_csr(spec: EmbeddingSpec, X: CSR, *, workers: int = 1) -> np.ndarray:
     return project_rows(spec, PlannedRows(normalize_rows(X)[0]), workers=workers)
 
 
-def _split(data: np.ndarray, n_train: int) -> tuple[EmbeddedMatrix, np.ndarray]:
-    """The train columns as an EmbeddedMatrix and the query columns after them."""
-    train = EmbeddedMatrix(r=data.shape[0], n=n_train, data=data[:, :n_train])
-    return train, data[:, n_train:]
-
-
-def embed_train_test(
-    spec: EmbeddingSpec, rows: TrainTestRows, *, workers: int = 1
-) -> tuple[EmbeddedMatrix, np.ndarray]:
-    """The embedded train matrix and the (r, n_test) query block, from one
-    pass over F. Each column is the same CSR-order sum that `embed` or
-    `project_csr` computes for its sample alone, so both are bit-identical to
-    projecting train and test apart."""
-    return _split(project_rows(spec, rows.both, workers=workers), rows.n_train)
-
-
 def embed_prefixes(
-    spec: EmbeddingSpec, rows: TrainTestRows, rs: Iterable[int], *, workers: int = 1
-) -> Iterator[tuple[EmbeddedMatrix, np.ndarray]]:
-    """`embed_train_test` at each r in `rs` (each at most spec.r), from one
-    pass over F at spec.r.
+    spec: EmbeddingSpec, rows: PlannedRows, rs: Iterable[int], *, workers: int = 1
+) -> Iterator[np.ndarray]:
+    """`project_rows` at each r in `rs` (each at most spec.r), from one pass
+    over F at spec.r.
 
     Row i of F depends only on (seed, i, d), so F at r is the first r rows of
     F at spec.r, and each projected element is the same sum whatever the
     other rows. Re-normalizing a copy of the first r rows of the projection
     is therefore bit-identical to projecting at r.
     """
-    full = _project(spec, rows.both, STORE_DTYPE, workers=workers)
+    full = _project(spec, rows, STORE_DTYPE, workers=workers)
     for r in rs:
         if not 1 <= r <= spec.r:
             raise ValueError(f"r {r} out of range [1, {spec.r}]")
         out = full[:r].copy(order="F")
         _normalize_columns(out)
-        yield _split(out, rows.n_train)
+        yield out
 
 
 def embed(spec: EmbeddingSpec, dataset: SparseDataset, *, workers: int = 1) -> EmbeddedMatrix:

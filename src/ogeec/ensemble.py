@@ -9,8 +9,8 @@ arrays, and `predictor.rank_labels`, the one label pass, adds their scores
 in learner order, S1 + S2 + ..., divides every nonzero sum by E and ranks
 them, one block of queries at a time.
 
-A command normalizes its samples once; each learner then projects its train
-and test samples together, so it generates every row of its F once.
+Every command that projects takes its learners from `learner_embeddings`,
+which plans each set of samples once and projects it in one pass over F.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import numpy as np
 
 from .data import SparseDataset, atomic_write
 from .embedding import (
-    EmbeddingSpec, check_cache,
+    EmbeddedMatrix, EmbeddingSpec,
+    check_cache,
     embed_prefixes,
-    embed_train_test,
     load_cache,
     project_rows,
     train_test_rows,
@@ -66,21 +66,25 @@ def make_ensemble_spec(base_seed: int, learners: int, d: int, r: int, k: int) ->
     return EnsembleSpec(seeds=tuple(base_seed + i for i in range(learners)), d=d, r=r, k=k)
 
 
-def learner_neighbours(
-    spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, *, learners: int | None = None,
-    workers: int = 1, cache: str | None = None, timings: dict[str, float] | None = None,
-) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray]]]:
-    """Yield (seed, (index, sims)) for each learner in order: `knn`'s
-    neighbour arrays of every test sample.
+def learner_embeddings(
+    spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset | None = None, *,
+    learners: int | None = None, workers: int = 1, cache: str | None = None,
+    timings: dict[str, float] | None = None,
+) -> Iterator[tuple[EmbeddingSpec, EmbeddedMatrix, np.ndarray]]:
+    """Yield (learner spec, embedded train matrix, (r, n_test) query block)
+    for each of the first `learners` seeds (default: all), in turn; without
+    `test` (nor `cache`), the query block is empty. It keeps no reference
+    to what it yields, so once the caller drops a learner's arrays, memory
+    holds none of them while the next learner projects.
 
-    The samples are normalized and planned once (`train_test_rows`); each
-    learner projects its train and test samples in one pass over F, so it
-    generates every row of F once. Learners
-    run in turn, so memory holds one train matrix and one query block whatever
-    the ensemble size. With a `cache` prefix, every learner's cache file is
-    checked against `dataset` first (`check_cache`); a learner that has one
-    loads its train matrix at its turn (`load_cache`) and projects only the
-    test samples, and one without takes the one-pass path.
+    With a `cache` prefix, every cache file is checked against `dataset`
+    first (`check_cache`). Each set of samples is then planned once
+    (`embedding.train_test_rows`), and only where a learner projects it: the
+    train rows stacked over the test rows unless every learner is cached,
+    the test rows alone only when some learner is. A cached learner loads
+    its train matrix (`load_cache`) and projects the test rows alone; any
+    other projects both sets in one pass over F, bit-identical to projecting
+    them apart, since each column is its own sample's sum.
     """
     count = spec.size if learners is None else learners
     if not 1 <= count <= spec.size:
@@ -88,20 +92,41 @@ def learner_neighbours(
     # every cache file's header, size and crc32, before any learner's work
     cached = [cache is not None and check_cache(cache, spec.learner(i), dataset)
               for i in range(count)]
-    rows = train_test_rows(dataset, test)
-    for i in range(count):
+    both = None if all(cached) else train_test_rows(dataset, test)
+    alone = train_test_rows(test) if any(cached) else None
+
+    def embedded(i: int) -> tuple[EmbeddingSpec, EmbeddedMatrix, np.ndarray]:
         lspec = spec.learner(i)
         t0 = time.perf_counter()
-        train = load_cache(cache, lspec, dataset) if cached[i] else None
-        if train is None:
-            train, queries = embed_train_test(lspec, rows, workers=workers)
+        if cached[i]:
+            train = load_cache(cache, lspec, dataset)
+            queries = project_rows(lspec, alone, workers=workers)
         else:
-            queries = project_rows(lspec, rows.test, workers=workers)
+            data = project_rows(lspec, both, workers=workers)
+            train = EmbeddedMatrix(r=lspec.r, n=dataset.n, data=data[:, : dataset.n])
+            queries = data[:, dataset.n :]
         if timings is not None:
             timings["embed_s"] = timings.get("embed_s", 0.0) + time.perf_counter() - t0
+        return lspec, train, queries
+
+    for i in range(count):
+        yield embedded(i)
+
+
+def learner_neighbours(
+    spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, *, learners: int | None = None,
+    workers: int = 1, cache: str | None = None, timings: dict[str, float] | None = None,
+) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray]]]:
+    """Yield (seed, (index, sims)) for each learner in order: `knn`'s
+    neighbour arrays of every test sample, searched in the learners that
+    `learner_embeddings` yields."""
+    found = learner_embeddings(
+        spec, dataset, test, learners=learners, workers=workers, cache=cache, timings=timings
+    )
+    for lspec, train, queries in found:
         neighbours = batch_predict(train, queries, spec.k, timings=timings)
         del train, queries  # freed before the next learner is projected
-        yield spec.seeds[i], neighbours
+        yield lspec.seed, neighbours
 
 
 def fused_scores(
@@ -174,16 +199,18 @@ def sweep_dimension(
     """Yield (r, `rank_labels`' top K labels and scores) of the `seed`
     learner for each r.
 
-    One pass over F at max(rs) serves every r (`embedding.embed_prefixes`),
-    and each ranking equals `fused_scores` of that one learner at r.
+    The samples are planned as `learner_embeddings` plans them, and one
+    pass over F at max(rs) serves every r (`embedding.embed_prefixes`), so
+    each ranking equals `fused_scores` of that one learner at r.
     """
     if not rs:
         raise ValueError("rs must be nonempty")
     spec = EmbeddingSpec(seed=seed, d=dataset.d, r=max(rs))
     labels = dataset.label_matrix()
     prefixes = embed_prefixes(spec, train_test_rows(dataset, test), rs, workers=workers)
-    for r, (train, queries) in zip(rs, prefixes):
-        yield r, rank_labels([batch_predict(train, queries, k)], labels, K)
+    for r, data in zip(rs, prefixes):
+        train = EmbeddedMatrix(r=r, n=dataset.n, data=data[:, : dataset.n])
+        yield r, rank_labels([batch_predict(train, data[:, dataset.n :], k)], labels, K)
 
 
 def format_metadata(spec: EnsembleSpec) -> str:

@@ -279,7 +279,7 @@ def batch_predict(
     timings: dict[str, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One learner's neighbours of every column of `queries`, an (r, m) block
-    of projected test samples (`embedding.embed_train_test` projects it in
+    of projected test samples (`ensemble.learner_embeddings` projects it in
     the same pass over F as the train matrix): `knn`'s (m, min(k, n)) index
     and similarity arrays, for `rank_labels`."""
     if queries.ndim != 2:

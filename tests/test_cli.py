@@ -563,6 +563,16 @@ def test_each_command_generates_each_row_of_f_once_per_learner(
 ):
     """Train and test are projected in one pass over F, a cached learner
     projects only the test set, and a sweep over r projects once, at max(r)."""
+    argv = _with_cache(workspace, tmp_path, argv, cache)
+    generated_rows.clear()
+    assert main(argv) == 0
+    assert sum(generated_rows) == rows
+
+
+def _with_cache(workspace, tmp_path, argv, cache):
+    """`argv` with its paths filled in and, when `cache` is "all" or "one
+    missing", the --cache prefix of the workspace model's 2 learners, with
+    every cache file written or learner 8's removed."""
     paths = {name: str(workspace / f"{name}.txt") for name in ("train", "test", "model")}
     argv = [a.format(out=tmp_path / "out", **paths) for a in argv]
     if cache is not None:
@@ -573,9 +583,58 @@ def test_each_command_generates_each_row_of_f_once_per_learner(
         if cache == "one missing":
             os.remove(f"{prefix}-8.ogec")
         argv += ["--cache", prefix]
-        generated_rows.clear()
+    return argv
+
+
+@pytest.fixture
+def planned_rows(monkeypatch):
+    """The row count of each `PlannedRows` built from here on."""
+    rows = []
+    init = embedding.PlannedRows.__init__
+
+    def counted(self, X):
+        rows.append(X.shape[0])
+        init(self, X)
+
+    monkeypatch.setattr(embedding.PlannedRows, "__init__", counted)
+    return rows
+
+
+# command, --cache state, and the rows of each `PlannedRows` it builds, in
+# order; the workspace has 400 train and 100 test samples
+@pytest.mark.parametrize(
+    "argv, cache, planned",
+    [
+        pytest.param(["predict", *_MODEL], None, [500], id="predict"),
+        pytest.param(["predict", *_MODEL], "all", [100], id="predict-cache"),
+        pytest.param(["predict", *_MODEL], "one missing", [500, 100], id="predict-cache-missing"),
+        pytest.param(["eval", *_MODEL], None, [500], id="eval"),
+        pytest.param(["eval", *_MODEL], "all", [100], id="eval-cache"),
+        pytest.param(["eval", *_MODEL], "one missing", [500, 100], id="eval-cache-missing"),
+        pytest.param(
+            ["train", "--train", "{train}", "--model", "{out}", "--r", "16", "--learners", "3",
+             "--workers", "2", "--cache", "{out}-emb"],
+            None, [400], id="train-cache",
+        ),
+        pytest.param(
+            ["analyze", "sweep-ensemble", *_DATA, "--r", "24", "--sizes", "1,3"],
+            None, [500], id="sweep-ensemble",
+        ),
+        pytest.param(["analyze", "sweep-r", *_DATA, "--rs", "16,40,8"], None, [500], id="sweep-r"),
+        pytest.param(["analyze", "lsh-compare", *_DATA, "--r", "16"], None, [500], id="lsh-compare"),
+    ],
+)
+def test_each_command_plans_each_set_of_samples_once(
+    workspace, tmp_path, planned_rows, argv, cache, planned
+):
+    """Every learner shares one normalized and planned copy of each set of
+    samples that some learner projects: the train rows stacked over the test
+    rows unless every learner is cached, and the test rows alone only when
+    some learner is; `train --cache` plans the train rows alone, once."""
+    argv = _with_cache(workspace, tmp_path, argv, cache)
+    planned_rows.clear()
     assert main(argv) == 0
-    assert sum(generated_rows) == rows
+    assert planned_rows == planned
 
 
 _HUGE_K = "100000000000"  # 1e11 slots for each of 100 test samples: about 582 TiB

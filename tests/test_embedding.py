@@ -41,14 +41,13 @@ from ogeec.embedding import (
     _project,
     column_plan,
     embed,
-    embed_train_test,
     load_cache,
     materialize_rows,
     project_csr,
     save_cache,
     train_test_rows,
 )
-from ogeec.ensemble import fused_scores, make_ensemble_spec
+from ogeec.ensemble import fused_scores, learner_embeddings, make_ensemble_spec
 from ogeec.jl import measure_distortion
 from ogeec.predictor import batch_predict
 
@@ -437,10 +436,11 @@ _CASES = _one_pass_cases()
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_one_pass_equals_separate_projections(monkeypatch, tmp_path, case, workers):
-    """Projecting train and test together gives bit-identical train matrices,
-    query blocks and fused scores to embedding and projecting them apart,
-    for blocks of 1 row, 5 rows (ragged) and r + 1 rows, and with one cached
-    learner between uncached ones that share the command's planned rows."""
+    """Projecting train and test together (`learner_embeddings`) gives
+    bit-identical train matrices, query blocks and fused scores to embedding
+    and projecting them apart, for blocks of 1 row, 5 rows (ragged) and
+    r + 1 rows, and with one cached learner between uncached ones that
+    share the command's planned rows."""
     train_rows, test_rows = _CASES[case]
     train, test = dataset_of(train_rows, 300), dataset_of(test_rows, 300)
     espec = make_ensemble_spec(11, 3, d=300, r=12, k=3)
@@ -456,14 +456,13 @@ def test_one_pass_equals_separate_projections(monkeypatch, tmp_path, case, worke
     save_cache(prefix, apart[1][0], espec.learner(1), train)  # learner 1 cached, 0 and 2 projected
     for block in (1, 5, espec.r + 1):
         monkeypatch.setattr(embedding, "_row_block", lambda c: block)
-        rows = train_test_rows(train, test)
-        for i, (matrix, queries) in enumerate(apart):
-            got, got_queries = embed_train_test(espec.learner(i), rows, workers=workers)
-            assert (got.r, got.n) == (matrix.r, matrix.n)
-            assert got.data.flags.f_contiguous and got_queries.shape == queries.shape
-            assert np.array_equal(got.data, matrix.data)
-            assert np.array_equal(got_queries, queries)
         for cache in (None, prefix):
+            found = learner_embeddings(espec, train, test, workers=workers, cache=cache)
+            for (matrix, queries), (_, got, got_queries) in zip(apart, found, strict=True):
+                assert (got.r, got.n) == (matrix.r, matrix.n)
+                assert got.data.flags.f_contiguous and got_queries.shape == queries.shape
+                assert np.array_equal(got.data, matrix.data)
+                assert np.array_equal(got_queries, queries)
             fused = fused_scores(espec, train, test, train.L, workers=workers, cache=cache)
             assert ranking_dicts(fused) == reference
 
@@ -523,30 +522,31 @@ _ADVERSARIAL = _adversarial_sets()
 def test_streamed_rows_equal_the_old_path(monkeypatch, case, chunk, entries):
     """`train_test_rows` normalizes in blocks of 1, 7 or the default entries
     and fills chunks of 1, 3 or 32,768 rows (b = 4) position by position;
-    its stacked rows and the test rows that `test` plans on first use hold
-    the old path's bits."""
+    its stacked rows and the test rows it plans alone hold the old path's
+    bits."""
     train, test = _ADVERSARIAL[case]
     monkeypatch.setattr(embedding, "_row_block", lambda c: 4)
     with mock.patch.multiple(csr, _NORMALIZE_ENTRIES=entries, _CHUNK_FLOATS=chunk):
-        rows = train_test_rows(train, test)
-        _assert_planned_as_old_path(rows.both, [train, test])
-        _assert_planned_as_old_path(rows.test, [test])
+        _assert_planned_as_old_path(train_test_rows(train, test), [train, test])
+        _assert_planned_as_old_path(train_test_rows(test), [test])
 
 
 def test_train_test_rows_holds_a_test_copy_planned_on_demand():
     """No normalized copy of the test rows is held beside the stacked rows:
-    `test` normalizes and plans the test set alone only when a cached
-    learner first asks for it, and keeps that planned copy."""
+    the test set is normalized and planned alone (`train_test_rows(test)`)
+    only on demand, which `learner_embeddings` makes when a learner is
+    cached, and that plan holds the test rows once."""
     train, test = (dataset_of(part, 300) for part in _CASES["zero-rows-in-test"])
     rows = train_test_rows(train, test)
-    assert rows.test_set is test and rows.n_train == train.n
+    assert (rows.n, rows.d) == (train.n + test.n, train.d)
     assert not any(isinstance(v, (CSR, np.ndarray)) for v in vars(rows).values())
     assert "test" not in vars(rows)
-    assert (rows.test.n, rows.test.d) == (test.n, test.d)
-    assert rows.test is rows.test and "test" in vars(rows)
-    _assert_planned_as_old_path(rows.test, [test])
-    assert all(a.dtype == np.int32 for a in vars(rows.both.plan).values())
-    assert rows.both.products.cols.dtype == np.int32
+    alone = train_test_rows(test)
+    assert (alone.n, alone.d) == (test.n, test.d)
+    assert alone.products.cols.size == test.feat_indices.size
+    _assert_planned_as_old_path(alone, [test])
+    assert all(a.dtype == np.int32 for a in vars(rows.plan).values())
+    assert rows.products.cols.dtype == np.int32
 
 
 def test_preparation_and_projection_write_no_input():
@@ -561,9 +561,8 @@ def test_preparation_and_projection_write_no_input():
     for a in arrays:
         a.flags.writeable = False
     spec, xspec = EmbeddingSpec(seed=3, d=300, r=9), EmbeddingSpec(seed=3, d=301, r=9)
-    rows = train_test_rows(train, test)
-    embed_train_test(spec, rows, workers=2)
-    embedding.project_rows(spec, rows.test)
+    list(learner_embeddings(make_ensemble_spec(3, 2, d=300, r=9, k=1), train, test, workers=2))
+    embedding.project_rows(spec, train_test_rows(test))
     _project(xspec, PlannedRows(X), np.float64, workers=2)
     csr.normalize_rows(X, X)
     project_csr(xspec, X)
@@ -634,7 +633,7 @@ def test_train_test_rows_memory_is_bounded_per_nonzero():
     finally:
         tracemalloc.stop()
     nnz, n = train.feat_indices.size + test.feat_indices.size, train.n + test.n
-    assert rows.both.products.cols.size == nnz
+    assert rows.products.cols.size == nnz
     assert peak <= 36 * nnz + 32 * d + 64 * n, (peak, nnz)
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -18,10 +19,11 @@ from oracles import (
 
 from ogeec import embedding, ensemble, predictor
 from ogeec.csr import CSR, label_scores
-from ogeec.embedding import EmbeddingSpec, embed, project_csr
+from ogeec.embedding import EmbeddingSpec, embed, project_csr, save_cache
 from ogeec.ensemble import (
     EnsembleSpec,
     fused_scores,
+    learner_embeddings,
     learner_neighbours,
     make_ensemble_spec,
     read_metadata,
@@ -46,6 +48,25 @@ def test_validate_rejects_duplicates_and_empty():
         EnsembleSpec(seeds=(), d=10, r=2, k=5)
     with pytest.raises(ValueError):
         EnsembleSpec(seeds=(1,), d=10, r=20, k=5)
+
+
+def test_learner_embeddings_holds_no_learner_it_has_yielded(train_test, tmp_path):
+    """Once the caller drops a learner's train matrix and query block,
+    nothing else holds them, cached or projected, while the next learner
+    projects."""
+    train, test = train_test
+    spec = make_ensemble_spec(3, 3, d=train.d, r=8, k=2)
+    prefix = str(tmp_path / "emb")
+    save_cache(prefix, embed(spec.learner(1), train), spec.learner(1), train)
+    seeds = []
+    for lspec, matrix, queries in learner_embeddings(spec, train, test, cache=prefix):
+        seeds.append(lspec.seed)
+        assert (matrix.n, queries.shape) == (train.n, (8, test.n))
+        arrays = [matrix, matrix.data, queries]
+        refs = [weakref.ref(a) for a in arrays + [a.base for a in arrays[1:] if a.base is not None]]
+        del arrays, matrix, queries
+        assert all(ref() is None for ref in refs), lspec.seed
+    assert seeds == [3, 4, 5]
 
 
 def _fuse(learners, L):
