@@ -7,10 +7,12 @@ of an ensemble's embedding, search and label pass, on one corpus.
 The corpus is a directory holding `train.txt` and `test.txt`, as the
 benchmark (`perfbench/run.py`) writes them under `.perfbench/<workload>-seed<seed>`.
 The script runs the phases of `ensemble.fused_scores` in order, in this
-process, as `ensemble.learner_embeddings` runs them with no cache: parse
-both files, normalize both sets a block of rows at a time into one stacked
-CSR and plan it once (`embedding.train_test_rows`, which then holds the
-samples once, position-major, for every learner), then for each learner
+process, as the CLI's `predict` runs them with no cache: parse both files
+(int32 feature indices), plan both sets once (`embedding.train_test_rows`:
+a first pass for the rows' norms and kept counts, then the position-major
+copy that every learner projects, filled straight from the parsed arrays,
+with no stacked copy) and drop the parsed feature arrays, as
+`ensemble.learner_embeddings` drops a `planned_only` set's, then for each learner
 its projection (`embedding.project_rows`, one pass over F, drawn into one
 transposed block of F per worker) and its exact search
 (`batch_predict`), and last the label pass (`predictor.rank_labels` of
@@ -19,7 +21,9 @@ So the table reaches the peak of `predict` and `eval`. After each phase it
 prints the process's peak RSS so far (`ru_maxrss`), the phase's own
 tracemalloc peak and what stays allocated after it. A phase's tracemalloc
 peak counts numpy's buffers, so it attributes the RSS growth that the phase
-causes.
+causes. After planning it prints the nonzero count, the preparation peak
+(the planning phase's tracemalloc peak, the parsed sets included) and what
+stays allocated once the features are dropped, each in bytes per nonzero.
 """
 
 import argparse
@@ -61,10 +65,17 @@ def main() -> int:
     t0 = time.perf_counter()
     train = parse_dataset(args.corpus / "train.txt")
     test = parse_dataset(args.corpus / "test.txt")
+    nnz = train.feat_indices.size + test.feat_indices.size
     report("parse", t0)
     t0 = time.perf_counter()
     rows = train_test_rows(train, test)
+    for ds in (train, test):
+        ds.planned_only = True
+        ds.features_planned()
+    now, peak = tracemalloc.get_traced_memory()
     report("train_test_rows", t0)
+    print(f"# {nnz} nonzeros: preparation peak {peak / nnz:.1f} bytes per nonzero, "
+          f"held after planning {now / nnz:.1f}")
     spec = make_ensemble_spec(args.seed, args.learners, d=train.d, r=args.r, k=args.k)
     found = []
     for i in range(args.learners):

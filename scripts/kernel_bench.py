@@ -7,14 +7,16 @@ the scipy.sparse expression it replaced (`tests/oracles.py`, `sp_*`).
 The inputs are the benchmark's corpora (`perfbench/corpus.py`) of the mid,
 wide and dense-labels workloads, generated in memory from --seed:
 
-- normalize_rows: the train samples alone, as `train --cache` prepares
-  them, and the train and test samples stacked, as `predict` prepares them
-  (`embedding.train_test_rows`; the oracle normalizes each set, then
-  stacks them);
-- the projection: every row block of F at r = 200, as `embedding._project`
-  applies it to the stacked samples on one thread (F is generated outside
-  the timed region, its transposed copy inside it, and each block's median
-  is summed);
+- normalize_rows: the train samples alone, and the train and test samples
+  stacked (the oracle normalizes each set, then stacks them), the unit
+  rows that `analyze distortion` and `embedding.project_csr` plan;
+- the projection: the position-major build that `predict` makes
+  (`embedding.train_test_rows`: `csr.unit_rows`, then `RowProducts` filled
+  straight from the parsed arrays), and every row block of F at r = 200, as
+  `embedding._project` applies it to the stacked samples on one thread (F
+  is generated outside the timed region, its transposed copy inside it, and
+  each block's median is summed); the oracle multiplies the stacked rows of
+  `normalize_rows`;
 - label_scores: E learners of k = 5 neighbours per test sample (the
   workload's E: 5 for dense-labels, else 1), drawn at random from the train
   samples with similarities in (0, 1), since only the label fan-out sets the
@@ -48,7 +50,7 @@ from oracles import (  # noqa: E402
 )
 from workloads import WORKLOADS  # noqa: E402
 
-from ogeec.csr import CSR, RowProducts, label_scores, normalize_rows, pair_dots  # noqa: E402
+from ogeec.csr import CSR, RowProducts, label_scores, normalize_rows, pair_dots, unit_rows  # noqa: E402
 from ogeec.data import parse_dataset  # noqa: E402
 from ogeec.embedding import EmbeddingSpec, _row_block, column_plan, materialize_rows  # noqa: E402
 
@@ -122,7 +124,8 @@ def projection(train, test, repeat: int) -> tuple[float, float, bool]:
     block = _row_block(plan.columns.size)
     spec = EmbeddingSpec(seed=0, d=train.d, r=R)
     # built once per command
-    new_s, products = median_time(lambda: RowProducts(both, block, place), repeat)
+    parts = (train.to_feature_csr(), test.to_feature_csr())
+    new_s, products = median_time(lambda: RowProducts(unit_rows(*parts), block, place), repeat)
     ref_s = 0.0
     identical = True
     for s in range(0, R, block):

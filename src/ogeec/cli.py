@@ -292,6 +292,8 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
     ds = parse_dataset(cfg.train)
     spec = ens.make_ensemble_spec(cfg.seed, cfg.learners, ds.d, cfg.r, cfg.k)
     if cfg.cache is not None:
+        ds.feature_sha256  # each cache file holds it: taken before planning drops the features
+        ds.planned_only = True
         # the samples are planned once; each learner's one pass over F is
         # its generation time too
         timings: dict[str, float] = {}
@@ -322,10 +324,12 @@ def _read_sets(
     """The model (with `model`; an explicit --k replaces its k), the train set
     and the test set, checked before any embedding: the flags are given, the
     datasets' d is the model's, and the (test samples x K) ranking of `flag`
-    K fits in this machine's memory."""
+    K fits in this machine's memory. The command reads no feature of either
+    set once they are planned, so planning drops their feature arrays."""
     _require(cfg, *(["model"] if model else []), "train", "test")
     spec = ens.read_metadata(cfg.model) if model else None
     train_ds, test_ds = parse_dataset(cfg.train), parse_dataset(cfg.test)
+    train_ds.planned_only = test_ds.planned_only = True
     if spec is not None:
         if "k" in explicit:
             spec = ens.EnsembleSpec(seeds=spec.seeds, d=spec.d, r=spec.r, k=cfg.k)

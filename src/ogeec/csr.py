@@ -13,7 +13,8 @@ compare bits):
 - `normalize_rows`: X scaled to unit rows, `diags(1 / norms) @ X`; of
   several CSRs, `vstack` of each one's;
 - `RowProducts`: `X @ F.T` for row blocks F of the projection matrix,
-  written into the caller's output rows;
+  written into the caller's output rows; X may be `unit_rows` of several
+  CSRs, the rows of `normalize_rows` read straight from the CSRs;
 - `label_scores`: for one block of queries, the learners' S = W·Y, their
   sum in learner order and the division by the learner count;
 - `pair_dots`: the dot products of pairs of rows.
@@ -85,21 +86,40 @@ def _row_blocks(indptr: np.ndarray, entries: int) -> Iterator[tuple[int, int]]:
         a = b
 
 
+def _norm_blocks(X: CSR):
+    """Blocks of X's rows [a, b) holding about _NORMALIZE_ENTRIES stored
+    entries: the offset `lo` of their first entry in X and each row's
+    offsets from it (`ptr`), their values as float64 (`x`), their norms
+    and 1 / norms (0 for a zero row). A row's squared norm is
+    np.add.reduceat over its values squared in float64, as scipy's
+    `sum(axis=1)` adds them. Every temporary is O(block); X is not written.
+    """
+    for a, b in _row_blocks(X.indptr, _NORMALIZE_ENTRIES):
+        lo, hi = X.indptr[a], X.indptr[b]
+        ptr = X.indptr[a : b + 1] - lo
+        x = X.data[lo:hi].astype(np.float64)
+        nonempty = np.flatnonzero(np.diff(ptr))
+        sq = np.zeros(b - a)
+        if nonempty.size:
+            sq[nonempty] = np.add.reduceat(np.square(x), ptr[nonempty])
+        norm = np.sqrt(sq)
+        yield a, b, lo, ptr, x, norm, np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
+
+
 def normalize_rows(*parts: CSR) -> tuple[CSR, np.ndarray]:
     """The rows of `parts` (of as many columns), stacked in order and scaled
     to unit norm (zero rows stay zero), and their original norms.
 
-    A row's squared norm is np.add.reduceat over its values squared in
-    float64, as scipy's `sum(axis=1)` adds them. Each stored value x becomes
-    (1 / norm) * x, and a product that is 0 (an explicit zero, a zero row,
-    an underflow) is dropped. Each row's stored order is reversed, as
-    scipy's `diags(1 / norms) @ X` stores it; the projection sums each row
-    in stored order, so the reversal is part of its bits.
+    Each stored value x becomes (1 / norm) * x (`_norm_blocks`), and a
+    product that is 0 (an explicit zero, a zero row, an underflow) is
+    dropped. Each row's stored order is reversed, as scipy's
+    `diags(1 / norms) @ X` stores it; the projection sums each row in
+    stored order, so the reversal is part of its bits.
 
-    Blocks of rows of about _NORMALIZE_ENTRIES entries go straight into one
-    preallocated CSR of float64 values and int32 column indices (int64 from
-    2^31 columns), so besides it and the norms every temporary is O(block)
-    and no input array is copied whole or written.
+    The blocks go straight into one preallocated CSR of float64 values and
+    int32 column indices (int64 from 2^31 columns), so besides it and the
+    norms every temporary is O(block) and no input array is copied whole or
+    written.
     """
     d = parts[0].shape[1]
     n = sum(X.shape[0] for X in parts)
@@ -109,37 +129,62 @@ def normalize_rows(*parts: CSR) -> tuple[CSR, np.ndarray]:
     norms = np.empty(n)
     at = base = 0  # entries and rows written
     for X in parts:
-        for a, b in _row_blocks(X.indptr, _NORMALIZE_ENTRIES):
-            lo, hi = X.indptr[a], X.indptr[b]
-            ptr = X.indptr[a : b + 1] - lo
+        for a, b, lo, ptr, x, norm, inv in _norm_blocks(X):
+            norms[base + a : base + b] = norm
             lengths = np.diff(ptr)
-            x = X.data[lo:hi].astype(np.float64)
-            nonempty = np.flatnonzero(lengths)
-            sq = np.zeros(b - a)
-            if nonempty.size:
-                sq[nonempty] = np.add.reduceat(np.square(x), ptr[nonempty])
-            norm = norms[base + a : base + b]
-            np.sqrt(sq, out=norm)
-            inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
-            rows = np.repeat(np.arange(b - a), lengths)  # the row of every stored entry
             # entry q of row [s, e) takes the value stored at s + e - 1 - q
-            src = ptr[:-1][rows]
-            src += ptr[1:][rows] - 1
+            src = np.repeat(ptr[:-1] + ptr[1:] - 1, lengths)
             src -= np.arange(src.size)
-            values = inv[rows] * x[src]
+            values = np.repeat(inv, lengths) * x[src]
             kept = np.flatnonzero(values)
             data[at : at + kept.size] = values[kept]
-            indices[at : at + kept.size] = X.indices[lo:hi][src[kept]]
+            indices[at : at + kept.size] = X.indices[lo + src[kept]]
             indptr[base + a + 1 : base + b + 1] = at + np.searchsorted(kept, ptr[1:])
             at += kept.size
         base += X.shape[0]
     return CSR(data[:at], indices[:at], indptr, (n, d)), norms
 
 
+class UnitRows(NamedTuple):
+    """The rows of `parts` (of as many columns) stacked in order and scaled
+    to unit norm, as `normalize_rows` stores them, but not written out:
+    each row's 1 / norm (`inv`) and count of kept, nonzero, products
+    (`kept`), and the mask of the columns that a kept product holds
+    (`used`). `RowProducts` reads the rows from the parts themselves."""
+
+    parts: tuple[CSR, ...]
+    inv: np.ndarray
+    kept: np.ndarray
+    used: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.kept.size, self.used.size
+
+
+def unit_rows(*parts: CSR) -> UnitRows:
+    """The first pass over `parts`' rows, a block at a time (`_norm_blocks`),
+    for `UnitRows`: 16 bytes per row and one per column."""
+    n = sum(X.shape[0] for X in parts)
+    inv, kept = np.empty(n), np.empty(n, dtype=np.int64)
+    used = np.zeros(parts[0].shape[1], dtype=bool)
+    base = 0
+    for X in parts:
+        for a, b, lo, ptr, x, _, scale in _norm_blocks(X):
+            # a product's value does not depend on the row's order
+            nonzero = np.flatnonzero(np.repeat(scale, np.diff(ptr)) * x)
+            inv[base + a : base + b] = scale
+            kept[base + a : base + b] = np.diff(np.searchsorted(nonzero, ptr))
+            used[X.indices[lo + nonzero]] = True
+        base += X.shape[0]
+    return UnitRows(parts, inv, kept, used)
+
+
 class RowProducts:
     """(X @ F.T).T for row blocks F (b x X's columns) of one matrix: each
     output element (k, i) adds X's row i times F[k] term by term, in the
     row's stored order, into a zeroed float64, as scipy's `csr_matvecs` does.
+    X is a CSR, or `UnitRows`, whose rows are those of `normalize_rows`.
 
     Rows are sorted by length, longest first, and cut into chunks of about
     _CHUNK_FLOATS // `b` rows. Within a chunk the entries are ordered by
@@ -155,18 +200,25 @@ class RowProducts:
     The position-major column indices, each mapped through `place` to its
     row of F.T (`cols`), and float64 values (`vals`) are filled position by
     position into arrays allocated once, so building them holds O(rows)
-    temporaries; X is not written.
+    temporaries, and no input array is written. Unit rows are filled
+    straight from their parts: each row is read from its end, each value x
+    becomes (1 / norm) * x and a zero product is skipped, which gives the
+    bits that the rows of `normalize_rows` give.
     """
 
-    def __init__(self, X: CSR, b: int, place: np.ndarray):
-        self.n = X.shape[0]
+    def __init__(self, X: CSR | UnitRows, b: int, place: np.ndarray):
+        unit = isinstance(X, UnitRows)
+        parts = X.parts if unit else (X,)
+        bases = np.cumsum([0] + [P.shape[0] for P in parts])
+        lengths = X.kept if unit else np.diff(X.indptr)
+        self.n = lengths.size
         self.rows = max(1, _CHUNK_FLOATS // max(b, 1))
-        lengths = np.diff(X.indptr)
         self.order = np.argsort(-lengths, kind="stable")
         slen = lengths[self.order]
-        starts = X.indptr[:-1][self.order]
-        self.cols = np.empty(X.nnz, dtype=place.dtype)
-        self.vals = np.empty((X.nnz, 1))
+        total = int(lengths.sum())
+        self.cols = np.empty(total, dtype=place.dtype)
+        self.vals = np.empty((total, 1))
+        vals = self.vals.reshape(-1)  # a flat view fills faster
         self.chunks = []
         at = 0
         for a in range(0, self.n, self.rows):
@@ -174,10 +226,34 @@ class RowProducts:
             # counts[p]: rows of the chunk with an entry at position p
             counts = np.searchsorted(-chunk, -np.arange(chunk[0]), side="left")
             offsets = (at + np.concatenate(([0], np.cumsum(counts)))).tolist()
-            for p, (count, lo) in enumerate(zip(counts.tolist(), offsets)):
-                src = starts[a : a + count] + p
-                self.cols[lo : lo + count] = place[X.indices[src]]
-                self.vals[lo : lo + count, 0] = X.data[src]
+            stacked = self.order[a : a + self.rows]  # the chunk's rows
+            for P, first, stop in zip(parts, bases[:-1], bases[1:]):
+                # the part's rows of the chunk, in chunk order: those with an
+                # entry at position p are the first mine_counts[p] of them
+                mine = np.flatnonzero((stacked >= first) & (stacked < stop))
+                if not mine.size:
+                    continue
+                rows, lengths = stacked[mine] - first, chunk[mine]
+                mine_counts = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
+                whole = mine.size == chunk.size  # then mine is arange
+                if unit:
+                    cur, step = P.indptr[rows + 1] - 1, -1  # read from the row's end
+                    inv = X.inv[stacked[mine]]
+                    skips = bool((P.indptr[rows + 1] - P.indptr[rows] > lengths).any())
+                else:
+                    cur, step = P.indptr[rows].astype(np.int64), 1
+                for p, count in enumerate(mine_counts.tolist()):
+                    src = cur[:count]  # a view: skipping moves the rows' cursors
+                    values = P.data.take(src)
+                    if unit:
+                        values = inv[:count] * values
+                        while skips and (zero := np.flatnonzero(values == 0)).size:
+                            src[zero] -= 1
+                            values[zero] = inv[zero] * P.data[src[zero]]
+                    dst = slice(offsets[p], offsets[p] + count) if whole else offsets[p] + mine[:count]
+                    self.cols[dst] = place.take(P.indices.take(src))
+                    vals[dst] = values
+                    src += step
             self.chunks.append((a, counts.tolist(), offsets))
             at = offsets[-1]
 

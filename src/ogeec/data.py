@@ -9,6 +9,8 @@ First line is the header (sample count, feature dimensionality, label
 vocabulary size). Each following line is one sample: a comma-separated
 label list (possibly empty, leaving a leading space) followed by
 space-separated ``index:value`` feature pairs. All indices are 0-based.
+A `SparseDataset` stores its feature indices as int32 below 2^31 columns
+(int64 from there), its values as float32 and its labels as int64.
 
 `parse_dataset` reads the file in pieces of about `_CHUNK` bytes cut at line
 ends. A piece whose lines all keep to the canonical grammar (digits and
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csr import CSR
+from .csr import CSR, _index_dtype
 
 
 class DatasetFormatError(ValueError):
@@ -39,6 +41,8 @@ class DatasetFormatError(ValueError):
 
 
 _F32_MAX = float(np.finfo(np.float32).max)
+# int64 indices hashed at a time by `feature_sha256` (1 MB)
+_HASH_ENTRIES = 1 << 17
 # Sample lines are parsed in pieces of about this many bytes, cut at line
 # ends, so parsing holds one piece's temporaries besides the dataset.
 _CHUNK = 512 << 10
@@ -75,7 +79,14 @@ def _fmt_value(v: float) -> str:
 
 @dataclass
 class SparseDataset:
-    """CSR feature matrix plus per-sample label sets and label frequencies."""
+    """CSR feature matrix plus per-sample label sets and label frequencies.
+
+    An owner that reads no feature once the samples are planned, as the
+    CLI's commands do, sets `planned_only`: planning (`ensemble`) then calls
+    `features_planned`, which drops the feature arrays (n, d and the labels
+    stay), so the samples are held once, in the plan. Where a cache is read
+    or written, `feature_sha256` is taken before.
+    """
 
     n: int
     d: int
@@ -86,6 +97,7 @@ class SparseDataset:
     label_indptr: np.ndarray
     label_indices: np.ndarray
     label_frequencies: np.ndarray = field(default=None)  # type: ignore[assignment]
+    planned_only = False  # not a field: set by the owner, see the class docstring
 
     def __post_init__(self):
         if self.label_frequencies is None:
@@ -96,14 +108,23 @@ class SparseDataset:
     @functools.cached_property
     def feature_sha256(self) -> bytes:
         """sha256 of the feature CSR as LE int64, int64 and float32 arrays,
-        computed once: what a cache of this set's projections is checked by."""
+        computed once: what a cache of this set's projections is checked by.
+        Each array is converted _HASH_ENTRIES entries at a time, so int32
+        indices hash as int64 ones without a whole int64 copy."""
         import hashlib  # here: loading OpenSSL adds about 4 ms to every command's start
 
         digest = hashlib.sha256()
         arrays = (self.feat_indptr, self.feat_indices, self.feat_values)
         for array, dtype in zip(arrays, ("<i8", "<i8", "<f4")):
-            digest.update(np.ascontiguousarray(array, dtype=dtype))
+            for a in range(0, array.size, _HASH_ENTRIES):
+                digest.update(np.ascontiguousarray(array[a : a + _HASH_ENTRIES], dtype=dtype))
         return digest.digest()
+
+    def features_planned(self) -> None:
+        """Drop the feature arrays of a `planned_only` set, whose samples a
+        plan now holds; any other set keeps them."""
+        if self.planned_only:
+            self.feat_indptr = self.feat_indices = self.feat_values = None
 
     def labels(self, i: int) -> np.ndarray:
         a, b = self.label_indptr[i], self.label_indptr[i + 1]
@@ -141,7 +162,7 @@ def _assemble(
         np.concatenate([r[0] for r in feature_rows])
         if n
         else np.empty(0, dtype=np.int64)
-    ).astype(np.int64)
+    ).astype(_index_dtype(d))
     feat_values = (
         np.concatenate([r[1] for r in feature_rows])
         if n
@@ -499,7 +520,7 @@ def _parse(path) -> SparseDataset:
         f.seek(body)
         # each piece's features go straight to their place, so the parse
         # holds the dataset and one piece's temporaries
-        feat_indices = np.empty(nnz, dtype=np.int64)
+        feat_indices = np.empty(nnz, dtype=_index_dtype(d))
         feat_values = np.empty(nnz, dtype=np.float32)
         feat_counts, label_counts, label_indices = [], [], []
         lineno, at = 2, 0

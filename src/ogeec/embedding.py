@@ -18,11 +18,14 @@ projection draws F only at the columns its samples use (`column_plan`): the
 Box-Muller arithmetic, most of a row's cost, runs only on the used columns,
 and every drawn value is bit-identical to the full row.
 
-Preparing the samples has a memory budget: `train_test_rows` normalizes
-its sets a block of rows at a time into one stacked CSR (12 bytes per
-nonzero), fills the position-major copy that `PlannedRows` holds (12 more)
-from it and frees it, so it peaks at about 24 bytes per nonzero above the
-parsed sets, plus the column plan's O(d), and holds 12.
+Preparing the samples has a memory budget: `train_test_rows` reads its
+sets a block of rows at a time for their norms and kept counts
+(`csr.unit_rows`), then fills the position-major copy that `PlannedRows`
+holds (12 bytes per nonzero) straight from the parsed arrays, so it peaks
+at about 12 bytes per nonzero above the parsed sets (8 each, int32 indices
+and float32 values), plus O(n) and the column plan's O(d), and holds 12.
+A command's parsed sets give up their feature arrays once they are planned
+(`ensemble.learner_embeddings`), so from then on it holds its samples once.
 A projection's memory is bounded per worker, whatever r and d: one
 transposed block of F, about 8 MB (`_row_block`), allocated once per
 projection and reused for every block, and four 1 MB buffers that
@@ -41,7 +44,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .csr import CSR, RowProducts, _index_dtype, normalize_rows
+from .csr import CSR, RowProducts, UnitRows, _index_dtype, unit_rows
 from .data import SparseDataset, atomic_write
 
 CACHE_MAGIC = b"OGEC"
@@ -227,32 +230,37 @@ def split_rows(r: int, workers: int, fill) -> None:
 
 
 class PlannedRows:
-    """CSR rows ready for any learner to project: the plan of the columns
-    they use, and the rows themselves held once, position-major, inside
-    `csr.RowProducts`, each column index mapped to its place in the plan
-    (int32 below 2^31 columns) as they are filled; X is not written, and the
-    d-sized map is freed once they are. Neither depends on the learner's
-    seed."""
+    """CSR rows, or `csr.UnitRows`, ready for any learner to project: the
+    plan of the columns they use, and the rows themselves held once,
+    position-major, inside `csr.RowProducts`, each column index mapped to
+    its place in the plan (int32 below 2^31 columns) as they are filled; X
+    is not written, and the d-sized map is freed once they are. Neither
+    depends on the learner's seed."""
 
-    def __init__(self, X: CSR):
-        used = np.zeros(X.shape[1], dtype=bool)
-        used[X.indices] = True
+    def __init__(self, X: CSR | UnitRows):
+        if isinstance(X, UnitRows):
+            used = X.used
+        else:
+            used = np.zeros(X.shape[1], dtype=bool)
+            used[X.indices] = True
         self.plan, (self.n, self.d) = column_plan(used), X.shape
+        del used
         self.block = _row_block(self.plan.columns.size)
         self.products = RowProducts(X, self.block, self.plan.place(self.d))
 
 
 def train_test_rows(train: SparseDataset, test: SparseDataset | None = None) -> PlannedRows:
     """Normalize and plan a command's samples once, for every learner: the
-    train rows stacked over the test rows, or one set alone. The sets are
-    normalized a block of rows at a time into one stacked CSR
-    (`csr.normalize_rows`), which is freed once `PlannedRows` holds its
-    position-major copy. Besides the parsed sets, that is at most about 24
-    bytes per nonzero, and the plan's O(d)."""
+    train rows stacked over the test rows, or one set alone. A first pass
+    over the sets' rows finds their norms, kept counts and used columns
+    (`csr.unit_rows`), and `PlannedRows` then fills its position-major copy
+    straight from the parsed arrays, with the bits of `csr.normalize_rows`;
+    no stacked copy is made. Besides the parsed sets, that is about 12
+    bytes per nonzero, O(n) and the plan's O(d)."""
     sets = [train] if test is None else [train, test]
     if test is not None and test.d != train.d:
         raise ValueError(f"test dimensionality {test.d} != train dimensionality {train.d}")
-    return PlannedRows(normalize_rows(*(ds.to_feature_csr() for ds in sets))[0])
+    return PlannedRows(unit_rows(*(ds.to_feature_csr() for ds in sets)))
 
 
 def _normalize_columns(out: np.ndarray) -> None:
@@ -317,7 +325,7 @@ def project_rows(spec: EmbeddingSpec, X: PlannedRows, *, workers: int = 1) -> np
 
 def project_csr(spec: EmbeddingSpec, X: CSR, *, workers: int = 1) -> np.ndarray:
     """Normalize, project and re-normalize CSR samples: (r, n) float32 columns."""
-    return project_rows(spec, PlannedRows(normalize_rows(X)[0]), workers=workers)
+    return project_rows(spec, PlannedRows(unit_rows(X)), workers=workers)
 
 
 def embed_prefixes(
@@ -332,6 +340,7 @@ def embed_prefixes(
     is therefore bit-identical to projecting at r.
     """
     full = _project(spec, rows, STORE_DTYPE, workers=workers)
+    del rows  # projected once: the caller's reference alone keeps the plan
     for r in rs:
         if not 1 <= r <= spec.r:
             raise ValueError(f"r {r} out of range [1, {spec.r}]")

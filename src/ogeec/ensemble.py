@@ -75,7 +75,9 @@ def learner_embeddings(
     for each of the first `learners` seeds (default: all), in turn; without
     `test` (nor `cache`), the query block is empty. It keeps no reference
     to what it yields, so once the caller drops a learner's arrays, memory
-    holds none of them while the next learner projects.
+    holds none of them while the next learner projects; and it drops its
+    planned rows once the last learner is projected, before that learner
+    is yielded.
 
     With a `cache` prefix, every cache file is checked against `dataset`
     first (`check_cache`). Each set of samples is then planned once
@@ -84,7 +86,8 @@ def learner_embeddings(
     the test rows alone only when some learner is. A cached learner loads
     its train matrix (`load_cache`) and projects the test rows alone; any
     other projects both sets in one pass over F, bit-identical to projecting
-    them apart, since each column is its own sample's sum.
+    them apart, since each column is its own sample's sum. Once planned, a
+    `planned_only` set drops its feature arrays (`features_planned`).
     """
     count = spec.size if learners is None else learners
     if not 1 <= count <= spec.size:
@@ -94,8 +97,12 @@ def learner_embeddings(
               for i in range(count)]
     both = None if all(cached) else train_test_rows(dataset, test)
     alone = train_test_rows(test) if any(cached) else None
+    for ds in (dataset, test):
+        if ds is not None:
+            ds.features_planned()
 
     def embedded(i: int) -> tuple[EmbeddingSpec, EmbeddedMatrix, np.ndarray]:
+        nonlocal both, alone
         lspec = spec.learner(i)
         t0 = time.perf_counter()
         if cached[i]:
@@ -105,6 +112,8 @@ def learner_embeddings(
             data = project_rows(lspec, both, workers=workers)
             train = EmbeddedMatrix(r=lspec.r, n=dataset.n, data=data[:, : dataset.n])
             queries = data[:, dataset.n :]
+        if i == count - 1:
+            both = alone = None  # no learner projects them again
         if timings is not None:
             timings["embed_s"] = timings.get("embed_s", 0.0) + time.perf_counter() - t0
         return lspec, train, queries
@@ -201,13 +210,17 @@ def sweep_dimension(
 
     The samples are planned as `learner_embeddings` plans them, and one
     pass over F at max(rs) serves every r (`embedding.embed_prefixes`), so
-    each ranking equals `fused_scores` of that one learner at r.
+    each ranking equals `fused_scores` of that one learner at r. Once
+    planned, a `planned_only` set drops its feature arrays, and the plan
+    goes once `embed_prefixes` has projected it.
     """
     if not rs:
         raise ValueError("rs must be nonempty")
     spec = EmbeddingSpec(seed=seed, d=dataset.d, r=max(rs))
     labels = dataset.label_matrix()
     prefixes = embed_prefixes(spec, train_test_rows(dataset, test), rs, workers=workers)
+    dataset.features_planned()
+    test.features_planned()
     for r, data in zip(rs, prefixes):
         train = EmbeddedMatrix(r=r, n=dataset.n, data=data[:, : dataset.n])
         yield r, rank_labels([batch_predict(train, data[:, dataset.n :], k)], labels, K)

@@ -95,8 +95,10 @@ def _margin(r: int, qnorm: np.ndarray, xmax: float) -> np.ndarray:
 
 
 def _max_column_norm(data: np.ndarray) -> float:
+    # columns in blocks of 1 MB of float64 squares: a column's norm is a sum
+    # over its own contiguous r values, whatever the block
     r, n = data.shape
-    step = max(1, _SCREEN_FLOATS // r)
+    step = max(1, (1 << 17) // r)
     return math.sqrt(
         max(
             float(np.square(data[:, a : a + step], dtype=np.float64).sum(axis=0).max())

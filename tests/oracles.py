@@ -30,9 +30,12 @@ kept as their bit-for-bit references (`scripts/kernel_bench.py` times the
 kernels against them); `to_scipy` and `from_scipy` convert at the boundary.
 `vstack` and `position_major` are the stacking and the `RowProducts` build
 that the streamed sample preparation replaced, kept as its reference.
+`feature_sha256` is the cache digest as it was taken when feature indices
+were int64: each array converted whole, the formula every v2 cache holds.
 """
 
 import dataclasses
+import hashlib
 import math
 from typing import NamedTuple
 
@@ -187,6 +190,16 @@ def sweep_r(seed, train_ds, test_ds, rs, k, K):
     """(r, top K ranking) of the `seed` learner, projected afresh at each r."""
     specs = [EnsembleSpec(seeds=(seed,), d=train_ds.d, r=r, k=k) for r in rs]
     return [(s.r, fused_scores(s, train_ds, test_ds, K)) for s in specs]
+
+
+def feature_sha256(ds) -> bytes:
+    """sha256 of the feature CSR, each array converted whole to LE int64,
+    int64 and float32."""
+    digest = hashlib.sha256()
+    arrays = (ds.feat_indptr, ds.feat_indices, ds.feat_values)
+    for array, dtype in zip(arrays, ("<i8", "<i8", "<f4")):
+        digest.update(np.ascontiguousarray(array, dtype=dtype))
+    return digest.digest()
 
 
 def same_dataset(a, b) -> bool:

@@ -8,12 +8,13 @@ import struct
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 import ogeec
-from ogeec import cli, embedding, ensemble
+from ogeec import cli, embedding, ensemble, jl
 from ogeec.cli import main
 from ogeec.data import parse_dataset, split_dataset, write_dataset
 from ogeec.embedding import EmbeddedMatrix, EmbeddingSpec, load_cache, save_cache
@@ -635,6 +636,60 @@ def test_each_command_plans_each_set_of_samples_once(
     planned_rows.clear()
     assert main(argv) == 0
     assert planned_rows == planned
+
+
+@pytest.mark.parametrize(
+    "argv, cache, freed",
+    [
+        pytest.param(["predict", *_MODEL], None, True, id="predict"),
+        pytest.param(["predict", *_MODEL], "all", True, id="predict-cache"),
+        pytest.param(["predict", *_MODEL], "one missing", True, id="predict-cache-missing"),
+        pytest.param(["eval", *_MODEL], None, True, id="eval"),
+        pytest.param(["eval", *_MODEL], "one missing", True, id="eval-cache-missing"),
+        pytest.param(
+            ["train", "--train", "{train}", "--model", "{out}", "--r", "16", "--learners", "2",
+             "--cache", "{out}-emb"],
+            None, True, id="train-cache",
+        ),
+        pytest.param(["analyze", "sweep-r", *_DATA, "--rs", "16,8"], None, True, id="sweep-r"),
+        pytest.param(
+            ["analyze", "sweep-ensemble", *_DATA, "--r", "16", "--sizes", "1,2"],
+            None, True, id="sweep-ensemble",
+        ),
+        pytest.param(["analyze", "lsh-compare", *_DATA, "--r", "16"], None, True, id="lsh-compare"),
+        pytest.param(
+            ["analyze", "distortion", "--train", "{train}", "--r", "16", "--pairs", "50"],
+            None, False, id="distortion",
+        ),
+    ],
+)
+def test_commands_hold_no_parsed_feature_array_once_planned(
+    workspace, tmp_path, monkeypatch, argv, cache, freed
+):
+    """The commands that plan their samples hold no parsed feature array
+    (indptr, indices, values) once the plan exists: weak references to each
+    array that `cli.parse_dataset` returned are dead when the first
+    projection starts. `analyze distortion` reads its dataset directly, so
+    it keeps them."""
+    argv = _with_cache(workspace, tmp_path, argv, cache)
+    refs, alive = [], []
+    parse, project = cli.parse_dataset, embedding._project
+
+    def parsed(path):
+        ds = parse(path)
+        refs.extend(weakref.ref(a) for a in (ds.feat_indptr, ds.feat_indices, ds.feat_values))
+        return ds
+
+    def projected(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_dataset", parsed)
+    monkeypatch.setattr(embedding, "_project", projected)
+    monkeypatch.setattr(jl, "_project", projected)
+    assert main(argv) == 0
+    assert refs and alive
+    assert alive[0] == (0 if freed else len(refs))
 
 
 _HUGE_K = "100000000000"  # 1e11 slots for each of 100 test samples: about 582 TiB

@@ -31,6 +31,7 @@ from ogeec.csr import (
     normalize_rows,
     pair_dots,
     sorted_unique,
+    unit_rows,
 )
 from ogeec.predictor import rank_labels, top_k
 
@@ -109,6 +110,28 @@ def test_row_products_equal_scipy(X, b, chunk, seed):
     with mock.patch.object(csr, "_CHUNK_FLOATS", chunk):
         RowProducts(X, b, np.arange(X.shape[1]))(np.ascontiguousarray(F.T), got)
     assert _same(got, sp_row_products(X, F))
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), b=st.integers(1, 7), chunk=st.integers(1, 64), entries=st.integers(1, 40))
+def test_unit_rows_plan_the_rows_of_normalize_rows(data, b, chunk, entries):
+    """`RowProducts` of `unit_rows`, filled straight from one to three
+    parts, holds the layout and bits of `RowProducts` of the stacked rows of
+    `normalize_rows` (explicit zeros, products that underflow and squares
+    that overflow are dropped alike), and its mask is their used columns;
+    chunks of 1 to 64 floats and blocks of 1 to 40 entries put boundaries
+    inside rows."""
+    top = data.draw(matrices())
+    parts = [top] + [data.draw(matrices(d=top.shape[1])) for _ in range(data.draw(st.integers(0, 2)))]
+    place = np.random.default_rng(b).permutation(top.shape[1]).astype(np.int32)
+    with mock.patch.multiple(csr, _CHUNK_FLOATS=chunk, _NORMALIZE_ENTRIES=entries):
+        unit = unit_rows(*parts)
+        got, want = RowProducts(unit, b, place), RowProducts(normalize_rows(*parts)[0], b, place)
+    stacked = normalize_rows(*parts)[0]
+    assert unit.shape == stacked.shape
+    assert np.array_equal(np.flatnonzero(unit.used), sorted_unique(stacked.indices))
+    assert np.array_equal(got.order, want.order) and got.chunks == want.chunks
+    assert np.array_equal(got.cols, want.cols) and _same(got.vals, want.vals)
 
 
 # similarities that tie, that are zero or negative (they transfer nothing),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import feature_row, same_dataset, to_scipy
+from oracles import feature_row, feature_sha256, same_dataset, to_scipy
 
 from ogeec import data
 from ogeec.data import (
@@ -264,5 +264,42 @@ def test_parse_holds_the_dataset_once(tmp_path):
         a.nbytes
         for a in (ds.feat_indptr, ds.feat_indices, ds.feat_values, ds.label_indptr, ds.label_indices)
     )
-    assert size > 4_000_000
+    assert size > 3_000_000  # int32 indices: a second copy would not fit in the slack
     assert peak < size + 2_000_000, (peak, size)
+
+
+@pytest.mark.parametrize("d, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_feature_indices_are_int32_below_2_31_columns(tmp_path, d, dtype):
+    """Feature indices are int32 below 2^31 columns and int64 from there,
+    whether parsed or built in memory; a header's d is not allocated, and
+    the digest of either dtype is the int64 one."""
+    path = _write(tmp_path, f"2 {d} 3\n0 5:1.5 {d - 1}:2\n1,2 \n")
+    tracemalloc.start()
+    try:
+        ds = parse_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert ds.feat_indices.dtype == dtype
+    assert ds.feat_indices.tolist() == [5, d - 1]
+    built = _assemble([(np.array([5, d - 1]), np.array([1.5, 2.0]))], [np.array([0])], d, 3)
+    assert built.feat_indices.dtype == dtype
+    assert ds.feature_sha256 == feature_sha256(ds)
+
+
+def test_features_planned_drops_only_a_planned_only_sets_features(small_ds):
+    """A set keeps its features unless its owner set `planned_only`; then
+    `features_planned` drops them and keeps n, d, the labels and a digest
+    taken before."""
+    kept = split_dataset(small_ds, 100)[0]
+    kept.features_planned()
+    assert kept.feat_indices is not None
+    given_up = split_dataset(small_ds, 100)[0]
+    digest = given_up.feature_sha256
+    given_up.planned_only = True
+    given_up.features_planned()
+    assert given_up.feat_indptr is given_up.feat_indices is given_up.feat_values is None
+    assert (given_up.n, given_up.d, given_up.feature_sha256) == (100, small_ds.d, digest)
+    assert given_up.labelsets()[7].tolist() == kept.labelsets()[7].tolist()
+    assert np.array_equal(given_up.label_frequencies, kept.label_frequencies)

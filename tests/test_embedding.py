@@ -19,6 +19,7 @@ from oracles import (
     Row,
     embed_single,
     feature_row,
+    feature_sha256,
     fuse,
     gaussian_words,
     position_major,
@@ -30,9 +31,9 @@ from oracles import (
     vstack,
 )
 
-from ogeec import csr, embedding
+from ogeec import csr, data, embedding
 from ogeec.csr import CSR
-from ogeec.data import SparseDataset, generate_synthetic, split_dataset
+from ogeec.data import SparseDataset, generate_synthetic, parse_dataset, split_dataset, write_dataset
 from ogeec.embedding import (
     EmbeddedMatrix,
     EmbeddingSpec,
@@ -618,11 +619,13 @@ def test_projection_memory_is_bounded_by_the_block_budget(workers):
 
 def test_train_test_rows_memory_is_bounded_per_nonzero():
     """On a wide-shaped corpus (d = 782,585, about 300 nonzeros per sample,
-    1.2M in all), preparing the samples holds at most 36 bytes per nonzero
-    above the parsed sets, plus the column plan's O(d) and O(n): the stacked
-    unit rows (12 bytes per nonzero) until the position-major copy (12) is
-    filled, and block-sized temporaries. Normalizing each set whole, then
-    stacking and remapping the copies, held about 66 bytes per nonzero."""
+    1.2M in all), preparing the samples holds at most 24 bytes per nonzero
+    above the parsed sets, plus the column plan's O(d) and O(n): the
+    position-major copy (12 bytes per nonzero) and block-sized temporaries.
+    Normalizing each set whole, then stacking and remapping the copies, held
+    about 66 bytes per nonzero. At this d the O(d) term hides a stacked
+    copy of the unit rows; `test_train_test_rows_makes_no_stacked_copy`
+    finds one."""
     rng = np.random.default_rng(5)
     d = 782_585
     train, test = _uniform_dataset(3000, d, 300, rng), _uniform_dataset(1000, d, 300, rng)
@@ -634,7 +637,27 @@ def test_train_test_rows_memory_is_bounded_per_nonzero():
         tracemalloc.stop()
     nnz, n = train.feat_indices.size + test.feat_indices.size, train.n + test.n
     assert rows.products.cols.size == nnz
-    assert peak <= 36 * nnz + 32 * d + 64 * n, (peak, nnz)
+    assert peak <= 24 * nnz + 32 * d + 64 * n, (peak, nnz)
+
+
+def test_train_test_rows_makes_no_stacked_copy():
+    """With nnz far above d (d = 20,000, about 1.2M nonzeros), preparing the
+    samples holds at most 16 bytes per nonzero above the parsed sets, plus
+    O(d) and O(n): the position-major copy (12) filled straight from the
+    parsed arrays. A stacked copy of the unit rows beside it (12 more, about
+    24.5 in all) fails."""
+    rng = np.random.default_rng(6)
+    d = 20_000
+    train, test = _uniform_dataset(3000, d, 300, rng), _uniform_dataset(1000, d, 300, rng)
+    tracemalloc.start()
+    try:
+        rows = train_test_rows(train, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nnz, n = train.feat_indices.size + test.feat_indices.size, train.n + test.n
+    assert rows.products.cols.size == nnz > 50 * d
+    assert peak <= 16 * nnz + 32 * d + 64 * n, (peak, nnz)
 
 
 @pytest.mark.parametrize("r", [1, 5, 4096])
@@ -708,6 +731,28 @@ def test_cache_wire_format(tmp_path, small_spec, small_ds, small_embedded):
     assert header[7] == zlib.crc32(payload)
     cols = np.frombuffer(payload, dtype="<f4").reshape(300, 32)
     assert np.array_equal(cols.T, small_embedded.data)
+
+
+@pytest.mark.parametrize("entries", [1, 3, 1 << 20])
+def test_cache_of_int64_indices_loads_for_int32_indices(tmp_path, small_ds, entries):
+    """A parsed set holds int32 feature indices, and `feature_sha256` hashes
+    them as LE int64 a block of `entries` at a time: the digest of the
+    whole-array formula that every v2 cache holds (`oracles.feature_sha256`),
+    so a cache written under that formula still loads."""
+    path = tmp_path / "train.txt"
+    write_dataset(small_ds, path)
+    train = parse_dataset(path)
+    assert train.feat_indices.dtype == np.int32
+    with mock.patch.object(data, "_HASH_ENTRIES", entries):
+        assert train.feature_sha256 == feature_sha256(small_ds) == feature_sha256(train)
+    spec = EmbeddingSpec(seed=9, d=train.d, r=6)
+    matrix = embed(spec, small_ds)
+    payload = np.ascontiguousarray(matrix.data.T, dtype="<f4").tobytes()
+    header = embedding._CACHE_HEADER.pack(
+        b"OGEC", 2, 9, train.d, 6, train.n, feature_sha256(small_ds), zlib.crc32(payload)
+    )
+    (tmp_path / "emb-9.ogec").write_bytes(header + payload)
+    assert np.array_equal(load_cache(str(tmp_path / "emb"), spec, train).data, matrix.data)
 
 
 def test_cache_verification_failures(tmp_path, small_spec, small_ds, small_embedded):

@@ -69,6 +69,51 @@ def test_learner_embeddings_holds_no_learner_it_has_yielded(train_test, tmp_path
     assert seeds == [3, 4, 5]
 
 
+@pytest.fixture
+def searched_with_plans_alive(monkeypatch):
+    """For each `batch_predict` call from `ensemble`, how many of the
+    `PlannedRows` built so far are still alive."""
+    plans, alive = [], []
+    init, search = embedding.PlannedRows.__init__, ensemble.batch_predict
+
+    def planned(self, X):
+        init(self, X)
+        plans.append(weakref.ref(self))
+
+    def counted(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in plans))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(embedding.PlannedRows, "__init__", planned)
+    monkeypatch.setattr(ensemble, "batch_predict", counted)
+    return alive
+
+
+@pytest.mark.parametrize("cached", [(), (1,), (0, 1, 2)])
+def test_plans_are_dropped_before_the_last_learner_is_searched(
+    train_test, tmp_path, searched_with_plans_alive, cached
+):
+    """Every learner but the last is searched while its plans are still
+    needed; once the last one is projected, nothing holds them while it is
+    searched, whichever learners are cached."""
+    train, test = train_test
+    spec = make_ensemble_spec(3, 3, d=train.d, r=8, k=2)
+    prefix = str(tmp_path / "emb")
+    for i in cached:
+        save_cache(prefix, embed(spec.learner(i), train), spec.learner(i), train)
+    planned = 1 if len(cached) in (0, 3) else 2  # the stacked rows, the test rows or both
+    assert len(list(learner_neighbours(spec, train, test, cache=prefix))) == 3
+    assert searched_with_plans_alive == [planned, planned, 0]
+
+
+def test_sweep_dimension_drops_its_plan_once_projected(train_test, searched_with_plans_alive):
+    """The one pass over F at max(rs) is the plan's last use: no r's search
+    holds it."""
+    train, test = train_test
+    assert len(list(sweep_dimension(4, train, test, (8, 4, 6), 3, 5))) == 3
+    assert searched_with_plans_alive == [0, 0, 0]
+
+
 def _fuse(learners, L):
     """label_scores of learners given as one {label: score} dict per row."""
     return label_scores([dict_neighbours(dicts) for dicts in learners], one_label_each(L))

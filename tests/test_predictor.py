@@ -219,6 +219,25 @@ def test_knn_with_k_at_least_n_holds_arrays_not_pairs():
     assert peak <= 128 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
+def test_max_column_norm_in_1mb_blocks():
+    """One query against a (200 x 20,000) train matrix: `knn` squares the
+    columns for their largest norm 1 MB at a time (a 16 MB block of squares
+    fails), and that norm has the bits of each column squared and summed
+    alone."""
+    rng = np.random.default_rng(4)
+    train = matrix_of(rng.normal(size=(200, 20_000)))
+    query = rng.normal(size=200).astype(np.float32)
+    tracemalloc.start()
+    try:
+        knn(query, train, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    norms = [float(np.square(column, dtype=np.float64).sum()) for column in train.data.T]
+    assert predictor._max_column_norm(train.data) == np.sqrt(max(norms))
+
+
 def test_propagate_single_neighbor():
     labelsets = [np.array([2, 5])]
     assert propagate([(0, 0.8)], labelsets) == {2: 0.8, 5: 0.8}
