@@ -7,22 +7,20 @@ the scipy.sparse expression it replaced (`tests/oracles.py`, `sp_*`).
 The inputs are the benchmark's corpora (`perfbench/corpus.py`) of the mid,
 wide and dense-labels workloads, generated in memory from --seed:
 
-- normalize_rows: the train samples alone, and the train and test samples
-  stacked (the oracle normalizes each set, then stacks them), the unit
-  rows that `analyze distortion` and `embedding.project_csr` plan;
 - the projection: the position-major build that `predict` makes
   (`embedding.train_test_rows`: `csr.unit_rows`, then `RowProducts` filled
   straight from the parsed arrays), and every row block of F at r = 200, as
   `embedding._project` applies it to the stacked samples on one thread (F
   is generated outside the timed region, its transposed copy inside it, and
-  each block's median is summed); the oracle multiplies the stacked rows of
-  `normalize_rows`;
+  each block's median is summed); the oracle multiplies each set's unit
+  rows (`sp_normalize_rows`), stacked;
 - label_scores: E learners of k = 5 neighbours per test sample (the
   workload's E: 5 for dense-labels, else 1), drawn at random from the train
   samples with similarities in (0, 1), since only the label fan-out sets the
   cost;
-- pair_dots: 10,000 random pairs of normalized train samples, as
-  `analyze distortion --pairs 10000` takes them.
+- pair_dots: 10,000 random pairs of train samples, read from the parsed
+  rows and their 1 / norms as `analyze distortion --pairs 10000` takes
+  them; the oracle takes them from the unit rows of `sp_normalize_rows`.
 
 The script checks that each kernel and its oracle give the same bits and
 prints the median time of each.
@@ -46,11 +44,11 @@ from oracles import (  # noqa: E402
     sp_normalize_rows,
     sp_pair_dots,
     sp_row_products,
-    sp_vstack,
+    vstack,
 )
 from workloads import WORKLOADS  # noqa: E402
 
-from ogeec.csr import CSR, RowProducts, label_scores, normalize_rows, pair_dots, unit_rows  # noqa: E402
+from ogeec.csr import CSR, RowProducts, label_scores, pair_dots, unit_rows  # noqa: E402
 from ogeec.data import parse_dataset  # noqa: E402
 from ogeec.embedding import EmbeddingSpec, _row_block, column_plan, materialize_rows  # noqa: E402
 
@@ -91,31 +89,25 @@ def datasets(name: str, seed: int, scratch: pathlib.Path):
 
 
 def kernels(name: str, train, test):
-    """(name, numpy kernel, scipy oracle, inputs) per kernel."""
-    X, Xt = train.to_feature_csr(np.float64), test.to_feature_csr(np.float64)
-    yield "normalize_rows", normalize_rows, sp_normalize_rows, (X,)
-    yield "normalize_rows (stacked)", normalize_rows, sp_stacked, (X, Xt)
-
+    """(name, numpy kernel, scipy oracle) per kernel, each called with no
+    argument."""
     rng = np.random.default_rng(0)
     learners = []
     for _ in range(LEARNERS[name]):
         index = np.array([rng.choice(train.n, K, replace=False) for _ in range(test.n)])
         learners.append((index, rng.random((test.n, K))))
-    yield "label_scores", label_scores, sp_label_scores, (learners, train.label_matrix())
+    Y = train.label_matrix()
+    yield "label_scores", lambda: label_scores(learners, Y), lambda: sp_label_scores(learners, Y)
 
     a, b = rng.integers(0, train.n, PAIRS), rng.integers(0, train.n, PAIRS)
-    yield "pair_dots", pair_dots, sp_pair_dots, (normalize_rows(X)[0], a, b)
-
-
-def sp_stacked(*parts):
-    """Each part normalized by its scipy oracle, then stacked."""
-    rows, norms = zip(*(sp_normalize_rows(X) for X in parts))
-    return sp_vstack(*rows), np.concatenate(norms)
+    X = train.to_feature_csr()
+    inv, Xn = unit_rows(X).inv, sp_normalize_rows(train.to_feature_csr(np.float64))[0]
+    yield "pair_dots", lambda: pair_dots(X, inv, a, b), lambda: sp_pair_dots(Xn, a, b)
 
 
 def projection(train, test, repeat: int) -> tuple[float, float, bool]:
     """`_project`'s products over every block of F at r = R, one thread."""
-    both = normalize_rows(train.to_feature_csr(), test.to_feature_csr())[0]
+    both = vstack(*(sp_normalize_rows(ds.to_feature_csr(np.float64))[0] for ds in (train, test)))
     used = np.zeros(train.d, dtype=bool)
     used[both.indices] = True
     plan = column_plan(used)
@@ -157,9 +149,9 @@ def main() -> int:
     for name in names:
         train, test = datasets(name, args.seed, args.scratch)
         results = []
-        for kernel, new, ref, inputs in kernels(name, train, test):
-            new_s, got = median_time(lambda: new(*inputs), args.repeat)
-            ref_s, want = median_time(lambda: ref(*inputs), args.repeat)
+        for kernel, new, ref in kernels(name, train, test):
+            new_s, got = median_time(new, args.repeat)
+            ref_s, want = median_time(ref, args.repeat)
             results.append((kernel, new_s, ref_s, same_bits(got, want)))
         results.append(("projection", *projection(train, test, args.repeat)))
         for kernel, new_s, ref_s, identical in results:

@@ -622,6 +622,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DatasetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,14 +10,13 @@ the same zeros, so each result is the float that scipy.sparse's expression
 for it computes (`tests/oracles.py` keeps those expressions and the tests
 compare bits):
 
-- `normalize_rows`: X scaled to unit rows, `diags(1 / norms) @ X`; of
-  several CSRs, `vstack` of each one's;
-- `RowProducts`: `X @ F.T` for row blocks F of the projection matrix,
-  written into the caller's output rows; X may be `unit_rows` of several
-  CSRs, the rows of `normalize_rows` read straight from the CSRs;
+- `RowProducts`: `Xn @ F.T` for row blocks F of the projection matrix,
+  written into the caller's output rows, where Xn is X scaled to unit rows,
+  `diags(1 / norms) @ X` (of several CSRs, `vstack` of each one's), read
+  straight from the CSRs (`unit_rows`);
 - `label_scores`: for one block of queries, the learners' S = W·Y, their
   sum in learner order and the division by the learner count;
-- `pair_dots`: the dot products of pairs of rows.
+- `pair_dots`: the dot products of pairs of rows of that Xn.
 
 `sorted_unique` is `np.unique` of integer keys by a sort: numpy's hash-based
 `unique` is over 20 times slower on the pipeline's int64 keys, and it
@@ -35,8 +34,8 @@ import numpy as np
 # is added, large enough that a worker's numpy steps seldom contend for the
 # interpreter lock with the worker generating F
 _CHUNK_FLOATS = 1 << 17
-# stored entries in one block of `normalize_rows` (its temporaries hold
-# about 80 bytes per entry)
+# stored entries in one block of `unit_rows` (its temporaries hold about 50
+# bytes per entry)
 _NORMALIZE_ENTRIES = 1 << 16
 
 
@@ -86,70 +85,12 @@ def _row_blocks(indptr: np.ndarray, entries: int) -> Iterator[tuple[int, int]]:
         a = b
 
 
-def _norm_blocks(X: CSR):
-    """Blocks of X's rows [a, b) holding about _NORMALIZE_ENTRIES stored
-    entries: the offset `lo` of their first entry in X and each row's
-    offsets from it (`ptr`), their values as float64 (`x`), their norms
-    and 1 / norms (0 for a zero row). A row's squared norm is
-    np.add.reduceat over its values squared in float64, as scipy's
-    `sum(axis=1)` adds them. Every temporary is O(block); X is not written.
-    """
-    for a, b in _row_blocks(X.indptr, _NORMALIZE_ENTRIES):
-        lo, hi = X.indptr[a], X.indptr[b]
-        ptr = X.indptr[a : b + 1] - lo
-        x = X.data[lo:hi].astype(np.float64)
-        nonempty = np.flatnonzero(np.diff(ptr))
-        sq = np.zeros(b - a)
-        if nonempty.size:
-            sq[nonempty] = np.add.reduceat(np.square(x), ptr[nonempty])
-        norm = np.sqrt(sq)
-        yield a, b, lo, ptr, x, norm, np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
-
-
-def normalize_rows(*parts: CSR) -> tuple[CSR, np.ndarray]:
-    """The rows of `parts` (of as many columns), stacked in order and scaled
-    to unit norm (zero rows stay zero), and their original norms.
-
-    Each stored value x becomes (1 / norm) * x (`_norm_blocks`), and a
-    product that is 0 (an explicit zero, a zero row, an underflow) is
-    dropped. Each row's stored order is reversed, as scipy's
-    `diags(1 / norms) @ X` stores it; the projection sums each row in
-    stored order, so the reversal is part of its bits.
-
-    The blocks go straight into one preallocated CSR of float64 values and
-    int32 column indices (int64 from 2^31 columns), so besides it and the
-    norms every temporary is O(block) and no input array is copied whole or
-    written.
-    """
-    d = parts[0].shape[1]
-    n = sum(X.shape[0] for X in parts)
-    data = np.empty(sum(X.nnz for X in parts))
-    indices = np.empty(data.size, dtype=_index_dtype(d))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    norms = np.empty(n)
-    at = base = 0  # entries and rows written
-    for X in parts:
-        for a, b, lo, ptr, x, norm, inv in _norm_blocks(X):
-            norms[base + a : base + b] = norm
-            lengths = np.diff(ptr)
-            # entry q of row [s, e) takes the value stored at s + e - 1 - q
-            src = np.repeat(ptr[:-1] + ptr[1:] - 1, lengths)
-            src -= np.arange(src.size)
-            values = np.repeat(inv, lengths) * x[src]
-            kept = np.flatnonzero(values)
-            data[at : at + kept.size] = values[kept]
-            indices[at : at + kept.size] = X.indices[lo + src[kept]]
-            indptr[base + a + 1 : base + b + 1] = at + np.searchsorted(kept, ptr[1:])
-            at += kept.size
-        base += X.shape[0]
-    return CSR(data[:at], indices[:at], indptr, (n, d)), norms
-
-
 class UnitRows(NamedTuple):
     """The rows of `parts` (of as many columns) stacked in order and scaled
-    to unit norm, as `normalize_rows` stores them, but not written out:
-    each row's 1 / norm (`inv`) and count of kept, nonzero, products
-    (`kept`), and the mask of the columns that a kept product holds
+    to unit norm, as scipy's `diags(1 / norms) @ X` gives them (zero rows
+    stay zero, and a product that is 0 is dropped), but not written out:
+    each row's 1 / norm (`inv`, 0 for a zero row) and count of kept, nonzero,
+    products (`kept`), and the mask of the columns that a kept product holds
     (`used`). `RowProducts` reads the rows from the parts themselves."""
 
     parts: tuple[CSR, ...]
@@ -163,17 +104,28 @@ class UnitRows(NamedTuple):
 
 
 def unit_rows(*parts: CSR) -> UnitRows:
-    """The first pass over `parts`' rows, a block at a time (`_norm_blocks`),
-    for `UnitRows`: 16 bytes per row and one per column."""
+    """The first pass over `parts`' rows, in blocks holding about
+    _NORMALIZE_ENTRIES stored entries, for `UnitRows`: 16 bytes per row and
+    one per column. A row's squared norm is np.add.reduceat over its values
+    squared in float64, as scipy's `sum(axis=1)` adds them. Every temporary
+    is O(block), and no part is written."""
     n = sum(X.shape[0] for X in parts)
-    inv, kept = np.empty(n), np.empty(n, dtype=np.int64)
+    inv, kept = np.zeros(n), np.empty(n, dtype=np.int64)
     used = np.zeros(parts[0].shape[1], dtype=bool)
     base = 0
     for X in parts:
-        for a, b, lo, ptr, x, _, scale in _norm_blocks(X):
+        for a, b in _row_blocks(X.indptr, _NORMALIZE_ENTRIES):
+            lo, hi = X.indptr[a], X.indptr[b]
+            ptr = X.indptr[a : b + 1] - lo
+            x = X.data[lo:hi].astype(np.float64)
+            nonempty = np.flatnonzero(np.diff(ptr))
+            sq = np.zeros(b - a)
+            if nonempty.size:
+                sq[nonempty] = np.add.reduceat(np.square(x), ptr[nonempty])
+            norm = np.sqrt(sq)
+            scale = np.divide(1.0, norm, out=inv[base + a : base + b], where=norm > 0)
             # a product's value does not depend on the row's order
             nonzero = np.flatnonzero(np.repeat(scale, np.diff(ptr)) * x)
-            inv[base + a : base + b] = scale
             kept[base + a : base + b] = np.diff(np.searchsorted(nonzero, ptr))
             used[X.indices[lo + nonzero]] = True
         base += X.shape[0]
@@ -181,10 +133,12 @@ def unit_rows(*parts: CSR) -> UnitRows:
 
 
 class RowProducts:
-    """(X @ F.T).T for row blocks F (b x X's columns) of one matrix: each
-    output element (k, i) adds X's row i times F[k] term by term, in the
-    row's stored order, into a zeroed float64, as scipy's `csr_matvecs` does.
-    X is a CSR, or `UnitRows`, whose rows are those of `normalize_rows`.
+    """(Xn @ F.T).T for row blocks F (b x X's columns) of one matrix, where
+    Xn holds the `UnitRows` X: each output element (k, i) adds Xn's row i
+    times F[k] term by term, in the row's stored order, into a zeroed
+    float64, as scipy's `csr_matvecs` does. scipy's `diags(1 / norms) @ X`
+    stores each row reversed, so each row of X is read from its end; each
+    value x becomes (1 / norm) * x, and a zero product is skipped.
 
     Rows are sorted by length, longest first, and cut into chunks of about
     _CHUNK_FLOATS // `b` rows. Within a chunk the entries are ordered by
@@ -199,23 +153,17 @@ class RowProducts:
 
     The position-major column indices, each mapped through `place` to its
     row of F.T (`cols`), and float64 values (`vals`) are filled position by
-    position into arrays allocated once, so building them holds O(rows)
-    temporaries, and no input array is written. Unit rows are filled
-    straight from their parts: each row is read from its end, each value x
-    becomes (1 / norm) * x and a zero product is skipped, which gives the
-    bits that the rows of `normalize_rows` give.
+    position, straight from X's parts, into arrays allocated once, so
+    building them holds O(rows) temporaries, and no input array is written.
     """
 
-    def __init__(self, X: CSR | UnitRows, b: int, place: np.ndarray):
-        unit = isinstance(X, UnitRows)
-        parts = X.parts if unit else (X,)
-        bases = np.cumsum([0] + [P.shape[0] for P in parts])
-        lengths = X.kept if unit else np.diff(X.indptr)
-        self.n = lengths.size
+    def __init__(self, X: UnitRows, b: int, place: np.ndarray):
+        bases = np.cumsum([0] + [P.shape[0] for P in X.parts])
+        self.n = X.kept.size
         self.rows = max(1, _CHUNK_FLOATS // max(b, 1))
-        self.order = np.argsort(-lengths, kind="stable")
-        slen = lengths[self.order]
-        total = int(lengths.sum())
+        self.order = np.argsort(-X.kept, kind="stable")
+        slen = X.kept[self.order]
+        total = int(X.kept.sum())
         self.cols = np.empty(total, dtype=place.dtype)
         self.vals = np.empty((total, 1))
         vals = self.vals.reshape(-1)  # a flat view fills faster
@@ -227,7 +175,7 @@ class RowProducts:
             counts = np.searchsorted(-chunk, -np.arange(chunk[0]), side="left")
             offsets = (at + np.concatenate(([0], np.cumsum(counts)))).tolist()
             stacked = self.order[a : a + self.rows]  # the chunk's rows
-            for P, first, stop in zip(parts, bases[:-1], bases[1:]):
+            for P, first, stop in zip(X.parts, bases[:-1], bases[1:]):
                 # the part's rows of the chunk, in chunk order: those with an
                 # entry at position p are the first mine_counts[p] of them
                 mine = np.flatnonzero((stacked >= first) & (stacked < stop))
@@ -236,29 +184,24 @@ class RowProducts:
                 rows, lengths = stacked[mine] - first, chunk[mine]
                 mine_counts = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
                 whole = mine.size == chunk.size  # then mine is arange
-                if unit:
-                    cur, step = P.indptr[rows + 1] - 1, -1  # read from the row's end
-                    inv = X.inv[stacked[mine]]
-                    skips = bool((P.indptr[rows + 1] - P.indptr[rows] > lengths).any())
-                else:
-                    cur, step = P.indptr[rows].astype(np.int64), 1
+                cur = P.indptr[rows + 1] - 1  # each row's cursor, from its end
+                inv = X.inv[stacked[mine]]
+                skips = bool((P.indptr[rows + 1] - P.indptr[rows] > lengths).any())
                 for p, count in enumerate(mine_counts.tolist()):
                     src = cur[:count]  # a view: skipping moves the rows' cursors
-                    values = P.data.take(src)
-                    if unit:
-                        values = inv[:count] * values
-                        while skips and (zero := np.flatnonzero(values == 0)).size:
-                            src[zero] -= 1
-                            values[zero] = inv[zero] * P.data[src[zero]]
+                    values = inv[:count] * P.data.take(src)
+                    while skips and (zero := np.flatnonzero(values == 0)).size:
+                        src[zero] -= 1
+                        values[zero] = inv[zero] * P.data[src[zero]]
                     dst = slice(offsets[p], offsets[p] + count) if whole else offsets[p] + mine[:count]
                     self.cols[dst] = place.take(P.indices.take(src))
                     vals[dst] = values
-                    src += step
+                    src -= 1
             self.chunks.append((a, counts.tolist(), offsets))
             at = offsets[-1]
 
     def __call__(self, FT: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> None:
-        """Write (X @ FT).T into `out`, given FT = F.T as a C-contiguous
+        """Write (Xn @ FT).T into `out`, given FT = F.T as a C-contiguous
         (X's columns x b) float64 array and `out` as b rows of X's row count.
         A chunk's accumulator and terms live in `scratch`, at least
         2 * `rows` * b float64s, when it is given."""
@@ -315,15 +258,18 @@ def label_scores(learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR)
     return CSR(total[kept] / len(learners), (kept % L).astype(_index_dtype(L)), indptr, (m, L))
 
 
-def pair_dots(X: CSR, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x_a . x_b for each pair of rows (a[i], b[i]) of X, whose rows hold
-    distinct columns in descending order (as `normalize_rows` stores a
-    parsed dataset).
+def pair_dots(X: CSR, scale: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """xn_a . xn_b for each pair of rows (a[i], b[i]) of Xn =
+    `diags(scale) @ X`, X's rows holding distinct columns in any order;
+    `scale` is `unit_rows`' 1 / norms, so Xn holds the unit rows.
 
-    The nonzero products of the columns both rows store are taken in
-    ascending column order and added by np.add.reduceat, one segment per pair
-    with a product, as scipy's `X[a].multiply(X[b]).sum(axis=1)` forms and
-    adds them; a pair with none is 0.0.
+    Each product of the columns both rows store is formed as
+    (scale[a] * x_a) * (scale[b] * x_b), from the values that Xn stores.
+    The nonzero products are taken in ascending column order and added by
+    np.add.reduceat, one segment per pair with a product, as scipy's
+    `Xn[a].multiply(Xn[b]).sum(axis=1)` forms and adds them; a pair with
+    none is 0.0. A value that Xn drops as 0 gives a zero product here, which
+    is dropped alike.
     """
     d = X.shape[1]
     out = np.zeros(a.size)
@@ -337,9 +283,10 @@ def pair_dots(X: CSR, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     at = rorder[np.searchsorted(rkey, lkey, sorter=rorder).clip(max=rkey.size - 1)]
     both = np.flatnonzero(rkey[at] == lkey)
     both = both[np.argsort(lkey[both], kind="stable")]  # ascending column per pair
-    products = X.data[left[both]] * X.data[right[at[both]]]
+    owner = lkey[both] // d
+    products = (scale[a[owner]] * X.data[left[both]]) * (scale[b[owner]] * X.data[right[at[both]]])
     nonzero = np.flatnonzero(products)
-    products, owner = products[nonzero], lkey[both[nonzero]] // d
+    products, owner = products[nonzero], owner[nonzero]
     if products.size:
         starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
         out[owner[starts]] = np.add.reduceat(products, starts)

@@ -230,21 +230,15 @@ def split_rows(r: int, workers: int, fill) -> None:
 
 
 class PlannedRows:
-    """CSR rows, or `csr.UnitRows`, ready for any learner to project: the
-    plan of the columns they use, and the rows themselves held once,
-    position-major, inside `csr.RowProducts`, each column index mapped to
-    its place in the plan (int32 below 2^31 columns) as they are filled; X
-    is not written, and the d-sized map is freed once they are. Neither
-    depends on the learner's seed."""
+    """`csr.UnitRows` ready for any learner to project: the plan of the
+    columns they use, and the rows themselves held once, position-major,
+    inside `csr.RowProducts`, each column index mapped to its place in the
+    plan (int32 below 2^31 columns) as they are filled; no input array is
+    written, and the d-sized map is freed once they are. Neither depends on
+    the learner's seed."""
 
-    def __init__(self, X: CSR | UnitRows):
-        if isinstance(X, UnitRows):
-            used = X.used
-        else:
-            used = np.zeros(X.shape[1], dtype=bool)
-            used[X.indices] = True
-        self.plan, (self.n, self.d) = column_plan(used), X.shape
-        del used
+    def __init__(self, X: UnitRows):
+        self.plan, (self.n, self.d) = column_plan(X.used), X.shape
         self.block = _row_block(self.plan.columns.size)
         self.products = RowProducts(X, self.block, self.plan.place(self.d))
 
@@ -254,22 +248,27 @@ def train_test_rows(train: SparseDataset, test: SparseDataset | None = None) -> 
     train rows stacked over the test rows, or one set alone. A first pass
     over the sets' rows finds their norms, kept counts and used columns
     (`csr.unit_rows`), and `PlannedRows` then fills its position-major copy
-    straight from the parsed arrays, with the bits of `csr.normalize_rows`;
-    no stacked copy is made. Besides the parsed sets, that is about 12
-    bytes per nonzero, O(n) and the plan's O(d)."""
+    straight from the parsed arrays, with the bits of the rows of scipy's
+    `diags(1 / norms) @ X`; no stacked copy is made. Besides the parsed
+    sets, that is about 12 bytes per nonzero, O(n) and the plan's O(d)."""
     sets = [train] if test is None else [train, test]
     if test is not None and test.d != train.d:
         raise ValueError(f"test dimensionality {test.d} != train dimensionality {train.d}")
     return PlannedRows(unit_rows(*(ds.to_feature_csr() for ds in sets)))
 
 
+def column_norms(data: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each block of the (r, n) array's columns, as a view, and the float64
+    norms of its columns. A block holds 1 MB of float64 squares: a column's
+    norm is a sum over its own contiguous r values, whatever the block."""
+    step = max(1, (1 << 17) // max(data.shape[0], 1))
+    for a in range(0, data.shape[1], step):
+        block = data[:, a : a + step]
+        yield block, np.sqrt(np.sum(np.square(block, dtype=np.float64), axis=0))
+
+
 def _normalize_columns(out: np.ndarray) -> None:
-    # columns in blocks of 1 MB of float64 squares: a column's norm is a sum
-    # over its own contiguous r values, whatever the block
-    step = max(1, (1 << 17) // max(out.shape[0], 1))
-    for a in range(0, out.shape[1], step):
-        block = out[:, a : a + step]
-        norms = np.sqrt(np.sum(np.square(block, dtype=np.float64), axis=0))
+    for block, norms in column_norms(out):
         norms[norms == 0] = 1.0
         block /= norms
 

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .csr import CSR, label_scores
-from .embedding import EmbeddedMatrix
+from .embedding import EmbeddedMatrix, column_norms
 from .embedding import project_csr  # noqa: F401 -- perfbench/tracer.py wraps it here
 
 # floats in one search screen tile of float32 scores (8 MB; it holds this //
@@ -95,16 +95,9 @@ def _margin(r: int, qnorm: np.ndarray, xmax: float) -> np.ndarray:
 
 
 def _max_column_norm(data: np.ndarray) -> float:
-    # columns in blocks of 1 MB of float64 squares: a column's norm is a sum
-    # over its own contiguous r values, whatever the block
-    r, n = data.shape
-    step = max(1, (1 << 17) // r)
-    return math.sqrt(
-        max(
-            float(np.square(data[:, a : a + step], dtype=np.float64).sum(axis=0).max())
-            for a in range(0, n, step)
-        )
-    )
+    # sqrt is correctly rounded, so monotone: the largest norm is the square
+    # root of the largest sum of squares
+    return max(float(norms.max()) for _, norms in column_norms(data))
 
 
 def _search(queries: np.ndarray, data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -528,8 +528,8 @@ def sp_vstack(top, bottom):
 
 def vstack(top, bottom):
     """The rows of `top`, then the rows of `bottom` (of as many columns), each
-    as stored: how the stacked train and test rows were built before
-    `csr.normalize_rows` took several parts."""
+    as stored, as `sp_vstack` stacks them: how `csr.unit_rows` of several
+    parts stacks each part's `diags(1 / norms) @ X`."""
     return CSR(
         np.concatenate([top.data[: top.nnz], bottom.data[: bottom.nnz]]),
         np.concatenate([top.indices[: top.nnz], bottom.indices[: bottom.nnz]]),

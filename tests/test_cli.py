@@ -528,6 +528,26 @@ def test_bad_test_file_is_named_in_a_one_line_error(workspace, tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "distortion", "--train", "{train}", "--pairs", "100000000000"],
+        ["analyze", "distortion", "--train", "{train}", "--bins", "1000000000000"],
+        ["gen", "--n", "1000000000000", "--out", "{out}"],
+    ],
+    ids=["pairs-745GiB", "bins-7.3TiB", "gen-n-7.3TiB"],
+)
+def test_a_knob_too_large_for_memory_fails_in_one_line(workspace, tmp_path, capsys, argv):
+    """A knob whose first allocation no machine can make fails at once with
+    one `error:` line and exit 1, not a traceback."""
+    paths = {"train": workspace / "train.txt", "out": tmp_path / "gen.txt"}
+    rc = main([arg.format(**paths) for arg in argv])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+
+
 _DATA = ["--train", "{train}", "--test", "{test}", "--workers", "2", "--out", "{out}"]
 _MODEL = ["--model", "{model}", *_DATA]
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     from_scipy,
+    position_major,
     sp_label_scores,
     sp_normalize_rows,
     sp_pair_dots,
@@ -28,7 +29,6 @@ from ogeec.csr import (
     CSR,
     RowProducts,
     label_scores,
-    normalize_rows,
     pair_dots,
     sorted_unique,
     unit_rows,
@@ -81,15 +81,6 @@ def matrices(draw, d=None, order="any"):
     return CSR(rng.choice(pool, size=indices.size), indices, indptr, (m, d))
 
 
-@settings(deadline=None, max_examples=300)
-@given(X=matrices())
-def test_normalize_rows_equals_scipy(X):
-    got, norms = normalize_rows(X)
-    want, want_norms = sp_normalize_rows(X)
-    assert _same_csr(got, want)
-    assert _same(norms, want_norms)
-
-
 @settings(deadline=None, max_examples=100)
 @given(data=st.data())
 def test_vstack_equals_scipy(data):
@@ -102,36 +93,45 @@ def test_vstack_equals_scipy(data):
 @given(X=matrices(), b=st.integers(1, 7), chunk=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
 def test_row_products_equal_scipy(X, b, chunk, seed):
     """Chunks of 1 to 64 floats put chunk boundaries between rows of every
-    length; F holds zeros and values whose products underflow."""
+    length; F holds zeros and values whose products underflow. The rows are
+    X's unit rows, as scipy's `diags(1 / norms) @ X` stores them."""
     rng = np.random.default_rng(seed)
     F = rng.choice(np.array([0.0, -0.0, 1e-200, -3e-170, 0.5, -1.25, 7.0]), size=(b, X.shape[1]))
     F += rng.normal(size=F.shape) * (rng.random(F.shape) < 0.5)
     got = np.empty((b, X.shape[0]))
     with mock.patch.object(csr, "_CHUNK_FLOATS", chunk):
-        RowProducts(X, b, np.arange(X.shape[1]))(np.ascontiguousarray(F.T), got)
-    assert _same(got, sp_row_products(X, F))
+        RowProducts(unit_rows(X), b, np.arange(X.shape[1]))(np.ascontiguousarray(F.T), got)
+    assert _same(got, sp_row_products(sp_normalize_rows(X)[0], F))
 
 
 @settings(deadline=None, max_examples=200)
 @given(data=st.data(), b=st.integers(1, 7), chunk=st.integers(1, 64), entries=st.integers(1, 40))
 def test_unit_rows_plan_the_rows_of_normalize_rows(data, b, chunk, entries):
     """`RowProducts` of `unit_rows`, filled straight from one to three
-    parts, holds the layout and bits of `RowProducts` of the stacked rows of
-    `normalize_rows` (explicit zeros, products that underflow and squares
-    that overflow are dropped alike), and its mask is their used columns;
-    chunks of 1 to 64 floats and blocks of 1 to 40 entries put boundaries
-    inside rows."""
+    parts, holds the position-major layout and bits of the `vstack`ed unit
+    rows of each part (`sp_normalize_rows`: explicit zeros, products that
+    underflow and squares that overflow are dropped alike), and its mask is
+    their used columns; chunks of 1 to 64 floats and blocks of 1 to 40
+    entries put boundaries inside rows."""
     top = data.draw(matrices())
     parts = [top] + [data.draw(matrices(d=top.shape[1])) for _ in range(data.draw(st.integers(0, 2)))]
     place = np.random.default_rng(b).permutation(top.shape[1]).astype(np.int32)
+    stacked = sp_normalize_rows(parts[0])[0]
+    for part in parts[1:]:
+        stacked = vstack(stacked, sp_normalize_rows(part)[0])
     with mock.patch.multiple(csr, _CHUNK_FLOATS=chunk, _NORMALIZE_ENTRIES=entries):
         unit = unit_rows(*parts)
-        got, want = RowProducts(unit, b, place), RowProducts(normalize_rows(*parts)[0], b, place)
-    stacked = normalize_rows(*parts)[0]
+        got = RowProducts(unit, b, place)
+        order, chunks = position_major(stacked, b, place)
     assert unit.shape == stacked.shape
     assert np.array_equal(np.flatnonzero(unit.used), sorted_unique(stacked.indices))
-    assert np.array_equal(got.order, want.order) and got.chunks == want.chunks
-    assert np.array_equal(got.cols, want.cols) and _same(got.vals, want.vals)
+    assert np.array_equal(got.order, order) and len(got.chunks) == len(chunks)
+    assert got.cols.size == got.vals.size == stacked.nnz
+    for (a, counts, offsets), (a0, counts0, offsets0, cols, vals) in zip(got.chunks, chunks):
+        assert (a, counts) == (a0, counts0)
+        assert [o - offsets[0] for o in offsets] == offsets0
+        assert np.array_equal(got.cols[offsets[0] : offsets[-1]], cols)
+        assert _same(got.vals[offsets[0] : offsets[-1], 0], vals)
 
 
 # similarities that tie, that are zero or negative (they transfer nothing),
@@ -194,15 +194,16 @@ def test_rank_labels_equals_one_ranking_of_all_queries(case, rows, K):
 @settings(deadline=None, max_examples=300)
 @given(X=matrices(order="descending"), data=st.data())
 def test_pair_dots_equal_scipy(X, data):
-    """Rows in descending column order, as `normalize_rows` stores a parsed
-    dataset, with pairs of a row with itself."""
+    """Rows in descending column order, with pairs of a row with itself:
+    the dot products of the unit rows that scipy's `diags(1 / norms) @ X`
+    stores, from X and its rows' 1 / norms."""
     m = X.shape[0]
     if m == 0:
         return
     rows = st.integers(0, m - 1)
     a = np.array(data.draw(st.lists(rows, min_size=1, max_size=20)), dtype=np.int64)
     b = np.array([data.draw(st.sampled_from([int(i), data.draw(rows)])) for i in a], dtype=np.int64)
-    assert _same(pair_dots(X, a, b), sp_pair_dots(X, a, b))
+    assert _same(pair_dots(X, unit_rows(X).inv, a, b), sp_pair_dots(sp_normalize_rows(X)[0], a, b))
 
 
 def test_pair_dots_of_a_normalized_parse_equal_scipy():
@@ -212,9 +213,9 @@ def test_pair_dots_of_a_normalized_parse_equal_scipy():
     lengths = rng.integers(0, 30, 40)
     indices = np.concatenate([np.sort(rng.permutation(200)[:n]) for n in lengths])
     X = CSR(rng.normal(size=indices.size), indices, np.cumsum([0, *lengths]), (40, 200))
-    Xn = normalize_rows(X)[0]
+    Xn = sp_normalize_rows(X)[0]
     a, b = np.divmod(np.arange(40 * 40), 40)
-    assert _same(pair_dots(Xn, a, b), sp_pair_dots(Xn, a, b))
+    assert _same(pair_dots(X, unit_rows(X).inv, a, b), sp_pair_dots(Xn, a, b))
 
 
 @settings(max_examples=200, deadline=None)

@@ -32,7 +32,7 @@ from oracles import (
 )
 
 from ogeec import csr, data, embedding
-from ogeec.csr import CSR
+from ogeec.csr import CSR, unit_rows
 from ogeec.data import SparseDataset, generate_synthetic, parse_dataset, split_dataset, write_dataset
 from ogeec.embedding import (
     EmbeddedMatrix,
@@ -232,14 +232,14 @@ def test_project_equals_full_f_oracle(monkeypatch, case, workers, dtype):
     same stored-order sum as drawing all of F."""
     X = _PROJECT_CASES[case]
     spec = EmbeddingSpec(seed=5, d=X.shape[1], r=min(X.shape[1], 13))
-    expect = project_full(spec, X, dtype)
+    expect = project_full(spec, sp_normalize_rows(X)[0], dtype)
     # blocks of 1 row, of 5 (ragged), and of r + 1 (one block per worker),
     # each drawn in one piece and in pieces of 2 pairs and 3 rows
     for block in (1, 5, spec.r + 1):
         monkeypatch.setattr(embedding, "_row_block", lambda c: block)
         for floats, pairs in ((embedding._PIECE_FLOATS, embedding._PIECE_PAIRS), (6, 2)):
             with mock.patch.multiple(embedding, _PIECE_FLOATS=floats, _PIECE_PAIRS=pairs):
-                out = _project(spec, PlannedRows(X), dtype, workers=workers)
+                out = _project(spec, PlannedRows(unit_rows(X)), dtype, workers=workers)
             assert out.shape == expect.shape and out.dtype == dtype
             assert out.tobytes(order="A") == np.asfortranarray(expect).tobytes(order="A")
 
@@ -564,8 +564,7 @@ def test_preparation_and_projection_write_no_input():
     spec, xspec = EmbeddingSpec(seed=3, d=300, r=9), EmbeddingSpec(seed=3, d=301, r=9)
     list(learner_embeddings(make_ensemble_spec(3, 2, d=300, r=9, k=1), train, test, workers=2))
     embedding.project_rows(spec, train_test_rows(test))
-    _project(xspec, PlannedRows(X), np.float64, workers=2)
-    csr.normalize_rows(X, X)
+    _project(xspec, PlannedRows(unit_rows(X, X)), np.float64, workers=2)
     project_csr(xspec, X)
     embed(spec, train)
     measure_distortion(train, spec, 50, 1)
@@ -603,15 +602,15 @@ def test_projection_memory_is_bounded_by_the_block_budget(workers):
     rng = np.random.default_rng(0)
     d = 200_000
     train, test = _uniform_dataset(300, d, 600, rng), _uniform_dataset(100, d, 600, rng)
-    stacked = csr.normalize_rows(train.to_feature_csr(), test.to_feature_csr())[0]
     spec = EmbeddingSpec(seed=1, d=d, r=64)
     tracemalloc.start()
     try:
-        embedding.project_rows(spec, PlannedRows(stacked), workers=workers)
+        rows = train_test_rows(train, test)
+        n, nnz = rows.n, rows.products.cols.size
+        embedding.project_rows(spec, rows, workers=workers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    n, nnz = stacked.shape[0], stacked.nnz
     per_worker = _BLOCK_BYTES + 16 * csr._CHUNK_FLOATS + 16 * embedding._PIECE_FLOATS
     bound = workers * per_worker + 24 * nnz + 32 * d + 4 * spec.r * n
     assert peak <= bound, (peak, bound)

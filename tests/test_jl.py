@@ -5,12 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import box_muller, feature_row
+from oracles import box_muller, feature_row, project_full, sp_normalize_rows, sp_pair_dots
 
 from ogeec import embedding, jl
-from ogeec.data import generate_synthetic
+from ogeec.data import SparseDataset, generate_synthetic
 from ogeec.embedding import EmbeddingSpec
-from ogeec.jl import jl_epsilon, measure_distortion
+from ogeec.jl import DistortionReport, jl_epsilon, measure_distortion
 
 # (n, r) -> 4-decimal epsilon, frozen from direct formula evaluation
 BOUND_TABLE = [
@@ -145,6 +145,78 @@ def test_distortion_memory_does_not_grow_with_pairs(distortion_ds):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 128 * 18_000, peaks
+
+
+def _edge_case_set() -> SparseDataset:
+    """Random rows plus explicit and signed zeros, an all-zero row, an empty
+    row, duplicate rows, and float64 values whose scaled products underflow:
+    5e-324 scaled by 1 / norm, and 1e-170 times 3e-170 in a pair's dot."""
+    rng = np.random.default_rng(21)
+    d = 60
+    rows = [{int(j): float(rng.normal()) for j in rng.choice(d, 6, replace=False)} for _ in range(30)]
+    rows += [
+        {3: 0.0, 8: -0.0, 9: 2.0},
+        {3: -0.0, 8: 0.0},
+        {},
+        rows[0],
+        rows[0],
+        rows[1],
+        {10: 1.0, 11: 1e-170},
+        {10: -2.0, 11: 3e-170, 12: 5e-324},
+    ]
+    indices = [j for row in rows for j in sorted(row)]
+    return SparseDataset(
+        n=len(rows),
+        d=d,
+        L=2,
+        feat_indptr=np.cumsum([0] + [len(row) for row in rows]).astype(np.int64),
+        feat_indices=np.array(indices, dtype=np.int32),
+        feat_values=np.array([row[j] for row in rows for j in sorted(row)]),
+        label_indptr=np.arange(len(rows) + 1, dtype=np.int64),
+        label_indices=np.arange(len(rows), dtype=np.int64) % 2,
+    )
+
+
+def _oracle_report(ds, spec, pairs, seed, bins=40) -> DistortionReport:
+    """`measure_distortion`'s report from the oracles: the unit rows that
+    scipy's `diags(1 / norms) @ X` stores and the norms
+    (`sp_normalize_rows`), their projection by the full F (`project_full`)
+    and their pairs' dot products (`sp_pair_dots`)."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, ds.n, size=pairs), rng.integers(0, ds.n, size=pairs)
+    Xn, norms = sp_normalize_rows(ds.to_feature_csr())
+    proj = np.asfortranarray(project_full(spec, Xn, np.float64)) * (1.0 / math.sqrt(spec.r))
+    diff = proj[:, a] - proj[:, b]
+    proj_dist = np.sqrt(np.sum(diff * diff, axis=0))
+    unit_sq = (norms > 0).astype(np.float64)
+    orig_sq = unit_sq[a] + unit_sq[b] - 2.0 * sp_pair_dots(Xn, a, b)
+    keep = (a != b) & (orig_sq > 1e-12)
+    ratios = proj_dist[keep] / np.sqrt(orig_sq[keep])
+    bound = jl_epsilon(ds.n, spec.r)
+    counts, edges = np.histogram(ratios, bins=bins, range=(ratios.min(), ratios.max()))
+    return DistortionReport(
+        pairs=int(keep.sum()),
+        skipped=int(pairs - keep.sum()),
+        epsilon=bound.epsilon,
+        within_fraction=float(np.mean((ratios >= bound.lower) & (ratios <= bound.upper))),
+        ratio_min=float(ratios.min()),
+        ratio_median=float(np.median(ratios)),
+        ratio_max=float(ratios.max()),
+        hist_edges=edges,
+        hist_counts=counts,
+    )
+
+
+def test_distortion_equals_the_scipy_oracles():
+    """On rows that zeros, duplicates and underflow make hard, the report
+    equals the oracles' (`_oracle_report`) in every field's bits."""
+    ds = _edge_case_set()
+    spec = EmbeddingSpec(seed=3, d=ds.d, r=24)
+    got, want = measure_distortion(ds, spec, 3000, seed=5), _oracle_report(ds, spec, 3000, seed=5)
+    assert got.skipped > 0
+    for field in dataclasses.fields(want):
+        a, b = np.asarray(getattr(got, field.name)), np.asarray(getattr(want, field.name))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
 
 
 def _dense_ratios(ds, spec, pairs, seed):
