@@ -9,9 +9,9 @@ benchmark (`perfbench/run.py`) writes them under `.perfbench/<workload>-seed<see
 The script runs the phases of `ensemble.fused_scores` in order, in this
 process, as the CLI's `predict` runs them with no cache: parse both files
 (int32 feature indices), plan both sets once (`embedding.train_test_rows`:
-a first pass for the rows' norms and kept counts, then the position-major
-copy that every learner projects, filled straight from the parsed arrays,
-with no stacked copy) and drop the parsed feature arrays, as
+the columns of every stored entry, a first pass for the rows' norms, then
+the position-major copy that every learner projects, filled straight from
+the parsed arrays, with no stacked copy) and drop the parsed feature arrays, as
 `ensemble.learner_embeddings` drops a `planned_only` set's, then for each learner
 its projection (`embedding.project_rows`, one pass over F, drawn into one
 transposed block of F per worker) and its exact search

@@ -8,8 +8,9 @@ The inputs are the benchmark's corpora (`perfbench/corpus.py`) of the mid,
 wide and dense-labels workloads, generated in memory from --seed:
 
 - the projection: the position-major build that `predict` makes
-  (`embedding.train_test_rows`: `csr.unit_rows`, then `RowProducts` filled
-  straight from the parsed arrays), and every row block of F at r = 200, as
+  (`embedding.train_test_rows`: `RowProducts` of the parsed sets, filled
+  straight from their arrays and their rows' 1 / norms, `csr.inv_norms`),
+  at the plan of every stored entry, and every row block of F at r = 200, as
   `embedding._project` applies it to the stacked samples on one thread (F
   is generated outside the timed region, its transposed copy inside it, and
   each block's median is summed); the oracle multiplies each set's unit
@@ -48,7 +49,7 @@ from oracles import (  # noqa: E402
 )
 from workloads import WORKLOADS  # noqa: E402
 
-from ogeec.csr import CSR, RowProducts, label_scores, pair_dots, unit_rows  # noqa: E402
+from ogeec.csr import CSR, RowProducts, inv_norms, label_scores, pair_dots  # noqa: E402
 from ogeec.data import parse_dataset  # noqa: E402
 from ogeec.embedding import EmbeddingSpec, _row_block, column_plan, materialize_rows  # noqa: E402
 
@@ -101,23 +102,24 @@ def kernels(name: str, train, test):
 
     a, b = rng.integers(0, train.n, PAIRS), rng.integers(0, train.n, PAIRS)
     X = train.to_feature_csr()
-    inv, Xn = unit_rows(X).inv, sp_normalize_rows(train.to_feature_csr(np.float64))[0]
+    inv, Xn = inv_norms(X), sp_normalize_rows(train.to_feature_csr(np.float64))[0]
     yield "pair_dots", lambda: pair_dots(X, inv, a, b), lambda: sp_pair_dots(Xn, a, b)
 
 
 def projection(train, test, repeat: int) -> tuple[float, float, bool]:
     """`_project`'s products over every block of F at r = R, one thread."""
-    both = vstack(*(sp_normalize_rows(ds.to_feature_csr(np.float64))[0] for ds in (train, test)))
+    parts = (train.to_feature_csr(), test.to_feature_csr())
     used = np.zeros(train.d, dtype=bool)
-    used[both.indices] = True
+    for P in parts:
+        used[P.indices] = True
     plan = column_plan(used)
     place = plan.place(train.d)
+    both = vstack(*(sp_normalize_rows(ds.to_feature_csr(np.float64))[0] for ds in (train, test)))
     Xc = CSR(both.data, place[both.indices], both.indptr, (both.shape[0], plan.columns.size))
     block = _row_block(plan.columns.size)
     spec = EmbeddingSpec(seed=0, d=train.d, r=R)
     # built once per command
-    parts = (train.to_feature_csr(), test.to_feature_csr())
-    new_s, products = median_time(lambda: RowProducts(unit_rows(*parts), block, place), repeat)
+    new_s, products = median_time(lambda: RowProducts(parts, block, place), repeat)
     ref_s = 0.0
     identical = True
     for s in range(0, R, block):

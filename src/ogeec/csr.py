@@ -5,18 +5,22 @@ data[indptr[i]:indptr[i+1]] at the columns indices[indptr[i]:indptr[i+1]],
 in that stored order. Samples, the label matrix Y and every score matrix are
 CSR.
 
-Each kernel fixes the order in which it adds its float64 terms, and drops
-the same zeros, so each result is the float that scipy.sparse's expression
-for it computes (`tests/oracles.py` keeps those expressions and the tests
-compare bits):
+Each kernel fixes the order in which it adds its float64 terms, so each
+result is the float that scipy.sparse's expression for it computes
+(`tests/oracles.py` keeps those expressions and the tests compare bits):
 
 - `RowProducts`: `Xn @ F.T` for row blocks F of the projection matrix,
   written into the caller's output rows, where Xn is X scaled to unit rows,
   `diags(1 / norms) @ X` (of several CSRs, `vstack` of each one's), read
-  straight from the CSRs (`unit_rows`);
+  straight from the CSRs with their 1 / norms (`inv_norms`);
 - `label_scores`: for one block of queries, the learners' S = W·Y, their
   sum in learner order and the division by the learner count;
 - `pair_dots`: the dot products of pairs of rows of that Xn.
+
+scipy drops a product that is 0. `RowProducts` keeps them: F being finite,
+each adds a term ±0 to a float64 that starts at +0.0 and takes its terms one
+by one, which never changes its bits. `pair_dots` drops them, since
+np.add.reduceat may add pairwise, and one more term could regroup the rest.
 
 `sorted_unique` is `np.unique` of integer keys by a sort: numpy's hash-based
 `unique` is over 20 times slower on the pipeline's int64 keys, and it
@@ -34,8 +38,7 @@ import numpy as np
 # is added, large enough that a worker's numpy steps seldom contend for the
 # interpreter lock with the worker generating F
 _CHUNK_FLOATS = 1 << 17
-# stored entries in one block of `unit_rows` (its temporaries hold about 50
-# bytes per entry)
+# stored entries in one block of `inv_norms` (8 bytes of temporaries each)
 _NORMALIZE_ENTRIES = 1 << 16
 
 
@@ -85,60 +88,33 @@ def _row_blocks(indptr: np.ndarray, entries: int) -> Iterator[tuple[int, int]]:
         a = b
 
 
-class UnitRows(NamedTuple):
-    """The rows of `parts` (of as many columns) stacked in order and scaled
-    to unit norm, as scipy's `diags(1 / norms) @ X` gives them (zero rows
-    stay zero, and a product that is 0 is dropped), but not written out:
-    each row's 1 / norm (`inv`, 0 for a zero row) and count of kept, nonzero,
-    products (`kept`), and the mask of the columns that a kept product holds
-    (`used`). `RowProducts` reads the rows from the parts themselves."""
-
-    parts: tuple[CSR, ...]
-    inv: np.ndarray
-    kept: np.ndarray
-    used: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.kept.size, self.used.size
-
-
-def unit_rows(*parts: CSR) -> UnitRows:
-    """The first pass over `parts`' rows, in blocks holding about
-    _NORMALIZE_ENTRIES stored entries, for `UnitRows`: 16 bytes per row and
-    one per column. A row's squared norm is np.add.reduceat over its values
-    squared in float64, as scipy's `sum(axis=1)` adds them. Every temporary
-    is O(block), and no part is written."""
-    n = sum(X.shape[0] for X in parts)
-    inv, kept = np.zeros(n), np.empty(n, dtype=np.int64)
-    used = np.zeros(parts[0].shape[1], dtype=bool)
-    base = 0
-    for X in parts:
-        for a, b in _row_blocks(X.indptr, _NORMALIZE_ENTRIES):
-            lo, hi = X.indptr[a], X.indptr[b]
-            ptr = X.indptr[a : b + 1] - lo
-            x = X.data[lo:hi].astype(np.float64)
-            nonempty = np.flatnonzero(np.diff(ptr))
-            sq = np.zeros(b - a)
-            if nonempty.size:
-                sq[nonempty] = np.add.reduceat(np.square(x), ptr[nonempty])
-            norm = np.sqrt(sq)
-            scale = np.divide(1.0, norm, out=inv[base + a : base + b], where=norm > 0)
-            # a product's value does not depend on the row's order
-            nonzero = np.flatnonzero(np.repeat(scale, np.diff(ptr)) * x)
-            kept[base + a : base + b] = np.diff(np.searchsorted(nonzero, ptr))
-            used[X.indices[lo + nonzero]] = True
-        base += X.shape[0]
-    return UnitRows(parts, inv, kept, used)
+def inv_norms(X: CSR) -> np.ndarray:
+    """Each row's 1 / norm, 0 for a zero row, from one pass over X's rows in
+    blocks holding about _NORMALIZE_ENTRIES stored entries. A row's squared
+    norm is np.add.reduceat over its values squared in float64, as scipy's
+    `sum(axis=1)` adds them. Every temporary is O(block), and X is not
+    written."""
+    inv = np.zeros(X.shape[0])
+    for a, b in _row_blocks(X.indptr, _NORMALIZE_ENTRIES):
+        lo, hi = X.indptr[a], X.indptr[b]
+        ptr = X.indptr[a : b + 1] - lo
+        nonempty = np.flatnonzero(np.diff(ptr))
+        sq = np.zeros(b - a)
+        sq[nonempty] = np.add.reduceat(np.square(X.data[lo:hi], dtype=np.float64), ptr[nonempty])
+        norm = np.sqrt(sq)
+        np.divide(1.0, norm, out=inv[a:b], where=norm > 0)
+    return inv
 
 
 class RowProducts:
     """(Xn @ F.T).T for row blocks F (b x X's columns) of one matrix, where
-    Xn holds the `UnitRows` X: each output element (k, i) adds Xn's row i
-    times F[k] term by term, in the row's stored order, into a zeroed
-    float64, as scipy's `csr_matvecs` does. scipy's `diags(1 / norms) @ X`
-    stores each row reversed, so each row of X is read from its end; each
-    value x becomes (1 / norm) * x, and a zero product is skipped.
+    Xn is the rows of `parts` (of as many columns) stacked in order and
+    scaled to unit norm: each output element (k, i) adds Xn's row i times
+    F[k] term by term, in the row's stored order, into a zeroed float64, as
+    scipy's `csr_matvecs` does. scipy's `diags(1 / norms) @ X` stores each
+    row reversed, so each row is read from its end, and each stored value x
+    becomes (1 / norm) * x (`inv_norms`, 0 for a zero row). A zero product
+    is kept: F being finite, its term ±0 leaves the sum's bits as they are.
 
     Rows are sorted by length, longest first, and cut into chunks of about
     _CHUNK_FLOATS // `b` rows. Within a chunk the entries are ordered by
@@ -153,20 +129,22 @@ class RowProducts:
 
     The position-major column indices, each mapped through `place` to its
     row of F.T (`cols`), and float64 values (`vals`) are filled position by
-    position, straight from X's parts, into arrays allocated once, so
+    position, straight from the parts, into arrays allocated once, so
     building them holds O(rows) temporaries, and no input array is written.
     """
 
-    def __init__(self, X: UnitRows, b: int, place: np.ndarray):
-        bases = np.cumsum([0] + [P.shape[0] for P in X.parts])
-        self.n = X.kept.size
+    def __init__(self, parts: Sequence[CSR], b: int, place: np.ndarray):
+        bases = np.cumsum([0] + [P.shape[0] for P in parts])
+        stored = np.concatenate([np.diff(P.indptr) for P in parts])
+        self.n = stored.size
         self.rows = max(1, _CHUNK_FLOATS // max(b, 1))
-        self.order = np.argsort(-X.kept, kind="stable")
-        slen = X.kept[self.order]
-        total = int(X.kept.sum())
+        self.order = np.argsort(-stored, kind="stable")
+        slen = stored[self.order]
+        total = int(stored.sum())
         self.cols = np.empty(total, dtype=place.dtype)
         self.vals = np.empty((total, 1))
         vals = self.vals.reshape(-1)  # a flat view fills faster
+        invs = [inv_norms(P) for P in parts]
         self.chunks = []
         at = 0
         for a in range(0, self.n, self.rows):
@@ -175,27 +153,22 @@ class RowProducts:
             counts = np.searchsorted(-chunk, -np.arange(chunk[0]), side="left")
             offsets = (at + np.concatenate(([0], np.cumsum(counts)))).tolist()
             stacked = self.order[a : a + self.rows]  # the chunk's rows
-            for P, first, stop in zip(X.parts, bases[:-1], bases[1:]):
+            for P, inv, first, stop in zip(parts, invs, bases[:-1], bases[1:]):
                 # the part's rows of the chunk, in chunk order: those with an
                 # entry at position p are the first mine_counts[p] of them
                 mine = np.flatnonzero((stacked >= first) & (stacked < stop))
                 if not mine.size:
                     continue
-                rows, lengths = stacked[mine] - first, chunk[mine]
-                mine_counts = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
+                rows = stacked[mine] - first
+                mine_counts = np.searchsorted(-chunk[mine], -np.arange(chunk[mine[0]]), side="left")
                 whole = mine.size == chunk.size  # then mine is arange
                 cur = P.indptr[rows + 1] - 1  # each row's cursor, from its end
-                inv = X.inv[stacked[mine]]
-                skips = bool((P.indptr[rows + 1] - P.indptr[rows] > lengths).any())
+                scale = inv[rows]
                 for p, count in enumerate(mine_counts.tolist()):
-                    src = cur[:count]  # a view: skipping moves the rows' cursors
-                    values = inv[:count] * P.data.take(src)
-                    while skips and (zero := np.flatnonzero(values == 0)).size:
-                        src[zero] -= 1
-                        values[zero] = inv[zero] * P.data[src[zero]]
+                    src = cur[:count]
                     dst = slice(offsets[p], offsets[p] + count) if whole else offsets[p] + mine[:count]
                     self.cols[dst] = place.take(P.indices.take(src))
-                    vals[dst] = values
+                    vals[dst] = scale[:count] * P.data.take(src)
                     src -= 1
             self.chunks.append((a, counts.tolist(), offsets))
             at = offsets[-1]
@@ -213,7 +186,7 @@ class RowProducts:
             block = acc[: min(self.rows, self.n - a)]
             block.fill(0.0)
             for count, lo, hi in zip(counts, offsets, offsets[1:]):
-                # mode='clip' skips a bounds check that costs more than the copy
+                # mode='clip' leaves out a bounds check that costs more than the copy
                 terms = np.take(FT, cols[lo:hi], axis=0, out=buf[:count], mode="clip")
                 terms *= vals[lo:hi]
                 block[:count] += terms
@@ -261,7 +234,7 @@ def label_scores(learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR)
 def pair_dots(X: CSR, scale: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """xn_a . xn_b for each pair of rows (a[i], b[i]) of Xn =
     `diags(scale) @ X`, X's rows holding distinct columns in any order;
-    `scale` is `unit_rows`' 1 / norms, so Xn holds the unit rows.
+    `scale` is `inv_norms(X)`, so Xn holds the unit rows.
 
     Each product of the columns both rows store is formed as
     (scale[a] * x_a) * (scale[b] * x_b), from the values that Xn stores.
@@ -269,7 +242,8 @@ def pair_dots(X: CSR, scale: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
     np.add.reduceat, one segment per pair with a product, as scipy's
     `Xn[a].multiply(Xn[b]).sum(axis=1)` forms and adds them; a pair with
     none is 0.0. A value that Xn drops as 0 gives a zero product here, which
-    is dropped alike.
+    is dropped alike: np.add.reduceat may add a segment pairwise, so a zero
+    term kept there could regroup the others and change a bit.
     """
     d = X.shape[1]
     out = np.zeros(a.size)

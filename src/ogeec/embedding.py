@@ -18,10 +18,10 @@ projection draws F only at the columns its samples use (`column_plan`): the
 Box-Muller arithmetic, most of a row's cost, runs only on the used columns,
 and every drawn value is bit-identical to the full row.
 
-Preparing the samples has a memory budget: `train_test_rows` reads its
-sets a block of rows at a time for their norms and kept counts
-(`csr.unit_rows`), then fills the position-major copy that `PlannedRows`
-holds (12 bytes per nonzero) straight from the parsed arrays, so it peaks
+Preparing the samples has a memory budget: `PlannedRows` marks the columns
+of every stored entry, reads its sets a block of rows at a time for their
+norms (`csr.inv_norms`), then fills the position-major copy that it holds
+(12 bytes per nonzero) straight from the parsed arrays, so it peaks
 at about 12 bytes per nonzero above the parsed sets (8 each, int32 indices
 and float32 values), plus O(n) and the column plan's O(d), and holds 12.
 A command's parsed sets give up their feature arrays once they are planned
@@ -44,7 +44,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .csr import CSR, RowProducts, UnitRows, _index_dtype, unit_rows
+from .csr import CSR, RowProducts, _index_dtype
 from .data import SparseDataset, atomic_write
 
 CACHE_MAGIC = b"OGEC"
@@ -149,11 +149,12 @@ _PIECE_PAIRS = 1 << 12
 
 
 def _gaussian_rows(
-    seed: int, streams: range, count: int, plan: ColumnPlan, out: np.ndarray | None = None
+    seed: int, streams: range, count: int, plan: ColumnPlan, out: np.ndarray | None = None,
+    *, scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """One row per stream of `count` standard normals, at the plan's columns
     in plan order; written into the head of `out`, of any layout, when it
-    is given.
+    is given. A piece's four buffers live in `scratch` when it holds them.
 
     Box-Muller over 53-bit uniforms: u1 in (0, 1] (never log(0)), u2 in
     [0, 1). Pair t's u1 is word t of its row's stream and its u2 word m + t.
@@ -169,8 +170,8 @@ def _gaussian_rows(
     out = np.empty((len(streams), plan.columns.size)) if out is None else out[: len(streams)]
     span = max(1, min(p, max(_PIECE_PAIRS, _PIECE_FLOATS // max(len(streams), 1))))
     group = max(1, min(len(streams), _PIECE_FLOATS // span))
-    size, buf = group * span, getattr(_philox, "pieces", None)  # lent by `_project`
-    buf = buf if buf is not None and buf.size >= 4 * size else np.empty(4 * size)
+    size = group * span
+    buf = scratch if scratch is not None and scratch.size >= 4 * size else np.empty(4 * size)
     trig, radius, angle, piece = (buf[i * size : (i + 1) * size] for i in range(4))
     words = trig.view(np.uint64)  # trig reuses the words' buffer once they are spent
     for a in range(0, p, span):
@@ -203,14 +204,16 @@ def _gaussian_rows(
 
 
 def materialize_rows(
-    spec: EmbeddingSpec, start: int, stop: int, *, cols: ColumnPlan, out: np.ndarray | None = None
+    spec: EmbeddingSpec, start: int, stop: int, *, cols: ColumnPlan,
+    out: np.ndarray | None = None, scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """F[start:stop, cols.columns] as a (stop-start, c) float64 array, in plan
     order, written into the head of `out` (at least stop-start rows of c, of
-    any layout) when it is given; each row is reproducible alone."""
+    any layout) and drawn in `scratch` (`_gaussian_rows`) when they are
+    given; each row is reproducible alone."""
     if not 0 <= start <= stop <= spec.r:
         raise IndexError(f"rows [{start}, {stop}) out of range [0, {spec.r})")
-    return _gaussian_rows(spec.seed, range(start, stop), spec.d, cols, out)
+    return _gaussian_rows(spec.seed, range(start, stop), spec.d, cols, out, scratch=scratch)
 
 
 def _row_block(c: int) -> int:
@@ -230,31 +233,35 @@ def split_rows(r: int, workers: int, fill) -> None:
 
 
 class PlannedRows:
-    """`csr.UnitRows` ready for any learner to project: the plan of the
-    columns they use, and the rows themselves held once, position-major,
-    inside `csr.RowProducts`, each column index mapped to its place in the
-    plan (int32 below 2^31 columns) as they are filled; no input array is
-    written, and the d-sized map is freed once they are. Neither depends on
-    the learner's seed."""
+    """The unit rows of the CSRs `parts`, stacked, ready for any learner to
+    project: the plan of the columns of every stored entry, and the rows
+    held once, position-major, inside `csr.RowProducts`, each column index
+    mapped to its place in the plan (int32 below 2^31 columns) as they are
+    filled; no input array is written, and the d-sized map is freed once
+    they are. Neither depends on the learner's seed."""
 
-    def __init__(self, X: UnitRows):
-        self.plan, (self.n, self.d) = column_plan(X.used), X.shape
+    def __init__(self, *parts: CSR):
+        self.n, self.d = sum(P.shape[0] for P in parts), parts[0].shape[1]
+        used = np.zeros(self.d, dtype=bool)
+        for P in parts:
+            used[P.indices] = True
+        self.plan = column_plan(used)
         self.block = _row_block(self.plan.columns.size)
-        self.products = RowProducts(X, self.block, self.plan.place(self.d))
+        self.products = RowProducts(parts, self.block, self.plan.place(self.d))
 
 
 def train_test_rows(train: SparseDataset, test: SparseDataset | None = None) -> PlannedRows:
     """Normalize and plan a command's samples once, for every learner: the
     train rows stacked over the test rows, or one set alone. A first pass
-    over the sets' rows finds their norms, kept counts and used columns
-    (`csr.unit_rows`), and `PlannedRows` then fills its position-major copy
-    straight from the parsed arrays, with the bits of the rows of scipy's
-    `diags(1 / norms) @ X`; no stacked copy is made. Besides the parsed
-    sets, that is about 12 bytes per nonzero, O(n) and the plan's O(d)."""
+    finds the rows' norms (`csr.inv_norms`), and `PlannedRows` then fills
+    its position-major copy straight from the parsed arrays, its products
+    the bits of those of scipy's `diags(1 / norms) @ X`; no stacked copy is
+    made. Besides the parsed sets, that is about 12 bytes per nonzero, O(n)
+    and the plan's O(d)."""
     sets = [train] if test is None else [train, test]
     if test is not None and test.d != train.d:
         raise ValueError(f"test dimensionality {test.d} != train dimensionality {train.d}")
-    return PlannedRows(unit_rows(*(ds.to_feature_csr() for ds in sets)))
+    return PlannedRows(*(ds.to_feature_csr() for ds in sets))
 
 
 def column_norms(data: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -301,13 +308,11 @@ def _project(spec: EmbeddingSpec, X: PlannedRows, dtype, *, workers: int = 1) ->
 
     def fill(lo: int, hi: int) -> None:
         FT, buffers = spare.pop()
-        _philox.pieces = buffers
         for s in range(lo, hi, height):
             t = min(s + height, hi)
             block = FT[: (t - s) * c].reshape(c, t - s)
-            rows = materialize_rows(spec, s, t, cols=X.plan, out=block.T)
+            rows = materialize_rows(spec, s, t, cols=X.plan, out=block.T, scratch=buffers)
             X.products(rows.T, out[s:t], buffers)
-        _philox.pieces = None
 
     split_rows(spec.r, workers, fill)
     return out
@@ -324,7 +329,7 @@ def project_rows(spec: EmbeddingSpec, X: PlannedRows, *, workers: int = 1) -> np
 
 def project_csr(spec: EmbeddingSpec, X: CSR, *, workers: int = 1) -> np.ndarray:
     """Normalize, project and re-normalize CSR samples: (r, n) float32 columns."""
-    return project_rows(spec, PlannedRows(unit_rows(X)), workers=workers)
+    return project_rows(spec, PlannedRows(X), workers=workers)
 
 
 def embed_prefixes(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import pair_dots, unit_rows
+from .csr import inv_norms, pair_dots
 from .data import SparseDataset
 from .embedding import EmbeddingSpec, PlannedRows, _project
 
@@ -87,10 +87,10 @@ def measure_distortion(
     b = rng.integers(0, dataset.n, size=pairs)
 
     X = dataset.to_feature_csr()
-    unit = unit_rows(X)
-    unit_sq = (unit.inv > 0).astype(np.float64)  # as norm > 0: a float32 row's norm is finite
+    inv = inv_norms(X)
+    unit_sq = (inv > 0).astype(np.float64)  # as norm > 0: a float32 row's norm is finite
 
-    proj = _project(spec, PlannedRows(unit), np.float64)
+    proj = _project(spec, PlannedRows(X), np.float64)
     proj *= 1.0 / math.sqrt(spec.r)
     # in blocks of pairs: each pair's dot product and each column's sum along
     # axis 0 depend on that pair alone, so the blocks do not change a bit
@@ -98,7 +98,7 @@ def measure_distortion(
     step = max(1, _PAIR_FLOATS // spec.r)
     for s in range(0, pairs, step):
         i, j = a[s : s + step], b[s : s + step]
-        dots[s : s + step] = pair_dots(X, unit.inv, i, j)
+        dots[s : s + step] = pair_dots(X, inv, i, j)
         diff = proj[:, i] - proj[:, j]
         diff *= diff
         proj_dist[s : s + step] = np.sqrt(np.sum(diff, axis=0))

@@ -28,8 +28,10 @@ its selection stage, one lexsort of every stored entry, the reference that
 scipy.sparse expressions that the numpy kernels of `ogeec.csr` replaced,
 kept as their bit-for-bit references (`scripts/kernel_bench.py` times the
 kernels against them); `to_scipy` and `from_scipy` convert at the boundary.
-`vstack` and `position_major` are the stacking and the `RowProducts` build
-that the streamed sample preparation replaced, kept as its reference.
+`scaled_rows`, `vstack` and `position_major` are the unit rows with every
+stored entry kept, their stacking and the `RowProducts` build that the
+streamed sample preparation replaced, kept as its reference; without its
+zeros, `scaled_rows` is `sp_normalize_rows`' matrix.
 `feature_sha256` is the cache digest as it was taken when feature indices
 were int64: each array converted whole, the formula every v2 cache holds.
 """
@@ -522,14 +524,26 @@ def sp_normalize_rows(X):
     return from_scipy(sp.diags(inv) @ X), norms
 
 
+def scaled_rows(X):
+    """X's rows scaled by their 1 / norms from `sp_normalize_rows` (0 for a
+    zero row), each row reversed as scipy's `diags(1 / norms) @ X` stores
+    it, but with every stored entry kept: a value or product that is 0
+    stays, as ±0, where scipy drops it."""
+    norms = sp_normalize_rows(X)[1]
+    inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    row = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+    pos = X.indptr[row] + X.indptr[row + 1] - 1 - np.arange(row.size)  # from each row's end
+    return CSR(inv[row] * X.data[pos], X.indices[pos], np.asarray(X.indptr), X.shape)
+
+
 def sp_vstack(top, bottom):
     return from_scipy(sp.vstack([to_scipy(top), to_scipy(bottom)], format="csr"))
 
 
 def vstack(top, bottom):
     """The rows of `top`, then the rows of `bottom` (of as many columns), each
-    as stored, as `sp_vstack` stacks them: how `csr.unit_rows` of several
-    parts stacks each part's `diags(1 / norms) @ X`."""
+    as stored, as `sp_vstack` stacks them: how `csr.RowProducts` of several
+    parts stacks each part's `scaled_rows`."""
     return CSR(
         np.concatenate([top.data[: top.nnz], bottom.data[: bottom.nnz]]),
         np.concatenate([top.indices[: top.nnz], bottom.indices[: bottom.nnz]]),

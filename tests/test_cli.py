@@ -444,9 +444,9 @@ def generated_rows(monkeypatch):
     rows = []
 
     def counted(orig):
-        def wrapper(spec, start, stop, *, cols, out=None):
+        def wrapper(spec, start, stop, *, cols, out=None, scratch=None):
             rows.append(stop - start)
-            return orig(spec, start, stop, cols=cols, out=out)
+            return orig(spec, start, stop, cols=cols, out=out, scratch=scratch)
 
         return wrapper
 
@@ -613,9 +613,9 @@ def planned_rows(monkeypatch):
     rows = []
     init = embedding.PlannedRows.__init__
 
-    def counted(self, X):
-        rows.append(X.shape[0])
-        init(self, X)
+    def counted(self, *parts):
+        rows.append(sum(P.shape[0] for P in parts))
+        init(self, *parts)
 
     monkeypatch.setattr(embedding.PlannedRows, "__init__", counted)
     return rows

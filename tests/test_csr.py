@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from oracles import (
     from_scipy,
     position_major,
+    scaled_rows,
     sp_label_scores,
     sp_normalize_rows,
     sp_pair_dots,
     sp_row_products,
     sp_vstack,
+    to_scipy,
     vstack,
 )
 
@@ -28,11 +30,12 @@ from ogeec import csr, predictor
 from ogeec.csr import (
     CSR,
     RowProducts,
+    inv_norms,
     label_scores,
     pair_dots,
     sorted_unique,
-    unit_rows,
 )
+from ogeec.embedding import PlannedRows
 from ogeec.predictor import rank_labels, top_k
 
 # explicit and signed zeros, values whose products underflow to 0 or whose
@@ -100,31 +103,37 @@ def test_row_products_equal_scipy(X, b, chunk, seed):
     F += rng.normal(size=F.shape) * (rng.random(F.shape) < 0.5)
     got = np.empty((b, X.shape[0]))
     with mock.patch.object(csr, "_CHUNK_FLOATS", chunk):
-        RowProducts(unit_rows(X), b, np.arange(X.shape[1]))(np.ascontiguousarray(F.T), got)
+        RowProducts([X], b, np.arange(X.shape[1]))(np.ascontiguousarray(F.T), got)
     assert _same(got, sp_row_products(sp_normalize_rows(X)[0], F))
 
 
 @settings(deadline=None, max_examples=200)
 @given(data=st.data(), b=st.integers(1, 7), chunk=st.integers(1, 64), entries=st.integers(1, 40))
-def test_unit_rows_plan_the_rows_of_normalize_rows(data, b, chunk, entries):
-    """`RowProducts` of `unit_rows`, filled straight from one to three
-    parts, holds the position-major layout and bits of the `vstack`ed unit
-    rows of each part (`sp_normalize_rows`: explicit zeros, products that
-    underflow and squares that overflow are dropped alike), and its mask is
-    their used columns; chunks of 1 to 64 floats and blocks of 1 to 40
-    entries put boundaries inside rows."""
+def test_row_products_plan_every_stored_entry(data, b, chunk, entries):
+    """`RowProducts`, filled straight from one to three parts, holds the
+    position-major layout and bits of the `vstack`ed unit rows of each part
+    with every stored entry kept (`scaled_rows`: explicit zeros, products
+    that underflow and rows whose squares overflow keep their entries, as
+    ±0), and `PlannedRows`' plan is the columns of those entries; chunks of
+    1 to 64 floats and `inv_norms` blocks of 1 to 40 entries put boundaries
+    inside rows. Each part's `scaled_rows`, its zeros eliminated, is scipy's
+    `diags(1 / norms) @ X` (`sp_normalize_rows`)."""
     top = data.draw(matrices())
     parts = [top] + [data.draw(matrices(d=top.shape[1])) for _ in range(data.draw(st.integers(0, 2)))]
     place = np.random.default_rng(b).permutation(top.shape[1]).astype(np.int32)
-    stacked = sp_normalize_rows(parts[0])[0]
+    for part in parts:
+        nonzero = to_scipy(scaled_rows(part))
+        nonzero.eliminate_zeros()
+        assert _same_csr(from_scipy(nonzero), sp_normalize_rows(part)[0])
+    stacked = scaled_rows(parts[0])
     for part in parts[1:]:
-        stacked = vstack(stacked, sp_normalize_rows(part)[0])
+        stacked = vstack(stacked, scaled_rows(part))
     with mock.patch.multiple(csr, _CHUNK_FLOATS=chunk, _NORMALIZE_ENTRIES=entries):
-        unit = unit_rows(*parts)
-        got = RowProducts(unit, b, place)
+        got = RowProducts(parts, b, place)
         order, chunks = position_major(stacked, b, place)
-    assert unit.shape == stacked.shape
-    assert np.array_equal(np.flatnonzero(unit.used), sorted_unique(stacked.indices))
+    planned = PlannedRows(*parts)
+    assert (got.n, planned.n, planned.d) == (stacked.shape[0], *stacked.shape)
+    assert np.array_equal(np.sort(planned.plan.columns), sorted_unique(stacked.indices))
     assert np.array_equal(got.order, order) and len(got.chunks) == len(chunks)
     assert got.cols.size == got.vals.size == stacked.nnz
     for (a, counts, offsets), (a0, counts0, offsets0, cols, vals) in zip(got.chunks, chunks):
@@ -203,7 +212,7 @@ def test_pair_dots_equal_scipy(X, data):
     rows = st.integers(0, m - 1)
     a = np.array(data.draw(st.lists(rows, min_size=1, max_size=20)), dtype=np.int64)
     b = np.array([data.draw(st.sampled_from([int(i), data.draw(rows)])) for i in a], dtype=np.int64)
-    assert _same(pair_dots(X, unit_rows(X).inv, a, b), sp_pair_dots(sp_normalize_rows(X)[0], a, b))
+    assert _same(pair_dots(X, inv_norms(X), a, b), sp_pair_dots(sp_normalize_rows(X)[0], a, b))
 
 
 def test_pair_dots_of_a_normalized_parse_equal_scipy():
@@ -215,7 +224,7 @@ def test_pair_dots_of_a_normalized_parse_equal_scipy():
     X = CSR(rng.normal(size=indices.size), indices, np.cumsum([0, *lengths]), (40, 200))
     Xn = sp_normalize_rows(X)[0]
     a, b = np.divmod(np.arange(40 * 40), 40)
-    assert _same(pair_dots(X, unit_rows(X).inv, a, b), sp_pair_dots(Xn, a, b))
+    assert _same(pair_dots(X, inv_norms(X), a, b), sp_pair_dots(Xn, a, b))
 
 
 @settings(max_examples=200, deadline=None)

@@ -26,13 +26,15 @@ from oracles import (
     project_full,
     ranking_dicts,
     score_dicts,
+    scaled_rows,
     score_matrix,
     sp_normalize_rows,
     vstack,
 )
 
 from ogeec import csr, data, embedding
-from ogeec.csr import CSR, unit_rows
+from ogeec.cli import main
+from ogeec.csr import CSR
 from ogeec.data import SparseDataset, generate_synthetic, parse_dataset, split_dataset, write_dataset
 from ogeec.embedding import (
     EmbeddedMatrix,
@@ -239,7 +241,7 @@ def test_project_equals_full_f_oracle(monkeypatch, case, workers, dtype):
         monkeypatch.setattr(embedding, "_row_block", lambda c: block)
         for floats, pairs in ((embedding._PIECE_FLOATS, embedding._PIECE_PAIRS), (6, 2)):
             with mock.patch.multiple(embedding, _PIECE_FLOATS=floats, _PIECE_PAIRS=pairs):
-                out = _project(spec, PlannedRows(unit_rows(X)), dtype, workers=workers)
+                out = _project(spec, PlannedRows(X), dtype, workers=workers)
             assert out.shape == expect.shape and out.dtype == dtype
             assert out.tobytes(order="A") == np.asfortranarray(expect).tobytes(order="A")
 
@@ -318,10 +320,10 @@ def test_scaled_row_source_leaves_embedding_unchanged(small_spec, small_ds, monk
     """Re-normalization absorbs any common scale on F; a power-of-two scale
     is exact in float arithmetic, so outputs match bitwise."""
 
-    def scaled4(spec, start, stop, *, cols, out=None):
+    def scaled4(spec, start, stop, *, cols, out=None, scratch=None):
         return 4.0 * materialize_rows(spec, start, stop, cols=cols)
 
-    def scaled3(spec, start, stop, *, cols, out=None):
+    def scaled3(spec, start, stop, *, cols, out=None, scratch=None):
         return 3.0 * materialize_rows(spec, start, stop, cols=cols)
 
     base = embed(small_spec, small_ds)
@@ -363,9 +365,9 @@ def test_projection_generates_each_row_once(small_ds, monkeypatch, r, workers):
     reference = embed(spec, small_ds, workers=1)
     generated = []
 
-    def counting(spec, start, stop, *, cols, out=None):
+    def counting(spec, start, stop, *, cols, out=None, scratch=None):
         generated.extend(range(start, stop))
-        return materialize_rows(spec, start, stop, cols=cols, out=out)
+        return materialize_rows(spec, start, stop, cols=cols, out=out, scratch=scratch)
 
     # blocks of 5 rows, so a worker's range spans several blocks
     monkeypatch.setattr(embedding, "_row_block", lambda d: 5)
@@ -386,9 +388,9 @@ def test_fused_scores_generates_each_row_once_per_learner(monkeypatch):
     spec = make_ensemble_spec(3, 2, d=ds.d, r=8, k=3)
     generated = Counter()
 
-    def counting(spec, start, stop, *, cols, out=None):
+    def counting(spec, start, stop, *, cols, out=None, scratch=None):
         generated.update((spec.seed, i) for i in range(start, stop))
-        return materialize_rows(spec, start, stop, cols=cols, out=out)
+        return materialize_rows(spec, start, stop, cols=cols, out=out, scratch=scratch)
 
     monkeypatch.setattr(embedding, "materialize_rows", counting)
     fused_scores(spec, train, test, 3, workers=2)
@@ -469,13 +471,14 @@ def test_one_pass_equals_separate_projections(monkeypatch, tmp_path, case, worke
 
 
 def _assert_planned_as_old_path(planned: PlannedRows, parts) -> None:
-    """`planned` holds the bits of the old path: each part normalized whole
-    (`sp_normalize_rows`, the bits of the old `normalize_rows`), the parts
-    stacked by `vstack`, the stacked rows' column plan, and their
-    position-major layout built in one pass (`position_major`)."""
-    X = sp_normalize_rows(parts[0].to_feature_csr(np.float64))[0]
+    """`planned` holds the bits of the old path: each part's unit rows with
+    every stored entry kept (`scaled_rows`; without its zeros, the bits of
+    the old `normalize_rows`), the parts stacked by `vstack`, the column
+    plan of every stored entry, and their position-major layout built in one
+    pass (`position_major`)."""
+    X = scaled_rows(parts[0].to_feature_csr(np.float64))
     for part in parts[1:]:
-        X = vstack(X, sp_normalize_rows(part.to_feature_csr(np.float64))[0])
+        X = vstack(X, scaled_rows(part.to_feature_csr(np.float64)))
     used = np.zeros(X.shape[1], dtype=bool)
     used[X.indices] = True
     plan = column_plan(used)
@@ -550,6 +553,55 @@ def test_train_test_rows_holds_a_test_copy_planned_on_demand():
     assert rows.products.cols.dtype == np.int32
 
 
+# train and test samples as {column: value}: explicit +0 and -0 entries
+# before, between and after the nonzero values, column 3 held by zeros
+# alone, and a train and a test sample of zeros alone
+_EXPLICIT_ZEROS = (
+    [{0: 0.0, 7: 1.5, 9: 0.0, 12: -2.0, 30: 0.75}, {3: -0.0, 8: 0.5},
+     {1: 2.0, 3: 0.0, 5: 0.0, 6: -1.0, 7: 3.0, 40: 0.0}, {2: 1.0, 10: -0.5, 20: 0.25},
+     {3: 0.0, 11: -0.0}, {4: 1.25, 9: 2.0, 33: -0.0, 41: 1.0}],
+    [{3: 0.0, 5: 2.0, 7: -1.0, 12: 0.0}, {3: -0.0, 8: 0.0}, {2: 0.5, 9: 0.0, 30: 1.0, 47: 0.0}],
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_explicit_zeros_change_no_output_bit(tmp_path, workers):
+    """Files whose samples hold `j:0` and `j:-0` pairs project and predict
+    to the same bits as the files without those pairs: both sets stacked
+    and the test set alone (`train_test_rows`), chunks of one row and of
+    the default size, and the `predict` TSV bytes."""
+    d, L = 48, 3
+    paths = {}
+    for kind, keep in (("zeros", lambda v: True), ("plain", lambda v: v != 0)):
+        for name, rows in zip(("train", "test"), _EXPLICIT_ZEROS):
+            lines = [f"{len(rows)} {d} {L}"]
+            for i, row in enumerate(rows):
+                feats = [f"{j}:{v:g}" for j, v in sorted(row.items()) if keep(v)]
+                lines.append(" ".join([str(i % L), *feats]))
+            paths[kind, name] = tmp_path / f"{kind}-{name}.txt"
+            paths[kind, name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    zeros, plain = ([parse_dataset(paths[kind, n]) for n in ("train", "test")] for kind in ("zeros", "plain"))
+    assert zeros[0].feat_indices.size > plain[0].feat_indices.size
+    spec = EmbeddingSpec(seed=4, d=d, r=16)
+    for chunk in (16, csr._CHUNK_FLOATS):
+        with mock.patch.object(csr, "_CHUNK_FLOATS", chunk):
+            for sets, alone in ((zeros, plain), (zeros[1:], plain[1:])):
+                got = embedding.project_rows(spec, train_test_rows(*sets), workers=workers)
+                want = embedding.project_rows(spec, train_test_rows(*alone), workers=workers)
+                assert got.tobytes(order="A") == want.tobytes(order="A")
+
+    model = tmp_path / "model.txt"
+    train = ["train", "--train", str(paths["plain", "train"]), "--model", str(model)]
+    assert main([*train, "--r", "16", "--k", "3", "--learners", "2", "--seed", "7"]) == 0
+    tsv = {}
+    for kind in ("zeros", "plain"):
+        tsv[kind] = tmp_path / f"{kind}.tsv"
+        argv = ["predict", "--model", str(model), "--train", str(paths[kind, "train"])]
+        argv += ["--test", str(paths[kind, "test"]), "--out", str(tsv[kind]), "--workers", str(workers)]
+        assert main(argv) == 0
+    assert tsv["zeros"].read_bytes() == tsv["plain"].read_bytes()
+
+
 def test_preparation_and_projection_write_no_input():
     """Normalizing, planning and projecting leave every dataset array and
     every caller's CSR as they were; each is read-only during the run, so a
@@ -564,7 +616,7 @@ def test_preparation_and_projection_write_no_input():
     spec, xspec = EmbeddingSpec(seed=3, d=300, r=9), EmbeddingSpec(seed=3, d=301, r=9)
     list(learner_embeddings(make_ensemble_spec(3, 2, d=300, r=9, k=1), train, test, workers=2))
     embedding.project_rows(spec, train_test_rows(test))
-    _project(xspec, PlannedRows(unit_rows(X, X)), np.float64, workers=2)
+    _project(xspec, PlannedRows(X, X), np.float64, workers=2)
     project_csr(xspec, X)
     embed(spec, train)
     measure_distortion(train, spec, 50, 1)

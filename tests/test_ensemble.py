@@ -76,8 +76,8 @@ def searched_with_plans_alive(monkeypatch):
     plans, alive = [], []
     init, search = embedding.PlannedRows.__init__, ensemble.batch_predict
 
-    def planned(self, X):
-        init(self, X)
+    def planned(self, *parts):
+        init(self, *parts)
         plans.append(weakref.ref(self))
 
     def counted(*args, **kwargs):

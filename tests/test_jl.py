@@ -63,7 +63,7 @@ def test_identity_projection_gives_constant_ratio(distortion_ds, monkeypatch):
     """With F = identity (injected) and r == d, every ratio collapses to the
     1/sqrt(r) scaling constant."""
 
-    def identity_rows(spec, start, stop, *, cols, out=None):
+    def identity_rows(spec, start, stop, *, cols, out=None, scratch=None):
         out = np.zeros((stop - start, spec.d))
         out[np.arange(stop - start), np.arange(start, stop)] = 1.0
         return out[:, cols.columns]
