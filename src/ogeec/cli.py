@@ -6,9 +6,9 @@ diagnostics and timings go to stderr. Every command is deterministic for a
 fixed configuration, including the worker count. Option precedence is
 command-line flags over --config (JSON) over built-in defaults.
 
-The knob table `_KNOBS` is the one place to add a knob: its entry gives the
-help and the smallest valid value, its `RunConfig` field the type and the
-default, and each `_COMMANDS` entry that names it takes it as a flag.
+A knob is one `RunConfig` field, declared with `_knob`: its type, default,
+help and smallest valid value; each `_COMMANDS` entry that names it takes it
+as a flag.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,92 +49,65 @@ class UsageError(ValueError):
     """Bad or missing configuration; exits with status 2."""
 
 
+def _knob(default, help: str, low: int | None = None):
+    """A RunConfig field: its default, its help and its smallest valid value
+    (None: no bound). Every element of a tuple knob is held to its bound."""
+    return field(default=default, metadata={"help": help, "low": low})
+
+
 @dataclass
 class RunConfig:
     """Every knob, resolved from flags > config file > defaults."""
 
-    r: int = 200
-    k: int = 5
-    learners: int = 5
-    seed: int = 0
-    prop_a: float = 0.55
-    prop_b: float = 1.5
-    ks: tuple[int, ...] = (1, 3, 5)
-    workers: int = 0  # 0 means all available cores
-    topk: int = 5
-    tables: int = lsh.DEFAULT_TABLES
-    bits: int = lsh.DEFAULT_BITS
-    pairs: int = 10000
-    pair_seed: int = 0
-    bins: int = 40
-    grid: bool = False
-    # gen
-    n: int = 1000
-    d: int = 5000
-    labels: int = 50
-    sparsity: float = 20.0
-    labels_per_sample: float = 3.0
-    clusters: int = 10
-    test_n: int = 0
-    # sweeps
-    rs: tuple[int, ...] = (50, 100, 150, 200, 250, 300, 350, 400)
-    ns: tuple[int, ...] = ()
-    sizes: tuple[int, ...] = (1, 2, 3, 4, 5)
-    # paths
-    train: str | None = None
-    test: str | None = None
-    model: str | None = None
-    out: str | None = None
-    test_out: str | None = None
-    cache: str | None = None
-    predictions_out: str | None = None
-
-    def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
-
-
-# The one table of knob facts besides RunConfig, which gives each knob's type
-# and default: field -> (help, smallest valid value or None). Every element of
-# a tuple knob is held to its bound.
-_KNOBS = {
-    "r": ("embedding dimensionality", 1),
-    "k": ("nearest neighbours", 1),
-    "learners": ("ensemble size E", 1),
-    "seed": ("base seed", None),
-    "prop_a": ("propensity A; 0.6 for Amazon-family", None),
-    "prop_b": ("propensity B; 2.6 for Amazon-family", None),
-    "ks": ("comma-separated K cutoffs", 1),
-    "workers": (
+    r: int = _knob(200, "embedding dimensionality", 1)
+    k: int = _knob(5, "nearest neighbours", 1)
+    learners: int = _knob(5, "ensemble size E", 1)
+    seed: int = _knob(0, "base seed")
+    prop_a: float = _knob(metrics.DEFAULT_A, "propensity A; 0.6 for Amazon-family")
+    prop_b: float = _knob(metrics.DEFAULT_B, "propensity B; 2.6 for Amazon-family")
+    ks: tuple[int, ...] = _knob(metrics.DEFAULT_KS, "comma-separated K cutoffs", 1)
+    workers: int = _knob(
+        0,
         "projection threads, 0 for all cores; they split F's rows, so each row "
         "is generated once per projection. Search is one GEMM per learner, "
         "threaded by BLAS, whose idle threads sleep as soon as it ends",
         0,
-    ),
-    "topk": ("labels per row in the prediction TSV", 1),
-    "tables": ("LSH tables T", 1),
-    "bits": ("bits per code H", 1),
-    "pairs": ("sampled pairs", 1),
-    "pair_seed": ("pair sampling seed", None),
-    "bins": ("histogram bins", 1),
-    "grid": ("print the metric grid instead of TSV", None),
-    "n": ("sample count", 1),
-    "d": ("feature dimensionality", 1),
-    "labels": ("label vocabulary size", 1),
-    "sparsity": ("mean nonzeros per sample, at most --d", None),
-    "labels_per_sample": ("mean labels per sample, at most --labels", None),
-    "clusters": ("latent cluster count", 1),
-    "test_n": ("held-out samples to split off", 0),
-    "rs": ("comma-separated output dimensionalities r", 1),
-    "ns": ("comma-separated sample counts", 2),
-    "sizes": ("comma-separated ensemble sizes", 1),
-    "train": ("training dataset file", None),
-    "test": ("test dataset file", None),
-    "model": ("model metadata file", None),
-    "out": ("output file (default: stdout)", None),
-    "test_out": ("path for the held-out split", None),
-    "cache": ("embedded-matrix cache prefix (written by train, read back)", None),
-    "predictions_out": ("also write the LSH predictions as a TSV (predict format)", None),
-}
+    )
+    topk: int = _knob(5, "labels per row in the prediction TSV", 1)
+    tables: int = _knob(lsh.DEFAULT_TABLES, "LSH tables T", 1)
+    bits: int = _knob(lsh.DEFAULT_BITS, "bits per code H", 1)
+    pairs: int = _knob(10000, "sampled pairs", 1)
+    pair_seed: int = _knob(0, "pair sampling seed")
+    bins: int = _knob(jl.DEFAULT_BINS, "histogram bins", 1)
+    grid: bool = _knob(False, "print the metric grid instead of TSV")
+    # gen
+    n: int = _knob(1000, "sample count", 1)
+    d: int = _knob(5000, "feature dimensionality", 1)
+    labels: int = _knob(50, "label vocabulary size", 1)
+    sparsity: float = _knob(20.0, "mean nonzeros per sample, at most --d")
+    labels_per_sample: float = _knob(3.0, "mean labels per sample, at most --labels")
+    clusters: int = _knob(10, "latent cluster count", 1)
+    test_n: int = _knob(0, "held-out samples to split off", 0)
+    # sweeps
+    rs: tuple[int, ...] = _knob(
+        (50, 100, 150, 200, 250, 300, 350, 400), "comma-separated output dimensionalities r", 1
+    )
+    ns: tuple[int, ...] = _knob((), "comma-separated sample counts", 2)
+    sizes: tuple[int, ...] = _knob((1, 2, 3, 4, 5), "comma-separated ensemble sizes", 1)
+    # paths
+    train: str | None = _knob(None, "training dataset file")
+    test: str | None = _knob(None, "test dataset file")
+    model: str | None = _knob(None, "model metadata file")
+    out: str | None = _knob(None, "output file (default: stdout)")
+    test_out: str | None = _knob(None, "path for the held-out split")
+    cache: str | None = _knob(None, "embedded-matrix cache prefix (written by train, read back)")
+    predictions_out: str | None = _knob(
+        None, "also write the LSH predictions as a TSV (predict format)"
+    )
+
+    def effective_workers(self) -> int:
+        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 
@@ -155,7 +128,7 @@ def _flag(name: str) -> str:
 
 def _help(name: str) -> str:
     """The knob's help, ending in its RunConfig default when it has one."""
-    text, default = _KNOBS[name][0], _FIELDS[name].default
+    text, default = _FIELDS[name].metadata["help"], _FIELDS[name].default
     if default is None or isinstance(default, bool) or default == ():
         return text
     shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
@@ -181,14 +154,15 @@ def _int_tuple(name: str, value) -> tuple[int, ...]:
 
 
 def _check_knobs(cfg: RunConfig) -> None:
-    for name, (_, low) in _KNOBS.items():
+    for name, knob in _FIELDS.items():
+        low = knob.metadata["low"]
         if low is None:
             continue
         value = getattr(cfg, name)
         values = value if isinstance(value, tuple) else (value,)
         # a tuple knob may be empty only where its default is (ns: only
         # `analyze bounds` needs it, and says so itself)
-        if not values and _FIELDS[name].default:
+        if not values and knob.default:
             raise UsageError(f"{_flag(name)} needs at least one value")
         for v in values:
             if v < low:
@@ -321,18 +295,23 @@ _RANK_SLOT_BYTES = 64
 def _read_sets(
     cfg: RunConfig, explicit: set[str], flag: str, K: int, *, model: bool = False
 ) -> tuple[ens.EnsembleSpec | None, SparseDataset, SparseDataset]:
-    """The model (with `model`; an explicit --k replaces its k), the train set
-    and the test set, checked before any embedding: the flags are given, the
-    datasets' d is the model's, and the (test samples x K) ranking of `flag`
-    K fits in this machine's memory. The command reads no feature of either
-    set once they are planned, so planning drops their feature arrays."""
+    """The model (with `model`; an explicit --learners keeps its first seeds
+    and an explicit --k replaces its k), the train set and the test set,
+    checked before any embedding: the flags are given, the learner count is
+    at most the model's E (before either dataset is read), the datasets' d is
+    the model's, and the (test samples x K) ranking of `flag` K fits in this
+    machine's memory. The command reads no feature of either set once they
+    are planned, so planning drops their feature arrays."""
     _require(cfg, *(["model"] if model else []), "train", "test")
     spec = ens.read_metadata(cfg.model) if model else None
+    if spec is not None:
+        count = cfg.learners if "learners" in explicit else spec.size
+        if count > spec.size:
+            raise ValueError(f"learner count {count} exceeds available seeds {spec.size}")
+        spec = replace(spec, seeds=spec.seeds[:count], k=cfg.k if "k" in explicit else spec.k)
     train_ds, test_ds = parse_dataset(cfg.train), parse_dataset(cfg.test)
     train_ds.planned_only = test_ds.planned_only = True
     if spec is not None:
-        if "k" in explicit:
-            spec = ens.EnsembleSpec(seeds=spec.seeds, d=spec.d, r=spec.r, k=cfg.k)
         for name, ds in (("train", train_ds), ("test", test_ds)):
             if ds.d != spec.d:
                 raise ValueError(f"{name} dataset dimensionality {ds.d} != model d {spec.d}")
@@ -373,10 +352,9 @@ def _predict_ranking(cfg: RunConfig, explicit: set[str], flag: str, K: int, eval
     spec, train_ds, test_ds = _read_sets(cfg, explicit, flag, K, model=True)
     evaluate = _evaluator(cfg, train_ds, test_ds) if evaluated else None
     timings: dict[str, float] = {}
-    limit = cfg.learners if "learners" in explicit else None
     ranking = ens.fused_scores(
-        spec, train_ds, test_ds, K, learners=limit, workers=cfg.effective_workers(),
-        cache=cfg.cache, timings=timings,
+        spec, train_ds, test_ds, K, workers=cfg.effective_workers(), cache=cfg.cache,
+        timings=timings,
     )
     return ranking, timings, evaluate
 

@@ -424,12 +424,16 @@ def _payload(path: str, crc: int, step: int) -> Iterator[bytes]:
 
 
 def check_cache(prefix, spec: EmbeddingSpec, train: SparseDataset) -> bool:
-    """Whether the learner has a cache file, after the header, size and crc32
-    checks of `load_cache`; the payload is streamed in 1 MB blocks."""
+    """Whether the learner has a cache file, after the header, size, crc32
+    and finiteness checks of `load_cache`, in its order; the payload is
+    streamed in 1 MB blocks."""
     found = _cache_header(prefix, spec, train)
     if found is not None:
-        for _ in _payload(found[0], found[3], 1 << 20):
-            pass
+        finite = True
+        for block in _payload(found[0], found[3], 1 << 20):
+            finite = finite and bool(np.isfinite(np.frombuffer(block, dtype="<f4")).all())
+        if not finite:
+            raise _refuse(found[0], "payload holds non-finite values")
     return found is not None
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,16 +68,14 @@ def make_ensemble_spec(base_seed: int, learners: int, d: int, r: int, k: int) ->
 
 def learner_embeddings(
     spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset | None = None, *,
-    learners: int | None = None, workers: int = 1, cache: str | None = None,
-    timings: dict[str, float] | None = None,
+    workers: int = 1, cache: str | None = None, timings: dict[str, float] | None = None,
 ) -> Iterator[tuple[EmbeddingSpec, EmbeddedMatrix, np.ndarray]]:
     """Yield (learner spec, embedded train matrix, (r, n_test) query block)
-    for each of the first `learners` seeds (default: all), in turn; without
-    `test` (nor `cache`), the query block is empty. It keeps no reference
-    to what it yields, so once the caller drops a learner's arrays, memory
-    holds none of them while the next learner projects; and it drops its
-    planned rows once the last learner is projected, before that learner
-    is yielded.
+    for each of `spec`'s seeds, in turn; without `test` (nor `cache`), the
+    query block is empty. It keeps no reference to what it yields, so once
+    the caller drops a learner's arrays, memory holds none of them while the
+    next learner projects; and it drops its planned rows once the last
+    learner is projected, before that learner is yielded.
 
     With a `cache` prefix, every cache file is checked against `dataset`
     first (`check_cache`). Each set of samples is then planned once
@@ -89,12 +87,10 @@ def learner_embeddings(
     them apart, since each column is its own sample's sum. Once planned, a
     `planned_only` set drops its feature arrays (`features_planned`).
     """
-    count = spec.size if learners is None else learners
-    if not 1 <= count <= spec.size:
-        raise ValueError(f"learner count {count} exceeds available seeds {spec.size}")
-    # every cache file's header, size and crc32, before any learner's work
+    # every cache file's header, size, crc32 and finiteness, before any
+    # learner's work
     cached = [cache is not None and check_cache(cache, spec.learner(i), dataset)
-              for i in range(count)]
+              for i in range(spec.size)]
     both = None if all(cached) else train_test_rows(dataset, test)
     alone = train_test_rows(test) if any(cached) else None
     for ds in (dataset, test):
@@ -112,26 +108,24 @@ def learner_embeddings(
             data = project_rows(lspec, both, workers=workers)
             train = EmbeddedMatrix(r=lspec.r, n=dataset.n, data=data[:, : dataset.n])
             queries = data[:, dataset.n :]
-        if i == count - 1:
+        if i == spec.size - 1:
             both = alone = None  # no learner projects them again
         if timings is not None:
             timings["embed_s"] = timings.get("embed_s", 0.0) + time.perf_counter() - t0
         return lspec, train, queries
 
-    for i in range(count):
+    for i in range(spec.size):
         yield embedded(i)
 
 
 def learner_neighbours(
-    spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, *, learners: int | None = None,
+    spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, *,
     workers: int = 1, cache: str | None = None, timings: dict[str, float] | None = None,
 ) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray]]]:
     """Yield (seed, (index, sims)) for each learner in order: `knn`'s
     neighbour arrays of every test sample, searched in the learners that
     `learner_embeddings` yields."""
-    found = learner_embeddings(
-        spec, dataset, test, learners=learners, workers=workers, cache=cache, timings=timings
-    )
+    found = learner_embeddings(spec, dataset, test, workers=workers, cache=cache, timings=timings)
     for lspec, train, queries in found:
         neighbours = batch_predict(train, queries, spec.k, timings=timings)
         del train, queries  # freed before the next learner is projected
@@ -140,15 +134,12 @@ def learner_neighbours(
 
 def fused_scores(
     spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, K: int, *,
-    learners: int | None = None, workers: int = 1, cache: str | None = None,
-    timings: dict[str, float] | None = None,
+    workers: int = 1, cache: str | None = None, timings: dict[str, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`rank_labels`' (m, K) top labels and scores of every test sample by
-    fused score over the first `learners` seeds (default: all). Only the
-    learners' neighbour arrays are held until that one label pass."""
-    found = learner_neighbours(
-        spec, dataset, test, learners=learners, workers=workers, cache=cache, timings=timings
-    )
+    fused score over `spec`'s seeds. Only the learners' neighbour arrays are
+    held until that one label pass."""
+    found = learner_neighbours(spec, dataset, test, workers=workers, cache=cache, timings=timings)
     neighbours = [nb for _, nb in found]
     t0 = time.perf_counter()
     ranking = rank_labels(neighbours, dataset.label_matrix(), K)
@@ -179,15 +170,13 @@ def sweep_ensemble_size(
         raise ValueError("sizes must be nonempty")
     if max(sizes) > spec.size or min(sizes) < 1:
         raise ValueError(f"sizes must lie in [1, {spec.size}]")
-    need = max(sizes)
+    prefix = replace(spec, seeds=spec.seeds[: max(sizes)])
     truths = test.labelsets()
     labels = dataset.label_matrix()
     neighbours = []
     fused_reports: dict[int, EvalReport] = {}
     per_learner: list[EvalReport] = []
-    for _, found in learner_neighbours(
-        spec, dataset, test, learners=need, workers=workers
-    ):
+    for _, found in learner_neighbours(prefix, dataset, test, workers=workers):
         neighbours.append(found)
         own = rank_labels([found], labels, max(ks))[0]
         per_learner.append(evaluate(own, truths, model, ks=ks))
@@ -197,7 +186,7 @@ def sweep_ensemble_size(
     return SweepResult(
         fused=fused_reports,
         per_learner=per_learner,
-        seeds=spec.seeds[:need],
+        seeds=prefix.seeds,
     )
 
 

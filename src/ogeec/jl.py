@@ -23,6 +23,8 @@ from .embedding import EmbeddingSpec, PlannedRows, _project
 # pairs go this // r at a time
 _PAIR_FLOATS = 1 << 17
 
+DEFAULT_BINS = 40
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -69,7 +71,7 @@ def measure_distortion(
     pairs: int,
     seed: int,
     *,
-    bins: int = 40,
+    bins: int = DEFAULT_BINS,
 ) -> DistortionReport:
     """Sample index pairs uniformly and report the distance-ratio distribution.
 

@@ -962,25 +962,38 @@ def test_a_late_learners_bad_cache_fails_before_any_projection(
 ):
     """Every learner's cache file is checked before the first learner is
     projected: with learners 0-3 uncached and learner 4's payload corrupt,
-    predict exits 1 with the crc32 line and has drawn no row of F."""
-    model, prefix = str(tmp_path / "m.txt"), str(tmp_path / "emb")
+    or holding a NaN under a valid crc32, predict exits 1 with that file's
+    line and has drawn no row of F. A payload that fails both checks is
+    reported by its crc32, as `load_cache` reports it."""
     data = ["--train", str(workspace / "train.txt"), "--test", str(workspace / "test.txt")]
-    train = ["train", "--model", model, *data[:2], "--r", "16", "--learners", "5", "--seed", "7"]
-    assert main([*train, "--cache", prefix]) == 0
-    for seed in range(7, 11):
-        os.remove(f"{prefix}-{seed}.ogec")
-    path = f"{prefix}-11.ogec"
-    with open(path, "rb") as f:
-        raw = _flip_payload_byte(f.read())
-    with open(path, "wb") as f:
-        f.write(raw)
-    capsys.readouterr()
-    generated_rows.clear()
-    rc = main(["predict", "--model", model, *data, "--cache", prefix])
-    out, err = capsys.readouterr()
-    assert (rc, out) == (1, "")
-    assert err == f"error: {path}: payload fails its crc32 check; {_REBUILD}\n"
-    assert sum(generated_rows) == 0
+    spec, train_ds = EmbeddingSpec(seed=11, d=2000, r=16), parse_dataset(workspace / "train.txt")
+    for nan, flip, message in [
+        (False, True, "payload fails its crc32 check"),
+        (True, False, "payload holds non-finite values"),
+        (True, True, "payload fails its crc32 check"),
+    ]:
+        model, prefix = str(tmp_path / f"m{nan}{flip}.txt"), str(tmp_path / f"emb{nan}{flip}")
+        train = ["train", "--model", model, *data[:2], "--r", "16", "--learners", "5", "--seed", "7"]
+        assert main([*train, "--cache", prefix]) == 0
+        for seed in range(7, 11):
+            os.remove(f"{prefix}-{seed}.ogec")
+        if nan:  # written as the cache was, so its crc32 holds
+            matrix = load_cache(prefix, spec, train_ds).data.copy(order="F")
+            matrix[5, 0] = np.nan  # column 0, row 5
+            save_cache(prefix, EmbeddedMatrix(r=16, n=400, data=matrix), spec, train_ds)
+        path = f"{prefix}-11.ogec"
+        if flip:  # a byte of column 0, row 7
+            with open(path, "rb") as f:
+                raw = _flip_payload_byte(f.read())
+            with open(path, "wb") as f:
+                f.write(raw)
+        capsys.readouterr()
+        generated_rows.clear()
+        rc = main(["predict", "--model", model, *data, "--cache", prefix])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert err == f"error: {path}: {message}; {_REBUILD}\n"
+        assert sum(generated_rows) == 0
 
 
 @pytest.mark.parametrize(
@@ -1002,6 +1015,27 @@ def test_bad_model_file_fails_first_in_a_one_line_error(tmp_path, capsys, text, 
     assert rc == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {model}: malformed model metadata ({message}")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_a_learner_count_above_the_models_e_fails_before_the_datasets(
+    workspace, tmp_path, capsys, command, source
+):
+    """--learners above the model's E exits 1 with one line right after the
+    model is read, whether a flag or the config file gives it: the datasets,
+    which do not exist here, are never opened."""
+    missing = str(tmp_path / "missing.txt")
+    argv = [command, "--model", str(workspace / "model.txt"), "--train", missing, "--test", missing]
+    if source == "flag":
+        argv += ["--learners", "3"]
+    else:
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"learners": 3}))
+        argv = ["--config", str(config), *argv]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (1, "", "error: learner count 3 exceeds available seeds 2\n")
 
 
 # every data path is "{m}", a file that does not exist
@@ -1360,9 +1394,11 @@ def test_subcommand_flags_are_pinned(monkeypatch):
 
 
 def test_knob_table_holds_each_run_config_field_once():
-    """One entry per field, in field order, and one help text per flag, which
-    ends in the field's default."""
-    assert list(cli._KNOBS) == [f.name for f in dataclasses.fields(cli.RunConfig)]
+    """Every RunConfig field carries its help and its bound, and each flag
+    has one help text, which ends in the field's default."""
+    for f in dataclasses.fields(cli.RunConfig):
+        assert isinstance(f.metadata["help"], str) and f.metadata["help"], f.name
+        assert f.metadata["low"] is None or isinstance(f.metadata["low"], int), f.name
     helps: dict[str, set] = {}
     for _, acts in _subcommands(cli.build_parser()):
         for a in acts:

@@ -188,13 +188,6 @@ def test_fused_scores_rejects_duplicate_seeds(train_test):
         fused_scores(EnsembleSpec(seeds=(5, 5), d=train.d, r=16, k=5), train, test, 5)
 
 
-def test_learner_count_validation(train_test):
-    train, test = train_test
-    espec = EnsembleSpec(seeds=(1, 2), d=train.d, r=16, k=5)
-    with pytest.raises(ValueError, match="exceeds"):
-        list(learner_neighbours(espec, train, test, learners=3))
-
-
 def test_sweep_size_one_equals_single_learner_eval(train_test):
     train, test = train_test
     espec = EnsembleSpec(seeds=(4, 5, 6), d=train.d, r=24, k=5)
