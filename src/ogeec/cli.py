@@ -5,10 +5,6 @@ All indices in dataset files are 0-based. Data goes to stdout (or --out);
 diagnostics and timings go to stderr. Every command is deterministic for a
 fixed configuration, including the worker count. Option precedence is
 command-line flags over --config (JSON) over built-in defaults.
-
-A knob is one `RunConfig` field, declared with `_knob`: its type, default,
-help and smallest valid value; each `_COMMANDS` entry that names it takes it
-as a flag.
 """
 
 from __future__ import annotations
@@ -40,15 +36,18 @@ from .predictor import (
     format_predictions,
     rank_labels,
 )
-from .embedding import materialize_rows  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .embedding import embed  # noqa: F401 -- perfbench/tracer.py wraps it here
-from .predictor import propagate  # noqa: F401 -- perfbench/tracer.py wraps it here
+from .embedding import materialize_rows  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
+from .embedding import embed  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
+from .predictor import propagate  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
 
 
 class UsageError(ValueError):
     """Bad or missing configuration; exits with status 2."""
 
 
+# A knob is one `RunConfig` field, declared with `_knob`: its type, default,
+# help and smallest valid value; each `_COMMANDS` entry that names it takes it
+# as a flag.
 def _knob(default, help: str, low: int | None = None):
     """A RunConfig field: its default, its help and its smallest valid value
     (None: no bound). Every element of a tuple knob is held to its bound."""

@@ -30,7 +30,7 @@ from .embedding import (
     project_rows,
     train_test_rows,
 )
-from .embedding import embed  # noqa: F401 -- perfbench/tracer.py wraps it here
+from .embedding import embed  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
 from .metrics import DEFAULT_KS, EvalReport, PropensityModel, evaluate
 from .predictor import batch_predict, rank_labels
 

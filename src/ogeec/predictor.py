@@ -40,7 +40,7 @@ import numpy as np
 
 from .csr import CSR, label_scores
 from .embedding import EmbeddedMatrix, column_norms
-from .embedding import project_csr  # noqa: F401 -- perfbench/tracer.py wraps it here
+from .embedding import project_csr  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
 
 # floats in one search screen tile of float32 scores (8 MB; it holds this //
 # n_train queries), which also sizes `rescore`'s blocks of products

@@ -23,8 +23,8 @@ its reference. `parse_dataset` is the whole-file,
 line-by-line parser the chunked parser replaced, with its own copies of the
 per-line helpers; it builds its dataset with `data._assemble`, which the
 chunked parser does not use. `lexsort_top_k` is `predictor.top_k` before
-its selection stage, one lexsort of every stored entry, the reference that
-`scripts/rank_bench.py` times it against. The `sp_*` functions are the
+its selection stage, one lexsort of every stored entry, kept as
+`test_predictor.py`'s oracle for it. The `sp_*` functions are the
 scipy.sparse expressions that the numpy kernels of `ogeec.csr` replaced,
 kept as their bit-for-bit references (`scripts/kernel_bench.py` times the
 kernels against them); `to_scipy` and `from_scipy` convert at the boundary.

@@ -101,6 +101,17 @@ def test_nonexistent_file_is_runtime_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_top_level_help_holds_no_developer_note(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in ("_knob", "_COMMANDS", "RunConfig"):
+        assert name not in out
+    for command in ("gen", "train", "predict", "eval", "analyze"):
+        assert f"\n    {command} " in out
+
+
 def _assert_predict_tsv_matches_library_path(workspace, tmp_path, topk):
     out = tmp_path / "preds.tsv"
     rc = main(

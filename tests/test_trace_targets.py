@@ -38,7 +38,8 @@ def test_wrap_target_is_callable(module_name, attr):
 
 # an import that exists only for the tracer, as every such line must read
 _TRACER_IMPORT = re.compile(
-    r"from \.\w+ import (\w+)  # noqa: F401 -- perfbench/tracer\.py wraps it here"
+    r"from \.\w+ import (\w+)  # noqa: F401 -- kept only so a perfbench/tracer\.py"
+    r" wrap target resolves, until ROADMAP item 4"
 )
 
 
