@@ -1,45 +1,38 @@
 #!/usr/bin/env python3
 """Memory attribution: the peak RSS and the tracemalloc peak of each phase
-of an ensemble's embedding, search and label pass, on one corpus.
+of `ogeec predict`, on one corpus.
 
     PYTHONPATH=src python3 scripts/embed_memory.py .perfbench/wide-seed0 [--r 200] [--learners 1] [--workers 2]
 
 The corpus is a directory holding `train.txt` and `test.txt`, as the
 benchmark (`perfbench/run.py`) writes them under `.perfbench/<workload>-seed<seed>`.
-The script runs the phases of `ensemble.fused_scores` in order, in this
-process, as the CLI's `predict` runs them with no cache: parse both files
-(int32 feature indices), plan both sets once (`embedding.train_test_rows`:
-the columns of every stored entry, a first pass for the rows' norms, then
-the position-major copy that every learner projects, filled straight from
-the parsed arrays, with no stacked copy) and drop the parsed feature arrays, as
-`ensemble.learner_embeddings` drops a `planned_only` set's, then for each learner
-its projection (`embedding.project_rows`, one pass over F, drawn into one
-transposed block of F per worker) and its exact search
-(`batch_predict`), and last the label pass (`predictor.rank_labels` of
-every learner's neighbours, top 5 labels, one 4 MB label block at a time).
-So the table reaches the peak of `predict` and `eval`. After each phase it
-prints the process's peak RSS so far (`ru_maxrss`), the phase's own
-tracemalloc peak and what stays allocated after it. A phase's tracemalloc
-peak counts numpy's buffers, so it attributes the RSS growth that the phase
-causes. After planning it prints the nonzero count, the preparation peak
-(the planning phase's tracemalloc peak, the parsed sets included) and what
-stays allocated once the features are dropped, each in bytes per nonzero.
+The script writes the model of --r, --k, --learners and --seed (d from the
+train file's header line) and runs `predict` itself, with no cache, in this
+process (`cli.main`, its TSV to os.devnull). Each call that `predict` makes
+to a phase function prints one row as it returns: `parse`
+(`cli.parse_dataset`, once per file), `plan` (`ensemble.train_test_rows`),
+each learner's `projection` (`ensemble.project_rows`) and `search`
+(`ensemble.batch_predict`), and the `label pass` (`ensemble.rank_labels`).
+A row gives the seconds since the row before, the process's peak RSS so far
+(`ru_maxrss`), the tracemalloc peak since the row before (numpy's buffers
+included, so it attributes the RSS growth) and what stays allocated. On
+entry to the first projection, once the parsed features are dropped, it
+prints the nonzero count, the plan row's peak and what stays allocated, in
+bytes per nonzero.
 """
 
 import argparse
+import os
 import pathlib
 import resource
 import sys
+import tempfile
 import time
 import tracemalloc
 
-from ogeec.data import parse_dataset
-from ogeec.embedding import EmbeddedMatrix, project_rows, train_test_rows
-from ogeec.ensemble import make_ensemble_spec
-from ogeec.predictor import batch_predict, rank_labels
+from ogeec import cli, ensemble
 
 MIB = 2**20
-TOP_K = 5  # the commands' default --topk
 
 
 def main() -> int:
@@ -51,49 +44,50 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
+    train, test = args.corpus / "train.txt", args.corpus / "test.txt"
+    with open(train, encoding="utf-8") as f:
+        d = int(f.readline().split()[1])  # the header line: n d L
+    spec = ensemble.make_ensemble_spec(args.seed, args.learners, d=d, r=args.r, k=args.k)
 
     tracemalloc.start()
     print("phase\tseconds\tpeak_rss_mib\ttraced_peak_mib\ttraced_after_mib")
+    last, peaks, nnz = time.perf_counter(), {}, 0
 
-    def report(phase: str, t0: float) -> None:
-        now, peak = tracemalloc.get_traced_memory()
+    def report(phase: str) -> None:
+        nonlocal last
+        now, peaks[phase] = tracemalloc.get_traced_memory()
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-        print(f"{phase}\t{time.perf_counter() - t0:.3f}\t{rss:.1f}\t{peak / MIB:.1f}\t{now / MIB:.1f}")
+        print(f"{phase}\t{time.perf_counter() - last:.3f}\t{rss:.1f}\t"
+              f"{peaks[phase] / MIB:.1f}\t{now / MIB:.1f}")
         tracemalloc.reset_peak()
+        last = time.perf_counter()
 
-    report("import", time.perf_counter())
-    t0 = time.perf_counter()
-    train = parse_dataset(args.corpus / "train.txt")
-    test = parse_dataset(args.corpus / "test.txt")
-    nnz = train.feat_indices.size + test.feat_indices.size
-    report("parse", t0)
-    t0 = time.perf_counter()
-    rows = train_test_rows(train, test)
-    for ds in (train, test):
-        ds.planned_only = True
-        ds.features_planned()
-    now, peak = tracemalloc.get_traced_memory()
-    report("train_test_rows", t0)
-    print(f"# {nnz} nonzeros: preparation peak {peak / nnz:.1f} bytes per nonzero, "
-          f"held after planning {now / nnz:.1f}")
-    spec = make_ensemble_spec(args.seed, args.learners, d=train.d, r=args.r, k=args.k)
-    found = []
-    for i in range(args.learners):
-        t0 = time.perf_counter()
-        data = project_rows(spec.learner(i), rows, workers=args.workers)
-        matrix = EmbeddedMatrix(r=args.r, n=train.n, data=data[:, : train.n])
-        queries = data[:, train.n :]
-        report(f"learner {i} projection", t0)
-        t0 = time.perf_counter()
-        found.append(batch_predict(matrix, queries, args.k))
-        report(f"learner {i} search", t0)
-        del data, matrix, queries
-    del rows
-    t0 = time.perf_counter()
-    rank_labels(found, train.label_matrix(), TOP_K)
-    report("label pass", t0)
-    tracemalloc.stop()
-    return 0
+    def timed(run, phase: str):
+        def call(*a, **kw):
+            nonlocal nnz
+            if phase == "projection" and phase not in peaks:
+                held = tracemalloc.get_traced_memory()[0]
+                print(f"# {nnz} nonzeros: preparation peak {peaks['plan'] / nnz:.1f} bytes "
+                      f"per nonzero, held after planning {held / nnz:.1f}")
+            result = run(*a, **kw)
+            if phase == "parse":
+                nnz += result.feat_indices.size
+            report(phase)
+            return result
+        return call
+
+    for module, name, phase in (
+        (cli, "parse_dataset", "parse"), (ensemble, "train_test_rows", "plan"),
+        (ensemble, "project_rows", "projection"), (ensemble, "batch_predict", "search"),
+        (ensemble, "rank_labels", "label pass"),
+    ):
+        setattr(module, name, timed(getattr(module, name), phase))
+    with tempfile.TemporaryDirectory() as scratch:
+        model = os.path.join(scratch, "model.txt")
+        ensemble.write_metadata(model, spec)
+        report("import")
+        return cli.main(["predict", "--model", model, "--train", str(train), "--test", str(test),
+                         "--out", os.devnull, "--workers", str(args.workers)])
 
 
 if __name__ == "__main__":

@@ -7,14 +7,13 @@ the scipy.sparse expression it replaced (`tests/oracles.py`, `sp_*`).
 The inputs are the benchmark's corpora (`perfbench/corpus.py`) of the mid,
 wide and dense-labels workloads, generated in memory from --seed:
 
-- the projection: the position-major build that `predict` makes
-  (`embedding.train_test_rows`: `RowProducts` of the parsed sets, filled
-  straight from their arrays and their rows' 1 / norms, `csr.inv_norms`),
-  at the plan of every stored entry, and every row block of F at r = 200, as
-  `embedding._project` applies it to the stacked samples on one thread (F
-  is generated outside the timed region, its transposed copy inside it, and
-  each block's median is summed); the oracle multiplies each set's unit
-  rows (`sp_normalize_rows`), stacked;
+- the projection: the planning that `predict` pays for (`PlannedRows` of
+  the parsed sets: the plan of every stored entry and the position-major
+  rows), then every row block of F at r = 200, as `embedding._project`
+  applies the plan's products to the stacked samples on one thread (F is
+  generated outside the timed region, its transposed copy inside it, and
+  each block's median is summed); the oracle multiplies each set's unit rows
+  (`sp_normalize_rows`), stacked, their columns in the plan's order;
 - label_scores: E learners of k = 5 neighbours per test sample (the
   workload's E: 5 for dense-labels, else 1), drawn at random from the train
   samples with similarities in (0, 1), since only the label fan-out sets the
@@ -40,18 +39,13 @@ sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import corpus  # noqa: E402
-from oracles import (  # noqa: E402
-    sp_label_scores,
-    sp_normalize_rows,
-    sp_pair_dots,
-    sp_row_products,
-    vstack,
-)
+from oracles import sp_label_scores, sp_normalize_rows, sp_pair_dots  # noqa: E402
+from oracles import sp_row_products, vstack  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-from ogeec.csr import CSR, RowProducts, inv_norms, label_scores, pair_dots  # noqa: E402
+from ogeec.csr import CSR, inv_norms, label_scores, pair_dots  # noqa: E402
 from ogeec.data import parse_dataset  # noqa: E402
-from ogeec.embedding import EmbeddingSpec, _row_block, column_plan, materialize_rows  # noqa: E402
+from ogeec.embedding import EmbeddingSpec, PlannedRows, materialize_rows  # noqa: E402
 
 LEARNERS = {"mid": 1, "wide": 1, "dense-labels": 5}
 R, K, PAIRS = 200, 5, 10_000
@@ -107,25 +101,20 @@ def kernels(name: str, train, test):
 
 
 def projection(train, test, repeat: int) -> tuple[float, float, bool]:
-    """`_project`'s products over every block of F at r = R, one thread."""
+    """`PlannedRows`' planning, then `_project`'s products over every block
+    of F at r = R, on one thread."""
     parts = (train.to_feature_csr(), test.to_feature_csr())
-    used = np.zeros(train.d, dtype=bool)
-    for P in parts:
-        used[P.indices] = True
-    plan = column_plan(used)
-    place = plan.place(train.d)
+    # planned once per command
+    new_s, rows = median_time(lambda: PlannedRows(*parts), repeat)
     both = vstack(*(sp_normalize_rows(ds.to_feature_csr(np.float64))[0] for ds in (train, test)))
-    Xc = CSR(both.data, place[both.indices], both.indptr, (both.shape[0], plan.columns.size))
-    block = _row_block(plan.columns.size)
+    c = rows.plan.columns.size
+    Xc = CSR(both.data, rows.plan.place(train.d)[both.indices], both.indptr, (both.shape[0], c))
     spec = EmbeddingSpec(seed=0, d=train.d, r=R)
-    # built once per command
-    new_s, products = median_time(lambda: RowProducts(parts, block, place), repeat)
-    ref_s = 0.0
-    identical = True
-    for s in range(0, R, block):
-        F = materialize_rows(spec, s, min(s + block, R), cols=plan)
+    ref_s, identical = 0.0, True
+    for s in range(0, R, rows.block):
+        F = materialize_rows(spec, s, min(s + rows.block, R), cols=rows.plan)
         got = np.empty((F.shape[0], Xc.shape[0]))
-        seconds, _ = median_time(lambda: products(np.ascontiguousarray(F.T), got), repeat)
+        seconds, _ = median_time(lambda: rows.products(np.ascontiguousarray(F.T), got), repeat)
         new_s += seconds
         seconds, want = median_time(lambda: sp_row_products(Xc, F), repeat)
         ref_s += seconds

@@ -493,7 +493,7 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
     rep_ex, rep_lsh = evaluate(exhaustive), evaluate(lsh_ranking)
     if cfg.predictions_out:
         # same TSV shape the predict command emits, for side-by-side tooling
-        with open(cfg.predictions_out, "w", encoding="utf-8") as f:
+        with _output(cfg.predictions_out) as f:
             f.write(format_predictions(*(a[:, : cfg.topk] for a in lsh_ranking)))
     with _output(cfg.out) as stream:
         stream.write("method\t" + rep_ex.tsv_header() + "\n")

@@ -411,29 +411,33 @@ def _refuse(path: str, why: str) -> ValueError:
     return ValueError(f"{path}: {why}; rebuild it with `ogeec train --cache`")
 
 
-def _payload(path: str, crc: int, step: int) -> Iterator[bytes]:
-    """The cache file's payload in blocks of `step` bytes, then its crc32 check."""
-    got = 0
+def _read_payload(path: str, crc: int, out: np.ndarray | None = None) -> None:
+    """Stream the cache file's payload in 1 MB blocks, each copied into the
+    flat float32 `out` when it is given; then check its crc32, and then that
+    every value is finite, as search bounds float32 rounding error by
+    column norms."""
+    got, at, finite = 0, 0, True
     with open(path, "rb") as f:
         f.seek(_CACHE_HEADER.size)
-        while block := f.read(step):
+        while block := f.read(1 << 20):
             got = zlib.crc32(block, got)
-            yield block
+            values = np.frombuffer(block, dtype="<f4")
+            finite = finite and bool(np.isfinite(values).all())
+            if out is not None:
+                out[at : at + values.size] = values
+            at += values.size
     if got != crc:
         raise _refuse(path, "payload fails its crc32 check")
+    if not finite:
+        raise _refuse(path, "payload holds non-finite values")
 
 
 def check_cache(prefix, spec: EmbeddingSpec, train: SparseDataset) -> bool:
     """Whether the learner has a cache file, after the header, size, crc32
-    and finiteness checks of `load_cache`, in its order; the payload is
-    streamed in 1 MB blocks."""
+    and finiteness checks of `load_cache`, in its order."""
     found = _cache_header(prefix, spec, train)
     if found is not None:
-        finite = True
-        for block in _payload(found[0], found[3], 1 << 20):
-            finite = finite and bool(np.isfinite(np.frombuffer(block, dtype="<f4")).all())
-        if not finite:
-            raise _refuse(found[0], "payload holds non-finite values")
+        _read_payload(found[0], found[3])
     return found is not None
 
 
@@ -445,13 +449,6 @@ def load_cache(prefix, spec: EmbeddingSpec, train: SparseDataset) -> EmbeddedMat
     if found is None:
         return None
     path, r, n, crc = found
-    payload = b"".join(_payload(path, crc, r * n * 4 + 1))
-    cols = np.frombuffer(payload, dtype="<f4").reshape(n, r)
-    data = np.asfortranarray(cols.T.astype(np.float32, copy=False))
-    # search bounds float32 rounding error by column norms, which must be
-    # finite; checked a block of about 2^20 values at a time
-    step = max(1, (1 << 20) // max(r, 1))
-    for a in range(0, n, step):
-        if not np.isfinite(data[:, a : a + step]).all():
-            raise _refuse(path, "payload holds non-finite values")
-    return EmbeddedMatrix(r=r, n=n, data=data)
+    cols = np.empty((n, r), dtype=STORE_DTYPE)  # its transpose is column-major
+    _read_payload(path, crc, cols.reshape(-1))
+    return EmbeddedMatrix(r=r, n=n, data=cols.T)

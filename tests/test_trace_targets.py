@@ -45,12 +45,16 @@ _TRACER_IMPORT = re.compile(
 
 def _tracer_imports():
     """pytest params (module, line) of each line under src/ogeec that
-    mentions the tracer beside a `noqa`, with ids `file.py:lineno`."""
+    mentions the tracer beside a `noqa`, with ids `ogeec.<module>.<name>`
+    of the name it imports, so an edit above it keeps the id; a line that
+    `_TRACER_IMPORT` does not match keeps the id `file.py:lineno`."""
     for path in sorted((ROOT / "src" / "ogeec").glob("*.py")):
         lines = path.read_text(encoding="utf-8").splitlines()
         for at, line in enumerate(lines, 1):
             if "noqa" in line and "tracer" in line:
-                yield pytest.param(f"ogeec.{path.stem}", line, id=f"{path.name}:{at}")
+                match = _TRACER_IMPORT.fullmatch(line)
+                name = f"ogeec.{path.stem}.{match.group(1)}" if match else f"{path.name}:{at}"
+                yield pytest.param(f"ogeec.{path.stem}", line, id=name)
 
 
 @pytest.mark.parametrize("module_name, line", list(_tracer_imports()))
