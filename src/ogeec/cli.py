@@ -68,8 +68,9 @@ class RunConfig:
     workers: int = _knob(
         0,
         "projection threads, 0 for all cores; they split F's rows, so each row "
-        "is generated once per projection. Search is one GEMM per learner, "
-        "threaded by BLAS, whose idle threads sleep as soon as it ends",
+        "is generated once per projection. Search runs one float32 GEMM per "
+        "tile of 2^21 // n_train queries, threaded by BLAS, whose idle threads "
+        "sleep as soon as it ends",
         0,
     )
     topk: int = _knob(5, "labels per row in the prediction TSV", 1)
@@ -341,8 +342,7 @@ def _propensity_model(cfg: RunConfig, train: SparseDataset, test: SparseDataset)
 def _evaluator(cfg: RunConfig, train: SparseDataset, test: SparseDataset):
     """ranking -> EvalReport of its top max(ks) labels against `test`'s."""
     model = _propensity_model(cfg, train, test)
-    truths = test.labelsets()
-    return lambda ranking: metrics.evaluate(ranking[0], truths, model, ks=cfg.ks)
+    return lambda ranking: metrics.evaluate(ranking[0], test.label_matrix(), model, ks=cfg.ks)
 
 
 def _predict_ranking(cfg: RunConfig, explicit: set[str], flag: str, K: int, evaluated: bool):

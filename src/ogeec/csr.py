@@ -199,7 +199,8 @@ def label_scores(learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR)
     Each learner gives `knn`'s (m, k) neighbour arrays (index, sims); an
     index of -1 is a pad and is dropped, and any other index outside
     [0, n_train) raises IndexError. W_e holds max(sim, 0) per neighbour and
-    `labels` is Y, the (n_train x L) label matrix of ones.
+    `labels` is Y, the (n_train x L) label CSR, of which only the indptr and
+    indices are read: each stored column is a 1.
 
     The queries are one dense (m x L) float64 block, so callers pass at most
     `predictor._LABEL_FLOATS` // L rows (`predictor.rank_labels` cuts its

@@ -28,7 +28,7 @@ import functools
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +79,8 @@ def _fmt_value(v: float) -> str:
 
 @dataclass
 class SparseDataset:
-    """CSR feature matrix plus per-sample label sets and label frequencies.
+    """CSR feature matrix plus the label CSR, through which every label set
+    is read (`label_matrix`), and the label frequencies.
 
     An owner that reads no feature once the samples are planned, as the
     CLI's commands do, sets `planned_only`: planning (`ensemble`) then calls
@@ -96,14 +97,12 @@ class SparseDataset:
     feat_values: np.ndarray
     label_indptr: np.ndarray
     label_indices: np.ndarray
-    label_frequencies: np.ndarray = field(default=None)  # type: ignore[assignment]
     planned_only = False  # not a field: set by the owner, see the class docstring
 
-    def __post_init__(self):
-        if self.label_frequencies is None:
-            self.label_frequencies = np.bincount(
-                self.label_indices, minlength=self.L
-            ).astype(np.int64)
+    @functools.cached_property
+    def label_frequencies(self) -> np.ndarray:
+        """Each label's count of samples, as int64, computed once."""
+        return np.bincount(self.label_indices, minlength=self.L).astype(np.int64)
 
     @functools.cached_property
     def feature_sha256(self) -> bytes:
@@ -126,61 +125,17 @@ class SparseDataset:
         if self.planned_only:
             self.feat_indptr = self.feat_indices = self.feat_values = None
 
-    def labels(self, i: int) -> np.ndarray:
-        a, b = self.label_indptr[i], self.label_indptr[i + 1]
-        return self.label_indices[a:b]
-
-    def labelsets(self) -> list[np.ndarray]:
-        return [self.labels(i) for i in range(self.n)]
-
     def label_matrix(self) -> CSR:
-        """Y (n x L): a float64 1 at every (sample, label) assignment."""
-        return CSR(
-            np.ones(self.label_indices.size), self.label_indices, self.label_indptr, (self.n, self.L)
-        )
+        """Y (n x L): a 1 at every (sample, label) assignment, its data a
+        read-only zero-stride view of one 1.0, so Y allocates nothing."""
+        ones = np.broadcast_to(np.float64(1.0), self.label_indices.shape)
+        return CSR(ones, self.label_indices, self.label_indptr, (self.n, self.L))
 
     def to_feature_csr(self, dtype=None) -> CSR:
         """The feature CSR: views of the dataset's arrays, the values cast to
         a copy of `dtype` when it is given."""
         values = self.feat_values if dtype is None else self.feat_values.astype(dtype)
         return CSR(values, self.feat_indices, self.feat_indptr, (self.n, self.d))
-
-
-def _assemble(
-    feature_rows: list[tuple[np.ndarray, np.ndarray]],
-    label_rows: list[np.ndarray],
-    d: int,
-    L: int,
-) -> SparseDataset:
-    n = len(feature_rows)
-    feat_indptr = np.zeros(n + 1, dtype=np.int64)
-    label_indptr = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n):
-        feat_indptr[i + 1] = feat_indptr[i] + len(feature_rows[i][0])
-        label_indptr[i + 1] = label_indptr[i] + len(label_rows[i])
-    feat_indices = (
-        np.concatenate([r[0] for r in feature_rows])
-        if n
-        else np.empty(0, dtype=np.int64)
-    ).astype(_index_dtype(d))
-    feat_values = (
-        np.concatenate([r[1] for r in feature_rows])
-        if n
-        else np.empty(0, dtype=np.float32)
-    ).astype(np.float32)
-    label_indices = (
-        np.concatenate(label_rows) if n else np.empty(0, dtype=np.int64)
-    ).astype(np.int64)
-    return SparseDataset(
-        n=n,
-        d=d,
-        L=L,
-        feat_indptr=feat_indptr,
-        feat_indices=feat_indices,
-        feat_values=feat_values,
-        label_indptr=label_indptr,
-        label_indices=label_indices,
-    )
 
 
 def _parse_labels(token: str, L: int, lineno: int) -> np.ndarray:
@@ -267,13 +222,37 @@ def _parse_lines(piece: bytes, lineno: int, d: int, L: int) -> _Rows:
         fields = line.split(" ")
         label_rows.append(_parse_labels(fields[0], L, lineno + i))
         feature_rows.append(_parse_features(fields[1:], d, lineno + i))
+    return _rows(feature_rows, label_rows)
+
+
+def _rows(feature_rows: list[tuple], label_rows: list[np.ndarray]) -> _Rows:
+    """At least one row's (indices, values) features and labels, as `_Rows`."""
     return _Rows(
-        np.array([r[0].size for r in feature_rows], dtype=np.int64),
+        np.array([len(r[0]) for r in feature_rows], dtype=np.int64),
         np.concatenate([r[0] for r in feature_rows]).astype(np.int64),
         np.concatenate([r[1] for r in feature_rows]).astype(np.float32),
-        np.array([r.size for r in label_rows], dtype=np.int64),
+        np.array([len(r) for r in label_rows], dtype=np.int64),
         np.concatenate(label_rows).astype(np.int64),
     )
+
+
+def _dataset(rows: _Rows, d: int, L: int) -> SparseDataset:
+    """The dataset of `rows`, its feature indices as `_index_dtype(d)`."""
+    feat_indptr, label_indptr = (
+        np.concatenate(([0], np.cumsum(c))).astype(np.int64)
+        for c in (rows.feat_counts, rows.label_counts)
+    )
+    return SparseDataset(
+        n=feat_indptr.size - 1, d=d, L=L, feat_indptr=feat_indptr,
+        feat_indices=rows.feat_indices.astype(_index_dtype(d), copy=False),
+        feat_values=rows.feat_values, label_indptr=label_indptr, label_indices=rows.label_indices,
+    )
+
+
+def _assemble(
+    feature_rows: list[tuple[np.ndarray, np.ndarray]], label_rows: list[np.ndarray], d: int, L: int
+) -> SparseDataset:
+    return _dataset(_rows(feature_rows, label_rows), d, L)
 
 
 def _token_ok(b2: int, b: int, e: int, prev: bool, here: bool) -> bool:
@@ -536,16 +515,11 @@ def _parse(path) -> SparseDataset:
             label_counts.append(part.label_counts)
             label_indices.append(part.label_indices)
             lineno += part.feat_counts.size
-    return SparseDataset(
-        n=n,
-        d=d,
-        L=L,
-        feat_indptr=np.concatenate(([0], np.cumsum(np.concatenate(feat_counts)))).astype(np.int64),
-        feat_indices=feat_indices,
-        feat_values=feat_values,
-        label_indptr=np.concatenate(([0], np.cumsum(np.concatenate(label_counts)))).astype(np.int64),
-        label_indices=np.concatenate(label_indices),
+    rows = _Rows(
+        np.concatenate(feat_counts), feat_indices, feat_values,
+        np.concatenate(label_counts), np.concatenate(label_indices),
     )
+    return _dataset(rows, d, L)
 
 
 def parse_dataset(path) -> SparseDataset:
@@ -565,7 +539,8 @@ def format_dataset(ds: SparseDataset) -> str:
     out = [f"{ds.n} {ds.d} {ds.L}"]
     for i in range(ds.n):
         a, b = ds.feat_indptr[i], ds.feat_indptr[i + 1]
-        labels = ",".join(str(l) for l in ds.labels(i))
+        la, lb = ds.label_indptr[i], ds.label_indptr[i + 1]
+        labels = ",".join(str(l) for l in ds.label_indices[la:lb])
         feats = " ".join(
             f"{j}:{_fmt_value(v)}" for j, v in zip(ds.feat_indices[a:b], ds.feat_values[a:b])
         )
@@ -662,10 +637,10 @@ def split_dataset(ds: SparseDataset, n_first: int) -> tuple[SparseDataset, Spars
             n=hi - lo,
             d=ds.d,
             L=ds.L,
-            feat_indptr=(ds.feat_indptr[lo : hi + 1] - fa).copy(),
+            feat_indptr=ds.feat_indptr[lo : hi + 1] - fa,
             feat_indices=ds.feat_indices[fa:fb].copy(),
             feat_values=ds.feat_values[fa:fb].copy(),
-            label_indptr=(ds.label_indptr[lo : hi + 1] - la).copy(),
+            label_indptr=ds.label_indptr[lo : hi + 1] - la,
             label_indices=ds.label_indices[la:lb].copy(),
         )
 

@@ -40,7 +40,7 @@ import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -333,7 +333,7 @@ def project_csr(spec: EmbeddingSpec, X: CSR, *, workers: int = 1) -> np.ndarray:
 
 
 def embed_prefixes(
-    spec: EmbeddingSpec, rows: PlannedRows, rs: Iterable[int], *, workers: int = 1
+    spec: EmbeddingSpec, rows: PlannedRows, rs: Sequence[int], *, workers: int = 1
 ) -> Iterator[np.ndarray]:
     """`project_rows` at each r in `rs` (each at most spec.r), from one pass
     over F at spec.r.
@@ -343,11 +343,12 @@ def embed_prefixes(
     other rows. Re-normalizing a copy of the first r rows of the projection
     is therefore bit-identical to projecting at r.
     """
-    full = _project(spec, rows, STORE_DTYPE, workers=workers)
-    del rows  # projected once: the caller's reference alone keeps the plan
     for r in rs:
         if not 1 <= r <= spec.r:
             raise ValueError(f"r {r} out of range [1, {spec.r}]")
+    full = _project(spec, rows, STORE_DTYPE, workers=workers)
+    del rows  # projected once: the caller's reference alone keeps the plan
+    for r in rs:
         out = full[:r].copy(order="F")
         _normalize_columns(out)
         yield out

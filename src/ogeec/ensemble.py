@@ -171,7 +171,7 @@ def sweep_ensemble_size(
     if max(sizes) > spec.size or min(sizes) < 1:
         raise ValueError(f"sizes must lie in [1, {spec.size}]")
     prefix = replace(spec, seeds=spec.seeds[: max(sizes)])
-    truths = test.labelsets()
+    truths = test.label_matrix()
     labels = dataset.label_matrix()
     neighbours = []
     fused_reports: dict[int, EvalReport] = {}
@@ -205,6 +205,8 @@ def sweep_dimension(
     """
     if not rs:
         raise ValueError("rs must be nonempty")
+    if min(rs) < 1:  # before any sample is planned or row of F drawn
+        raise ValueError(f"r {min(rs)} out of range [1, {max(rs)}]")
     spec = EmbeddingSpec(seed=seed, d=dataset.d, r=max(rs))
     labels = dataset.label_matrix()
     prefixes = embed_prefixes(spec, train_test_rows(dataset, test), rs, workers=workers)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .csr import sorted_unique
+from .csr import CSR, sorted_unique
 from .predictor import top_k
 
 DEFAULT_KS = (1, 3, 5)
@@ -89,18 +88,18 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def truth_hits(pred: np.ndarray, truths: Sequence) -> tuple[np.ndarray, int, np.ndarray]:
+def truth_hits(pred: np.ndarray, truths: CSR) -> tuple[np.ndarray, int, np.ndarray]:
     """The true (sample, label) pairs as sorted, deduplicated keys
     sample * span + label, that span, and the mask of `pred`'s slots (an
     (m, K) label array padded with -1) that hold one of their sample's true
-    labels."""
+    labels. Row i of `truths` stores sample i's true labels as its columns,
+    in any order and possibly repeated; its values are not read."""
     m = len(pred)
-    sizes = [len(t) for t in truths]
-    labels = np.concatenate([np.empty(0, np.int64), *(np.asarray(t, np.int64) for t in truths)])
+    labels = truths.indices[truths.indptr[0] : truths.indptr[-1]].astype(np.int64, copy=False)
     if labels.size and labels.min() < 0:
         raise ValueError("true labels must be nonnegative")
     span = int(max(labels.max(initial=-1), pred.max(initial=-1))) + 1
-    keys = sorted_unique(np.repeat(np.arange(m), sizes) * span + labels)
+    keys = sorted_unique(np.repeat(np.arange(m), np.diff(truths.indptr)) * span + labels)
     slots = np.arange(m)[:, None] * span + pred
     # a slot's key is present when the sorted keys hold a run of it
     present = np.searchsorted(keys, slots, "right") > np.searchsorted(keys, slots)
@@ -109,15 +108,18 @@ def truth_hits(pred: np.ndarray, truths: Sequence) -> tuple[np.ndarray, int, np.
 
 def evaluate(
     predictions: np.ndarray,
-    truths: Sequence,
+    truths: CSR,
     model: PropensityModel,
     ks: tuple[int, ...] = DEFAULT_KS,
 ) -> EvalReport:
     """Mean metrics over all samples with nonempty truth.
 
     `predictions` is the (m, >= max(ks)) label array of `predictor.top_k`,
-    best first and padded with -1. Per sample, with hits the true labels in
-    the top K slots (a short ranking's missing slots count as wrong):
+    best first and padded with -1; `truths` is the test samples' (m x L)
+    label CSR (`SparseDataset.label_matrix()`), whose row i stores sample i's
+    true labels (a repeat counts once; the values are not read). Per sample,
+    with hits the true labels in the top K slots (a short ranking's missing
+    slots count as wrong):
     P@K = hits / K; N@K = sum of 1/log2(pos + 2) over hits, over its best
     value for min(K, |truth|) hits; PSP@K = sum of 1/p over hits, over the
     sum of the min(K, |truth|) largest 1/p among the true labels (rarest
@@ -129,7 +131,7 @@ def evaluate(
     """
     pred = np.asarray(predictions, dtype=np.int64)
     max_k = max(ks)
-    if pred.ndim != 2 or len(pred) != len(truths):
+    if pred.ndim != 2 or len(pred) != truths.shape[0]:
         raise ValueError("predictions and truths must be parallel")
     if pred.shape[1] < max_k:
         raise ValueError(f"predictions need {max_k} columns, got {pred.shape[1]}")

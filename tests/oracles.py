@@ -7,7 +7,10 @@ itself. `box_muller` defines that stream step by step and is the only
 source of whole rows of F, since the package draws F only at the columns a
 projection uses; `project_full` applies every column of F drawn from it, the
 reference for that projection. `feature_row` gives one sample as a `Row`
-of views into its dataset's CSR arrays, for the per-sample oracles. The
+of views into its dataset's CSR arrays, for the per-sample oracles, and
+`labelsets` gives every sample's labels as a list of views of the label
+CSR; `truth_matrix` builds a label CSR from such lists, as Y or as the
+truths that `metrics.evaluate` reads. The
 exceptions are `embed_single`, one sample projected alone through the
 package's `project_csr` (no command
 projects a single sample, so it lives here), `predict`, the per-query
@@ -66,6 +69,21 @@ def feature_row(ds, i) -> Row:
     return Row(ds.feat_indices[a:b], ds.feat_values[a:b])
 
 
+def labelsets(ds) -> list[np.ndarray]:
+    """Each sample's labels, as views of its dataset's label CSR."""
+    ptr = ds.label_indptr
+    return [ds.label_indices[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+
+
+def truth_matrix(lists, L) -> CSR:
+    """Per-sample label lists as a (len(lists) x L) label CSR, the form of Y
+    and of the truths that `metrics.evaluate` reads: row i stores lists[i]
+    in its order, repeats kept, with a 1 at each."""
+    indices = np.concatenate([np.empty(0, np.int64), *(np.asarray(t, np.int64) for t in lists)])
+    indptr = np.cumsum([0] + [len(t) for t in lists])
+    return CSR(np.ones(indices.size), indices, indptr, (len(lists), L))
+
+
 def dense_rows(ds) -> np.ndarray:
     out = np.zeros((ds.n, ds.d))
     for i in range(ds.n):
@@ -120,7 +138,7 @@ def naive_end_to_end(seed, train_ds, test_ds, r, k):
     F = np.vstack([box_muller(seed, i, train_ds.d) for i in range(r)])
     P_train = normalize_rows(normalize_rows(dense_rows(train_ds)) @ F.T)
     P_test = normalize_rows(normalize_rows(dense_rows(test_ds)) @ F.T)
-    labelsets = train_ds.labelsets()
+    train_labels = labelsets(train_ds)
     out = []
     for t in range(test_ds.n):
         sims = P_train @ P_test[t]
@@ -130,7 +148,7 @@ def naive_end_to_end(seed, train_ds, test_ds, r, k):
             weight = max(float(sims[i]), 0.0)
             if weight <= 0.0:
                 continue
-            for w in labelsets[i]:
+            for w in train_labels[i]:
                 scores[int(w)] = scores.get(int(w), 0.0) + weight
         out.append(scores)
     return out

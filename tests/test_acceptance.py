@@ -23,6 +23,7 @@ from oracles import (
     score_matrix,
     top_k_labels,
     top_labels,
+    truth_matrix,
 )
 
 from ogeec.cli import main
@@ -139,7 +140,7 @@ def test_criterion_4_metrics_oracle():
     truths = [
         {0, 5}, {2, 4}, {7}, {3}, {1, 6}, {0}, {0, 6}, {1, 2, 3}, {5}, {5, 6, 7},
     ]
-    rep = evaluate(top_labels(predictions), [sorted(t) for t in truths], model)
+    rep = evaluate(top_labels(predictions), truth_matrix([sorted(t) for t in truths], freqs.size), model)
     max_err = 0.0
     for K in (1, 3, 5):
         ranked = [top_k_labels(sv, 5) for sv in predictions]
@@ -163,7 +164,7 @@ def test_criterion_4_metrics_oracle():
         truth = set(
             int(w) for w in rng.choice(30, size=rng.integers(1, 6), replace=False)
         )
-        one = evaluate(top_labels([scores]), [sorted(truth)], id_model)
+        one = evaluate(top_labels([scores]), truth_matrix([sorted(truth)], 30), id_model)
         identities_hold &= one["P@1"] == one["N@1"]
         identities_hold &= one["PSP@1"] == one["PSN@1"]
     report(
@@ -201,7 +202,7 @@ def test_criterion_6_embedding_dimension_trend(dataset_pairs):
         for r, sink in ((50, p50), (200, p200)):
             spec = EnsembleSpec(seeds=(10 * seed,), d=train.d, r=r, k=5)
             labels = fused_scores(spec, train, test, 5)[0]
-            sink.append(evaluate(labels, test.labelsets(), model)["P@1"])
+            sink.append(evaluate(labels, test.label_matrix(), model)["P@1"])
     diffs = np.array(p200) - np.array(p50)
     sem = diffs.std(ddof=1) / np.sqrt(len(diffs))
     report(
@@ -251,11 +252,11 @@ def test_criterion_8_lsh_direction(dataset_pairs):
         labels = train.label_matrix()
         q_emb = project_csr(lspec, test.to_feature_csr(np.float64))
         exhaustive = score_matrix(*batch_predict(emb, q_emb, 5), labels)
-        ex_p1.append(evaluate(top_k(exhaustive, 5)[0], test.labelsets(), model)["P@1"])
+        ex_p1.append(evaluate(top_k(exhaustive, 5)[0], test.label_matrix(), model)["P@1"])
         index = build_index(emb, T=10, H=16, seed=10 * seed)
         rows = [query_lsh(index, q_emb[:, i], 5) for i in range(test.n)]
         scores = score_matrix(*map(np.stack, zip(*rows)), labels)
-        lsh_p1.append(evaluate(top_k(scores, 5)[0], test.labelsets(), model)["P@1"])
+        lsh_p1.append(evaluate(top_k(scores, 5)[0], test.label_matrix(), model)["P@1"])
     mean_ex, mean_lsh = float(np.mean(ex_p1)), float(np.mean(lsh_p1))
     report(
         8,
@@ -277,7 +278,7 @@ def test_criterion_9_full_corpus_reproduction():
     spec = make_ensemble_spec(base_seed=0, learners=5, d=train.d, r=200, k=5)
     labels = fused_scores(spec, train, test, 5, workers=os.cpu_count() or 1)[0]
     model = propensity(train.label_frequencies, train.n, a=0.55, b=1.5)
-    rep = evaluate(labels, test.labelsets(), model)
+    rep = evaluate(labels, test.label_matrix(), model)
     targets = {  # five-learner fused reference values, in percent
         "P@1": 40.54, "P@3": 34.25, "P@5": 30.97,
         "N@1": 40.54, "N@3": 35.74, "N@5": 33.22,

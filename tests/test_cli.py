@@ -285,7 +285,7 @@ def test_eval_matches_library_composition(workspace, capsys):
     train = parse_dataset(workspace / "train.txt")
     test = parse_dataset(workspace / "test.txt")
     model = propensity(train.label_frequencies, train.n)
-    want = evaluate(fused_scores(spec, train, test, 5)[0], test.labelsets(), model)
+    want = evaluate(fused_scores(spec, train, test, 5)[0], test.label_matrix(), model)
     for name in ("P@1", "N@1", "PSP@5", "PSN@3"):
         assert float(got[name]) == pytest.approx(want[name], abs=5e-7)
     assert got["P@1"] == got["N@1"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import feature_row, feature_sha256, same_dataset, to_scipy
+from oracles import feature_row, feature_sha256, labelsets, same_dataset, to_scipy
 
 from ogeec import data
 from ogeec.data import (
@@ -34,9 +34,10 @@ def test_parse_fixture(tmp_path):
     row0 = feature_row(ds, 0)
     assert row0.indices.tolist() == [0, 2]
     assert row0.values.tolist() == [1.0, 2.0]
-    assert ds.labels(0).tolist() == [0]
-    assert ds.labels(1).tolist() == [1]
-    assert ds.labels(2).tolist() == [0, 1]
+    labels = labelsets(ds)
+    assert labels[0].tolist() == [0]
+    assert labels[1].tolist() == [1]
+    assert labels[2].tolist() == [0, 1]
 
 
 def test_parse_minimal(tmp_path):
@@ -53,14 +54,14 @@ def test_parse_is_order_preserving(tmp_path):
 
 def test_missing_label_field_is_empty(tmp_path):
     ds = parse_dataset(_write(tmp_path, "2 3 2\n 0:1.5 2:0.25\n1 1:1\n"))
-    assert ds.labels(0).size == 0
+    assert labelsets(ds)[0].size == 0
     assert feature_row(ds, 0).indices.tolist() == [0, 2]
     assert ds.label_frequencies.tolist() == [0, 1]
 
 
 def test_empty_line_is_featureless_unlabeled(tmp_path):
     ds = parse_dataset(_write(tmp_path, "1 3 2\n\n"))
-    assert ds.labels(0).size == 0
+    assert labelsets(ds)[0].size == 0
     assert feature_row(ds, 0).indices.size == 0
 
 
@@ -161,6 +162,28 @@ def test_label_frequencies_sum_to_assignments(ds):
     assert int(ds.label_frequencies.sum()) == ds.label_indices.size
 
 
+def test_label_matrix_allocates_no_values():
+    """Y is the label CSR itself: its data is a read-only view of one 1.0,
+    not an array of ones (8 MB for these 1,000,000 assignments)."""
+    n = L = 1000
+    ds = data.SparseDataset(
+        n=n, d=1, L=L, feat_indptr=np.zeros(n + 1, dtype=np.int64),
+        feat_indices=np.empty(0, dtype=np.int32), feat_values=np.empty(0, dtype=np.float32),
+        label_indptr=np.arange(0, n * L + 1, L), label_indices=np.tile(np.arange(L), n),
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        Y = ds.label_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1024, peak - before
+    assert Y.indices is ds.label_indices and Y.indptr is ds.label_indptr
+    assert Y.shape == (n, L) and Y.data.shape == (n * L,) and not Y.data.flags.writeable
+    assert Y.data[0] == Y.data[-1] == 1.0
+
+
 def test_synthetic_deterministic():
     kwargs = dict(
         n=100, d=1000, L=20, sparsity=10, labels_per_sample=2, clusters=5, seed=7
@@ -184,10 +207,10 @@ def test_synthetic_values_positive_and_valid(small_ds):
     assert np.all(small_ds.feat_values > 0)
     assert np.all(small_ds.feat_indices < small_ds.d)
     assert np.all(small_ds.label_indices < small_ds.L)
-    for i in range(small_ds.n):
+    for i, labels in enumerate(labelsets(small_ds)):
         assert np.all(np.diff(feature_row(small_ds, i).indices) > 0)
-        assert np.all(np.diff(small_ds.labels(i)) > 0)
-        assert small_ds.labels(i).size >= 1
+        assert np.all(np.diff(labels) > 0)
+        assert labels.size >= 1
 
 
 def test_synthetic_cluster_cosine_separation():
@@ -207,9 +230,8 @@ def test_synthetic_cluster_cosine_separation():
     a, b = a[keep], b[keep]
     dots = np.asarray(X[a].multiply(X[b]).sum(axis=1)).ravel()
     cos = dots / (norms[a] * norms[b])
-    shared = np.array(
-        [bool(set(ds.labels(i)) & set(ds.labels(j))) for i, j in zip(a, b)]
-    )
+    sets = labelsets(ds)
+    shared = np.array([bool(set(sets[i]) & set(sets[j])) for i, j in zip(a, b)])
     assert shared.any() and (~shared).any()
     assert cos[shared].mean() > cos[~shared].mean()
 
@@ -233,7 +255,7 @@ def test_split_dataset(small_ds):
     assert (train.n, test.n) == (200, 100)
     assert train.d == test.d == small_ds.d
     assert feature_row(train, 5).indices.tolist() == feature_row(small_ds, 5).indices.tolist()
-    assert test.labels(0).tolist() == small_ds.labels(200).tolist()
+    assert labelsets(test)[0].tolist() == labelsets(small_ds)[200].tolist()
     # frequencies recomputed per part
     assert int(train.label_frequencies.sum()) == train.label_indices.size
     total = train.label_frequencies + test.label_frequencies
@@ -301,5 +323,5 @@ def test_features_planned_drops_only_a_planned_only_sets_features(small_ds):
     given_up.features_planned()
     assert given_up.feat_indptr is given_up.feat_indices is given_up.feat_values is None
     assert (given_up.n, given_up.d, given_up.feature_sha256) == (100, small_ds.d, digest)
-    assert given_up.labelsets()[7].tolist() == kept.labelsets()[7].tolist()
+    assert labelsets(given_up)[7].tolist() == labelsets(kept)[7].tolist()
     assert np.array_equal(given_up.label_frequencies, kept.label_frequencies)

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     dict_neighbours,
     feature_row,
+    labelsets,
     one_label_each,
     predict,
     ranking_dicts,
@@ -136,15 +137,15 @@ def test_fuse_scale_invariance_of_ranking():
 def test_single_learner_ensemble_equals_predict(small_ds, small_spec, small_embedded):
     espec = EnsembleSpec(seeds=(small_spec.seed,), d=small_spec.d, r=small_spec.r, k=5)
     fused = ranking_dicts(fused_scores(espec, small_ds, small_ds, small_ds.L))
-    labelsets = small_ds.labelsets()
+    train_labels = labelsets(small_ds)
     for i in (0, 9, 150, 299):
         query = feature_row(small_ds, i)
-        assert fused[i] == predict(small_spec, small_embedded, labelsets, query, 5)
+        assert fused[i] == predict(small_spec, small_embedded, train_labels, query, 5)
 
 
 def test_duplicate_seeds_equal_one_learner(small_ds, small_spec, small_embedded):
     query = feature_row(small_ds, 21)
-    single = predict(small_spec, small_embedded, small_ds.labelsets(), query, 5)
+    single = predict(small_spec, small_embedded, labelsets(small_ds), query, 5)
     fused = row_scores(_fuse([[single]] * 3, small_ds.L), 0)
     assert fused.keys() == single.keys()
     for w in fused:
@@ -197,7 +198,7 @@ def test_sweep_size_one_equals_single_learner_eval(train_test):
     emb = embed(lspec, train)
     queries = project_csr(lspec, test.to_feature_csr(np.float64))
     scores = score_matrix(*batch_predict(emb, queries, 5), train.label_matrix())
-    direct = evaluate(top_k(scores, 5)[0], test.labelsets(), model)
+    direct = evaluate(top_k(scores, 5)[0], test.label_matrix(), model)
     assert result.fused[1].values == direct.values
     assert result.per_learner[0].values == direct.values
 
@@ -274,6 +275,32 @@ def test_sweep_dimension_rejects_bad_r(train_test):
         list(sweep_dimension(4, train, test, (8, 0), 5, 5))
     with pytest.raises(ValueError, match="r must satisfy"):
         list(sweep_dimension(4, train, test, (8, train.d + 1), 5, 5))
+
+
+def test_a_bad_r_fails_before_any_work(train_test, monkeypatch):
+    """A bad r anywhere in rs is refused before any sample is planned or any
+    row of F drawn: by `sweep_dimension`, and by `embed_prefixes` given a plan."""
+    train, test = train_test
+    planned, drawn = [], []
+    init, materialize = embedding.PlannedRows.__init__, embedding.materialize_rows
+
+    def counted_plan(self, *parts):
+        planned.append(len(parts))
+        init(self, *parts)
+
+    def counted_rows(spec, start, stop, **kwargs):
+        drawn.extend(range(start, stop))
+        return materialize(spec, start, stop, **kwargs)
+
+    monkeypatch.setattr(embedding.PlannedRows, "__init__", counted_plan)
+    monkeypatch.setattr(embedding, "materialize_rows", counted_rows)
+    with pytest.raises(ValueError, match="out of range"):
+        list(sweep_dimension(4, train, test, [0, 4], 5, 5))
+    assert planned == [] and drawn == []
+    rows = embedding.train_test_rows(train, test)
+    with pytest.raises(ValueError, match="out of range"):
+        list(embedding.embed_prefixes(EmbeddingSpec(seed=4, d=train.d, r=4), rows, [4, 0]))
+    assert planned == [2] and drawn == []
 
 
 def test_label_memory_does_not_grow_with_queries(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    evaluate_dicts,
     isin_truth_hits,
     ref_ndcg,
     ref_precision,
@@ -14,6 +15,7 @@ from oracles import (
     ref_psp,
     top_k_labels,
     top_labels,
+    truth_matrix,
     uniform_propensity,
 )
 
@@ -26,7 +28,8 @@ def _one(name, predicted, truth, K, model=None):
     labels = np.full((1, K), -1)
     labels[0, : len(predicted[:K])] = predicted[:K]
     model = model or uniform_propensity(1 + max([*truth, *predicted], default=0))
-    return evaluate(labels, [sorted(truth)], model, ks=(K,))[f"{name}@{K}"]
+    truths = truth_matrix([sorted(truth)], model.propensities.size)
+    return evaluate(labels, truths, model, ks=(K,))[f"{name}@{K}"]
 
 
 def precision_at_k(predicted, truth, K):
@@ -200,7 +203,7 @@ def test_evaluate_single_perfect_sample():
     # truth needs at least 5 labels for P@5 to reach 1
     model = uniform_propensity(8)
     scores = {1: 2.0, 2: 1.5, 4: 1.0, 5: 0.8, 6: 0.5}
-    report = evaluate(top_labels([scores]), [np.array([1, 2, 4, 5, 6])], model)
+    report = evaluate(top_labels([scores]), truth_matrix([np.array([1, 2, 4, 5, 6])], 8), model)
     for name, value in report.values.items():
         assert value == pytest.approx(1.0), name
     assert report.samples == 1 and report.skipped == 0
@@ -208,9 +211,8 @@ def test_evaluate_single_perfect_sample():
 
 def test_evaluate_excludes_empty_truth():
     model = uniform_propensity(6)
-    report = evaluate(
-        top_labels([{1: 1.0}, {1: 1.0}]), [np.array([], dtype=np.int64), np.array([1])], model
-    )
+    truths = truth_matrix([np.array([], dtype=np.int64), np.array([1])], 6)
+    report = evaluate(top_labels([{1: 1.0}, {1: 1.0}]), truths, model)
     assert report.samples == 1 and report.skipped == 1
     assert report["P@1"] == 1.0
 
@@ -263,7 +265,9 @@ def test_evaluate_ten_sample_fixture_matches_reference():
         {5},
         {5, 6, 7},
     ]
-    report = evaluate(top_labels(predictions), [sorted(t) for t in truths], model)
+    report = evaluate(
+        top_labels(predictions), truth_matrix([sorted(t) for t in truths], freqs.size), model
+    )
     for K in (1, 3, 5):
         for name, fn in (
             ("P", ref_precision),
@@ -284,7 +288,7 @@ def test_report_identities_and_formats():
     model = uniform_propensity(4)
     report = evaluate(
         top_labels([{0: 1.0, 2: 0.5}, {1: 0.7}]),
-        [np.array([0, 1]), np.array([2])],
+        truth_matrix([np.array([0, 1]), np.array([2])], 4),
         model,
     )
     assert report["P@1"] == report["N@1"]
@@ -298,7 +302,7 @@ def test_report_identities_and_formats():
 
 def test_evaluate_length_mismatch():
     with pytest.raises(ValueError):
-        evaluate(top_labels([{0: 1.0}]), [], uniform_propensity(2))
+        evaluate(top_labels([{0: 1.0}]), truth_matrix([], 2), uniform_propensity(2))
 
 
 def test_evaluate_names_the_first_true_label_outside_the_model():
@@ -307,21 +311,41 @@ def test_evaluate_names_the_first_true_label_outside_the_model():
     label outside the model that is no true label is a miss."""
     predictions = top_labels([{1: 2.0}, {9: 1.0}, {0: 1.0}])
     model = uniform_propensity(8)
-    truths = [np.array([1]), np.array([2, 9, 8]), np.array([12])]
+    truths = truth_matrix([np.array([1]), np.array([2, 9, 8]), np.array([12])], 13)
     message = "^true label 8 of sample 1 is outside the propensity model's 8 labels$"
     with pytest.raises(ValueError, match=message):
         evaluate(predictions, truths, model, ks=(1,))
-    report = evaluate(predictions, [np.array([1]), np.array([2]), np.array([0])], model, ks=(1,))
+    truths = truth_matrix([np.array([1]), np.array([2]), np.array([0])], 8)
+    report = evaluate(predictions, truths, model, ks=(1,))
     assert report["P@1"] == 2 / 3
 
 
 def test_evaluate_counts_a_repeated_cutoff_once():
     model = uniform_propensity(8)
     predictions = top_labels([{1: 2.0, 2: 1.0}, {3: 1.0, 4: 0.5}])
-    truths = [np.array([1]), np.array([4, 5])]
+    truths = truth_matrix([np.array([1]), np.array([4, 5])], 8)
     once = evaluate(predictions, truths, model, ks=(1, 3))
     twice = evaluate(predictions, truths, model, ks=(1, 1, 3))
     assert twice.values == once.values and twice["P@1"] == 0.5
+
+
+def test_evaluate_counts_repeated_and_unsorted_truths_once():
+    """A truths row that stores a label twice, or its labels out of order,
+    reads as the set of its labels: the report equals the dict reference's
+    on the same lists, which takes each list as a set."""
+    rng = np.random.default_rng(11)
+    L = 12
+    rows = [
+        dict(zip(rng.choice(L, 6, replace=False).tolist(), rng.uniform(0.1, 2, 6).tolist()))
+        for _ in range(400)
+    ]
+    truths = [rng.choice(L, rng.integers(0, 7)).tolist() for _ in rows]  # with repeats
+    assert any(len(set(t)) < len(t) for t in truths)
+    assert any(t != sorted(t) for t in truths)
+    model = propensity(rng.integers(0, 30, L), n=400)
+    got = evaluate(top_labels(rows), truth_matrix(truths, L), model)
+    want = evaluate_dicts(rows, truths, model)
+    assert (got.values, got.samples, got.skipped) == (want.values, want.samples, want.skipped)
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,7 +359,7 @@ def test_truth_hits_equal_unique_and_isin(data):
     K = data.draw(st.integers(1, 4))
     slots = st.lists(st.integers(-1, L - 1), min_size=K, max_size=K)
     pred = np.array(data.draw(st.lists(slots, min_size=len(truths), max_size=len(truths))))
-    keys, span, hit = truth_hits(pred, [np.array(t, dtype=np.int64) for t in truths])
+    keys, span, hit = truth_hits(pred, truth_matrix(truths, L))
     want_keys, want_span, want_hit = isin_truth_hits(pred, truths)
     assert span == want_span
     assert keys.dtype == want_keys.dtype and np.array_equal(keys, want_keys)

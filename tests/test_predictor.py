@@ -12,6 +12,7 @@ from oracles import (
     feature_row,
     from_scipy,
     knn_scan,
+    labelsets,
     lexsort_top_k,
     neighbor_lists,
     predict,
@@ -411,11 +412,11 @@ def test_top_k_lexsorts_only_the_entries_reaching_the_kth_score():
 
 
 def test_predict_is_composition(small_spec, small_ds, small_embedded):
-    labelsets = small_ds.labelsets()
+    train_labels = labelsets(small_ds)
     query = feature_row(small_ds, 3)
-    direct = predict(small_spec, small_embedded, labelsets, query, 5)
+    direct = predict(small_spec, small_embedded, train_labels, query, 5)
     q = embed_single(small_spec, query)
-    manual = propagate(neighbor_lists(*knn(q, small_embedded, 5)), labelsets)
+    manual = propagate(neighbor_lists(*knn(q, small_embedded, 5)), train_labels)
     assert direct == manual
 
 
@@ -430,12 +431,12 @@ def test_predict_training_point_matches_itself(small_spec, small_ds, small_embed
 def test_batch_predict_equals_per_query(small_spec, small_ds, small_embedded, train_test):
     train, test = train_test
     # reuse the small corpus as both train and queries to keep this quick
-    labelsets = small_ds.labelsets()
+    train_labels = labelsets(small_ds)
     sub = small_ds
     queries = project_csr(small_spec, sub.to_feature_csr(np.float64))
     batched = score_matrix(*batch_predict(small_embedded, queries, 5), small_ds.label_matrix())
     for i in range(0, sub.n, 37):
-        single = predict(small_spec, small_embedded, labelsets, feature_row(sub, i), 5)
+        single = predict(small_spec, small_embedded, train_labels, feature_row(sub, i), 5)
         assert row_scores(batched, i) == single
 
 

@@ -25,10 +25,11 @@ from oracles import (
     sp_score_matrix,
     to_scipy,
     top_labels,
+    truth_matrix,
 )
 
 from ogeec import ensemble
-from ogeec.csr import CSR, label_scores
+from ogeec.csr import label_scores
 from ogeec.ensemble import EnsembleSpec, fused_scores, sweep_ensemble_size
 from ogeec.metrics import evaluate, propensity
 from ogeec.predictor import format_predictions, propagate
@@ -64,18 +65,11 @@ def label_side(draw):
     return labelsets, L, learners, truths, ks, K, propensity(np.array(freqs), n=100)
 
 
-def _Y(labelsets, L):
-    sizes = [len(s) for s in labelsets]
-    indices = np.concatenate([np.empty(0, np.int64), *labelsets])
-    indptr = np.cumsum([0] + sizes)
-    return CSR(np.ones(indices.size), indices, indptr, (len(labelsets), L))
-
-
 @settings(deadline=None, max_examples=300)
 @given(case=label_side())
 def test_sparse_label_side_equals_dict_path(case):
     labelsets, L, learners, truths, ks, K, model = case
-    Y = _Y(labelsets, L)
+    Y = truth_matrix(labelsets, L)
     found = [neighbor_arrays(lists) for lists in learners]
     mats = [score_matrix(*nb, Y) for nb in found]
     dicts = [[propagate(nb, labelsets) for nb in lists] for lists in learners]
@@ -87,14 +81,14 @@ def test_sparse_label_side_equals_dict_path(case):
     with mock.patch.object(ensemble, "learner_neighbours", lambda *a, **kw: enumerate(found)):
         # ranked at K = L, the fused ranking holds every fused score
         fused, top, ranked = (fused_scores(spec, train, None, width) for width in (L, K, max(ks)))
-        test = mock.Mock(n=len(truths), labelsets=lambda: truths)
+        test = mock.Mock(n=len(truths), label_matrix=lambda: truth_matrix(truths, L))
         sizes = list(range(1, len(mats) + 1))
         sweep = sweep_ensemble_size(spec, train, test, sizes, model, ks=ks)
     fused_dicts = [fuse(list(per_query)) for per_query in zip(*dicts)]
     assert ranking_dicts(fused) == fused_dicts
     assert format_predictions(*top) == format_dicts(fused_dicts, K)
 
-    got = evaluate(ranked[0], truths, model, ks=ks)
+    got = evaluate(ranked[0], truth_matrix(truths, L), model, ks=ks)
     want = evaluate_dicts(fused_dicts, truths, model, ks=ks)
     assert (got.values, got.samples, got.skipped) == (want.values, want.samples, want.skipped)
     assert got.tsv_row() == want.tsv_row()
@@ -130,12 +124,12 @@ def test_product_sums_in_neighbour_order():
     W = sp.csr_matrix((sims, index, np.arange(0, 2501, 5)), shape=(500, n))
     assert not W.has_sorted_indices
     stored = W.indices.copy()
-    S = W @ to_scipy(_Y(labelsets, L))
+    S = W @ to_scipy(truth_matrix(labelsets, L))
     assert np.array_equal(W.indices, stored)
     assert np.diff(S.indptr).mean() > 70
     want = [propagate(nb, labelsets) for nb in lists]
     assert score_dicts(S) == want
-    assert score_dicts(score_matrix(*neighbor_arrays(lists), _Y(labelsets, L))) == want
+    assert score_dicts(score_matrix(*neighbor_arrays(lists), truth_matrix(labelsets, L))) == want
     reversed_order = [propagate(nb[::-1], labelsets) for nb in lists]
     assert reversed_order != want
 
@@ -144,7 +138,7 @@ def test_out_of_range_neighbour_is_rejected():
     """Only -1 is a pad: it is dropped and leaves its row empty. Any other
     index outside the train set raises, where numpy indexing would wrap a
     negative one around and scipy's `W @ Y` would read past Y."""
-    Y = _Y([np.array([0])], 1)
+    Y = truth_matrix([np.array([0])], 1)
     sims = np.array([[0.5], [0.5]])
     S = score_matrix(np.array([[0], [-1]]), sims, Y)
     assert score_dicts(S) == [{0: 0.5}, {}]
@@ -157,7 +151,7 @@ def test_sum_adds_entries_or_keeps_the_lone_one():
     """A + B stores a + b where both hold a label and a or b where one does,
     for the unsorted matrices scipy's W @ Y returns and for sorted ones."""
     rng = np.random.default_rng(6)
-    Y = _Y([np.sort(rng.choice(80, 10, replace=False)) for _ in range(40)], 80)
+    Y = truth_matrix([np.sort(rng.choice(80, 10, replace=False)) for _ in range(40)], 80)
     A, B = (
         sp_score_matrix(*neighbor_arrays(_spread_neighbors(rng, 300, 40, 4)), Y) for _ in range(2)
     )
@@ -202,6 +196,6 @@ def test_metric_means_add_samples_in_order():
     ]
     truths = [sorted(rng.choice(L, rng.integers(0, 8), replace=False).tolist()) for _ in rows]
     model = propensity(rng.integers(0, 40, L), n=3000)
-    got = evaluate(top_labels(rows), truths, model)
+    got = evaluate(top_labels(rows), truth_matrix(truths, L), model)
     want = evaluate_dicts(rows, truths, model)
     assert (got.values, got.samples, got.skipped) == (want.values, want.samples, want.skipped)
