@@ -10,7 +10,7 @@ The script writes the model of --r, --k, --learners and --seed (d from the
 train file's header line) and runs `predict` itself, with no cache, in this
 process (`cli.main`, its TSV to os.devnull). Each call that `predict` makes
 to a phase function prints one row as it returns: `parse`
-(`cli.parse_dataset`, once per file), `plan` (`ensemble.train_test_rows`),
+(`cli.parse_dataset`, once per file), `plan` (`ensemble.PlannedRows`),
 each learner's `projection` (`ensemble.project_rows`) and `search`
 (`ensemble.batch_predict`), and the `label pass` (`ensemble.rank_labels`).
 A row gives the seconds since the row before, the process's peak RSS so far
@@ -71,13 +71,13 @@ def main() -> int:
                       f"per nonzero, held after planning {held / nnz:.1f}")
             result = run(*a, **kw)
             if phase == "parse":
-                nnz += result.feat_indices.size
+                nnz += result.features.nnz
             report(phase)
             return result
         return call
 
     for module, name, phase in (
-        (cli, "parse_dataset", "parse"), (ensemble, "train_test_rows", "plan"),
+        (cli, "parse_dataset", "parse"), (ensemble, "PlannedRows", "plan"),
         (ensemble, "project_rows", "projection"), (ensemble, "batch_predict", "search"),
         (ensemble, "rank_labels", "label pass"),
     ):

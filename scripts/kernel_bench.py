@@ -17,7 +17,8 @@ wide and dense-labels workloads, generated in memory from --seed:
 - label_scores: E learners of k = 5 neighbours per test sample (the
   workload's E: 5 for dense-labels, else 1), drawn at random from the train
   samples with similarities in (0, 1), since only the label fan-out sets the
-  cost;
+  cost, passed in the blocks of `_LABEL_FLOATS` // L queries that
+  `predictor.rank_labels` cuts, each block checked against its oracle;
 - pair_dots: 10,000 random pairs of train samples, read from the parsed
   rows and their 1 / norms as `analyze distortion --pairs 10000` takes
   them; the oracle takes them from the unit rows of `sp_normalize_rows`.
@@ -39,13 +40,14 @@ sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import corpus  # noqa: E402
-from oracles import sp_label_scores, sp_normalize_rows, sp_pair_dots  # noqa: E402
+from oracles import float64_features, sp_label_scores, sp_normalize_rows, sp_pair_dots  # noqa: E402
 from oracles import sp_row_products, vstack  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from ogeec.csr import CSR, inv_norms, label_scores, pair_dots  # noqa: E402
 from ogeec.data import parse_dataset  # noqa: E402
 from ogeec.embedding import EmbeddingSpec, PlannedRows, materialize_rows  # noqa: E402
+from ogeec.predictor import _LABEL_FLOATS  # noqa: E402
 
 LEARNERS = {"mid": 1, "wide": 1, "dense-labels": 5}
 R, K, PAIRS = 200, 5, 10_000
@@ -69,8 +71,8 @@ def same_bits(a, b) -> bool:
             and np.array_equal(a.indices, b.indices)
             and np.array_equal(a.indptr, b.indptr)
         )
-    if isinstance(a, tuple):
-        return all(same_bits(x, y) for x, y in zip(a, b))
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(same_bits(x, y) for x, y in zip(a, b))
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
@@ -91,22 +93,26 @@ def kernels(name: str, train, test):
     for _ in range(LEARNERS[name]):
         index = np.array([rng.choice(train.n, K, replace=False) for _ in range(test.n)])
         learners.append((index, rng.random((test.n, K))))
-    Y = train.label_matrix()
-    yield "label_scores", lambda: label_scores(learners, Y), lambda: sp_label_scores(learners, Y)
+    Y = train.labels
+    step = max(1, _LABEL_FLOATS // train.L)  # as predictor.rank_labels cuts the queries
+    blocks = [[(index[a : a + step], sims[a : a + step]) for index, sims in learners]
+              for a in range(0, test.n, step)]
+    yield ("label_scores", lambda: [label_scores(block, Y) for block in blocks],
+           lambda: [sp_label_scores(block, Y) for block in blocks])
 
     a, b = rng.integers(0, train.n, PAIRS), rng.integers(0, train.n, PAIRS)
-    X = train.to_feature_csr()
-    inv, Xn = inv_norms(X), sp_normalize_rows(train.to_feature_csr(np.float64))[0]
+    X = train.features
+    inv, Xn = inv_norms(X), sp_normalize_rows(float64_features(train))[0]
     yield "pair_dots", lambda: pair_dots(X, inv, a, b), lambda: sp_pair_dots(Xn, a, b)
 
 
 def projection(train, test, repeat: int) -> tuple[float, float, bool]:
     """`PlannedRows`' planning, then `_project`'s products over every block
     of F at r = R, on one thread."""
-    parts = (train.to_feature_csr(), test.to_feature_csr())
+    parts = (train.features, test.features)
     # planned once per command
     new_s, rows = median_time(lambda: PlannedRows(*parts), repeat)
-    both = vstack(*(sp_normalize_rows(ds.to_feature_csr(np.float64))[0] for ds in (train, test)))
+    both = vstack(*(sp_normalize_rows(float64_features(ds))[0] for ds in (train, test)))
     c = rows.plan.columns.size
     Xc = CSR(both.data, rows.plan.place(train.d)[both.indices], both.indptr, (both.shape[0], c))
     spec = EmbeddingSpec(seed=0, d=train.d, r=R)

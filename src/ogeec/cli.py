@@ -299,9 +299,9 @@ def _read_sets(
     and an explicit --k replaces its k), the train set and the test set,
     checked before any embedding: the flags are given, the learner count is
     at most the model's E (before either dataset is read), the datasets' d is
-    the model's, and the (test samples x K) ranking of `flag` K fits in this
-    machine's memory. The command reads no feature of either set once they
-    are planned, so planning drops their feature arrays."""
+    the model's (else the train set's), and the (test samples x K) ranking
+    of `flag` K fits in this machine's memory. The command reads no feature
+    of either set once they are planned, so planning drops their features."""
     _require(cfg, *(["model"] if model else []), "train", "test")
     spec = ens.read_metadata(cfg.model) if model else None
     if spec is not None:
@@ -311,10 +311,10 @@ def _read_sets(
         spec = replace(spec, seeds=spec.seeds[:count], k=cfg.k if "k" in explicit else spec.k)
     train_ds, test_ds = parse_dataset(cfg.train), parse_dataset(cfg.test)
     train_ds.planned_only = test_ds.planned_only = True
-    if spec is not None:
-        for name, ds in (("train", train_ds), ("test", test_ds)):
-            if ds.d != spec.d:
-                raise ValueError(f"{name} dataset dimensionality {ds.d} != model d {spec.d}")
+    d, what = (train_ds.d, "train dimensionality") if spec is None else (spec.d, "model d")
+    for name, ds in (("train", train_ds), ("test", test_ds)):
+        if ds.d != d:
+            raise ValueError(f"{name} dataset dimensionality {ds.d} != {what} {d}")
     need = _RANK_SLOT_BYTES * test_ds.n * K
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory:
@@ -330,7 +330,7 @@ def _propensity_model(cfg: RunConfig, train: SparseDataset, test: SparseDataset)
     """`train`'s propensity model, after refusing a test label outside its
     labels; a command checks this after reading its datasets and before
     embedding them."""
-    top = int(test.label_indices.max(initial=-1))
+    top = int(test.labels.indices.max(initial=-1))
     if top >= train.L:
         raise ValueError(
             f"{cfg.test}: test label {top} is outside the train set's labels "
@@ -342,7 +342,7 @@ def _propensity_model(cfg: RunConfig, train: SparseDataset, test: SparseDataset)
 def _evaluator(cfg: RunConfig, train: SparseDataset, test: SparseDataset):
     """ranking -> EvalReport of its top max(ks) labels against `test`'s."""
     model = _propensity_model(cfg, train, test)
-    return lambda ranking: metrics.evaluate(ranking[0], test.label_matrix(), model, ks=cfg.ks)
+    return lambda ranking: metrics.evaluate(ranking[0], test.labels, model, ks=cfg.ks)
 
 
 def _predict_ranking(cfg: RunConfig, explicit: set[str], flag: str, K: int, evaluated: bool):
@@ -480,7 +480,7 @@ def cmd_analyze_lsh_compare(cfg: RunConfig, explicit: set[str]) -> int:
     _, train_emb, queries = next(
         ens.learner_embeddings(spec, train_ds, test_ds, workers=cfg.effective_workers())
     )
-    labels = train_ds.label_matrix()
+    labels = train_ds.labels
     exhaustive = rank_labels([batch_predict(train_emb, queries, cfg.k)], labels, K)
 
     index = build_index(train_emb, T=cfg.tables, H=cfg.bits, seed=cfg.seed)

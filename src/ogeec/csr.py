@@ -2,8 +2,8 @@
 
 A `CSR` is the triple (data, indices, indptr) plus its shape: row i stores
 data[indptr[i]:indptr[i+1]] at the columns indices[indptr[i]:indptr[i+1]],
-in that stored order. Samples, the label matrix Y and every score matrix are
-CSR.
+in that stored order. A dataset is two CSRs, its samples and its label
+matrix Y (`data.SparseDataset`), and every score matrix is a CSR.
 
 Each kernel fixes the order in which it adds its float64 terms, so each
 result is the float that scipy.sparse's expression for it computes
@@ -208,15 +208,16 @@ def label_scores(learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR)
     its neighbours' weights at their (row, label) cells, row after row and
     each row in neighbour order; bincount adds each cell's weights in that
     order into a zeroed float64, so each score is the sum that scipy's
-    `W @ Y` forms, in W's stored order. The learners' blocks are added in learner order to a
-    running block that starts at 0.0, as scipy's S_1 + S_2 + ... adds them,
-    a label a learner never scored counting 0. The nonzero sums are kept, in
+    `W @ Y` forms, in W's stored order. The later learners' blocks are added
+    in learner order to the first, as scipy's S_1 + S_2 + ... adds them, a
+    label a learner never scored counting 0 (bincount forms no -0.0, so this
+    is the sum from 0.0). The nonzero sums, NaN among them, are kept in
     ascending label order per row, and each is divided by E.
     """
     n, L = labels.shape
     m = len(learners[0][0])
     lengths = np.diff(labels.indptr)
-    total = np.zeros(m * L)
+    total = None
     for index, sims in learners:
         if np.any((index < -1) | (index >= n)):
             raise IndexError(f"neighbor index out of range [0, {n})")
@@ -226,8 +227,10 @@ def label_scores(learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR)
         j, w = j[real], np.maximum(sims.ravel()[real], 0.0)
         fan = lengths[j]
         cells = np.repeat(row * L, fan) + labels.indices[_gather_rows(labels, j)]
-        total += np.bincount(cells, weights=np.repeat(w, fan), minlength=m * L)
-    kept = np.flatnonzero(total)  # row after row, ascending labels
+        block = np.bincount(cells, weights=np.repeat(w, fan), minlength=m * L)
+        # the first learner's block, cast (int64 when no cell is hit), starts the sum
+        total = block.astype(np.float64, copy=False) if total is None else np.add(total, block, out=total)
+    kept = np.flatnonzero(total != 0)  # row after row, ascending labels
     indptr = np.searchsorted(kept, np.arange(m + 1) * L).astype(_index_dtype(kept.size))
     return CSR(total[kept] / len(learners), (kept % L).astype(_index_dtype(L)), indptr, (m, L))
 

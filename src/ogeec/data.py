@@ -9,8 +9,9 @@ First line is the header (sample count, feature dimensionality, label
 vocabulary size). Each following line is one sample: a comma-separated
 label list (possibly empty, leaving a leading space) followed by
 space-separated ``index:value`` feature pairs. All indices are 0-based.
-A `SparseDataset` stores its feature indices as int32 below 2^31 columns
-(int64 from there), its values as float32 and its labels as int64.
+A `SparseDataset`'s feature CSR stores its indices as int32 below 2^31
+columns (int64 from there) and its values as float32; its label CSR stores
+its indices as int64.
 
 `parse_dataset` reads the file in pieces of about `_CHUNK` bytes cut at line
 ends. A piece whose lines all keep to the canonical grammar (digits and
@@ -79,30 +80,34 @@ def _fmt_value(v: float) -> str:
 
 @dataclass
 class SparseDataset:
-    """CSR feature matrix plus the label CSR, through which every label set
-    is read (`label_matrix`), and the label frequencies.
+    """A set of samples as its two CSRs: `features`, the n x d feature
+    matrix, and `labels`, Y, the n x L label matrix through which every
+    label set is read. Y stores a 1 at every (sample, label) assignment, its
+    data a read-only zero-stride view of one 1.0, so Y allocates nothing.
+    n, d and L are read from the shapes.
 
     An owner that reads no feature once the samples are planned, as the
     CLI's commands do, sets `planned_only`: planning (`ensemble`) then calls
-    `features_planned`, which drops the feature arrays (n, d and the labels
-    stay), so the samples are held once, in the plan. Where a cache is read
-    or written, `feature_sha256` is taken before.
+    `features_planned`, which drops the feature arrays but keeps their shape
+    (n, d and the labels stay), so the samples are held once, in the plan.
+    Where a cache is read or written, `feature_sha256` is taken before.
     """
 
-    n: int
-    d: int
-    L: int
-    feat_indptr: np.ndarray
-    feat_indices: np.ndarray
-    feat_values: np.ndarray
-    label_indptr: np.ndarray
-    label_indices: np.ndarray
+    features: CSR
+    labels: CSR
     planned_only = False  # not a field: set by the owner, see the class docstring
+    n = property(lambda self: self.labels.shape[0])
+    d = property(lambda self: self.features.shape[1])
+    L = property(lambda self: self.labels.shape[1])
+
+    def __post_init__(self):
+        if self.features.shape[0] != self.n:
+            raise ValueError(f"{self.features.shape[0]} feature rows != {self.n} label rows")
 
     @functools.cached_property
     def label_frequencies(self) -> np.ndarray:
         """Each label's count of samples, as int64, computed once."""
-        return np.bincount(self.label_indices, minlength=self.L).astype(np.int64)
+        return np.bincount(self.labels.indices, minlength=self.L).astype(np.int64)
 
     @functools.cached_property
     def feature_sha256(self) -> bytes:
@@ -113,29 +118,17 @@ class SparseDataset:
         import hashlib  # here: loading OpenSSL adds about 4 ms to every command's start
 
         digest = hashlib.sha256()
-        arrays = (self.feat_indptr, self.feat_indices, self.feat_values)
-        for array, dtype in zip(arrays, ("<i8", "<i8", "<f4")):
+        X = self.features
+        for array, dtype in zip((X.indptr, X.indices, X.data), ("<i8", "<i8", "<f4")):
             for a in range(0, array.size, _HASH_ENTRIES):
                 digest.update(np.ascontiguousarray(array[a : a + _HASH_ENTRIES], dtype=dtype))
         return digest.digest()
 
     def features_planned(self) -> None:
         """Drop the feature arrays of a `planned_only` set, whose samples a
-        plan now holds; any other set keeps them."""
+        plan now holds, keeping their shape; any other set keeps them."""
         if self.planned_only:
-            self.feat_indptr = self.feat_indices = self.feat_values = None
-
-    def label_matrix(self) -> CSR:
-        """Y (n x L): a 1 at every (sample, label) assignment, its data a
-        read-only zero-stride view of one 1.0, so Y allocates nothing."""
-        ones = np.broadcast_to(np.float64(1.0), self.label_indices.shape)
-        return CSR(ones, self.label_indices, self.label_indptr, (self.n, self.L))
-
-    def to_feature_csr(self, dtype=None) -> CSR:
-        """The feature CSR: views of the dataset's arrays, the values cast to
-        a copy of `dtype` when it is given."""
-        values = self.feat_values if dtype is None else self.feat_values.astype(dtype)
-        return CSR(values, self.feat_indices, self.feat_indptr, (self.n, self.d))
+            self.features = CSR(None, None, None, self.features.shape)
 
 
 def _parse_labels(token: str, L: int, lineno: int) -> np.ndarray:
@@ -237,15 +230,17 @@ def _rows(feature_rows: list[tuple], label_rows: list[np.ndarray]) -> _Rows:
 
 
 def _dataset(rows: _Rows, d: int, L: int) -> SparseDataset:
-    """The dataset of `rows`, its feature indices as `_index_dtype(d)`."""
-    feat_indptr, label_indptr = (
-        np.concatenate(([0], np.cumsum(c))).astype(np.int64)
-        for c in (rows.feat_counts, rows.label_counts)
-    )
+    """The dataset of `rows`, its feature indices as `_index_dtype(d)` and
+    its Y's data a view of one 1.0: no label value is allocated."""
+    n = rows.feat_counts.size
+    feat_indptr, label_indptr = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(rows.feat_counts, out=feat_indptr[1:])
+    np.cumsum(rows.label_counts, out=label_indptr[1:])
+    indices = rows.feat_indices.astype(_index_dtype(d), copy=False)
+    ones = np.broadcast_to(np.float64(1.0), rows.label_indices.shape)
     return SparseDataset(
-        n=feat_indptr.size - 1, d=d, L=L, feat_indptr=feat_indptr,
-        feat_indices=rows.feat_indices.astype(_index_dtype(d), copy=False),
-        feat_values=rows.feat_values, label_indptr=label_indptr, label_indices=rows.label_indices,
+        CSR(rows.feat_values, indices, feat_indptr, (n, d)),
+        CSR(ones, rows.label_indices, label_indptr, (n, L)),
     )
 
 
@@ -536,14 +531,12 @@ def parse_dataset(path) -> SparseDataset:
 
 
 def format_dataset(ds: SparseDataset) -> str:
+    X, Y = ds.features, ds.labels
     out = [f"{ds.n} {ds.d} {ds.L}"]
     for i in range(ds.n):
-        a, b = ds.feat_indptr[i], ds.feat_indptr[i + 1]
-        la, lb = ds.label_indptr[i], ds.label_indptr[i + 1]
-        labels = ",".join(str(l) for l in ds.label_indices[la:lb])
-        feats = " ".join(
-            f"{j}:{_fmt_value(v)}" for j, v in zip(ds.feat_indices[a:b], ds.feat_values[a:b])
-        )
+        a, b = X.indptr[i], X.indptr[i + 1]
+        labels = ",".join(str(l) for l in Y.indices[Y.indptr[i] : Y.indptr[i + 1]])
+        feats = " ".join(f"{j}:{_fmt_value(v)}" for j, v in zip(X.indices[a:b], X.data[a:b]))
         out.append(labels + (" " + feats if feats else ""))
     return "\n".join(out) + "\n"
 
@@ -622,26 +615,21 @@ def generate_synthetic(
 
 
 def split_dataset(ds: SparseDataset, n_first: int) -> tuple[SparseDataset, SparseDataset]:
-    """Split rows [0, n_first) / [n_first, n) into two datasets.
+    """Split rows [0, n_first) / [n_first, n) into two datasets whose
+    arrays are views of `ds`'s (`_row_range`), Y's data among them.
 
     Label frequencies are recomputed per part, so the first part is usable as
     a training corpus with its own statistics.
     """
     if not 0 < n_first < ds.n:
         raise ValueError("n_first must satisfy 0 < n_first < n")
+    return tuple(
+        SparseDataset(_row_range(ds.features, lo, hi), _row_range(ds.labels, lo, hi))
+        for lo, hi in ((0, n_first), (n_first, ds.n))
+    )
 
-    def part(lo: int, hi: int) -> SparseDataset:
-        fa, fb = ds.feat_indptr[lo], ds.feat_indptr[hi]
-        la, lb = ds.label_indptr[lo], ds.label_indptr[hi]
-        return SparseDataset(
-            n=hi - lo,
-            d=ds.d,
-            L=ds.L,
-            feat_indptr=ds.feat_indptr[lo : hi + 1] - fa,
-            feat_indices=ds.feat_indices[fa:fb].copy(),
-            feat_values=ds.feat_values[fa:fb].copy(),
-            label_indptr=ds.label_indptr[lo : hi + 1] - la,
-            label_indices=ds.label_indices[la:lb].copy(),
-        )
 
-    return part(0, n_first), part(n_first, ds.n)
+def _row_range(X: CSR, lo: int, hi: int) -> CSR:
+    """Rows [lo, hi) of X: views of its data and indices, and a new indptr."""
+    a, b = X.indptr[lo], X.indptr[hi]
+    return CSR(X.data[a:b], X.indices[a:b], X.indptr[lo : hi + 1] - a, (hi - lo, X.shape[1]))

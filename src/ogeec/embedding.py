@@ -10,8 +10,8 @@ by F block-by-block (cost proportional to nnz times r), re-normalizing, and
 storing the result as a column-major float32 matrix.
 
 Generating F is most of the cost at large d, so a command prepares its
-samples once (`train_test_rows`): normalized, stacked and planned
-(`PlannedRows`), they serve every learner, and `ensemble.learner_embeddings`
+samples once: its sets' feature CSRs, normalized, stacked and planned
+(`PlannedRows`), serve every learner, and `ensemble.learner_embeddings`
 projects them for each learner in one pass over F (`project_rows`); a sweep
 over r takes every r from one pass at the largest (`embed_prefixes`). A
 projection draws F only at the columns its samples use (`column_plan`): the
@@ -21,7 +21,7 @@ and every drawn value is bit-identical to the full row.
 Preparing the samples has a memory budget: `PlannedRows` marks the columns
 of every stored entry, reads its sets a block of rows at a time for their
 norms (`csr.inv_norms`), then fills the position-major copy that it holds
-(12 bytes per nonzero) straight from the parsed arrays, so it peaks
+(12 bytes per nonzero) straight from the sets' feature CSRs, so it peaks
 at about 12 bytes per nonzero above the parsed sets (8 each, int32 indices
 and float32 values), plus O(n) and the column plan's O(d), and holds 12.
 A command's parsed sets give up their feature arrays once they are planned
@@ -76,15 +76,16 @@ class EmbeddingSpec:
 
 @dataclass
 class EmbeddedMatrix:
-    """Dense r-by-n column-major float32 matrix of projected samples.
+    """Dense r-by-n column-major float32 matrix of projected samples; r and
+    n are read from its shape.
 
     Every nonzero column has unit norm (within 1e-5); zero columns appear
     only for zero input vectors.
     """
 
-    r: int
-    n: int
     data: np.ndarray
+    r = property(lambda self: self.data.shape[0])
+    n = property(lambda self: self.data.shape[1])
 
 
 _philox = threading.local()  # each thread's one generator, re-keyed per row
@@ -233,35 +234,28 @@ def split_rows(r: int, workers: int, fill) -> None:
 
 
 class PlannedRows:
-    """The unit rows of the CSRs `parts`, stacked, ready for any learner to
-    project: the plan of the columns of every stored entry, and the rows
-    held once, position-major, inside `csr.RowProducts`, each column index
-    mapped to its place in the plan (int32 below 2^31 columns) as they are
-    filled; no input array is written, and the d-sized map is freed once
-    they are. Neither depends on the learner's seed."""
+    """The unit rows of the CSRs `parts`, of as many columns, stacked, ready
+    for any learner to project: the plan of the columns of every stored
+    entry, and the rows held once, position-major, inside `csr.RowProducts`,
+    each column index mapped to its place in the plan (int32 below 2^31
+    columns) as they are filled; no input array is written, and the d-sized
+    map is freed once they are. Neither depends on the learner's seed.
+
+    A command plans its train rows stacked over its test rows, or one set
+    alone: the products are the bits of scipy's `diags(1 / norms) @ X`, and
+    no stacked copy is made."""
 
     def __init__(self, *parts: CSR):
         self.n, self.d = sum(P.shape[0] for P in parts), parts[0].shape[1]
+        for P in parts[1:]:
+            if P.shape[1] != self.d:
+                raise ValueError(f"dimensionality {P.shape[1]} != first part's dimensionality {self.d}")
         used = np.zeros(self.d, dtype=bool)
         for P in parts:
             used[P.indices] = True
         self.plan = column_plan(used)
         self.block = _row_block(self.plan.columns.size)
         self.products = RowProducts(parts, self.block, self.plan.place(self.d))
-
-
-def train_test_rows(train: SparseDataset, test: SparseDataset | None = None) -> PlannedRows:
-    """Normalize and plan a command's samples once, for every learner: the
-    train rows stacked over the test rows, or one set alone. A first pass
-    finds the rows' norms (`csr.inv_norms`), and `PlannedRows` then fills
-    its position-major copy straight from the parsed arrays, its products
-    the bits of those of scipy's `diags(1 / norms) @ X`; no stacked copy is
-    made. Besides the parsed sets, that is about 12 bytes per nonzero, O(n)
-    and the plan's O(d)."""
-    sets = [train] if test is None else [train, test]
-    if test is not None and test.d != train.d:
-        raise ValueError(f"test dimensionality {test.d} != train dimensionality {train.d}")
-    return PlannedRows(*(ds.to_feature_csr() for ds in sets))
 
 
 def column_norms(data: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -356,10 +350,7 @@ def embed_prefixes(
 
 def embed(spec: EmbeddingSpec, dataset: SparseDataset, *, workers: int = 1) -> EmbeddedMatrix:
     """Normalize, project and re-normalize a whole corpus."""
-    if dataset.d != spec.d:
-        raise ValueError(f"dataset dimensionality {dataset.d} != spec.d {spec.d}")
-    data = project_csr(spec, dataset.to_feature_csr(), workers=workers)
-    return EmbeddedMatrix(r=spec.r, n=dataset.n, data=data)
+    return EmbeddedMatrix(project_csr(spec, dataset.features, workers=workers))
 
 
 def save_cache(prefix, matrix: EmbeddedMatrix, spec: EmbeddingSpec, train: SparseDataset) -> str:
@@ -452,4 +443,4 @@ def load_cache(prefix, spec: EmbeddingSpec, train: SparseDataset) -> EmbeddedMat
     path, r, n, crc = found
     cols = np.empty((n, r), dtype=STORE_DTYPE)  # its transpose is column-major
     _read_payload(path, crc, cols.reshape(-1))
-    return EmbeddedMatrix(r=r, n=n, data=cols.T)
+    return EmbeddedMatrix(cols.T)

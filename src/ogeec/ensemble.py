@@ -23,12 +23,11 @@ import numpy as np
 
 from .data import SparseDataset, atomic_write
 from .embedding import (
-    EmbeddedMatrix, EmbeddingSpec,
+    EmbeddedMatrix, EmbeddingSpec, PlannedRows,
     check_cache,
     embed_prefixes,
     load_cache,
     project_rows,
-    train_test_rows,
 )
 from .embedding import embed  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
 from .metrics import DEFAULT_KS, EvalReport, PropensityModel, evaluate
@@ -78,8 +77,8 @@ def learner_embeddings(
     learner is projected, before that learner is yielded.
 
     With a `cache` prefix, every cache file is checked against `dataset`
-    first (`check_cache`). Each set of samples is then planned once
-    (`embedding.train_test_rows`), and only where a learner projects it: the
+    first (`check_cache`). Each set's feature CSR is then planned once
+    (`embedding.PlannedRows`), and only where a learner projects it: the
     train rows stacked over the test rows unless every learner is cached,
     the test rows alone only when some learner is. A cached learner loads
     its train matrix (`load_cache`) and projects the test rows alone; any
@@ -91,11 +90,11 @@ def learner_embeddings(
     # learner's work
     cached = [cache is not None and check_cache(cache, spec.learner(i), dataset)
               for i in range(spec.size)]
-    both = None if all(cached) else train_test_rows(dataset, test)
-    alone = train_test_rows(test) if any(cached) else None
-    for ds in (dataset, test):
-        if ds is not None:
-            ds.features_planned()
+    sets = [ds for ds in (dataset, test) if ds is not None]
+    both = None if all(cached) else PlannedRows(*(ds.features for ds in sets))
+    alone = PlannedRows(test.features) if any(cached) else None
+    for ds in sets:
+        ds.features_planned()
 
     def embedded(i: int) -> tuple[EmbeddingSpec, EmbeddedMatrix, np.ndarray]:
         nonlocal both, alone
@@ -106,7 +105,7 @@ def learner_embeddings(
             queries = project_rows(lspec, alone, workers=workers)
         else:
             data = project_rows(lspec, both, workers=workers)
-            train = EmbeddedMatrix(r=lspec.r, n=dataset.n, data=data[:, : dataset.n])
+            train = EmbeddedMatrix(data[:, : dataset.n])
             queries = data[:, dataset.n :]
         if i == spec.size - 1:
             both = alone = None  # no learner projects them again
@@ -142,7 +141,7 @@ def fused_scores(
     found = learner_neighbours(spec, dataset, test, workers=workers, cache=cache, timings=timings)
     neighbours = [nb for _, nb in found]
     t0 = time.perf_counter()
-    ranking = rank_labels(neighbours, dataset.label_matrix(), K)
+    ranking = rank_labels(neighbours, dataset.labels, K)
     if timings is not None:
         timings["propagate_s"] = timings.get("propagate_s", 0.0) + time.perf_counter() - t0
     return ranking
@@ -171,8 +170,7 @@ def sweep_ensemble_size(
     if max(sizes) > spec.size or min(sizes) < 1:
         raise ValueError(f"sizes must lie in [1, {spec.size}]")
     prefix = replace(spec, seeds=spec.seeds[: max(sizes)])
-    truths = test.label_matrix()
-    labels = dataset.label_matrix()
+    truths, labels = test.labels, dataset.labels
     neighbours = []
     fused_reports: dict[int, EvalReport] = {}
     per_learner: list[EvalReport] = []
@@ -208,13 +206,12 @@ def sweep_dimension(
     if min(rs) < 1:  # before any sample is planned or row of F drawn
         raise ValueError(f"r {min(rs)} out of range [1, {max(rs)}]")
     spec = EmbeddingSpec(seed=seed, d=dataset.d, r=max(rs))
-    labels = dataset.label_matrix()
-    prefixes = embed_prefixes(spec, train_test_rows(dataset, test), rs, workers=workers)
+    prefixes = embed_prefixes(spec, PlannedRows(dataset.features, test.features), rs, workers=workers)
     dataset.features_planned()
     test.features_planned()
     for r, data in zip(rs, prefixes):
-        train = EmbeddedMatrix(r=r, n=dataset.n, data=data[:, : dataset.n])
-        yield r, rank_labels([batch_predict(train, data[:, dataset.n :], k)], labels, K)
+        train = EmbeddedMatrix(data[:, : dataset.n])
+        yield r, rank_labels([batch_predict(train, data[:, dataset.n :], k)], dataset.labels, K)
 
 
 def format_metadata(spec: EnsembleSpec) -> str:

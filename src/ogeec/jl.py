@@ -88,7 +88,7 @@ def measure_distortion(
     a = rng.integers(0, dataset.n, size=pairs)
     b = rng.integers(0, dataset.n, size=pairs)
 
-    X = dataset.to_feature_csr()
+    X = dataset.features
     inv = inv_norms(X)
     unit_sq = (inv > 0).astype(np.float64)  # as norm > 0: a float32 row's norm is finite
 

@@ -116,7 +116,7 @@ def evaluate(
 
     `predictions` is the (m, >= max(ks)) label array of `predictor.top_k`,
     best first and padded with -1; `truths` is the test samples' (m x L)
-    label CSR (`SparseDataset.label_matrix()`), whose row i stores sample i's
+    label CSR (`SparseDataset.labels`), whose row i stores sample i's
     true labels (a repeat counts once; the values are not read). Per sample,
     with hits the true labels in the top K slots (a short ranking's missing
     slots count as wrong):

@@ -7,15 +7,16 @@ itself. `box_muller` defines that stream step by step and is the only
 source of whole rows of F, since the package draws F only at the columns a
 projection uses; `project_full` applies every column of F drawn from it, the
 reference for that projection. `feature_row` gives one sample as a `Row`
-of views into its dataset's CSR arrays, for the per-sample oracles, and
-`labelsets` gives every sample's labels as a list of views of the label
-CSR; `truth_matrix` builds a label CSR from such lists, as Y or as the
+of views into its dataset's feature CSR, for the per-sample oracles,
+`float64_features` that CSR with float64 values, as the `sp_*` oracles take
+it, and `labelsets` gives every sample's labels as a list of views of the
+label CSR; `truth_matrix` builds a label CSR from such lists, as Y or as the
 truths that `metrics.evaluate` reads. The
 exceptions are `embed_single`, one sample projected alone through the
 package's `project_csr` (no command
 projects a single sample, so it lives here), `predict`, the per-query
 composition of the package's own steps, which the batch paths are checked
-against, `same_dataset`, the field-by-field comparison of two parsed
+against, `same_dataset`, the CSR-by-CSR comparison of two parsed
 datasets, `sweep_r`, one `fused_scores` call per r, which
 the one-pass dimension sweep is checked against, `score_matrix`, one
 learner's `csr.label_scores` of every query at once, which the blocked
@@ -39,7 +40,6 @@ zeros, `scaled_rows` is `sp_normalize_rows`' matrix.
 were int64: each array converted whole, the formula every v2 cache holds.
 """
 
-import dataclasses
 import hashlib
 import math
 from typing import NamedTuple
@@ -65,14 +65,20 @@ class Row(NamedTuple):
 
 def feature_row(ds, i) -> Row:
     """Sample i of a `SparseDataset`, as views of its feature CSR."""
-    a, b = ds.feat_indptr[i], ds.feat_indptr[i + 1]
-    return Row(ds.feat_indices[a:b], ds.feat_values[a:b])
+    X = ds.features
+    a, b = X.indptr[i], X.indptr[i + 1]
+    return Row(X.indices[a:b], X.data[a:b])
 
 
 def labelsets(ds) -> list[np.ndarray]:
     """Each sample's labels, as views of its dataset's label CSR."""
-    ptr = ds.label_indptr
-    return [ds.label_indices[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+    ptr = ds.labels.indptr
+    return [ds.labels.indices[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+
+
+def float64_features(ds) -> CSR:
+    """The dataset's feature CSR with a float64 copy of its values."""
+    return ds.features._replace(data=ds.features.data.astype(np.float64))
 
 
 def truth_matrix(lists, L) -> CSR:
@@ -216,16 +222,18 @@ def feature_sha256(ds) -> bytes:
     """sha256 of the feature CSR, each array converted whole to LE int64,
     int64 and float32."""
     digest = hashlib.sha256()
-    arrays = (ds.feat_indptr, ds.feat_indices, ds.feat_values)
-    for array, dtype in zip(arrays, ("<i8", "<i8", "<f4")):
+    X = ds.features
+    for array, dtype in zip((X.indptr, X.indices, X.data), ("<i8", "<i8", "<f4")):
         digest.update(np.ascontiguousarray(array, dtype=dtype))
     return digest.digest()
 
 
 def same_dataset(a, b) -> bool:
-    """Every field of two `SparseDataset`s equal, arrays element for element."""
+    """Two `SparseDataset`s' feature and label CSRs equal: each array element
+    for element, and each shape."""
     return all(
-        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        X.shape == Y.shape and all(np.array_equal(x, y) for x, y in zip(X[:3], Y[:3]))
+        for X, Y in ((a.features, b.features), (a.labels, b.labels))
     )
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    float64_features,
     naive_end_to_end,
     ref_ndcg,
     ref_precision,
@@ -104,8 +105,8 @@ def test_criterion_3_oracle_equivalence():
     train, test = split_dataset(ds, 200)
     spec = EmbeddingSpec(seed=9, d=3000, r=50)
     emb = embed(spec, train)
-    queries = project_csr(spec, test.to_feature_csr(np.float64))
-    real = score_matrix(*batch_predict(emb, queries, 5), train.label_matrix())
+    queries = project_csr(spec, float64_features(test))
+    real = score_matrix(*batch_predict(emb, queries, 5), train.labels)
     naive = naive_end_to_end(9, train, test, 50, 5)
     max_diff = 0.0
     for got, want in zip(score_dicts(real), naive):
@@ -202,7 +203,7 @@ def test_criterion_6_embedding_dimension_trend(dataset_pairs):
         for r, sink in ((50, p50), (200, p200)):
             spec = EnsembleSpec(seeds=(10 * seed,), d=train.d, r=r, k=5)
             labels = fused_scores(spec, train, test, 5)[0]
-            sink.append(evaluate(labels, test.label_matrix(), model)["P@1"])
+            sink.append(evaluate(labels, test.labels, model)["P@1"])
     diffs = np.array(p200) - np.array(p50)
     sem = diffs.std(ddof=1) / np.sqrt(len(diffs))
     report(
@@ -249,14 +250,14 @@ def test_criterion_8_lsh_direction(dataset_pairs):
         model = propensity(train.label_frequencies, train.n)
         lspec = EmbeddingSpec(seed=10 * seed, d=train.d, r=64)
         emb = embed(lspec, train)
-        labels = train.label_matrix()
-        q_emb = project_csr(lspec, test.to_feature_csr(np.float64))
+        labels = train.labels
+        q_emb = project_csr(lspec, float64_features(test))
         exhaustive = score_matrix(*batch_predict(emb, q_emb, 5), labels)
-        ex_p1.append(evaluate(top_k(exhaustive, 5)[0], test.label_matrix(), model)["P@1"])
+        ex_p1.append(evaluate(top_k(exhaustive, 5)[0], test.labels, model)["P@1"])
         index = build_index(emb, T=10, H=16, seed=10 * seed)
         rows = [query_lsh(index, q_emb[:, i], 5) for i in range(test.n)]
         scores = score_matrix(*map(np.stack, zip(*rows)), labels)
-        lsh_p1.append(evaluate(top_k(scores, 5)[0], test.label_matrix(), model)["P@1"])
+        lsh_p1.append(evaluate(top_k(scores, 5)[0], test.labels, model)["P@1"])
     mean_ex, mean_lsh = float(np.mean(ex_p1)), float(np.mean(lsh_p1))
     report(
         8,
@@ -278,7 +279,7 @@ def test_criterion_9_full_corpus_reproduction():
     spec = make_ensemble_spec(base_seed=0, learners=5, d=train.d, r=200, k=5)
     labels = fused_scores(spec, train, test, 5, workers=os.cpu_count() or 1)[0]
     model = propensity(train.label_frequencies, train.n, a=0.55, b=1.5)
-    rep = evaluate(labels, test.label_matrix(), model)
+    rep = evaluate(labels, test.labels, model)
     targets = {  # five-learner fused reference values, in percent
         "P@1": 40.54, "P@3": 34.25, "P@5": 30.97,
         "N@1": 40.54, "N@3": 35.74, "N@5": 33.22,

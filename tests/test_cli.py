@@ -285,7 +285,7 @@ def test_eval_matches_library_composition(workspace, capsys):
     train = parse_dataset(workspace / "train.txt")
     test = parse_dataset(workspace / "test.txt")
     model = propensity(train.label_frequencies, train.n)
-    want = evaluate(fused_scores(spec, train, test, 5)[0], test.label_matrix(), model)
+    want = evaluate(fused_scores(spec, train, test, 5)[0], test.labels, model)
     for name in ("P@1", "N@1", "PSP@5", "PSN@3"):
         assert float(got[name]) == pytest.approx(want[name], abs=5e-7)
     assert got["P@1"] == got["N@1"]
@@ -338,14 +338,14 @@ def test_predict_single_learner_equals_ensemble_of_one(workspace, tmp_path):
     train = parse_dataset(workspace / "train.txt")
     test = parse_dataset(workspace / "test.txt")
     from ogeec.embedding import embed, project_csr
-    from oracles import score_matrix
+    from oracles import float64_features, score_matrix
 
     from ogeec.predictor import batch_predict
 
     lspec = spec.learner(0)
     emb = embed(lspec, train)
-    queries = project_csr(lspec, test.to_feature_csr(np.float64))
-    single = score_matrix(*batch_predict(emb, queries, spec.k), train.label_matrix())
+    queries = project_csr(lspec, float64_features(test))
+    single = score_matrix(*batch_predict(emb, queries, spec.k), train.labels)
     assert via_ensemble.read_text() == format_predictions(*top_k(single, 5))
 
 
@@ -708,7 +708,7 @@ def test_commands_hold_no_parsed_feature_array_once_planned(
 
     def parsed(path):
         ds = parse(path)
-        refs.extend(weakref.ref(a) for a in (ds.feat_indptr, ds.feat_indices, ds.feat_values))
+        refs.extend(weakref.ref(a) for a in ds.features[:3])
         return ds
 
     def projected(*args, **kwargs):
@@ -790,6 +790,27 @@ def test_test_label_outside_the_train_labels_fails_in_one_line_before_embedding(
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "sweep-r", "--rs", "2,4"],
+        ["analyze", "sweep-ensemble", "--r", "4", "--sizes", "1,2"],
+        ["analyze", "lsh-compare", "--r", "4"],
+    ],
+    ids=["sweep-r", "sweep-ensemble", "lsh-compare"],
+)
+def test_analyze_refuses_a_test_set_of_another_dimensionality(tmp_path, generated_rows, capsys, argv):
+    """Without a model, a test set whose d is not the train set's exits 1
+    with one line naming both, before any row of F is generated."""
+    train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+    train.write_text("2 5 2\n0 0:1\n1 1:1\n")
+    test.write_text("1 7 2\n0 6:1\n")
+    assert main([*argv, "--train", str(train), "--test", str(test)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, generated_rows) == ("", [])
+    assert err == "error: test dataset dimensionality 7 != train dimensionality 5\n"
+
+
 def test_cache_with_non_finite_payload_is_rejected(workspace, tmp_path, capsys):
     prefix = str(tmp_path / "emb")
     model = str(tmp_path / "m.txt")
@@ -804,7 +825,7 @@ def test_cache_with_non_finite_payload_is_rejected(workspace, tmp_path, capsys):
     spec, train = EmbeddingSpec(seed=7, d=2000, r=16), parse_dataset(workspace / "train.txt")
     data = load_cache(prefix, spec, train).data.copy(order="F")
     data[5, 0] = np.nan  # column 0, row 5
-    save_cache(prefix, EmbeddedMatrix(r=16, n=400, data=data), spec, train)
+    save_cache(prefix, EmbeddedMatrix(data), spec, train)
     capsys.readouterr()
     rc = main(
         [
@@ -991,7 +1012,7 @@ def test_a_late_learners_bad_cache_fails_before_any_projection(
         if nan:  # written as the cache was, so its crc32 holds
             matrix = load_cache(prefix, spec, train_ds).data.copy(order="F")
             matrix[5, 0] = np.nan  # column 0, row 5
-            save_cache(prefix, EmbeddedMatrix(r=16, n=400, data=matrix), spec, train_ds)
+            save_cache(prefix, EmbeddedMatrix(matrix), spec, train_ds)
         path = f"{prefix}-11.ogec"
         if flip:  # a byte of column 0, row 7
             with open(path, "rb") as f:

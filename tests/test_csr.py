@@ -184,6 +184,19 @@ def test_label_scores_equal_scipy(case):
     assert _same_csr(got, want)
 
 
+def test_label_scores_after_a_first_learner_that_hits_no_cell():
+    """A first learner of -1 pads alone, whose bincount is int64, starts the
+    sum as scipy's empty S_1 does: the later learners' scores, over E."""
+    Y = CSR(np.ones(5), np.array([0, 2, 1, 2, 3]), np.array([0, 2, 4, 5]), (3, 4))
+    empty = (np.full((2, 3), -1), np.zeros((2, 3)))
+    later = (np.array([[0, 2, -1], [1, -1, -1]]), np.array([[0.5, 0.25, 0.0], [1.0, 0.0, 0.0]]))
+    for learners in ([empty, later], [empty, later, empty], [empty]):
+        got = label_scores(learners, Y)
+        want = sp_label_scores(learners, Y)
+        want.sort_indices()
+        assert _same_csr(got, want)
+
+
 @settings(deadline=None, max_examples=300)
 @given(case=label_side(), rows=st.sampled_from([1, 7, 10]), K=st.sampled_from([1, 5, 31]))
 def test_rank_labels_equals_one_ranking_of_all_queries(case, rows, K):

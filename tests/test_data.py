@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import feature_row, feature_sha256, labelsets, same_dataset, to_scipy
+from oracles import feature_row, feature_sha256, float64_features, labelsets, same_dataset, to_scipy
 
 from ogeec import data
 from ogeec.data import (
@@ -159,29 +159,33 @@ def test_roundtrip_property(tmp_path_factory, ds):
 @settings(deadline=None, max_examples=60)
 @given(tiny_datasets())
 def test_label_frequencies_sum_to_assignments(ds):
-    assert int(ds.label_frequencies.sum()) == ds.label_indices.size
+    assert int(ds.label_frequencies.sum()) == ds.labels.indices.size
 
 
 def test_label_matrix_allocates_no_values():
-    """Y is the label CSR itself: its data is a read-only view of one 1.0,
-    not an array of ones (8 MB for these 1,000,000 assignments)."""
+    """Y is the dataset's label CSR: its data is a read-only view of one
+    1.0, not an array of ones (8 MB for these 1,000,000 assignments), so
+    building the dataset allocates its two indptrs and nothing more; a split
+    part's Y is such a view too."""
     n = L = 1000
-    ds = data.SparseDataset(
-        n=n, d=1, L=L, feat_indptr=np.zeros(n + 1, dtype=np.int64),
-        feat_indices=np.empty(0, dtype=np.int32), feat_values=np.empty(0, dtype=np.float32),
-        label_indptr=np.arange(0, n * L + 1, L), label_indices=np.tile(np.arange(L), n),
+    rows = data._Rows(
+        np.zeros(n, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32),
+        np.full(n, L), np.tile(np.arange(L), n),
     )
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        Y = ds.label_matrix()
+        ds = data._dataset(rows, 1, L)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before < 1024, peak - before
-    assert Y.indices is ds.label_indices and Y.indptr is ds.label_indptr
+    Y, indptrs = ds.labels, ds.features.indptr.nbytes + ds.labels.indptr.nbytes
+    # besides its indptrs, the dataset's few Python objects
+    assert peak - before - indptrs < 4096, peak - before
+    assert Y.indices is rows.label_indices and np.array_equal(Y.indptr, np.arange(0, n * L + 1, L))
     assert Y.shape == (n, L) and Y.data.shape == (n * L,) and not Y.data.flags.writeable
     assert Y.data[0] == Y.data[-1] == 1.0
+    assert split_dataset(ds, 400)[1].labels.data.strides == (0,)
 
 
 def test_synthetic_deterministic():
@@ -198,15 +202,15 @@ def test_synthetic_single_cluster_shares_label_pool():
     ds = generate_synthetic(
         n=200, d=500, L=40, sparsity=8, labels_per_sample=2, clusters=1, seed=9
     )
-    used = set(ds.label_indices.tolist())
+    used = set(ds.labels.indices.tolist())
     # one cluster: every sample draws from the same pool of 2 * labels_per_sample
     assert len(used) <= 4
 
 
 def test_synthetic_values_positive_and_valid(small_ds):
-    assert np.all(small_ds.feat_values > 0)
-    assert np.all(small_ds.feat_indices < small_ds.d)
-    assert np.all(small_ds.label_indices < small_ds.L)
+    assert np.all(small_ds.features.data > 0)
+    assert np.all(small_ds.features.indices < small_ds.d)
+    assert np.all(small_ds.labels.indices < small_ds.L)
     for i, labels in enumerate(labelsets(small_ds)):
         assert np.all(np.diff(feature_row(small_ds, i).indices) > 0)
         assert np.all(np.diff(labels) > 0)
@@ -219,7 +223,7 @@ def test_synthetic_cluster_cosine_separation():
     ds = generate_synthetic(
         n=2000, d=20000, L=50, sparsity=30, labels_per_sample=3, clusters=10, seed=11
     )
-    X = to_scipy(ds.to_feature_csr(np.float64))
+    X = to_scipy(float64_features(ds))
     sq = X.copy()
     sq.data = sq.data**2
     norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())
@@ -257,7 +261,7 @@ def test_split_dataset(small_ds):
     assert feature_row(train, 5).indices.tolist() == feature_row(small_ds, 5).indices.tolist()
     assert labelsets(test)[0].tolist() == labelsets(small_ds)[200].tolist()
     # frequencies recomputed per part
-    assert int(train.label_frequencies.sum()) == train.label_indices.size
+    assert int(train.label_frequencies.sum()) == train.labels.indices.size
     total = train.label_frequencies + test.label_frequencies
     assert np.array_equal(total, small_ds.label_frequencies)
     with pytest.raises(ValueError):
@@ -284,7 +288,7 @@ def test_parse_holds_the_dataset_once(tmp_path):
             tracemalloc.stop()
     size = sum(
         a.nbytes
-        for a in (ds.feat_indptr, ds.feat_indices, ds.feat_values, ds.label_indptr, ds.label_indices)
+        for a in (*ds.features[:3], ds.labels.indptr, ds.labels.indices)
     )
     assert size > 3_000_000  # int32 indices: a second copy would not fit in the slack
     assert peak < size + 2_000_000, (peak, size)
@@ -303,11 +307,34 @@ def test_feature_indices_are_int32_below_2_31_columns(tmp_path, d, dtype):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
-    assert ds.feat_indices.dtype == dtype
-    assert ds.feat_indices.tolist() == [5, d - 1]
+    assert ds.features.indices.dtype == dtype
+    assert ds.features.indices.tolist() == [5, d - 1]
     built = _assemble([(np.array([5, d - 1]), np.array([1.5, 2.0]))], [np.array([0])], d, 3)
-    assert built.feat_indices.dtype == dtype
+    assert built.features.indices.dtype == dtype
     assert ds.feature_sha256 == feature_sha256(ds)
+
+
+def test_dataset_shape_follows_its_csrs(small_ds):
+    """n, d and L are read from the CSRs' shapes, and none can be set; a
+    `planned_only` set keeps n and d once its feature arrays are dropped,
+    and a read of a dropped array raises. CSRs of other row counts are
+    refused."""
+    assert (small_ds.n, small_ds.d) == small_ds.features.shape == (300, 2000)
+    assert (small_ds.n, small_ds.L) == small_ds.labels.shape
+    for name in ("n", "d", "L"):
+        with pytest.raises(AttributeError):
+            setattr(small_ds, name, 1)
+    part = split_dataset(small_ds, 100)[1]
+    assert (part.n, part.d, part.L) == (200, small_ds.d, small_ds.L)
+    part.planned_only = True
+    part.features_planned()
+    assert (part.n, part.d, part.features.shape) == (200, small_ds.d, (200, small_ds.d))
+    with pytest.raises(TypeError):
+        part.features.indices[0]
+    with pytest.raises(TypeError):
+        feature_row(part, 0)
+    with pytest.raises(ValueError, match="300 feature rows != 200 label rows"):
+        data.SparseDataset(small_ds.features, part.labels)
 
 
 def test_features_planned_drops_only_a_planned_only_sets_features(small_ds):
@@ -316,12 +343,12 @@ def test_features_planned_drops_only_a_planned_only_sets_features(small_ds):
     taken before."""
     kept = split_dataset(small_ds, 100)[0]
     kept.features_planned()
-    assert kept.feat_indices is not None
+    assert kept.features.indices is not None
     given_up = split_dataset(small_ds, 100)[0]
     digest = given_up.feature_sha256
     given_up.planned_only = True
     given_up.features_planned()
-    assert given_up.feat_indptr is given_up.feat_indices is given_up.feat_values is None
+    assert given_up.features.indptr is given_up.features.indices is given_up.features.data is None
     assert (given_up.n, given_up.d, given_up.feature_sha256) == (100, small_ds.d, digest)
     assert labelsets(given_up)[7].tolist() == labelsets(kept)[7].tolist()
     assert np.array_equal(given_up.label_frequencies, kept.label_frequencies)

@@ -20,6 +20,7 @@ from oracles import (
     embed_single,
     feature_row,
     feature_sha256,
+    float64_features,
     fuse,
     gaussian_words,
     position_major,
@@ -28,6 +29,7 @@ from oracles import (
     score_dicts,
     scaled_rows,
     score_matrix,
+    truth_matrix,
     sp_normalize_rows,
     vstack,
 )
@@ -48,7 +50,6 @@ from ogeec.embedding import (
     materialize_rows,
     project_csr,
     save_cache,
-    train_test_rows,
 )
 from ogeec.ensemble import fused_scores, learner_embeddings, make_ensemble_spec
 from ogeec.jl import measure_distortion
@@ -400,16 +401,13 @@ def test_fused_scores_generates_each_row_once_per_learner(monkeypatch):
 def dataset_of(rows, d: int, L: int = 4) -> SparseDataset:
     """A dataset whose sample i has the {index: value} features rows[i]."""
     indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
-    return SparseDataset(
-        n=len(rows),
-        d=d,
-        L=L,
-        feat_indptr=indptr,
-        feat_indices=np.array([i for r in rows for i in sorted(r)], dtype=np.int64),
-        feat_values=np.array([r[i] for r in rows for i in sorted(r)], dtype=np.float32),
-        label_indptr=np.arange(len(rows) + 1, dtype=np.int64),
-        label_indices=np.arange(len(rows), dtype=np.int64) % L,
+    features = CSR(
+        np.array([r[i] for r in rows for i in sorted(r)], dtype=np.float32),
+        np.array([i for r in rows for i in sorted(r)], dtype=np.int64),
+        indptr,
+        (len(rows), d),
     )
+    return SparseDataset(features, truth_matrix([[i % L] for i in range(len(rows))], L))
 
 
 def _one_pass_cases():
@@ -448,10 +446,10 @@ def test_one_pass_equals_separate_projections(monkeypatch, tmp_path, case, worke
     train, test = dataset_of(train_rows, 300), dataset_of(test_rows, 300)
     espec = make_ensemble_spec(11, 3, d=300, r=12, k=3)
     apart = [
-        (embed(ls, train), project_csr(ls, test.to_feature_csr(np.float64)))
+        (embed(ls, train), project_csr(ls, float64_features(test)))
         for ls in map(espec.learner, range(espec.size))
     ]
-    labels = train.label_matrix()
+    labels = train.labels
     per_learner = [score_dicts(score_matrix(*batch_predict(m, q, espec.k), labels)) for m, q in apart]
     reference = [fuse(list(scores)) for scores in zip(*per_learner)]
 
@@ -476,9 +474,9 @@ def _assert_planned_as_old_path(planned: PlannedRows, parts) -> None:
     the old `normalize_rows`), the parts stacked by `vstack`, the column
     plan of every stored entry, and their position-major layout built in one
     pass (`position_major`)."""
-    X = scaled_rows(parts[0].to_feature_csr(np.float64))
+    X = scaled_rows(float64_features(parts[0]))
     for part in parts[1:]:
-        X = vstack(X, scaled_rows(part.to_feature_csr(np.float64)))
+        X = vstack(X, scaled_rows(float64_features(part)))
     used = np.zeros(X.shape[1], dtype=bool)
     used[X.indices] = True
     plan = column_plan(used)
@@ -524,30 +522,30 @@ _ADVERSARIAL = _adversarial_sets()
 @pytest.mark.parametrize("chunk", [4, 12, csr._CHUNK_FLOATS])
 @pytest.mark.parametrize("case", sorted(_ADVERSARIAL))
 def test_streamed_rows_equal_the_old_path(monkeypatch, case, chunk, entries):
-    """`train_test_rows` normalizes in blocks of 1, 7 or the default entries
+    """`PlannedRows` normalizes in blocks of 1, 7 or the default entries
     and fills chunks of 1, 3 or 32,768 rows (b = 4) position by position;
     its stacked rows and the test rows it plans alone hold the old path's
     bits."""
     train, test = _ADVERSARIAL[case]
     monkeypatch.setattr(embedding, "_row_block", lambda c: 4)
     with mock.patch.multiple(csr, _NORMALIZE_ENTRIES=entries, _CHUNK_FLOATS=chunk):
-        _assert_planned_as_old_path(train_test_rows(train, test), [train, test])
-        _assert_planned_as_old_path(train_test_rows(test), [test])
+        _assert_planned_as_old_path(PlannedRows(train.features, test.features), [train, test])
+        _assert_planned_as_old_path(PlannedRows(test.features), [test])
 
 
 def test_train_test_rows_holds_a_test_copy_planned_on_demand():
     """No normalized copy of the test rows is held beside the stacked rows:
-    the test set is normalized and planned alone (`train_test_rows(test)`)
+    the test set is normalized and planned alone (`PlannedRows` of its CSR)
     only on demand, which `learner_embeddings` makes when a learner is
     cached, and that plan holds the test rows once."""
     train, test = (dataset_of(part, 300) for part in _CASES["zero-rows-in-test"])
-    rows = train_test_rows(train, test)
+    rows = PlannedRows(train.features, test.features)
     assert (rows.n, rows.d) == (train.n + test.n, train.d)
     assert not any(isinstance(v, (CSR, np.ndarray)) for v in vars(rows).values())
     assert "test" not in vars(rows)
-    alone = train_test_rows(test)
+    alone = PlannedRows(test.features)
     assert (alone.n, alone.d) == (test.n, test.d)
-    assert alone.products.cols.size == test.feat_indices.size
+    assert alone.products.cols.size == test.features.nnz
     _assert_planned_as_old_path(alone, [test])
     assert all(a.dtype == np.int32 for a in vars(rows.plan).values())
     assert rows.products.cols.dtype == np.int32
@@ -568,7 +566,7 @@ _EXPLICIT_ZEROS = (
 def test_explicit_zeros_change_no_output_bit(tmp_path, workers):
     """Files whose samples hold `j:0` and `j:-0` pairs project and predict
     to the same bits as the files without those pairs: both sets stacked
-    and the test set alone (`train_test_rows`), chunks of one row and of
+    and the test set alone (`PlannedRows`), chunks of one row and of
     the default size, and the `predict` TSV bytes."""
     d, L = 48, 3
     paths = {}
@@ -581,13 +579,13 @@ def test_explicit_zeros_change_no_output_bit(tmp_path, workers):
             paths[kind, name] = tmp_path / f"{kind}-{name}.txt"
             paths[kind, name].write_text("\n".join(lines) + "\n", encoding="utf-8")
     zeros, plain = ([parse_dataset(paths[kind, n]) for n in ("train", "test")] for kind in ("zeros", "plain"))
-    assert zeros[0].feat_indices.size > plain[0].feat_indices.size
+    assert zeros[0].features.nnz > plain[0].features.nnz
     spec = EmbeddingSpec(seed=4, d=d, r=16)
     for chunk in (16, csr._CHUNK_FLOATS):
         with mock.patch.object(csr, "_CHUNK_FLOATS", chunk):
             for sets, alone in ((zeros, plain), (zeros[1:], plain[1:])):
-                got = embedding.project_rows(spec, train_test_rows(*sets), workers=workers)
-                want = embedding.project_rows(spec, train_test_rows(*alone), workers=workers)
+                got = embedding.project_rows(spec, PlannedRows(*(ds.features for ds in sets)), workers=workers)
+                want = embedding.project_rows(spec, PlannedRows(*(ds.features for ds in alone)), workers=workers)
                 assert got.tobytes(order="A") == want.tobytes(order="A")
 
     model = tmp_path / "model.txt"
@@ -608,14 +606,14 @@ def test_preparation_and_projection_write_no_input():
     write would raise."""
     train, test = (dataset_of(part, 300) for part in _CASES["empty-rows-in-both"])
     X = _random_rows([0, 7, 1, 30, 12, 0, 5], 301)
-    arrays = [getattr(ds, f) for ds in (train, test) for f in ("feat_indptr", "feat_indices", "feat_values")]
+    arrays = [a for ds in (train, test) for a in ds.features[:3]]
     arrays += [X.data, X.indices, X.indptr]
     before = [a.tobytes() for a in arrays]
     for a in arrays:
         a.flags.writeable = False
     spec, xspec = EmbeddingSpec(seed=3, d=300, r=9), EmbeddingSpec(seed=3, d=301, r=9)
     list(learner_embeddings(make_ensemble_spec(3, 2, d=300, r=9, k=1), train, test, workers=2))
-    embedding.project_rows(spec, train_test_rows(test))
+    embedding.project_rows(spec, PlannedRows(test.features))
     _project(xspec, PlannedRows(X, X), np.float64, workers=2)
     project_csr(xspec, X)
     embed(spec, train)
@@ -627,16 +625,13 @@ def _uniform_dataset(n: int, d: int, per_row: int, rng) -> SparseDataset:
     """n samples of about `per_row` features drawn uniformly from d."""
     rows = [np.unique(rng.integers(0, d, per_row)) for _ in range(n)]
     indices = np.concatenate(rows)
-    return SparseDataset(
-        n=n,
-        d=d,
-        L=3,
-        feat_indptr=np.cumsum([0] + [r.size for r in rows]).astype(np.int64),
-        feat_indices=indices,
-        feat_values=rng.uniform(0.1, 2.0, indices.size).astype(np.float32),
-        label_indptr=np.arange(n + 1, dtype=np.int64),
-        label_indices=np.arange(n, dtype=np.int64) % 3,
+    features = CSR(
+        rng.uniform(0.1, 2.0, indices.size).astype(np.float32),
+        indices,
+        np.cumsum([0] + [r.size for r in rows]).astype(np.int64),
+        (n, d),
     )
+    return SparseDataset(features, truth_matrix([[i % 3] for i in range(n)], 3))
 
 
 # one transposed block of F per projection worker
@@ -657,7 +652,7 @@ def test_projection_memory_is_bounded_by_the_block_budget(workers):
     spec = EmbeddingSpec(seed=1, d=d, r=64)
     tracemalloc.start()
     try:
-        rows = train_test_rows(train, test)
+        rows = PlannedRows(train.features, test.features)
         n, nnz = rows.n, rows.products.cols.size
         embedding.project_rows(spec, rows, workers=workers)
         peak = tracemalloc.get_traced_memory()[1]
@@ -682,11 +677,11 @@ def test_train_test_rows_memory_is_bounded_per_nonzero():
     train, test = _uniform_dataset(3000, d, 300, rng), _uniform_dataset(1000, d, 300, rng)
     tracemalloc.start()
     try:
-        rows = train_test_rows(train, test)
+        rows = PlannedRows(train.features, test.features)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    nnz, n = train.feat_indices.size + test.feat_indices.size, train.n + test.n
+    nnz, n = train.features.nnz + test.features.nnz, train.n + test.n
     assert rows.products.cols.size == nnz
     assert peak <= 24 * nnz + 32 * d + 64 * n, (peak, nnz)
 
@@ -702,11 +697,11 @@ def test_train_test_rows_makes_no_stacked_copy():
     train, test = _uniform_dataset(3000, d, 300, rng), _uniform_dataset(1000, d, 300, rng)
     tracemalloc.start()
     try:
-        rows = train_test_rows(train, test)
+        rows = PlannedRows(train.features, test.features)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    nnz, n = train.feat_indices.size + test.feat_indices.size, train.n + test.n
+    nnz, n = train.features.nnz + test.features.nnz, train.n + test.n
     assert rows.products.cols.size == nnz > 50 * d
     assert peak <= 16 * nnz + 32 * d + 64 * n, (peak, nnz)
 
@@ -734,7 +729,17 @@ def test_normalize_columns_in_blocks_equals_each_column_alone(r):
 
 def test_train_test_rows_rejects_mismatched_dimensionality():
     with pytest.raises(ValueError, match="dimensionality"):
-        train_test_rows(dataset_of([{1: 1.0}], 10), dataset_of([{1: 1.0}], 12))
+        PlannedRows(dataset_of([{1: 1.0}], 10).features, dataset_of([{1: 1.0}], 12).features)
+
+
+@pytest.mark.parametrize("d, index", [(12, 1), (12, 11), (8, 1)])
+def test_planned_rows_rejects_parts_of_another_dimensionality(d, index):
+    """A part of other than the first part's 10 columns is refused by name:
+    a wider one whose indices lie below 10 (once planned silently) or not
+    (once a bare IndexError), and a narrower one."""
+    first, second = dataset_of([{1: 1.0}], 10), dataset_of([{index: 1.0}], d)
+    with pytest.raises(ValueError, match="dimensionality"):
+        PlannedRows(first.features, second.features)
 
 
 def test_embed_dimension_mismatch(small_spec):
@@ -775,7 +780,7 @@ def test_cache_wire_format(tmp_path, small_spec, small_ds, small_embedded):
     raw = pathlib.Path(path).read_bytes()
     header = struct.unpack_from("<4sHQQIQ32sI", raw)
     assert header[:6] == (b"OGEC", 2, 42, 2000, 32, 300)
-    arrays = (small_ds.feat_indptr, small_ds.feat_indices, small_ds.feat_values)
+    arrays = (small_ds.features.indptr, small_ds.features.indices, small_ds.features.data)
     csr_bytes = b"".join(a.astype(t).tobytes() for a, t in zip(arrays, ("<i8", "<i8", "<f4")))
     assert header[6] == hashlib.sha256(csr_bytes).digest()
     payload = raw[70:]
@@ -793,7 +798,7 @@ def test_cache_of_int64_indices_loads_for_int32_indices(tmp_path, small_ds, entr
     path = tmp_path / "train.txt"
     write_dataset(small_ds, path)
     train = parse_dataset(path)
-    assert train.feat_indices.dtype == np.int32
+    assert train.features.indices.dtype == np.int32
     with mock.patch.object(data, "_HASH_ENTRIES", entries):
         assert train.feature_sha256 == feature_sha256(small_ds) == feature_sha256(train)
     spec = EmbeddingSpec(seed=9, d=train.d, r=6)
@@ -815,7 +820,8 @@ def test_cache_verification_failures(tmp_path, small_spec, small_ds, small_embed
         load_cache(prefix, narrower, small_ds)
     with pytest.raises(ValueError, match="cache holds 300 samples but the train set has 200"):
         load_cache(prefix, small_spec, split_dataset(small_ds, 200)[0])
-    changed = dataclasses.replace(small_ds, feat_values=small_ds.feat_values * np.float32(2))
+    X = small_ds.features
+    changed = dataclasses.replace(small_ds, features=X._replace(data=X.data * np.float32(2)))
     with pytest.raises(ValueError, match="built from another train set; rebuild it"):
         load_cache(prefix, small_spec, changed)
     pathlib.Path(f"{prefix}-42.ogec").write_bytes(b"NOPE" + b"\x00" * 66)
@@ -829,11 +835,12 @@ def test_cache_rejects_a_non_finite_value_in_any_block(tmp_path, small_spec):
     spec = EmbeddingSpec(seed=small_spec.seed, d=small_spec.d, r=1)
     n = (1 << 20) + 3
     empty = np.zeros(n + 1, dtype=np.int64)
-    train = SparseDataset(n, spec.d, 1, empty, empty[:0], np.zeros(0, np.float32), empty, empty[:0])
+    no_entries = np.zeros(0, np.float32), empty[:0], empty
+    train = SparseDataset(CSR(*no_entries, (n, spec.d)), CSR(*no_entries, (n, 1)))
     prefix = str(tmp_path / "emb")
     for at in (0, n - 1):
         data = np.ones((1, n), dtype=np.float32, order="F")
         data[0, at] = np.nan
-        save_cache(prefix, EmbeddedMatrix(r=1, n=n, data=data), spec, train)
+        save_cache(prefix, EmbeddedMatrix(data), spec, train)
         with pytest.raises(ValueError, match="non-finite"):
             load_cache(prefix, spec, train)

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     dict_neighbours,
     feature_row,
+    float64_features,
     labelsets,
     one_label_each,
     predict,
@@ -170,7 +171,7 @@ def test_seed_order_invariance(small_ds, train_test):
 def test_fused_equals_mean_of_per_learner(train_test):
     train, test = train_test
     espec = EnsembleSpec(seeds=(1, 2, 3), d=train.d, r=24, k=5)
-    labels = train.label_matrix()
+    labels = train.labels
     per = [
         score_dicts(score_matrix(*found, labels))
         for _, found in learner_neighbours(espec, train, test)
@@ -196,9 +197,9 @@ def test_sweep_size_one_equals_single_learner_eval(train_test):
     result = sweep_ensemble_size(espec, train, test, [1], model)
     lspec = EmbeddingSpec(seed=4, d=train.d, r=24)
     emb = embed(lspec, train)
-    queries = project_csr(lspec, test.to_feature_csr(np.float64))
-    scores = score_matrix(*batch_predict(emb, queries, 5), train.label_matrix())
-    direct = evaluate(top_k(scores, 5)[0], test.label_matrix(), model)
+    queries = project_csr(lspec, float64_features(test))
+    scores = score_matrix(*batch_predict(emb, queries, 5), train.labels)
+    direct = evaluate(top_k(scores, 5)[0], test.labels, model)
     assert result.fused[1].values == direct.values
     assert result.per_learner[0].values == direct.values
 
@@ -297,7 +298,7 @@ def test_a_bad_r_fails_before_any_work(train_test, monkeypatch):
     with pytest.raises(ValueError, match="out of range"):
         list(sweep_dimension(4, train, test, [0, 4], 5, 5))
     assert planned == [] and drawn == []
-    rows = embedding.train_test_rows(train, test)
+    rows = embedding.PlannedRows(train.features, test.features)
     with pytest.raises(ValueError, match="out of range"):
         list(embedding.embed_prefixes(EmbeddingSpec(seed=4, d=train.d, r=4), rows, [4, 0]))
     assert planned == [2] and drawn == []
@@ -314,7 +315,7 @@ def test_label_memory_does_not_grow_with_queries(monkeypatch):
     sets = [np.sort(rng.choice(L, 30, replace=False)) for _ in range(n)]
     Y = CSR(np.ones(30 * n), np.concatenate(sets), np.arange(0, 30 * n + 1, 30), (n, L))
     spec = EnsembleSpec(seeds=tuple(range(E)), d=10, r=2, k=k)
-    train = mock.Mock(label_matrix=lambda: Y)
+    train = mock.Mock(labels=Y)
     monkeypatch.setattr(predictor, "_LABEL_FLOATS", 16 * L)  # 16 queries a block
 
     def growth(run):

@@ -5,9 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import box_muller, feature_row, project_full, sp_normalize_rows, sp_pair_dots
+from oracles import box_muller, feature_row, project_full, sp_normalize_rows, sp_pair_dots, truth_matrix
 
 from ogeec import embedding, jl
+from ogeec.csr import CSR
 from ogeec.data import SparseDataset, generate_synthetic
 from ogeec.embedding import EmbeddingSpec
 from ogeec.jl import DistortionReport, jl_epsilon, measure_distortion
@@ -165,16 +166,13 @@ def _edge_case_set() -> SparseDataset:
         {10: -2.0, 11: 3e-170, 12: 5e-324},
     ]
     indices = [j for row in rows for j in sorted(row)]
-    return SparseDataset(
-        n=len(rows),
-        d=d,
-        L=2,
-        feat_indptr=np.cumsum([0] + [len(row) for row in rows]).astype(np.int64),
-        feat_indices=np.array(indices, dtype=np.int32),
-        feat_values=np.array([row[j] for row in rows for j in sorted(row)]),
-        label_indptr=np.arange(len(rows) + 1, dtype=np.int64),
-        label_indices=np.arange(len(rows), dtype=np.int64) % 2,
+    features = CSR(
+        np.array([row[j] for row in rows for j in sorted(row)]),
+        np.array(indices, dtype=np.int32),
+        np.cumsum([0] + [len(row) for row in rows]).astype(np.int64),
+        (len(rows), d),
     )
+    return SparseDataset(features, truth_matrix([[i % 2] for i in range(len(rows))], 2))
 
 
 def _oracle_report(ds, spec, pairs, seed, bins=40) -> DistortionReport:
@@ -184,7 +182,7 @@ def _oracle_report(ds, spec, pairs, seed, bins=40) -> DistortionReport:
     and their pairs' dot products (`sp_pair_dots`)."""
     rng = np.random.default_rng(seed)
     a, b = rng.integers(0, ds.n, size=pairs), rng.integers(0, ds.n, size=pairs)
-    Xn, norms = sp_normalize_rows(ds.to_feature_csr())
+    Xn, norms = sp_normalize_rows(ds.features)
     proj = np.asfortranarray(project_full(spec, Xn, np.float64)) * (1.0 / math.sqrt(spec.r))
     diff = proj[:, a] - proj[:, b]
     proj_dist = np.sqrt(np.sum(diff * diff, axis=0))

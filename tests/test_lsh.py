@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import box_muller, neighbor_lists
+from oracles import box_muller, float64_features, neighbor_lists
 
 from ogeec.data import generate_synthetic, split_dataset
 from ogeec.embedding import EmbeddedMatrix, EmbeddingSpec, embed, project_csr
@@ -17,7 +17,7 @@ from ogeec.predictor import knn
 
 def matrix_of(columns) -> EmbeddedMatrix:
     data = np.asfortranarray(np.asarray(columns, dtype=np.float32))
-    return EmbeddedMatrix(r=data.shape[0], n=data.shape[1], data=data)
+    return EmbeddedMatrix(data)
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +141,7 @@ def test_recall_with_many_tables():
     spec = EmbeddingSpec(seed=3, d=2000, r=32)
     emb = embed(spec, train_ds)
     index = build_index(emb, T=64, H=8, seed=3)
-    q_emb = project_csr(spec, test_ds.to_feature_csr(np.float64))
+    q_emb = project_csr(spec, float64_features(test_ds))
     recalls = []
     for i in range(test_ds.n):
         q = q_emb[:, i]

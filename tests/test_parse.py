@@ -21,14 +21,14 @@ from ogeec import data
 from ogeec.data import DatasetFormatError, _assemble, format_dataset, generate_synthetic
 
 CHUNKS = [1, 7, 64, data._CHUNK]
-FIELDS = (
-    "feat_indptr",
-    "feat_indices",
-    "feat_values",
-    "label_indptr",
-    "label_indices",
-    "label_frequencies",
-)
+FIELDS = {
+    "features.indptr": lambda ds: ds.features.indptr,
+    "features.indices": lambda ds: ds.features.indices,
+    "features.data": lambda ds: ds.features.data,
+    "labels.indptr": lambda ds: ds.labels.indptr,
+    "labels.indices": lambda ds: ds.labels.indices,
+    "label_frequencies": lambda ds: ds.label_frequencies,
+}
 
 
 def _line_of(raw: bytes, at: int) -> int:
@@ -62,8 +62,8 @@ def check_equivalent(path, raw: bytes, chunk: int) -> None:
     if isinstance(want, data.SparseDataset):
         assert isinstance(got, data.SparseDataset), got
         assert (got.n, got.d, got.L) == (want.n, want.d, want.L)
-        for name in FIELDS:
-            a, b = getattr(got, name), getattr(want, name)
+        for name, field in FIELDS.items():
+            a, b = field(got), field(want)
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
             if a.dtype.kind == "f":  # -0.0 and 0.0 are equal; their bits are not

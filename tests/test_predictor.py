@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import (
     embed_single,
     feature_row,
+    float64_features,
     from_scipy,
     knn_scan,
     labelsets,
@@ -37,7 +38,7 @@ from ogeec.predictor import (
 
 def matrix_of(columns: np.ndarray) -> EmbeddedMatrix:
     data = np.asfortranarray(np.asarray(columns, dtype=np.float32))
-    return EmbeddedMatrix(r=data.shape[0], n=data.shape[1], data=data)
+    return EmbeddedMatrix(data)
 
 
 def naive_knn(data: np.ndarray, q: np.ndarray, k: int):
@@ -433,16 +434,16 @@ def test_batch_predict_equals_per_query(small_spec, small_ds, small_embedded, tr
     # reuse the small corpus as both train and queries to keep this quick
     train_labels = labelsets(small_ds)
     sub = small_ds
-    queries = project_csr(small_spec, sub.to_feature_csr(np.float64))
-    batched = score_matrix(*batch_predict(small_embedded, queries, 5), small_ds.label_matrix())
+    queries = project_csr(small_spec, float64_features(sub))
+    batched = score_matrix(*batch_predict(small_embedded, queries, 5), small_ds.labels)
     for i in range(0, sub.n, 37):
         single = predict(small_spec, small_embedded, train_labels, feature_row(sub, i), 5)
         assert row_scores(batched, i) == single
 
 
 def test_batch_predict_worker_invariance(small_spec, small_ds, small_embedded):
-    labels = small_ds.label_matrix()
-    X = small_ds.to_feature_csr(np.float64)
+    labels = small_ds.labels
+    X = float64_features(small_ds)
     one, many = (
         score_matrix(*batch_predict(small_embedded, project_csr(small_spec, X, workers=w), 5), labels)
         for w in (1, 4)

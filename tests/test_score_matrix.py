@@ -77,11 +77,11 @@ def test_sparse_label_side_equals_dict_path(case):
         assert score_dicts(S) == want
 
     spec = EnsembleSpec(seeds=tuple(range(len(mats))), d=10, r=2, k=5)
-    train = mock.Mock(label_matrix=lambda: Y)
+    train = mock.Mock(labels=Y)
     with mock.patch.object(ensemble, "learner_neighbours", lambda *a, **kw: enumerate(found)):
         # ranked at K = L, the fused ranking holds every fused score
         fused, top, ranked = (fused_scores(spec, train, None, width) for width in (L, K, max(ks)))
-        test = mock.Mock(n=len(truths), label_matrix=lambda: truth_matrix(truths, L))
+        test = mock.Mock(n=len(truths), labels=truth_matrix(truths, L))
         sizes = list(range(1, len(mats) + 1))
         sweep = sweep_ensemble_size(spec, train, test, sizes, model, ks=ks)
     fused_dicts = [fuse(list(per_query)) for per_query in zip(*dicts)]
