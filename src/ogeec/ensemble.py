@@ -120,15 +120,15 @@ def learner_embeddings(
 def learner_neighbours(
     spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, *,
     workers: int = 1, cache: str | None = None, timings: dict[str, float] | None = None,
-) -> Iterator[tuple[int, tuple[np.ndarray, np.ndarray]]]:
-    """Yield (seed, (index, sims)) for each learner in order: `knn`'s
-    neighbour arrays of every test sample, searched in the learners that
-    `learner_embeddings` yields."""
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield each learner's (index, sims) in order: `knn`'s neighbour arrays
+    of every test sample, searched in the learners that `learner_embeddings`
+    yields."""
     found = learner_embeddings(spec, dataset, test, workers=workers, cache=cache, timings=timings)
-    for lspec, train, queries in found:
+    for _, train, queries in found:
         neighbours = batch_predict(train, queries, spec.k, timings=timings)
         del train, queries  # freed before the next learner is projected
-        yield lspec.seed, neighbours
+        yield neighbours
 
 
 def fused_scores(
@@ -139,7 +139,7 @@ def fused_scores(
     fused score over `spec`'s seeds. Only the learners' neighbour arrays are
     held until that one label pass."""
     found = learner_neighbours(spec, dataset, test, workers=workers, cache=cache, timings=timings)
-    neighbours = [nb for _, nb in found]
+    neighbours = list(found)
     t0 = time.perf_counter()
     ranking = rank_labels(neighbours, dataset.labels, K)
     if timings is not None:
@@ -174,7 +174,7 @@ def sweep_ensemble_size(
     neighbours = []
     fused_reports: dict[int, EvalReport] = {}
     per_learner: list[EvalReport] = []
-    for _, found in learner_neighbours(prefix, dataset, test, workers=workers):
+    for found in learner_neighbours(prefix, dataset, test, workers=workers):
         neighbours.append(found)
         own = rank_labels([found], labels, max(ks))[0]
         per_learner.append(evaluate(own, truths, model, ks=ks))

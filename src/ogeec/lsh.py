@@ -2,10 +2,10 @@
 
 Hash tables live in the same latent space the exhaustive search uses, making
 metric-level comparisons fair. Each table hashes a vector to H sign bits
-against seeded hyperplanes; a query's candidates are the union of its buckets
-across tables, rescored by the same float64 dot product (`rescore`) that
-exhaustive search uses, so both give bit-identical scores for a column, and
-ranked by the same `top_k`.
+against seeded hyperplanes; its buckets are slices of the training indices
+sorted by code. A query's candidates are the union of its buckets across
+tables, scored and ranked by the exact search's `rank_candidates`, so both
+give bit-identical scores for a column and rank them alike.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .csr import sorted_unique
 from .embedding import EmbeddedMatrix, _gaussian_rows, column_plan
-from .predictor import rescore, top_k
+from .predictor import rank_candidates
 
 # keeps hyperplane streams disjoint from projection-row streams for any seed
 LSH_SEED_NAMESPACE = 0x4C53485F68617368  # ascii "LSH_hash"
@@ -28,12 +28,10 @@ MAX_BITS = 64  # codes are packed into uint64
 
 @dataclass
 class LshIndex:
-    tables: int
     bits: int
-    seed: int
-    r: int
     hyperplanes: np.ndarray  # (tables * bits, r)
-    buckets: list[dict[int, np.ndarray]]  # per table: code -> training indices
+    codes: np.ndarray  # (tables, n) uint64: each table's codes, ascending
+    order: np.ndarray  # (tables, n) training indices in that order
     train: EmbeddedMatrix
 
 
@@ -65,45 +63,39 @@ def build_index(
     if H > MAX_BITS:
         raise ValueError(f"H must be at most {MAX_BITS} (codes are packed into uint64)")
     planes = hyperplanes_for(seed, T, H, train.r)
-    buckets: list[dict[int, np.ndarray]] = []
-    for t in range(T):
-        codes = _codes(planes[t * H : (t + 1) * H], train.data)
-        # a stable sort leaves each bucket's indices ascending
-        order = np.argsort(codes, kind="stable")
-        uniq, starts = np.unique(codes[order], return_index=True)
-        buckets.append(dict(zip(uniq.tolist(), np.split(order, starts[1:]))))
-    return LshIndex(
-        tables=T, bits=H, seed=seed, r=train.r,
-        hyperplanes=planes, buckets=buckets, train=train,
-    )
+    data = np.asarray(train.data, dtype=np.float64)  # cast once, for every table
+    codes = np.stack([_codes(planes[t * H : (t + 1) * H], data) for t in range(T)])
+    # a stable sort leaves each bucket's indices ascending
+    order = np.argsort(codes, axis=1, kind="stable")
+    codes = np.take_along_axis(codes, order, axis=1)
+    return LshIndex(bits=H, hyperplanes=planes, codes=codes, order=order, train=train)
 
 
 def candidates(index: LshIndex, query: np.ndarray) -> np.ndarray:
     """Union of the query's buckets across all tables (sorted indices)."""
     q = np.asarray(query, dtype=np.float64).reshape(-1, 1)
+    planes = index.hyperplanes.reshape(len(index.codes), index.bits, -1)
     hits = []
-    for t in range(index.tables):
-        code = int(_codes(index.hyperplanes[t * index.bits : (t + 1) * index.bits], q)[0])
-        found = index.buckets[t].get(code)
-        if found is not None:
-            hits.append(found)
-    return sorted_unique(np.concatenate([np.empty(0, dtype=np.int64), *hits]))
+    for table, codes, order in zip(planes, index.codes, index.order):
+        code = _codes(table, q)
+        lo, hi = codes.searchsorted(code, "left")[0], codes.searchsorted(code, "right")[0]
+        hits.append(order[lo:hi])
+    return sorted_unique(np.concatenate(hits))
 
 
 def query_lsh(index: LshIndex, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k by dot product within the candidate set, as one (k,) row of
-    training indices and one of similarities, the way `top_k` ranks them.
-
-    A row with fewer than k candidates is padded with index -1 and score
-    0.0; an empty candidate set is all padding (callers count these).
+    """Exact top-k by dot product within the candidate set, as `knn` answers
+    one query: a (min(k, n),) row of training indices and one of similarities.
+    A row with fewer candidates is padded with index -1 and score 0.0; an
+    empty candidate set is all padding (callers count these).
     """
     if k < 1:
         raise ValueError("k must be positive")
     query = np.asarray(query)
-    if query.shape != (index.r,):
-        raise ValueError(f"query length {query.shape} != index dimensionality {index.r}")
+    train = index.train
+    if query.shape != (train.r,):
+        raise ValueError(f"query length {query.shape} != index dimensionality {train.r}")
     cand = candidates(index, query)
-    sims = rescore(query.astype(np.float64)[None], index.train.data, np.zeros_like(cand), cand)
-    # one CSR row, ranked from its three arrays
-    best, top = top_k((sims, cand, np.array([0, cand.size])), k)
+    q64 = query.astype(np.float64)[None]
+    best, top = rank_candidates(q64, train.data, np.zeros_like(cand), cand, min(k, train.n))
     return best[0], top[0]

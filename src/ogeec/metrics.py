@@ -155,7 +155,7 @@ def evaluate(
     gain = np.where(hit, inv[np.where(hit, pred[used], 0)], 0.0)
     # each sample's true-label weights, largest first, in its first max_k slots
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    best = top_k((inv[labels], labels, indptr), max_k)[1][used]
+    best = top_k(CSR(inv[labels], labels, indptr, (m, L)), max_k)[1][used]
     counts = counts[used]
 
     # running sums along each ranking, added in rank order: column K-1 holds @K

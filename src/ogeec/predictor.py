@@ -7,26 +7,27 @@ ranks them, so the proportionality constant is irrelevant.
 
 `top_k` is the one ranking: by descending score, ties by ascending index,
 which makes every output deterministic. It ranks a search tile's candidate
-columns, LSH candidates (`lsh.query_lsh`), label scores and the ideal
-weights of `metrics.evaluate`, each a `csr.CSR` or its three arrays. It
-selects, then sorts: a partition finds each row's K-th largest score, and
-one lexsort ranks only the entries not below it, which hold the whole top K.
+columns and LSH candidates (both through `rank_candidates`), label scores
+and the ideal weights of `metrics.evaluate`, each a `csr.CSR`. It selects,
+then sorts: a partition finds each row's K-th largest score, and one
+lexsort ranks only the entries not below it, which hold the whole top K.
 
-Neighbours are `top_k`'s arrays from search to W: `knn` returns an (m, k)
-int64 index array and the matching (m, k) float64 similarities, and an index
-of -1 (score 0.0) pads a row that holds fewer than k neighbours, as an LSH
-row may. `rank_labels` is the one label pass: per block of queries, the
-mean of the learners' S = W·Y (`csr.label_scores`; W holds the neighbours'
-similarities and Y the train labels), ranked by `top_k` before the next
-block forms. Its (m, K) arrays feed `format_predictions` and `evaluate`.
+Neighbours are `top_k`'s arrays from search to W: `knn` returns an
+(m, min(k, n)) int64 index array and the matching float64 similarities, and
+an index of -1 (score 0.0) pads a row that holds fewer neighbours than its
+width, as an LSH row may. `rank_labels` is the one label pass: per block of
+queries, the mean of the learners' S = W·Y (`csr.label_scores`; W holds the
+neighbours' similarities and Y the train labels), ranked by `top_k` before
+the next block forms. Its (m, K) arrays feed `format_predictions` and
+`evaluate`.
 
-A similarity is `rescore`'s fixed-order float64 dot product. Search is one
-blocked kernel per learner, the GEMM + k-selection scheme of FAISS (Johnson,
-Douze, Jegou 2017) made exact: a float32 GEMM screens a tile of queries
-against every training column, and only the columns that its rounding-error
-bound cannot rule out of the top k are rescored in float64 and ranked by
-`top_k`. Neighbours and scores are those of a full float64 scan, whatever
-BLAS does and however many threads it uses.
+A similarity is `rank_candidates`' fixed-order float64 dot product. Search
+is one blocked kernel per learner, the GEMM + k-selection scheme of FAISS
+(Johnson, Douze, Jegou 2017) made exact: a float32 GEMM screens a tile of
+queries against every training column, and only the columns that its
+rounding-error bound cannot rule out of the top k are rescored in float64
+and ranked by `top_k`. Neighbours and scores are those of a full float64
+scan, whatever BLAS does and however many threads it uses.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .embedding import EmbeddedMatrix, column_norms
 from .embedding import project_csr  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
 
 # floats in one search screen tile of float32 scores (8 MB; it holds this //
-# n_train queries), which also sizes `rescore`'s blocks of products
+# n_train queries), which also sizes `rank_candidates`' blocks of products
 _SCREEN_FLOATS = 1 << 21
 # float64s in one of `top_k`'s padded selection blocks (16 MB)
 _SELECT_FLOATS = 1 << 21
@@ -57,21 +58,25 @@ _TINY32 = 2.0**-149  # spacing of float32 subnormals: the absolute error of unde
 _HUGE = 2.0**120  # screen scores below this cannot overflow float32 (2**128)
 
 
-def rescore(q64: np.ndarray, data: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Float64 dot products of the queries `q64[rows]` with the columns `cols`
-    of `data`, pair by pair.
+def rank_candidates(
+    q64: np.ndarray, data: np.ndarray, rows: np.ndarray, cols: np.ndarray, K: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`top_k` of one CSR row per query of `q64`: the float64 dot products of
+    `q64[rows]` (`rows` ascending) with the columns `cols` of `data`, by pair.
 
     Each score sums one C-contiguous row of float64 products along its last
     axis, so it depends only on the query and the column: not on BLAS, its
     thread count, or which other pairs are scored in the same call.
     """
-    out = np.empty(cols.size)
+    scores = np.empty(cols.size)
     step = max(1, _SCREEN_FLOATS // (8 * data.shape[0]))  # 2 MB of float64 products at a time
     for a in range(0, cols.size, step):
         prods = q64[rows[a : a + step]]
         prods *= data.T[cols[a : a + step]]  # float32 columns, widened exactly
-        out[a : a + step] = prods.sum(axis=1)
-    return out
+        scores[a : a + step] = prods.sum(axis=1)
+        del prods  # not held while the next block or top_k allocates
+    indptr = np.searchsorted(rows, np.arange(len(q64) + 1))
+    return top_k(CSR(scores, cols, indptr, (len(q64), data.shape[1])), K)
 
 
 def _gamma(n: int, u: float) -> float:
@@ -108,14 +113,14 @@ def _search(queries: np.ndarray, data: np.ndarray, k: int) -> tuple[np.ndarray, 
     kth - 2 delta, where kth is the k-th largest screen score. A column whose
     float64 score reaches the k-th largest float64 score screens at least
     that score minus delta, which is at least kth - 2 delta; so the candidates
-    hold the whole float64 top k, ties included. A tile's candidates are one
-    CSR matrix, rescored in float64 and ranked by `top_k`.
+    hold the whole float64 top k, ties included. `rank_candidates` scores a
+    tile's candidates in float64 and ranks them.
     """
     r, n = data.shape
     m = queries.shape[1]
     xmax = _max_column_norm(data) if k < n else 0.0
     # with k >= n every pair is a candidate: a tile holds _SCREEN_FLOATS // 8
-    # of them, so rescore's and top_k's pair arrays stay near 16 MB
+    # of them, so rank_candidates' pair arrays stay near 16 MB
     step = max(1, _SCREEN_FLOATS // ((8 if k >= n else 1) * max(n, 1)))
     index = np.empty((m, min(k, n)), dtype=np.int64)
     sims = np.empty((m, min(k, n)))
@@ -134,9 +139,7 @@ def _search(queries: np.ndarray, data: np.ndarray, k: int) -> tuple[np.ndarray, 
             # a query whose screen could overflow is rescored against every column
             keep[~((qnorm < _HUGE) & (qnorm * xmax < _HUGE))] = True
         rows, cols = np.divmod(np.flatnonzero(keep), n)  # np.nonzero's arrays, faster
-        indptr = np.searchsorted(rows, np.arange(len(q64) + 1))
-        rescored = rescore(q64, data, rows, cols)
-        index[a : a + step], sims[a : a + step] = top_k((rescored, cols, indptr), min(k, n))
+        index[a : a + step], sims[a : a + step] = rank_candidates(q64, data, rows, cols, min(k, n))
     return index, sims
 
 
@@ -175,15 +178,12 @@ def propagate(neighbors: Sequence[tuple], labelsets: Sequence[np.ndarray]) -> di
     return scores
 
 
-def top_k(
-    scores: CSR | tuple[np.ndarray, np.ndarray, np.ndarray], K: int
-) -> tuple[np.ndarray, np.ndarray]:
+def top_k(scores: CSR, K: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's K best entries by descending score, ties by ascending index.
 
-    `scores` is a `CSR` or its (data, indices, indptr) arrays; a score
-    may take any sign, and -0.0 ties with 0.0; NaN ranks after every number.
-    Returns the (m, K) indices, padded with -1 where a row holds fewer than K
-    entries, and the matching (m, K) scores, padded with 0.
+    A score may take any sign, and -0.0 ties with 0.0; NaN ranks after every
+    number. Returns the (m, K) indices, padded with -1 where a row holds
+    fewer than K entries, and the matching (m, K) scores, padded with 0.
 
     Select, then sort, as in the k-selection of FAISS: `_reaching_kth` keeps
     each row's entries not below its K-th largest score, in O(nnz), and one
@@ -197,8 +197,7 @@ def top_k(
     """
     if K < 1:
         raise ValueError("K must be positive")
-    data, indices, indptr = scores[:3]
-    m = indptr.size - 1
+    data, indices, indptr, (m, _) = scores
     kept = _reaching_kth(data, indptr, K)
     if kept is not None:
         data, indices, indptr = data[kept], indices[kept], np.searchsorted(kept, indptr)

@@ -398,6 +398,27 @@ def test_lsh_compare_outputs_do_not_depend_on_the_ranking_width(workspace, tmp_p
         assert wide.split("\t")[:3] == row.split("\t")
 
 
+def test_lsh_compare_k_above_train_size_equals_k_at_train_size(workspace, tmp_path, capsys):
+    """No neighbour row is wider than the 400 train samples, on either side,
+    so --k above n_train writes the files that --k = n_train writes."""
+
+    def run(k):
+        out, preds = tmp_path / f"{k}.tsv", tmp_path / f"{k}-preds.tsv"
+        rc = main(
+            [
+                "analyze", "lsh-compare", "--train", str(workspace / "train.txt"),
+                "--test", str(workspace / "test.txt"), "--r", "32", "--seed", "7",
+                "--tables", "8", "--bits", "6", "--k", str(k),
+                "--out", str(out), "--predictions-out", str(preds),
+            ]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        return out.read_text(), preds.read_text()
+
+    assert run(405) == run(400)
+
+
 def test_eval_grid_output(workspace, capsys):
     rc = main(
         [

@@ -174,7 +174,7 @@ def test_fused_equals_mean_of_per_learner(train_test):
     labels = train.labels
     per = [
         score_dicts(score_matrix(*found, labels))
-        for _, found in learner_neighbours(espec, train, test)
+        for found in learner_neighbours(espec, train, test)
     ]
     fused = ranking_dicts(fused_scores(espec, train, test, train.L))
     for i in range(test.n):
@@ -322,7 +322,7 @@ def test_label_memory_does_not_grow_with_queries(monkeypatch):
         peaks = []
         for m in (300, 1200):
             found = [(rng.integers(0, n, (m, k)), rng.random((m, k))) for _ in range(E)]
-            monkeypatch.setattr(ensemble, "learner_neighbours", lambda *a, **kw: enumerate(found))
+            monkeypatch.setattr(ensemble, "learner_neighbours", lambda *a, **kw: iter(found))
             tracemalloc.start()
             try:
                 run(found)

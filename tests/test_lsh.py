@@ -49,10 +49,14 @@ def test_negated_vector_gives_complement_code():
 
 
 def test_every_index_in_exactly_one_bucket_per_table(indexed):
+    """Each table's order is a permutation of the train indices, and its
+    codes are those of the columns in that order."""
     train, index = indexed
-    for table in index.buckets:
-        members = np.concatenate(list(table.values()))
-        assert np.array_equal(np.sort(members), np.arange(train.n))
+    assert index.codes.shape == index.order.shape == (4, train.n)
+    for t, (codes, order) in enumerate(zip(index.codes, index.order)):
+        assert np.array_equal(np.sort(order), np.arange(train.n))
+        planes = index.hyperplanes[t * 12 : (t + 1) * 12]
+        assert np.array_equal(codes, _codes(planes, train.data[:, order]))
 
 
 def test_hyperplane_stream_is_namespaced():
@@ -125,11 +129,22 @@ def test_candidates_monotone_in_table_count(indexed):
 
 def test_empty_candidate_set_yields_empty_list():
     x = np.ones(8, dtype=np.float32) / np.sqrt(8)
-    train = matrix_of(x.reshape(-1, 1))
+    train = matrix_of(np.tile(x.reshape(-1, 1), 3))
     index = build_index(train, T=1, H=8, seed=2)
     found, sims = query_lsh(index, -x, 3)
     assert neighbor_lists(found, sims) == []
     assert found.tolist() == [-1, -1, -1] and sims.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_rows_are_no_wider_than_the_train_set(indexed):
+    """Asked for more neighbours than there are train columns, a row holds
+    n slots, as `knn`'s rows do; coarse buckets make some candidates."""
+    train, _ = indexed
+    index = build_index(train, T=4, H=3, seed=9)
+    q = train.data[:, 17] * 0.7
+    found, sims = query_lsh(index, q, train.n + 5)
+    assert found.shape == sims.shape == knn(q, train, train.n + 5)[0].shape == (train.n,)
+    assert found[0] >= 0
 
 
 def test_recall_with_many_tables():

@@ -327,14 +327,15 @@ def ranking_rows(draw):
 @given(case=ranking_rows())
 def test_top_k_equals_sorted_oracle(case):
     """top_k ranks by (-score, index) as a Python sort does, from a CSR
-    matrix and from its three arrays; each score keeps its bits (-0.0 too)."""
+    matrix and from its three arrays wrapped as one; each score keeps its
+    bits (-0.0 too)."""
     data, indices, indptr, K = case
     want = rank_rows(data, indices, indptr, K)
     want_index = np.array([[i for i, _ in row] + [-1] * (K - len(row)) for row in want])
     want_top = np.array([[s for _, s in row] + [0.0] * (K - len(row)) for row in want])
     matrix = from_scipy(sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, 41)))
     assert matrix.nnz == data.size  # explicit zeros stay stored
-    for scores in ((data, indices, indptr), matrix):
+    for scores in (CSR(data, indices, indptr, matrix.shape), matrix):
         index, top = top_k(scores, K)
         assert np.array_equal(index, want_index)
         assert np.array_equal(top.view(np.int64), want_top.view(np.int64))
@@ -373,7 +374,7 @@ def test_top_k_selection_equals_sorted_oracle(case):
         want_top[i, : len(row)] = [s for _, s in row]
     matrix = from_scipy(sp.csr_matrix((data, indices, indptr), shape=(m, 500)))
     with mock.patch.object(predictor, "_SELECT_FLOATS", tile):
-        for scores in ((data, indices, indptr), matrix):
+        for scores in (CSR(data, indices, indptr, matrix.shape), matrix):
             index, top = top_k(scores, K)
             assert np.array_equal(index, want_index)
             assert np.array_equal(top.view(np.int64), want_top.view(np.int64))
@@ -388,7 +389,7 @@ def test_top_k_ranks_nan_after_minus_inf(tile, K):
     indptr = np.array([0, 5, 10, 15])
     indices = np.tile(np.arange(5), 3)
     with mock.patch.object(predictor, "_SELECT_FLOATS", tile):
-        index, top = top_k((data, indices, indptr), K)
+        index, top = top_k(CSR(data, indices, indptr, (3, 5)), K)
     want = [1, 3, 2, 0, 4, -1][:K]
     assert index.tolist() == [want] * 3
     assert np.array_equal(top, [[1.0, 0.5, -np.inf, np.nan, np.nan, 0.0][:K]] * 3, equal_nan=True)

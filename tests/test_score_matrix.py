@@ -78,7 +78,7 @@ def test_sparse_label_side_equals_dict_path(case):
 
     spec = EnsembleSpec(seeds=tuple(range(len(mats))), d=10, r=2, k=5)
     train = mock.Mock(labels=Y)
-    with mock.patch.object(ensemble, "learner_neighbours", lambda *a, **kw: enumerate(found)):
+    with mock.patch.object(ensemble, "learner_neighbours", lambda *a, **kw: iter(found)):
         # ranked at K = L, the fused ranking holds every fused score
         fused, top, ranked = (fused_scores(spec, train, None, width) for width in (L, K, max(ks)))
         test = mock.Mock(n=len(truths), labels=truth_matrix(truths, L))
