@@ -42,14 +42,9 @@ from .ensemble import (
     sweep_ensemble_size,
     write_metadata,
 )
-from .jl import BoundReport, DistortionReport, jl_epsilon, measure_distortion
+from .jl import DistortionReport, jl_epsilon, measure_distortion
 from .lsh import LshIndex, build_index, query_lsh
-from .metrics import (
-    EvalReport,
-    PropensityModel,
-    evaluate,
-    propensity,
-)
+from .metrics import EvalReport, evaluate, propensity
 from .predictor import (
     batch_predict,
     knn,
@@ -59,7 +54,6 @@ from .predictor import (
 )
 
 __all__ = [
-    "BoundReport",
     "DatasetFormatError",
     "DistortionReport",
     "EmbeddedMatrix",
@@ -67,7 +61,6 @@ __all__ = [
     "EnsembleSpec",
     "EvalReport",
     "LshIndex",
-    "PropensityModel",
     "SparseDataset",
     "batch_predict",
     "build_index",

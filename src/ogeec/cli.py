@@ -326,23 +326,19 @@ def _read_sets(
     return spec, train_ds, test_ds
 
 
-def _propensity_model(cfg: RunConfig, train: SparseDataset, test: SparseDataset):
-    """`train`'s propensity model, after refusing a test label outside its
-    labels; a command checks this after reading its datasets and before
-    embedding them."""
+def _evaluator(cfg: RunConfig, train: SparseDataset, test: SparseDataset):
+    """ranking -> EvalReport of its top max(ks) labels against `test`'s,
+    weighted by `train`'s label propensities. It refuses a test label
+    outside `train`'s labels when it is made, so a command makes it after
+    reading its datasets and before embedding them."""
     top = int(test.labels.indices.max(initial=-1))
     if top >= train.L:
         raise ValueError(
             f"{cfg.test}: test label {top} is outside the train set's labels "
             f"(the test set has {test.L} labels, the train set {train.L})"
         )
-    return metrics.propensity(train.label_frequencies, train.n, cfg.prop_a, cfg.prop_b)
-
-
-def _evaluator(cfg: RunConfig, train: SparseDataset, test: SparseDataset):
-    """ranking -> EvalReport of its top max(ks) labels against `test`'s."""
-    model = _propensity_model(cfg, train, test)
-    return lambda ranking: metrics.evaluate(ranking[0], test.labels, model, ks=cfg.ks)
+    props = metrics.propensity(train.label_frequencies, train.n, cfg.prop_a, cfg.prop_b)
+    return lambda ranking: metrics.evaluate(ranking[0], test.labels, props, ks=cfg.ks)
 
 
 def _predict_ranking(cfg: RunConfig, explicit: set[str], flag: str, K: int, evaluated: bool):
@@ -400,8 +396,8 @@ def cmd_analyze_bounds(cfg: RunConfig, explicit: set[str]) -> int:
     with _output(cfg.out) as stream:
         stream.write("n\tr\tepsilon\tlower\tupper\n")
         for n, r in pairs:
-            b = jl.jl_epsilon(n, r)
-            stream.write(f"{n}\t{r}\t{b.epsilon:.4f}\t{b.lower:.4f}\t{b.upper:.4f}\n")
+            eps = jl.jl_epsilon(n, r)
+            stream.write(f"{n}\t{r}\t{eps:.4f}\t{1.0 - eps:.4f}\t{1.0 + eps:.4f}\n")
     return 0
 
 
@@ -446,9 +442,9 @@ def cmd_analyze_sweep_r(cfg: RunConfig, explicit: set[str]) -> int:
 def cmd_analyze_sweep_ensemble(cfg: RunConfig, explicit: set[str]) -> int:
     _, train_ds, test_ds = _read_sets(cfg, explicit, "--ks", max(cfg.ks))
     spec = ens.make_ensemble_spec(cfg.seed, max(cfg.sizes), train_ds.d, cfg.r, cfg.k)
-    model = _propensity_model(cfg, train_ds, test_ds)
-    result = ens.sweep_ensemble_size(
-        spec, train_ds, test_ds, list(cfg.sizes), model, ks=cfg.ks, workers=cfg.effective_workers()
+    own, fused = ens.sweep_ensemble_size(
+        spec, train_ds, test_ds, cfg.sizes, max(cfg.ks), _evaluator(cfg, train_ds, test_ds),
+        workers=cfg.effective_workers(),
     )
     with _output(cfg.out) as stream:
         names = [f"{m}@{k}" for m in metrics.METRIC_NAMES for k in cfg.ks]
@@ -457,16 +453,13 @@ def cmd_analyze_sweep_ensemble(cfg: RunConfig, explicit: set[str]) -> int:
         def row(label: str, values: list[float]) -> str:
             return label + "\t" + "\t".join(f"{v:.6f}" for v in values) + "\n"
 
-        for seed, rep in zip(result.seeds, result.per_learner):
+        for seed, rep in zip(spec.seeds, own):
             stream.write(row(f"learner:{seed}", [rep[m] for m in names]))
-        grid = np.array(
-            [[rep[m] for m in names] for rep in result.per_learner]
-        )
+        grid = np.array([[rep[m] for m in names] for rep in own])
         stream.write(row("learner_mean", list(grid.mean(axis=0))))
         stream.write(row("learner_std", list(grid.std(axis=0, ddof=0))))
-        for size in sorted(result.fused):
-            rep = result.fused[size]
-            stream.write(row(f"fused:{size}", [rep[m] for m in names]))
+        for size in sorted(fused):
+            stream.write(row(f"fused:{size}", [fused[size][m] for m in names]))
     return 0
 
 
@@ -596,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetFormatError, ValueError, OSError) as exc:
+    except (DatasetFormatError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's names the allocation that failed

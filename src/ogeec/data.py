@@ -6,12 +6,12 @@ The on-disk format is the extreme-classification repository convention:
     l1,l2,... f1:v1 f2:v2 ...
 
 First line is the header (sample count, feature dimensionality, label
-vocabulary size). Each following line is one sample: a comma-separated
-label list (possibly empty, leaving a leading space) followed by
-space-separated ``index:value`` feature pairs. All indices are 0-based.
-A `SparseDataset`'s feature CSR stores its indices as int32 below 2^31
-columns (int64 from there) and its values as float32; its label CSR stores
-its indices as int64.
+vocabulary size, each in [1, 2^63)). Each following line is one sample: a
+comma-separated label list (possibly empty, leaving a leading space)
+followed by space-separated ``index:value`` feature pairs. All indices are
+0-based. A `SparseDataset`'s feature CSR stores its indices as int32 below
+2^31 columns (int64 from there) and its values as float32; its label CSR
+stores its indices as int64.
 
 `parse_dataset` reads the file in pieces of about `_CHUNK` bytes cut at line
 ends. A piece whose lines all keep to the canonical grammar (digits and
@@ -487,6 +487,8 @@ def _parse(path) -> SparseDataset:
             raise DatasetFormatError("line 1: header must be 'n d L'") from None
         if n <= 0 or d <= 0 or L <= 0:
             raise DatasetFormatError("line 1: header fields must be positive")
+        if max(n, d, L) >= 2**63:  # counts and indices are int64
+            raise DatasetFormatError("line 1: header fields must be below 2^63")
         if lines - 1 != n:
             raise DatasetFormatError(
                 f"expected {n} sample lines after the header, found {lines - 1}"

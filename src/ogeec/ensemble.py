@@ -5,9 +5,10 @@ built from it, and the kNN propagation rule. The whole model is therefore a
 handful of integers; the metadata file written here is everything needed to
 rebuild it. Fusion averages each label's score across learners, counting 0
 for learners that never scored it: each learner keeps only its neighbour
-arrays, and `predictor.rank_labels`, the one label pass, adds their scores
-in learner order, S1 + S2 + ..., divides every nonzero sum by E and ranks
-them, one block of queries at a time.
+arrays, and one `predictor.rank_labels` pass adds their scores in learner
+order, S1 + S2 + ..., divides every nonzero sum by E and ranks them, one
+block of queries at a time. The ensemble-size sweep makes one such pass per
+learner and one per requested size, and leaves scoring them to its caller.
 
 Every command that projects takes its learners from `learner_embeddings`,
 which plans each set of samples once and projects it in one pass over F.
@@ -16,7 +17,7 @@ which plans each set of samples once and projects it in one pass over F.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from .embedding import (
     project_rows,
 )
 from .embedding import embed  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
-from .metrics import DEFAULT_KS, EvalReport, PropensityModel, evaluate
+from .metrics import evaluate  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
 from .predictor import batch_predict, rank_labels
 
 
@@ -147,45 +148,31 @@ def fused_scores(
     return ranking
 
 
-@dataclass
-class SweepResult:
-    """Fused reports per ensemble size plus each learner's own report."""
-
-    fused: dict[int, EvalReport]
-    per_learner: list[EvalReport]
-    seeds: tuple[int, ...]
-
-
 def sweep_ensemble_size(
-    spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, sizes: list[int],
-    model: PropensityModel, *, ks: tuple[int, ...] = DEFAULT_KS, workers: int = 1,
-) -> SweepResult:
-    """Evaluate fusions of the first s seeds for each requested size.
+    spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, sizes: Sequence[int],
+    K: int, score: Callable[[tuple[np.ndarray, np.ndarray]], object], *, workers: int = 1,
+) -> tuple[list, dict]:
+    """(`score` of each learner's own ranking, in seed order; {s: `score`
+    of the fusion of the first s seeds} for each distinct requested size s).
 
-    Per-learner reports cover every learner consumed (max(sizes)), so callers
-    can report single-learner mean and spread next to the fused numbers.
+    The learners are those of the first max(sizes) seeds. Each ranking is
+    `rank_labels`' top K labels and scores, and `score` takes it as soon as
+    it forms, so only the learners' neighbour arrays are held: each
+    learner's own ranking in learner order, each followed, when s learners
+    are done and s is a requested size, by the fused ranking of those s.
     """
     if not sizes:
         raise ValueError("sizes must be nonempty")
     if max(sizes) > spec.size or min(sizes) < 1:
         raise ValueError(f"sizes must lie in [1, {spec.size}]")
     prefix = replace(spec, seeds=spec.seeds[: max(sizes)])
-    truths, labels = test.labels, dataset.labels
-    neighbours = []
-    fused_reports: dict[int, EvalReport] = {}
-    per_learner: list[EvalReport] = []
+    neighbours, own, fused = [], [], {}
     for found in learner_neighbours(prefix, dataset, test, workers=workers):
         neighbours.append(found)
-        own = rank_labels([found], labels, max(ks))[0]
-        per_learner.append(evaluate(own, truths, model, ks=ks))
+        own.append(score(rank_labels([found], dataset.labels, K)))
         if len(neighbours) in sizes:
-            fused = rank_labels(neighbours, labels, max(ks))[0]
-            fused_reports[len(neighbours)] = evaluate(fused, truths, model, ks=ks)
-    return SweepResult(
-        fused=fused_reports,
-        per_learner=per_learner,
-        seeds=prefix.seeds,
-    )
+            fused[len(neighbours)] = score(rank_labels(neighbours, dataset.labels, K))
+    return own, fused
 
 
 def sweep_dimension(

@@ -1,7 +1,8 @@
 """Distance-preservation analysis for the random projection.
 
-`jl_epsilon` gives the theoretical two-sided bound width for projecting n
-points into r dimensions, epsilon = sqrt(log10(n) / r); `measure_distortion`
+`jl_epsilon` returns the theoretical two-sided bound width for projecting n
+points into r dimensions, epsilon = sqrt(log10(n) / r), as a float; its
+users form the factors 1 - epsilon and 1 + epsilon. `measure_distortion`
 samples index pairs and compares exact Euclidean distances before and after
 projection. The projected side is deliberately left un-renormalized and scaled
 by 1/sqrt(r) (unit-variance entries make the expected squared norm r times the
@@ -26,28 +27,14 @@ _PAIR_FLOATS = 1 << 17
 DEFAULT_BINS = 40
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    n: int
-    r: int
-    epsilon: float
-
-    @property
-    def lower(self) -> float:
-        return 1.0 - self.epsilon
-
-    @property
-    def upper(self) -> float:
-        return 1.0 + self.epsilon
-
-
-def jl_epsilon(n: int, r: int) -> BoundReport:
-    """Bound width for n points in r output dimensions."""
+def jl_epsilon(n: int, r: int) -> float:
+    """Bound width epsilon for n points in r output dimensions: distances
+    keep within factors 1 - epsilon and 1 + epsilon."""
     if n < 2:
         raise ValueError("n must be at least 2")
     if r < 1:
         raise ValueError("r must be positive")
-    return BoundReport(n=n, r=r, epsilon=math.sqrt(math.log10(n) / r))
+    return math.sqrt(math.log10(n) / r)
 
 
 @dataclass
@@ -113,8 +100,8 @@ def measure_distortion(
     if ratios.size == 0:
         raise ValueError("all sampled pairs had zero original distance")
 
-    bound = jl_epsilon(dataset.n, spec.r)
-    within = float(np.mean((ratios >= bound.lower) & (ratios <= bound.upper)))
+    epsilon = jl_epsilon(dataset.n, spec.r)
+    within = float(np.mean((ratios >= 1.0 - epsilon) & (ratios <= 1.0 + epsilon)))
     lo, hi = float(ratios.min()), float(ratios.max())
     if hi - lo < 1e-9:  # degenerate spread (e.g. an injected isometry)
         lo, hi = lo - 0.5, hi + 0.5
@@ -122,7 +109,7 @@ def measure_distortion(
     return DistortionReport(
         pairs=int(keep.sum()),
         skipped=skipped,
-        epsilon=bound.epsilon,
+        epsilon=epsilon,
         within_fraction=within,
         ratio_min=float(ratios.min()),
         ratio_median=float(np.median(ratios)),

@@ -24,23 +24,13 @@ DEFAULT_B = 1.5
 METRIC_NAMES = ("P", "N", "PSP", "PSN")
 
 
-@dataclass(frozen=True)
-class PropensityModel:
-    """p_l = 1 / (1 + C * (N_l + B)^-A) with C = (ln n - 1) * (B + 1)^A.
-
-    Propensities are clamped into (0, 1]; they are nondecreasing in label
-    frequency, so rare labels get the largest 1/p_l weights.
-    """
-
-    a: float
-    b: float
-    c: float
-    propensities: np.ndarray
-
-
 def propensity(
     frequencies: np.ndarray, n: int, a: float = DEFAULT_A, b: float = DEFAULT_B
-) -> PropensityModel:
+) -> np.ndarray:
+    """Each label's propensity p_l = 1 / (1 + C * (N_l + B)^-A), with
+    C = (ln n - 1) * (B + 1)^A, from its training frequency N_l over n
+    training samples. The array is clamped into (0, 1]; it is nondecreasing
+    in label frequency, so rare labels get the largest 1/p_l weights."""
     if not 0 < a < 1:
         raise ValueError("A must lie in (0, 1)")
     if b < 0:
@@ -50,8 +40,7 @@ def propensity(
     freq = np.asarray(frequencies, dtype=np.float64)
     c = (math.log(n) - 1.0) * (b + 1.0) ** a
     props = 1.0 / (1.0 + c * np.exp(-a * np.log(freq + b)))
-    props = np.clip(props, np.finfo(np.float64).tiny, 1.0)
-    return PropensityModel(a=a, b=b, c=c, propensities=props)
+    return np.clip(props, np.finfo(np.float64).tiny, 1.0)
 
 
 @dataclass
@@ -109,7 +98,7 @@ def truth_hits(pred: np.ndarray, truths: CSR) -> tuple[np.ndarray, int, np.ndarr
 def evaluate(
     predictions: np.ndarray,
     truths: CSR,
-    model: PropensityModel,
+    propensities: np.ndarray,
     ks: tuple[int, ...] = DEFAULT_KS,
 ) -> EvalReport:
     """Mean metrics over all samples with nonempty truth.
@@ -117,7 +106,8 @@ def evaluate(
     `predictions` is the (m, >= max(ks)) label array of `predictor.top_k`,
     best first and padded with -1; `truths` is the test samples' (m x L)
     label CSR (`SparseDataset.labels`), whose row i stores sample i's
-    true labels (a repeat counts once; the values are not read). Per sample,
+    true labels (a repeat counts once; the values are not read);
+    `propensities` is `propensity`'s array, one p per label. Per sample,
     with hits the true labels in the top K slots (a short ranking's missing
     slots count as wrong):
     P@K = hits / K; N@K = sum of 1/log2(pos + 2) over hits, over its best
@@ -127,7 +117,7 @@ def evaluate(
     discounted by log2(pos + 2). All samples are computed at once, but each
     sample's terms are added in rank order and the per-sample values in
     sample order, so every sum is the one a loop over samples makes. A true
-    label outside the model's labels is a ValueError.
+    label without a propensity is a ValueError.
     """
     pred = np.asarray(predictions, dtype=np.int64)
     max_k = max(ks)
@@ -139,7 +129,7 @@ def evaluate(
     pred = pred[:, :max_k]
     keys, span, hit = truth_hits(pred, truths)
     rows, labels = keys // span, keys % span
-    L = model.propensities.size
+    L = propensities.size
     outside = np.flatnonzero(labels >= L)
     if outside.size:
         i = outside[0]
@@ -151,7 +141,7 @@ def evaluate(
     used = counts > 0
     hit = hit[used]
 
-    inv = 1.0 / model.propensities
+    inv = 1.0 / propensities
     gain = np.where(hit, inv[np.where(hit, pred[used], 0)], 0.0)
     # each sample's true-label weights, largest first, in its first max_k slots
     indptr = np.concatenate([[0], np.cumsum(counts)])

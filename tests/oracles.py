@@ -52,7 +52,7 @@ from ogeec.data import _F32_MAX, DatasetFormatError, SparseDataset, _assemble
 
 from ogeec.embedding import project_csr
 from ogeec.ensemble import EnsembleSpec, fused_scores
-from ogeec.metrics import DEFAULT_KS, METRIC_NAMES, EvalReport, PropensityModel
+from ogeec.metrics import DEFAULT_KS, METRIC_NAMES, EvalReport
 from ogeec.predictor import knn, propagate, top_k
 
 
@@ -242,9 +242,9 @@ def ref_propensities(freqs, n, a, b):
     return [1.0 / (1.0 + c * math.exp(-a * math.log(f + b))) for f in freqs]
 
 
-def uniform_propensity(L: int) -> PropensityModel:
-    """All-ones model; PSP@K then reduces to P@K when |truth| >= K."""
-    return PropensityModel(a=1.0, b=0.0, c=0.0, propensities=np.ones(L))
+def uniform_propensity(L: int) -> np.ndarray:
+    """All-ones propensities; PSP@K then reduces to P@K when |truth| >= K."""
+    return np.ones(L)
 
 
 def ref_precision(pred, truth, K):
@@ -401,10 +401,10 @@ def format_dicts(scores, K) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate_dicts(predictions, truths, model, ks=DEFAULT_KS) -> EvalReport:
+def evaluate_dicts(predictions, truths, propensities, ks=DEFAULT_KS) -> EvalReport:
     """Mean metrics of dict scores over the samples with nonempty truth, one
     sample at a time with the `ref_*` metric functions."""
-    props = model.propensities.tolist()
+    props = propensities.tolist()
     max_k = max(ks)
     sums = {f"{m}@{k}": 0.0 for m in METRIC_NAMES for k in ks}
     used = skipped = 0
@@ -515,6 +515,8 @@ def parse_dataset(path) -> SparseDataset:
         raise DatasetFormatError("line 1: header must be 'n d L'") from None
     if n <= 0 or d <= 0 or L <= 0:
         raise DatasetFormatError("line 1: header fields must be positive")
+    if max(n, d, L) >= 2**63:
+        raise DatasetFormatError("line 1: header fields must be below 2^63")
     if len(lines) - 1 != n:
         raise DatasetFormatError(
             f"expected {n} sample lines after the header, found {len(lines) - 1}"

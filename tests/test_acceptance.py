@@ -89,7 +89,7 @@ def test_criterion_2_distortion_bound():
     spec = EmbeddingSpec(seed=5, d=20000, r=200)
     rep = measure_distortion(ds, spec, 10000, seed=17)
     elapsed = time.perf_counter() - t0
-    assert rep.epsilon == pytest.approx(jl_epsilon(2000, 200).epsilon)
+    assert rep.epsilon == pytest.approx(jl_epsilon(2000, 200))
     report(
         2,
         rep.within_fraction >= 0.95 and elapsed < 60.0,
@@ -124,8 +124,8 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_metrics_oracle():
     freqs = np.array([50, 3, 17, 220, 9, 1, 74, 31])
-    model = propensity(freqs, 400, a=0.55, b=1.5)
-    props = ref_propensities(freqs, 400, 0.55, 1.5)
+    props = propensity(freqs, 400, a=0.55, b=1.5)
+    ref_props = ref_propensities(freqs, 400, 0.55, 1.5)
     predictions = [
         {0: 2.1, 3: 1.4, 5: 0.2},
         {1: 0.9, 2: 0.8, 4: 0.7, 6: 0.1},
@@ -141,22 +141,22 @@ def test_criterion_4_metrics_oracle():
     truths = [
         {0, 5}, {2, 4}, {7}, {3}, {1, 6}, {0}, {0, 6}, {1, 2, 3}, {5}, {5, 6, 7},
     ]
-    rep = evaluate(top_labels(predictions), truth_matrix([sorted(t) for t in truths], freqs.size), model)
+    rep = evaluate(top_labels(predictions), truth_matrix([sorted(t) for t in truths], freqs.size), props)
     max_err = 0.0
     for K in (1, 3, 5):
         ranked = [top_k_labels(sv, 5) for sv in predictions]
         refs = {
             "P": [ref_precision(p, t, K) for p, t in zip(ranked, truths)],
             "N": [ref_ndcg(p, t, K) for p, t in zip(ranked, truths)],
-            "PSP": [ref_psp(p, t, props, K) for p, t in zip(ranked, truths)],
-            "PSN": [ref_psn(p, t, props, K) for p, t in zip(ranked, truths)],
+            "PSP": [ref_psp(p, t, ref_props, K) for p, t in zip(ranked, truths)],
+            "PSN": [ref_psn(p, t, ref_props, K) for p, t in zip(ranked, truths)],
         }
         for name, vals in refs.items():
             want = sum(vals) / len(vals)
             max_err = max(max_err, abs(rep[f"{name}@{K}"] - want))
     identities_hold = True
     rng = np.random.default_rng(123)
-    id_model = propensity(rng.integers(1, 300, size=30), n=900)
+    id_props = propensity(rng.integers(1, 300, size=30), n=900)
     for _ in range(1000):
         scores = {
             int(w): float(rng.uniform(0.01, 3))
@@ -165,7 +165,7 @@ def test_criterion_4_metrics_oracle():
         truth = set(
             int(w) for w in rng.choice(30, size=rng.integers(1, 6), replace=False)
         )
-        one = evaluate(top_labels([scores]), truth_matrix([sorted(truth)], 30), id_model)
+        one = evaluate(top_labels([scores]), truth_matrix([sorted(truth)], 30), id_props)
         identities_hold &= one["P@1"] == one["N@1"]
         identities_hold &= one["PSP@1"] == one["PSN@1"]
     report(
@@ -181,10 +181,12 @@ def test_criterion_5_ensemble_trend(dataset_pairs):
     p1_first, p1_fused = [], []
     for seed, (train, test) in enumerate(dataset_pairs):
         spec = make_ensemble_spec(base_seed=10 * seed, learners=5, d=train.d, r=24, k=5)
-        model = propensity(train.label_frequencies, train.n)
-        res = sweep_ensemble_size(spec, train, test, [1, 5], model)
-        p1_first.append(res.fused[1]["P@1"])
-        p1_fused.append(res.fused[5]["P@1"])
+        props = propensity(train.label_frequencies, train.n)
+        _, fused = sweep_ensemble_size(
+            spec, train, test, [1, 5], 5, lambda r: evaluate(r[0], test.labels, props)
+        )
+        p1_first.append(fused[1]["P@1"])
+        p1_fused.append(fused[5]["P@1"])
     diffs = np.array(p1_fused) - np.array(p1_first)
     sem = diffs.std(ddof=1) / np.sqrt(len(diffs))
     elapsed = time.perf_counter() - t0
@@ -199,11 +201,11 @@ def test_criterion_5_ensemble_trend(dataset_pairs):
 def test_criterion_6_embedding_dimension_trend(dataset_pairs):
     p50, p200 = [], []
     for seed, (train, test) in enumerate(dataset_pairs):
-        model = propensity(train.label_frequencies, train.n)
+        props = propensity(train.label_frequencies, train.n)
         for r, sink in ((50, p50), (200, p200)):
             spec = EnsembleSpec(seeds=(10 * seed,), d=train.d, r=r, k=5)
             labels = fused_scores(spec, train, test, 5)[0]
-            sink.append(evaluate(labels, test.labels, model)["P@1"])
+            sink.append(evaluate(labels, test.labels, props)["P@1"])
     diffs = np.array(p200) - np.array(p50)
     sem = diffs.std(ddof=1) / np.sqrt(len(diffs))
     report(
@@ -247,17 +249,17 @@ def test_criterion_7_prediction_determinism(tmp_path, dataset_pairs):
 def test_criterion_8_lsh_direction(dataset_pairs):
     ex_p1, lsh_p1 = [], []
     for seed, (train, test) in enumerate(dataset_pairs):
-        model = propensity(train.label_frequencies, train.n)
+        props = propensity(train.label_frequencies, train.n)
         lspec = EmbeddingSpec(seed=10 * seed, d=train.d, r=64)
         emb = embed(lspec, train)
         labels = train.labels
         q_emb = project_csr(lspec, float64_features(test))
         exhaustive = score_matrix(*batch_predict(emb, q_emb, 5), labels)
-        ex_p1.append(evaluate(top_k(exhaustive, 5)[0], test.labels, model)["P@1"])
+        ex_p1.append(evaluate(top_k(exhaustive, 5)[0], test.labels, props)["P@1"])
         index = build_index(emb, T=10, H=16, seed=10 * seed)
         rows = [query_lsh(index, q_emb[:, i], 5) for i in range(test.n)]
         scores = score_matrix(*map(np.stack, zip(*rows)), labels)
-        lsh_p1.append(evaluate(top_k(scores, 5)[0], test.labels, model)["P@1"])
+        lsh_p1.append(evaluate(top_k(scores, 5)[0], test.labels, props)["P@1"])
     mean_ex, mean_lsh = float(np.mean(ex_p1)), float(np.mean(lsh_p1))
     report(
         8,
@@ -278,8 +280,8 @@ def test_criterion_9_full_corpus_reproduction():
     test = parse_dataset(root / "test.txt")
     spec = make_ensemble_spec(base_seed=0, learners=5, d=train.d, r=200, k=5)
     labels = fused_scores(spec, train, test, 5, workers=os.cpu_count() or 1)[0]
-    model = propensity(train.label_frequencies, train.n, a=0.55, b=1.5)
-    rep = evaluate(labels, test.labels, model)
+    props = propensity(train.label_frequencies, train.n, a=0.55, b=1.5)
+    rep = evaluate(labels, test.labels, props)
     targets = {  # five-learner fused reference values, in percent
         "P@1": 40.54, "P@3": 34.25, "P@5": 30.97,
         "N@1": 40.54, "N@3": 35.74, "N@5": 33.22,

@@ -284,8 +284,8 @@ def test_eval_matches_library_composition(workspace, capsys):
     spec = read_metadata(workspace / "model.txt")
     train = parse_dataset(workspace / "train.txt")
     test = parse_dataset(workspace / "test.txt")
-    model = propensity(train.label_frequencies, train.n)
-    want = evaluate(fused_scores(spec, train, test, 5)[0], test.labels, model)
+    props = propensity(train.label_frequencies, train.n)
+    want = evaluate(fused_scores(spec, train, test, 5)[0], test.labels, props)
     for name in ("P@1", "N@1", "PSP@5", "PSN@3"):
         assert float(got[name]) == pytest.approx(want[name], abs=5e-7)
     assert got["P@1"] == got["N@1"]
@@ -566,18 +566,41 @@ def test_bad_test_file_is_named_in_a_one_line_error(workspace, tmp_path, capsys,
         ["analyze", "distortion", "--train", "{train}", "--pairs", "100000000000"],
         ["analyze", "distortion", "--train", "{train}", "--bins", "1000000000000"],
         ["gen", "--n", "1000000000000", "--out", "{out}"],
+        # numpy refuses (T * H) rows as a C ssize_t before it allocates any
+        ["analyze", "lsh-compare", "--train", "{train}", "--test", "{test}",
+         "--tables", "99999999999999999999"],
     ],
-    ids=["pairs-745GiB", "bins-7.3TiB", "gen-n-7.3TiB"],
+    ids=["pairs-745GiB", "bins-7.3TiB", "gen-n-7.3TiB", "tables-past-ssize_t"],
 )
 def test_a_knob_too_large_for_memory_fails_in_one_line(workspace, tmp_path, capsys, argv):
-    """A knob whose first allocation no machine can make fails at once with
-    one `error:` line and exit 1, not a traceback."""
-    paths = {"train": workspace / "train.txt", "out": tmp_path / "gen.txt"}
+    """A knob whose first allocation no machine can make, or whose size no
+    C integer holds, fails at once with one `error:` line and exit 1, not a
+    traceback."""
+    paths = {"train": workspace / "train.txt", "test": workspace / "test.txt",
+             "out": tmp_path / "gen.txt"}
     rc = main([arg.format(**paths) for arg in argv])
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, header",
+    [("train", f"2 {2**63} 3"), ("predict", f"2 10 {2**63}"), ("eval", f"2 10 {2**63}")],
+)
+def test_a_header_field_of_2_63_fails_at_line_1(tmp_path, capsys, command, header):
+    """Counts and indices are int64, so a header field of 2^63 or more is
+    refused at line 1, not by an OverflowError in a later layer, nor by a
+    model that no command can use."""
+    data, model = tmp_path / "data.txt", tmp_path / "model.txt"
+    data.write_text(header + "\n0 1:1\n1 2:1\n")
+    write_metadata(model, EnsembleSpec(seeds=(0,), d=10, r=4, k=2))
+    argv = [command, "--model", str(model), "--train", str(data)]
+    rc = main(argv if command == "train" else [*argv, "--test", str(data)])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [f"error: {data}: line 1: header fields must be below 2^63"]
 
 
 _DATA = ["--train", "{train}", "--test", "{test}", "--workers", "2", "--out", "{out}"]

@@ -190,38 +190,64 @@ def test_fused_scores_rejects_duplicate_seeds(train_test):
         fused_scores(EnsembleSpec(seeds=(5, 5), d=train.d, r=16, k=5), train, test, 5)
 
 
+def _scorer(test):
+    props = uniform_propensity(test.labels.shape[1])
+    return lambda ranking: evaluate(ranking[0], test.labels, props)
+
+
 def test_sweep_size_one_equals_single_learner_eval(train_test):
     train, test = train_test
     espec = EnsembleSpec(seeds=(4, 5, 6), d=train.d, r=24, k=5)
-    model = uniform_propensity(train.L)
-    result = sweep_ensemble_size(espec, train, test, [1], model)
+    own, fused = sweep_ensemble_size(espec, train, test, [1], 5, _scorer(test))
     lspec = EmbeddingSpec(seed=4, d=train.d, r=24)
     emb = embed(lspec, train)
     queries = project_csr(lspec, float64_features(test))
     scores = score_matrix(*batch_predict(emb, queries, 5), train.labels)
-    direct = evaluate(top_k(scores, 5)[0], test.labels, model)
-    assert result.fused[1].values == direct.values
-    assert result.per_learner[0].values == direct.values
+    direct = evaluate(top_k(scores, 5)[0], test.labels, uniform_propensity(train.L))
+    assert len(own) == 1 and list(fused) == [1]
+    assert fused[1].values == direct.values
+    assert own[0].values == direct.values
 
 
 def test_sweep_reports_are_order_independent(train_test):
     train, test = train_test
     espec = EnsembleSpec(seeds=(4, 5, 6), d=train.d, r=24, k=5)
-    model = uniform_propensity(train.L)
-    a = sweep_ensemble_size(espec, train, test, [1, 3], model)
-    b = sweep_ensemble_size(espec, train, test, [3, 1], model)
-    assert a.fused[1].values == b.fused[1].values
-    assert a.fused[3].values == b.fused[3].values
+    _, a = sweep_ensemble_size(espec, train, test, [1, 3], 5, _scorer(test))
+    _, b = sweep_ensemble_size(espec, train, test, [3, 1], 5, _scorer(test))
+    assert a[1].values == b[1].values
+    assert a[3].values == b[3].values
 
 
 def test_sweep_size_bounds(train_test):
     train, test = train_test
     espec = EnsembleSpec(seeds=(4, 5), d=train.d, r=16, k=5)
-    model = uniform_propensity(train.L)
     with pytest.raises(ValueError):
-        sweep_ensemble_size(espec, train, test, [3], model)
+        sweep_ensemble_size(espec, train, test, [3], 5, _scorer(test))
     with pytest.raises(ValueError):
-        sweep_ensemble_size(espec, train, test, [], model)
+        sweep_ensemble_size(espec, train, test, [], 5, _scorer(test))
+
+
+def test_sweep_scores_each_learner_and_each_distinct_size_in_learner_order(train_test):
+    """`score` gets each learner's own ranking as it forms, then the fusion
+    of the first s learners for each distinct requested size s; each is the
+    `rank_labels` arrays K wide that `fused_scores` returns for those
+    seeds, and the returns are `score`'s values."""
+    train, test = train_test
+    espec = EnsembleSpec(seeds=(4, 5, 6), d=train.d, r=16, k=5)
+    K, calls = 7, []
+
+    def score(ranking):
+        calls.append(ranking)
+        return len(calls) - 1
+
+    own, fused = sweep_ensemble_size(espec, train, test, [2, 2, 1], K, score)
+    assert own == [0, 2] and fused == {1: 1, 2: 3}
+    seeds = [(4,), (4,), (5,), (4, 5)]  # own 4, fused 1, own 5, fused 2
+    assert len(calls) == len(seeds)
+    for ranking, used in zip(calls, seeds):
+        want = fused_scores(EnsembleSpec(seeds=used, d=train.d, r=16, k=5), train, test, K)
+        assert all(a.shape == (test.n, K) for a in ranking)
+        assert all(np.array_equal(a, b) for a, b in zip(ranking, want))
 
 
 def test_metadata_roundtrip(tmp_path):

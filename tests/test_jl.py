@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal
 import tracemalloc
 from unittest import mock
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import box_muller, feature_row, project_full, sp_normalize_rows, sp_pair_dots, truth_matrix
 
-from ogeec import embedding, jl
+from ogeec import cli, embedding, jl
 from ogeec.csr import CSR
 from ogeec.data import SparseDataset, generate_synthetic
 from ogeec.embedding import EmbeddingSpec
@@ -28,22 +29,34 @@ BOUND_TABLE = [
 ]
 
 
+def _bounds_row(capsys, n, r):
+    """The (epsilon, lower, upper) columns of `analyze bounds`' row for n, r."""
+    assert cli.main(["analyze", "bounds", "--ns", str(n), "--rs", str(r)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "n\tr\tepsilon\tlower\tupper"
+    assert row.split("\t")[:2] == [str(n), str(r)]
+    return [Decimal(col) for col in row.split("\t")[2:]]
+
+
 @pytest.mark.parametrize("n,r,want", BOUND_TABLE)
-def test_epsilon_known_values(n, r, want):
-    b = jl_epsilon(n, r)
-    assert round(b.epsilon, 4) == want
-    assert round(b.lower, 4) == round(1 - want, 4)
-    assert round(b.upper, 4) == round(1 + want, 4)
+def test_epsilon_known_values(capsys, n, r, want):
+    assert round(jl_epsilon(n, r), 4) == want
+    epsilon, lower, upper = _bounds_row(capsys, n, r)
+    assert epsilon == Decimal(f"{want:.4f}")
+    assert lower == Decimal(f"{1 - want:.4f}")
+    assert upper == Decimal(f"{1 + want:.4f}")
 
 
 def test_epsilon_degenerate():
-    assert jl_epsilon(10, 1).epsilon == pytest.approx(1.0)
+    assert jl_epsilon(10, 1) == pytest.approx(1.0)
 
 
-def test_epsilon_bounds_sum_to_two():
-    b = jl_epsilon(5000, 64)
-    assert b.lower + b.upper == pytest.approx(2.0, abs=1e-15)
-    assert b.epsilon == pytest.approx(math.sqrt(math.log10(5000) / 64))
+def test_epsilon_bounds_sum_to_two(capsys):
+    assert jl_epsilon(5000, 64) == pytest.approx(math.sqrt(math.log10(5000) / 64))
+    epsilon, lower, upper = _bounds_row(capsys, 5000, 64)
+    assert lower + upper == 2
+    assert upper - lower == 2 * epsilon
+    assert epsilon == round(Decimal(math.sqrt(math.log10(5000) / 64)), 4)
 
 
 def test_epsilon_validation():
@@ -190,13 +203,13 @@ def _oracle_report(ds, spec, pairs, seed, bins=40) -> DistortionReport:
     orig_sq = unit_sq[a] + unit_sq[b] - 2.0 * sp_pair_dots(Xn, a, b)
     keep = (a != b) & (orig_sq > 1e-12)
     ratios = proj_dist[keep] / np.sqrt(orig_sq[keep])
-    bound = jl_epsilon(ds.n, spec.r)
+    epsilon = jl_epsilon(ds.n, spec.r)
     counts, edges = np.histogram(ratios, bins=bins, range=(ratios.min(), ratios.max()))
     return DistortionReport(
         pairs=int(keep.sum()),
         skipped=int(pairs - keep.sum()),
-        epsilon=bound.epsilon,
-        within_fraction=float(np.mean((ratios >= bound.lower) & (ratios <= bound.upper))),
+        epsilon=epsilon,
+        within_fraction=float(np.mean((ratios >= 1.0 - epsilon) & (ratios <= 1.0 + epsilon))),
         ratio_min=float(ratios.min()),
         ratio_median=float(np.median(ratios)),
         ratio_max=float(ratios.max()),
@@ -255,10 +268,10 @@ def test_fixed_bound_coverage_nondecreasing_in_r():
         ratios = _dense_ratios(ds, spec, 10000, seed=17)
         # dense oracle agrees with the sparse-path report
         own = jl_epsilon(2000, r)
-        frac = float(np.mean((ratios >= own.lower) & (ratios <= own.upper)))
+        frac = float(np.mean((ratios >= 1 - own) & (ratios <= 1 + own)))
         assert frac == pytest.approx(report.within_fraction, abs=1e-3)
         fixed_cov.append(
-            float(np.mean((ratios >= fixed.lower) & (ratios <= fixed.upper)))
+            float(np.mean((ratios >= 1 - fixed) & (ratios <= 1 + fixed)))
         )
     assert all(f >= 0.95 for f in own_cov), own_cov
     inversions = sum(1 for x, y in zip(fixed_cov, fixed_cov[1:]) if y < x)

@@ -22,14 +22,15 @@ from oracles import (
 from ogeec.metrics import evaluate, propensity, truth_hits
 
 
-def _one(name, predicted, truth, K, model=None):
+def _one(name, predicted, truth, K, props=None):
     """`name`@K of one ranking, through `evaluate` on a one-sample batch; a
     sample with no true labels is skipped, so its metrics read 0."""
     labels = np.full((1, K), -1)
     labels[0, : len(predicted[:K])] = predicted[:K]
-    model = model or uniform_propensity(1 + max([*truth, *predicted], default=0))
-    truths = truth_matrix([sorted(truth)], model.propensities.size)
-    return evaluate(labels, truths, model, ks=(K,))[f"{name}@{K}"]
+    if props is None:
+        props = uniform_propensity(1 + max([*truth, *predicted], default=0))
+    truths = truth_matrix([sorted(truth)], props.size)
+    return evaluate(labels, truths, props, ks=(K,))[f"{name}@{K}"]
 
 
 def precision_at_k(predicted, truth, K):
@@ -40,12 +41,12 @@ def ndcg_at_k(predicted, truth, K):
     return _one("N", predicted, truth, K)
 
 
-def psp_at_k(predicted, truth, model, K):
-    return _one("PSP", predicted, truth, K, model)
+def psp_at_k(predicted, truth, props, K):
+    return _one("PSP", predicted, truth, K, props)
 
 
-def psn_at_k(predicted, truth, model, K):
-    return _one("PSN", predicted, truth, K, model)
+def psn_at_k(predicted, truth, props, K):
+    return _one("PSN", predicted, truth, K, props)
 
 
 # ---------------------------------------------------------------------------
@@ -77,25 +78,25 @@ def test_ndcg_empty_truth_is_zero():
 
 
 def test_propensity_formula_value():
-    model = propensity(np.array([10]), n=1000, a=0.55, b=1.5)
+    props = propensity(np.array([10]), n=1000, a=0.55, b=1.5)
     want = ref_propensities([10], 1000, 0.55, 1.5)[0]
-    assert model.propensities[0] == pytest.approx(want, abs=1e-15)
+    assert props[0] == pytest.approx(want, abs=1e-15)
 
 
 def test_propensity_saturates_for_frequent_labels():
-    model = propensity(np.array([10**9]), n=1000)
-    assert model.propensities[0] > 0.999
+    props = propensity(np.array([10**9]), n=1000)
+    assert props[0] > 0.999
 
 
 def test_propensity_depends_only_on_frequency():
-    model = propensity(np.array([7, 3, 7]), n=500)
-    assert model.propensities[0] == model.propensities[2]
+    props = propensity(np.array([7, 3, 7]), n=500)
+    assert props[0] == props[2]
 
 
 def test_propensity_monotone_in_frequency():
-    model = propensity(np.arange(0, 2000, 10), n=5000)
-    assert np.all(np.diff(model.propensities) >= 0)
-    assert np.all(model.propensities > 0) and np.all(model.propensities <= 1)
+    props = propensity(np.arange(0, 2000, 10), n=5000)
+    assert np.all(np.diff(props) >= 0)
+    assert np.all(props > 0) and np.all(props <= 1)
 
 
 def test_propensity_invalid_parameters():
@@ -112,26 +113,26 @@ def test_propensity_invalid_parameters():
 
 
 def test_psp_with_uniform_model_equals_precision():
-    model = uniform_propensity(10)
+    props = uniform_propensity(10)
     pred, truth = [4, 2, 7], {2, 5, 9}
-    assert psp_at_k(pred, truth, model, 3) == pytest.approx(
+    assert psp_at_k(pred, truth, props, 3) == pytest.approx(
         precision_at_k(pred, truth, 3), abs=1e-15
     )
 
 
 def test_psp_psn_perfect_is_one():
     # label 0 is rarer than label 2; PSN reaches 1 only when rare comes first
-    model = propensity(np.array([3, 50, 400, 7]), n=1000)
-    assert psp_at_k([2, 0], {0, 2}, model, 2) == pytest.approx(1.0)
-    assert psp_at_k([0, 2], {0, 2}, model, 2) == pytest.approx(1.0)
-    assert psn_at_k([0, 2], {0, 2}, model, 2) == pytest.approx(1.0)
-    assert psn_at_k([2, 0], {0, 2}, model, 2) < 1.0
+    props = propensity(np.array([3, 50, 400, 7]), n=1000)
+    assert psp_at_k([2, 0], {0, 2}, props, 2) == pytest.approx(1.0)
+    assert psp_at_k([0, 2], {0, 2}, props, 2) == pytest.approx(1.0)
+    assert psn_at_k([0, 2], {0, 2}, props, 2) == pytest.approx(1.0)
+    assert psn_at_k([2, 0], {0, 2}, props, 2) < 1.0
 
 
 def test_psp_psn_three_sample_fixture_vs_reference():
     freqs = np.array([40, 2, 9, 130, 5])
-    model = propensity(freqs, n=200, a=0.55, b=1.5)
-    props = ref_propensities(freqs, 200, 0.55, 1.5)
+    props = propensity(freqs, n=200, a=0.55, b=1.5)
+    ref_props = ref_propensities(freqs, 200, 0.55, 1.5)
     cases = [
         ([0, 1, 2], {1, 4}),
         ([3, 4], {4}),
@@ -139,11 +140,11 @@ def test_psp_psn_three_sample_fixture_vs_reference():
     ]
     for pred, truth in cases:
         for K in (1, 3, 5):
-            assert psp_at_k(pred, truth, model, K) == pytest.approx(
-                ref_psp(pred, truth, props, K), abs=1e-12
+            assert psp_at_k(pred, truth, props, K) == pytest.approx(
+                ref_psp(pred, truth, ref_props, K), abs=1e-12
             )
-            assert psn_at_k(pred, truth, model, K) == pytest.approx(
-                ref_psn(pred, truth, props, K), abs=1e-12
+            assert psn_at_k(pred, truth, props, K) == pytest.approx(
+                ref_psn(pred, truth, ref_props, K), abs=1e-12
             )
 
 
@@ -154,12 +155,12 @@ def test_psp_psn_three_sample_fixture_vs_reference():
     K=st.sampled_from([1, 3, 5]),
 )
 def test_all_metrics_in_unit_interval(pred, truth, K):
-    model = propensity(np.arange(1, 11), n=100)
+    props = propensity(np.arange(1, 11), n=100)
     for value in (
         precision_at_k(pred, truth, K),
         ndcg_at_k(pred, truth, K),
-        psp_at_k(pred, truth, model, K),
-        psn_at_k(pred, truth, model, K),
+        psp_at_k(pred, truth, props, K),
+        psn_at_k(pred, truth, props, K),
     ):
         assert 0.0 <= value <= 1.0 + 1e-12
 
@@ -201,25 +202,25 @@ def test_ndcg_one_iff_top_slots_all_correct(pred, truth, K):
 
 def test_evaluate_single_perfect_sample():
     # truth needs at least 5 labels for P@5 to reach 1
-    model = uniform_propensity(8)
+    props = uniform_propensity(8)
     scores = {1: 2.0, 2: 1.5, 4: 1.0, 5: 0.8, 6: 0.5}
-    report = evaluate(top_labels([scores]), truth_matrix([np.array([1, 2, 4, 5, 6])], 8), model)
+    report = evaluate(top_labels([scores]), truth_matrix([np.array([1, 2, 4, 5, 6])], 8), props)
     for name, value in report.values.items():
         assert value == pytest.approx(1.0), name
     assert report.samples == 1 and report.skipped == 0
 
 
 def test_evaluate_excludes_empty_truth():
-    model = uniform_propensity(6)
+    props = uniform_propensity(6)
     truths = truth_matrix([np.array([], dtype=np.int64), np.array([1])], 6)
-    report = evaluate(top_labels([{1: 1.0}, {1: 1.0}]), truths, model)
+    report = evaluate(top_labels([{1: 1.0}, {1: 1.0}]), truths, props)
     assert report.samples == 1 and report.skipped == 1
     assert report["P@1"] == 1.0
 
 
 def test_evaluate_definitional_identities_randomized():
     rng = np.random.default_rng(123)
-    model = propensity(rng.integers(1, 300, size=30), n=900)
+    props = propensity(rng.integers(1, 300, size=30), n=900)
     for _ in range(1000):
         n_scores = rng.integers(1, 8)
         scores = {
@@ -231,7 +232,7 @@ def test_evaluate_definitional_identities_randomized():
         )
         ranked = top_k_labels(scores, 5)
         assert precision_at_k(ranked, truth, 1) == ndcg_at_k(ranked, truth, 1)
-        assert psp_at_k(ranked, truth, model, 1) == psn_at_k(ranked, truth, model, 1)
+        assert psp_at_k(ranked, truth, props, 1) == psn_at_k(ranked, truth, props, 1)
 
 
 def test_evaluate_ten_sample_fixture_matches_reference():
@@ -239,8 +240,8 @@ def test_evaluate_ten_sample_fixture_matches_reference():
     loop-based reference aggregation to 1e-9."""
     freqs = np.array([50, 3, 17, 220, 9, 1, 74, 31])
     n_train = 400
-    model = propensity(freqs, n_train, a=0.55, b=1.5)
-    props = ref_propensities(freqs, n_train, 0.55, 1.5)
+    props = propensity(freqs, n_train, a=0.55, b=1.5)
+    ref_props = ref_propensities(freqs, n_train, 0.55, 1.5)
     predictions = [
         {0: 2.1, 3: 1.4, 5: 0.2},
         {1: 0.9, 2: 0.8, 4: 0.7, 6: 0.1},
@@ -266,14 +267,14 @@ def test_evaluate_ten_sample_fixture_matches_reference():
         {5, 6, 7},
     ]
     report = evaluate(
-        top_labels(predictions), truth_matrix([sorted(t) for t in truths], freqs.size), model
+        top_labels(predictions), truth_matrix([sorted(t) for t in truths], freqs.size), props
     )
     for K in (1, 3, 5):
         for name, fn in (
             ("P", ref_precision),
             ("N", ref_ndcg),
-            ("PSP", lambda p, t, k: ref_psp(p, t, props, k)),
-            ("PSN", lambda p, t, k: ref_psn(p, t, props, k)),
+            ("PSP", lambda p, t, k: ref_psp(p, t, ref_props, k)),
+            ("PSN", lambda p, t, k: ref_psn(p, t, ref_props, k)),
         ):
             if name in ("P", "N"):
                 vals = [fn(top_k_labels(sv, 5), t, K) for sv, t in zip(predictions, truths)]
@@ -285,11 +286,11 @@ def test_evaluate_ten_sample_fixture_matches_reference():
 
 
 def test_report_identities_and_formats():
-    model = uniform_propensity(4)
+    props = uniform_propensity(4)
     report = evaluate(
         top_labels([{0: 1.0, 2: 0.5}, {1: 0.7}]),
         truth_matrix([np.array([0, 1]), np.array([2])], 4),
-        model,
+        props,
     )
     assert report["P@1"] == report["N@1"]
     assert report["PSP@1"] == report["PSN@1"]
@@ -310,22 +311,22 @@ def test_evaluate_names_the_first_true_label_outside_the_model():
     naming it, not an IndexError from the propensity lookup; a predicted
     label outside the model that is no true label is a miss."""
     predictions = top_labels([{1: 2.0}, {9: 1.0}, {0: 1.0}])
-    model = uniform_propensity(8)
+    props = uniform_propensity(8)
     truths = truth_matrix([np.array([1]), np.array([2, 9, 8]), np.array([12])], 13)
     message = "^true label 8 of sample 1 is outside the propensity model's 8 labels$"
     with pytest.raises(ValueError, match=message):
-        evaluate(predictions, truths, model, ks=(1,))
+        evaluate(predictions, truths, props, ks=(1,))
     truths = truth_matrix([np.array([1]), np.array([2]), np.array([0])], 8)
-    report = evaluate(predictions, truths, model, ks=(1,))
+    report = evaluate(predictions, truths, props, ks=(1,))
     assert report["P@1"] == 2 / 3
 
 
 def test_evaluate_counts_a_repeated_cutoff_once():
-    model = uniform_propensity(8)
+    props = uniform_propensity(8)
     predictions = top_labels([{1: 2.0, 2: 1.0}, {3: 1.0, 4: 0.5}])
     truths = truth_matrix([np.array([1]), np.array([4, 5])], 8)
-    once = evaluate(predictions, truths, model, ks=(1, 3))
-    twice = evaluate(predictions, truths, model, ks=(1, 1, 3))
+    once = evaluate(predictions, truths, props, ks=(1, 3))
+    twice = evaluate(predictions, truths, props, ks=(1, 1, 3))
     assert twice.values == once.values and twice["P@1"] == 0.5
 
 
@@ -342,9 +343,9 @@ def test_evaluate_counts_repeated_and_unsorted_truths_once():
     truths = [rng.choice(L, rng.integers(0, 7)).tolist() for _ in rows]  # with repeats
     assert any(len(set(t)) < len(t) for t in truths)
     assert any(t != sorted(t) for t in truths)
-    model = propensity(rng.integers(0, 30, L), n=400)
-    got = evaluate(top_labels(rows), truth_matrix(truths, L), model)
-    want = evaluate_dicts(rows, truths, model)
+    props = propensity(rng.integers(0, 30, L), n=400)
+    got = evaluate(top_labels(rows), truth_matrix(truths, L), props)
+    want = evaluate_dicts(rows, truths, props)
     assert (got.values, got.samples, got.skipped) == (want.values, want.samples, want.skipped)
 
 

@@ -68,7 +68,7 @@ def label_side(draw):
 @settings(deadline=None, max_examples=300)
 @given(case=label_side())
 def test_sparse_label_side_equals_dict_path(case):
-    labelsets, L, learners, truths, ks, K, model = case
+    labelsets, L, learners, truths, ks, K, props = case
     Y = truth_matrix(labelsets, L)
     found = [neighbor_arrays(lists) for lists in learners]
     mats = [score_matrix(*nb, Y) for nb in found]
@@ -83,20 +83,24 @@ def test_sparse_label_side_equals_dict_path(case):
         fused, top, ranked = (fused_scores(spec, train, None, width) for width in (L, K, max(ks)))
         test = mock.Mock(n=len(truths), labels=truth_matrix(truths, L))
         sizes = list(range(1, len(mats) + 1))
-        sweep = sweep_ensemble_size(spec, train, test, sizes, model, ks=ks)
+        own, fused_reports = sweep_ensemble_size(
+            spec, train, test, sizes, max(ks), lambda r: evaluate(r[0], test.labels, props, ks=ks)
+        )
     fused_dicts = [fuse(list(per_query)) for per_query in zip(*dicts)]
     assert ranking_dicts(fused) == fused_dicts
     assert format_predictions(*top) == format_dicts(fused_dicts, K)
 
-    got = evaluate(ranked[0], truth_matrix(truths, L), model, ks=ks)
-    want = evaluate_dicts(fused_dicts, truths, model, ks=ks)
+    got = evaluate(ranked[0], truth_matrix(truths, L), props, ks=ks)
+    want = evaluate_dicts(fused_dicts, truths, props, ks=ks)
     assert (got.values, got.samples, got.skipped) == (want.values, want.samples, want.skipped)
     assert got.tsv_row() == want.tsv_row()
-    for size, report in sweep.fused.items():
+    assert list(fused_reports) == sizes
+    for size, report in fused_reports.items():
         prefix = [fuse(list(q[:size])) for q in zip(*dicts)]
-        assert report.values == evaluate_dicts(prefix, truths, model, ks=ks).values
-    for report, per_query in zip(sweep.per_learner, dicts):
-        assert report.values == evaluate_dicts(per_query, truths, model, ks=ks).values
+        assert report.values == evaluate_dicts(prefix, truths, props, ks=ks).values
+    assert len(own) == len(dicts)
+    for report, per_query in zip(own, dicts):
+        assert report.values == evaluate_dicts(per_query, truths, props, ks=ks).values
 
 
 def _spread_neighbors(rng, m, n, k):
@@ -195,7 +199,7 @@ def test_metric_means_add_samples_in_order():
         for _ in range(3000)
     ]
     truths = [sorted(rng.choice(L, rng.integers(0, 8), replace=False).tolist()) for _ in rows]
-    model = propensity(rng.integers(0, 40, L), n=3000)
-    got = evaluate(top_labels(rows), truth_matrix(truths, L), model)
-    want = evaluate_dicts(rows, truths, model)
+    props = propensity(rng.integers(0, 40, L), n=3000)
+    got = evaluate(top_labels(rows), truth_matrix(truths, L), props)
+    want = evaluate_dicts(rows, truths, props)
     assert (got.values, got.samples, got.skipped) == (want.values, want.samples, want.skipped)
