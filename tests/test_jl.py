@@ -1,6 +1,6 @@
 import dataclasses
-import math
 from decimal import Decimal
+import math
 import tracemalloc
 from unittest import mock
 
