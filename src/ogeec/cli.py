@@ -14,13 +14,12 @@ import contextlib
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import ensemble as ens
-from . import jl, lsh, metrics
+from . import jl, lsh, metrics, trace
 from .data import (
     DatasetFormatError,
     SparseDataset,
@@ -269,16 +268,13 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
         ds.feature_sha256  # each cache file holds it: taken before planning drops the features
         ds.planned_only = True
         # the samples are planned once; each learner's one pass over F is
-        # its generation time too
-        timings: dict[str, float] = {}
-        for lspec, matrix, _ in ens.learner_embeddings(
-            spec, ds, workers=cfg.effective_workers(), timings=timings
-        ):
+        # its generation time too, taken out of the record that main prints
+        for lspec, matrix, _ in ens.learner_embeddings(spec, ds, workers=cfg.effective_workers()):
             path = save_cache(cfg.cache, matrix, lspec, ds)
             del matrix  # freed before the next learner is projected
             print(
                 f"learner seed={lspec.seed}: matrix generation and embedding "
-                f"{timings.pop('embed_s'):.3f}s ({lspec.r}x{lspec.d}), cached to {path}",
+                f"{trace.seconds.pop('embed_s'):.3f}s ({lspec.r}x{lspec.d}), cached to {path}",
                 file=sys.stderr,
             )
     ens.write_metadata(cfg.model, spec)
@@ -338,46 +334,40 @@ def _evaluator(cfg: RunConfig, train: SparseDataset, test: SparseDataset):
             f"(the test set has {test.L} labels, the train set {train.L})"
         )
     props = metrics.propensity(train.label_frequencies, train.n, cfg.prop_a, cfg.prop_b)
-    return lambda ranking: metrics.evaluate(ranking[0], test.labels, props, ks=cfg.ks)
+
+    @trace.span("metrics_s")
+    def score(ranking):
+        return metrics.evaluate(ranking[0], test.labels, props, ks=cfg.ks)
+
+    return score
 
 
 def _predict_ranking(cfg: RunConfig, explicit: set[str], flag: str, K: int, evaluated: bool):
-    """The fused top K labels of every test sample, the timings, and with
-    `evaluated` the evaluator, whose label check runs before any embedding."""
+    """The fused top K labels of every test sample and, with `evaluated`,
+    the evaluator, whose label check runs before any embedding."""
     spec, train_ds, test_ds = _read_sets(cfg, explicit, flag, K, model=True)
     evaluate = _evaluator(cfg, train_ds, test_ds) if evaluated else None
-    timings: dict[str, float] = {}
     ranking = ens.fused_scores(
-        spec, train_ds, test_ds, K, workers=cfg.effective_workers(), cache=cfg.cache,
-        timings=timings,
+        spec, train_ds, test_ds, K, workers=cfg.effective_workers(), cache=cfg.cache
     )
-    return ranking, timings, evaluate
-
-
-def _print_timings(timings: dict[str, float]) -> None:
-    for key in sorted(timings):
-        print(f"{key} {timings[key]:.3f}", file=sys.stderr)
+    return ranking, evaluate
 
 
 def cmd_predict(cfg: RunConfig, explicit: set[str]) -> int:
-    ranking, timings, _ = _predict_ranking(cfg, explicit, "--topk", cfg.topk, False)
+    ranking, _ = _predict_ranking(cfg, explicit, "--topk", cfg.topk, False)
     with _output(cfg.out) as stream:
         stream.write(format_predictions(*ranking))
-    _print_timings(timings)
     return 0
 
 
 def cmd_eval(cfg: RunConfig, explicit: set[str]) -> int:
-    ranking, timings, evaluate = _predict_ranking(cfg, explicit, "--ks", max(cfg.ks), True)
-    t0 = time.perf_counter()
+    ranking, evaluate = _predict_ranking(cfg, explicit, "--ks", max(cfg.ks), True)
     report = evaluate(ranking)
-    timings["metrics_s"] = time.perf_counter() - t0
     with _output(cfg.out) as stream:
         if cfg.grid:
             stream.write(report.format_grid() + "\n")
         else:
             stream.write(report.tsv_header() + "\n" + report.tsv_row() + "\n")
-    _print_timings(timings)
     return 0
 
 
@@ -583,9 +573,10 @@ def main(argv: list[str] | None = None) -> int:
         # the help of the innermost command group named, e.g. `analyze`
         getattr(args, "help_parser", parser).print_help(sys.stderr)
         return 2
+    trace.seconds.clear()
     try:
         cfg, explicit = resolve_config(args)
-        return args.func(cfg, explicit)
+        status = args.func(cfg, explicit)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -595,6 +586,10 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # numpy's names the allocation that failed
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    if status == 0:  # the wall seconds of each layer the command ran
+        for name in sorted(trace.seconds):
+            print(f"{name} {trace.seconds[name]:.3f}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

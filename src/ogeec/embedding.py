@@ -44,6 +44,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import trace
 from .csr import CSR, RowProducts, _index_dtype
 from .data import SparseDataset, atomic_write
 
@@ -274,6 +275,7 @@ def _normalize_columns(out: np.ndarray) -> None:
         block /= norms
 
 
+@trace.span("embed_s")
 def _project(spec: EmbeddingSpec, X: PlannedRows, dtype, *, workers: int = 1) -> np.ndarray:
     """F applied to planned samples (rows) as an (r, n) column-major `dtype`
     array. F is materialized in row blocks, and only at the columns some sample
@@ -433,6 +435,7 @@ def check_cache(prefix, spec: EmbeddingSpec, train: SparseDataset) -> bool:
     return found is not None
 
 
+@trace.span("embed_s")
 def load_cache(prefix, spec: EmbeddingSpec, train: SparseDataset) -> EmbeddedMatrix | None:
     """The learner's cached train matrix, or None when it has no cache file.
     The header must match the learner and `train`, and the payload its size,

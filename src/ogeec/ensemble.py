@@ -16,7 +16,6 @@ which plans each set of samples once and projects it in one pass over F.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
@@ -68,7 +67,7 @@ def make_ensemble_spec(base_seed: int, learners: int, d: int, r: int, k: int) ->
 
 def learner_embeddings(
     spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset | None = None, *,
-    workers: int = 1, cache: str | None = None, timings: dict[str, float] | None = None,
+    workers: int = 1, cache: str | None = None,
 ) -> Iterator[tuple[EmbeddingSpec, EmbeddedMatrix, np.ndarray]]:
     """Yield (learner spec, embedded train matrix, (r, n_test) query block)
     for each of `spec`'s seeds, in turn; without `test` (nor `cache`), the
@@ -100,7 +99,6 @@ def learner_embeddings(
     def embedded(i: int) -> tuple[EmbeddingSpec, EmbeddedMatrix, np.ndarray]:
         nonlocal both, alone
         lspec = spec.learner(i)
-        t0 = time.perf_counter()
         if cached[i]:
             train = load_cache(cache, lspec, dataset)
             queries = project_rows(lspec, alone, workers=workers)
@@ -110,8 +108,6 @@ def learner_embeddings(
             queries = data[:, dataset.n :]
         if i == spec.size - 1:
             both = alone = None  # no learner projects them again
-        if timings is not None:
-            timings["embed_s"] = timings.get("embed_s", 0.0) + time.perf_counter() - t0
         return lspec, train, queries
 
     for i in range(spec.size):
@@ -120,32 +116,26 @@ def learner_embeddings(
 
 def learner_neighbours(
     spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, *,
-    workers: int = 1, cache: str | None = None, timings: dict[str, float] | None = None,
+    workers: int = 1, cache: str | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield each learner's (index, sims) in order: `knn`'s neighbour arrays
     of every test sample, searched in the learners that `learner_embeddings`
     yields."""
-    found = learner_embeddings(spec, dataset, test, workers=workers, cache=cache, timings=timings)
-    for _, train, queries in found:
-        neighbours = batch_predict(train, queries, spec.k, timings=timings)
+    for _, train, queries in learner_embeddings(spec, dataset, test, workers=workers, cache=cache):
+        neighbours = batch_predict(train, queries, spec.k)
         del train, queries  # freed before the next learner is projected
         yield neighbours
 
 
 def fused_scores(
     spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, K: int, *,
-    workers: int = 1, cache: str | None = None, timings: dict[str, float] | None = None,
+    workers: int = 1, cache: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`rank_labels`' (m, K) top labels and scores of every test sample by
     fused score over `spec`'s seeds. Only the learners' neighbour arrays are
     held until that one label pass."""
-    found = learner_neighbours(spec, dataset, test, workers=workers, cache=cache, timings=timings)
-    neighbours = list(found)
-    t0 = time.perf_counter()
-    ranking = rank_labels(neighbours, dataset.labels, K)
-    if timings is not None:
-        timings["propagate_s"] = timings.get("propagate_s", 0.0) + time.perf_counter() - t0
-    return ranking
+    found = learner_neighbours(spec, dataset, test, workers=workers, cache=cache)
+    return rank_labels(list(found), dataset.labels, K)
 
 
 def sweep_ensemble_size(

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from typing import Sequence
 
 import numpy as np
 
+from . import trace
 from .csr import CSR, label_scores
 from .embedding import EmbeddedMatrix, column_norms
 from .embedding import project_csr  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
@@ -247,6 +247,7 @@ def _reaching_kth(data: np.ndarray, indptr: np.ndarray, K: int) -> np.ndarray | 
     return np.concatenate(kept)
 
 
+@trace.span("propagate_s")
 def rank_labels(
     learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR, K: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -265,12 +266,9 @@ def rank_labels(
     return best, top
 
 
+@trace.span("search_s")
 def batch_predict(
-    train: EmbeddedMatrix,
-    queries: np.ndarray,
-    k: int,
-    *,
-    timings: dict[str, float] | None = None,
+    train: EmbeddedMatrix, queries: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """One learner's neighbours of every column of `queries`, an (r, m) block
     of projected test samples (`ensemble.learner_embeddings` projects it in
@@ -278,11 +276,7 @@ def batch_predict(
     and similarity arrays, for `rank_labels`."""
     if queries.ndim != 2:
         raise ValueError(f"queries must be an (r, m) block, got shape {queries.shape}")
-    t0 = time.perf_counter()
-    neighbours = knn(queries, train, k)
-    if timings is not None:
-        timings["search_s"] = timings.get("search_s", 0.0) + time.perf_counter() - t0
-    return neighbours
+    return knn(queries, train, k)
 
 
 def format_predictions(labels: np.ndarray, scores: np.ndarray) -> str:
