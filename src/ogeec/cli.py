@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -208,6 +209,20 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise UsageError(f"{_flag(name)} is required (flag or config file)")
 
 
+# the knobs naming a file that a command writes, checked before it reads any
+# dataset; train, which writes the --model and --cache that others read,
+# checks those itself
+_WRITTEN = ("out", "test_out", "predictions_out")
+
+
+def _check_dirs(*paths: str | None) -> None:
+    """Refuse a file to write whose directory is missing, with the one-line
+    error that opening it would raise."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 @contextlib.contextmanager
 def _output(path: str | None):
     """The file at `path`, or stdout when no path is given; a file is closed
@@ -261,6 +276,7 @@ def cmd_gen(cfg: RunConfig, explicit: set[str]) -> int:
 
 def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
     _require(cfg, "train", "model")
+    _check_dirs(cfg.model, cfg.cache)
     # the model needs only d, but a bad train file should fail here already
     ds = parse_dataset(cfg.train)
     spec = ens.make_ensemble_spec(cfg.seed, cfg.learners, ds.d, cfg.r, cfg.k)
@@ -553,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
             groups[path] = p.add_subparsers(dest=f"{path[-1]}_cmd")
             p.set_defaults(help_parser=p)
         else:
-            p.set_defaults(func=handler)
+            p.set_defaults(func=handler, writes=[n for n in knobs.split() if n in _WRITTEN])
         # flags left unset stay out of the namespace, so config-file values
         # and RunConfig defaults show through
         for name in knobs.split():
@@ -576,6 +592,7 @@ def main(argv: list[str] | None = None) -> int:
     trace.seconds.clear()
     try:
         cfg, explicit = resolve_config(args)
+        _check_dirs(*(getattr(cfg, name) for name in args.writes))
         status = args.func(cfg, explicit)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -586,9 +603,8 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # numpy's names the allocation that failed
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    if status == 0:  # the wall seconds of each layer the command ran
-        for name in sorted(trace.seconds):
-            print(f"{name} {trace.seconds[name]:.3f}", file=sys.stderr)
+    for name in sorted(trace.seconds):  # the wall seconds of each layer the command ran
+        print(f"{name} {trace.seconds[name]:.3f}", file=sys.stderr)
     return status
 
 

@@ -72,7 +72,7 @@ class EmbeddingSpec:
         if self.d < 1:
             raise ValueError("d must be positive")
         if not 1 <= self.r <= self.d:
-            raise ValueError("r must satisfy 1 <= r <= d")
+            raise ValueError(f"r must satisfy 1 <= r <= d, got r = {self.r} and d = {self.d}")
 
 
 @dataclass

@@ -85,6 +85,9 @@ def learner_embeddings(
     other projects both sets in one pass over F, bit-identical to projecting
     them apart, since each column is its own sample's sum. Once planned, a
     `planned_only` set drops its feature arrays (`features_planned`).
+
+    Each projection and cache load adds its wall time to `trace`'s
+    `embed_s`; a caller that reports one learner's time pops it.
     """
     # every cache file's header, size, crc32 and finiteness, before any
     # learner's work
@@ -133,7 +136,8 @@ def fused_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`rank_labels`' (m, K) top labels and scores of every test sample by
     fused score over `spec`'s seeds. Only the learners' neighbour arrays are
-    held until that one label pass."""
+    held until that one label pass. Its layers add their wall time to
+    `trace`'s record: `embed_s`, `search_s` per learner, and `propagate_s`."""
     found = learner_neighbours(spec, dataset, test, workers=workers, cache=cache)
     return rank_labels(list(found), dataset.labels, K)
 

@@ -273,7 +273,8 @@ def batch_predict(
     """One learner's neighbours of every column of `queries`, an (r, m) block
     of projected test samples (`ensemble.learner_embeddings` projects it in
     the same pass over F as the train matrix): `knn`'s (m, min(k, n)) index
-    and similarity arrays, for `rank_labels`."""
+    and similarity arrays, for `rank_labels`. Its wall time adds to
+    `trace`'s `search_s`."""
     if queries.ndim != 2:
         raise ValueError(f"queries must be an (r, m) block, got shape {queries.shape}")
     return knn(queries, train, k)

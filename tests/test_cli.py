@@ -1,20 +1,23 @@
 import argparse
 import dataclasses
 import importlib.util
+import itertools
 import json
 import os
 import pathlib
+import re
 import struct
 import subprocess
 import sys
 import time
+import types
 import weakref
 
 import numpy as np
 import pytest
 
 import ogeec
-from ogeec import cli, embedding, ensemble, jl
+from ogeec import cli, embedding, ensemble, jl, trace
 from ogeec.cli import main
 from ogeec.data import parse_dataset, split_dataset, write_dataset
 from ogeec.embedding import EmbeddedMatrix, EmbeddingSpec, load_cache, save_cache
@@ -930,6 +933,157 @@ def test_model_write_replaces_the_whole_file(workspace, tmp_path, monkeypatch, c
     assert capsys.readouterr().err.splitlines()[-1] == (
         f"error: [Errno 2] No such file or directory: '{missing}'"
     )
+
+
+_MISSING_DIR = [
+    ["train", "--train", "{train}", "--model", "{tmp}/m.txt", "--cache", "{tmp}/no/c"],
+    ["train", "--train", "{train}", "--cache", "{tmp}/c", "--model", "{tmp}/no/m.txt"],
+    ["predict", "--model", "{model}", "--train", "{train}", "--test", "{test}",
+     "--out", "{tmp}/no/p.tsv"],
+    ["eval", "--model", "{model}", "--train", "{train}", "--test", "{test}",
+     "--out", "{tmp}/no/e.tsv"],
+    ["analyze", "lsh-compare", "--train", "{train}", "--test", "{test}", "--r", "8",
+     "--predictions-out", "{tmp}/no/p.tsv"],
+    ["gen", "--out", "{tmp}/g.txt", "--test-n", "5", "--test-out", "{tmp}/no/t.txt"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", _MISSING_DIR, ids=["cache", "model", "predict", "eval", "predictions-out", "gen"]
+)
+def test_a_missing_output_directory_fails_before_any_dataset_is_read(
+    workspace, tmp_path, monkeypatch, generated_rows, capsys, argv
+):
+    """A file that a command would write in a missing directory exits 1
+    with the one line that opening it gives, before any dataset is read or
+    generated: no row of F is drawn and no cache or other file is written."""
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a dataset was read")
+
+    monkeypatch.setattr(cli, "parse_dataset", unread)
+    monkeypatch.setattr(cli, "generate_synthetic", unread)
+    paths = {name: workspace / f"{name}.txt" for name in ("train", "test", "model")}
+    argv = [a.format(tmp=tmp_path, **paths) for a in argv]
+    assert main(argv) == 1
+    missing = next(a for a in argv if "/no/" in a)
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert (generated_rows, os.listdir(tmp_path)) == ([], [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "distortion", "--r", "600"],
+        ["train", "--r", "600", "--model", "{tmp}/m.txt"],
+        ["analyze", "sweep-r", "--rs", "8,600", "--test", "{data}"],
+    ],
+    ids=["distortion", "train", "sweep-r"],
+)
+def test_an_r_above_d_is_refused_with_both_values(tmp_path, capsys, argv):
+    data = tmp_path / "d500.txt"
+    data.write_text("2 500 2\n0 0:1\n1 499:1\n")
+    argv = [a.format(tmp=tmp_path, data=data) for a in argv]
+    assert main([*argv, "--train", str(data)]) == 1
+    assert capsys.readouterr().err == (
+        "error: r must satisfy 1 <= r <= d, got r = 600 and d = 500\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# layer timings: one stderr line per layer a successful command ran
+
+_TIMING = re.compile(r"[a-z]+_s \d+\.\d{3}")
+_ALL_LAYERS = ["embed_s", "metrics_s", "propagate_s", "search_s"]
+
+
+def _layers(err: str) -> list[str]:
+    """The names on a command's timing lines, in their order."""
+    return [line.split()[0] for line in err.splitlines() if _TIMING.fullmatch(line)]
+
+
+def _predict_args(workspace) -> list[str]:
+    return [
+        "predict", "--model", str(workspace / "model.txt"),
+        "--train", str(workspace / "train.txt"), "--test", str(workspace / "test.txt"),
+    ]
+
+
+@pytest.fixture
+def one_second_spans(monkeypatch):
+    """A clock for `trace` that ticks one second per reading, so each span
+    adds exactly 1.000 (no span opens inside another)."""
+    ticks = itertools.count()
+    clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+    monkeypatch.setattr(trace, "time", clock)
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [("predict", ["embed_s", "propagate_s", "search_s"]), ("eval", _ALL_LAYERS)],
+)
+def test_predict_and_eval_print_only_their_layer_timings(workspace, capsys, command, layers):
+    assert main([command, *_predict_args(workspace)[1:]]) == 0
+    err = capsys.readouterr().err
+    assert _layers(err) == layers
+    assert len(err.splitlines()) == len(layers)
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["analyze", "distortion", "--pairs", "200"], ["embed_s"]),
+        (["analyze", "sweep-r", "--rs", "8,16", "--test", "{test}"], _ALL_LAYERS),
+        (["analyze", "sweep-ensemble", "--r", "8", "--sizes", "1,2", "--test", "{test}"],
+         _ALL_LAYERS),
+        (["analyze", "lsh-compare", "--r", "8", "--test", "{test}"], _ALL_LAYERS),
+    ],
+    ids=["distortion", "sweep-r", "sweep-ensemble", "lsh-compare"],
+)
+def test_analyze_commands_print_the_layers_they_ran(workspace, capsys, argv, layers):
+    argv = [a.format(test=workspace / "test.txt") for a in argv]
+    assert main([*argv, "--train", str(workspace / "train.txt"), "--out", os.devnull]) == 0
+    assert _layers(capsys.readouterr().err) == layers
+
+
+def test_analyze_bounds_runs_no_layer(capsys):
+    assert main(["analyze", "bounds", "--ns", "100", "--rs", "8"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_each_command_reports_its_own_layer_times(workspace, one_second_spans, capsys):
+    """main clears the record before each command: a second run in the same
+    process reports its own spans, not a running sum. The model's two
+    learners each project once and search once; one label pass fuses them."""
+    errs = []
+    for _ in range(2):
+        assert main(_predict_args(workspace)) == 0
+        errs.append(capsys.readouterr().err)
+    assert errs == ["embed_s 2.000\npropagate_s 1.000\nsearch_s 2.000\n"] * 2
+
+
+def test_train_cache_reports_each_learners_projection_on_its_own_line(
+    workspace, tmp_path, one_second_spans, capsys
+):
+    """Each learner's line takes its projection out of the record, so none is
+    printed again as an embed_s line."""
+    model = tmp_path / "m.txt"
+    argv = ["train", "--train", str(workspace / "train.txt"), "--model", str(model)]
+    assert main([*argv, "--r", "8", "--learners", "2", "--cache", str(tmp_path / "c")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"learner seed={seed}: matrix generation and embedding 1.000s (8x2000), "
+        f"cached to {tmp_path / 'c'}-{seed}.ogec"
+        for seed in (0, 1)
+    ] + [f"model metadata written to {model}"]
+
+
+def test_a_command_that_fails_after_its_spans_prints_one_line(workspace, monkeypatch, capsys):
+    def broken(labels, scores):
+        raise ValueError("disk full")
+
+    monkeypatch.setattr(cli, "format_predictions", broken)
+    assert main(_predict_args(workspace)) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
 
 
 _REBUILD = "rebuild it with `ogeec train --cache`"
