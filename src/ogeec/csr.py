@@ -13,8 +13,9 @@ result is the float that scipy.sparse's expression for it computes
   written into the caller's output rows, where Xn is X scaled to unit rows,
   `diags(1 / norms) @ X` (of several CSRs, `vstack` of each one's), read
   straight from the CSRs with their 1 / norms (`inv_norms`);
-- `label_scores`: for one block of queries, the learners' S = W·Y, their
-  sum in learner order and the division by the learner count;
+- `label_scores`: for one block of queries, the learners' S = W·Y
+  (`learner_scores`), their sum in learner order and the division by the
+  learner count (`mean_scores`);
 - `pair_dots`: the dot products of pairs of rows of that Xn.
 
 scipy drops a product that is 0. `RowProducts` keeps them: F being finite,
@@ -33,11 +34,12 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# float64s in one `RowProducts` chunk of rows (1 MB): small enough that a
-# chunk's accumulator and products stay near the cache while every position
-# is added, large enough that a worker's numpy steps seldom contend for the
+# half the float64s of a `RowProducts` chunk's scratch, which holds its
+# accumulator, its gathered terms and its column of scaled values (1 MiB in
+# all): small enough that they stay near the cache while every position is
+# added, large enough that a worker's numpy steps seldom contend for the
 # interpreter lock with the worker generating F
-_CHUNK_FLOATS = 1 << 17
+_CHUNK_FLOATS = 1 << 16
 # stored entries in one block of `inv_norms` (8 bytes of temporaries each)
 _NORMALIZE_ENTRIES = 1 << 16
 
@@ -117,34 +119,38 @@ class RowProducts:
     is kept: F being finite, its term ±0 leaves the sum's bits as they are.
 
     Rows are sorted by length, longest first, and cut into chunks of about
-    _CHUNK_FLOATS // `b` rows. Within a chunk the entries are ordered by
-    position: the first stored entry of every row, then the second of every
-    row that has one, and so on, so one numpy step adds stored position p to
-    every row of the chunk at once and each row still adds its terms in
-    stored order. A step gathers its rows of F.T, which the caller passes as
-    a C-contiguous array, scales them by the entries' values and adds them to
-    the chunk's accumulator. Each chunk's sums are then written, through the
-    sort order, into their columns of the caller's output rows, cast to the
-    output's dtype.
+    _CHUNK_FLOATS // (`b` + 1) rows. Within a chunk the entries are ordered
+    by position: the first stored entry of every row, then the second of
+    every row that has one, and so on, so one numpy step adds stored
+    position p to every row of the chunk at once and each row still adds
+    its terms in stored order. A step gathers its rows of F.T, which the
+    caller passes as a C-contiguous array, and forms each entry's value
+    (1 / norm) * x, a float64 times the stored x with the one rounding
+    scipy's stored value has; it scales the rows by those values and adds
+    them to the chunk's accumulator. Each chunk's sums are then written,
+    through the sort order, into their columns of the caller's output rows,
+    cast to the output's dtype.
 
-    The position-major column indices, each mapped through `place` to its
-    row of F.T (`cols`), and float64 values (`vals`) are filled position by
-    position, straight from the parts, into arrays allocated once, so
-    building them holds O(rows) temporaries, and no input array is written.
+    The plan holds each entry's column index, mapped through `place` to its
+    row of F.T (`cols`, int32 below 2^31 columns), and its stored value as
+    the parts store it (`vals`, float32 for a parsed set), position-major,
+    so 8 bytes per nonzero for a parsed set, and each row's float64
+    1 / norm in chunk order (`scale`). They are filled position by position,
+    straight from the parts, into arrays allocated once, so building them
+    holds O(rows) temporaries, and no input array is written.
     """
 
     def __init__(self, parts: Sequence[CSR], b: int, place: np.ndarray):
         bases = np.cumsum([0] + [P.shape[0] for P in parts])
         stored = np.concatenate([np.diff(P.indptr) for P in parts])
         self.n = stored.size
-        self.rows = max(1, _CHUNK_FLOATS // max(b, 1))
+        self.rows = max(1, _CHUNK_FLOATS // (max(b, 1) + 1))
         self.order = np.argsort(-stored, kind="stable")
         slen = stored[self.order]
         total = int(stored.sum())
         self.cols = np.empty(total, dtype=place.dtype)
-        self.vals = np.empty((total, 1))
-        vals = self.vals.reshape(-1)  # a flat view fills faster
-        invs = [inv_norms(P) for P in parts]
+        self.vals = np.empty(total, dtype=np.result_type(*(P.data for P in parts)))
+        self.scale = np.concatenate([inv_norms(P) for P in parts])[self.order]
         self.chunks = []
         at = 0
         for a in range(0, self.n, self.rows):
@@ -153,7 +159,7 @@ class RowProducts:
             counts = np.searchsorted(-chunk, -np.arange(chunk[0]), side="left")
             offsets = (at + np.concatenate(([0], np.cumsum(counts)))).tolist()
             stacked = self.order[a : a + self.rows]  # the chunk's rows
-            for P, inv, first, stop in zip(parts, invs, bases[:-1], bases[1:]):
+            for P, first, stop in zip(parts, bases[:-1], bases[1:]):
                 # the part's rows of the chunk, in chunk order: those with an
                 # entry at position p are the first mine_counts[p] of them
                 mine = np.flatnonzero((stacked >= first) & (stacked < stop))
@@ -163,12 +169,11 @@ class RowProducts:
                 mine_counts = np.searchsorted(-chunk[mine], -np.arange(chunk[mine[0]]), side="left")
                 whole = mine.size == chunk.size  # then mine is arange
                 cur = P.indptr[rows + 1] - 1  # each row's cursor, from its end
-                scale = inv[rows]
                 for p, count in enumerate(mine_counts.tolist()):
                     src = cur[:count]
                     dst = slice(offsets[p], offsets[p] + count) if whole else offsets[p] + mine[:count]
                     self.cols[dst] = place.take(P.indices.take(src))
-                    vals[dst] = scale[:count] * P.data.take(src)
+                    self.vals[dst] = P.data.take(src)
                     src -= 1
             self.chunks.append((a, counts.tolist(), offsets))
             at = offsets[-1]
@@ -176,19 +181,24 @@ class RowProducts:
     def __call__(self, FT: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> None:
         """Write (Xn @ FT).T into `out`, given FT = F.T as a C-contiguous
         (X's columns x b) float64 array and `out` as b rows of X's row count.
-        A chunk's accumulator and terms live in `scratch`, at least
-        2 * `rows` * b float64s, when it is given."""
+        A chunk's accumulator, terms and scaled values live in `scratch`, at
+        least (2 * b + 1) * `rows` float64s, when it is given."""
         size = self.rows * FT.shape[1]
-        scratch = np.empty(2 * size) if scratch is None else scratch
+        scratch = np.empty(2 * size + self.rows) if scratch is None else scratch
         acc, buf = (scratch[i * size : (i + 1) * size].reshape(self.rows, -1) for i in range(2))
+        scaled = scratch[2 * size : 2 * size + self.rows]
+        column = scaled.reshape(-1, 1)
         cols, vals = self.cols, self.vals
         for a, counts, offsets in self.chunks:
             block = acc[: min(self.rows, self.n - a)]
             block.fill(0.0)
+            scale = self.scale[a : a + self.rows]
             for count, lo, hi in zip(counts, offsets, offsets[1:]):
                 # mode='clip' leaves out a bounds check that costs more than the copy
                 terms = np.take(FT, cols[lo:hi], axis=0, out=buf[:count], mode="clip")
-                terms *= vals[lo:hi]
+                # flat, the float64 x stored-dtype product costs less than as columns
+                np.multiply(scale[:count], vals[lo:hi], out=scaled[:count])
+                terms *= column[:count]
                 block[:count] += terms
             out[:, self.order[a : a + self.rows]] = block.T
 
@@ -196,43 +206,56 @@ class RowProducts:
 def label_scores(learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR) -> CSR:
     """The mean of the learners' label scores: (W_1·Y + ... + W_E·Y) / E.
 
-    Each learner gives `knn`'s (m, k) neighbour arrays (index, sims); an
-    index of -1 is a pad and is dropped, and any other index outside
-    [0, n_train) raises IndexError. W_e holds max(sim, 0) per neighbour and
+    Each learner gives `knn`'s (m, k) neighbour arrays (index, sims) and its
+    block is `learner_scores`. The later learners' blocks are added in
+    learner order to the first, as scipy's S_1 + S_2 + ... adds them, a
+    label a learner never scored counting 0 (bincount forms no -0.0, so this
+    is the sum from 0.0), and `mean_scores` divides the sum by E.
+    """
+    total = None
+    for index, sims in learners:
+        block = learner_scores(index, sims, labels)
+        total = block if total is None else np.add(total, block, out=total)
+    return mean_scores(total, labels.shape[1], len(learners))
+
+
+def learner_scores(index: np.ndarray, sims: np.ndarray, labels: CSR) -> np.ndarray:
+    """One learner's label scores W·Y as a flat dense (m x L) float64 block.
+
+    An index of -1 is a pad and is dropped, and any other index outside
+    [0, n_train) raises IndexError. W holds max(sim, 0) per neighbour and
     `labels` is Y, the (n_train x L) label CSR, of which only the indptr and
     indices are read: each stored column is a 1.
 
-    The queries are one dense (m x L) float64 block, so callers pass at most
+    The queries are one dense block, so callers pass at most
     `predictor._LABEL_FLOATS` // L rows (`predictor.rank_labels` cuts its
-    queries into such 4 MB blocks). A learner's block is one np.bincount of
-    its neighbours' weights at their (row, label) cells, row after row and
-    each row in neighbour order; bincount adds each cell's weights in that
-    order into a zeroed float64, so each score is the sum that scipy's
-    `W @ Y` forms, in W's stored order. The later learners' blocks are added
-    in learner order to the first, as scipy's S_1 + S_2 + ... adds them, a
-    label a learner never scored counting 0 (bincount forms no -0.0, so this
-    is the sum from 0.0). The nonzero sums, NaN among them, are kept in
-    ascending label order per row, and each is divided by E.
+    queries into such 4 MB blocks). The block is one np.bincount of the
+    neighbours' weights at their (row, label) cells, row after row and each
+    row in neighbour order; bincount adds each cell's weights in that order
+    into a zeroed float64, so each score is the sum that scipy's `W @ Y`
+    forms, in W's stored order.
     """
     n, L = labels.shape
-    m = len(learners[0][0])
-    lengths = np.diff(labels.indptr)
-    total = None
-    for index, sims in learners:
-        if np.any((index < -1) | (index >= n)):
-            raise IndexError(f"neighbor index out of range [0, {n})")
-        j = index.ravel()
-        real = np.flatnonzero(j >= 0)  # not a -1 pad
-        row = real // index.shape[1]
-        j, w = j[real], np.maximum(sims.ravel()[real], 0.0)
-        fan = lengths[j]
-        cells = np.repeat(row * L, fan) + labels.indices[_gather_rows(labels, j)]
-        block = np.bincount(cells, weights=np.repeat(w, fan), minlength=m * L)
-        # the first learner's block, cast (int64 when no cell is hit), starts the sum
-        total = block.astype(np.float64, copy=False) if total is None else np.add(total, block, out=total)
+    if np.any((index < -1) | (index >= n)):
+        raise IndexError(f"neighbor index out of range [0, {n})")
+    j = index.ravel()
+    real = np.flatnonzero(j >= 0)  # not a -1 pad
+    row = real // index.shape[1]
+    j, w = j[real], np.maximum(sims.ravel()[real], 0.0)
+    fan = np.diff(labels.indptr)[j]
+    cells = np.repeat(row * L, fan) + labels.indices[_gather_rows(labels, j)]
+    block = np.bincount(cells, weights=np.repeat(w, fan), minlength=len(index) * L)
+    return block.astype(np.float64, copy=False)  # int64 when no cell is hit
+
+
+def mean_scores(total: np.ndarray, L: int, E: int) -> CSR:
+    """The (m x L) CSR of the flat dense sum `total` of E learners' label
+    scores divided by E: its nonzero sums, NaN among them, in ascending
+    label order per row, each divided by E."""
+    m = total.size // L
     kept = np.flatnonzero(total != 0)  # row after row, ascending labels
     indptr = np.searchsorted(kept, np.arange(m + 1) * L).astype(_index_dtype(kept.size))
-    return CSR(total[kept] / len(learners), (kept % L).astype(_index_dtype(L)), indptr, (m, L))
+    return CSR(total[kept] / E, (kept % L).astype(_index_dtype(L)), indptr, (m, L))
 
 
 def pair_dots(X: CSR, scale: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

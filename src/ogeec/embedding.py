@@ -21,16 +21,17 @@ and every drawn value is bit-identical to the full row.
 Preparing the samples has a memory budget: `PlannedRows` marks the columns
 of every stored entry, reads its sets a block of rows at a time for their
 norms (`csr.inv_norms`), then fills the position-major copy that it holds
-(12 bytes per nonzero) straight from the sets' feature CSRs, so it peaks
-at about 12 bytes per nonzero above the parsed sets (8 each, int32 indices
-and float32 values), plus O(n) and the column plan's O(d), and holds 12.
+(8 bytes per nonzero: the int32 column and the float32 value, plus one
+float64 1 / norm per row) straight from the sets' feature CSRs, so it peaks
+at about 8 bytes per nonzero above the parsed sets (8 each, int32 indices
+and float32 values), plus O(n) and the column plan's O(d), and holds 8.
 A command's parsed sets give up their feature arrays once they are planned
 (`ensemble.learner_embeddings`), so from then on it holds its samples once.
 A projection's memory is bounded per worker, whatever r and d: one
 transposed block of F, about 8 MB (`_row_block`), allocated once per
-projection and reused for every block, and four 1 MB buffers that
-`_gaussian_rows` fills piece by piece and the products then use for their
-chunks."""
+projection and reused for every block, and 1 MiB of scratch, which
+`_gaussian_rows` fills with four 256 KiB buffers piece by piece and the
+products then use for their chunks."""
 
 from __future__ import annotations
 
@@ -144,9 +145,10 @@ def column_plan(used: np.ndarray) -> ColumnPlan:
     return ColumnPlan(*(a.astype(_index_dtype(d)) for a in arrays))
 
 
-# values of F in one piece of `_gaussian_rows` (1 MB of float64), and the
-# fewest pairs a piece spans, so that its Python steps stay a small share
-_PIECE_FLOATS = 1 << 17
+# values of F in one piece of `_gaussian_rows` (256 KiB of float64, four
+# buffers of it in 1 MiB of scratch), and the fewest pairs a piece spans,
+# so that its Python steps stay a small share
+_PIECE_FLOATS = 1 << 15
 _PIECE_PAIRS = 1 << 12
 
 
@@ -176,11 +178,15 @@ def _gaussian_rows(
     buf = scratch if scratch is not None and scratch.size >= 4 * size else np.empty(4 * size)
     trig, radius, angle, piece = (buf[i * size : (i + 1) * size] for i in range(4))
     words = trig.view(np.uint64)  # trig reuses the words' buffer once they are spent
-    for a in range(0, p, span):
-        pairs = plan.pairs[a : a + span]
+    edges = [*range(0, p, span), p]
+    # each piece's first and last cos and sin terms, found in one pass:
+    # searching an int32 plan for int64 bounds converts the whole plan
+    cuts = [np.searchsorted(x, edges).tolist() for x in (plan.cos, plan.sin)]
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        pairs = plan.pairs[a:b]
         lo, drawn = int(pairs[0]), int(pairs[-1]) + 1 - int(pairs[0])
         at = pairs - lo
-        (c0, c1), (s0, s1) = (np.searchsorted(x, [a, a + pairs.size]) for x in (plan.cos, plan.sin))
+        (c0, c1), (s0, s1) = (x[i : i + 2] for x in cuts)
         cos, sin = plan.cos[c0:c1] - a, plan.sin[s0:s1] - a
         for g in range(0, len(streams), group):
             rows = streams[g : g + group]
@@ -295,11 +301,11 @@ def _project(spec: EmbeddingSpec, X: PlannedRows, dtype, *, workers: int = 1) ->
     out = np.empty((spec.r, X.n), dtype=dtype, order="F")
     ranges = min(max(workers, 1), spec.r)  # as split_rows splits F's rows
     height = min(X.block, -(-spec.r // ranges))
-    # each worker's block, and the buffers that serve `_gaussian_rows` and
-    # then the products' chunks, allocated in this thread: a worker thread's
-    # malloc arena could keep them after the call, and the peak RSS then
-    # varies from run to run by about a block
-    scratch = max(4 * _PIECE_FLOATS, 2 * X.products.rows * height)
+    # each worker's block, and the 1 MiB of scratch that serves
+    # `_gaussian_rows` and then the products' chunks, allocated in this
+    # thread: a worker thread's malloc arena could keep them after the call,
+    # and the peak RSS then varies from run to run by about a block
+    scratch = max(4 * _PIECE_FLOATS, (2 * height + 1) * X.products.rows)
     spare = [(np.empty(height * c), np.empty(scratch)) for _ in range(ranges)]
 
     def fill(lo: int, hi: int) -> None:

@@ -7,8 +7,9 @@ rebuild it. Fusion averages each label's score across learners, counting 0
 for learners that never scored it: each learner keeps only its neighbour
 arrays, and one `predictor.rank_labels` pass adds their scores in learner
 order, S1 + S2 + ..., divides every nonzero sum by E and ranks them, one
-block of queries at a time. The ensemble-size sweep makes one such pass per
-learner and one per requested size, and leaves scoring them to its caller.
+block of queries at a time. The ensemble-size sweep ranks every learner
+alone and every requested size in one such pass (`predictor.rank_prefixes`),
+and leaves scoring them to its caller.
 
 Every command that projects takes its learners from `learner_embeddings`,
 which plans each set of samples once and projects it in one pass over F.
@@ -31,7 +32,7 @@ from .embedding import (
 )
 from .embedding import embed  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
 from .metrics import evaluate  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
-from .predictor import batch_predict, rank_labels
+from .predictor import batch_predict, rank_labels, rank_prefixes
 
 
 @dataclass(frozen=True)
@@ -150,23 +151,26 @@ def sweep_ensemble_size(
     of the fusion of the first s seeds} for each distinct requested size s).
 
     The learners are those of the first max(sizes) seeds. Each ranking is
-    `rank_labels`' top K labels and scores, and `score` takes it as soon as
-    it forms, so only the learners' neighbour arrays are held: each
-    learner's own ranking in learner order, each followed, when s learners
-    are done and s is a requested size, by the fused ranking of those s.
+    `rank_labels`' top K labels and scores, and all of them come from one
+    label pass over the learners' neighbour arrays (`rank_prefixes`), which
+    builds each learner's label scores once per block of queries. `score`
+    takes them in learner order: each learner's own ranking, followed, when
+    s is a requested size, by the fused ranking of the first s learners.
     """
     if not sizes:
         raise ValueError("sizes must be nonempty")
     if max(sizes) > spec.size or min(sizes) < 1:
         raise ValueError(f"sizes must lie in [1, {spec.size}]")
     prefix = replace(spec, seeds=spec.seeds[: max(sizes)])
-    neighbours, own, fused = [], [], {}
-    for found in learner_neighbours(prefix, dataset, test, workers=workers):
-        neighbours.append(found)
-        own.append(score(rank_labels([found], dataset.labels, K)))
-        if len(neighbours) in sizes:
-            fused[len(neighbours)] = score(rank_labels(neighbours, dataset.labels, K))
-    return own, fused
+    neighbours = list(learner_neighbours(prefix, dataset, test, workers=workers))
+    rankings, fused = rank_prefixes(neighbours, dataset.labels, K, sizes)
+    del neighbours
+    own, reports = [], {}
+    for s, ranking in enumerate(rankings, 1):
+        own.append(score(ranking))
+        if s in fused:
+            reports[s] = score(fused[s])
+    return own, reports
 
 
 def sweep_dimension(

@@ -19,7 +19,8 @@ width, as an LSH row may. `rank_labels` is the one label pass: per block of
 queries, the mean of the learners' S = W·Y (`csr.label_scores`; W holds the
 neighbours' similarities and Y the train labels), ranked by `top_k` before
 the next block forms. Its (m, K) arrays feed `format_predictions` and
-`evaluate`.
+`evaluate`. `rank_prefixes` ranks, in the same blocks, each learner alone
+and each requested prefix of the learners fused.
 
 A similarity is `rank_candidates`' fixed-order float64 dot product. Search
 is one blocked kernel per learner, the GEMM + k-selection scheme of FAISS
@@ -39,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import trace
-from .csr import CSR, label_scores
+from .csr import CSR, label_scores, learner_scores, mean_scores
 from .embedding import EmbeddedMatrix, column_norms
 from .embedding import project_csr  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
 
@@ -264,6 +265,39 @@ def rank_labels(
         block = [(index[a : a + step], sims[a : a + step]) for index, sims in learners]
         best[a : a + step], top[a : a + step] = top_k(label_scores(block, labels), K)
     return best, top
+
+
+@trace.span("propagate_s")
+def rank_prefixes(
+    learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR, K: int, sizes: Sequence[int]
+) -> tuple[list, dict]:
+    """(`rank_labels([learner])` of each learner, in learner order;
+    {s: `rank_labels(learners[:s])`} for each distinct s in `sizes`).
+
+    Per block of queries, each learner's `csr.learner_scores` block is built
+    once: it is ranked alone, then added in learner order to a running sum,
+    which is divided by s and ranked once s learners are in, as
+    `label_scores` adds and divides, so each ranking keeps the bits of
+    `rank_labels`. E learners take E label blocks per query block, not one
+    per learner per ranking; every ranking is held until the last block."""
+    m, L = len(learners[0][0]), labels.shape[1]
+    step = max(1, _LABEL_FLOATS // max(L, 1))
+    own = [(np.empty((m, K), dtype=np.int64), np.empty((m, K))) for _ in learners]
+    fused = {s: (np.empty((m, K), dtype=np.int64), np.empty((m, K))) for s in set(sizes)}
+
+    def rank(ranking, a: int, total: np.ndarray, E: int) -> None:
+        best, top = ranking
+        best[a : a + step], top[a : a + step] = top_k(mean_scores(total, L, E), K)
+
+    for a in range(0, m, step):
+        total = None
+        for s, (index, sims) in enumerate(learners, 1):
+            block = learner_scores(index[a : a + step], sims[a : a + step], labels)
+            rank(own[s - 1], a, block, 1)
+            total = block if total is None else np.add(total, block, out=total)
+            if s in fused:
+                rank(fused[s], a, total, s)
+    return own, fused
 
 
 @trace.span("search_s")

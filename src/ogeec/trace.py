@@ -1,7 +1,7 @@
 """Wall seconds per pipeline layer, in one record that `cli.main` clears
 before each command and prints after one that succeeds. Each layer runs
-inside `span`, as a `with` block or a decorator: `embed_s`, `search_s`,
-`propagate_s` and `metrics_s`. Spans open only on the main thread, around
+inside `span`, as a `with` block or a decorator: `parse_s`, `embed_s`,
+`search_s`, `propagate_s` and `metrics_s`. Spans open only on the main thread, around
 any worker threads, so the record takes no lock."""
 
 import contextlib

@@ -590,7 +590,7 @@ def position_major(X, b, place):
     from ogeec.csr import _CHUNK_FLOATS
 
     X = CSR(X.data, place[X.indices], X.indptr, X.shape)
-    n, rows = X.shape[0], max(1, _CHUNK_FLOATS // max(b, 1))
+    n, rows = X.shape[0], max(1, _CHUNK_FLOATS // (max(b, 1) + 1))
     lengths = np.diff(X.indptr)
     order = np.argsort(-lengths, kind="stable")
     slen = lengths[order]
@@ -604,6 +604,15 @@ def position_major(X, b, place):
         at = starts[a + row] + np.repeat(np.arange(counts.size), counts)
         chunks.append((a, counts.tolist(), offsets.tolist(), X.indices[at], X.data[at]))
     return order, chunks
+
+
+def planned_values(P, a, counts, offsets):
+    """The float64 values of one `csr.RowProducts` chunk (first row `a`,
+    `counts` and `offsets` as in `P.chunks`), as its product steps form
+    them: entry t of a position belongs to the chunk's row t, and its value
+    is that row's 1 / norm times the stored value."""
+    row = np.concatenate([np.arange(count, dtype=np.int64) for count in [0, *counts]])
+    return P.scale[a + row] * P.vals[offsets[0] : offsets[-1]]
 
 
 def sp_row_products(X, F):

@@ -504,7 +504,8 @@ def test_train_cache_generates_each_row_of_f_once(workspace, tmp_path, generated
 
 def test_train_draws_no_row_of_f_without_cache(workspace, tmp_path, generated_rows, capsys):
     """The model is a handful of integers: without --cache, train parses the
-    train file, writes the metadata and generates nothing."""
+    train file, writes the metadata and generates nothing; its one layer is
+    the parse."""
     model = tmp_path / "m.txt"
     rc = main(
         [
@@ -514,7 +515,9 @@ def test_train_draws_no_row_of_f_without_cache(workspace, tmp_path, generated_ro
     )
     assert rc == 0
     assert generated_rows == []
-    assert capsys.readouterr().err == f"model metadata written to {model}\n"
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"model metadata written to {model}" and len(err) == 2
+    assert _layers("\n".join(err)) == ["parse_s"]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -994,7 +997,7 @@ def test_an_r_above_d_is_refused_with_both_values(tmp_path, capsys, argv):
 # layer timings: one stderr line per layer a successful command ran
 
 _TIMING = re.compile(r"[a-z]+_s \d+\.\d{3}")
-_ALL_LAYERS = ["embed_s", "metrics_s", "propagate_s", "search_s"]
+_ALL_LAYERS = ["embed_s", "metrics_s", "parse_s", "propagate_s", "search_s"]
 
 
 def _layers(err: str) -> list[str]:
@@ -1020,7 +1023,7 @@ def one_second_spans(monkeypatch):
 
 @pytest.mark.parametrize(
     "command, layers",
-    [("predict", ["embed_s", "propagate_s", "search_s"]), ("eval", _ALL_LAYERS)],
+    [("predict", ["embed_s", "parse_s", "propagate_s", "search_s"]), ("eval", _ALL_LAYERS)],
 )
 def test_predict_and_eval_print_only_their_layer_timings(workspace, capsys, command, layers):
     assert main([command, *_predict_args(workspace)[1:]]) == 0
@@ -1032,7 +1035,7 @@ def test_predict_and_eval_print_only_their_layer_timings(workspace, capsys, comm
 @pytest.mark.parametrize(
     "argv, layers",
     [
-        (["analyze", "distortion", "--pairs", "200"], ["embed_s"]),
+        (["analyze", "distortion", "--pairs", "200"], ["embed_s", "parse_s"]),
         (["analyze", "sweep-r", "--rs", "8,16", "--test", "{test}"], _ALL_LAYERS),
         (["analyze", "sweep-ensemble", "--r", "8", "--sizes", "1,2", "--test", "{test}"],
          _ALL_LAYERS),
@@ -1053,20 +1056,21 @@ def test_analyze_bounds_runs_no_layer(capsys):
 
 def test_each_command_reports_its_own_layer_times(workspace, one_second_spans, capsys):
     """main clears the record before each command: a second run in the same
-    process reports its own spans, not a running sum. The model's two
-    learners each project once and search once; one label pass fuses them."""
+    process reports its own spans, not a running sum. Each of the two sets
+    is parsed once, the model's two learners each project once and search
+    once, and one label pass fuses them."""
     errs = []
     for _ in range(2):
         assert main(_predict_args(workspace)) == 0
         errs.append(capsys.readouterr().err)
-    assert errs == ["embed_s 2.000\npropagate_s 1.000\nsearch_s 2.000\n"] * 2
+    assert errs == ["embed_s 2.000\nparse_s 2.000\npropagate_s 1.000\nsearch_s 2.000\n"] * 2
 
 
 def test_train_cache_reports_each_learners_projection_on_its_own_line(
     workspace, tmp_path, one_second_spans, capsys
 ):
     """Each learner's line takes its projection out of the record, so none is
-    printed again as an embed_s line."""
+    printed again as an embed_s line; the parse of the train set is."""
     model = tmp_path / "m.txt"
     argv = ["train", "--train", str(workspace / "train.txt"), "--model", str(model)]
     assert main([*argv, "--r", "8", "--learners", "2", "--cache", str(tmp_path / "c")]) == 0
@@ -1074,7 +1078,7 @@ def test_train_cache_reports_each_learners_projection_on_its_own_line(
         f"learner seed={seed}: matrix generation and embedding 1.000s (8x2000), "
         f"cached to {tmp_path / 'c'}-{seed}.ogec"
         for seed in (0, 1)
-    ] + [f"model metadata written to {model}"]
+    ] + [f"model metadata written to {model}", "parse_s 1.000"]
 
 
 def test_a_command_that_fails_after_its_spans_prints_one_line(workspace, monkeypatch, capsys):

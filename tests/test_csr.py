@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     from_scipy,
+    planned_values,
     position_major,
     scaled_rows,
     sp_label_scores,
@@ -140,7 +141,58 @@ def test_row_products_plan_every_stored_entry(data, b, chunk, entries):
         assert (a, counts) == (a0, counts0)
         assert [o - offsets[0] for o in offsets] == offsets0
         assert np.array_equal(got.cols[offsets[0] : offsets[-1]], cols)
-        assert _same(got.vals[offsets[0] : offsets[-1], 0], vals)
+        assert _same(planned_values(got, a, counts, offsets), vals)
+
+
+def _rows_csr(rows, d, dtype):
+    """A CSR of rows given as {column: value}, each in the order given."""
+    indices = np.array([j for row in rows for j in row], dtype=np.int32)
+    values = np.array([v for row in rows for v in row.values()], dtype=dtype)
+    return CSR(values, indices, np.cumsum([0, *map(len, rows)]), (len(rows), d))
+
+
+def test_row_products_hold_stored_values_and_row_scales():
+    """A parsed set is planned at 8 bytes per nonzero, each entry's int32
+    column and float32 stored value, with one float64 1 / norm per row in
+    chunk order; each step's (1 / norm) * x then gives scipy's products of
+    the float64 unit rows for a zero row (1 / norm 0), a row of explicit
+    zeros, ±0 entries between nonzero values and two rows longer than one
+    chunk of 2^16 floats. A float64 part, whose value times its 1 / norm
+    is subnormal, keeps float64 values and the same bits."""
+    rng = np.random.default_rng(3)
+    b, d = 2, 70_000
+
+    def long_row(n):
+        cols = rng.permutation(d)[:n].tolist()
+        values = rng.uniform(-2, 2, n)
+        values[::97] = 0.0
+        return dict(zip(cols, values.tolist()))
+
+    rows = [long_row(66_000), {}, {5: 0.0, 9: -0.0}, {1: 0.0, 4: 2.5, 7: -0.0, 8: -1.0, 30: 0.0},
+            long_row(66_500), {69_999: 3.0}]
+    parsed = _rows_csr(rows, d, np.float32)
+    as_float64 = parsed._replace(data=parsed.data.astype(np.float64))
+    tiny = _rows_csr([{0: 1e150, 1: 1e-160, 2: 3.0}, {3: -1e-300, 0: 1e-10}], d, np.float64)
+    F = rng.normal(size=(b, d))
+    F[:, ::13] = 0.0
+    FT = np.ascontiguousarray(F.T)
+    place = np.arange(d, dtype=np.int32)
+    got = RowProducts([parsed], b, place)
+    assert got.cols.dtype == np.int32 and got.vals.dtype == np.float32
+    assert got.cols.nbytes + got.vals.nbytes == 8 * parsed.nnz
+    assert got.scale.dtype == np.float64 and got.scale.shape == (parsed.shape[0],)
+    assert _same(got.scale, inv_norms(parsed)[got.order])
+    assert 0.0 in got.scale and max(map(len, rows)) > csr._CHUNK_FLOATS
+    out = np.empty((b, parsed.shape[0]))
+    got(FT, out)
+    assert _same(out, sp_row_products(sp_normalize_rows(as_float64)[0], F))
+    mixed = RowProducts([parsed, tiny], b, place)
+    assert mixed.vals.dtype == np.float64
+    values = np.concatenate([planned_values(mixed, *chunk) for chunk in mixed.chunks])
+    assert np.any((values != 0) & (np.abs(values) < np.finfo(np.float64).tiny))
+    out = np.empty((b, mixed.n))
+    mixed(FT, out)
+    assert _same(out, sp_row_products(sp_normalize_rows(vstack(as_float64, tiny))[0], F))
 
 
 # similarities that tie, that are zero or negative (they transfer nothing),
@@ -246,3 +298,42 @@ def test_sorted_unique_equals_np_unique(values):
     values = np.array(values, dtype=np.int64)
     got, want = sorted_unique(values), np.unique(values)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=label_side(), rows=st.sampled_from([1, 7, 10]), K=st.sampled_from([1, 5, 31]), data=st.data())
+def test_rank_prefixes_equal_rank_labels_of_each_prefix(case, rows, K, data):
+    """`predictor.rank_prefixes` in blocks of 1, 7 or more than m queries
+    gives each learner's own ranking the arrays of `rank_labels` of that
+    learner, and each requested size s those of `rank_labels` of the first
+    s learners, bit for bit."""
+    learners, Y = case
+    sizes = data.draw(st.lists(st.integers(1, len(learners)), min_size=1, max_size=4))
+    tile = rows * Y.shape[1]
+    with mock.patch.multiple(predictor, _LABEL_FLOATS=tile, _SELECT_FLOATS=tile):
+        own, fused = predictor.rank_prefixes(learners, Y, K, sizes)
+        assert len(own) == len(learners) and sorted(fused) == sorted(set(sizes))
+        wants = [(own[e], [learners[e]]) for e in range(len(learners))]
+        wants += [(fused[s], learners[:s]) for s in fused]
+        for (labels, scores), used in wants:
+            want_labels, want_scores = rank_labels(used, Y, K)
+            assert np.array_equal(labels, want_labels)
+            assert _same(scores, want_scores)
+
+
+def test_rank_prefixes_build_each_learners_scores_once_per_block():
+    """Ten learners ranked alone and at every size from 1 to 10 take ten
+    label blocks per block of queries, where ranking each size apart takes
+    55 more."""
+    rng = np.random.default_rng(2)
+    Y = CSR(np.ones(40), rng.integers(0, 6, 40), np.arange(0, 41, 2), (20, 6))
+    learners = [(rng.integers(0, 20, (9, 3)), rng.random((9, 3))) for _ in range(10)]
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return csr.learner_scores(*args)
+
+    with mock.patch.object(predictor, "learner_scores", counted):
+        predictor.rank_prefixes(learners, Y, 4, range(1, 11))
+    assert len(calls) == 10

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from unittest import mock
 
@@ -292,6 +293,31 @@ def test_parse_holds_the_dataset_once(tmp_path):
     )
     assert size > 3_000_000  # int32 indices: a second copy would not fit in the slack
     assert peak < size + 2_000_000, (peak, size)
+
+
+def test_parse_holds_one_128_kib_piece_of_temporaries(tmp_path):
+    """On a mid-shaped file (about 60 features per sample from d = 100,000,
+    about 5 labels from L = 2,000, 4-digit values; 3 MB), the parse holds
+    the dataset plus one piece's temporaries, about 22 bytes per byte of a
+    128 KiB piece (under 3 MB). Pieces of 512 KiB held about 11 MB."""
+    rng = np.random.default_rng(0)
+    n, d, L = 4000, 100_000, 2000
+    values = [f"{0.1 * 1.125**i:.4g}" for i in range(32)]
+    lines = [f"{n} {d} {L}"]
+    for _ in range(n):
+        labels = ",".join(map(str, np.unique(rng.integers(0, L, 5)).tolist()))
+        cols = np.unique(rng.integers(0, d, 60)).tolist()
+        lines.append(labels + " " + " ".join(f"{j}:{values[j % 32]}" for j in cols))
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        ds = parse_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in (*ds.features[:3], ds.labels.indptr, ds.labels.indices))
+    assert os.path.getsize(path) > 20 * (128 << 10)  # many pieces
+    assert peak <= size + 24 * (128 << 10), (peak, size)
 
 
 @pytest.mark.parametrize("d, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])

@@ -23,6 +23,7 @@ from oracles import (
     float64_features,
     fuse,
     gaussian_words,
+    planned_values,
     position_major,
     project_full,
     ranking_dicts,
@@ -491,7 +492,7 @@ def _assert_planned_as_old_path(planned: PlannedRows, parts) -> None:
         assert (a, counts) == (a0, counts0)
         assert [o - offsets[0] for o in offsets] == offsets0
         assert np.array_equal(P.cols[offsets[0] : offsets[-1]], cols)
-        assert P.vals[offsets[0] : offsets[-1], 0].tobytes() == vals.tobytes()
+        assert planned_values(P, a, counts, offsets).tobytes() == vals.tobytes()
 
 
 def _adversarial_sets():
@@ -523,7 +524,7 @@ _ADVERSARIAL = _adversarial_sets()
 @pytest.mark.parametrize("case", sorted(_ADVERSARIAL))
 def test_streamed_rows_equal_the_old_path(monkeypatch, case, chunk, entries):
     """`PlannedRows` normalizes in blocks of 1, 7 or the default entries
-    and fills chunks of 1, 3 or 32,768 rows (b = 4) position by position;
+    and fills chunks of 1, 2 or 13,107 rows (b = 4) position by position;
     its stacked rows and the test rows it plans alone hold the old path's
     bits."""
     train, test = _ADVERSARIAL[case]
@@ -642,10 +643,11 @@ _BLOCK_BYTES = 8_000_000
 def test_projection_memory_is_bounded_by_the_block_budget(workers):
     """At d = 200,000, with about 140,000 used columns, planning the stacked
     samples and projecting them holds per worker one transposed block of F
-    (8 MB), its RowProducts chunk buffers and one 1 MB piece of Box-Muller
-    scratch; besides, the samples once, position-major (about 12 bytes per
-    nonzero), O(d) for the column plan, and the output. A row-major block beside the transposed one, or
-    the samples held twice, would exceed it."""
+    (8 MB) and 1 MiB of scratch, which serves the Box-Muller pieces and then
+    the RowProducts chunks; besides, the samples once, position-major
+    (about 8 bytes per nonzero), O(d) for the column plan, and the output.
+    A row-major block beside the transposed one, or the samples held twice,
+    would exceed it."""
     rng = np.random.default_rng(0)
     d = 200_000
     train, test = _uniform_dataset(300, d, 600, rng), _uniform_dataset(100, d, 600, rng)
@@ -658,16 +660,16 @@ def test_projection_memory_is_bounded_by_the_block_budget(workers):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    per_worker = _BLOCK_BYTES + 16 * csr._CHUNK_FLOATS + 16 * embedding._PIECE_FLOATS
+    per_worker = _BLOCK_BYTES + (1 << 20)
     bound = workers * per_worker + 24 * nnz + 32 * d + 4 * spec.r * n
     assert peak <= bound, (peak, bound)
 
 
 def test_train_test_rows_memory_is_bounded_per_nonzero():
     """On a wide-shaped corpus (d = 782,585, about 300 nonzeros per sample,
-    1.2M in all), preparing the samples holds at most 24 bytes per nonzero
+    1.2M in all), preparing the samples holds at most 20 bytes per nonzero
     above the parsed sets, plus the column plan's O(d) and O(n): the
-    position-major copy (12 bytes per nonzero) and block-sized temporaries.
+    position-major copy (8 bytes per nonzero) and block-sized temporaries.
     Normalizing each set whole, then stacking and remapping the copies, held
     about 66 bytes per nonzero. At this d the O(d) term hides a stacked
     copy of the unit rows; `test_train_test_rows_makes_no_stacked_copy`
@@ -683,15 +685,15 @@ def test_train_test_rows_memory_is_bounded_per_nonzero():
         tracemalloc.stop()
     nnz, n = train.features.nnz + test.features.nnz, train.n + test.n
     assert rows.products.cols.size == nnz
-    assert peak <= 24 * nnz + 32 * d + 64 * n, (peak, nnz)
+    assert peak <= 20 * nnz + 32 * d + 64 * n, (peak, nnz)
 
 
 def test_train_test_rows_makes_no_stacked_copy():
     """With nnz far above d (d = 20,000, about 1.2M nonzeros), preparing the
-    samples holds at most 16 bytes per nonzero above the parsed sets, plus
-    O(d) and O(n): the position-major copy (12) filled straight from the
+    samples holds at most 12 bytes per nonzero above the parsed sets, plus
+    O(d) and O(n): the position-major copy (8) filled straight from the
     parsed arrays. A stacked copy of the unit rows beside it (12 more, about
-    24.5 in all) fails."""
+    20.5 in all) fails."""
     rng = np.random.default_rng(6)
     d = 20_000
     train, test = _uniform_dataset(3000, d, 300, rng), _uniform_dataset(1000, d, 300, rng)
@@ -703,7 +705,7 @@ def test_train_test_rows_makes_no_stacked_copy():
         tracemalloc.stop()
     nnz, n = train.features.nnz + test.features.nnz, train.n + test.n
     assert rows.products.cols.size == nnz > 50 * d
-    assert peak <= 16 * nnz + 32 * d + 64 * n, (peak, nnz)
+    assert peak <= 12 * nnz + 32 * d + 64 * n, (peak, nnz)
 
 
 @pytest.mark.parametrize("r", [1, 5, 4096])
