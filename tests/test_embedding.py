@@ -520,13 +520,15 @@ _ADVERSARIAL = _adversarial_sets()
 
 
 @pytest.mark.parametrize("entries", [1, 7, csr._NORMALIZE_ENTRIES])
-@pytest.mark.parametrize("chunk", [4, 12, csr._CHUNK_FLOATS])
+# chunk sizes: a few floats, the default, and 2^17 floats, the default before
+# chunks shrank, which holds every set here in one chunk
+@pytest.mark.parametrize("chunk", [4, 12, csr._CHUNK_FLOATS, 1 << 17])
 @pytest.mark.parametrize("case", sorted(_ADVERSARIAL))
 def test_streamed_rows_equal_the_old_path(monkeypatch, case, chunk, entries):
     """`PlannedRows` normalizes in blocks of 1, 7 or the default entries
-    and fills chunks of 1, 2 or 13,107 rows (b = 4) position by position;
-    its stacked rows and the test rows it plans alone hold the old path's
-    bits."""
+    and fills chunks of 1, 2, 13,107 (the default) or 26,214 rows (b = 4)
+    position by position; its stacked rows and the test rows it plans alone
+    hold the old path's bits."""
     train, test = _ADVERSARIAL[case]
     monkeypatch.setattr(embedding, "_row_block", lambda c: 4)
     with mock.patch.multiple(csr, _NORMALIZE_ENTRIES=entries, _CHUNK_FLOATS=chunk):

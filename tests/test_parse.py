@@ -20,7 +20,10 @@ import oracles
 from ogeec import data
 from ogeec.data import DatasetFormatError, _assemble, format_dataset, generate_synthetic
 
-CHUNKS = [1, 7, 64, data._CHUNK]
+# piece sizes: a few bytes, the default, and 512 KiB, the default before
+# pieces shrank, which holds every file here in one piece
+WHOLE = 512 << 10
+CHUNKS = [1, 7, 64, data._CHUNK, WHOLE]
 FIELDS = {
     "features.indptr": lambda ds: ds.features.indptr,
     "features.indices": lambda ds: ds.features.indices,
@@ -183,7 +186,7 @@ EDGE_VALUES = [
 
 
 @pytest.mark.parametrize("value", EDGE_VALUES)
-@pytest.mark.parametrize("chunk", [7, data._CHUNK])
+@pytest.mark.parametrize("chunk", [7, data._CHUNK, WHOLE])
 def test_edge_values_parse_as_before(tmp_path, value, chunk):
     raw = f"2 4 3\n1 0:{value} 3:1\n0,2 2:{value}\n".encode()
     check_equivalent(tmp_path / "ds.txt", raw, chunk)
