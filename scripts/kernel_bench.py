@@ -14,11 +14,14 @@ wide and dense-labels workloads, generated in memory from --seed:
   generated outside the timed region, its transposed copy inside it, and
   each block's median is summed); the oracle multiplies each set's unit rows
   (`sp_normalize_rows`), stacked, their columns in the plan's order;
-- label_scores: E learners of k = 5 neighbours per test sample (the
-  workload's E: 5 for dense-labels, else 1), drawn at random from the train
-  samples with similarities in (0, 1), since only the label fan-out sets the
-  cost, passed in the blocks of `_LABEL_FLOATS` // L queries that
-  `predictor.rank_labels` cuts, each block checked against its oracle;
+- label_scores: the label pass's arithmetic on one block of queries,
+  `csr.learner_scores` of each learner added in learner order and
+  `csr.mean_scores` of the sum (`oracles.label_scores`), for E learners of
+  k = 5 neighbours per test sample (the workload's E: 5 for dense-labels,
+  else 1), drawn at random from the train samples with similarities in
+  (0, 1), since only the label fan-out sets the cost, passed in the blocks
+  of `_LABEL_FLOATS` // L queries that `predictor.rank_prefixes` cuts, each
+  block checked against its oracle;
 - pair_dots: 10,000 random pairs of train samples, read from the parsed
   rows and their 1 / norms as `analyze distortion --pairs 10000` takes
   them; the oracle takes them from the unit rows of `sp_normalize_rows`.
@@ -40,11 +43,11 @@ sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import corpus  # noqa: E402
-from oracles import float64_features, sp_label_scores, sp_normalize_rows, sp_pair_dots  # noqa: E402
+from oracles import float64_features, label_scores, sp_label_scores, sp_normalize_rows, sp_pair_dots  # noqa: E402
 from oracles import sp_row_products, vstack  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-from ogeec.csr import CSR, inv_norms, label_scores, pair_dots  # noqa: E402
+from ogeec.csr import CSR, inv_norms, pair_dots  # noqa: E402
 from ogeec.data import parse_dataset  # noqa: E402
 from ogeec.embedding import EmbeddingSpec, PlannedRows, materialize_rows  # noqa: E402
 from ogeec.predictor import _LABEL_FLOATS  # noqa: E402
@@ -94,7 +97,7 @@ def kernels(name: str, train, test):
         index = np.array([rng.choice(train.n, K, replace=False) for _ in range(test.n)])
         learners.append((index, rng.random((test.n, K))))
     Y = train.labels
-    step = max(1, _LABEL_FLOATS // train.L)  # as predictor.rank_labels cuts the queries
+    step = max(1, _LABEL_FLOATS // train.L)  # as predictor.rank_prefixes cuts the queries
     blocks = [[(index[a : a + step], sims[a : a + step]) for index, sims in learners]
               for a in range(0, test.n, step)]
     yield ("label_scores", lambda: [label_scores(block, Y) for block in blocks],

@@ -447,11 +447,13 @@ def cmd_analyze_sweep_r(cfg: RunConfig, explicit: set[str]) -> int:
 
 def cmd_analyze_sweep_ensemble(cfg: RunConfig, explicit: set[str]) -> int:
     _, train_ds, test_ds = _read_sets(cfg, explicit, "--ks", max(cfg.ks))
+    evaluate = _evaluator(cfg, train_ds, test_ds)
     spec = ens.make_ensemble_spec(cfg.seed, max(cfg.sizes), train_ds.d, cfg.r, cfg.k)
     own, fused = ens.sweep_ensemble_size(
-        spec, train_ds, test_ds, cfg.sizes, max(cfg.ks), _evaluator(cfg, train_ds, test_ds),
-        workers=cfg.effective_workers(),
+        spec, train_ds, test_ds, cfg.sizes, max(cfg.ks), workers=cfg.effective_workers()
     )
+    own = [evaluate(ranking) for ranking in own]
+    fused = {size: evaluate(ranking) for size, ranking in fused.items()}
     with _output(cfg.out) as stream:
         names = [f"{m}@{k}" for m in metrics.METRIC_NAMES for k in cfg.ks]
         stream.write("config\t" + "\t".join(names) + "\n")

@@ -13,9 +13,9 @@ result is the float that scipy.sparse's expression for it computes
   written into the caller's output rows, where Xn is X scaled to unit rows,
   `diags(1 / norms) @ X` (of several CSRs, `vstack` of each one's), read
   straight from the CSRs with their 1 / norms (`inv_norms`);
-- `label_scores`: for one block of queries, the learners' S = W·Y
-  (`learner_scores`), their sum in learner order and the division by the
-  learner count (`mean_scores`);
+- `learner_scores`: one learner's S = W·Y for one block of queries, which
+  `predictor.rank_prefixes` adds in learner order and `mean_scores` divides
+  by the learner count;
 - `pair_dots`: the dot products of pairs of rows of that Xn.
 
 scipy drops a product that is 0. `RowProducts` keeps them: F being finite,
@@ -203,22 +203,6 @@ class RowProducts:
             out[:, self.order[a : a + self.rows]] = block.T
 
 
-def label_scores(learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR) -> CSR:
-    """The mean of the learners' label scores: (W_1·Y + ... + W_E·Y) / E.
-
-    Each learner gives `knn`'s (m, k) neighbour arrays (index, sims) and its
-    block is `learner_scores`. The later learners' blocks are added in
-    learner order to the first, as scipy's S_1 + S_2 + ... adds them, a
-    label a learner never scored counting 0 (bincount forms no -0.0, so this
-    is the sum from 0.0), and `mean_scores` divides the sum by E.
-    """
-    total = None
-    for index, sims in learners:
-        block = learner_scores(index, sims, labels)
-        total = block if total is None else np.add(total, block, out=total)
-    return mean_scores(total, labels.shape[1], len(learners))
-
-
 def learner_scores(index: np.ndarray, sims: np.ndarray, labels: CSR) -> np.ndarray:
     """One learner's label scores W·Y as a flat dense (m x L) float64 block.
 
@@ -228,7 +212,7 @@ def learner_scores(index: np.ndarray, sims: np.ndarray, labels: CSR) -> np.ndarr
     indices are read: each stored column is a 1.
 
     The queries are one dense block, so callers pass at most
-    `predictor._LABEL_FLOATS` // L rows (`predictor.rank_labels` cuts its
+    `predictor._LABEL_FLOATS` // L rows (`predictor.rank_prefixes` cuts its
     queries into such 4 MB blocks). The block is one np.bincount of the
     neighbours' weights at their (row, label) cells, row after row and each
     row in neighbour order; bincount adds each cell's weights in that order

@@ -7,9 +7,9 @@ rebuild it. Fusion averages each label's score across learners, counting 0
 for learners that never scored it: each learner keeps only its neighbour
 arrays, and one `predictor.rank_labels` pass adds their scores in learner
 order, S1 + S2 + ..., divides every nonzero sum by E and ranks them, one
-block of queries at a time. The ensemble-size sweep ranks every learner
-alone and every requested size in one such pass (`predictor.rank_prefixes`),
-and leaves scoring them to its caller.
+block of queries at a time. The ensemble-size sweep ranks every requested
+size in one such pass (`predictor.rank_prefixes`) and every learner alone
+in a pass of its own, and leaves scoring them to its caller.
 
 Every command that projects takes its learners from `learner_embeddings`,
 which plans each set of samples once and projects it in one pass over F.
@@ -17,7 +17,7 @@ which plans each set of samples once and projects it in one pass over F.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,32 +145,18 @@ def fused_scores(
 
 def sweep_ensemble_size(
     spec: EnsembleSpec, dataset: SparseDataset, test: SparseDataset, sizes: Sequence[int],
-    K: int, score: Callable[[tuple[np.ndarray, np.ndarray]], object], *, workers: int = 1,
+    K: int, *, workers: int = 1,
 ) -> tuple[list, dict]:
-    """(`score` of each learner's own ranking, in seed order; {s: `score`
-    of the fusion of the first s seeds} for each distinct requested size s).
-
-    The learners are those of the first max(sizes) seeds. Each ranking is
-    `rank_labels`' top K labels and scores, and all of them come from one
-    label pass over the learners' neighbour arrays (`rank_prefixes`), which
-    builds each learner's label scores once per block of queries. `score`
-    takes them in learner order: each learner's own ranking, followed, when
-    s is a requested size, by the fused ranking of the first s learners.
-    """
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
-    if max(sizes) > spec.size or min(sizes) < 1:
-        raise ValueError(f"sizes must lie in [1, {spec.size}]")
+    """(each learner's own ranking, in seed order; {s: the fused ranking of
+    the first s seeds} for each distinct s in `sizes`), each `rank_labels`'
+    top K labels and scores, of the learners of the first max(sizes) seeds.
+    `rank_prefixes` ranks every size in one label pass and `rank_labels`
+    each learner alone, so E learners take 2E label blocks per block of
+    queries, still linear in E."""
     prefix = replace(spec, seeds=spec.seeds[: max(sizes)])
     neighbours = list(learner_neighbours(prefix, dataset, test, workers=workers))
-    rankings, fused = rank_prefixes(neighbours, dataset.labels, K, sizes)
-    del neighbours
-    own, reports = [], {}
-    for s, ranking in enumerate(rankings, 1):
-        own.append(score(ranking))
-        if s in fused:
-            reports[s] = score(fused[s])
-    return own, reports
+    fused = rank_prefixes(neighbours, dataset.labels, K, sizes)
+    return [rank_labels([found], dataset.labels, K) for found in neighbours], fused
 
 
 def sweep_dimension(

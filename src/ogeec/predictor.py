@@ -15,12 +15,12 @@ lexsort ranks only the entries not below it, which hold the whole top K.
 Neighbours are `top_k`'s arrays from search to W: `knn` returns an
 (m, min(k, n)) int64 index array and the matching float64 similarities, and
 an index of -1 (score 0.0) pads a row that holds fewer neighbours than its
-width, as an LSH row may. `rank_labels` is the one label pass: per block of
-queries, the mean of the learners' S = W·Y (`csr.label_scores`; W holds the
-neighbours' similarities and Y the train labels), ranked by `top_k` before
-the next block forms. Its (m, K) arrays feed `format_predictions` and
-`evaluate`. `rank_prefixes` ranks, in the same blocks, each learner alone
-and each requested prefix of the learners fused.
+width, as an LSH row may. `rank_prefixes` is the one label pass: per block
+of queries, it adds the learners' S = W·Y (`csr.learner_scores`; W holds
+the neighbours' similarities and Y the train labels) in learner order, and
+ranks the mean of the first s by `top_k` at each requested s before the
+next block forms. `rank_labels` is that pass at s = E; its (m, K) arrays
+feed `format_predictions` and `evaluate`.
 
 A similarity is `rank_candidates`' fixed-order float64 dot product. Search
 is one blocked kernel per learner, the GEMM + k-selection scheme of FAISS
@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import trace
-from .csr import CSR, label_scores, learner_scores, mean_scores
+from .csr import CSR, learner_scores, mean_scores
 from .embedding import EmbeddedMatrix, column_norms
 from .embedding import project_csr  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
 
@@ -49,8 +49,8 @@ from .embedding import project_csr  # noqa: F401 -- kept only so a perfbench/tra
 _SCREEN_FLOATS = 1 << 21
 # float64s in one of `top_k`'s padded selection blocks (16 MB)
 _SELECT_FLOATS = 1 << 21
-# float64s in one of `rank_labels`' dense label blocks (4 MB; it holds this
-# // L queries)
+# float64s in one of `rank_prefixes`' dense label blocks (4 MB; it holds
+# this // L queries)
 _LABEL_FLOATS = 1 << 19
 
 _U32 = 2.0**-24  # unit roundoff of float32
@@ -166,7 +166,7 @@ def propagate(neighbors: Sequence[tuple], labelsets: Sequence[np.ndarray]) -> di
     a dict: score[w] = sum of max(sim, 0) over neighbors carrying w.
     Nonpositive-similarity neighbors contribute nothing, so every stored score
     is positive. This is the per-query definition of a row of one learner's
-    `csr.label_scores`."""
+    `csr.learner_scores`."""
     scores: dict[int, float] = {}
     for idx, sim in neighbors:
         if sim <= 0.0:
@@ -249,55 +249,41 @@ def _reaching_kth(data: np.ndarray, indptr: np.ndarray, K: int) -> np.ndarray | 
 
 
 @trace.span("propagate_s")
+def rank_prefixes(
+    learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR, K: int, sizes: Sequence[int]
+) -> dict:
+    """{s: `top_k` of the mean label scores of the first s learners} for each
+    distinct s in `sizes`, all in [1, E]. Per block of at most
+    _LABEL_FLOATS // L queries, each learner's `learner_scores` block is
+    built once and added in learner order to a running sum, as scipy's
+    S_1 + S_2 + ... adds them (bincount forms no -0.0, so a label a learner
+    never scored adds 0); at each s, `mean_scores` divides the sum by s and
+    `top_k` ranks it. A row's scores depend only on its own neighbours, so
+    each ranking is that of one pass over all queries; no score matrix of
+    all m queries is held, but every ranking is held until the last block."""
+    if not sizes or not all(1 <= s <= len(learners) for s in sizes):
+        raise ValueError(f"sizes must be nonempty and lie in [1, {len(learners)}]")
+    m, L = len(learners[0][0]), labels.shape[1]
+    step = max(1, _LABEL_FLOATS // max(L, 1))
+    fused = {s: (np.empty((m, K), dtype=np.int64), np.empty((m, K))) for s in sorted(set(sizes))}
+    for a in range(0, m, step):
+        total = None
+        for s, (index, sims) in enumerate(learners[: max(fused)], 1):
+            block = learner_scores(index[a : a + step], sims[a : a + step], labels)
+            total = block if total is None else np.add(total, block, out=total)
+            del block  # only the sum is held while `top_k` ranks
+            if s in fused:
+                best, top = fused[s]
+                best[a : a + step], top[a : a + step] = top_k(mean_scores(total, L, s), K)
+    return fused
+
+
 def rank_labels(
     learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR, K: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`top_k` of the learners' mean label scores (`csr.label_scores` of
-    their (m, k) neighbour arrays and Y), in blocks of at most
-    _LABEL_FLOATS // L queries, so no score matrix of all m queries is held.
-    A row's scores depend only on its own neighbours, so the result is that
-    of one pass over all queries."""
-    m = len(learners[0][0])
-    step = max(1, _LABEL_FLOATS // max(labels.shape[1], 1))
-    best = np.empty((m, K), dtype=np.int64)
-    top = np.empty((m, K))
-    for a in range(0, m, step):
-        block = [(index[a : a + step], sims[a : a + step]) for index, sims in learners]
-        best[a : a + step], top[a : a + step] = top_k(label_scores(block, labels), K)
-    return best, top
-
-
-@trace.span("propagate_s")
-def rank_prefixes(
-    learners: Sequence[tuple[np.ndarray, np.ndarray]], labels: CSR, K: int, sizes: Sequence[int]
-) -> tuple[list, dict]:
-    """(`rank_labels([learner])` of each learner, in learner order;
-    {s: `rank_labels(learners[:s])`} for each distinct s in `sizes`).
-
-    Per block of queries, each learner's `csr.learner_scores` block is built
-    once: it is ranked alone, then added in learner order to a running sum,
-    which is divided by s and ranked once s learners are in, as
-    `label_scores` adds and divides, so each ranking keeps the bits of
-    `rank_labels`. E learners take E label blocks per query block, not one
-    per learner per ranking; every ranking is held until the last block."""
-    m, L = len(learners[0][0]), labels.shape[1]
-    step = max(1, _LABEL_FLOATS // max(L, 1))
-    own = [(np.empty((m, K), dtype=np.int64), np.empty((m, K))) for _ in learners]
-    fused = {s: (np.empty((m, K), dtype=np.int64), np.empty((m, K))) for s in set(sizes)}
-
-    def rank(ranking, a: int, total: np.ndarray, E: int) -> None:
-        best, top = ranking
-        best[a : a + step], top[a : a + step] = top_k(mean_scores(total, L, E), K)
-
-    for a in range(0, m, step):
-        total = None
-        for s, (index, sims) in enumerate(learners, 1):
-            block = learner_scores(index[a : a + step], sims[a : a + step], labels)
-            rank(own[s - 1], a, block, 1)
-            total = block if total is None else np.add(total, block, out=total)
-            if s in fused:
-                rank(fused[s], a, total, s)
-    return own, fused
+    """`top_k` of the mean label scores of all E learners, from their (m, k)
+    neighbour arrays and Y: `rank_prefixes` at E."""
+    return rank_prefixes(learners, labels, K, [len(learners)])[len(learners)]
 
 
 @trace.span("search_s")

@@ -19,8 +19,9 @@ composition of the package's own steps, which the batch paths are checked
 against, `same_dataset`, the CSR-by-CSR comparison of two parsed
 datasets, `sweep_r`, one `fused_scores` call per r, which
 the one-pass dimension sweep is checked against, `score_matrix`, one
-learner's `csr.label_scores` of every query at once, which the blocked
-label pass is checked against, and the dict label side (`fuse`,
+learner's label scores of every query at once, and `label_scores`, the
+learners' mean of them, which the blocked label pass is checked against,
+and the dict label side (`fuse`,
 `top_k_labels`, `format_dicts`, `evaluate_dicts`): one {label: score} dict
 per sample, the representation the sparse score matrix replaced, kept as
 its reference. `parse_dataset` is the whole-file,
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from ogeec.csr import CSR, label_scores
+from ogeec.csr import CSR, learner_scores, mean_scores
 from ogeec.data import _F32_MAX, DatasetFormatError, SparseDataset, _assemble
 
 from ogeec.embedding import project_csr
@@ -316,10 +317,22 @@ def ranking_dicts(ranking) -> list[dict]:
     ]
 
 
+def label_scores(learners, labels) -> CSR:
+    """The mean of the learners' label scores, (W_1·Y + ... + W_E·Y) / E, of
+    every query at once: their `csr.learner_scores` blocks added in learner
+    order, then `csr.mean_scores`, the arithmetic that the blocked label
+    pass (`predictor.rank_prefixes`) does block by block."""
+    total = None
+    for index, sims in learners:
+        block = learner_scores(index, sims, labels)
+        total = block if total is None else np.add(total, block, out=total)
+    return mean_scores(total, labels.shape[1], len(learners))
+
+
 def score_matrix(index, sims, labels) -> CSR:
     """One learner's label scores of every query at once, S = W·Y, row i the
-    `propagate` of row i's neighbours: `csr.label_scores` of that learner
-    alone, as one block."""
+    `propagate` of row i's neighbours: `label_scores` of that learner alone,
+    as one block."""
     return label_scores([(index, sims)], labels)
 
 

@@ -182,11 +182,9 @@ def test_criterion_5_ensemble_trend(dataset_pairs):
     for seed, (train, test) in enumerate(dataset_pairs):
         spec = make_ensemble_spec(base_seed=10 * seed, learners=5, d=train.d, r=24, k=5)
         props = propensity(train.label_frequencies, train.n)
-        _, fused = sweep_ensemble_size(
-            spec, train, test, [1, 5], 5, lambda r: evaluate(r[0], test.labels, props)
-        )
-        p1_first.append(fused[1]["P@1"])
-        p1_fused.append(fused[5]["P@1"])
+        _, fused = sweep_ensemble_size(spec, train, test, [1, 5], 5)
+        p1_first.append(evaluate(fused[1][0], test.labels, props)["P@1"])
+        p1_fused.append(evaluate(fused[5][0], test.labels, props)["P@1"])
     diffs = np.array(p1_fused) - np.array(p1_first)
     sem = diffs.std(ddof=1) / np.sqrt(len(diffs))
     elapsed = time.perf_counter() - t0

@@ -11,10 +11,12 @@ with itself.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     from_scipy,
+    label_scores,
     planned_values,
     position_major,
     scaled_rows,
@@ -27,16 +29,16 @@ from oracles import (
     vstack,
 )
 
-from ogeec import csr, predictor
+from ogeec import csr, ensemble, predictor
 from ogeec.csr import (
     CSR,
     RowProducts,
     inv_norms,
-    label_scores,
     pair_dots,
     sorted_unique,
 )
 from ogeec.embedding import PlannedRows
+from ogeec.ensemble import EnsembleSpec
 from ogeec.predictor import rank_labels, top_k
 
 # explicit and signed zeros, values whose products underflow to 0 or whose
@@ -303,39 +305,57 @@ def test_sorted_unique_equals_np_unique(values):
 
 
 @settings(deadline=None, max_examples=100)
-@given(case=label_side(), rows=st.sampled_from([1, 7, 10]), K=st.sampled_from([1, 5, 31]), data=st.data())
-def test_rank_prefixes_equal_rank_labels_of_each_prefix(case, rows, K, data):
+@given(case=label_side(), rows=st.sampled_from([1, 7, 10]), K=st.sampled_from([1, 5, 31]))
+def test_rank_prefixes_equal_scipy_at_every_size(case, rows, K):
     """`predictor.rank_prefixes` in blocks of 1, 7 or more than m queries
-    gives each learner's own ranking the arrays of `rank_labels` of that
-    learner, and each requested size s those of `rank_labels` of the first
-    s learners, bit for bit."""
+    gives each size s, requested in descending order and twice for s = 1,
+    the bits of `top_k` of the scipy scores of the first s learners, and
+    `rank_labels` of each learner alone those of that learner's."""
     learners, Y = case
-    sizes = data.draw(st.lists(st.integers(1, len(learners)), min_size=1, max_size=4))
+    E = len(learners)
     tile = rows * Y.shape[1]
     with mock.patch.multiple(predictor, _LABEL_FLOATS=tile, _SELECT_FLOATS=tile):
-        own, fused = predictor.rank_prefixes(learners, Y, K, sizes)
-        assert len(own) == len(learners) and sorted(fused) == sorted(set(sizes))
-        wants = [(own[e], [learners[e]]) for e in range(len(learners))]
-        wants += [(fused[s], learners[:s]) for s in fused]
-        for (labels, scores), used in wants:
-            want_labels, want_scores = rank_labels(used, Y, K)
-            assert np.array_equal(labels, want_labels)
-            assert _same(scores, want_scores)
+        fused = predictor.rank_prefixes(learners, Y, K, [*range(E, 0, -1), 1])
+        assert list(fused) == list(range(1, E + 1))
+        wants = [(fused[s], learners[:s]) for s in fused]
+        wants += [(rank_labels([learner], Y, K), [learner]) for learner in learners]
+    for (labels, scores), used in wants:
+        want_labels, want_scores = top_k(from_scipy(sp_label_scores(used, Y)), K)
+        assert np.array_equal(labels, want_labels)
+        assert _same(scores, want_scores)
+
+
+def test_rank_prefixes_refuse_sizes_outside_one_to_e():
+    """No ranking of 0 learners, or of more than E, exists: rather than
+    return an array it never filled, the pass refuses such a size, and an
+    empty `sizes`, before it builds any label block."""
+    Y = CSR(np.ones(3), np.array([0, 1, 1]), np.array([0, 2, 3]), (2, 2))
+    learner = (np.array([[0, 1]]), np.array([[0.5, 0.25]]))
+    with mock.patch.object(predictor, "learner_scores", side_effect=AssertionError):
+        for sizes in ([1, 3], [2], [0], [0, 1], []):
+            with pytest.raises(ValueError, match=r"sizes must be nonempty and lie in \[1, 1\]"):
+                predictor.rank_prefixes([learner], Y, 2, sizes)
 
 
 def test_rank_prefixes_build_each_learners_scores_once_per_block():
-    """Ten learners ranked alone and at every size from 1 to 10 take ten
-    label blocks per block of queries, where ranking each size apart takes
-    55 more."""
+    """Ten learners at every size from 1 to 10, in three blocks of queries,
+    take ten label blocks per block of queries, where ranking each size
+    apart takes 55; the ensemble-size sweep, which also ranks each learner
+    alone, takes twenty."""
     rng = np.random.default_rng(2)
     Y = CSR(np.ones(40), rng.integers(0, 6, 40), np.arange(0, 41, 2), (20, 6))
     learners = [(rng.integers(0, 20, (9, 3)), rng.random((9, 3))) for _ in range(10)]
+    spec = EnsembleSpec(seeds=tuple(range(10)), d=10, r=2, k=3)
     calls = []
 
     def counted(*args):
         calls.append(1)
         return csr.learner_scores(*args)
 
-    with mock.patch.object(predictor, "learner_scores", counted):
+    with mock.patch.multiple(predictor, learner_scores=counted, _LABEL_FLOATS=3 * 6), \
+            mock.patch.object(ensemble, "learner_neighbours", lambda *a, **kw: iter(learners)):
         predictor.rank_prefixes(learners, Y, 4, range(1, 11))
-    assert len(calls) == 10
+        assert len(calls) == 3 * 10
+        calls.clear()
+        ensemble.sweep_ensemble_size(spec, mock.Mock(labels=Y), None, range(1, 11), 4)
+        assert len(calls) == 3 * 20

@@ -8,6 +8,7 @@ from oracles import (
     dict_neighbours,
     feature_row,
     float64_features,
+    label_scores,
     labelsets,
     one_label_each,
     predict,
@@ -20,7 +21,7 @@ from oracles import (
 )
 
 from ogeec import embedding, ensemble, predictor
-from ogeec.csr import CSR, label_scores
+from ogeec.csr import CSR
 from ogeec.embedding import EmbeddingSpec, embed, project_csr, save_cache
 from ogeec.ensemble import (
     EnsembleSpec,
@@ -198,53 +199,49 @@ def _scorer(test):
 def test_sweep_size_one_equals_single_learner_eval(train_test):
     train, test = train_test
     espec = EnsembleSpec(seeds=(4, 5, 6), d=train.d, r=24, k=5)
-    own, fused = sweep_ensemble_size(espec, train, test, [1], 5, _scorer(test))
+    own, fused = sweep_ensemble_size(espec, train, test, [1], 5)
     lspec = EmbeddingSpec(seed=4, d=train.d, r=24)
     emb = embed(lspec, train)
     queries = project_csr(lspec, float64_features(test))
     scores = score_matrix(*batch_predict(emb, queries, 5), train.labels)
     direct = evaluate(top_k(scores, 5)[0], test.labels, uniform_propensity(train.L))
     assert len(own) == 1 and list(fused) == [1]
-    assert fused[1].values == direct.values
-    assert own[0].values == direct.values
+    score = _scorer(test)
+    assert score(fused[1]).values == direct.values
+    assert score(own[0]).values == direct.values
 
 
 def test_sweep_reports_are_order_independent(train_test):
     train, test = train_test
     espec = EnsembleSpec(seeds=(4, 5, 6), d=train.d, r=24, k=5)
-    _, a = sweep_ensemble_size(espec, train, test, [1, 3], 5, _scorer(test))
-    _, b = sweep_ensemble_size(espec, train, test, [3, 1], 5, _scorer(test))
-    assert a[1].values == b[1].values
-    assert a[3].values == b[3].values
+    _, a = sweep_ensemble_size(espec, train, test, [1, 3], 5)
+    _, b = sweep_ensemble_size(espec, train, test, [3, 1], 5)
+    score = _scorer(test)
+    assert score(a[1]).values == score(b[1]).values
+    assert score(a[3]).values == score(b[3]).values
 
 
 def test_sweep_size_bounds(train_test):
     train, test = train_test
     espec = EnsembleSpec(seeds=(4, 5), d=train.d, r=16, k=5)
     with pytest.raises(ValueError):
-        sweep_ensemble_size(espec, train, test, [3], 5, _scorer(test))
+        sweep_ensemble_size(espec, train, test, [3], 5)
     with pytest.raises(ValueError):
-        sweep_ensemble_size(espec, train, test, [], 5, _scorer(test))
+        sweep_ensemble_size(espec, train, test, [], 5)
 
 
-def test_sweep_scores_each_learner_and_each_distinct_size_in_learner_order(train_test):
-    """`score` gets each learner's own ranking as it forms, then the fusion
-    of the first s learners for each distinct requested size s; each is the
-    `rank_labels` arrays K wide that `fused_scores` returns for those
-    seeds, and the returns are `score`'s values."""
+def test_sweep_returns_each_learner_in_seed_order_and_each_distinct_size(train_test):
+    """`own` holds each learner's own ranking in seed order and `fused` the
+    fusion of the first s learners, keyed by each distinct requested size
+    s; each is the `rank_labels` arrays K wide that `fused_scores` returns
+    for those seeds."""
     train, test = train_test
     espec = EnsembleSpec(seeds=(4, 5, 6), d=train.d, r=16, k=5)
-    K, calls = 7, []
-
-    def score(ranking):
-        calls.append(ranking)
-        return len(calls) - 1
-
-    own, fused = sweep_ensemble_size(espec, train, test, [2, 2, 1], K, score)
-    assert own == [0, 2] and fused == {1: 1, 2: 3}
-    seeds = [(4,), (4,), (5,), (4, 5)]  # own 4, fused 1, own 5, fused 2
-    assert len(calls) == len(seeds)
-    for ranking, used in zip(calls, seeds):
+    K = 7
+    own, fused = sweep_ensemble_size(espec, train, test, [2, 2, 1], K)
+    assert len(own) == 2 and list(fused) == [1, 2]
+    wants = [(own[0], (4,)), (own[1], (5,)), (fused[1], (4,)), (fused[2], (4, 5))]
+    for ranking, used in wants:
         want = fused_scores(EnsembleSpec(seeds=used, d=train.d, r=16, k=5), train, test, K)
         assert all(a.shape == (test.n, K) for a in ranking)
         assert all(np.array_equal(a, b) for a, b in zip(ranking, want))

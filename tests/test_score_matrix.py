@@ -17,6 +17,7 @@ from oracles import (
     evaluate_dicts,
     format_dicts,
     fuse,
+    label_scores,
     neighbor_arrays,
     one_label_each,
     ranking_dicts,
@@ -29,7 +30,6 @@ from oracles import (
 )
 
 from ogeec import ensemble
-from ogeec.csr import label_scores
 from ogeec.ensemble import EnsembleSpec, fused_scores, sweep_ensemble_size
 from ogeec.metrics import evaluate, propensity
 from ogeec.predictor import format_predictions, propagate
@@ -83,9 +83,7 @@ def test_sparse_label_side_equals_dict_path(case):
         fused, top, ranked = (fused_scores(spec, train, None, width) for width in (L, K, max(ks)))
         test = mock.Mock(n=len(truths), labels=truth_matrix(truths, L))
         sizes = list(range(1, len(mats) + 1))
-        own, fused_reports = sweep_ensemble_size(
-            spec, train, test, sizes, max(ks), lambda r: evaluate(r[0], test.labels, props, ks=ks)
-        )
+        own, fused_rankings = sweep_ensemble_size(spec, train, test, sizes, max(ks))
     fused_dicts = [fuse(list(per_query)) for per_query in zip(*dicts)]
     assert ranking_dicts(fused) == fused_dicts
     assert format_predictions(*top) == format_dicts(fused_dicts, K)
@@ -94,12 +92,14 @@ def test_sparse_label_side_equals_dict_path(case):
     want = evaluate_dicts(fused_dicts, truths, props, ks=ks)
     assert (got.values, got.samples, got.skipped) == (want.values, want.samples, want.skipped)
     assert got.tsv_row() == want.tsv_row()
-    assert list(fused_reports) == sizes
-    for size, report in fused_reports.items():
+    assert list(fused_rankings) == sizes
+    for size, ranking in fused_rankings.items():
         prefix = [fuse(list(q[:size])) for q in zip(*dicts)]
+        report = evaluate(ranking[0], test.labels, props, ks=ks)
         assert report.values == evaluate_dicts(prefix, truths, props, ks=ks).values
     assert len(own) == len(dicts)
-    for report, per_query in zip(own, dicts):
+    for ranking, per_query in zip(own, dicts):
+        report = evaluate(ranking[0], test.labels, props, ks=ks)
         assert report.values == evaluate_dicts(per_query, truths, props, ks=ks).values
 
 
