@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Sparse-kernel micro-benchmark: each numpy kernel of `ogeec.csr` against
-the scipy.sparse expression it replaced (`tests/oracles.py`, `sp_*`).
+"""Kernel micro-benchmark: each numpy kernel of `ogeec.csr` against the
+scipy.sparse expression it replaced (`tests/oracles.py`, `sp_*`), and the
+parser against the line-by-line parser that states the format.
 
     PYTHONPATH=src python3 scripts/kernel_bench.py [--workload mid] [--seed 0] [--repeat 3]
 
@@ -24,10 +25,12 @@ wide and dense-labels workloads, generated in memory from --seed:
   block checked against its oracle;
 - pair_dots: 10,000 random pairs of train samples, read from the parsed
   rows and their 1 / norms as `analyze distortion --pairs 10000` takes
-  them; the oracle takes them from the unit rows of `sp_normalize_rows`.
+  them; the oracle takes them from the unit rows of `sp_normalize_rows`;
+- parse: `data.parse_dataset` of the workload's train and test files
+  against `oracles.parse_dataset`, with the parser's speed in MB/s.
 
-The script checks that each kernel and its oracle give the same bits and
-prints the median time of each.
+The script checks that each kernel and its oracle give the same bits (for
+parse, equal datasets) and prints the median time of each.
 """
 
 import argparse
@@ -44,7 +47,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import corpus  # noqa: E402
 from oracles import float64_features, label_scores, sp_label_scores, sp_normalize_rows, sp_pair_dots  # noqa: E402
-from oracles import sp_row_products, vstack  # noqa: E402
+from oracles import parse_dataset as oracle_parse  # noqa: E402
+from oracles import same_dataset, sp_row_products, vstack  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from ogeec.csr import CSR, inv_norms, pair_dots  # noqa: E402
@@ -80,12 +84,12 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def datasets(name: str, seed: int, scratch: pathlib.Path):
+def corpus_files(name: str, seed: int, scratch: pathlib.Path) -> list[pathlib.Path]:
     train, test = corpus.generate(WORKLOADS[name].shape, name, seed)
-    paths = scratch / f"{name}-train.txt", scratch / f"{name}-test.txt"
+    paths = [scratch / f"{name}-train.txt", scratch / f"{name}-test.txt"]
     for path, text in zip(paths, (train, test)):
         path.write_text(text, encoding="utf-8")
-    return [parse_dataset(path) for path in paths]
+    return paths
 
 
 def kernels(name: str, train, test):
@@ -131,6 +135,15 @@ def projection(train, test, repeat: int) -> tuple[float, float, bool]:
     return new_s, ref_s, identical
 
 
+def parse(paths, repeat: int) -> tuple[float, float, bool, float]:
+    """Both sets parsed by the program and by the oracle, and the program's
+    MB/s."""
+    new_s, got = median_time(lambda: [parse_dataset(path) for path in paths], repeat)
+    ref_s, want = median_time(lambda: [oracle_parse(path) for path in paths], repeat)
+    megabytes = sum(path.stat().st_size for path in paths) / 1e6
+    return new_s, ref_s, all(map(same_dataset, got, want)), megabytes / new_s
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=[*LEARNERS, "all"], default="all")
@@ -145,18 +158,21 @@ def main() -> int:
     names = list(LEARNERS) if args.workload == "all" else [args.workload]
     status = 0
     print(f"seed {args.seed}, median of {args.repeat}, seconds")
-    print("workload\tkernel\tnumpy\tscipy\tratio\tbits")
+    print("workload\tkernel\tnumpy\toracle\tratio\tMB/s\tbits")
     for name in names:
-        train, test = datasets(name, args.seed, args.scratch)
+        paths = corpus_files(name, args.seed, args.scratch)
+        train, test = (parse_dataset(path) for path in paths)
         results = []
         for kernel, new, ref in kernels(name, train, test):
             new_s, got = median_time(new, args.repeat)
             ref_s, want = median_time(ref, args.repeat)
-            results.append((kernel, new_s, ref_s, same_bits(got, want)))
-        results.append(("projection", *projection(train, test, args.repeat)))
-        for kernel, new_s, ref_s, identical in results:
+            results.append((kernel, new_s, ref_s, same_bits(got, want), None))
+        results.append(("projection", *projection(train, test, args.repeat), None))
+        results.append(("parse", *parse(paths, args.repeat)))
+        for kernel, new_s, ref_s, identical, speed in results:
             status |= not identical
-            print(f"{name}\t{kernel}\t{new_s:.4f}\t{ref_s:.4f}\t{new_s / ref_s:.2f}\t"
+            rate = "-" if speed is None else f"{speed:.1f}"
+            print(f"{name}\t{kernel}\t{new_s:.4f}\t{ref_s:.4f}\t{new_s / ref_s:.2f}\t{rate}\t"
                   f"{'identical' if identical else 'DIFFER'}")
     return status
 

@@ -5,28 +5,28 @@ The on-disk format is the extreme-classification repository convention:
     n d L
     l1,l2,... f1:v1 f2:v2 ...
 
-First line is the header (sample count, feature dimensionality, label
-vocabulary size, each in [1, 2^63)). Each following line is one sample: a
-comma-separated label list (possibly empty, leaving a leading space)
-followed by space-separated ``index:value`` feature pairs. All indices are
-0-based. A `SparseDataset`'s feature CSR stores its indices as int32 below
-2^31 columns (int64 from there) and its values as float32; its label CSR
-stores its indices as int64.
+First line is the header: sample count, feature dimensionality and label
+vocabulary size, ASCII digits separated by whitespace, each in [1, 2^63).
+Each following line is one sample: a comma-separated label list (possibly
+empty, leaving a leading space) followed by space-separated ``index:value``
+feature pairs. Labels and indices are 0-based runs of ASCII digits; a value
+is ``[+-]digits[.digits][(e|E)[+-]digits]``, where the integer or the
+fraction digits, but not both, may be empty. Lines end in LF, CRLF or CR.
+A `SparseDataset`'s feature CSR stores its indices as int32 below 2^31
+columns (int64 from there) and its values as float32; its label CSR stores
+its indices as int64.
 
 `parse_dataset` reads the file in pieces of about `_CHUNK` bytes cut at line
-ends. A piece whose lines all keep to the canonical grammar (digits and
-`\\n , : . e E + -` and space, labels and indices of at most 18 digits,
-values inside Clinger's exact path, every check passed) is tokenized with
-numpy. Any other piece is parsed line by line, exactly as the whole-file
-parser before it did, which returns the same rows or raises the same error
-at the same line.
+ends, and tokenizes each piece with numpy (`_parse_canonical`). A label or
+index of more than 18 digits, or a value outside Clinger's exact path, is
+converted alone by `int()` or `float()`. A piece with a line that breaks the
+grammar or fails a check raises the error of its first such line.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import math
 import os
 import re
 from dataclasses import dataclass
@@ -47,12 +47,11 @@ _F32_MAX = float(np.finfo(np.float32).max)
 _HASH_ENTRIES = 1 << 17
 # Sample lines are parsed in pieces of about this many bytes, cut at line
 # ends, so parsing holds one piece's temporaries besides the dataset: about
-# 22 bytes per input byte on the canonical path, under 3 MB a piece.
+# 22 bytes per input byte, under 3 MB a piece.
 _CHUNK = 128 << 10
-_LINE_END = re.compile(rb"\r\n?|\n")
-# The class of each byte in the canonical grammar: the separators between
-# digit runs, then digits; a piece with any other byte takes the per-line path.
-_NL, _SP, _COMMA, _COLON, _DOT, _EXP, _SIGN, _DIGIT, _OTHER = range(9)
+# The class of each byte: the separators between digit runs, any byte
+# outside the grammar (no run may touch one), then digits.
+_NL, _SP, _COMMA, _COLON, _DOT, _EXP, _SIGN, _OTHER, _DIGIT = range(9)
 _SEPARATORS = dict(
     zip(b"\n ,:.eE+-", (_NL, _SP, _COMMA, _COLON, _DOT, _EXP, _EXP, _SIGN, _SIGN))
 )
@@ -62,6 +61,10 @@ _CLASS_OF = bytes(
 # exact doubles 10**0 .. 10**22, and int64 powers of ten for 18-digit runs
 _POW10 = np.array([float(10**k) for k in range(23)])
 _POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+# a sample's feature field and label, from its first byte, in a refusal
+_FIELD, _LABEL = re.compile(rb"[^ \n]*"), re.compile(rb"[^ ,\n]*")
+# float() reads these too; a pair holding one is refused as non-finite
+_NON_FINITE_PAIR = re.compile(r"[0-9]+:[+-]?(nan|inf|infinity)", re.IGNORECASE | re.ASCII)
 # SWAR digit parsing: 8 bytes in front of a piece, the mask keeping the last
 # n bytes of a word, and the steps combining digit pairs into quads and octets
 _PAD = b"\n" * 8
@@ -133,66 +136,6 @@ class SparseDataset:
             self.features = CSR(None, None, None, self.features.shape)
 
 
-def _parse_labels(token: str, L: int, lineno: int) -> np.ndarray:
-    if token == "":
-        return np.empty(0, dtype=np.int64)
-    if ":" in token:
-        raise DatasetFormatError(
-            f"line {lineno}: label field contains ':' "
-            "(unlabeled samples need a leading space)"
-        )
-    out = []
-    for part in token.split(","):
-        try:
-            lab = int(part)
-        except ValueError:
-            raise DatasetFormatError(f"line {lineno}: bad label {part!r}") from None
-        if not 0 <= lab < L:
-            raise DatasetFormatError(
-                f"line {lineno}: label index {lab} out of range [0, {L})"
-            )
-        out.append(lab)
-    return np.array(sorted(set(out)), dtype=np.int64)
-
-
-def _parse_features(
-    tokens: list[str], d: int, lineno: int
-) -> tuple[np.ndarray, np.ndarray]:
-    idx, val = [], []
-    for tok in tokens:
-        if tok == "":
-            continue
-        head, sep, tail = tok.partition(":")
-        if not sep:
-            raise DatasetFormatError(f"line {lineno}: bad feature pair {tok!r}")
-        try:
-            j = int(head)
-            v = float(tail)
-        except ValueError:
-            raise DatasetFormatError(
-                f"line {lineno}: bad feature pair {tok!r}"
-            ) from None
-        if not 0 <= j < d:
-            raise DatasetFormatError(
-                f"line {lineno}: feature index {j} out of range [0, {d})"
-            )
-        # values are stored as float32, so magnitudes beyond its range are
-        # non-finite for this artifact
-        if not math.isfinite(v) or abs(v) > _F32_MAX:
-            raise DatasetFormatError(f"line {lineno}: non-finite value in {tok!r}")
-        idx.append(j)
-        val.append(v)
-    indices = np.array(idx, dtype=np.int64)
-    values = np.array(val, dtype=np.float32)
-    if indices.size:
-        order = np.argsort(indices, kind="stable")
-        indices, values = indices[order], values[order]
-        if np.any(np.diff(indices) == 0):
-            dup = int(indices[np.flatnonzero(np.diff(indices) == 0)[0]])
-            raise DatasetFormatError(f"line {lineno}: duplicate feature index {dup}")
-    return indices, values
-
-
 class _Rows(NamedTuple):
     """Parsed sample lines: per-row counts and the rows' entries, concatenated."""
 
@@ -201,34 +144,6 @@ class _Rows(NamedTuple):
     feat_values: np.ndarray
     label_counts: np.ndarray
     label_indices: np.ndarray
-
-
-def _parse_lines(piece: bytes, lineno: int, d: int, L: int) -> _Rows:
-    """Sample lines parsed one at a time; errors carry their line numbers.
-
-    Line ends are read as text mode reads them (CRLF and a lone CR end a line).
-    """
-    lines = piece.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    lines = lines.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    feature_rows, label_rows = [], []
-    for i, line in enumerate(lines):
-        fields = line.split(" ")
-        label_rows.append(_parse_labels(fields[0], L, lineno + i))
-        feature_rows.append(_parse_features(fields[1:], d, lineno + i))
-    return _rows(feature_rows, label_rows)
-
-
-def _rows(feature_rows: list[tuple], label_rows: list[np.ndarray]) -> _Rows:
-    """At least one row's (indices, values) features and labels, as `_Rows`."""
-    return _Rows(
-        np.array([len(r[0]) for r in feature_rows], dtype=np.int64),
-        np.concatenate([r[0] for r in feature_rows]).astype(np.int64),
-        np.concatenate([r[1] for r in feature_rows]).astype(np.float32),
-        np.array([len(r) for r in label_rows], dtype=np.int64),
-        np.concatenate(label_rows).astype(np.int64),
-    )
 
 
 def _dataset(rows: _Rows, d: int, L: int) -> SparseDataset:
@@ -249,7 +164,15 @@ def _dataset(rows: _Rows, d: int, L: int) -> SparseDataset:
 def _assemble(
     feature_rows: list[tuple[np.ndarray, np.ndarray]], label_rows: list[np.ndarray], d: int, L: int
 ) -> SparseDataset:
-    return _dataset(_rows(feature_rows, label_rows), d, L)
+    """The dataset of at least one row's (indices, values) features and labels."""
+    rows = _Rows(
+        np.array([len(r[0]) for r in feature_rows], dtype=np.int64),
+        np.concatenate([r[0] for r in feature_rows]).astype(np.int64),
+        np.concatenate([r[1] for r in feature_rows]).astype(np.float32),
+        np.array([len(r) for r in label_rows], dtype=np.int64),
+        np.concatenate(label_rows).astype(np.int64),
+    )
+    return _dataset(rows, d, L)
 
 
 def _token_ok(b2: int, b: int, e: int, prev: bool, here: bool) -> bool:
@@ -284,15 +207,15 @@ _VALID = np.array(
 
 
 def _runs(raw: np.ndarray, sep: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The value of each decimal digit run of at most 18 digits that ends at
-    position sep of raw[8:], as int64.
+    """The value of each decimal digit run that ends at position sep of
+    raw[8:], as int64; a run of more than 18 digits reads its last 18.
 
     Eight digits at a time (SWAR): the eight bytes before sep are read as one
     little-endian word, the bytes before the run become zero digits, and
     three multiply-add steps combine digits into pairs, quads and octets.
     """
     words = np.ndarray((raw.size - 7,), dtype="<u8", buffer=raw, strides=(1,))
-    keep = _KEEP[np.minimum(length, 8)]
+    keep = _KEEP.take(length, mode="clip")
     w = words.take(sep)  # words[p] holds raw[8:][p - 8 : p]
     w &= keep
     w -= keep & _ASCII_ZEROS
@@ -306,34 +229,30 @@ def _runs(raw: np.ndarray, sep: np.ndarray, length: np.ndarray) -> np.ndarray:
     out = w.view(np.int64)  # below 10**8
     longer = np.flatnonzero(length > 8)
     if longer.size:
-        out[longer] += _runs(raw, sep[longer] - 8, length[longer] - 8) * 10**8
+        out[longer] += _runs(raw, sep[longer] - 8, np.minimum(length[longer] - 8, 10)) * 10**8
     return out
 
 
-def _parse_canonical(piece: bytes, d: int, L: int) -> _Rows | None:
-    """Sample lines in the canonical grammar, tokenized with numpy.
+def _parse_canonical(piece: bytes, lineno: int, d: int, L: int) -> _Rows:
+    """The sample lines of a piece that starts at line `lineno`, tokenized
+    with numpy.
 
-    None when the piece has a byte outside the grammar, a value outside the
-    exact path, or a line that fails a check: the per-line path then returns
-    the same rows or raises the line's error.
+    Raises the error of the first line that breaks the grammar or fails a
+    check, as the line's tokens are read in order: its label field's ':', its
+    labels, its feature pairs (form, index range, finite value), then its
+    duplicate indices.
     """
     if not piece.endswith(b"\n"):
         piece += b"\n"
-    classes = piece.translate(_CLASS_OF)
-    if bytes([_OTHER]) in classes:
-        return None
     raw = np.frombuffer(_PAD + piece, dtype=np.uint8)
-    buf = raw[8:]
     # The line is digit runs, each ended by one separator byte: the
     # grammar is in the separators' classes and which runs are empty.
-    classes = np.frombuffer(classes, dtype=np.uint8)
+    classes = np.frombuffer(piece.translate(_CLASS_OF), dtype=np.uint8)
     sep = np.flatnonzero(classes != _DIGIT)
     cls = classes[sep]
     length = np.empty_like(sep)
     length[0] = sep[0]
     np.subtract(sep[1:], sep[:-1] + 1, out=length[1:])
-    if length.max() > 18:
-        return None
     # A run's kind is its separator's class and whether it has digits; the
     # grammar looks at a run's kind and at the two runs before it. The piece
     # starts a line, as if after two empty runs ended by newlines.
@@ -341,27 +260,52 @@ def _parse_canonical(piece: bytes, d: int, L: int) -> _Rows | None:
     kind[2:] = cls
     kind[2:] <<= 1
     kind[2:] |= length > 0
-    if not _VALID[(kind[:-2] >> 1 << 8) | (kind[1:-1] << 4) | kind[2:]].all():
-        return None
-    before = kind[1:-1] >> 1  # the class of the separator in front of each run
+    valid = _VALID[(kind[:-2] >> 1 << 8) | (kind[1:-1] << 4) | kind[2:]]
+    # (first byte, message) of the first failure of each kind, in the order a
+    # field's checks run: an index out of range comes before a non-finite value
+    fails = []
+    # A label or field that breaks the grammar holds a run that _VALID refuses,
+    # and one that keeps to it holds none; only the runs before the first
+    # broken one are read further.
+    end = sep.size
+    if not valid.all():
+        i = np.argmin(valid)
+        fails.append(_broken(piece, int(sep[i] - length[i])))
+        end = np.searchsorted(sep, fails[0][0])
     nums = _runs(raw, sep, length)
+    before = kind[1:end + 1] >> 1  # the class of the separator in front of each run
+    labs = np.flatnonzero(((before == _NL) | (before == _COMMA)) & (length[:end] > 0))
+    cols = np.flatnonzero((before == _SP) & (length[:end] > 0))
+    if length.max() > 18:  # a label or index of more digits is converted alone
+        for i in np.flatnonzero(length[:end] > 18).tolist():
+            if before[i] in (_NL, _SP, _COMMA):  # a label or index, not a value's run
+                # 2**63 and above read as 2**63 - 1, out of every range
+                nums[i] = min(int(_digits(piece, sep, length, i)[:20]), 2**63 - 1)
+    labels, indices = nums[labs], nums[cols]
+    for runs, got, bound, what in ((labs, labels, L, "label"), (cols, indices, d, "feature")):
+        if (over := np.flatnonzero(got >= bound)).size:
+            i = runs[over[0]]
+            message = f"{what} index {_digits(piece, sep, length, i).decode()} out of range"
+            fails.append((int(sep[i] - length[i]), f"{message} [0, {bound})"))
+    values, non_finite = _values(piece, raw[8:], sep, cls, length, nums, cols + 1)
+    if non_finite.size:
+        i = cols[non_finite[0]]
+        at = int(sep[i] - length[i])
+        fails.append((at, f"non-finite value in {_FIELD.match(piece, at).group().decode()!r}"))
     newline = cls == _NL
     row = np.cumsum(newline) - newline
-    labs = np.flatnonzero(((before == _NL) | (before == _COMMA)) & (length > 0))
-    cols = np.flatnonzero((before == _SP) & (length > 0))
-    labels, indices = nums[labs], nums[cols]
-    if (labels >= L).any() or (indices >= d).any():
-        return None
-    values = _exact_values(buf, sep, cls, length, nums, cols + 1)
-    if values is None:
-        return None
     lrow, frow = row[labs], row[cols]
     same = frow[1:] == frow[:-1]
     if (same & (indices[1:] <= indices[:-1])).any():
         order = np.lexsort((indices, frow))  # stable: as a per-row argsort
         indices, values = indices[order], values[order]
-        if (same & (indices[1:] == indices[:-1])).any():
-            return None  # a duplicate feature index
+        if (dup := np.flatnonzero(same & (indices[1:] == indices[:-1]))).size:
+            line_end = int(sep[newline][frow[dup[0]]])
+            fails.append((line_end, f"duplicate feature index {indices[dup[0]]}"))
+    if fails:
+        at, message = min(fails, key=lambda fail: fail[0])  # the first of a tie
+        lineno += piece.count(b"\n", 0, at)
+        raise DatasetFormatError(f"line {lineno}: {message}")
     same = lrow[1:] == lrow[:-1]
     if (same & (labels[1:] <= labels[:-1])).any():
         order = np.lexsort((labels, lrow))
@@ -379,9 +323,29 @@ def _parse_canonical(piece: bytes, d: int, L: int) -> _Rows | None:
     )
 
 
-def _exact_values(buf, sep, cls, length, nums, t) -> np.ndarray | None:
-    """The float32 values whose first run is t, or None if one is outside
-    the exact path.
+def _broken(piece: bytes, at: int) -> tuple[int, str]:
+    """The first byte and the message of the error of the label field, label
+    or feature field that holds byte `at` and breaks the grammar."""
+    line = piece.rfind(b"\n", 0, at) + 1
+    field = max(line, piece.rfind(b" ", 0, at) + 1)
+    text = _FIELD.match(piece, field).group().decode()
+    if field > line:
+        what = "non-finite value in" if _NON_FINITE_PAIR.fullmatch(text) else "bad feature pair"
+        return field, f"{what} {text!r}"
+    if ":" in text:
+        return line, "label field contains ':' (unlabeled samples need a leading space)"
+    label = max(line, piece.rfind(b",", 0, at) + 1)
+    return label, f"bad label {_LABEL.match(piece, label).group().decode()!r}"
+
+
+def _digits(piece: bytes, sep, length, run: int) -> bytes:
+    """A digit run without its leading zeros: its number's decimal text."""
+    return piece[sep[run] - length[run] : sep[run]].lstrip(b"0") or b"0"
+
+
+def _values(piece, buf, sep, cls, length, nums, t) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 values whose first run is t, and the positions among
+    them of those that are not finite as float32.
 
     A value's runs are [sign] integer digits [. fraction digits]
     [e [sign] exponent digits]. With its mantissa digits read as an integer
@@ -389,18 +353,19 @@ def _exact_values(buf, sep, cls, length, nums, t) -> np.ndarray | None:
     exact doubles, so M * 10**e or M / 10**-e is one correctly rounded
     operation: the double nearest the decimal, which float() returns
     (Clinger 1990). An exponent e > 22 is first moved into M, exactly, while
-    M * 10**(e - 22) <= 2**53 ("3.44618e+28" is 3446180e22). Rounding that
-    double to float32 is then as before.
+    M * 10**(e - 22) <= 2**53 ("3.44618e+28" is 3446180e22). Any other value
+    is converted alone by float(). Rounding that double to float32 is then
+    as before.
     """
+    first = t
     signed = cls[t] == _SIGN
     negative = signed & (buf[sep[t]] == 45)
     t = t + signed
     dot = cls[t] == _DOT
     f = t + dot  # the fraction run; the integer run when there is no dot
     frac_len = length[f] * dot
-    if (length[t] + frac_len).max(initial=0) > 18:
-        return None
-    mant = nums[t] * _POW10_INT[frac_len] + nums[f] * dot
+    slow = length[t] + frac_len > 18
+    mant = nums[t] * _POW10_INT.take(frac_len, mode="clip") + nums[f] * dot
     e = -frac_len
     with_exp = np.flatnonzero(cls[f] == _EXP)
     if with_exp.size:
@@ -409,83 +374,92 @@ def _exact_values(buf, sep, cls, length, nums, t) -> np.ndarray | None:
         exp_negative = exp_signed & (buf[sep[x]] == 45)
         x += exp_signed
         e[with_exp] += np.where(exp_negative, -nums[x], nums[x])
+        slow[with_exp] |= length[x] > 18
     big = np.flatnonzero(e > 22)
     if big.size:  # M * 10**(e - 22) is exact while it stays <= 2**53 (checked
         # before the multiply, which could overflow int64)
         scale = _POW10_INT[np.minimum(e[big] - 22, 18)]
-        if (mant[big] > 2**53 // scale).any():
-            return None
+        fits = mant[big] <= 2**53 // scale
+        big, scale = big[fits], scale[fits]
         mant[big] *= scale
         e[big] = 22
-    if mant.max(initial=0) > 2**53 or np.abs(e).max(initial=0) > 22:
-        return None
+    slow |= mant > 2**53
+    slow |= np.abs(e) > 22
     # times 1 or divided by 1 is exact, so this is one rounding either way
+    # (`take` reads a negative exponent as 10**0)
     v = mant.astype(np.float64)
-    v *= _POW10[np.maximum(e, 0)]
-    v /= _POW10[np.maximum(-e, 0)]
-    # |v| < 2**53 * 10**22 < float32 max: every value here is finite and in range
+    v *= _POW10.take(e, mode="clip")
+    v /= _POW10.take(-e, mode="clip")
+    # |v| < 2**53 * 10**22 < float32 max: every value not slow is finite and in range
     np.negative(v, out=v, where=negative)
-    return v.astype(np.float32)
+    slow = np.flatnonzero(slow)
+    if slow.size:  # a value runs to its field's end
+        starts = (sep[first[slow] - 1] + 1).tolist()
+        v[slow] = [float(_FIELD.match(piece, a).group()) for a in starts]
+    non_finite = slow[~(np.abs(v[slow]) <= _F32_MAX)]
+    v[non_finite] = 0  # refused: kept from float32's overflow warning
+    return v.astype(np.float32), non_finite
 
 
 def _pieces(f):
     """The rest of binary file f in pieces of about _CHUNK bytes, each ending
-    with a newline (the last may not)."""
+    with a line end (the last may not), and CRLF and CR read as LF, as text
+    mode reads them. A block is cut after its last LF, or after its last CR
+    but one at its end, so no CRLF is split."""
     head = []  # the start of a line that has not ended yet
     while block := f.read(_CHUNK):
-        cut = block.rfind(b"\n") + 1
+        if block.endswith(b"\r"):  # the next byte says whether a CRLF ends here
+            block += f.read(1)
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
         if cut:
-            yield b"".join([*head, block[:cut]])
+            yield _lf(b"".join([*head, block[:cut]]))
             head = []
         head.append(block[cut:])
     if rest := b"".join(head):
-        yield rest
+        yield _lf(rest)
 
 
-def _line_ends(b: bytes) -> int:
-    """Line ends in b as text mode reads them: CRLF, CR or LF."""
-    lf = int(np.count_nonzero(np.frombuffer(b, dtype=np.uint8) == ord("\n")))
-    return lf if b"\r" not in b else lf + b.count(b"\r") - b.count(b"\r\n")
+def _lf(piece: bytes) -> bytes:
+    """The piece with its CRLF and CR line ends written as LF."""
+    return piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in piece else piece
 
 
-def _scan(f) -> tuple[int, bytes, int, int]:
+def _scan(f) -> tuple[int, bytes, int]:
     """Check that f is UTF-8 and count its lines and features, in one pass.
 
-    Returns the line count, the header line, the offset of line 2 and the
-    number of ':' after the header. Each feature pair holds one ':' and a
-    sample line that parses holds no other, so that is the feature count of
-    any file that parses.
+    Returns the line count, the header line and the number of ':' after the
+    header. Each feature pair holds one ':' and a sample line that parses
+    holds no other, so that is the feature count of any file that parses.
     """
-    lines, header, body, last, colons = 0, b"", 0, b"", 0
+    lines, header, last, colons = 0, b"", b"", 0
     for piece in _pieces(f):
         if not piece.isascii():
             try:
                 piece.decode("utf-8")
             except UnicodeDecodeError as exc:
-                at = lines + _line_ends(piece[: exc.start]) + 1
+                at = lines + piece.count(b"\n", 0, exc.start) + 1
                 raise DatasetFormatError(f"line {at}: not valid UTF-8") from None
         if not last:
-            m = _LINE_END.search(piece)
-            header, body = (piece[: m.start()], m.end()) if m else (piece, len(piece))
-        lines += _line_ends(piece)
-        colons += np.count_nonzero(np.frombuffer(piece, dtype=np.uint8) == ord(":"))
+            header = piece.partition(b"\n")[0]
+        codes = np.frombuffer(piece, dtype=np.uint8)
+        lines += int(np.count_nonzero(codes == ord("\n")))
+        colons += int(np.count_nonzero(codes == ord(":")))
         last = piece[-1:]
-    if last and last not in b"\r\n":
-        lines += 1
-    return lines, header, body, int(colons) - header.count(b":")
+    return lines + (last not in b"\n"), header, colons - header.count(b":")
 
 
 def _parse(path) -> SparseDataset:
     with open(path, "rb") as f:
-        lines, header, body, nnz = _scan(f)
+        lines, header, nnz = _scan(f)
         if not lines:
             raise DatasetFormatError("line 1: empty file")
         fields = header.decode("utf-8").split()
-        if len(fields) != 3:
+        # ASCII digits: int() alone also reads signs, "_" and other scripts' digits
+        if len(fields) != 3 or not all(tok.isascii() and tok.isdigit() for tok in fields):
             raise DatasetFormatError("line 1: header must be 'n d L'")
         try:
             n, d, L = (int(tok) for tok in fields)
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             raise DatasetFormatError("line 1: header must be 'n d L'") from None
         if n <= 0 or d <= 0 or L <= 0:
             raise DatasetFormatError("line 1: header fields must be positive")
@@ -495,7 +469,8 @@ def _parse(path) -> SparseDataset:
             raise DatasetFormatError(
                 f"expected {n} sample lines after the header, found {lines - 1}"
             )
-        f.seek(body)
+        f.seek(len(header))  # then past its line end: LF, CRLF or CR
+        f.seek(len(header) + (2 if f.read(2) == b"\r\n" else 1))
         # each piece's features go straight to their place, so the parse
         # holds the dataset and one piece's temporaries
         feat_indices = np.empty(nnz, dtype=_index_dtype(d))
@@ -503,9 +478,7 @@ def _parse(path) -> SparseDataset:
         feat_counts, label_counts, label_indices = [], [], []
         lineno, at = 2, 0
         for piece in _pieces(f):
-            part = _parse_canonical(piece, d, L)
-            if part is None:
-                part = _parse_lines(piece, lineno, d, L)
+            part = _parse_canonical(piece, lineno, d, L)
             end = at + part.feat_indices.size
             feat_indices[at:end] = part.feat_indices
             feat_values[at:end] = part.feat_values

@@ -25,11 +25,13 @@ and the dict label side (`fuse`,
 `top_k_labels`, `format_dicts`, `evaluate_dicts`): one {label: score} dict
 per sample, the representation the sparse score matrix replaced, kept as
 its reference. `parse_dataset` is the whole-file,
-line-by-line parser the chunked parser replaced, with its own copies of the
-per-line helpers; it builds its dataset with `data._assemble`, which the
-chunked parser does not use. `lexsort_top_k` is `predictor.top_k` before
-its selection stage, one lexsort of every stored entry, kept as
-`test_predictor.py`'s oracle for it. The `sp_*` functions are the
+line-by-line parser that states the text format: each token is checked
+against the grammar (`_DIGITS`, `_VALUE`, `_NON_FINITE`) before `int()` or
+`float()` reads it, and the dataset is built with `data._assemble`, which
+the numpy parser does not use; `scripts/kernel_bench.py` times that parser
+against it. `lexsort_top_k` is `predictor.top_k` before its selection
+stage, one lexsort of every stored entry, kept as `test_predictor.py`'s
+oracle for it. The `sp_*` functions are the
 scipy.sparse expressions that the numpy kernels of `ogeec.csr` replaced,
 kept as their bit-for-bit references (`scripts/kernel_bench.py` times the
 kernels against them); `to_scipy` and `from_scipy` convert at the boundary.
@@ -43,6 +45,7 @@ were int64: each array converted whole, the formula every v2 cache holds.
 
 import hashlib
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -450,6 +453,15 @@ def isin_truth_hits(pred, truths):
     return keys, span, hit
 
 
+# The grammar's tokens: labels, indices and header fields are ASCII digit
+# runs, and a value is a decimal. int() and float() alone read more: signs on
+# integers, "_", other scripts' digits and whitespace around a token. A value
+# that float() reads as nan or inf is refused as non-finite.
+_DIGITS = re.compile(r"[0-9]+")
+_VALUE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_NON_FINITE = re.compile(r"[+-]?(nan|inf|infinity)", re.IGNORECASE | re.ASCII)
+
+
 def _parse_labels(token: str, L: int, lineno: int) -> np.ndarray:
     if token == "":
         return np.empty(0, dtype=np.int64)
@@ -460,10 +472,9 @@ def _parse_labels(token: str, L: int, lineno: int) -> np.ndarray:
         )
     out = []
     for part in token.split(","):
-        try:
-            lab = int(part)
-        except ValueError:
-            raise DatasetFormatError(f"line {lineno}: bad label {part!r}") from None
+        if not _DIGITS.fullmatch(part):
+            raise DatasetFormatError(f"line {lineno}: bad label {part!r}")
+        lab = int(part)
         if not 0 <= lab < L:
             raise DatasetFormatError(
                 f"line {lineno}: label index {lab} out of range [0, {L})"
@@ -480,15 +491,14 @@ def _parse_features(
         if tok == "":
             continue
         head, sep, tail = tok.partition(":")
-        if not sep:
+        if not sep or not _DIGITS.fullmatch(head):
             raise DatasetFormatError(f"line {lineno}: bad feature pair {tok!r}")
-        try:
-            j = int(head)
-            v = float(tail)
-        except ValueError:
-            raise DatasetFormatError(
-                f"line {lineno}: bad feature pair {tok!r}"
-            ) from None
+        if _NON_FINITE.fullmatch(tail):
+            raise DatasetFormatError(f"line {lineno}: non-finite value in {tok!r}")
+        if not _VALUE.fullmatch(tail):
+            raise DatasetFormatError(f"line {lineno}: bad feature pair {tok!r}")
+        j = int(head)
+        v = float(tail)
         if not 0 <= j < d:
             raise DatasetFormatError(
                 f"line {lineno}: feature index {j} out of range [0, {d})"
@@ -520,7 +530,7 @@ def parse_dataset(path) -> SparseDataset:
     if not lines:
         raise DatasetFormatError("line 1: empty file")
     header = lines[0].split()
-    if len(header) != 3:
+    if len(header) != 3 or not all(_DIGITS.fullmatch(tok) for tok in header):
         raise DatasetFormatError("line 1: header must be 'n d L'")
     try:
         n, d, L = (int(tok) for tok in header)

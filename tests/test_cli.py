@@ -546,6 +546,32 @@ def test_malformed_train_file_fails_train_in_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 10 20\n1_0 3:1.5\n٣ ٣:2\t 4:1_0.0\n", "line 2: bad label '1_0'"),
+        ("1 10 20\n+1 1:1\n", "line 2: bad label '+1'"),
+        ("1 10 20\n0 +1:1\n", "line 2: bad feature pair '+1:1'"),
+        ("1 10 20\n0 1_0:1\n", "line 2: bad feature pair '1_0:1'"),
+        ("1 10 20\n0\t1:1\n", "line 2: label field contains ':' (unlabeled samples need a leading space)"),
+        ("1 10 20\n0 1:nan\n", "line 2: non-finite value in '1:nan'"),
+    ],
+    ids=["underscore-and-arabic-indic-digits", "signed-label", "signed-index", "underscore-index",
+         "tab", "nan"],
+)
+def test_a_token_outside_the_grammar_fails_train_in_one_line(tmp_path, capsys, text, message):
+    """Signs on labels or indices, "_", other scripts' digits, tabs and nan
+    are outside the grammar, though `int()` or `float()` alone reads them:
+    train refuses the file in one line that names it and the line."""
+    bad, model = tmp_path / "train.txt", tmp_path / "m.txt"
+    bad.write_text(text, encoding="utf-8")
+    rc = main(["train", "--train", str(bad), "--model", str(model), "--r", "4"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "") and "Traceback" not in err
+    assert err.splitlines() == [f"error: {bad}: {message}"]
+    assert not model.exists()
+
+
+@pytest.mark.parametrize(
     "sample, message",
     [
         (b"0 1999:1 1:bad", "line 3: bad feature pair '1:bad'"),

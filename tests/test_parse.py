@@ -1,13 +1,20 @@
-"""The chunked parser against the whole-file parser it replaced.
+"""The numpy tokenizer against the line-by-line parser that states the format.
 
-`oracles.parse_dataset` reads the file as text and parses it line by line.
-`data.parse_dataset` must return an equal dataset with the same dtypes, or
-raise the oracle's error with the file's path in front. The oracle's
-`UnicodeDecodeError` is the new parser's "line N: not valid UTF-8".
+`oracles.parse_dataset` reads the file as text and parses it line by line,
+checking each token against the grammar before `int()` or `float()` reads
+it. `data.parse_dataset` must return an equal dataset with the same dtypes,
+or raise the oracle's error, message and line, with the file's path in
+front. The oracle's `UnicodeDecodeError` is the new parser's "line N: not
+valid UTF-8". Canonical tokens are read by numpy alone: `token_conversions`
+records the few that `data` converts one by one.
 """
 
+import contextlib
 import importlib.util
+import io
+import itertools
 import pathlib
+import re
 import sys
 from unittest import mock
 
@@ -182,11 +189,14 @@ EDGE_VALUES = [
     # not values
     "", ".", "-", "+-1", "1e", "1e+", "e5", "1.5.5", "1e5e5", "1e5.5",
     "nan", "inf", "1_0", "0x10",
+    # float() alone reads these; outside the grammar (nan and inf fail as
+    # non-finite values)
+    "-Infinity", "+NaN", "\u0663", "1\t", "\u20071",
 ]
 
 
 @pytest.mark.parametrize("value", EDGE_VALUES)
-@pytest.mark.parametrize("chunk", [7, data._CHUNK, WHOLE])
+@pytest.mark.parametrize("chunk", CHUNKS)
 def test_edge_values_parse_as_before(tmp_path, value, chunk):
     raw = f"2 4 3\n1 0:{value} 3:1\n0,2 2:{value}\n".encode()
     check_equivalent(tmp_path / "ds.txt", raw, chunk)
@@ -197,6 +207,9 @@ EDGE_LINES = [
     "0 ", "0,1", "1 2:1  0:1 ", "3 0:1", "0 4:1", "0,,1 0:1", ",0 0:1", "0, 1:1",
     "0:1", "0 1", "0 :1", "0 1:", "0 1:2:3", "0 1:2,3", "+1 1:1", "0 +1:1",
     "0 1_0:1", "0 1:1\r", "0 -1:1", "0 1.0:1", "0 1e0:1", "007 1:1",
+    # outside the grammar: non-ASCII digits, a tab, a sign in a label list,
+    # nan at an index out of range, and a token past a 19-digit index
+    "\u0663 1:1", "0 \u0663:1", "0 1:1\t", "0,+1 1:1", "0 9:nan", "0 0000000000000000001:1 x",
 ]
 
 
@@ -224,6 +237,9 @@ def test_edge_lines_parse_or_fail_as_before(tmp_path, line):
         b"1 4 3\n0 1:1\xe2\x82\n",
         b"1 4 \xd9\xa3\n0 1:1\n",
         b"1 4 3\n0\t1:1\n",
+        b"1_0 4 3\n0 1:1\n",
+        b"+1 4 3\n0 1:1\n",
+        b"1\x0b4\t3 \r\n0 1:1\r\n",
     ],
 )
 def test_line_ends_encodings_and_headers_as_before(tmp_path, raw):
@@ -232,13 +248,20 @@ def test_line_ends_encodings_and_headers_as_before(tmp_path, raw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"x", b"0 1:1", b" "]), max_size=60))
-def test_line_ends_counts_as_the_bytes_expression(parts):
-    """The numpy count of LF plus the CR corrections is the text-mode count
-    of CRLF, CR and LF ends that `bytes.count` gives."""
+@given(
+    st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"x", b"0 1:1", b" "]), max_size=60),
+    st.sampled_from(CHUNKS),
+)
+def test_line_ends_counts_as_the_bytes_expression(parts, chunk):
+    """The pieces read CRLF, CR and LF ends as LF at any piece size: they
+    join to the text-mode form, and their count of LF is the count of CRLF,
+    CR and LF ends that `bytes.count` gives."""
     raw = b"".join(parts)
     expect = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
-    assert data._line_ends(raw) == expect
+    with mock.patch.object(data, "_CHUNK", chunk):
+        pieces = list(data._pieces(io.BytesIO(raw)))
+    assert b"".join(pieces) == raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    assert sum(piece.count(b"\n") for piece in pieces) == expect
 
 
 def test_invalid_utf8_names_file_and_line_before_the_header(tmp_path):
@@ -249,32 +272,37 @@ def test_invalid_utf8_names_file_and_line_before_the_header(tmp_path):
     assert str(err.value) == f"{path}: line 3: not valid UTF-8"
 
 
-@pytest.fixture
-def per_line_calls(monkeypatch):
+@contextlib.contextmanager
+def token_conversions():
+    """The tokens that `data` converts alone, by `int()` or `float()` of their
+    bytes, in order."""
     calls = []
-    per_line = data._parse_lines
 
-    def counted(*args):
-        calls.append(args[1])
-        return per_line(*args)
+    def counted(convert):
+        def call(x, *args):
+            if isinstance(x, bytes):
+                calls.append(x)
+            return convert(x, *args)
 
-    monkeypatch.setattr(data, "_parse_lines", counted)
-    return calls
+        return call
+
+    with mock.patch.multiple(data, create=True, int=counted(int), float=counted(float)):
+        yield calls
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
-def test_generated_corpora_take_the_fast_path(tmp_path, per_line_calls, chunk):
+def test_generated_corpora_take_the_fast_path(tmp_path, chunk):
     ds = generate_synthetic(
         n=300, d=50_000, L=40, sparsity=20, labels_per_sample=3, clusters=6, seed=1
     )
     path = tmp_path / "ds.txt"
     data.write_dataset(ds, path)
-    with mock.patch.object(data, "_CHUNK", chunk):
+    with mock.patch.object(data, "_CHUNK", chunk), token_conversions() as calls:
         assert oracles.same_dataset(ds, data.parse_dataset(path))
-    assert per_line_calls == []
+    assert calls == []
 
 
-def test_benchmark_corpora_take_the_fast_path(tmp_path, per_line_calls, monkeypatch):
+def test_benchmark_corpora_take_the_fast_path(tmp_path, monkeypatch):
     corpus_py = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("perfbench_corpus", corpus_py)
     corpus = importlib.util.module_from_spec(spec)
@@ -286,8 +314,9 @@ def test_benchmark_corpora_take_the_fast_path(tmp_path, per_line_calls, monkeypa
     for text in corpus.generate(shape, "wide", 0):
         path = tmp_path / "corpus.txt"
         path.write_text(text)
-        assert oracles.same_dataset(data.parse_dataset(path), oracles.parse_dataset(path))
-    assert per_line_calls == []
+        with token_conversions() as calls:
+            assert oracles.same_dataset(data.parse_dataset(path), oracles.parse_dataset(path))
+        assert calls == []
 
 
 @settings(deadline=None, max_examples=100)
@@ -295,29 +324,73 @@ def test_benchmark_corpora_take_the_fast_path(tmp_path, per_line_calls, monkeypa
 def test_formatted_values_in_range_take_the_fast_path(tmp_path_factory, ds):
     path = tmp_path_factory.mktemp("fast") / "ds.txt"
     data.write_dataset(ds, path)
-    with mock.patch.object(data, "_parse_lines", side_effect=AssertionError):
+    with token_conversions() as calls:
         assert oracles.same_dataset(ds, data.parse_dataset(path))
+    assert calls == []
 
 
 @pytest.mark.parametrize(
     "value", ["3.44618e+28", "1e23", "-9.99999e+28", "1e29", "90071992547409e24", "0e99"]
 )
-def test_exponents_above_22_take_the_fast_path(tmp_path, per_line_calls, value):
+def test_exponents_above_22_take_the_fast_path(tmp_path, value):
     raw = f"1 4 3\n1 0:{value} 3:1\n".encode()
     path = tmp_path / "ds.txt"
     path.write_bytes(raw)
-    assert oracles.same_dataset(data.parse_dataset(path), oracles.parse_dataset(path))
-    assert per_line_calls == []
+    with token_conversions() as calls:
+        assert oracles.same_dataset(data.parse_dataset(path), oracles.parse_dataset(path))
+    assert calls == []
 
 
-def test_a_bad_line_reaches_the_per_line_path_once(tmp_path, per_line_calls):
+def _lines_400():
     ds = generate_synthetic(
         n=400, d=1000, L=20, sparsity=10, labels_per_sample=2, clusters=4, seed=2
     )
-    lines = format_dataset(ds).split("\n")
-    lines[300] = lines[300].replace(":", ":\t", 1)  # valid, but off the fast path
+    return ds, format_dataset(ds).split("\n")
+
+
+def test_a_bad_line_fails_at_its_line_with_no_token_converted(tmp_path):
+    _, lines = _lines_400()
+    lines[300] = lines[300].replace(":", ":\t", 1)  # a tab: outside the grammar
     path = tmp_path / "ds.txt"
-    path.write_text("\n".join(lines))
-    with mock.patch.object(data, "_CHUNK", 4096):
+    with token_conversions() as calls:
+        check_equivalent(path, "\n".join(lines).encode(), 4096)
+        with pytest.raises(DatasetFormatError, match=r": line 301: bad feature pair '\d+:\\t"):
+            data.parse_dataset(path)
+    assert calls == []
+
+
+def test_only_tokens_outside_the_exact_path_are_converted_alone(tmp_path):
+    """A 19-digit value and an exponent of 19 digits are each read by one
+    `float()` of their own bytes; every other token of the file by numpy."""
+    _, lines = _lines_400()
+    long_tokens = [b"1234567890123456789", b"1e0000000000000000005"]
+    for at, token in zip((100, 250), long_tokens):
+        lines[at] = re.sub(":[^ ]*", f":{token.decode()}", lines[at], count=1)
+    with token_conversions() as calls:
+        check_equivalent(tmp_path / "ds.txt", "\n".join(lines).encode(), 4096)
+    assert calls == long_tokens
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("ends", [[b"\r"], [b"\r", b"\r\n", b"\n", b"\r\n"]], ids=["cr", "mixed"])
+def test_cr_line_ends_parse_as_lf_in_bounded_pieces(tmp_path, monkeypatch, chunk, ends):
+    """A block is cut after a CR too, unless the CR is its last byte (a CRLF
+    may follow: the block reads one byte more), so a file whose lines end in
+    CR is read in pieces of at most _CHUNK + 1 bytes plus one line, and
+    parses as its LF form."""
+    ds, lines = _lines_400()
+    lines.pop()  # the empty string after the last line end
+    path = tmp_path / "ds.txt"
+    path.write_bytes(b"".join(line.encode() + end for line, end in zip(lines, itertools.cycle(ends))))
+    sizes, pieces = [], data._pieces
+
+    def measured(f):
+        for piece in pieces(f):
+            sizes.append(len(piece))
+            yield piece
+
+    monkeypatch.setattr(data, "_pieces", measured)
+    with mock.patch.object(data, "_CHUNK", chunk):
         assert oracles.same_dataset(data.parse_dataset(path), ds)
-    assert len(per_line_calls) == 1 and per_line_calls[0] <= 301
+    assert len(sizes) > len(lines) // 2
+    assert max(sizes) <= chunk + 1 + max(map(len, lines)) + 2
