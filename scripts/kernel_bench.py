@@ -9,8 +9,9 @@ The inputs are the benchmark's corpora (`perfbench/corpus.py`) of the mid,
 wide and dense-labels workloads, generated in memory from --seed:
 
 - the projection: the planning that `predict` pays for (`PlannedRows` of
-  the parsed sets: the plan of every stored entry and the position-major
-  rows), then every row block of F at r = 200, as `embedding._project`
+  the parsed sets at r = 200 on one worker: the plan of every stored
+  entry, the block height and the position-major rows chunked for it),
+  then every block of F of the plan's height, as `embedding._project`
   applies the plan's products to the stacked samples on one thread (F is
   generated outside the timed region, its transposed copy inside it, and
   each block's median is summed); the oracle multiplies each set's unit rows
@@ -114,18 +115,18 @@ def kernels(name: str, train, test):
 
 
 def projection(train, test, repeat: int) -> tuple[float, float, bool]:
-    """`PlannedRows`' planning, then `_project`'s products over every block
-    of F at r = R, on one thread."""
+    """`PlannedRows`' planning at r = R on one worker, then `_project`'s
+    products over every block of F of the plan's height."""
     parts = (train.features, test.features)
     # planned once per command
-    new_s, rows = median_time(lambda: PlannedRows(*parts), repeat)
+    new_s, rows = median_time(lambda: PlannedRows(*parts, r=R), repeat)
     both = vstack(*(sp_normalize_rows(float64_features(ds))[0] for ds in (train, test)))
     c = rows.plan.columns.size
     Xc = CSR(both.data, rows.plan.place(train.d)[both.indices], both.indptr, (both.shape[0], c))
     spec = EmbeddingSpec(seed=0, d=train.d, r=R)
     ref_s, identical = 0.0, True
-    for s in range(0, R, rows.block):
-        F = materialize_rows(spec, s, min(s + rows.block, R), cols=rows.plan)
+    for s in range(0, R, rows.height):
+        F = materialize_rows(spec, s, min(s + rows.height, R), cols=rows.plan)
         got = np.empty((F.shape[0], Xc.shape[0]))
         seconds, _ = median_time(lambda: rows.products(np.ascontiguousarray(F.T), got), repeat)
         new_s += seconds

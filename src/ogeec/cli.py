@@ -67,10 +67,10 @@ class RunConfig:
     ks: tuple[int, ...] = _knob(metrics.DEFAULT_KS, "comma-separated K cutoffs", 1)
     workers: int = _knob(
         0,
-        "projection threads, 0 for all cores; they split F's rows, so each row "
-        "is generated once per projection. Search runs one float32 GEMM per "
-        "tile of 2^21 // n_train queries, threaded by BLAS, whose idle threads "
-        "sleep as soon as it ends",
+        "projection threads, 0 for all cores: each runs its range of F's rows in "
+        "blocks of one height (at most about 8 MB) that the plan sets, so each row "
+        "is generated once. Search runs one float32 GEMM per tile of 2^21 // "
+        "n_train queries, threaded by BLAS, whose idle threads sleep when it ends",
         0,
     )
     topk: int = _knob(5, "labels per row in the prediction TSV", 1)

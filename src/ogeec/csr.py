@@ -94,15 +94,19 @@ def inv_norms(X: CSR) -> np.ndarray:
     """Each row's 1 / norm, 0 for a zero row, from one pass over X's rows in
     blocks holding about _NORMALIZE_ENTRIES stored entries. A row's squared
     norm is np.add.reduceat over its values squared in float64, as scipy's
-    `sum(axis=1)` adds them. Every temporary is O(block), and X is not
-    written."""
+    `sum(axis=1)` adds them; a row whose sum overflows is refused, as its
+    1 / norm would be 0. Every temporary is O(block), and X is not written."""
     inv = np.zeros(X.shape[0])
     for a, b in _row_blocks(X.indptr, _NORMALIZE_ENTRIES):
         lo, hi = X.indptr[a], X.indptr[b]
         ptr = X.indptr[a : b + 1] - lo
         nonempty = np.flatnonzero(np.diff(ptr))
         sq = np.zeros(b - a)
-        sq[nonempty] = np.add.reduceat(np.square(X.data[lo:hi], dtype=np.float64), ptr[nonempty])
+        with np.errstate(over="ignore"):
+            sq[nonempty] = np.add.reduceat(np.square(X.data[lo:hi], dtype=np.float64), ptr[nonempty])
+        bad = np.flatnonzero(np.isinf(sq))
+        if bad.size:
+            raise ValueError(f"row {a + int(bad[0])}: its sum of squares overflows float64")
         norm = np.sqrt(sq)
         np.divide(1.0, norm, out=inv[a:b], where=norm > 0)
     return inv

@@ -539,8 +539,9 @@ def atomic_write(path, mode: str = "w"):
 
 
 def write_dataset(ds: SparseDataset, path) -> None:
+    text = format_dataset(ds)  # before opening: a failure leaves the file as it was
     with open(path, "w", encoding="utf-8") as f:
-        f.write(format_dataset(ds))
+        f.write(text)
 
 
 def generate_synthetic(

@@ -27,9 +27,9 @@ at about 8 bytes per nonzero above the parsed sets (8 each, int32 indices
 and float32 values), plus O(n) and the column plan's O(d), and holds 8.
 A command's parsed sets give up their feature arrays once they are planned
 (`ensemble.learner_embeddings`), so from then on it holds its samples once.
-A projection's memory is bounded per worker, whatever r and d: one
-transposed block of F, about 8 MB (`_row_block`), allocated once per
-projection and reused for every block, and 1 MiB of scratch, which
+`PlannedRows` sizes each projection, whose memory is then bounded per
+worker, whatever r and d: one transposed block of F of at most about 8 MB
+(`_row_block`), reused for every block, and 1 MiB of scratch, which
 `_gaussian_rows` fills with four 256 KiB buffers piece by piece and the
 products then use for their chunks."""
 
@@ -193,8 +193,8 @@ def _gaussian_rows(
             shape = (len(rows), pairs.size)
             u, rad, ang = (x[: shape[0] * shape[1]].reshape(shape) for x in (words, radius, angle))
             for half, dst in ((0, rad), (m, ang)):
-                for i, stream in enumerate(rows):
-                    u[i] = _philox_words(seed, stream, half + lo, drawn)[at]
+                for j, stream in enumerate(rows):
+                    u[j] = _philox_words(seed, stream, half + lo, drawn)[at]
                 u >>= 11
                 if half == 0:
                     u += 1
@@ -229,31 +229,30 @@ def _row_block(c: int) -> int:
     return max(1, 1_000_000 // max(c, 1))
 
 
-def split_rows(r: int, workers: int, fill) -> None:
-    """Call fill(lo, hi) on `workers` contiguous ranges of rows [0, r), each
-    in its own thread, so that every row is handled once."""
-    if workers <= 1:
-        fill(0, r)
-        return
-    bounds = np.linspace(0, r, min(workers, r) + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, bounds[:-1].tolist(), bounds[1:].tolist()))
+def split_rows(bounds: Sequence[int], fill) -> None:
+    """Call fill(lo, hi) on each range [bounds[i], bounds[i + 1]), in a
+    thread of its own when there are several."""
+    if len(bounds) == 2:
+        return fill(*bounds)
+    with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
+        list(pool.map(fill, bounds[:-1], bounds[1:]))
 
 
 class PlannedRows:
-    """The unit rows of the CSRs `parts`, of as many columns, stacked, ready
-    for any learner to project: the plan of the columns of every stored
-    entry, and the rows held once, position-major, inside `csr.RowProducts`,
-    each column index mapped to its place in the plan (int32 below 2^31
-    columns) as they are filled; no input array is written, and the d-sized
-    map is freed once they are. Neither depends on the learner's seed.
+    """The unit rows of the CSRs `parts`, of as many columns, stacked, for
+    any learner to project at r on `workers` threads: the plan of the
+    columns of every stored entry, one range of F's rows per worker
+    (`bounds`), the `height` of their blocks, and the rows held once inside
+    `csr.RowProducts`, position-major, chunked for that height, each column
+    mapped to its place in the plan (int32 below 2^31 columns). No input
+    array is written, and nothing depends on the learner's seed.
 
     A command plans its train rows stacked over its test rows, or one set
     alone: the products are the bits of scipy's `diags(1 / norms) @ X`, and
     no stacked copy is made."""
 
-    def __init__(self, *parts: CSR):
-        self.n, self.d = sum(P.shape[0] for P in parts), parts[0].shape[1]
+    def __init__(self, *parts: CSR, r: int, workers: int = 1):
+        self.n, self.d, self.r = sum(P.shape[0] for P in parts), parts[0].shape[1], r
         for P in parts[1:]:
             if P.shape[1] != self.d:
                 raise ValueError(f"dimensionality {P.shape[1]} != first part's dimensionality {self.d}")
@@ -261,8 +260,10 @@ class PlannedRows:
         for P in parts:
             used[P.indices] = True
         self.plan = column_plan(used)
-        self.block = _row_block(self.plan.columns.size)
-        self.products = RowProducts(parts, self.block, self.plan.place(self.d))
+        ranges = max(min(workers, r), 1)
+        self.bounds = np.linspace(0, r, ranges + 1).astype(int).tolist()
+        self.height = min(_row_block(self.plan.columns.size), -(-r // ranges))
+        self.products = RowProducts(parts, self.height, self.plan.place(self.d))
 
 
 def column_norms(data: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -282,31 +283,28 @@ def _normalize_columns(out: np.ndarray) -> None:
 
 
 @trace.span("embed_s")
-def _project(spec: EmbeddingSpec, X: PlannedRows, dtype, *, workers: int = 1) -> np.ndarray:
+def _project(spec: EmbeddingSpec, X: PlannedRows, dtype) -> np.ndarray:
     """F applied to planned samples (rows) as an (r, n) column-major `dtype`
     array. F is materialized in row blocks, and only at the columns some sample
     uses, in plan order; `csr.RowProducts` adds each output element's
     float64 terms in its row's stored order into a zeroed accumulator, so
-    every element is the same float64 sum as with full rows of F. Workers
-    split F's rows into contiguous ranges and apply each block to every
-    sample, so each row of F is generated once per call and the output is
-    identical for any worker count. Each worker holds one transposed block
-    of F, (c x b) for at most `_row_block` rows b (about 8 MB), allocated
-    once per call: the rows are drawn straight into it, and the products go
-    straight into the block's rows of the output.
+    every element is the same float64 sum as with full rows of F. Each
+    range of the plan's `bounds` runs in a thread of its own, with one
+    transposed (c x `height`) block of F allocated once per call: its rows
+    are drawn straight into it and their products go straight into the
+    output, so each row of F is generated once per call and the output is
+    identical for any worker count.
     """
-    if X.d != spec.d:
-        raise ValueError(f"dataset dimensionality {X.d} != spec.d {spec.d}")
-    c = X.plan.columns.size
+    if (X.d, X.r) != (spec.d, spec.r):
+        raise ValueError(f"planned (dimensionality, r) = {(X.d, X.r)} != the spec's {(spec.d, spec.r)}")
+    c, height = X.plan.columns.size, X.height
     out = np.empty((spec.r, X.n), dtype=dtype, order="F")
-    ranges = min(max(workers, 1), spec.r)  # as split_rows splits F's rows
-    height = min(X.block, -(-spec.r // ranges))
     # each worker's block, and the 1 MiB of scratch that serves
     # `_gaussian_rows` and then the products' chunks, allocated in this
     # thread: a worker thread's malloc arena could keep them after the call,
     # and the peak RSS then varies from run to run by about a block
     scratch = max(4 * _PIECE_FLOATS, (2 * height + 1) * X.products.rows)
-    spare = [(np.empty(height * c), np.empty(scratch)) for _ in range(ranges)]
+    spare = [(np.empty(height * c), np.empty(scratch)) for _ in X.bounds[1:]]
 
     def fill(lo: int, hi: int) -> None:
         FT, buffers = spare.pop()
@@ -316,27 +314,24 @@ def _project(spec: EmbeddingSpec, X: PlannedRows, dtype, *, workers: int = 1) ->
             rows = materialize_rows(spec, s, t, cols=X.plan, out=block.T, scratch=buffers)
             X.products(rows.T, out[s:t], buffers)
 
-    split_rows(spec.r, workers, fill)
+    split_rows(X.bounds, fill)
     return out
 
 
-def project_rows(spec: EmbeddingSpec, X: PlannedRows, *, workers: int = 1) -> np.ndarray:
+def project_rows(spec: EmbeddingSpec, X: PlannedRows) -> np.ndarray:
     """Project planned unit-norm rows and re-normalize: (r, n) float32
-    columns. `workers` threads split F's rows, and each row is generated
-    once per call."""
-    out = _project(spec, X, STORE_DTYPE, workers=workers)
+    columns, each row of F generated once per call (`_project`)."""
+    out = _project(spec, X, STORE_DTYPE)
     _normalize_columns(out)
     return out
 
 
 def project_csr(spec: EmbeddingSpec, X: CSR, *, workers: int = 1) -> np.ndarray:
     """Normalize, project and re-normalize CSR samples: (r, n) float32 columns."""
-    return project_rows(spec, PlannedRows(X), workers=workers)
+    return project_rows(spec, PlannedRows(X, r=spec.r, workers=workers))
 
 
-def embed_prefixes(
-    spec: EmbeddingSpec, rows: PlannedRows, rs: Sequence[int], *, workers: int = 1
-) -> Iterator[np.ndarray]:
+def embed_prefixes(spec: EmbeddingSpec, rows: PlannedRows, rs: Sequence[int]) -> Iterator[np.ndarray]:
     """`project_rows` at each r in `rs` (each at most spec.r), from one pass
     over F at spec.r.
 
@@ -348,7 +343,7 @@ def embed_prefixes(
     for r in rs:
         if not 1 <= r <= spec.r:
             raise ValueError(f"r {r} out of range [1, {spec.r}]")
-    full = _project(spec, rows, STORE_DTYPE, workers=workers)
+    full = _project(spec, rows, STORE_DTYPE)
     del rows  # projected once: the caller's reference alone keeps the plan
     for r in rs:
         out = full[:r].copy(order="F")

@@ -95,8 +95,8 @@ def learner_embeddings(
     cached = [cache is not None and check_cache(cache, spec.learner(i), dataset)
               for i in range(spec.size)]
     sets = [ds for ds in (dataset, test) if ds is not None]
-    both = None if all(cached) else PlannedRows(*(ds.features for ds in sets))
-    alone = PlannedRows(test.features) if any(cached) else None
+    both = None if all(cached) else PlannedRows(*(ds.features for ds in sets), r=spec.r, workers=workers)
+    alone = PlannedRows(test.features, r=spec.r, workers=workers) if any(cached) else None
     for ds in sets:
         ds.features_planned()
 
@@ -105,9 +105,9 @@ def learner_embeddings(
         lspec = spec.learner(i)
         if cached[i]:
             train = load_cache(cache, lspec, dataset)
-            queries = project_rows(lspec, alone, workers=workers)
+            queries = project_rows(lspec, alone)
         else:
-            data = project_rows(lspec, both, workers=workers)
+            data = project_rows(lspec, both)
             train = EmbeddedMatrix(data[:, : dataset.n])
             queries = data[:, dataset.n :]
         if i == spec.size - 1:
@@ -177,7 +177,7 @@ def sweep_dimension(
     if min(rs) < 1:  # before any sample is planned or row of F drawn
         raise ValueError(f"r {min(rs)} out of range [1, {max(rs)}]")
     spec = EmbeddingSpec(seed=seed, d=dataset.d, r=max(rs))
-    prefixes = embed_prefixes(spec, PlannedRows(dataset.features, test.features), rs, workers=workers)
+    prefixes = embed_prefixes(spec, PlannedRows(dataset.features, test.features, r=spec.r, workers=workers), rs)
     dataset.features_planned()
     test.features_planned()
     for r, data in zip(rs, prefixes):

@@ -77,9 +77,9 @@ def measure_distortion(
 
     X = dataset.features
     inv = inv_norms(X)
-    unit_sq = (inv > 0).astype(np.float64)  # as norm > 0: a float32 row's norm is finite
+    unit_sq = (inv > 0).astype(np.float64)  # as norm > 0: `inv_norms` refuses an infinite one
 
-    proj = _project(spec, PlannedRows(X), np.float64)
+    proj = _project(spec, PlannedRows(X, r=spec.r), np.float64)
     proj *= 1.0 / math.sqrt(spec.r)
     # in blocks of pairs: each pair's dot product and each column's sum along
     # axis 0 depend on that pair alone, so the blocks do not change a bit

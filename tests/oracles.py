@@ -569,7 +569,8 @@ def sp_normalize_rows(X):
     """Unit-norm rows (zero rows stay zero) and the original row norms."""
     X = to_scipy(X)
     sq = X.copy()
-    sq.data = sq.data**2
+    with np.errstate(over="ignore"):  # an overflowing row's norm is inf, its 1 / norm 0
+        sq.data = sq.data**2
     norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())
     inv = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     return from_scipy(sp.diags(inv) @ X), norms

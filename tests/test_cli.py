@@ -700,9 +700,9 @@ def planned_rows(monkeypatch):
     rows = []
     init = embedding.PlannedRows.__init__
 
-    def counted(self, *parts):
+    def counted(self, *parts, **kwargs):
         rows.append(sum(P.shape[0] for P in parts))
-        init(self, *parts)
+        init(self, *parts, **kwargs)
 
     monkeypatch.setattr(embedding.PlannedRows, "__init__", counted)
     return rows

@@ -8,6 +8,7 @@ similarities, E = 1, block boundaries inside the rows, and pairs of a row
 with itself.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -37,7 +38,7 @@ from ogeec.csr import (
     pair_dots,
     sorted_unique,
 )
-from ogeec.embedding import PlannedRows
+from ogeec.embedding import EmbeddingSpec, PlannedRows, project_csr
 from ogeec.ensemble import EnsembleSpec
 from ogeec.predictor import rank_labels, top_k
 
@@ -46,6 +47,18 @@ from ogeec.predictor import rank_labels, top_k
 _VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-170, -1e-170, 1e-300, 1e200, 5e-324]) | st.floats(
     -1e3, 1e3, allow_nan=False
 )
+_OVERFLOW = r"^row {}: its sum of squares overflows float64$"
+
+
+def _overflowing_row(*parts) -> int | None:
+    """The first row, in the first part that has one, whose float64 sum of
+    squares overflows (from _VALUES, a row holding 1e200): `inv_norms`
+    refuses it by number, as its 1 / norm would be 0."""
+    for P in parts:
+        rows = np.flatnonzero(np.isinf(sp_normalize_rows(P)[1]))
+        if rows.size:
+            return int(rows[0])
+    return None
 
 
 def _same(a, b) -> bool:
@@ -105,7 +118,12 @@ def test_row_products_equal_scipy(X, b, chunk, seed):
     F = rng.choice(np.array([0.0, -0.0, 1e-200, -3e-170, 0.5, -1.25, 7.0]), size=(b, X.shape[1]))
     F += rng.normal(size=F.shape) * (rng.random(F.shape) < 0.5)
     got = np.empty((b, X.shape[0]))
+    row = _overflowing_row(X)
     with mock.patch.object(csr, "_CHUNK_FLOATS", chunk):
+        if row is not None:
+            with pytest.raises(ValueError, match=_OVERFLOW.format(row)):
+                RowProducts([X], b, np.arange(X.shape[1]))
+            return
         RowProducts([X], b, np.arange(X.shape[1]))(np.ascontiguousarray(F.T), got)
     assert _same(got, sp_row_products(sp_normalize_rows(X)[0], F))
 
@@ -115,12 +133,13 @@ def test_row_products_equal_scipy(X, b, chunk, seed):
 def test_row_products_plan_every_stored_entry(data, b, chunk, entries):
     """`RowProducts`, filled straight from one to three parts, holds the
     position-major layout and bits of the `vstack`ed unit rows of each part
-    with every stored entry kept (`scaled_rows`: explicit zeros, products
-    that underflow and rows whose squares overflow keep their entries, as
-    ±0), and `PlannedRows`' plan is the columns of those entries; chunks of
+    with every stored entry kept (`scaled_rows`: explicit zeros and products
+    that underflow keep their entries, as ±0), and `PlannedRows`' plan is
+    the columns of those entries; chunks of
     1 to 64 floats and `inv_norms` blocks of 1 to 40 entries put boundaries
     inside rows. Each part's `scaled_rows`, its zeros eliminated, is scipy's
-    `diags(1 / norms) @ X` (`sp_normalize_rows`)."""
+    `diags(1 / norms) @ X` (`sp_normalize_rows`). A row whose squares
+    overflow is refused, by its number in its part."""
     top = data.draw(matrices())
     parts = [top] + [data.draw(matrices(d=top.shape[1])) for _ in range(data.draw(st.integers(0, 2)))]
     place = np.random.default_rng(b).permutation(top.shape[1]).astype(np.int32)
@@ -131,10 +150,16 @@ def test_row_products_plan_every_stored_entry(data, b, chunk, entries):
     stacked = scaled_rows(parts[0])
     for part in parts[1:]:
         stacked = vstack(stacked, scaled_rows(part))
+    row = _overflowing_row(*parts)
     with mock.patch.multiple(csr, _CHUNK_FLOATS=chunk, _NORMALIZE_ENTRIES=entries):
+        if row is not None:
+            for plan in (lambda: RowProducts(parts, b, place), lambda: PlannedRows(*parts, r=b)):
+                with pytest.raises(ValueError, match=_OVERFLOW.format(row)):
+                    plan()
+            return
         got = RowProducts(parts, b, place)
         order, chunks = position_major(stacked, b, place)
-    planned = PlannedRows(*parts)
+    planned = PlannedRows(*parts, r=b)
     assert (got.n, planned.n, planned.d) == (stacked.shape[0], *stacked.shape)
     assert np.array_equal(np.sort(planned.plan.columns), sorted_unique(stacked.indices))
     assert np.array_equal(got.order, order) and len(got.chunks) == len(chunks)
@@ -281,6 +306,11 @@ def test_pair_dots_equal_scipy(X, data):
     rows = st.integers(0, m - 1)
     a = np.array(data.draw(st.lists(rows, min_size=1, max_size=20)), dtype=np.int64)
     b = np.array([data.draw(st.sampled_from([int(i), data.draw(rows)])) for i in a], dtype=np.int64)
+    row = _overflowing_row(X)
+    if row is not None:
+        with pytest.raises(ValueError, match=_OVERFLOW.format(row)):
+            inv_norms(X)
+        return
     assert _same(pair_dots(X, inv_norms(X), a, b), sp_pair_dots(sp_normalize_rows(X)[0], a, b))
 
 
@@ -294,6 +324,24 @@ def test_pair_dots_of_a_normalized_parse_equal_scipy():
     Xn = sp_normalize_rows(X)[0]
     a, b = np.divmod(np.arange(40 * 40), 40)
     assert _same(pair_dots(X, inv_norms(X), a, b), sp_pair_dots(Xn, a, b))
+
+
+@pytest.mark.parametrize("entries", [1, csr._NORMALIZE_ENTRIES])
+def test_a_row_whose_squares_overflow_is_refused_by_number(entries):
+    """A float64 row whose sum of squares overflows would get 1 / norm 0 and
+    project to a zero column: `inv_norms`, and so planning and projecting,
+    refuse it in one line naming its row, the first such one. Rows up to
+    about 1.3e154 keep their bits, and no RuntimeWarning is raised."""
+    rows = [{0: 1.0, 3: 2.0}, {}, {1: 1e150, 2: -1e150}, {2: 1e200}, {0: 3.0, 1: 1e300}]
+    X, finite = _rows_csr(rows, 4, np.float64), _rows_csr(rows[:3], 4, np.float64)
+    norms = sp_normalize_rows(finite)[1]
+    with mock.patch.object(csr, "_NORMALIZE_ENTRIES", entries), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _same(inv_norms(finite), np.divide(1.0, norms, out=np.zeros(3), where=norms > 0))
+        for refused in (lambda: inv_norms(X), lambda: project_csr(EmbeddingSpec(seed=1, d=4, r=2), X)):
+            with pytest.raises(ValueError) as exc:
+                refused()
+            assert str(exc.value) == "row 3: its sum of squares overflows float64"
 
 
 @settings(max_examples=200, deadline=None)

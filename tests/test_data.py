@@ -113,6 +113,19 @@ def test_roundtrip_synthetic(tmp_path, small_ds):
     assert same_dataset(small_ds, parse_dataset(path))
 
 
+def test_a_failed_write_leaves_the_earlier_file_as_it_was(tmp_path, small_ds):
+    """The dataset is formatted before its file is opened, and so truncated:
+    a formatter that raises leaves a file already at the path unchanged."""
+    path = _write(tmp_path, FIXTURE)
+
+    def broken(ds):
+        raise MemoryError("formatting failed")
+
+    with mock.patch.object(data, "format_dataset", broken), pytest.raises(MemoryError):
+        write_dataset(small_ds, path)
+    assert path.read_text() == FIXTURE
+
+
 @st.composite
 def tiny_datasets(draw):
     n = draw(st.integers(1, 5))

@@ -243,9 +243,69 @@ def test_project_equals_full_f_oracle(monkeypatch, case, workers, dtype):
         monkeypatch.setattr(embedding, "_row_block", lambda c: block)
         for floats, pairs in ((embedding._PIECE_FLOATS, embedding._PIECE_PAIRS), (6, 2)):
             with mock.patch.multiple(embedding, _PIECE_FLOATS=floats, _PIECE_PAIRS=pairs):
-                out = _project(spec, PlannedRows(X), dtype, workers=workers)
+                out = _project(spec, PlannedRows(X, r=spec.r, workers=workers), dtype)
             assert out.shape == expect.shape and out.dtype == dtype
             assert out.tobytes(order="A") == np.asfortranarray(expect).tobytes(order="A")
+
+
+def _desk_shaped() -> CSR:
+    """1,900 samples of 15 features over d = 8,000, using c = 4,800 columns,
+    as the desk benchmark corpus does (so `_row_block(c)` is 208)."""
+    n, per_row, c = 1900, 15, 4800
+    indices = (np.arange(n * per_row) * 7 % c).astype(np.int32)  # distinct within a row
+    values = np.random.default_rng(2).uniform(0.1, 2.0, indices.size)
+    return CSR(values, indices, np.arange(0, indices.size + 1, per_row), (n, 8000))
+
+
+@pytest.mark.parametrize(
+    "workers, bounds, height", [(1, [0, 100], 100), (2, [0, 50, 100], 50), (3, [0, 33, 66, 100], 34)]
+)
+def test_plan_is_chunked_for_the_blocks_it_runs(workers, bounds, height):
+    """The plan alone decides a projection's sizes: at desk's shape and
+    r = 100, F's rows split into one range per worker, and each range runs
+    blocks of at most a range (below `_row_block`'s 208 rows), for which the
+    rows are chunked: on 2 workers, 50-row blocks and _CHUNK_FLOATS // 51
+    rows per chunk."""
+    X = _desk_shaped()
+    planned = PlannedRows(X, r=100, workers=workers)
+    assert planned.plan.columns.size == 4800 and embedding._row_block(4800) == 208
+    assert (planned.bounds, planned.height) == (bounds, height)
+    assert planned.products.rows == csr._CHUNK_FLOATS // (height + 1)
+
+
+@pytest.mark.parametrize("r", [7, 100, 200])
+def test_project_is_identical_across_workers_and_block_heights(monkeypatch, r):
+    """`_project` gives the bits of the full-F oracle on 1, 2 and 3 workers,
+    with `_row_block` forced to 1, to 4 and to 3 (which divides no r here),
+    each plan chunked for the blocks it runs."""
+    X = _PROJECT_CASES["random"]
+    spec = EmbeddingSpec(seed=5, d=X.shape[1], r=r)
+    expect = np.asfortranarray(project_full(spec, sp_normalize_rows(X)[0], np.float64)).tobytes(order="A")
+    for block in (1, 4, 3):
+        monkeypatch.setattr(embedding, "_row_block", lambda c: block)
+        for workers in (1, 2, 3):
+            planned = PlannedRows(X, r=r, workers=workers)
+            assert planned.height == min(block, -(-r // workers))
+            assert _project(spec, planned, np.float64).tobytes(order="A") == expect
+
+
+def test_a_spec_of_another_r_than_the_plan_is_refused():
+    """A plan is sized for its r: projecting it at another r, by any of the
+    three entry points, is refused in one line before any row of F is drawn."""
+    X = _PROJECT_CASES["random"]
+    planned = PlannedRows(X, r=7, workers=2)
+    spec = EmbeddingSpec(seed=5, d=X.shape[1], r=8)
+    message = "planned (dimensionality, r) = (301, 7) != the spec's (301, 8)"
+    entry_points = (
+        lambda: _project(spec, planned, np.float64),
+        lambda: embedding.project_rows(spec, planned),
+        lambda: list(embedding.embed_prefixes(spec, planned, [8])),
+    )
+    with mock.patch.object(embedding, "materialize_rows", side_effect=AssertionError):
+        for project in entry_points:
+            with pytest.raises(ValueError) as exc:
+                project()
+            assert str(exc.value) == message
 
 
 def test_gaussian_stream_moments():
@@ -484,7 +544,7 @@ def _assert_planned_as_old_path(planned: PlannedRows, parts) -> None:
     for field in dataclasses.fields(plan):
         assert np.array_equal(getattr(planned.plan, field.name), getattr(plan, field.name))
     assert (planned.n, planned.d) == X.shape
-    order, chunks = position_major(X, planned.block, plan.place(X.shape[1]))
+    order, chunks = position_major(X, planned.height, plan.place(X.shape[1]))
     P = planned.products
     assert np.array_equal(P.order, order) and len(P.chunks) == len(chunks)
     assert P.cols.size == P.vals.size == X.nnz
@@ -532,8 +592,8 @@ def test_streamed_rows_equal_the_old_path(monkeypatch, case, chunk, entries):
     train, test = _ADVERSARIAL[case]
     monkeypatch.setattr(embedding, "_row_block", lambda c: 4)
     with mock.patch.multiple(csr, _NORMALIZE_ENTRIES=entries, _CHUNK_FLOATS=chunk):
-        _assert_planned_as_old_path(PlannedRows(train.features, test.features), [train, test])
-        _assert_planned_as_old_path(PlannedRows(test.features), [test])
+        _assert_planned_as_old_path(PlannedRows(train.features, test.features, r=8), [train, test])
+        _assert_planned_as_old_path(PlannedRows(test.features, r=8), [test])
 
 
 def test_train_test_rows_holds_a_test_copy_planned_on_demand():
@@ -542,11 +602,11 @@ def test_train_test_rows_holds_a_test_copy_planned_on_demand():
     only on demand, which `learner_embeddings` makes when a learner is
     cached, and that plan holds the test rows once."""
     train, test = (dataset_of(part, 300) for part in _CASES["zero-rows-in-test"])
-    rows = PlannedRows(train.features, test.features)
+    rows = PlannedRows(train.features, test.features, r=9)
     assert (rows.n, rows.d) == (train.n + test.n, train.d)
     assert not any(isinstance(v, (CSR, np.ndarray)) for v in vars(rows).values())
     assert "test" not in vars(rows)
-    alone = PlannedRows(test.features)
+    alone = PlannedRows(test.features, r=9)
     assert (alone.n, alone.d) == (test.n, test.d)
     assert alone.products.cols.size == test.features.nnz
     _assert_planned_as_old_path(alone, [test])
@@ -587,8 +647,8 @@ def test_explicit_zeros_change_no_output_bit(tmp_path, workers):
     for chunk in (16, csr._CHUNK_FLOATS):
         with mock.patch.object(csr, "_CHUNK_FLOATS", chunk):
             for sets, alone in ((zeros, plain), (zeros[1:], plain[1:])):
-                got = embedding.project_rows(spec, PlannedRows(*(ds.features for ds in sets)), workers=workers)
-                want = embedding.project_rows(spec, PlannedRows(*(ds.features for ds in alone)), workers=workers)
+                got = embedding.project_rows(spec, PlannedRows(*(ds.features for ds in sets), r=16, workers=workers))
+                want = embedding.project_rows(spec, PlannedRows(*(ds.features for ds in alone), r=16, workers=workers))
                 assert got.tobytes(order="A") == want.tobytes(order="A")
 
     model = tmp_path / "model.txt"
@@ -616,8 +676,8 @@ def test_preparation_and_projection_write_no_input():
         a.flags.writeable = False
     spec, xspec = EmbeddingSpec(seed=3, d=300, r=9), EmbeddingSpec(seed=3, d=301, r=9)
     list(learner_embeddings(make_ensemble_spec(3, 2, d=300, r=9, k=1), train, test, workers=2))
-    embedding.project_rows(spec, PlannedRows(test.features))
-    _project(xspec, PlannedRows(X, X), np.float64, workers=2)
+    embedding.project_rows(spec, PlannedRows(test.features, r=9))
+    _project(xspec, PlannedRows(X, X, r=9, workers=2), np.float64)
     project_csr(xspec, X)
     embed(spec, train)
     measure_distortion(train, spec, 50, 1)
@@ -656,9 +716,9 @@ def test_projection_memory_is_bounded_by_the_block_budget(workers):
     spec = EmbeddingSpec(seed=1, d=d, r=64)
     tracemalloc.start()
     try:
-        rows = PlannedRows(train.features, test.features)
+        rows = PlannedRows(train.features, test.features, r=spec.r, workers=workers)
         n, nnz = rows.n, rows.products.cols.size
-        embedding.project_rows(spec, rows, workers=workers)
+        embedding.project_rows(spec, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -681,7 +741,7 @@ def test_train_test_rows_memory_is_bounded_per_nonzero():
     train, test = _uniform_dataset(3000, d, 300, rng), _uniform_dataset(1000, d, 300, rng)
     tracemalloc.start()
     try:
-        rows = PlannedRows(train.features, test.features)
+        rows = PlannedRows(train.features, test.features, r=200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -701,7 +761,7 @@ def test_train_test_rows_makes_no_stacked_copy():
     train, test = _uniform_dataset(3000, d, 300, rng), _uniform_dataset(1000, d, 300, rng)
     tracemalloc.start()
     try:
-        rows = PlannedRows(train.features, test.features)
+        rows = PlannedRows(train.features, test.features, r=200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -733,7 +793,7 @@ def test_normalize_columns_in_blocks_equals_each_column_alone(r):
 
 def test_train_test_rows_rejects_mismatched_dimensionality():
     with pytest.raises(ValueError, match="dimensionality"):
-        PlannedRows(dataset_of([{1: 1.0}], 10).features, dataset_of([{1: 1.0}], 12).features)
+        PlannedRows(dataset_of([{1: 1.0}], 10).features, dataset_of([{1: 1.0}], 12).features, r=1)
 
 
 @pytest.mark.parametrize("d, index", [(12, 1), (12, 11), (8, 1)])
@@ -743,7 +803,7 @@ def test_planned_rows_rejects_parts_of_another_dimensionality(d, index):
     (once a bare IndexError), and a narrower one."""
     first, second = dataset_of([{1: 1.0}], 10), dataset_of([{index: 1.0}], d)
     with pytest.raises(ValueError, match="dimensionality"):
-        PlannedRows(first.features, second.features)
+        PlannedRows(first.features, second.features, r=1)
 
 
 def test_embed_dimension_mismatch(small_spec):

@@ -79,8 +79,8 @@ def searched_with_plans_alive(monkeypatch):
     plans, alive = [], []
     init, search = embedding.PlannedRows.__init__, ensemble.batch_predict
 
-    def planned(self, *parts):
-        init(self, *parts)
+    def planned(self, *parts, **kwargs):
+        init(self, *parts, **kwargs)
         plans.append(weakref.ref(self))
 
     def counted(*args, **kwargs):
@@ -308,9 +308,9 @@ def test_a_bad_r_fails_before_any_work(train_test, monkeypatch):
     planned, drawn = [], []
     init, materialize = embedding.PlannedRows.__init__, embedding.materialize_rows
 
-    def counted_plan(self, *parts):
+    def counted_plan(self, *parts, **kwargs):
         planned.append(len(parts))
-        init(self, *parts)
+        init(self, *parts, **kwargs)
 
     def counted_rows(spec, start, stop, **kwargs):
         drawn.extend(range(start, stop))
@@ -321,7 +321,7 @@ def test_a_bad_r_fails_before_any_work(train_test, monkeypatch):
     with pytest.raises(ValueError, match="out of range"):
         list(sweep_dimension(4, train, test, [0, 4], 5, 5))
     assert planned == [] and drawn == []
-    rows = embedding.PlannedRows(train.features, test.features)
+    rows = embedding.PlannedRows(train.features, test.features, r=4)
     with pytest.raises(ValueError, match="out of range"):
         list(embedding.embed_prefixes(EmbeddingSpec(seed=4, d=train.d, r=4), rows, [4, 0]))
     assert planned == [2] and drawn == []
