@@ -28,10 +28,14 @@ wide and dense-labels workloads, generated in memory from --seed:
   rows and their 1 / norms as `analyze distortion --pairs 10000` takes
   them; the oracle takes them from the unit rows of `sp_normalize_rows`;
 - parse: `data.parse_dataset` of the workload's train and test files
-  against `oracles.parse_dataset`, with the parser's speed in MB/s.
+  against `oracles.parse_dataset`, with the parser's speed in MB/s;
+- header: `data.read_header` of the same files, all that `train` reads
+  without --cache, its (n, d, L) checked against the oracle's datasets and
+  its time against the oracle's parse, with its speed in MB/s.
 
 The script checks that each kernel and its oracle give the same bits (for
-parse, equal datasets) and prints the median time of each.
+parse, equal datasets; for header, equal (n, d, L)) and prints the median
+time of each.
 """
 
 import argparse
@@ -53,7 +57,7 @@ from oracles import same_dataset, sp_row_products, vstack  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from ogeec.csr import CSR, inv_norms, pair_dots  # noqa: E402
-from ogeec.data import parse_dataset  # noqa: E402
+from ogeec.data import parse_dataset, read_header  # noqa: E402
 from ogeec.embedding import EmbeddingSpec, PlannedRows, materialize_rows  # noqa: E402
 from ogeec.predictor import _LABEL_FLOATS  # noqa: E402
 
@@ -136,13 +140,21 @@ def projection(train, test, repeat: int) -> tuple[float, float, bool]:
     return new_s, ref_s, identical
 
 
-def parse(paths, repeat: int) -> tuple[float, float, bool, float]:
+def parse(paths, repeat: int) -> tuple[tuple[float, float, bool, float], list, float]:
     """Both sets parsed by the program and by the oracle, and the program's
-    MB/s."""
+    MB/s; then the oracle's datasets and its time."""
     new_s, got = median_time(lambda: [parse_dataset(path) for path in paths], repeat)
     ref_s, want = median_time(lambda: [oracle_parse(path) for path in paths], repeat)
     megabytes = sum(path.stat().st_size for path in paths) / 1e6
-    return new_s, ref_s, all(map(same_dataset, got, want)), megabytes / new_s
+    return (new_s, ref_s, all(map(same_dataset, got, want)), megabytes / new_s), want, ref_s
+
+
+def header(paths, repeat: int, want: list, ref_s: float) -> tuple[float, float, bool, float]:
+    """Both sets' headers read by the program, checked against the oracle's
+    datasets `want` (parsed in ref_s), and the program's MB/s."""
+    new_s, got = median_time(lambda: [read_header(path) for path in paths], repeat)
+    megabytes = sum(path.stat().st_size for path in paths) / 1e6
+    return new_s, ref_s, got == [(ds.n, ds.d, ds.L) for ds in want], megabytes / new_s
 
 
 def main() -> int:
@@ -169,7 +181,9 @@ def main() -> int:
             ref_s, want = median_time(ref, args.repeat)
             results.append((kernel, new_s, ref_s, same_bits(got, want), None))
         results.append(("projection", *projection(train, test, args.repeat), None))
-        results.append(("parse", *parse(paths, args.repeat)))
+        parsed, oracle_sets, oracle_s = parse(paths, args.repeat)
+        results.append(("parse", *parsed))
+        results.append(("header", *header(paths, args.repeat, oracle_sets, oracle_s)))
         for kernel, new_s, ref_s, identical, speed in results:
             status |= not identical
             rate = "-" if speed is None else f"{speed:.1f}"

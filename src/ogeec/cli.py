@@ -26,6 +26,7 @@ from .data import (
     SparseDataset,
     generate_synthetic,
     parse_dataset,
+    read_header,
     split_dataset,
     write_dataset,
 )
@@ -277,10 +278,12 @@ def cmd_gen(cfg: RunConfig, explicit: set[str]) -> int:
 def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
     _require(cfg, "train", "model")
     _check_dirs(cfg.model, cfg.cache)
-    # the model needs only d, but a bad train file should fail here already
-    ds = parse_dataset(cfg.train)
-    spec = ens.make_ensemble_spec(cfg.seed, cfg.learners, ds.d, cfg.r, cfg.k)
-    if cfg.cache is not None:
+    # the model is seeds, d, r and k: without --cache, only the header's d is
+    # read, and the commands that tokenize the samples refuse a bad sample line
+    ds = None if cfg.cache is None else parse_dataset(cfg.train)
+    d = read_header(cfg.train)[1] if ds is None else ds.d
+    spec = ens.make_ensemble_spec(cfg.seed, cfg.learners, d, cfg.r, cfg.k)
+    if ds is not None:
         ds.feature_sha256  # each cache file holds it: taken before planning drops the features
         ds.planned_only = True
         # the samples are planned once; each learner's one pass over F is
@@ -294,7 +297,8 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
                 file=sys.stderr,
             )
     ens.write_metadata(cfg.model, spec)
-    print(f"model metadata written to {cfg.model}", file=sys.stderr)
+    size = os.path.getsize(cfg.model)  # the whole model, the paper's second claim
+    print(f"model metadata written to {cfg.model} ({size} bytes)", file=sys.stderr)
     return 0
 
 
@@ -520,7 +524,7 @@ _COMMANDS = (
         "n d labels sparsity labels_per_sample clusters test_n test_out seed out",
     ),
     (
-        ("train",), "emit model metadata (and optional matrix caches)", cmd_train,
+        ("train",), "emit model metadata from the train header (--cache: also embed)", cmd_train,
         "train model r k learners seed workers cache",
     ),
     (

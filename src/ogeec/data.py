@@ -448,29 +448,57 @@ def _scan(f) -> tuple[int, bytes, int]:
     return lines + (last not in b"\n"), header, colons - header.count(b":")
 
 
-def _parse(path) -> SparseDataset:
-    with open(path, "rb") as f:
-        lines, header, nnz = _scan(f)
-        if not lines:
-            raise DatasetFormatError("line 1: empty file")
-        fields = header.decode("utf-8").split()
-        # ASCII digits: int() alone also reads signs, "_" and other scripts' digits
-        if len(fields) != 3 or not all(tok.isascii() and tok.isdigit() for tok in fields):
-            raise DatasetFormatError("line 1: header must be 'n d L'")
-        try:
-            n, d, L = (int(tok) for tok in fields)
-        except ValueError:  # more digits than int() converts
-            raise DatasetFormatError("line 1: header must be 'n d L'") from None
-        if n <= 0 or d <= 0 or L <= 0:
-            raise DatasetFormatError("line 1: header fields must be positive")
-        if max(n, d, L) >= 2**63:  # counts and indices are int64
-            raise DatasetFormatError("line 1: header fields must be below 2^63")
-        if lines - 1 != n:
-            raise DatasetFormatError(
-                f"expected {n} sample lines after the header, found {lines - 1}"
-            )
-        f.seek(len(header))  # then past its line end: LF, CRLF or CR
-        f.seek(len(header) + (2 if f.read(2) == b"\r\n" else 1))
+@contextlib.contextmanager
+def _samples(path):
+    """`path` open at its first sample line, with the header's (n, d, L) and
+    the feature count (`_scan`); a DatasetFormatError raised here names it."""
+    try:
+        with open(path, "rb") as f:
+            lines, header, nnz = _scan(f)
+            if not lines:
+                raise DatasetFormatError("line 1: empty file")
+            fields = header.decode("utf-8").split()
+            # ASCII digits: int() alone also reads signs, "_" and other scripts' digits
+            if len(fields) != 3 or not all(tok.isascii() and tok.isdigit() for tok in fields):
+                raise DatasetFormatError("line 1: header must be 'n d L'")
+            try:
+                n, d, L = (int(tok) for tok in fields)
+            except ValueError:  # more digits than int() converts
+                raise DatasetFormatError("line 1: header must be 'n d L'") from None
+            if n <= 0 or d <= 0 or L <= 0:
+                raise DatasetFormatError("line 1: header fields must be positive")
+            if max(n, d, L) >= 2**63:  # counts and indices are int64
+                raise DatasetFormatError("line 1: header fields must be below 2^63")
+            if lines - 1 != n:
+                raise DatasetFormatError(
+                    f"expected {n} sample lines after the header, found {lines - 1}"
+                )
+            f.seek(len(header))  # then past its line end: LF, CRLF or CR
+            f.seek(len(header) + (2 if f.read(2) == b"\r\n" else 1))
+            yield f, (n, d, L), nnz
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
+
+
+@trace.span("parse_s")
+def read_header(path) -> tuple[int, int, int]:
+    """A dataset file's (n, d, L), checked as `parse_dataset` checks them but
+    tokenizing no sample line: one pass checks its UTF-8 and its line count.
+    Its wall time adds to `trace`'s `parse_s`."""
+    with _samples(path) as (_, header, _):
+        return header
+
+
+@trace.span("parse_s")
+def parse_dataset(path) -> SparseDataset:
+    """Parse and validate a dataset file.
+
+    Errors name the file and carry 1-based line numbers. The file is read
+    twice in pieces of about _CHUNK bytes: once to check its encoding, its
+    header and its line count (as `read_header` does), once to parse. Its
+    wall time adds to `trace`'s `parse_s`.
+    """
+    with _samples(path) as (f, (n, d, L), nnz):
         # each piece's features go straight to their place, so the parse
         # holds the dataset and one piece's temporaries
         feat_indices = np.empty(nnz, dtype=_index_dtype(d))
@@ -492,21 +520,6 @@ def _parse(path) -> SparseDataset:
         np.concatenate(label_counts), np.concatenate(label_indices),
     )
     return _dataset(rows, d, L)
-
-
-@trace.span("parse_s")
-def parse_dataset(path) -> SparseDataset:
-    """Parse and validate a dataset file.
-
-    Errors name the file and carry 1-based line numbers. The file is read
-    twice in pieces of about _CHUNK bytes: once to check its encoding and
-    count its lines, once to parse. Its wall time adds to `trace`'s
-    `parse_s`.
-    """
-    try:
-        return _parse(path)
-    except DatasetFormatError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
 
 
 def format_dataset(ds: SparseDataset) -> str:

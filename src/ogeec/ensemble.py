@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import SparseDataset, atomic_write
 from .embedding import (
-    EmbeddedMatrix, EmbeddingSpec, PlannedRows,
+    _MASK64, EmbeddedMatrix, EmbeddingSpec, PlannedRows,
     check_cache,
     embed_prefixes,
     load_cache,
@@ -37,7 +37,7 @@ from .predictor import batch_predict, rank_labels, rank_prefixes
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Distinct learner seeds plus the shared d, r, k."""
+    """Learner seeds, distinct modulo 2^64 (their Philox keys), plus the shared d, r, k."""
 
     seeds: tuple[int, ...]
     d: int
@@ -47,8 +47,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("ensemble needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("ensemble seeds must be pairwise distinct")
+        if len({s & _MASK64 for s in self.seeds}) != len(self.seeds):
+            raise ValueError("ensemble seeds must be pairwise distinct modulo 2^64")
         if self.k < 1:
             raise ValueError("k must be positive")
         self.learner(0)  # d and r as EmbeddingSpec checks them
@@ -185,17 +185,13 @@ def sweep_dimension(
         yield r, rank_labels([batch_predict(train, data[:, dataset.n :], k)], dataset.labels, K)
 
 
+_KEYS = ("base_seed", "seeds", "d", "r", "k", "E")  # as `format_metadata` writes them
+
+
 def format_metadata(spec: EnsembleSpec) -> str:
     """The entire model as text: seeds and hyperparameters, nothing learned."""
-    lines = [
-        f"base_seed {spec.seeds[0]}",
-        "seeds " + " ".join(str(s) for s in spec.seeds),
-        f"d {spec.d}",
-        f"r {spec.r}",
-        f"k {spec.k}",
-        f"E {spec.size}",
-    ]
-    return "\n".join(lines) + "\n"
+    values = (spec.seeds[0], " ".join(map(str, spec.seeds)), spec.d, spec.r, spec.k, spec.size)
+    return "".join(f"{key} {value}\n" for key, value in zip(_KEYS, values))
 
 
 def write_metadata(path, spec: EnsembleSpec) -> None:
@@ -204,19 +200,27 @@ def write_metadata(path, spec: EnsembleSpec) -> None:
 
 
 def read_metadata(path) -> EnsembleSpec:
+    """The model in `path`, read with a dataset header's grammar: a file that
+    `format_metadata` could not have written fails in one line naming it."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            fields = {parts[0]: parts[1:] for parts in map(str.split, f) if parts}
-        seeds = tuple(int(s) for s in fields["seeds"])
-        spec = EnsembleSpec(
-            seeds=seeds,
-            d=int(fields["d"][0]),
-            r=int(fields["r"][0]),
-            k=int(fields["k"][0]),
-        )
-        size = int(fields["E"][0]) if "E" in fields else spec.size
-    except (KeyError, IndexError, ValueError) as exc:
+            fields = {}
+            for key, *values in (line.split() for line in f if not line.isspace()):
+                digits = [v.removeprefix("-") if key in ("base_seed", "seeds") else v for v in values]
+                wanted = len(values) if key == "seeds" else 1  # seeds: E values, checked below
+                if key not in _KEYS or key in fields or len(values) != wanted or not all(
+                    v.isascii() and v.isdigit() for v in digits
+                ):
+                    raise ValueError(f"bad line {' '.join([key, *values])!r}")
+                fields[key] = [int(v) for v in values]
+        if missing := [key for key in _KEYS if key not in fields]:
+            raise ValueError(f"no {missing[0]} line")
+        (base,), seeds, (d,), (r,), (k,), (size,) = (fields[key] for key in _KEYS)
+        spec = EnsembleSpec(seeds=tuple(seeds), d=d, r=r, k=k)
+        if size != spec.size:
+            raise ValueError(f"E does not match the seed list: E {size}, {spec.size} seeds")
+        if base != seeds[0]:
+            raise ValueError(f"base_seed {base} is not the first seed {seeds[0]}")
+    except ValueError as exc:  # bad UTF-8 too
         raise ValueError(f"{path}: malformed model metadata ({exc})") from None
-    if size != spec.size:
-        raise ValueError(f"{path}: E does not match the seed list")
     return spec

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 import weakref
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import ogeec
-from ogeec import cli, embedding, ensemble, jl, trace
+from ogeec import cli, data, embedding, ensemble, jl, trace
 from ogeec.cli import main
 from ogeec.data import parse_dataset, split_dataset, write_dataset
 from ogeec.embedding import EmbeddedMatrix, EmbeddingSpec, load_cache, save_cache
@@ -502,10 +503,15 @@ def test_train_cache_generates_each_row_of_f_once(workspace, tmp_path, generated
     assert sum(generated_rows) == 2 * 16  # r rows per learner
 
 
-def test_train_draws_no_row_of_f_without_cache(workspace, tmp_path, generated_rows, capsys):
-    """The model is a handful of integers: without --cache, train parses the
-    train file, writes the metadata and generates nothing; its one layer is
-    the parse."""
+def test_train_draws_no_row_of_f_without_cache(
+    workspace, tmp_path, generated_rows, capsys, monkeypatch
+):
+    """The model is a handful of integers: without --cache, train reads the
+    train file's header and line count (`data.read_header`), tokenizes no
+    sample line, generates nothing, and writes the metadata, whose size it
+    reports; its one layer is that read."""
+    tokenized = []
+    monkeypatch.setattr(data, "_parse_canonical", lambda *args: tokenized.append(args))
     model = tmp_path / "m.txt"
     rc = main(
         [
@@ -514,10 +520,54 @@ def test_train_draws_no_row_of_f_without_cache(workspace, tmp_path, generated_ro
         ]
     )
     assert rc == 0
-    assert generated_rows == []
+    assert generated_rows == [] and tokenized == []
+    assert model.read_bytes() == b"base_seed 7\nseeds 7 8\nd 2000\nr 40\nk 5\nE 2\n"
     err = capsys.readouterr().err.splitlines()
-    assert err[0] == f"model metadata written to {model}" and len(err) == 2
+    assert err[0] == f"model metadata written to {model} (42 bytes)" and len(err) == 2
     assert _layers("\n".join(err)) == ["parse_s"]
+
+
+def test_train_memory_does_not_grow_with_the_sample_count(tmp_path):
+    """Without --cache, train holds no per-sample array: its traced peak on
+    20,000 sample lines is within 1 MiB of its peak on 200 lines of the same
+    header d."""
+    line = "3,7 " + " ".join(f"{j}:0.5" for j in range(0, 2000, 100)) + "\n"
+    peaks = []
+    for n in (200, 200, 20_000):  # the first run pays for one-time imports
+        path = tmp_path / f"train{n}.txt"
+        path.write_text(f"{n} 2000 10\n" + line * n)
+        tracemalloc.start()
+        try:
+            assert main(["train", "--train", str(path), "--model", str(tmp_path / "m.txt")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] - peaks[1] <= 1 << 20, peaks
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "[Errno 2] No such file or directory: '{path}'"),
+        (b"2 50 3\n0 1:1\n1 7:\xff\n", "{path}: line 3: not valid UTF-8"),
+        (b"2 50\n0 1:1\n1 7:1\n", "{path}: line 1: header must be 'n d L'"),
+        (b"2 0 3\n0 1:1\n1 7:1\n", "{path}: line 1: header fields must be positive"),
+        (b"3 50 3\n0 1:1\n1 7:1\n", "{path}: expected 3 sample lines after the header, found 2"),
+        (b"2 3 3\n0 1:1\n1 2:1\n", "r must satisfy 1 <= r <= d, got r = 4 and d = 3"),
+    ],
+    ids=["missing", "not-utf8", "header-fields", "header-zero", "line-count", "r-above-d"],
+)
+def test_plain_train_refuses_what_it_reads_in_one_line(tmp_path, capsys, text, message):
+    """Without --cache, train reads the file's bytes, its header and its line
+    count, and refuses each in one line before any model is written."""
+    path, model = tmp_path / "train.txt", tmp_path / "m.txt"
+    if text is not None:
+        path.write_bytes(text)
+    rc = main(["train", "--train", str(path), "--model", str(model), "--r", "4"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err.splitlines() == ["error: " + message.format(path=path)]
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -534,15 +584,32 @@ def test_train_model_is_identical_across_workers(workspace, tmp_path, workers):
     assert model.read_bytes() == (workspace / "model.txt").read_bytes()
 
 
-def test_malformed_train_file_fails_train_in_one_line(tmp_path, capsys):
-    """train reads no more of its samples than their validation needs, but a
-    bad train file still fails here, before any model is written."""
+def _tokenizing_commands_refuse(tmp_path, capsys, text: str, message: str, d: int) -> None:
+    """Plain train, which tokenizes no sample line, accepts the train file
+    `text`; train --cache refuses it in one line before any model or cache
+    is written, and so do predict and eval, with the same message."""
     bad, model = tmp_path / "train.txt", tmp_path / "m.txt"
-    bad.write_text("2 50 3\n0 1:1\n1 7:x\n")
-    rc = main(["train", "--train", str(bad), "--model", str(model), "--r", "4"])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: line 3: bad feature pair '7:x'"]
-    assert not model.exists()
+    bad.write_text(text, encoding="utf-8")
+    train = ["train", "--train", str(bad), "--model", str(model), "--r", "4"]
+    assert main(train) == 0
+    model.unlink()
+    capsys.readouterr()
+    write_metadata(tmp_path / "known.txt", EnsembleSpec(seeds=(0,), d=d, r=4, k=2))
+    files = ["--model", str(tmp_path / "known.txt"), "--train", str(bad), "--test", str(bad)]
+    for argv in ([*train, "--cache", str(tmp_path / "c")], ["predict", *files], ["eval", *files]):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "") and "Traceback" not in err
+        assert err.splitlines() == [f"error: {bad}: {message}"]
+    assert not model.exists() and not list(tmp_path.glob("c-*"))
+
+
+def test_malformed_train_file_fails_train_in_one_line(tmp_path, capsys):
+    """A bad feature pair is not read by plain train, but train --cache,
+    predict and eval, which tokenize the samples, refuse it in one line."""
+    _tokenizing_commands_refuse(
+        tmp_path, capsys, "2 50 3\n0 1:1\n1 7:x\n", "line 3: bad feature pair '7:x'", 50
+    )
 
 
 @pytest.mark.parametrize(
@@ -561,14 +628,9 @@ def test_malformed_train_file_fails_train_in_one_line(tmp_path, capsys):
 def test_a_token_outside_the_grammar_fails_train_in_one_line(tmp_path, capsys, text, message):
     """Signs on labels or indices, "_", other scripts' digits, tabs and nan
     are outside the grammar, though `int()` or `float()` alone reads them:
-    train refuses the file in one line that names it and the line."""
-    bad, model = tmp_path / "train.txt", tmp_path / "m.txt"
-    bad.write_text(text, encoding="utf-8")
-    rc = main(["train", "--train", str(bad), "--model", str(model), "--r", "4"])
-    out, err = capsys.readouterr()
-    assert (rc, out) == (1, "") and "Traceback" not in err
-    assert err.splitlines() == [f"error: {bad}: {message}"]
-    assert not model.exists()
+    train --cache, predict and eval refuse the file in one line that names
+    it and the line (plain train tokenizes no sample line)."""
+    _tokenizing_commands_refuse(tmp_path, capsys, text, message, 10)
 
 
 @pytest.mark.parametrize(
@@ -1104,7 +1166,7 @@ def test_train_cache_reports_each_learners_projection_on_its_own_line(
         f"learner seed={seed}: matrix generation and embedding 1.000s (8x2000), "
         f"cached to {tmp_path / 'c'}-{seed}.ogec"
         for seed in (0, 1)
-    ] + [f"model metadata written to {model}", "parse_s 1.000"]
+    ] + [f"model metadata written to {model} (41 bytes)", "parse_s 1.000"]
 
 
 def test_a_command_that_fails_after_its_spans_prints_one_line(workspace, monkeypatch, capsys):
@@ -1260,14 +1322,16 @@ def test_a_late_learners_bad_cache_fails_before_any_projection(
     "text, message",
     [
         (b"base_seed 1\nseeds 1 \xff\n", "'utf-8' codec can't decode byte 0xff"),
-        (b"seeds 1 1\nd 2000\nr 16\nk 5\n", "ensemble seeds must be pairwise distinct"),
-        (b"seeds\nd 2000\nr 16\nk 5\n", "ensemble needs at least one seed"),
-        (b"seeds 1\nd 10\nr 16\nk 5\n", "r must satisfy 1 <= r <= d"),
-        (b"seeds 1\nd 2000\nr 16\nk 0\n", "k must be positive"),
+        (b"base_seed 1\nseeds 1 1\nd 2000\nr 16\nk 5\nE 2\n", "ensemble seeds must be pairwise distinct"),
+        (b"base_seed 1\nseeds\nd 2000\nr 16\nk 5\nE 0\n", "ensemble needs at least one seed"),
+        (b"base_seed 1\nseeds 1\nd 10\nr 16\nk 5\nE 1\n", "r must satisfy 1 <= r <= d"),
+        (b"base_seed 1\nseeds 1\nd 2000\nr 16\nk 0\nE 1\n", "k must be positive"),
     ],
     ids=["not-utf8", "duplicate-seeds", "no-seeds", "r-above-d", "k-zero"],
 )
 def test_bad_model_file_fails_first_in_a_one_line_error(tmp_path, capsys, text, message):
+    """Each model file is one that `format_metadata` could write but for its
+    fault; the model is refused before either data file is opened."""
     model = tmp_path / "m.txt"
     model.write_bytes(text)
     missing = str(tmp_path / "missing.txt")  # the data files are read after the model

@@ -25,6 +25,7 @@ from ogeec.csr import CSR
 from ogeec.embedding import EmbeddingSpec, embed, project_csr, save_cache
 from ogeec.ensemble import (
     EnsembleSpec,
+    format_metadata,
     fused_scores,
     learner_embeddings,
     learner_neighbours,
@@ -276,6 +277,52 @@ def test_metadata_rejects_malformed_e(tmp_path, e_line):
     with pytest.raises(ValueError) as exc:
         read_metadata(path)
     assert str(exc.value).startswith(f"{path}: malformed model metadata (")
+
+
+_MODEL = "base_seed 0\nseeds 0 1\nd 100\nr 4\nk 5\nE 2\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (_MODEL, "base_seed 9\nseeds 0 1\nd 1_00\nr \u0664 junk\nk 5\nE 2\nd 7\n", "bad line 'd 1_00'"),
+        ("base_seed 0", "base_seed 9", "base_seed 9 is not the first seed 0"),
+        ("d 100", "d 1_00", "bad line 'd 1_00'"),
+        ("r 4", "r \u0664", "bad line 'r \u0664'"),
+        ("r 4", "r 4 junk", "bad line 'r 4 junk'"),
+        ("E 2\n", "E 2\nd 7\n", "bad line 'd 7'"),
+        ("seeds 0 1", f"seeds 0 {2**64}", "ensemble seeds must be pairwise distinct modulo 2^64"),
+        ("seeds 0 1", "seeds 0 +1", "bad line 'seeds 0 +1'"),
+        ("seeds 0 1", "seeds 0 --1", "bad line 'seeds 0 --1'"),
+        ("k 5", "k -5", "bad line 'k -5'"),
+        ("k 5", "k", "bad line 'k'"),
+        ("E 2\n", "", "no E line"),
+        ("E 2\n", "E 2\nlr 1\n", "bad line 'lr 1'"),
+        ("E 2", "E 3", "E does not match the seed list: E 3, 2 seeds"),
+    ],
+    ids=["all-at-once", "base-seed", "underscore", "arabic-indic-digit", "extra-token",
+         "repeated-key", "seeds-equal-mod-2^64", "plus-sign", "two-signs", "signed-k", "no-value",
+         "missing-key", "unknown-key", "e-count"],
+)
+def test_metadata_refuses_what_format_metadata_never_writes(tmp_path, old, new, message):
+    """A model file is read with a dataset header's grammar: each key once
+    with its count of ASCII-digit values (only a seed takes a '-'), base_seed
+    the first seed, and seeds distinct as Philox keys (mod 2^64). Anything
+    else fails in one line that names the file and the fault."""
+    path = tmp_path / "model.txt"
+    path.write_text(_MODEL.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_metadata(path)
+    assert str(exc.value) == f"{path}: malformed model metadata ({message})"
+
+
+@pytest.mark.parametrize("seeds", [(-3, -2, -1, 0), (2**64 - 1, 2**64 + 5, -(2**70) + 1), (-(2**63),)])
+def test_metadata_roundtrips_negative_and_2_64_scale_seeds(tmp_path, seeds):
+    spec = EnsembleSpec(seeds=seeds, d=100, r=4, k=5)
+    path = tmp_path / "model.txt"
+    write_metadata(path, spec)
+    assert read_metadata(path) == spec
+    assert path.read_text() == format_metadata(spec)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
