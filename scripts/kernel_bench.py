@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Kernel micro-benchmark: each numpy kernel of `ogeec.csr` against the
-scipy.sparse expression it replaced (`tests/oracles.py`, `sp_*`), and the
-parser against the line-by-line parser that states the format.
+scipy.sparse expression it replaced (`tests/oracles.py`, `sp_*`), search
+against a full float64 scan, and the parser against the line-by-line parser
+that states the format.
 
     PYTHONPATH=src python3 scripts/kernel_bench.py [--workload mid] [--seed 0] [--repeat 3]
 
@@ -22,11 +23,15 @@ wide and dense-labels workloads, generated in memory from --seed:
   k = 5 neighbours per test sample (the workload's E: 5 for dense-labels,
   else 1), drawn at random from the train samples with similarities in
   (0, 1), since only the label fan-out sets the cost, passed in the blocks
-  of `_LABEL_FLOATS` // L queries that `predictor.rank_prefixes` cuts, each
-  block checked against its oracle;
+  of `_LABEL_FLOATS` // L queries (1 MiB of float64 scores) that
+  `predictor.rank_prefixes` cuts, each block checked against its oracle;
 - pair_dots: 10,000 random pairs of train samples, read from the parsed
   rows and their 1 / norms as `analyze distortion --pairs 10000` takes
   them; the oracle takes them from the unit rows of `sp_normalize_rows`;
+- search: `predictor._search` of the projected test columns against the
+  projected train columns (seed 0, r = 200, k = 5, both sets projected in
+  one pass, as `predict` projects them), in its tiles of at most 256
+  queries, against `oracles.knn_scan_block`, with the milliseconds per query;
 - parse: `data.parse_dataset` of the workload's train and test files
   against `oracles.parse_dataset`, with the parser's speed in MB/s;
 - header: `data.read_header` of the same files, all that `train` reads
@@ -34,8 +39,8 @@ wide and dense-labels workloads, generated in memory from --seed:
   its time against the oracle's parse, with its speed in MB/s.
 
 The script checks that each kernel and its oracle give the same bits (for
-parse, equal datasets; for header, equal (n, d, L)) and prints the median
-time of each.
+search, equal neighbours and scores; for parse, equal datasets; for header,
+equal (n, d, L)) and prints the median time of each.
 """
 
 import argparse
@@ -53,13 +58,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import corpus  # noqa: E402
 from oracles import float64_features, label_scores, sp_label_scores, sp_normalize_rows, sp_pair_dots  # noqa: E402
 from oracles import parse_dataset as oracle_parse  # noqa: E402
-from oracles import same_dataset, sp_row_products, vstack  # noqa: E402
+from oracles import knn_scan_block, same_dataset, sp_row_products, vstack  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from ogeec.csr import CSR, inv_norms, pair_dots  # noqa: E402
 from ogeec.data import parse_dataset, read_header  # noqa: E402
-from ogeec.embedding import EmbeddingSpec, PlannedRows, materialize_rows  # noqa: E402
-from ogeec.predictor import _LABEL_FLOATS  # noqa: E402
+from ogeec.embedding import EmbeddingSpec, PlannedRows, materialize_rows, project_rows  # noqa: E402
+from ogeec.predictor import _LABEL_FLOATS, _search  # noqa: E402
 
 LEARNERS = {"mid": 1, "wide": 1, "dense-labels": 5}
 R, K, PAIRS = 200, 5, 10_000
@@ -140,21 +145,32 @@ def projection(train, test, repeat: int) -> tuple[float, float, bool]:
     return new_s, ref_s, identical
 
 
-def parse(paths, repeat: int) -> tuple[tuple[float, float, bool, float], list, float]:
+def search(train, test, repeat: int) -> tuple[float, float, bool, str]:
+    """`_search` of the test set's projection against the train set's, and
+    the oracle's full scan; then the program's ms per query."""
+    rows = PlannedRows(train.features, test.features, r=R)
+    projected = project_rows(EmbeddingSpec(seed=0, d=train.d, r=R), rows)
+    data, queries = projected[:, : train.n], projected[:, train.n :]
+    new_s, got = median_time(lambda: _search(queries, data, K), repeat)
+    ref_s, want = median_time(lambda: knn_scan_block(queries, data, K), repeat)
+    return new_s, ref_s, same_bits(got, want), f"{1e3 * new_s / test.n:.3f} ms/query"
+
+
+def parse(paths, repeat: int) -> tuple[tuple[float, float, bool, str], list, float]:
     """Both sets parsed by the program and by the oracle, and the program's
     MB/s; then the oracle's datasets and its time."""
     new_s, got = median_time(lambda: [parse_dataset(path) for path in paths], repeat)
     ref_s, want = median_time(lambda: [oracle_parse(path) for path in paths], repeat)
     megabytes = sum(path.stat().st_size for path in paths) / 1e6
-    return (new_s, ref_s, all(map(same_dataset, got, want)), megabytes / new_s), want, ref_s
+    return (new_s, ref_s, all(map(same_dataset, got, want)), f"{megabytes / new_s:.1f} MB/s"), want, ref_s
 
 
-def header(paths, repeat: int, want: list, ref_s: float) -> tuple[float, float, bool, float]:
+def header(paths, repeat: int, want: list, ref_s: float) -> tuple[float, float, bool, str]:
     """Both sets' headers read by the program, checked against the oracle's
     datasets `want` (parsed in ref_s), and the program's MB/s."""
     new_s, got = median_time(lambda: [read_header(path) for path in paths], repeat)
     megabytes = sum(path.stat().st_size for path in paths) / 1e6
-    return new_s, ref_s, got == [(ds.n, ds.d, ds.L) for ds in want], megabytes / new_s
+    return new_s, ref_s, got == [(ds.n, ds.d, ds.L) for ds in want], f"{megabytes / new_s:.1f} MB/s"
 
 
 def main() -> int:
@@ -171,7 +187,7 @@ def main() -> int:
     names = list(LEARNERS) if args.workload == "all" else [args.workload]
     status = 0
     print(f"seed {args.seed}, median of {args.repeat}, seconds")
-    print("workload\tkernel\tnumpy\toracle\tratio\tMB/s\tbits")
+    print("workload\tkernel\tnumpy\toracle\tratio\trate\tbits")
     for name in names:
         paths = corpus_files(name, args.seed, args.scratch)
         train, test = (parse_dataset(path) for path in paths)
@@ -179,14 +195,14 @@ def main() -> int:
         for kernel, new, ref in kernels(name, train, test):
             new_s, got = median_time(new, args.repeat)
             ref_s, want = median_time(ref, args.repeat)
-            results.append((kernel, new_s, ref_s, same_bits(got, want), None))
-        results.append(("projection", *projection(train, test, args.repeat), None))
+            results.append((kernel, new_s, ref_s, same_bits(got, want), "-"))
+        results.append(("projection", *projection(train, test, args.repeat), "-"))
+        results.append(("search", *search(train, test, args.repeat)))
         parsed, oracle_sets, oracle_s = parse(paths, args.repeat)
         results.append(("parse", *parsed))
         results.append(("header", *header(paths, args.repeat, oracle_sets, oracle_s)))
-        for kernel, new_s, ref_s, identical, speed in results:
+        for kernel, new_s, ref_s, identical, rate in results:
             status |= not identical
-            rate = "-" if speed is None else f"{speed:.1f}"
             print(f"{name}\t{kernel}\t{new_s:.4f}\t{ref_s:.4f}\t{new_s / ref_s:.2f}\t{rate}\t"
                   f"{'identical' if identical else 'DIFFER'}")
     return status

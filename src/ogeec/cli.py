@@ -69,9 +69,10 @@ class RunConfig:
     workers: int = _knob(
         0,
         "projection threads, 0 for all cores: each runs its range of F's rows in "
-        "blocks of one height (at most about 8 MB) that the plan sets, so each row "
-        "is generated once. Search runs one float32 GEMM per tile of 2^21 // "
-        "n_train queries, threaded by BLAS, whose idle threads sleep when it ends",
+        "blocks of one height (at most 32 rows and about 8 MB) that the plan sets, "
+        "so each row is generated once. Search runs one float32 GEMM per tile of at "
+        "most 256 queries and 2^21 // n_train, threaded by BLAS, whose idle threads "
+        "sleep when it ends",
         0,
     )
     topk: int = _knob(5, "labels per row in the prediction TSV", 1)

@@ -217,7 +217,7 @@ def learner_scores(index: np.ndarray, sims: np.ndarray, labels: CSR) -> np.ndarr
 
     The queries are one dense block, so callers pass at most
     `predictor._LABEL_FLOATS` // L rows (`predictor.rank_prefixes` cuts its
-    queries into such 4 MB blocks). The block is one np.bincount of the
+    queries into such 1 MiB blocks). The block is one np.bincount of the
     neighbours' weights at their (row, label) cells, row after row and each
     row in neighbour order; bincount adds each cell's weights in that order
     into a zeroed float64, so each score is the sum that scipy's `W @ Y`

@@ -28,8 +28,8 @@ and float32 values), plus O(n) and the column plan's O(d), and holds 8.
 A command's parsed sets give up their feature arrays once they are planned
 (`ensemble.learner_embeddings`), so from then on it holds its samples once.
 `PlannedRows` sizes each projection, whose memory is then bounded per
-worker, whatever r and d: one transposed block of F of at most about 8 MB
-(`_row_block`), reused for every block, and 1 MiB of scratch, which
+worker, whatever r and d: one transposed block of F of at most 32 rows and
+about 8 MB (`_row_block`), reused for every block, and 1 MiB of scratch, which
 `_gaussian_rows` fills with four 256 KiB buffers piece by piece and the
 products then use for their chunks."""
 
@@ -224,9 +224,13 @@ def materialize_rows(
     return _gaussian_rows(spec.seed, range(start, stop), spec.d, cols, out, scratch=scratch)
 
 
+# rows in one block of F: past 32 the products gain nothing, and a block
+# of c columns also stays under about 8 MB of float64 (1,000,000 // c rows)
+_BLOCK_ROWS = 32
+
+
 def _row_block(c: int) -> int:
-    # a transposed block of c columns: near 8 MB of float64
-    return max(1, 1_000_000 // max(c, 1))
+    return max(1, min(_BLOCK_ROWS, 1_000_000 // max(c, 1)))
 
 
 def split_rows(bounds: Sequence[int], fill) -> None:

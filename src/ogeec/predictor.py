@@ -45,13 +45,15 @@ from .embedding import EmbeddedMatrix, column_norms
 from .embedding import project_csr  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
 
 # floats in one search screen tile of float32 scores (8 MB; it holds this //
-# n_train queries), which also sizes `rank_candidates`' blocks of products
+# n_train queries, at most _TILE_QUERIES, past which the GEMM gains nothing),
+# which also sizes `rank_candidates`' blocks of products
 _SCREEN_FLOATS = 1 << 21
+_TILE_QUERIES = 256
 # float64s in one of `top_k`'s padded selection blocks (16 MB)
 _SELECT_FLOATS = 1 << 21
-# float64s in one of `rank_prefixes`' dense label blocks (4 MB; it holds
+# float64s in one of `rank_prefixes`' dense label blocks (1 MiB; it holds
 # this // L queries)
-_LABEL_FLOATS = 1 << 19
+_LABEL_FLOATS = 1 << 17
 
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53
@@ -120,9 +122,9 @@ def _search(queries: np.ndarray, data: np.ndarray, k: int) -> tuple[np.ndarray, 
     r, n = data.shape
     m = queries.shape[1]
     xmax = _max_column_norm(data) if k < n else 0.0
-    # with k >= n every pair is a candidate: a tile holds _SCREEN_FLOATS // 8
-    # of them, so rank_candidates' pair arrays stay near 16 MB
-    step = max(1, _SCREEN_FLOATS // ((8 if k >= n else 1) * max(n, 1)))
+    # with k >= n every pair is a candidate: a tile holds at most
+    # _SCREEN_FLOATS // 8 of them, so rank_candidates' pair arrays stay under 16 MB
+    step = max(1, min(_TILE_QUERIES, _SCREEN_FLOATS // ((8 if k >= n else 1) * max(n, 1))))
     index = np.empty((m, min(k, n)), dtype=np.int64)
     sims = np.empty((m, min(k, n)))
     for a in range(0, m, step):
@@ -133,7 +135,7 @@ def _search(queries: np.ndarray, data: np.ndarray, k: int) -> tuple[np.ndarray, 
             with np.errstate(over="ignore", invalid="ignore"):  # unscreened rows
                 qnorm = np.sqrt(np.square(q64).sum(axis=1))
                 scores = q64.astype(np.float32) @ data
-            rows = max(1, step // 8)  # k-th scores from 1 MB copies, never a copy of the tile
+            rows = max(1, step // 8)  # k-th scores from copies of at most 1 MB, never of the tile
             kth = np.concatenate([np.partition(scores[b : b + rows], n - k, axis=1)[:, n - k]
                                   for b in range(0, len(q64), rows)])
             keep = scores >= (kth - 2.0 * _margin(r, qnorm, xmax))[:, None]
@@ -254,13 +256,14 @@ def rank_prefixes(
 ) -> dict:
     """{s: `top_k` of the mean label scores of the first s learners} for each
     distinct s in `sizes`, all in [1, E]. Per block of at most
-    _LABEL_FLOATS // L queries, each learner's `learner_scores` block is
-    built once and added in learner order to a running sum, as scipy's
-    S_1 + S_2 + ... adds them (bincount forms no -0.0, so a label a learner
-    never scored adds 0); at each s, `mean_scores` divides the sum by s and
-    `top_k` ranks it. A row's scores depend only on its own neighbours, so
-    each ranking is that of one pass over all queries; no score matrix of
-    all m queries is held, but every ranking is held until the last block."""
+    _LABEL_FLOATS // L queries (1 MiB of float64 scores; 133 at L = 983),
+    each learner's `learner_scores` block is built once and added in learner
+    order to a running sum, as scipy's S_1 + S_2 + ... adds them (bincount
+    forms no -0.0, so a label a learner never scored adds 0); at each s,
+    `mean_scores` divides the sum by s and `top_k` ranks it. A row's scores
+    depend only on its own neighbours, so each ranking is that of one pass
+    over all queries; no score matrix of all m queries is held, but every
+    ranking is held until the last block."""
     if not sizes or not all(1 <= s <= len(learners) for s in sizes):
         raise ValueError(f"sizes must be nonempty and lie in [1, {len(learners)}]")
     m, L = len(learners[0][0]), labels.shape[1]

@@ -250,7 +250,8 @@ def test_project_equals_full_f_oracle(monkeypatch, case, workers, dtype):
 
 def _desk_shaped() -> CSR:
     """1,900 samples of 15 features over d = 8,000, using c = 4,800 columns,
-    as the desk benchmark corpus does (so `_row_block(c)` is 208)."""
+    as the desk benchmark corpus does (so `_row_block(c)` is 32, where
+    1,000,000 // c alone would give 208)."""
     n, per_row, c = 1900, 15, 4800
     indices = (np.arange(n * per_row) * 7 % c).astype(np.int32)  # distinct within a row
     values = np.random.default_rng(2).uniform(0.1, 2.0, indices.size)
@@ -258,19 +259,21 @@ def _desk_shaped() -> CSR:
 
 
 @pytest.mark.parametrize(
-    "workers, bounds, height", [(1, [0, 100], 100), (2, [0, 50, 100], 50), (3, [0, 33, 66, 100], 34)]
+    "workers, bounds, span", [(1, [0, 100], 100), (2, [0, 50, 100], 50), (3, [0, 33, 66, 100], 34)]
 )
-def test_plan_is_chunked_for_the_blocks_it_runs(workers, bounds, height):
+def test_plan_is_chunked_for_the_blocks_it_runs(workers, bounds, span):
     """The plan alone decides a projection's sizes: at desk's shape and
-    r = 100, F's rows split into one range per worker, and each range runs
-    blocks of at most a range (below `_row_block`'s 208 rows), for which the
-    rows are chunked: on 2 workers, 50-row blocks and _CHUNK_FLOATS // 51
-    rows per chunk."""
+    r = 100, F's rows split into one range per worker, the longest `span`
+    rows, and each range runs blocks of `_row_block`'s 32 rows (the
+    `_BLOCK_ROWS` cap, below the 208 that the byte budget allows, and below
+    every span), for which the rows are chunked: _CHUNK_FLOATS // 33 rows
+    per chunk on any of 1 to 3 workers."""
     X = _desk_shaped()
     planned = PlannedRows(X, r=100, workers=workers)
-    assert planned.plan.columns.size == 4800 and embedding._row_block(4800) == 208
-    assert (planned.bounds, planned.height) == (bounds, height)
-    assert planned.products.rows == csr._CHUNK_FLOATS // (height + 1)
+    assert planned.plan.columns.size == 4800 and embedding._row_block(4800) == 32
+    assert max(np.diff(planned.bounds)) == span
+    assert (planned.bounds, planned.height) == (bounds, 32)
+    assert planned.products.rows == csr._CHUNK_FLOATS // 33
 
 
 @pytest.mark.parametrize("r", [7, 100, 200])
@@ -725,6 +728,27 @@ def test_projection_memory_is_bounded_by_the_block_budget(workers):
     per_worker = _BLOCK_BYTES + (1 << 20)
     bound = workers * per_worker + 24 * nnz + 32 * d + 4 * spec.r * n
     assert peak <= bound, (peak, bound)
+
+
+def test_projection_blocks_of_f_stop_at_the_row_cap():
+    """At desk's shape (c = 4,800 used columns) and sweep-r's r = 400 on 2
+    workers, a projection holds per worker one transposed block of F of
+    `_BLOCK_ROWS` = 32 rows (1.2 MB) and 1 MiB of scratch, besides its
+    float32 output and 1 MiB for the rest. Blocks sized by the byte budget
+    alone, 200 rows of 7.7 MB each, fail."""
+    X = _desk_shaped()
+    spec = EmbeddingSpec(seed=3, d=X.shape[1], r=400)
+    rows = PlannedRows(X, r=spec.r, workers=2)
+    c = rows.plan.columns.size
+    tracemalloc.start()
+    try:
+        embedding.project_rows(spec, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * (32 * c * 8 + (1 << 20)) + 4 * spec.r * rows.n + (1 << 20)
+    assert peak <= bound, (peak, bound)
+    assert rows.height == embedding._BLOCK_ROWS == 32
 
 
 def test_train_test_rows_memory_is_bounded_per_nonzero():

@@ -221,6 +221,28 @@ def test_knn_with_k_at_least_n_holds_arrays_not_pairs():
     assert peak <= 128 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
+def test_search_tiles_stop_at_the_query_cap():
+    """At n = 500 and r = 200, `_search`'s tracemalloc peak at 4,096 queries
+    exceeds that at 256 by at most its (m, k) output, 16 bytes per (query,
+    neighbour), plus 256 KiB: a tile holds at most `_TILE_QUERIES` = 256
+    queries. Tiles of 2^21 // n = 4,194 queries held all 4,096 in one, and
+    the peak grew with the tile."""
+    rng = np.random.default_rng(7)
+    r, n, k = 200, 500, 5
+    data = np.asfortranarray(rng.normal(size=(r, n)).astype(np.float32))
+    peaks = []
+    for m in (256, 4096):
+        queries = np.asfortranarray(rng.normal(size=(r, m)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            predictor._search(queries, data, k)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 16 * k * (4096 - 256) + 256 * 1024, peaks
+    assert predictor._TILE_QUERIES == 256
+
+
 def test_max_column_norm_in_1mb_blocks():
     """One query against a (200 x 20,000) train matrix: `knn` squares the
     columns for their largest norm 1 MB at a time (a 16 MB block of squares
@@ -274,6 +296,29 @@ def test_propagate_linearity_over_disjoint_neighbors():
 def test_propagate_bad_index():
     with pytest.raises(IndexError):
         propagate([(3, 0.5)], [np.array([0])])
+
+
+def test_label_blocks_stop_at_one_mib():
+    """At L = 983 (E = 3 learners of k = 5 neighbours, 75 labels per train
+    sample), `rank_prefixes`' tracemalloc peak at 2,048 queries exceeds that
+    at 133, one block of `_LABEL_FLOATS` // L, by at most its (m, K) output
+    plus 256 KiB: a block holds at most 2^17 float64s (1 MiB). Blocks of
+    2^19 floats (533 queries) grew with the queries until 533."""
+    rng = np.random.default_rng(8)
+    n, L, per, E, k, K = 2_000, 983, 75, 3, 5, 5
+    indices = np.sort(np.argpartition(rng.random((n, L)), per, axis=1)[:, :per]).ravel()
+    Y = CSR(np.ones(indices.size), indices, np.arange(n + 1, dtype=np.int64) * per, (n, L))
+    peaks = []
+    for m in (133, 2_048):
+        learners = [(rng.integers(0, n, (m, k)), rng.random((m, k))) for _ in range(E)]
+        tracemalloc.start()
+        try:
+            predictor.rank_prefixes(learners, Y, K, [E])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 16 * K * (2_048 - 133) + 256 * 1024, peaks
+    assert predictor._LABEL_FLOATS // L == 133
 
 
 def test_rank_labels_memory_grows_only_by_its_output():

@@ -6,8 +6,9 @@ The two measuring scripts also run once on a small input, each in its own
 process, since `embed_memory.py` replaces module attributes: a phase of
 `predict` that moves, is renamed or runs a different number of times
 changes `embed_memory.py`'s rows, and a kernel whose bits leave its scipy
-oracle's, a parse that leaves the line-by-line oracle's dataset, or a
-header read that leaves its (n, d, L), fails `kernel_bench.py`."""
+oracle's, a search whose neighbours leave the full scan's, a parse that
+leaves the line-by-line oracle's dataset, or a header read that leaves its
+(n, d, L), fails `kernel_bench.py`."""
 
 import collections
 import os
@@ -59,5 +60,5 @@ def test_kernel_bench_kernels_match_their_oracles(tmp_path):
     rows = [line.split("\t") for line in stdout.splitlines() if line.startswith("dense-labels\t")]
     assert [(row[1], row[-1]) for row in rows] == [
         ("label_scores", "identical"), ("pair_dots", "identical"), ("projection", "identical"),
-        ("parse", "identical"), ("header", "identical"),
+        ("search", "identical"), ("parse", "identical"), ("header", "identical"),
     ], stdout
