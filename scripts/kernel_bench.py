@@ -34,9 +34,11 @@ wide and dense-labels workloads, generated in memory from --seed:
   queries, against `oracles.knn_scan_block`, with the milliseconds per query;
 - parse: `data.parse_dataset` of the workload's train and test files
   against `oracles.parse_dataset`, with the parser's speed in MB/s;
-- header: `data.read_header` of the same files, all that `train` reads
-  without --cache, its (n, d, L) checked against the oracle's datasets and
-  its time against the oracle's parse, with its speed in MB/s.
+- header: `model.read_header` (exported by `data` too) of the same files,
+  all that `train` reads without --cache, on the standard library alone
+  (it counts lines by `bytes.replace`), its (n, d, L) checked against the
+  oracle's datasets and its time against the oracle's parse, with its speed
+  in MB/s.
 
 The script checks that each kernel and its oracle give the same bits (for
 search, equal neighbours and scores; for parse, equal datasets; for header,

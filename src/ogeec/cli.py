@@ -4,7 +4,9 @@ and analysis sweeps.
 All indices in dataset files are 0-based. Data goes to stdout (or --out);
 diagnostics and timings go to stderr. Every command is deterministic for a
 fixed configuration, including the worker count. Option precedence is
-command-line flags over --config (JSON) over built-in defaults.
+command-line flags over --config (JSON) over built-in defaults. Plain
+`train` (no --cache) reads the train file's header and writes the model on
+the standard library alone; every other command loads numpy when it starts.
 """
 
 from __future__ import annotations
@@ -17,29 +19,49 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
+from . import trace
+from .model import (
+    DEFAULT_A, DEFAULT_B, DEFAULT_BINS, DEFAULT_BITS, DEFAULT_KS, DEFAULT_TABLES, MAX_BITS,
+    DatasetFormatError, EmbeddingSpec, make_ensemble_spec, read_header, read_metadata, write_metadata,
+)
 
-from . import ensemble as ens
-from . import jl, lsh, metrics, trace
-from .data import (
-    DatasetFormatError,
-    SparseDataset,
-    generate_synthetic,
-    parse_dataset,
-    read_header,
-    split_dataset,
-    write_dataset,
-)
-from .embedding import EmbeddingSpec, save_cache
-from .lsh import build_index, query_lsh
-from .predictor import (
-    batch_predict,
-    format_predictions,
-    rank_labels,
-)
-from .embedding import materialize_rows  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
-from .embedding import embed  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
-from .predictor import propagate  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
+# What every command but plain `train` reads: name -> (module, attribute, or
+# None for the module itself). `_pipeline` binds each as a module global on
+# first use, so plain `train` loads no numpy; until then a module
+# `__getattr__` serves it, as to perfbench/tracer.py, whose wrapper it keeps.
+_LAZY = {
+    "np": ("numpy", None),
+    "ens": (".ensemble", None),
+    "jl": (".jl", None),
+    "metrics": (".metrics", None),
+    **{name: (".data", name) for name in ("SparseDataset", "generate_synthetic", "parse_dataset")},
+    **{name: (".data", name) for name in ("split_dataset", "write_dataset")},
+    "save_cache": (".embedding", "save_cache"),
+    "build_index": (".lsh", "build_index"),
+    "query_lsh": (".lsh", "query_lsh"),
+    **{name: (".predictor", name) for name in ("batch_predict", "format_predictions", "rank_labels")},
+    "materialize_rows": (".embedding", "materialize_rows"),  # kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
+    "embed": (".embedding", "embed"),  # kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
+    "propagate": (".predictor", "propagate"),  # kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
+}
+
+
+def _pipeline() -> None:
+    """Bind every `_LAZY` name not yet bound: a wrapper set on one stays.
+    Each module is imported as an import statement imports it, so
+    `python -X importtime` lists it."""
+    for name, (module, attr) in _LAZY.items():
+        if name not in globals():
+            path = __package__ + module if module.startswith(".") else module
+            __import__(path)
+            globals()[name] = getattr(sys.modules[path], attr) if attr else sys.modules[path]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _pipeline()
+    return globals()[name]
 
 
 class UsageError(ValueError):
@@ -63,24 +85,24 @@ class RunConfig:
     k: int = _knob(5, "nearest neighbours", 1)
     learners: int = _knob(5, "ensemble size E", 1)
     seed: int = _knob(0, "base seed")
-    prop_a: float = _knob(metrics.DEFAULT_A, "propensity A; 0.6 for Amazon-family")
-    prop_b: float = _knob(metrics.DEFAULT_B, "propensity B; 2.6 for Amazon-family")
-    ks: tuple[int, ...] = _knob(metrics.DEFAULT_KS, "comma-separated K cutoffs", 1)
+    prop_a: float = _knob(DEFAULT_A, "propensity A; 0.6 for Amazon-family")
+    prop_b: float = _knob(DEFAULT_B, "propensity B; 2.6 for Amazon-family")
+    ks: tuple[int, ...] = _knob(DEFAULT_KS, "comma-separated K cutoffs", 1)
     workers: int = _knob(
         0,
-        "projection threads, 0 for all cores: each runs its range of F's rows in "
-        "blocks of one height (at most 32 rows and about 8 MB) that the plan sets, "
-        "so each row is generated once. Search runs one float32 GEMM per tile of at "
-        "most 256 queries and 2^21 // n_train, threaded by BLAS, whose idle threads "
-        "sleep when it ends",
+        "projection threads, 0 for every CPU this process may run on: each runs its "
+        "range of F's rows in blocks of one height (at most 32 rows and about 8 MB) "
+        "that the plan sets, so each row is generated once. Search runs one float32 "
+        "GEMM per tile of at most 256 queries and 2^21 // n_train, threaded by BLAS, "
+        "whose idle threads sleep when it ends",
         0,
     )
     topk: int = _knob(5, "labels per row in the prediction TSV", 1)
-    tables: int = _knob(lsh.DEFAULT_TABLES, "LSH tables T", 1)
-    bits: int = _knob(lsh.DEFAULT_BITS, "bits per code H", 1)
+    tables: int = _knob(DEFAULT_TABLES, "LSH tables T", 1)
+    bits: int = _knob(DEFAULT_BITS, "bits per code H", 1)
     pairs: int = _knob(10000, "sampled pairs", 1)
     pair_seed: int = _knob(0, "pair sampling seed")
-    bins: int = _knob(jl.DEFAULT_BINS, "histogram bins", 1)
+    bins: int = _knob(DEFAULT_BINS, "histogram bins", 1)
     grid: bool = _knob(False, "print the metric grid instead of TSV")
     # gen
     n: int = _knob(1000, "sample count", 1)
@@ -108,7 +130,12 @@ class RunConfig:
     )
 
     def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+        """--workers, or with 0 the CPUs this process may run on."""
+        if self.workers > 0:
+            return self.workers
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
@@ -169,8 +196,8 @@ def _check_knobs(cfg: RunConfig) -> None:
         for v in values:
             if v < low:
                 raise UsageError(f"{_flag(name)} must be an integer >= {low}, got {v!r}")
-    if cfg.bits > lsh.MAX_BITS:
-        raise UsageError(f"--bits must be at most {lsh.MAX_BITS}, got {cfg.bits}")
+    if cfg.bits > MAX_BITS:
+        raise UsageError(f"--bits must be at most {MAX_BITS}, got {cfg.bits}")
     if not 0 < cfg.prop_a < 1:
         raise UsageError(f"--prop-a must lie in (0, 1), got {cfg.prop_a!r}")
     if not 0 <= cfg.prop_b < float("inf"):
@@ -283,7 +310,7 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
     # read, and the commands that tokenize the samples refuse a bad sample line
     ds = None if cfg.cache is None else parse_dataset(cfg.train)
     d = read_header(cfg.train)[1] if ds is None else ds.d
-    spec = ens.make_ensemble_spec(cfg.seed, cfg.learners, d, cfg.r, cfg.k)
+    spec = make_ensemble_spec(cfg.seed, cfg.learners, d, cfg.r, cfg.k)
     if ds is not None:
         ds.feature_sha256  # each cache file holds it: taken before planning drops the features
         ds.planned_only = True
@@ -297,7 +324,7 @@ def cmd_train(cfg: RunConfig, explicit: set[str]) -> int:
                 f"{trace.seconds.pop('embed_s'):.3f}s ({lspec.r}x{lspec.d}), cached to {path}",
                 file=sys.stderr,
             )
-    ens.write_metadata(cfg.model, spec)
+    write_metadata(cfg.model, spec)
     size = os.path.getsize(cfg.model)  # the whole model, the paper's second claim
     print(f"model metadata written to {cfg.model} ({size} bytes)", file=sys.stderr)
     return 0
@@ -320,7 +347,7 @@ def _read_sets(
     of `flag` K fits in this machine's memory. The command reads no feature
     of either set once they are planned, so planning drops their features."""
     _require(cfg, *(["model"] if model else []), "train", "test")
-    spec = ens.read_metadata(cfg.model) if model else None
+    spec = read_metadata(cfg.model) if model else None
     if spec is not None:
         count = cfg.learners if "learners" in explicit else spec.size
         if count > spec.size:
@@ -453,7 +480,7 @@ def cmd_analyze_sweep_r(cfg: RunConfig, explicit: set[str]) -> int:
 def cmd_analyze_sweep_ensemble(cfg: RunConfig, explicit: set[str]) -> int:
     _, train_ds, test_ds = _read_sets(cfg, explicit, "--ks", max(cfg.ks))
     evaluate = _evaluator(cfg, train_ds, test_ds)
-    spec = ens.make_ensemble_spec(cfg.seed, max(cfg.sizes), train_ds.d, cfg.r, cfg.k)
+    spec = make_ensemble_spec(cfg.seed, max(cfg.sizes), train_ds.d, cfg.r, cfg.k)
     own, fused = ens.sweep_ensemble_size(
         spec, train_ds, test_ds, cfg.sizes, max(cfg.ks), workers=cfg.effective_workers()
     )
@@ -600,6 +627,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg, explicit = resolve_config(args)
         _check_dirs(*(getattr(cfg, name) for name in args.writes))
+        if args.func is not cmd_train or cfg.cache is not None:  # plain train needs no numpy
+            _pipeline()
         status = args.func(cfg, explicit)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -16,18 +16,18 @@ A `SparseDataset`'s feature CSR stores its indices as int32 below 2^31
 columns (int64 from there) and its values as float32; its label CSR stores
 its indices as int64.
 
-`parse_dataset` reads the file in pieces of about `_CHUNK` bytes cut at line
-ends, and tokenizes each piece with numpy (`_parse_canonical`). A label or
-index of more than 18 digits, or a value outside Clinger's exact path, is
-converted alone by `int()` or `float()`. A piece with a line that breaks the
-grammar or fails a check raises the error of its first such line.
+`parse_dataset` reads the file twice in pieces of about `model._CHUNK`
+bytes cut at line ends (`model._pieces`): the header scan that `read_header`
+runs without numpy (`model._samples`) checks the file and counts its
+features, then each piece is tokenized with numpy (`_parse_canonical`). A
+label or index of more than 18 digits, or a value outside Clinger's exact
+path, is converted alone by `int()` or `float()`. A piece with a line that
+breaks the grammar or fails a check raises the error of its first such line.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import os
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,19 +36,11 @@ import numpy as np
 
 from . import trace
 from .csr import CSR, _index_dtype
-
-
-class DatasetFormatError(ValueError):
-    """A dataset file violates the text-format contract."""
-
+from .model import DatasetFormatError, _pieces, _samples, atomic_write, read_header  # noqa: F401 -- exported as before
 
 _F32_MAX = float(np.finfo(np.float32).max)
 # int64 indices hashed at a time by `feature_sha256` (1 MB)
 _HASH_ENTRIES = 1 << 17
-# Sample lines are parsed in pieces of about this many bytes, cut at line
-# ends, so parsing holds one piece's temporaries besides the dataset: about
-# 22 bytes per input byte, under 3 MB a piece.
-_CHUNK = 128 << 10
 # The class of each byte: the separators between digit runs, any byte
 # outside the grammar (no run may touch one), then digits.
 _NL, _SP, _COMMA, _COLON, _DOT, _EXP, _SIGN, _OTHER, _DIGIT = range(9)
@@ -401,92 +393,9 @@ def _values(piece, buf, sep, cls, length, nums, t) -> tuple[np.ndarray, np.ndarr
     return v.astype(np.float32), non_finite
 
 
-def _pieces(f):
-    """The rest of binary file f in pieces of about _CHUNK bytes, each ending
-    with a line end (the last may not), and CRLF and CR read as LF, as text
-    mode reads them. A block is cut after its last LF, or after its last CR
-    but one at its end, so no CRLF is split."""
-    head = []  # the start of a line that has not ended yet
-    while block := f.read(_CHUNK):
-        if block.endswith(b"\r"):  # the next byte says whether a CRLF ends here
-            block += f.read(1)
-        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
-        if cut:
-            yield _lf(b"".join([*head, block[:cut]]))
-            head = []
-        head.append(block[cut:])
-    if rest := b"".join(head):
-        yield _lf(rest)
-
-
-def _lf(piece: bytes) -> bytes:
-    """The piece with its CRLF and CR line ends written as LF."""
-    return piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in piece else piece
-
-
-def _scan(f) -> tuple[int, bytes, int]:
-    """Check that f is UTF-8 and count its lines and features, in one pass.
-
-    Returns the line count, the header line and the number of ':' after the
-    header. Each feature pair holds one ':' and a sample line that parses
-    holds no other, so that is the feature count of any file that parses.
-    """
-    lines, header, last, colons = 0, b"", b"", 0
-    for piece in _pieces(f):
-        if not piece.isascii():
-            try:
-                piece.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                at = lines + piece.count(b"\n", 0, exc.start) + 1
-                raise DatasetFormatError(f"line {at}: not valid UTF-8") from None
-        if not last:
-            header = piece.partition(b"\n")[0]
-        codes = np.frombuffer(piece, dtype=np.uint8)
-        lines += int(np.count_nonzero(codes == ord("\n")))
-        colons += int(np.count_nonzero(codes == ord(":")))
-        last = piece[-1:]
-    return lines + (last not in b"\n"), header, colons - header.count(b":")
-
-
-@contextlib.contextmanager
-def _samples(path):
-    """`path` open at its first sample line, with the header's (n, d, L) and
-    the feature count (`_scan`); a DatasetFormatError raised here names it."""
-    try:
-        with open(path, "rb") as f:
-            lines, header, nnz = _scan(f)
-            if not lines:
-                raise DatasetFormatError("line 1: empty file")
-            fields = header.decode("utf-8").split()
-            # ASCII digits: int() alone also reads signs, "_" and other scripts' digits
-            if len(fields) != 3 or not all(tok.isascii() and tok.isdigit() for tok in fields):
-                raise DatasetFormatError("line 1: header must be 'n d L'")
-            try:
-                n, d, L = (int(tok) for tok in fields)
-            except ValueError:  # more digits than int() converts
-                raise DatasetFormatError("line 1: header must be 'n d L'") from None
-            if n <= 0 or d <= 0 or L <= 0:
-                raise DatasetFormatError("line 1: header fields must be positive")
-            if max(n, d, L) >= 2**63:  # counts and indices are int64
-                raise DatasetFormatError("line 1: header fields must be below 2^63")
-            if lines - 1 != n:
-                raise DatasetFormatError(
-                    f"expected {n} sample lines after the header, found {lines - 1}"
-                )
-            f.seek(len(header))  # then past its line end: LF, CRLF or CR
-            f.seek(len(header) + (2 if f.read(2) == b"\r\n" else 1))
-            yield f, (n, d, L), nnz
-    except DatasetFormatError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
-
-
-@trace.span("parse_s")
-def read_header(path) -> tuple[int, int, int]:
-    """A dataset file's (n, d, L), checked as `parse_dataset` checks them but
-    tokenizing no sample line: one pass checks its UTF-8 and its line count.
-    Its wall time adds to `trace`'s `parse_s`."""
-    with _samples(path) as (_, header, _):
-        return header
+def _colons(piece: bytes) -> int:
+    """The piece's count of ':', a byte too common for `bytes.replace`."""
+    return int(np.count_nonzero(np.frombuffer(piece, dtype=np.uint8) == ord(":")))
 
 
 @trace.span("parse_s")
@@ -494,11 +403,11 @@ def parse_dataset(path) -> SparseDataset:
     """Parse and validate a dataset file.
 
     Errors name the file and carry 1-based line numbers. The file is read
-    twice in pieces of about _CHUNK bytes: once to check its encoding, its
-    header and its line count (as `read_header` does), once to parse. Its
-    wall time adds to `trace`'s `parse_s`.
+    twice in the same pieces: once to check its encoding, its header and its
+    line count (as `read_header` does) and count its features, once to
+    parse. Its wall time adds to `trace`'s `parse_s`.
     """
-    with _samples(path) as (f, (n, d, L), nnz):
+    with _samples(path, _colons) as (f, (n, d, L), nnz):
         # each piece's features go straight to their place, so the parse
         # holds the dataset and one piece's temporaries
         feat_indices = np.empty(nnz, dtype=_index_dtype(d))
@@ -531,24 +440,6 @@ def format_dataset(ds: SparseDataset) -> str:
         feats = " ".join(f"{j}:{_fmt_value(v)}" for j, v in zip(X.indices[a:b], X.data[a:b]))
         out.append(labels + (" " + feats if feats else ""))
     return "\n".join(out) + "\n"
-
-
-@contextlib.contextmanager
-def atomic_write(path, mode: str = "w"):
-    """`open(path, mode)`, but written to a temp file beside `path` that
-    `os.replace` moves onto it once the block ends: no reader sees part of it."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        f = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
-    except OSError as exc:  # named as the file that it stands in for
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with f:
-            yield f
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
 
 
 def write_dataset(ds: SparseDataset, path) -> None:

@@ -47,7 +47,8 @@ import numpy as np
 
 from . import trace
 from .csr import CSR, RowProducts, _index_dtype
-from .data import SparseDataset, atomic_write
+from .data import SparseDataset
+from .model import _MASK64, EmbeddingSpec, atomic_write
 
 CACHE_MAGIC = b"OGEC"
 CACHE_VERSION = 2
@@ -56,25 +57,8 @@ CACHE_VERSION = 2
 _CACHE_HEADER = struct.Struct("<4sHQQIQ32sI")
 _CACHE_FILE = "{}-{}.ogec"  # a learner's cache file: prefix, seed
 
-_MASK64 = (1 << 64) - 1
-
 # dot products accumulate in float64; embedded matrices are stored float32
 STORE_DTYPE = np.float32
-
-@dataclass(frozen=True)
-class EmbeddingSpec:
-    """(seed, input dim d, output dim r); alone determines the matrix F."""
-
-    seed: int
-    d: int
-    r: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be positive")
-        if not 1 <= self.r <= self.d:
-            raise ValueError(f"r must satisfy 1 <= r <= d, got r = {self.r} and d = {self.d}")
-
 
 @dataclass
 class EmbeddedMatrix:

@@ -2,7 +2,7 @@
 
 A learner is just a seed: its projection matrix, the embedded training matrix
 built from it, and the kNN propagation rule. The whole model is therefore a
-handful of integers; the metadata file written here is everything needed to
+handful of integers; the metadata file (`model`) is everything needed to
 rebuild it. Fusion averages each label's score across learners, counting 0
 for learners that never scored it: each learner keeps only its neighbour
 arrays, and one `predictor.rank_labels` pass adds their scores in learner
@@ -18,13 +18,13 @@ which plans each set of samples once and projects it in one pass over F.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .data import SparseDataset, atomic_write
+from .data import SparseDataset
 from .embedding import (
-    _MASK64, EmbeddedMatrix, EmbeddingSpec, PlannedRows,
+    EmbeddedMatrix, PlannedRows,
     check_cache,
     embed_prefixes,
     load_cache,
@@ -32,38 +32,10 @@ from .embedding import (
 )
 from .embedding import embed  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
 from .metrics import evaluate  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
+from .model import (  # noqa: F401 -- the model file and its specs, exported as before
+    EmbeddingSpec, EnsembleSpec, format_metadata, make_ensemble_spec, read_metadata, write_metadata,
+)
 from .predictor import batch_predict, rank_labels, rank_prefixes
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Learner seeds, distinct modulo 2^64 (their Philox keys), plus the shared d, r, k."""
-
-    seeds: tuple[int, ...]
-    d: int
-    r: int
-    k: int
-
-    def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("ensemble needs at least one seed")
-        if len({s & _MASK64 for s in self.seeds}) != len(self.seeds):
-            raise ValueError("ensemble seeds must be pairwise distinct modulo 2^64")
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        self.learner(0)  # d and r as EmbeddingSpec checks them
-
-    @property
-    def size(self) -> int:
-        return len(self.seeds)
-
-    def learner(self, index: int) -> EmbeddingSpec:
-        return EmbeddingSpec(seed=self.seeds[index], d=self.d, r=self.r)
-
-
-def make_ensemble_spec(base_seed: int, learners: int, d: int, r: int, k: int) -> EnsembleSpec:
-    """Default seed schedule: base_seed + {0, 1, ..., E-1}."""
-    return EnsembleSpec(seeds=tuple(base_seed + i for i in range(learners)), d=d, r=r, k=k)
 
 
 def learner_embeddings(
@@ -183,44 +155,3 @@ def sweep_dimension(
     for r, data in zip(rs, prefixes):
         train = EmbeddedMatrix(data[:, : dataset.n])
         yield r, rank_labels([batch_predict(train, data[:, dataset.n :], k)], dataset.labels, K)
-
-
-_KEYS = ("base_seed", "seeds", "d", "r", "k", "E")  # as `format_metadata` writes them
-
-
-def format_metadata(spec: EnsembleSpec) -> str:
-    """The entire model as text: seeds and hyperparameters, nothing learned."""
-    values = (spec.seeds[0], " ".join(map(str, spec.seeds)), spec.d, spec.r, spec.k, spec.size)
-    return "".join(f"{key} {value}\n" for key, value in zip(_KEYS, values))
-
-
-def write_metadata(path, spec: EnsembleSpec) -> None:
-    with atomic_write(path) as f:
-        f.write(format_metadata(spec))
-
-
-def read_metadata(path) -> EnsembleSpec:
-    """The model in `path`, read with a dataset header's grammar: a file that
-    `format_metadata` could not have written fails in one line naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            fields = {}
-            for key, *values in (line.split() for line in f if not line.isspace()):
-                digits = [v.removeprefix("-") if key in ("base_seed", "seeds") else v for v in values]
-                wanted = len(values) if key == "seeds" else 1  # seeds: E values, checked below
-                if key not in _KEYS or key in fields or len(values) != wanted or not all(
-                    v.isascii() and v.isdigit() for v in digits
-                ):
-                    raise ValueError(f"bad line {' '.join([key, *values])!r}")
-                fields[key] = [int(v) for v in values]
-        if missing := [key for key in _KEYS if key not in fields]:
-            raise ValueError(f"no {missing[0]} line")
-        (base,), seeds, (d,), (r,), (k,), (size,) = (fields[key] for key in _KEYS)
-        spec = EnsembleSpec(seeds=tuple(seeds), d=d, r=r, k=k)
-        if size != spec.size:
-            raise ValueError(f"E does not match the seed list: E {size}, {spec.size} seeds")
-        if base != seeds[0]:
-            raise ValueError(f"base_seed {base} is not the first seed {seeds[0]}")
-    except ValueError as exc:  # bad UTF-8 too
-        raise ValueError(f"{path}: malformed model metadata ({exc})") from None
-    return spec

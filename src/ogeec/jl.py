@@ -18,13 +18,12 @@ import numpy as np
 
 from .csr import inv_norms, pair_dots
 from .data import SparseDataset
-from .embedding import EmbeddingSpec, PlannedRows, _project
+from .embedding import PlannedRows, _project
+from .model import DEFAULT_BINS, EmbeddingSpec
 
 # float64s in one (r x pairs) block of projected differences (1 MB): the
 # pairs go this // r at a time
 _PAIR_FLOATS = 1 << 17
-
-DEFAULT_BINS = 40
 
 
 def jl_epsilon(n: int, r: int) -> float:

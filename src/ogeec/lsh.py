@@ -16,14 +16,11 @@ import numpy as np
 
 from .csr import sorted_unique
 from .embedding import EmbeddedMatrix, _gaussian_rows, column_plan
+from .model import DEFAULT_BITS, DEFAULT_TABLES, MAX_BITS
 from .predictor import rank_candidates
 
 # keeps hyperplane streams disjoint from projection-row streams for any seed
 LSH_SEED_NAMESPACE = 0x4C53485F68617368  # ascii "LSH_hash"
-
-DEFAULT_TABLES = 10
-DEFAULT_BITS = 16
-MAX_BITS = 64  # codes are packed into uint64
 
 
 @dataclass

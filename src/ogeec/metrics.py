@@ -16,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csr import CSR, sorted_unique
+from .model import DEFAULT_A, DEFAULT_B, DEFAULT_KS
 from .predictor import top_k
 
-DEFAULT_KS = (1, 3, 5)
-DEFAULT_A = 0.55
-DEFAULT_B = 1.5
 METRIC_NAMES = ("P", "N", "PSP", "PSN")
 
 

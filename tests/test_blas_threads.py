@@ -4,6 +4,7 @@ OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, when numpy loads it, so each
 check runs in a fresh interpreter.
 """
 
+import importlib
 import os
 import pathlib
 import subprocess
@@ -65,3 +66,30 @@ def test_blas_threads_sleep_after_a_search_tile_gemm():
     after a threaded GEMM; the package default lets it sleep at once."""
     cpu_s = float(_run(_TILE_THEN_IDLE, OPENBLAS_NUM_THREADS="2"))
     assert cpu_s < 0.05, f"{cpu_s:.3f} s of CPU in the 0.4 s after the GEMM"
+
+
+def test_import_loads_no_numpy_and_sets_the_timeout_before_it_does():
+    """`import ogeec` loads no numpy; its names are imported on first use,
+    and the timeout is in the environment by the time numpy is found."""
+    code = """
+import os, sys
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print("numpy", os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+
+sys.meta_path.insert(0, Watch())
+import ogeec
+print("ogeec", "numpy" in sys.modules)
+from ogeec import *
+"""
+    assert _run(code).splitlines() == ["ogeec False", "numpy 4"]
+
+
+def test_star_import_binds_every_exported_name():
+    names = {}
+    exec("from ogeec import *", names)
+    assert sorted(set(names) - {"__builtins__"}) == sorted(ogeec.__all__)
+    for name in ogeec.__all__:
+        assert names[name] is getattr(importlib.import_module(names[name].__module__), name)

@@ -231,6 +231,38 @@ def test_command_imports_no_numpy_ma(workspace, tmp_path, command):
     assert (tmp_path / "out.tsv").stat().st_size > 0
 
 
+@pytest.mark.parametrize(
+    "command, numpy",
+    [
+        (["train", "--train", "{root}/train.txt", "--model", "{out}"], False),
+        (["train", "--train", "{root}/train.txt", "--model", "{out}", "--cache", "{out}"], True),
+        (["predict", "--model", "{root}/model.txt", "--train", "{root}/train.txt",
+          "--test", "{root}/test.txt", "--out", "{out}"], True),
+    ],
+    ids=["train", "train-cache", "predict"],
+)
+def test_only_plain_train_starts_without_numpy(workspace, tmp_path, command, numpy):
+    """Plain `train` reads the header and writes the model on the standard
+    library alone (`ogeec.model`); a command that embeds loads numpy and the
+    pipeline as before."""
+    imported = _imported_modules(workspace, tmp_path, command)
+    assert "ogeec.model" in imported
+    assert any(name.split(".")[0] == "numpy" for name in imported) == numpy
+    assert ("numpy" in imported and "ogeec.predictor" in imported) == numpy
+    assert (tmp_path / "out.tsv").stat().st_size > 0
+
+
+def test_workers_0_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    """--workers 0 is the affinity mask's CPU count where the platform has
+    one (a cpuset may hold fewer than the host's), else the host's."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli.RunConfig(workers=0).effective_workers() == 3
+    assert cli.RunConfig(workers=2).effective_workers() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli.RunConfig(workers=0).effective_workers() == 8
+
+
 def _imported_modules(workspace, tmp_path, command) -> list[str]:
     """Every module `ogeec.cli` imports to run `command`, as listed by
     `python -X importtime`; {root} and {out} name the workspace and
@@ -507,7 +539,7 @@ def test_train_draws_no_row_of_f_without_cache(
     workspace, tmp_path, generated_rows, capsys, monkeypatch
 ):
     """The model is a handful of integers: without --cache, train reads the
-    train file's header and line count (`data.read_header`), tokenizes no
+    train file's header and line count (`model.read_header`), tokenizes no
     sample line, generates nothing, and writes the metadata, whose size it
     reports; its one layer is that read."""
     tokenized = []
@@ -1015,7 +1047,7 @@ def test_model_write_replaces_the_whole_file(workspace, tmp_path, monkeypatch, c
     def broken(spec):
         raise ValueError("disk full")
 
-    monkeypatch.setattr(ensemble, "format_metadata", broken)
+    monkeypatch.setattr("ogeec.model.format_metadata", broken)
     args = ["train", "--train", str(workspace / "train.txt"), "--r", "8", "--model"]
     assert main([*args, str(model)]) == 1
     assert (model.read_text(), os.listdir(tmp_path)) == ("old\n", ["m.txt"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import feature_row, feature_sha256, float64_features, labelsets, same_dataset, to_scipy
 
-from ogeec import data
+from ogeec import data, model
 from ogeec.data import (
     DatasetFormatError,
     _assemble,
@@ -293,7 +293,7 @@ def test_parse_holds_the_dataset_once(tmp_path):
         cols = np.unique(rng.integers(0, d, 60)).tolist()
         lines.append(f"{i % 4} " + " ".join(f"{j}:0.5" for j in cols))
     path = _write(tmp_path, "\n".join(lines) + "\n")
-    with mock.patch.object(data, "_CHUNK", 1 << 16):
+    with mock.patch.object(model, "_CHUNK", 1 << 16):
         tracemalloc.start()
         try:
             ds = parse_dataset(path)

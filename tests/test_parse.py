@@ -24,13 +24,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ogeec import data
+from ogeec import data, model
 from ogeec.data import DatasetFormatError, _assemble, format_dataset, generate_synthetic
 
 # piece sizes: a few bytes, the default, and 512 KiB, the default before
 # pieces shrank, which holds every file here in one piece
 WHOLE = 512 << 10
-CHUNKS = [1, 7, 64, data._CHUNK, WHOLE]
+CHUNKS = [1, 7, 64, model._CHUNK, WHOLE]
 FIELDS = {
     "features.indptr": lambda ds: ds.features.indptr,
     "features.indices": lambda ds: ds.features.indices,
@@ -61,7 +61,7 @@ def check_equivalent(path, raw: bytes, chunk: int) -> None:
     if len(head) == 3 and head[2].isdigit() and int(head[2]) > 10**6:
         return
     want = _outcome(oracles.parse_dataset, path)
-    with mock.patch.object(data, "_CHUNK", chunk):
+    with mock.patch.object(model, "_CHUNK", chunk):
         got = _outcome(data.parse_dataset, path)
     if isinstance(want, UnicodeDecodeError):
         try:
@@ -258,7 +258,7 @@ def test_line_ends_counts_as_the_bytes_expression(parts, chunk):
     CR and LF ends that `bytes.count` gives."""
     raw = b"".join(parts)
     expect = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
-    with mock.patch.object(data, "_CHUNK", chunk):
+    with mock.patch.object(model, "_CHUNK", chunk):
         pieces = list(data._pieces(io.BytesIO(raw)))
     assert b"".join(pieces) == raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     assert sum(piece.count(b"\n") for piece in pieces) == expect
@@ -297,7 +297,7 @@ def test_generated_corpora_take_the_fast_path(tmp_path, chunk):
     )
     path = tmp_path / "ds.txt"
     data.write_dataset(ds, path)
-    with mock.patch.object(data, "_CHUNK", chunk), token_conversions() as calls:
+    with mock.patch.object(model, "_CHUNK", chunk), token_conversions() as calls:
         assert oracles.same_dataset(ds, data.parse_dataset(path))
     assert calls == []
 
@@ -377,20 +377,27 @@ def test_cr_line_ends_parse_as_lf_in_bounded_pieces(tmp_path, monkeypatch, chunk
     """A block is cut after a CR too, unless the CR is its last byte (a CRLF
     may follow: the block reads one byte more), so a file whose lines end in
     CR is read in pieces of at most _CHUNK + 1 bytes plus one line, and
-    parses as its LF form."""
+    parses as its LF form. The patched `model._CHUNK` sizes the pieces of
+    both passes: the header scan's (`model._pieces`) and the tokenizer's
+    (`data._pieces`)."""
     ds, lines = _lines_400()
     lines.pop()  # the empty string after the last line end
     path = tmp_path / "ds.txt"
     path.write_bytes(b"".join(line.encode() + end for line, end in zip(lines, itertools.cycle(ends))))
-    sizes, pieces = [], data._pieces
+    sizes = {"scan": [], "tokenizer": []}
 
-    def measured(f):
-        for piece in pieces(f):
-            sizes.append(len(piece))
-            yield piece
+    def measured(pieces, sizes):
+        def read(f):
+            for piece in pieces(f):
+                sizes.append(len(piece))
+                yield piece
 
-    monkeypatch.setattr(data, "_pieces", measured)
-    with mock.patch.object(data, "_CHUNK", chunk):
+        return read
+
+    monkeypatch.setattr(model, "_pieces", measured(model._pieces, sizes["scan"]))
+    monkeypatch.setattr(data, "_pieces", measured(data._pieces, sizes["tokenizer"]))
+    with mock.patch.object(model, "_CHUNK", chunk):
         assert oracles.same_dataset(data.parse_dataset(path), ds)
-    assert len(sizes) > len(lines) // 2
-    assert max(sizes) <= chunk + 1 + max(map(len, lines)) + 2
+    for seen in sizes.values():
+        assert len(seen) > len(lines) // 2
+        assert max(seen) <= chunk + 1 + max(map(len, lines)) + 2

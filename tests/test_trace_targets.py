@@ -36,24 +36,26 @@ def test_wrap_target_is_callable(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
 
 
-# an import that exists only for the tracer, as every such line must read
+# an import, or an entry of `cli._LAZY` (bound on first use), that exists
+# only for the tracer, as every such line must read
 _TRACER_IMPORT = re.compile(
-    r"from \.\w+ import (\w+)  # noqa: F401 -- kept only so a perfbench/tracer\.py"
-    r" wrap target resolves, until ROADMAP item 4"
+    r'(?:from \.\w+ import (\w+)  # noqa: F401 --|    "(\w+)": \("\.\w+", "\2"\),  #)'
+    r" kept only so a perfbench/tracer\.py wrap target resolves, until ROADMAP item 4"
 )
 
 
 def _tracer_imports():
     """pytest params (module, line) of each line under src/ogeec that
-    mentions the tracer beside a `noqa`, with ids `ogeec.<module>.<name>`
-    of the name it imports, so an edit above it keeps the id; a line that
-    `_TRACER_IMPORT` does not match keeps the id `file.py:lineno`."""
+    mentions the tracer beside a `noqa` or "kept only", with ids
+    `ogeec.<module>.<name>` of the name it binds, so an edit above it keeps
+    the id; a line that `_TRACER_IMPORT` does not match keeps the id
+    `file.py:lineno`."""
     for path in sorted((ROOT / "src" / "ogeec").glob("*.py")):
         lines = path.read_text(encoding="utf-8").splitlines()
         for at, line in enumerate(lines, 1):
-            if "noqa" in line and "tracer" in line:
+            if ("noqa" in line or "kept only" in line) and "tracer" in line:
                 match = _TRACER_IMPORT.fullmatch(line)
-                name = f"ogeec.{path.stem}.{match.group(1)}" if match else f"{path.name}:{at}"
+                name = f"ogeec.{path.stem}.{match[1] or match[2]}" if match else f"{path.name}:{at}"
                 yield pytest.param(f"ogeec.{path.stem}", line, id=name)
 
 
@@ -63,7 +65,7 @@ def test_tracer_only_import_names_a_wrap_target(module_name, line):
     importing module, so none outlives its target."""
     match = _TRACER_IMPORT.fullmatch(line)
     assert match, line
-    assert (module_name, match.group(1)) in {target[:2] for target in WRAP_TARGETS}
+    assert (module_name, match[1] or match[2]) in {target[:2] for target in WRAP_TARGETS}
 
 
 @pytest.mark.parametrize(
