@@ -444,7 +444,7 @@ def cmd_analyze_distortion(cfg: RunConfig, explicit: set[str]) -> int:
     ds = parse_dataset(cfg.train)
     spec = EmbeddingSpec(seed=cfg.seed, d=ds.d, r=cfg.r)
     report = jl.measure_distortion(
-        ds, spec, cfg.pairs, cfg.pair_seed, bins=cfg.bins
+        ds, spec, cfg.pairs, cfg.pair_seed, bins=cfg.bins, workers=cfg.effective_workers()
     )
     with _output(cfg.out) as stream:
         stream.write(f"# pairs {report.pairs} skipped {report.skipped}\n")
@@ -570,7 +570,7 @@ _COMMANDS = (
     ),
     (
         ("analyze", "distortion"), "empirical pairwise distance distortion",
-        cmd_analyze_distortion, "pairs pair_seed bins train r seed out",
+        cmd_analyze_distortion, "pairs pair_seed bins train r seed workers out",
     ),
     (
         ("analyze", "sweep-r"), "single-learner metrics across r values",

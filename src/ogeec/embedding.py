@@ -26,7 +26,9 @@ float64 1 / norm per row) straight from the sets' feature CSRs, so it peaks
 at about 8 bytes per nonzero above the parsed sets (8 each, int32 indices
 and float32 values), plus O(n) and the column plan's O(d), and holds 8.
 A command's parsed sets give up their feature arrays once they are planned
-(`ensemble.learner_embeddings`), so from then on it holds its samples once.
+(`ensemble.learner_embeddings`), so from then on it holds its samples once,
+and the heap pages that preparing freed go back to the OS before the first
+projection (`release_heap`).
 `PlannedRows` sizes each projection, whose memory is then bounded per
 worker, whatever r and d: one transposed block of F of at most 32 rows and
 about 8 MB (`_row_block`), reused for every block, and 1 MiB of scratch, which
@@ -117,16 +119,31 @@ class ColumnPlan:
 
 
 def column_plan(used: np.ndarray) -> ColumnPlan:
-    """The plan for a boolean mask over F's d columns, in O(d)."""
+    """The plan for a boolean mask over F's d columns, in O(d): the drawn
+    pairs, and where the mask's even or odd half is set among them."""
     d = used.size
     padded = np.zeros(d + d % 2, dtype=bool)
     padded[:d] = used
     even, odd = padded[0::2], padded[1::2]
-    drawn = even | odd
-    rank = np.cumsum(drawn) - 1
-    columns = np.concatenate([2 * np.flatnonzero(even), 2 * np.flatnonzero(odd) + 1])
-    arrays = (np.flatnonzero(drawn), rank[even], rank[odd], columns)
-    return ColumnPlan(*(a.astype(_index_dtype(d)) for a in arrays))
+    pairs = np.flatnonzero(even | odd).astype(_index_dtype(d))
+    cos, sin = (np.flatnonzero(half[pairs]).astype(pairs.dtype) for half in (even, odd))
+    return ColumnPlan(pairs, cos, sin, np.concatenate([2 * pairs[cos], 2 * pairs[sin] + 1]))
+
+
+def release_heap() -> None:
+    """Return the free pages of the process's heap to the OS, where the C
+    library can (glibc's `malloc_trim`; elsewhere nothing happens).
+
+    Parsing and planning free their temporaries amid the heap, where glibc
+    keeps the pages. The threads that project allocate from heaps of their
+    own, so they do not reuse those pages but add their working set on top.
+    A command calls this once its samples are planned and its parsed
+    feature arrays dropped, before the first projection."""
+    import ctypes  # here: only a command that projects loads it
+
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim(0)
 
 
 # values of F in one piece of `_gaussian_rows` (256 KiB of float64, four

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import SparseDataset
 from .embedding import (
-    EmbeddedMatrix, PlannedRows,
+    EmbeddedMatrix, PlannedRows, release_heap,
     check_cache,
     embed_prefixes,
     load_cache,
@@ -57,7 +57,8 @@ def learner_embeddings(
     its train matrix (`load_cache`) and projects the test rows alone; any
     other projects both sets in one pass over F, bit-identical to projecting
     them apart, since each column is its own sample's sum. Once planned, a
-    `planned_only` set drops its feature arrays (`features_planned`).
+    `planned_only` set drops its feature arrays (`features_planned`), and
+    the heap pages that preparing freed go back to the OS (`release_heap`).
 
     Each projection and cache load adds its wall time to `trace`'s
     `embed_s`; a caller that reports one learner's time pops it.
@@ -71,6 +72,7 @@ def learner_embeddings(
     alone = PlannedRows(test.features, r=spec.r, workers=workers) if any(cached) else None
     for ds in sets:
         ds.features_planned()
+    release_heap()
 
     def embedded(i: int) -> tuple[EmbeddingSpec, EmbeddedMatrix, np.ndarray]:
         nonlocal both, alone
@@ -141,8 +143,9 @@ def sweep_dimension(
     The samples are planned as `learner_embeddings` plans them, and one
     pass over F at max(rs) serves every r (`embedding.embed_prefixes`), so
     each ranking equals `fused_scores` of that one learner at r. Once
-    planned, a `planned_only` set drops its feature arrays, and the plan
-    goes once `embed_prefixes` has projected it.
+    planned, a `planned_only` set drops its feature arrays, the freed heap
+    goes back to the OS (`release_heap`), and the plan goes once
+    `embed_prefixes` has projected it.
     """
     if not rs:
         raise ValueError("rs must be nonempty")
@@ -152,6 +155,7 @@ def sweep_dimension(
     prefixes = embed_prefixes(spec, PlannedRows(dataset.features, test.features, r=spec.r, workers=workers), rs)
     dataset.features_planned()
     test.features_planned()
+    release_heap()
     for r, data in zip(rs, prefixes):
         train = EmbeddedMatrix(data[:, : dataset.n])
         yield r, rank_labels([batch_predict(train, data[:, dataset.n :], k)], dataset.labels, K)

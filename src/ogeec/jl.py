@@ -58,13 +58,15 @@ def measure_distortion(
     seed: int,
     *,
     bins: int = DEFAULT_BINS,
+    workers: int = 1,
 ) -> DistortionReport:
     """Sample index pairs uniformly and report the distance-ratio distribution.
 
     Distances are taken between L2-normalized originals and between projected
     (not re-normalized) images scaled by 1/sqrt(r). Pairs with zero original
     distance are skipped and counted. Deterministic in (dataset, spec, pairs,
-    seed); the pair sample itself does not depend on r.
+    seed); the pair sample itself does not depend on r, nor the projection,
+    which runs on `workers` threads, on their count.
     """
     if dataset.d != spec.d:
         raise ValueError(f"dataset dimensionality {dataset.d} != spec.d {spec.d}")
@@ -78,7 +80,7 @@ def measure_distortion(
     inv = inv_norms(X)
     unit_sq = (inv > 0).astype(np.float64)  # as norm > 0: `inv_norms` refuses an infinite one
 
-    proj = _project(spec, PlannedRows(X, r=spec.r), np.float64)
+    proj = _project(spec, PlannedRows(X, r=spec.r, workers=workers), np.float64)
     proj *= 1.0 / math.sqrt(spec.r)
     # in blocks of pairs: each pair's dot product and each column's sum along
     # axis 0 depend on that pair alone, so the blocks do not change a bit

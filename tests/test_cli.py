@@ -870,11 +870,13 @@ def test_commands_hold_no_parsed_feature_array_once_planned(
     """The commands that plan their samples hold no parsed feature array
     (indptr, indices, values) once the plan exists: weak references to each
     array that `cli.parse_dataset` returned are dead when the first
-    projection starts. `analyze distortion` reads its dataset directly, so
-    it keeps them."""
+    projection starts. They then hand the freed heap back once
+    (`ensemble.release_heap`), with no parsed feature array alive and
+    before any projection. `analyze distortion` reads its dataset
+    directly, so it keeps them."""
     argv = _with_cache(workspace, tmp_path, argv, cache)
-    refs, alive = [], []
-    parse, project = cli.parse_dataset, embedding._project
+    refs, alive, released = [], [], []
+    parse, project, release = cli.parse_dataset, embedding._project, ensemble.release_heap
 
     def parsed(path):
         ds = parse(path)
@@ -885,12 +887,18 @@ def test_commands_hold_no_parsed_feature_array_once_planned(
         alive.append(sum(ref() is not None for ref in refs))
         return project(*args, **kwargs)
 
+    def releases():
+        released.append((sum(ref() is not None for ref in refs), len(alive)))
+        release()
+
     monkeypatch.setattr(cli, "parse_dataset", parsed)
     monkeypatch.setattr(embedding, "_project", projected)
     monkeypatch.setattr(jl, "_project", projected)
+    monkeypatch.setattr(ensemble, "release_heap", releases)
     assert main(argv) == 0
     assert refs and alive
     assert alive[0] == (0 if freed else len(refs))
+    assert released == ([(0, 0)] if freed else [])
 
 
 _HUGE_K = "100000000000"  # 1e11 slots for each of 100 test samples: about 582 TiB
@@ -1588,6 +1596,25 @@ def test_analyze_distortion_output(workspace, capsys):
     assert sum(counts) == int(pairs_line.split()[2])
 
 
+def test_analyze_distortion_projects_on_every_worker(workspace, tmp_path, monkeypatch):
+    """`analyze distortion` projects on --workers threads like every other
+    command that projects: at 2 its plan has two ranges of F's rows, and
+    its TSV is byte-identical to the one at 1."""
+    bounds = []
+
+    class Counted(embedding.PlannedRows):
+        def __init__(self, *parts, **kwargs):
+            super().__init__(*parts, **kwargs)
+            bounds.append(self.bounds)
+
+    monkeypatch.setattr(jl, "PlannedRows", Counted)
+    argv = ["analyze", "distortion", "--train", str(workspace / "train.txt"), "--r", "32", "--pairs", "400"]
+    for workers in (1, 2):
+        assert main([*argv, "--workers", str(workers), "--out", str(tmp_path / f"{workers}.tsv")]) == 0
+    assert bounds == [[0, 32], [0, 16, 32]]
+    assert (tmp_path / "1.tsv").read_bytes() == (tmp_path / "2.tsv").read_bytes()
+
+
 def test_analyze_sweep_r(workspace, capsys):
     rc = main(
         [
@@ -1696,7 +1723,7 @@ _SUBCOMMAND_FLAGS = {
     "predict": "model train test out k learners workers topk cache",
     "eval": "model train test out k learners workers prop-a prop-b ks cache grid",
     "analyze bounds": "ns rs out",
-    "analyze distortion": "pairs pair-seed bins train r seed out",
+    "analyze distortion": "pairs pair-seed bins train r seed workers out",
     "analyze sweep-r": "rs train test k seed workers prop-a prop-b ks out",
     "analyze sweep-ensemble": "sizes train test r k seed workers prop-a prop-b ks out",
     "analyze lsh-compare": (

@@ -50,6 +50,7 @@ from ogeec.embedding import (
     load_cache,
     materialize_rows,
     project_csr,
+    release_heap,
     save_cache,
 )
 from ogeec.ensemble import fused_scores, learner_embeddings, make_ensemble_spec
@@ -174,10 +175,12 @@ def _support(draw, d: int) -> np.ndarray:
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_materialize_rows_at_a_plan_equals_full_rows_at_its_columns(data):
-    """F[start:stop, plan.columns] bit for bit, the used even columns first:
-    d of 1, 2, odd and even; the last column of an odd d; empty, full and
-    random supports; drawn in pieces of any size into the head of a row- or
-    column-major `out`."""
+    """F[start:stop, plan.columns] bit for bit, the used even columns first,
+    the plan's pairs the drawn ones and its cos and sin the places of each
+    used column's pair among them, every array int32: d of 1, 2, odd and
+    even; the last column of an odd d; empty, full and random supports;
+    drawn in pieces of any size into the head of a row- or column-major
+    `out`."""
     d = data.draw(st.sampled_from([1, 2, 3, 4, 5, 8, 63, 64]) | st.integers(1, 300))
     used = _support(data.draw, d)
     spec = EmbeddingSpec(seed=data.draw(st.integers(-(2**63), 2**63 - 1)), d=d, r=min(d, 4))
@@ -188,6 +191,10 @@ def test_materialize_rows_at_a_plan_equals_full_rows_at_its_columns(data):
     assert np.all(plan.columns[: plan.cos.size] % 2 == 0)
     assert np.all(plan.columns[plan.cos.size :] % 2 == 1)
     assert np.array_equal(plan.place(d)[plan.columns], np.arange(plan.columns.size))
+    assert np.array_equal(plan.pairs, np.unique(np.flatnonzero(used) // 2))
+    assert np.array_equal(2 * plan.pairs[plan.cos], plan.columns[: plan.cos.size])
+    assert np.array_equal(2 * plan.pairs[plan.sin] + 1, plan.columns[plan.cos.size :])
+    assert {a.dtype for a in dataclasses.astuple(plan)} == {np.dtype(np.int32)}
     full = definition_rows(spec, start, stop)
     # pieces of a few pairs and rows, so a row is drawn in many pieces
     pieces = {"_PIECE_FLOATS": data.draw(st.integers(1, 64)), "_PIECE_PAIRS": data.draw(st.integers(1, 8))}
@@ -792,6 +799,24 @@ def test_train_test_rows_makes_no_stacked_copy():
     nnz, n = train.features.nnz + test.features.nnz, train.n + test.n
     assert rows.products.cols.size == nnz > 50 * d
     assert peak <= 12 * nnz + 32 * d + 64 * n, (peak, nnz)
+
+
+def test_release_heap_trims_where_the_c_library_can(monkeypatch):
+    """`release_heap` calls the C library's malloc_trim(0) where it has one
+    (glibc), and does nothing where it has none."""
+    import ctypes
+
+    calls = []
+
+    class Glibc:
+        def malloc_trim(self, pad):
+            calls.append(pad)
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Glibc())
+    release_heap()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    release_heap()
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("r", [1, 5, 4096])
