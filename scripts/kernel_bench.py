@@ -4,7 +4,7 @@ scipy.sparse expression it replaced (`tests/oracles.py`, `sp_*`), search
 against a full float64 scan, and the parser against the line-by-line parser
 that states the format.
 
-    PYTHONPATH=src python3 scripts/kernel_bench.py [--workload mid] [--seed 0] [--repeat 3]
+    PYTHONPATH=src python3 scripts/kernel_bench.py [--workload mid] [--seed 0] [--repeat 3] [--search-n N]
 
 The inputs are the benchmark's corpora (`perfbench/corpus.py`) of the mid,
 wide and dense-labels workloads, generated in memory from --seed:
@@ -39,6 +39,13 @@ wide and dense-labels workloads, generated in memory from --seed:
   (it counts lines by `bytes.replace`), its (n, d, L) checked against the
   oracle's datasets and its time against the oracle's parse, with its speed
   in MB/s.
+
+With --search-n N, one more row (workload `n=N`) times `_search` of 400
+unit queries, each near a random train column, against N random unit
+columns at r = 200 and k = 5, the north star's search at n_train = N, and
+checks its first 16 queries against `oracles.knn_scan_block`; the oracle's
+time is that of those 16, times 25. The oracle holds two float64 copies
+of the train matrix (630 MB at N = 196,606).
 
 The script checks that each kernel and its oracle give the same bits (for
 search, equal neighbours and scores; for parse, equal datasets; for header,
@@ -158,6 +165,21 @@ def search(train, test, repeat: int) -> tuple[float, float, bool, str]:
     return new_s, ref_s, same_bits(got, want), f"{1e3 * new_s / test.n:.3f} ms/query"
 
 
+def synthetic_search(n: int, seed: int, repeat: int) -> tuple[float, float, bool, str]:
+    """`_search` of 400 unit queries against n random unit columns, its first
+    16 queries checked against the oracle's full scan, whose time is scaled
+    to 400 queries."""
+    rng = np.random.default_rng(seed)
+    data = np.asfortranarray(rng.standard_normal((R, n), dtype=np.float32))
+    data /= np.linalg.norm(data, axis=0)
+    queries = data[:, rng.integers(0, n, 400)] + rng.standard_normal((R, 400), dtype=np.float32) / np.sqrt(R)
+    queries /= np.linalg.norm(queries, axis=0)
+    new_s, got = median_time(lambda: _search(queries, data, K), repeat)
+    ref_s, want = median_time(lambda: knn_scan_block(queries[:, :16], data, K), 1)
+    got = tuple(array[:16] for array in got)
+    return new_s, 25 * ref_s, same_bits(got, want), f"{1e3 * new_s / 400:.3f} ms/query"
+
+
 def parse(paths, repeat: int) -> tuple[tuple[float, float, bool, str], list, float]:
     """Both sets parsed by the program and by the oracle, and the program's
     MB/s; then the oracle's datasets and its time."""
@@ -175,6 +197,33 @@ def header(paths, repeat: int, want: list, ref_s: float) -> tuple[float, float, 
     return new_s, ref_s, got == [(ds.n, ds.d, ds.L) for ds in want], f"{megabytes / new_s:.1f} MB/s"
 
 
+def workload_rows(name: str, args):
+    """(kernel, numpy s, oracle s, identical, rate) of each kernel on the
+    workload's corpus."""
+    paths = corpus_files(name, args.seed, args.scratch)
+    train, test = (parse_dataset(path) for path in paths)
+    for kernel, new, ref in kernels(name, train, test):
+        new_s, got = median_time(new, args.repeat)
+        ref_s, want = median_time(ref, args.repeat)
+        yield kernel, new_s, ref_s, same_bits(got, want), "-"
+    yield "projection", *projection(train, test, args.repeat), "-"
+    yield "search", *search(train, test, args.repeat)
+    parsed, oracle_sets, oracle_s = parse(paths, args.repeat)
+    yield "parse", *parsed
+    yield "header", *header(paths, args.repeat, oracle_sets, oracle_s)
+
+
+def report(name: str, rows) -> int:
+    """Print each (kernel, numpy s, oracle s, identical, rate) row as it
+    comes; 1 if any kernel's bits differ from its oracle's."""
+    status = 0
+    for kernel, new_s, ref_s, identical, rate in rows:
+        status |= not identical
+        print(f"{name}\t{kernel}\t{new_s:.4f}\t{ref_s:.4f}\t{new_s / ref_s:.2f}\t{rate}\t"
+              f"{'identical' if identical else 'DIFFER'}", flush=True)
+    return status
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=[*LEARNERS, "all"], default="all")
@@ -184,6 +233,10 @@ def main() -> int:
         "--scratch", type=pathlib.Path, default=ROOT / ".perfbench" / "kernel_bench",
         help="directory for the generated corpus files",
     )
+    parser.add_argument(
+        "--search-n", type=int, default=0, metavar="N",
+        help="also time search against N synthetic train columns (off at 0)",
+    )
     args = parser.parse_args()
     args.scratch.mkdir(parents=True, exist_ok=True)
     names = list(LEARNERS) if args.workload == "all" else [args.workload]
@@ -191,22 +244,9 @@ def main() -> int:
     print(f"seed {args.seed}, median of {args.repeat}, seconds")
     print("workload\tkernel\tnumpy\toracle\tratio\trate\tbits")
     for name in names:
-        paths = corpus_files(name, args.seed, args.scratch)
-        train, test = (parse_dataset(path) for path in paths)
-        results = []
-        for kernel, new, ref in kernels(name, train, test):
-            new_s, got = median_time(new, args.repeat)
-            ref_s, want = median_time(ref, args.repeat)
-            results.append((kernel, new_s, ref_s, same_bits(got, want), "-"))
-        results.append(("projection", *projection(train, test, args.repeat), "-"))
-        results.append(("search", *search(train, test, args.repeat)))
-        parsed, oracle_sets, oracle_s = parse(paths, args.repeat)
-        results.append(("parse", *parsed))
-        results.append(("header", *header(paths, args.repeat, oracle_sets, oracle_s)))
-        for kernel, new_s, ref_s, identical, rate in results:
-            status |= not identical
-            print(f"{name}\t{kernel}\t{new_s:.4f}\t{ref_s:.4f}\t{new_s / ref_s:.2f}\t{rate}\t"
-                  f"{'identical' if identical else 'DIFFER'}")
+        status |= report(name, workload_rows(name, args))
+    if args.search_n:
+        status |= report(f"n={args.search_n}", [("search", *synthetic_search(args.search_n, args.seed, args.repeat))])
     return status
 
 

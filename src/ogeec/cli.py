@@ -92,9 +92,10 @@ class RunConfig:
         0,
         "projection threads, 0 for every CPU this process may run on: each runs its "
         "range of F's rows in blocks of one height (at most 32 rows and about 8 MB) "
-        "that the plan sets, so each row is generated once. Search runs one float32 "
-        "GEMM per tile of at most 256 queries and 2^21 // n_train, threaded by BLAS, "
-        "whose idle threads sleep when it ends",
+        "that the plan sets, so each row is generated once. Search runs float32 "
+        "GEMMs over tiles of at most 256 queries, a chunk of about 1 MiB of scores "
+        "(1,024 training columns at 256 queries) at a time, threaded by BLAS, whose "
+        "idle threads sleep when each ends",
         0,
     )
     topk: int = _knob(5, "labels per row in the prediction TSV", 1)

@@ -20,6 +20,9 @@ from .model import DEFAULT_A, DEFAULT_B, DEFAULT_KS
 from .predictor import top_k
 
 METRIC_NAMES = ("P", "N", "PSP", "PSN")
+# (sample, slot) cells in one of `evaluate`'s blocks of samples: about 3 MB
+# of its per-slot arrays
+_EVAL_CELLS = 1 << 16
 
 
 def propensity(
@@ -112,10 +115,11 @@ def evaluate(
     value for min(K, |truth|) hits; PSP@K = sum of 1/p over hits, over the
     sum of the min(K, |truth|) largest 1/p among the true labels (rarest
     first, ranked by `predictor.top_k`); PSN@K is PSP@K with each term
-    discounted by log2(pos + 2). All samples are computed at once, but each
-    sample's terms are added in rank order and the per-sample values in
-    sample order, so every sum is the one a loop over samples makes. A true
-    label without a propensity is a ValueError.
+    discounted by log2(pos + 2). Samples go in blocks of at most
+    _EVAL_CELLS // max(ks) (`_block_metrics`), but each sample's terms are
+    added in rank order and the per-sample values in sample order, each
+    block's onto the running total, so every sum is the one a loop over
+    samples makes. A true label without a propensity is a ValueError.
     """
     pred = np.asarray(predictions, dtype=np.int64)
     max_k = max(ks)
@@ -124,22 +128,50 @@ def evaluate(
     if pred.shape[1] < max_k:
         raise ValueError(f"predictions need {max_k} columns, got {pred.shape[1]}")
     m = len(pred)
-    pred = pred[:, :max_k]
+    inv = 1.0 / propensities
+    log2 = np.fromiter((math.log2(pos + 2) for pos in range(max_k)), float, max_k)
+    step = max(1, _EVAL_CELLS // max_k)
+    totals = dict.fromkeys(METRIC_NAMES, np.zeros(len(ks)))
+    samples = 0
+    for a in range(0, m, step):
+        indptr = truths.indptr[a : a + step + 1]
+        block = CSR(truths.data, truths.indices, indptr, (indptr.size - 1, truths.shape[1]))
+        per_sample = _block_metrics(pred[a : a + step, :max_k], block, inv, log2, ks, a)
+        samples += len(per_sample["P"])
+        # the last row of one running sum from the previous total (0.0 at
+        # first, which adds nothing: no value is -0.0) through the block
+        totals = {name: np.cumsum(np.vstack([totals[name], v]), axis=0)[-1] for name, v in per_sample.items()}
+    values = {
+        f"{name}@{k}": float(totals[name][j]) / max(samples, 1)
+        for name in METRIC_NAMES
+        for j, k in enumerate(ks)
+    }
+    return EvalReport(values=values, samples=samples, skipped=m - samples, ks=tuple(ks))
+
+
+def _block_metrics(
+    pred: np.ndarray, truths: CSR, inv: np.ndarray, log2: np.ndarray, ks: tuple[int, ...], first: int
+) -> dict[str, np.ndarray]:
+    """{metric: per-sample values at each K} of one block of samples with
+    nonempty truth: `pred` holds the block's (rows, max(ks)) rankings and
+    `truths` its rows of the label CSR, and the block starts at sample
+    `first` of the batch, as an error names it. `inv` holds each label's
+    1 / p and `log2` each slot's discount."""
+    m, max_k = pred.shape
     keys, span, hit = truth_hits(pred, truths)
     rows, labels = keys // span, keys % span
-    L = propensities.size
+    L = inv.size
     outside = np.flatnonzero(labels >= L)
     if outside.size:
         i = outside[0]
         raise ValueError(
-            f"true label {labels[i]} of sample {rows[i]} is outside the "
+            f"true label {labels[i]} of sample {first + rows[i]} is outside the "
             f"propensity model's {L} labels"
         )
     counts = np.bincount(rows, minlength=m)
     used = counts > 0
     hit = hit[used]
 
-    inv = 1.0 / propensities
     gain = np.where(hit, inv[np.where(hit, pred[used], 0)], 0.0)
     # each sample's true-label weights, largest first, in its first max_k slots
     indptr = np.concatenate([[0], np.cumsum(counts)])
@@ -147,23 +179,12 @@ def evaluate(
     counts = counts[used]
 
     # running sums along each ranking, added in rank order: column K-1 holds @K
-    log2 = np.array([math.log2(pos + 2) for pos in range(max_k)])
-    idcg = np.cumsum([0.0, *(1.0 / log2)])  # best N numerator for 0, 1, ... hits
+    idcg = np.cumsum(np.concatenate([[0.0], 1.0 / log2]))  # best N numerator for 0, 1, ... hits
     col = np.array(ks) - 1
-    per_sample = {
+    return {
         "P": np.cumsum(hit, axis=1)[:, col] / np.array(ks),
         "N": np.cumsum(np.where(hit, 1.0 / log2, 0.0), axis=1)[:, col]
         / idcg[np.minimum(counts[:, None], ks)],
         "PSP": np.cumsum(gain, axis=1)[:, col] / np.cumsum(best, axis=1)[:, col],
         "PSN": np.cumsum(gain / log2, axis=1)[:, col] / np.cumsum(best / log2, axis=1)[:, col],
     }
-    # each mean adds the per-sample values in sample order; the last running
-    # sum is [-1:] summed, which is that sum, or zeros when no sample counts
-    samples = int(used.sum())
-    totals = {name: np.cumsum(v, axis=0)[-1:].sum(axis=0) for name, v in per_sample.items()}
-    values = {
-        f"{name}@{k}": float(totals[name][j]) / max(samples, 1)
-        for name in METRIC_NAMES
-        for j, k in enumerate(ks)
-    }
-    return EvalReport(values=values, samples=samples, skipped=m - samples, ks=tuple(ks))

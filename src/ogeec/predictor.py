@@ -25,10 +25,12 @@ feed `format_predictions` and `evaluate`.
 A similarity is `rank_candidates`' fixed-order float64 dot product. Search
 is one blocked kernel per learner, the GEMM + k-selection scheme of FAISS
 (Johnson, Douze, Jegou 2017) made exact: a float32 GEMM screens a tile of
-queries against every training column, and only the columns that its
-rounding-error bound cannot rule out of the top k are rescored in float64
-and ranked by `top_k`. Neighbours and scores are those of a full float64
-scan, whatever BLAS does and however many threads it uses.
+up to 256 queries against the training columns, a fixed chunk of columns
+at a time, and a running k-th best screen score keeps only the columns
+that its rounding-error bound cannot rule out of the top k; those are
+rescored in float64 and ranked by `top_k`. The working set is about 1 MiB
+of screen scores whatever n_train, and neighbours and scores are those of
+a full float64 scan, whatever BLAS does and however many threads it uses.
 """
 
 from __future__ import annotations
@@ -44,11 +46,17 @@ from .csr import CSR, learner_scores, mean_scores
 from .embedding import EmbeddedMatrix, column_norms
 from .embedding import project_csr  # noqa: F401 -- kept only so a perfbench/tracer.py wrap target resolves, until ROADMAP item 4
 
-# floats in one search screen tile of float32 scores (8 MB; it holds this //
-# n_train queries, at most _TILE_QUERIES, past which the GEMM gains nothing),
-# which also sizes `rank_candidates`' blocks of products
-_SCREEN_FLOATS = 1 << 21
+# float32 scores of one screen chunk (1 MiB): a tile of T queries screens
+# max(k, this // T) training columns at a time, 1,024 at T = 256, whatever
+# n_train; a tile also holds at most this many neighbours
+_SCREEN_FLOATS = 1 << 18
+# queries in one search tile, past which the GEMM gains nothing
 _TILE_QUERIES = 256
+# screen candidates one query may hold beyond its k best; a query past it,
+# as one whose screen could overflow, is rescored alone against every column
+_ROW_CANDIDATES = 1 << 8
+# float64 products in one of `rank_candidates`' blocks (2 MB)
+_PRODUCT_FLOATS = 1 << 18
 # float64s in one of `top_k`'s padded selection blocks (16 MB)
 _SELECT_FLOATS = 1 << 21
 # float64s in one of `rank_prefixes`' dense label blocks (1 MiB; it holds
@@ -72,7 +80,7 @@ def rank_candidates(
     thread count, or which other pairs are scored in the same call.
     """
     scores = np.empty(cols.size)
-    step = max(1, _SCREEN_FLOATS // (8 * data.shape[0]))  # 2 MB of float64 products at a time
+    step = max(1, _PRODUCT_FLOATS // data.shape[0])
     for a in range(0, cols.size, step):
         prods = q64[rows[a : a + step]]
         prods *= data.T[cols[a : a + step]]  # float32 columns, widened exactly
@@ -110,40 +118,142 @@ def _max_column_norm(data: np.ndarray) -> float:
 
 def _search(queries: np.ndarray, data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k of each column of `queries` (r, m) against `data` (r, n),
-    as (m, min(k, n)) index and score arrays.
+    as (m, min(k, n)) index and score arrays, tile by tile: `_screen` when
+    k < n, else every (query, column) pair ranked by `rank_candidates`.
 
-    Per query the float32 screen keeps every column scoring at least
-    kth - 2 delta, where kth is the k-th largest screen score. A column whose
-    float64 score reaches the k-th largest float64 score screens at least
-    that score minus delta, which is at least kth - 2 delta; so the candidates
-    hold the whole float64 top k, ties included. `rank_candidates` scores a
-    tile's candidates in float64 and ranks them.
+    A tile holds at most _TILE_QUERIES queries and _SCREEN_FLOATS
+    neighbours, so with k >= n at most _SCREEN_FLOATS pairs.
     """
     r, n = data.shape
-    m = queries.shape[1]
+    m, width = queries.shape[1], min(k, n)
     xmax = _max_column_norm(data) if k < n else 0.0
-    # with k >= n every pair is a candidate: a tile holds at most
-    # _SCREEN_FLOATS // 8 of them, so rank_candidates' pair arrays stay under 16 MB
-    step = max(1, min(_TILE_QUERIES, _SCREEN_FLOATS // ((8 if k >= n else 1) * max(n, 1))))
-    index = np.empty((m, min(k, n)), dtype=np.int64)
-    sims = np.empty((m, min(k, n)))
+    step = max(1, min(_TILE_QUERIES, _SCREEN_FLOATS // max(width, 1)))
+    index = np.empty((m, width), dtype=np.int64)
+    sims = np.empty((m, width))
     for a in range(0, m, step):
         q64 = np.ascontiguousarray(queries[:, a : a + step].T, dtype=np.float64)
-        if k >= n:
-            keep = np.ones((len(q64), n), dtype=bool)
+        if k < n:
+            index[a : a + step], sims[a : a + step] = _screen(q64, data, k, xmax)
         else:
-            with np.errstate(over="ignore", invalid="ignore"):  # unscreened rows
-                qnorm = np.sqrt(np.square(q64).sum(axis=1))
-                scores = q64.astype(np.float32) @ data
-            rows = max(1, step // 8)  # k-th scores from copies of at most 1 MB, never of the tile
-            kth = np.concatenate([np.partition(scores[b : b + rows], n - k, axis=1)[:, n - k]
-                                  for b in range(0, len(q64), rows)])
-            keep = scores >= (kth - 2.0 * _margin(r, qnorm, xmax))[:, None]
-            # a query whose screen could overflow is rescored against every column
-            keep[~((qnorm < _HUGE) & (qnorm * xmax < _HUGE))] = True
-        rows, cols = np.divmod(np.flatnonzero(keep), n)  # np.nonzero's arrays, faster
-        index[a : a + step], sims[a : a + step] = rank_candidates(q64, data, rows, cols, min(k, n))
+            rows, cols = np.divmod(np.arange(len(q64) * n), n)
+            index[a : a + step], sims[a : a + step] = rank_candidates(q64, data, rows, cols, width)
     return index, sims
+
+
+def _screen(q64: np.ndarray, data: np.ndarray, k: int, xmax: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k, k < n, of each row of the tile `q64` (T, r) against
+    `data` (r, n), whose largest column norm is `xmax`: `rank_candidates`
+    scores `_candidates`' pairs in float64 and ranks them, and each query
+    that left the screen is rescored alone by `_rescore_alone`. The screen's
+    buffers are freed before the ranking allocates."""
+    rows, cols, alone = _candidates(q64, data, k, xmax)
+    index, sims = rank_candidates(q64, data, rows, cols, k)
+    for i in np.flatnonzero(alone):
+        index[i], sims[i] = _rescore_alone(q64[i : i + 1], data, k)
+    return index, sims
+
+
+def _candidates(q64: np.ndarray, data: np.ndarray, k: int, xmax: float) -> tuple[np.ndarray, ...]:
+    """The float32 screen of a tile: the candidate (row, column) pairs, rows
+    ascending, and the mask of the rows that left the screen.
+
+    A float32 GEMM screens the columns in chunks of C = max(k, _SCREEN_FLOATS
+    // T) into one reused (T, C) buffer. The first chunk's k best screen
+    scores per row start a running top k; each chunk keeps (row, column,
+    score) wherever the score reaches kth - 2 delta, where kth is the running
+    k-th best screen score and delta the `_margin` of the row; the kept
+    scores alone raise the running top k, since a score that raises it is
+    at least the old kth; and the kept pairs are pruned to the new threshold.
+    So after the last chunk the candidates are the columns screening at
+    least kth - 2 delta at the final kth, the k-th largest of all n screen
+    scores. A column whose float64 score reaches the k-th largest float64
+    score screens at least that score minus delta, which is at least
+    kth - 2 delta, in any float32 summation order: the candidates hold the
+    whole float64 top k, ties included.
+
+    A row whose screen could overflow float32, or that holds more than
+    k + _ROW_CANDIDATES candidates (as when many columns tie), leaves the
+    screen with none. Besides the tile, the screen holds its buffer, a mask
+    of it, at most k + _ROW_CANDIDATES kept pairs per row and one chunk's
+    new pairs.
+    """
+    T, (r, n) = len(q64), data.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # rows that leave the screen
+        qnorm = np.sqrt(np.square(q64).sum(axis=1))
+        alone = ~((qnorm < _HUGE) & (qnorm * xmax < _HUGE))
+        q32 = q64.astype(np.float32)
+        twodelta = 2.0 * _margin(r, qnorm, xmax)
+    q32[alone] = 0.0
+    C = max(k, _SCREEN_FLOATS // T)
+    scores = np.empty(T * min(C, n), dtype=np.float32)
+    reached = np.empty(scores.size, dtype=bool)
+    keys = np.empty(0, dtype=np.int64)  # the kept pairs, row * n + column
+    kept = np.empty(0, dtype=np.float32)  # and their screen scores
+    for c0 in range(0, n, C):
+        w = min(C, n - c0)
+        chunk = np.matmul(q32, data[:, c0 : c0 + w], out=scores[: T * w].reshape(T, w))
+        if c0 == 0:  # k best scores from copies of at most 1/8 of the chunk
+            step = max(1, T // 8)
+            best = np.concatenate([np.partition(chunk[b : b + step], w - k, axis=1)[:, w - k :]
+                                   for b in range(0, T, step)])
+            thr = _least_float32(np.where(alone, np.inf, best[:, 0] - twodelta))
+        flat = np.flatnonzero(np.greater_equal(chunk, thr[:, None], out=reached[: T * w].reshape(T, w)))
+        if flat.size == 0:
+            continue
+        new = scores[flat]
+        rows = flat // w
+        flat += rows * (n - w) + c0  # the pairs' keys
+        if c0:
+            best = _raise_best(best, rows, new)
+            thr = _least_float32(np.where(alone, np.inf, best[:, 0] - twodelta))
+        keys, kept = np.concatenate([keys, flat]), np.concatenate([kept, new])
+        rows = keys // n
+        keep = kept >= thr[rows]
+        over = np.bincount(rows[keep], minlength=T) > k + _ROW_CANDIDATES
+        alone |= over
+        thr[over] = np.inf
+        keep &= ~over[rows]
+        keys, kept = keys[keep], kept[keep]
+    return *np.divmod(np.sort(keys), n), alone
+
+
+def _least_float32(thr: np.ndarray) -> np.ndarray:
+    """The least float32 not below each float64 threshold: a float32 score
+    reaches it exactly when the score reaches the threshold, and a float32
+    comparison takes about a third of the time of a mixed one."""
+    near = thr.astype(np.float32)
+    return np.where(near < thr, np.nextafter(near, np.float32(np.inf)), near)
+
+
+def _raise_best(best: np.ndarray, rows: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The (T, k) running best screen scores, each row's k-th largest in
+    column 0, raised by the scores `new` of the rows `rows` (ascending): one
+    partition of each row's best and new scores, padded with -inf."""
+    T, k = best.shape
+    counts = np.bincount(rows, minlength=T)
+    width = k + int(counts.max())
+    pad = np.full((T, width), -np.inf, dtype=np.float32)
+    pad[:, :k] = best
+    starts = np.cumsum(counts) - counts
+    pad.ravel()[rows * width + k + np.arange(rows.size) - starts[rows]] = new
+    pad.partition(width - k, axis=1)
+    return pad[:, width - k :].copy()
+
+
+def _rescore_alone(q64: np.ndarray, data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`rank_candidates` of one query (1, r) against every column of `data`,
+    k < n: per block of one product block's columns, the block and the best
+    k so far. Each score depends only on its pair, so the result is that of
+    ranking every column at once, in memory that grows with neither n nor
+    the tile."""
+    r, n = data.shape
+    step = max(1, _PRODUCT_FLOATS // r)
+    best = np.empty(0, dtype=np.int64)
+    for c0 in range(0, n, step):
+        cols = np.concatenate([best, np.arange(c0, min(c0 + step, n))])
+        index, sims = rank_candidates(q64, data, np.zeros(cols.size, dtype=np.int64), cols, k)
+        best = index[0][index[0] >= 0]
+    return index[0], sims[0]
 
 
 def knn(query: np.ndarray, train: EmbeddedMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,9 @@ learners' mean of them, which the blocked label pass is checked against,
 and the dict label side (`fuse`,
 `top_k_labels`, `format_dicts`, `evaluate_dicts`): one {label: score} dict
 per sample, the representation the sparse score matrix replaced, kept as
-its reference. `parse_dataset` is the whole-file,
+its reference. `evaluate_unblocked` is `metrics.evaluate` over every
+sample at once, which its blocks of samples are checked against.
+`parse_dataset` is the whole-file,
 line-by-line parser that states the text format: each token is checked
 against the grammar (`_DIGITS`, `_VALUE`, `_NON_FINITE`) before `int()` or
 `float()` reads it, and the dataset is built with `data._assemble`, which
@@ -58,7 +60,7 @@ from ogeec.data import _F32_MAX, DatasetFormatError, SparseDataset, _assemble
 
 from ogeec.embedding import project_csr
 from ogeec.ensemble import EnsembleSpec, fused_scores
-from ogeec.metrics import DEFAULT_KS, METRIC_NAMES, EvalReport
+from ogeec.metrics import DEFAULT_KS, METRIC_NAMES, EvalReport, truth_hits
 from ogeec.predictor import knn, propagate, top_k
 
 
@@ -459,6 +461,43 @@ def evaluate_dicts(predictions, truths, propensities, ks=DEFAULT_KS) -> EvalRepo
     values = {name: total / max(used, 1) for name, total in sums.items()}
     return EvalReport(values=values, samples=used, skipped=skipped, ks=tuple(ks))
 
+
+
+def evaluate_unblocked(predictions, truths, propensities, ks=DEFAULT_KS) -> EvalReport:
+    """`metrics.evaluate` of every sample at once: the same per-slot arrays
+    over the whole (m, max(ks)) batch, and each mean the last row of one
+    running sum over all samples."""
+    pred = np.asarray(predictions, dtype=np.int64)[:, : max(ks)]
+    m, max_k = pred.shape
+    keys, span, hit = truth_hits(pred, truths)
+    rows, labels = keys // span, keys % span
+    L = propensities.size
+    counts = np.bincount(rows, minlength=m)
+    used = counts > 0
+    hit = hit[used]
+    inv = 1.0 / propensities
+    gain = np.where(hit, inv[np.where(hit, pred[used], 0)], 0.0)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    best = top_k(CSR(inv[labels], labels, indptr, (m, L)), max_k)[1][used]
+    counts = counts[used]
+    log2 = np.array([math.log2(pos + 2) for pos in range(max_k)])
+    idcg = np.cumsum([0.0, *(1.0 / log2)])
+    col = np.array(ks) - 1
+    per_sample = {
+        "P": np.cumsum(hit, axis=1)[:, col] / np.array(ks),
+        "N": np.cumsum(np.where(hit, 1.0 / log2, 0.0), axis=1)[:, col]
+        / idcg[np.minimum(counts[:, None], ks)],
+        "PSP": np.cumsum(gain, axis=1)[:, col] / np.cumsum(best, axis=1)[:, col],
+        "PSN": np.cumsum(gain / log2, axis=1)[:, col] / np.cumsum(best / log2, axis=1)[:, col],
+    }
+    samples = int(used.sum())
+    totals = {name: np.cumsum(v, axis=0)[-1:].sum(axis=0) for name, v in per_sample.items()}
+    values = {
+        f"{name}@{k}": float(totals[name][j]) / max(samples, 1)
+        for name in METRIC_NAMES
+        for j, k in enumerate(ks)
+    }
+    return EvalReport(values=values, samples=samples, skipped=m - samples, ks=tuple(ks))
 
 
 def isin_truth_hits(pred, truths):

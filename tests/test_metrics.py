@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     evaluate_dicts,
+    evaluate_unblocked,
     isin_truth_hits,
     ref_ndcg,
     ref_precision,
@@ -19,6 +22,7 @@ from oracles import (
     uniform_propensity,
 )
 
+from ogeec import metrics
 from ogeec.metrics import evaluate, propensity, truth_hits
 
 
@@ -365,3 +369,44 @@ def test_truth_hits_equal_unique_and_isin(data):
     assert span == want_span
     assert keys.dtype == want_keys.dtype and np.array_equal(keys, want_keys)
     assert hit.shape == want_hit.shape and np.array_equal(hit, want_hit)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 40, 1 << 16])
+def test_evaluate_in_blocks_equals_one_batch(cells):
+    """Blocks of 1 sample, of a few, and of every sample give the report of
+    one pass over the whole batch, bit for bit: pads, empty and repeated
+    truths, and repeated and unsorted cutoffs; a true label outside the
+    model is named with its sample's index in the batch."""
+    rng = np.random.default_rng(12)
+    L, m, ks = 15, 37, (3, 1, 8, 3)
+    pred = np.array([np.r_[rng.choice(L, 8 - pad, replace=False), [-1] * pad] for pad in rng.integers(0, 4, m)])
+    truths = truth_matrix([rng.choice(L, rng.integers(0, 5)) for _ in range(m)], L)
+    props = propensity(rng.integers(0, 30, L), n=500)
+    with mock.patch.object(metrics, "_EVAL_CELLS", cells):
+        got = evaluate(pred, truths, props, ks)
+        bad = truth_matrix([[0]] * 30 + [[2, L + 1], [L + 3]], L + 4)
+        with pytest.raises(ValueError, match=f"^true label {L + 1} of sample 30 is outside"):
+            evaluate(pred[:32], bad, props, ks)
+    want = evaluate_unblocked(pred, truths, props, ks)
+    assert (got.values, got.samples, got.skipped) == (want.values, want.samples, want.skipped)
+    assert got.samples < m
+
+
+def test_evaluate_memory_does_not_grow_with_the_batch_times_k():
+    """200 samples ranked to K = 20,000: `evaluate`'s tracemalloc peak stays
+    under 4 MiB. One pass over all 4M (sample, slot) cells held about 49
+    bytes per cell."""
+    rng = np.random.default_rng(13)
+    L, m, K = 30_000, 200, 20_000
+    pred = np.array([rng.permutation(L)[:K] for _ in range(m)])
+    truths = truth_matrix([row[rng.choice(K, 5, replace=False)] for row in pred], L)
+    props = propensity(rng.integers(0, 30, L), n=500)
+    tracemalloc.start()
+    try:
+        report = evaluate(pred, truths, props, (1, 5, K))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert report.samples == m and report[f"P@{K}"] == pytest.approx(5 / K)
+    assert report[f"PSP@{K}"] == pytest.approx(1.0)

@@ -13,6 +13,7 @@ from oracles import (
     float64_features,
     from_scipy,
     knn_scan,
+    knn_scan_block,
     labelsets,
     lexsort_top_k,
     neighbor_lists,
@@ -138,7 +139,9 @@ def test_knn_monotone_under_added_sample(cols, extra, k):
 @st.composite
 def search_cases(draw):
     """A train matrix with adversarial columns, a block of queries, k, and the
-    query rows per screen tile."""
+    search's sizes: the queries per tile, the screen chunk's columns, the
+    candidates a query may hold before it is rescored alone, and the columns
+    of one such rescore block."""
     r = draw(st.integers(1, 12))
     n = draw(st.integers(1, 30))
     data = draw(arrays(np.float32, (r, n), elements=st.floats(-4, 4, width=32)))
@@ -164,7 +167,21 @@ def search_cases(draw):
         if draw(st.booleans()):  # a query on a training column scores near-ties
             queries[:, i] = data[:, draw(st.integers(0, n - 1))]
     k = draw(st.integers(1, n + 3))
-    return data, queries, k, draw(st.integers(1, m))
+    sizes = {
+        "_TILE_QUERIES": draw(st.integers(1, m)),
+        "chunk": draw(st.integers(1, 7)),
+        "_ROW_CANDIDATES": draw(st.integers(0, 6)),
+        "_PRODUCT_FLOATS": r * draw(st.integers(1, 7)),
+    }
+    return data, queries, k, sizes
+
+
+def search_sizes(_TILE_QUERIES, chunk, **sizes):
+    """The predictor constants that give tiles of `_TILE_QUERIES` queries
+    and screen chunks of `chunk` columns, as `_search` derives them (for a
+    k above `chunk`, smaller tiles and chunks of at least k columns), and
+    `sizes` as they are."""
+    return {"_TILE_QUERIES": _TILE_QUERIES, "_SCREEN_FLOATS": _TILE_QUERIES * chunk, **sizes}
 
 
 @settings(deadline=None, max_examples=300)
@@ -172,10 +189,11 @@ def search_cases(draw):
 def test_knn_equals_full_scan(case):
     """The screened kernel returns the full float64 scan's (index, score)
     lists exactly: on near-ties, duplicate and zero columns, non-unit columns,
-    float64 queries, k >= n, n within one tile and a ragged last tile."""
-    data, queries, k, tile_rows = case
+    float64 queries, k >= n, chunks of 1 to 7 columns, n within one chunk or
+    tile, a ragged last chunk and tile, and queries rescored alone."""
+    data, queries, k, sizes = case
     n = data.shape[1]
-    with mock.patch.multiple(predictor, _SCREEN_FLOATS=tile_rows * n, _SELECT_FLOATS=tile_rows * n):
+    with mock.patch.multiple(predictor, **search_sizes(**sizes), _SELECT_FLOATS=sizes["_TILE_QUERIES"] * n):
         got = neighbor_lists(*knn(queries, matrix_of(data), k))
     assert got == [knn_scan(queries[:, i], data, k) for i in range(queries.shape[1])]
 
@@ -189,9 +207,110 @@ def test_knn_kth_blocks_cut_by_a_tile_boundary(k):
     data[:, 20:30] = data[:, :10]  # duplicate columns: exact ties
     queries = rng.normal(size=(8, 50))
     queries[:, ::7] = data[:, :8]  # queries on training columns
-    with mock.patch.multiple(predictor, _SCREEN_FLOATS=23 * 40, _SELECT_FLOATS=23 * 40):
+    with mock.patch.multiple(predictor, **search_sizes(23, 40), _SELECT_FLOATS=23 * 40):
         got = neighbor_lists(*knn(queries, matrix_of(data), k))
     assert got == [knn_scan(queries[:, i], data, k) for i in range(50)]
+
+
+def _streamed(data, queries, k, chunk, **sizes):
+    """`knn`'s lists with tiles of 8 queries and screen chunks of `chunk`
+    columns, checked against the full scan."""
+    with mock.patch.multiple(predictor, **search_sizes(8, chunk, **sizes)):
+        got = neighbor_lists(*knn(queries, matrix_of(data), k))
+    assert got == [knn_scan(queries[:, i], data, k) for i in range(queries.shape[1])]
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_knn_ties_straddle_a_chunk_boundary(k):
+    """Exact ties on both sides of each chunk boundary, with n = 47 not a
+    multiple of the 6-column chunk: the tie broken by index crosses chunks."""
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(6, 47)).astype(np.float32)
+    for edge in range(6, 47, 6):
+        data[:, edge - 2 : edge + 2] = data[:, [0]]  # two columns before, two after
+    queries = rng.normal(size=(6, 20))
+    queries[:, :5] = data[:, [0]]
+    _streamed(data, queries, k, 6)
+
+
+@pytest.mark.parametrize("k", [4, 7, 20])
+def test_knn_k_at_least_the_chunk(k):
+    """k of 4 to 20 against chunks of 4 columns: the first chunk widens to k
+    columns and later chunks hold as many."""
+    rng = np.random.default_rng(6)
+    data = rng.normal(size=(5, 33)).astype(np.float32)
+    data[:, 30:] = data[:, :3]
+    _streamed(data, rng.normal(size=(5, 11)), k, 4)
+
+
+@pytest.mark.parametrize("budget", [0, 2, 256])
+def test_knn_threshold_rises_every_chunk(budget):
+    """Train columns in ascending similarity to each query, one near-duplicate
+    per chunk: every chunk raises the running k-th best, and pruning (or,
+    with room for 0 or 2 candidates beyond k, rescoring alone) keeps the scan's
+    lists."""
+    rng = np.random.default_rng(9)
+    q = rng.normal(size=6)
+    q /= np.linalg.norm(q)
+    n = 60
+    data = np.outer(q, np.linspace(0.1, 1.0, n)) + 1e-3 * rng.normal(size=(6, n))
+    data[:, 5::5] = data[:, 4:-1:5]  # each chunk's first column ties the last before it
+    queries = np.column_stack([q, -q, q + 1e-7, rng.normal(size=6)])
+    _streamed(data.astype(np.float32), queries, 3, 5, _ROW_CANDIDATES=budget)
+
+
+def test_least_float32_threshold():
+    """A float32 score reaches `_least_float32`'s threshold exactly when it
+    reaches the float64 threshold: at, between and beside float32 values,
+    signed zeros, subnormals, and +inf."""
+    rng = np.random.default_rng(3)
+    near = rng.normal(size=500).astype(np.float32) * np.float32(2.0) ** rng.integers(-140, 100, 500)
+    thr = np.concatenate([
+        near.astype(np.float64),
+        np.nextafter(near.astype(np.float64), np.inf),
+        np.nextafter(near.astype(np.float64), -np.inf),
+        [0.0, -0.0, 1e-50, -1e-50, 2.0**-149, np.inf],
+    ])
+    scores = np.concatenate([near, np.nextafter(near, np.float32(np.inf)), [0.0, -0.0, 2.0**-149]]).astype(np.float32)
+    least = predictor._least_float32(thr)
+    assert least.dtype == np.float32
+    assert np.array_equal(scores[:, None] >= least, scores[:, None] >= thr)
+
+
+def _search_peak(data, queries, k):
+    tracemalloc.start()
+    try:
+        predictor._search(queries, data, k)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["equal-columns", "overflowing-queries"])
+def test_search_memory_does_not_grow_with_n(kind):
+    """A tile of 256 queries at r = 100, against 3,072 and then 6,144
+    columns (3 and 6 screen chunks), where every query leaves the screen:
+    every column equal, so each query ties with all of them and passes its
+    candidate budget, or queries too large for a float32 screen. Each is
+    rescored alone, and `_search`'s tracemalloc peak stays under 16 MiB
+    and grows by at most 256 KiB with n. A tile that kept every pair of its
+    queries peaked at 64 and 128 MiB on equal columns, and at 41 and 81 MiB
+    on overflowing queries."""
+    rng = np.random.default_rng(10)
+    column = rng.normal(size=(100, 1)).astype(np.float32)
+    queries = rng.normal(size=(100, 256))
+    if kind == "overflowing-queries":
+        queries *= 1e200
+    peaks = []
+    for n in (3072, 6144):
+        data = np.asfortranarray(np.repeat(column, n, axis=1))
+        if kind == "overflowing-queries":
+            data = np.asfortranarray(rng.normal(size=(100, n)).astype(np.float32))
+        peaks.append(_search_peak(data, queries, 5))
+    assert peaks[1] - peaks[0] <= 256 * 1024 and max(peaks) <= 16 * 2**20, peaks
+    got = predictor._search(queries[:, :4], data, 5)
+    want = knn_scan_block(queries[:, :4], data, 5)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e30, 1e200])
